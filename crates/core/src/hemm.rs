@@ -112,9 +112,8 @@ fn hemm_pipelined<T: Scalar + Reduce>(
     let eff_beta = if on_root { beta } else { T::zero() };
     let panel = panel.max(1);
     let out_rows = dst.rows();
-    // Resolve op(H_local) once: a per-panel transpose pack would cost
-    // O(n_r * n_c) per panel and erase the pipeline's win on the odd
-    // (ConjTrans) steps.
+    // Pack op(H_local) once: packing it per panel would cost
+    // O(n_r * n_c) per panel and erase the pipeline's win.
     let h_packed = chase_linalg::prepack_a(opa, h_local.as_ref());
     dev.begin_overlap();
     let mut pending: Option<(DevAllreduce<'_, '_, T>, Range<usize>)> = None;

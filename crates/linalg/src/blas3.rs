@@ -2,21 +2,40 @@
 //!
 //! GEMM is the workhorse of ChASE (Section 1 of the paper): the Chebyshev
 //! filter, the Rayleigh–Ritz quotient and the residual stage are all expressed
-//! through it. The implementation packs `op(A)` once when a transpose is
-//! requested (and borrows it in place for `Op::None`) and then runs a
-//! cache-blocked `MC x NC x KC` tile sweep; column panels of `C` are
-//! processed in parallel with rayon when the work is large enough to
-//! amortize the fork.
+//! through it. It is one GotoBLAS/BLIS-shaped loop nest:
 //!
-//! Bitwise determinism: for every `C[i, j]` the accumulation order is
-//! exactly `l = 0, 1, ..., k-1` regardless of tile boundaries, matrix
-//! shape or how the caller splits `C` into column panels — the filter's
-//! overlapped pipeline relies on panel-chunked GEMMs matching the flat
-//! call bit for bit.
+//! ```text
+//! for jc in 0..n step NC          columns of C / op(B) packed at once
+//!   for pc in 0..k step KC        pack s = alpha*op(B)[pc.., jc..] into NR-column micro-panels
+//!     for ic in 0..m step MC      pack op(A)[ic.., pc..] into MR-row micro-panels
+//!       for jr in 0..nc step NR   (or take them from `prepack_a`)
+//!         for ir in 0..mc step MR
+//!           microkernel: the MR x NR tile of C stays in registers for all kc terms
+//! ```
+//!
+//! Transposition and conjugation are folded into the packing, and packed
+//! operands keep real and imaginary parts in separate planes, so the
+//! microkernel is plain lane-wise multiplies and adds on `T::Real` arrays
+//! that the compiler vectorises without shuffles. The pack buffers are per
+//! thread, reused across calls and freed with the thread; they hold at most
+//! `MC*KC + KC*NC` elements (plus `KC*NC/NR` zero flags) whatever the
+//! operand shapes.
+//!
+//! The fold contract (spelled out on [`gemm`]): per element of `C` the `k`
+//! terms are added in ascending order, each product rounded before its add,
+//! terms with a zero `alpha*op(B)` factor skipped. Blocking reorders the
+//! *traversal*, never a per-element sum, so the result is a pure function
+//! of the inputs: independent of tile boundaries, of how a caller splits
+//! `C` into column panels (the filter's overlapped pipeline relies on
+//! that), and of the vector width. The microkernel is compiled twice from
+//! one source — portably and with AVX2 enabled, chosen per call by run-time
+//! detection — and both give the same bits: wider vectors yes, fused
+//! multiply-add and re-association never.
 
 use crate::matrix::{ColsMut, ColsRef, Matrix};
 use crate::scalar::Scalar;
-use rayon::prelude::*;
+use std::any::Any;
+use std::cell::RefCell;
 
 /// Transpose operation applied to a GEMM operand.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -29,59 +48,79 @@ pub enum Op {
     ConjTrans,
 }
 
-/// Minimum `m*n*k` product before rayon parallelism kicks in. Benchmarked
-/// down from `64^3`: at `32^3` (~0.26 Mflop real) the fork overhead is
-/// already amortized on the panel GEMMs the overlapped filter emits, which
-/// would otherwise all fall back to the serial path.
-const PAR_THRESHOLD: usize = 32 * 32 * 32;
-
-/// Cache-block sizes for the tiled kernel (column-major storage):
-/// `C`/`B` are swept in `NC`-column panels, `A` in `MC`-row strips, and
-/// the inner dimension is accumulated `KC` at a time — an `MC x KC` tile
-/// of `A` (256 KiB at f64, L2-resident) is reused across a full `NC`-wide
-/// panel of `C` before the sweep advances.
+/// Cache blocking: an `MC x KC` block of packed `op(A)` (512 KiB at C64,
+/// L2-resident) is reused across `NC` columns; one `KC`-deep micro-panel of
+/// each operand (16 KiB at C64) stays in L1 under the microkernel. `NC` is
+/// the widest slice of `op(B)` packed at once; wider inputs are panelled.
 const MC: usize = 128;
-const NC: usize = 32;
 const KC: usize = 256;
+const NC: usize = 128;
 
-/// `op(A)` resolved for the kernel: `Op::None` borrows the operand in
-/// place (zero-copy fast path), transposes pack into a fresh matrix so the
-/// inner loops always walk contiguous columns.
-enum PackedA<'a, T: Scalar> {
-    Borrowed(ColsRef<'a, T>),
-    Packed(Matrix<T>),
-}
-
-impl<T: Scalar> PackedA<'_, T> {
-    fn as_ref(&self) -> ColsRef<'_, T> {
-        match self {
-            PackedA::Borrowed(r) => *r,
-            PackedA::Packed(m) => m.as_ref(),
+/// Run `$body` with `MR` and `NR` bound to the microkernel tile shape for
+/// `$t` — one shape per scalar width, the fastest measured on AVX2 with
+/// clean code generation (EXPERIMENTS.md): 4 x 4 on 64-bit reals (at C64
+/// eight accumulator vectors, leaving room in 16 registers for the two
+/// planes of an `op(A)` column, the broadcast `s` and the products), 16 x 2
+/// on 32-bit reals (the same eight accumulators; 8 x 4 would be too, but the
+/// vectoriser then pairs lanes across columns and the loop fills with
+/// shuffles).
+macro_rules! with_tile {
+    ($t:ty, $mr:ident, $nr:ident => $body:expr) => {
+        if size_of::<<$t as Scalar>::Real>() == 4 {
+            const $mr: usize = 16;
+            const $nr: usize = 2;
+            $body
+        } else {
+            const $mr: usize = 4;
+            const $nr: usize = 4;
+            $body
         }
-    }
+    };
 }
 
-fn packed_op<'a, T: Scalar>(op: Op, a: ColsRef<'a, T>) -> PackedA<'a, T> {
+/// `(rows, cols)` of `op(X)`.
+fn op_shape<T: Scalar>(op: Op, x: ColsRef<'_, T>) -> (usize, usize) {
     match op {
-        Op::None => PackedA::Borrowed(a),
-        Op::Trans => PackedA::Packed(Matrix::from_fn(a.cols(), a.rows(), |i, j| a.at(j, i))),
-        Op::ConjTrans => PackedA::Packed(Matrix::from_fn(a.cols(), a.rows(), |i, j| {
-            a.at(j, i).conj()
-        })),
+        Op::None => (x.rows(), x.cols()),
+        _ => (x.cols(), x.rows()),
     }
 }
 
-/// `op(A)` packed once for reuse across many GEMM calls. The overlapped
+/// Number of `T::Real` planes in a packed operand.
+const fn planes<T: Scalar>() -> usize {
+    if T::IS_COMPLEX {
+        2
+    } else {
+        1
+    }
+}
+
+/// `op(A)` resolved once for reuse across many GEMM calls. The overlapped
 /// filter pipeline splits one logical GEMM into column panels; prepacking
-/// keeps the transpose cost per *step* instead of per *panel* (for
-/// `Op::None` this is a zero-copy borrow either way).
+/// pays the packing of `op(A)` per *step* instead of per *panel*.
 pub struct Prepacked<'a, T: Scalar> {
-    packed: PackedA<'a, T>,
+    opa: Op,
+    a: ColsRef<'a, T>,
     m: usize,
     k: usize,
+    /// Every `(pc, ic)` block of `op(A)` in micro-panel order, back to
+    /// back; `None` for the one-shot [`gemm`], which packs block by block
+    /// into the thread's buffer instead of allocating an `m x k` copy.
+    panels: Option<Vec<T::Real>>,
 }
 
-impl<T: Scalar> Prepacked<'_, T> {
+impl<'a, T: Scalar> Prepacked<'a, T> {
+    fn borrowed(opa: Op, a: ColsRef<'a, T>) -> Self {
+        let (m, k) = op_shape(opa, a);
+        Prepacked {
+            opa,
+            a,
+            m,
+            k,
+            panels: None,
+        }
+    }
+
     /// Rows of `op(A)`.
     pub fn m(&self) -> usize {
         self.m
@@ -93,16 +132,328 @@ impl<T: Scalar> Prepacked<'_, T> {
     }
 }
 
-/// Resolve `op(A)` once, up front.
+/// Pack `op(A)` once, up front.
 pub fn prepack_a<T: Scalar>(opa: Op, a: ColsRef<'_, T>) -> Prepacked<'_, T> {
-    let (m, k) = match opa {
-        Op::None => (a.rows(), a.cols()),
-        _ => (a.cols(), a.rows()),
+    let mut p = Prepacked::borrowed(opa, a);
+    p.panels = Some(with_tile!(T, MR, _NR => pack_a_all::<T, MR>(&p)));
+    p
+}
+
+/// Offset and length of block `(pc, ic)` in [`Prepacked::panels`]: blocks
+/// are laid out `pc`-major and every row block is padded to whole
+/// micro-panels, so a `kc`-deep slice holds `round_up(m, MR) * kc` elements.
+fn a_block_span<T: Scalar, const MR: usize>(
+    m: usize,
+    (pc, kc): (usize, usize),
+    (ic, mc): (usize, usize),
+) -> (usize, usize) {
+    const {
+        assert!(
+            MC.is_multiple_of(MR),
+            "row blocks must start on a micro-panel"
+        )
     };
-    Prepacked {
-        packed: packed_op(opa, a),
-        m,
-        k,
+    let p = planes::<T>();
+    (
+        p * (pc * m.next_multiple_of(MR) + ic * kc),
+        p * mc.next_multiple_of(MR) * kc,
+    )
+}
+
+fn pack_a_all<T: Scalar, const MR: usize>(a: &Prepacked<'_, T>) -> Vec<T::Real> {
+    let (m, k) = (a.m, a.k);
+    let zero = <T::Real as Scalar>::zero();
+    let mut out = vec![zero; planes::<T>() * m.next_multiple_of(MR) * k];
+    for pc in (0..k).step_by(KC) {
+        let kc = KC.min(k - pc);
+        for ic in (0..m).step_by(MC) {
+            let mc = MC.min(m - ic);
+            let (off, len) = a_block_span::<T, MR>(m, (pc, kc), (ic, mc));
+            pack_a_block::<T, MR>(a.opa, a.a, (ic, mc), (pc, kc), &mut out[off..off + len]);
+        }
+    }
+    out
+}
+
+/// Pack the `mc x kc` block of `op(A)` at `(ic, pc)` into `MR`-row
+/// micro-panels: panel `p` holds rows `ic + p*MR ..`, and for each `l` its
+/// `MR` real parts then (complex only) its `MR` imaginary parts. Rows past
+/// `mc` are zero; their products land in tile rows that are never stored.
+fn pack_a_block<T: Scalar, const MR: usize>(
+    opa: Op,
+    a: ColsRef<'_, T>,
+    (ic, mc): (usize, usize),
+    (pc, kc): (usize, usize),
+    out: &mut [T::Real],
+) {
+    let p = planes::<T>();
+    let zero = <T::Real as Scalar>::zero();
+    for (ip, panel) in out.chunks_exact_mut(kc * p * MR).enumerate() {
+        let i0 = ic + ip * MR;
+        let mr = MR.min(ic + mc - i0);
+        if mr < MR {
+            panel.fill(zero);
+        }
+        match opa {
+            Op::None => {
+                for (l, dst) in panel.chunks_exact_mut(p * MR).enumerate() {
+                    let src = &a.col(pc + l)[i0..i0 + mr];
+                    for (ii, v) in src.iter().enumerate() {
+                        dst[ii] = v.re();
+                        if T::IS_COMPLEX {
+                            dst[MR + ii] = v.im();
+                        }
+                    }
+                }
+            }
+            Op::Trans | Op::ConjTrans => {
+                // op(A)[i, l] = A[l, i]: row i of the panel is a contiguous
+                // stretch of column i of A.
+                for ii in 0..mr {
+                    let src = &a.col(i0 + ii)[pc..pc + kc];
+                    for (dst, v) in panel.chunks_exact_mut(p * MR).zip(src) {
+                        dst[ii] = v.re();
+                        if T::IS_COMPLEX {
+                            dst[MR + ii] = if opa == Op::ConjTrans {
+                                -v.im()
+                            } else {
+                                v.im()
+                            };
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Pack `s = alpha * op(B)[l, j]` for the `kc x nc` block at `(pc, jc)`
+/// into `NR`-column micro-panels (same plane layout as `op(A)`), and flag
+/// in `skip` each `l` of each panel where some `s` is zero: those terms are
+/// skipped, so the microkernel takes its per-column path for that `l`.
+/// Columns past `nc` are zero and unflagged; they feed tile columns that
+/// are never stored.
+fn pack_b_block<T: Scalar, const NR: usize>(
+    opb: Op,
+    alpha: T,
+    b: ColsRef<'_, T>,
+    (pc, kc): (usize, usize),
+    (jc, nc): (usize, usize),
+    out: &mut [T::Real],
+    skip: &mut [bool],
+) {
+    let p = planes::<T>();
+    let zero = <T::Real as Scalar>::zero();
+    let panels = out
+        .chunks_exact_mut(kc * p * NR)
+        .zip(skip.chunks_exact_mut(kc));
+    for (jp, (panel, skip)) in panels.enumerate() {
+        let j0 = jc + jp * NR;
+        let nr = NR.min(jc + nc - j0);
+        if nr < NR {
+            panel.fill(zero);
+        }
+        skip.fill(false);
+        for jj in 0..nr {
+            for (l, (dst, skip)) in panel.chunks_exact_mut(p * NR).zip(&mut *skip).enumerate() {
+                let s = alpha
+                    * match opb {
+                        Op::None => b.at(pc + l, j0 + jj),
+                        Op::Trans => b.at(j0 + jj, pc + l),
+                        Op::ConjTrans => b.at(j0 + jj, pc + l).conj(),
+                    };
+                dst[jj] = s.re();
+                if T::IS_COMPLEX {
+                    dst[NR + jj] = s.im();
+                }
+                *skip |= s == T::zero();
+            }
+        }
+    }
+}
+
+/// The accumulators of one `MR x NR` tile of `C`, planes apart like the
+/// packed operands (`im` stays zero for real `T`).
+struct Tile<R, const MR: usize, const NR: usize> {
+    re: [[R; MR]; NR],
+    im: [[R; MR]; NR],
+}
+
+/// `tile[j][i] += sum_l s[l, j] * a[i, l]` over one micro-panel pair, `l`
+/// ascending, with the accumulators in registers across the whole loop.
+#[inline(always)]
+fn microkernel_body<T: Scalar, const MR: usize, const NR: usize>(
+    ap: &[T::Real],
+    bp: &[T::Real],
+    skip: &[bool],
+    tile: &mut Tile<T::Real, MR, NR>,
+) {
+    let p = planes::<T>();
+    let zero = <T::Real as Scalar>::zero();
+    let (mut cre, mut cim) = (tile.re, tile.im);
+    let terms = ap
+        .chunks_exact(p * MR)
+        .zip(bp.chunks_exact(p * NR))
+        .zip(skip);
+    for ((a, s), &skip) in terms {
+        let are: &[T::Real; MR] = a[..MR].try_into().expect("MR reals");
+        let aim: &[T::Real; MR] = a[(p - 1) * MR..].try_into().expect("MR reals");
+        let sre: &[T::Real; NR] = s[..NR].try_into().expect("NR reals");
+        let sim: &[T::Real; NR] = s[(p - 1) * NR..].try_into().expect("NR reals");
+        for j in 0..NR {
+            // Zero-skip, part of the fold contract; `skip` (set while
+            // packing) keeps the test off every `l` that has no zero.
+            if skip && sre[j] == zero && (!T::IS_COMPLEX || sim[j] == zero) {
+                continue;
+            }
+            for i in 0..MR {
+                if T::IS_COMPLEX {
+                    cre[j][i] += sre[j] * are[i] - sim[j] * aim[i];
+                    cim[j][i] += sre[j] * aim[i] + sim[j] * are[i];
+                } else {
+                    cre[j][i] += sre[j] * are[i];
+                }
+            }
+        }
+    }
+    (tile.re, tile.im) = (cre, cim);
+}
+
+/// The portable instantiation. Kept out of line: compiled on its own, the
+/// planar tile loads and stores are what seeds the vectoriser, one lane per
+/// row; inlined into the driver, the interleaved stores to `C` seed it
+/// instead and the loop fills with shuffles.
+#[inline(never)]
+fn microkernel<T: Scalar, const MR: usize, const NR: usize>(
+    ap: &[T::Real],
+    bp: &[T::Real],
+    skip: &[bool],
+    tile: &mut Tile<T::Real, MR, NR>,
+) {
+    microkernel_body::<T, MR, NR>(ap, bp, skip, tile);
+}
+
+/// The same source compiled with AVX2 enabled: 256-bit lanes, the same
+/// IEEE multiplies and adds (AVX2 does not include FMA, and Rust never
+/// contracts `a * b + c`), hence the same bits.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn microkernel_avx2<T: Scalar, const MR: usize, const NR: usize>(
+    ap: &[T::Real],
+    bp: &[T::Real],
+    skip: &[bool],
+    tile: &mut Tile<T::Real, MR, NR>,
+) {
+    microkernel_body::<T, MR, NR>(ap, bp, skip, tile);
+}
+
+/// One thread's pack buffers for one real type.
+#[derive(Default)]
+struct Scratch<R> {
+    a: Vec<R>,
+    b: Vec<R>,
+    skip: Vec<bool>,
+}
+
+thread_local! {
+    /// At most one [`Scratch`] per real type (f32, f64), grown on first use
+    /// to the block sizes a call needs and dropped with the thread.
+    static SCRATCH: RefCell<Vec<Box<dyn Any>>> = const { RefCell::new(Vec::new()) };
+}
+
+fn with_scratch<R: Default + 'static, O>(f: impl FnOnce(&mut Scratch<R>) -> O) -> O {
+    SCRATCH.with(|cell| {
+        let mut slots = cell.borrow_mut();
+        let at = match slots.iter().position(|s| s.is::<Scratch<R>>()) {
+            Some(at) => at,
+            None => {
+                slots.push(Box::new(Scratch::<R>::default()));
+                slots.len() - 1
+            }
+        };
+        f(slots[at].downcast_mut().expect("slot was found by type"))
+    })
+}
+
+/// The first `len` elements of `buf`, reallocated at exactly `len` if it is
+/// shorter (the old contents are scratch; `resize` would copy them and may
+/// double the capacity past the bound in the module header).
+fn first_n<V: Copy>(buf: &mut Vec<V>, len: usize, fill: V) -> &mut [V] {
+    if buf.len() < len {
+        *buf = Vec::new();
+        *buf = vec![fill; len];
+    }
+    &mut buf[..len]
+}
+
+/// The loop nest of the module header: `C += alpha * op(A) * op(B)` on a
+/// `C` that already holds `beta * C`.
+fn gemm_blocked<T: Scalar, const MR: usize, const NR: usize>(
+    a: &Prepacked<'_, T>,
+    opb: Op,
+    alpha: T,
+    b: ColsRef<'_, T>,
+    c: &mut [T],
+    scratch: &mut Scratch<T::Real>,
+    kernel: impl Fn(&[T::Real], &[T::Real], &[bool], &mut Tile<T::Real, MR, NR>),
+) {
+    const {
+        assert!(
+            NC.is_multiple_of(NR),
+            "column slices must start on a micro-panel"
+        )
+    };
+    let (m, k) = (a.m, a.k);
+    let n = c.len() / m;
+    let p = planes::<T>();
+    let zero = <T::Real as Scalar>::zero();
+    for jc in (0..n).step_by(NC) {
+        let nc = NC.min(n - jc);
+        for pc in (0..k).step_by(KC) {
+            let kc = KC.min(k - pc);
+            let b_block = first_n(&mut scratch.b, p * kc * nc.next_multiple_of(NR), zero);
+            let skip = first_n(&mut scratch.skip, kc * nc.div_ceil(NR), false);
+            pack_b_block::<T, NR>(opb, alpha, b, (pc, kc), (jc, nc), b_block, skip);
+            for ic in (0..m).step_by(MC) {
+                let mc = MC.min(m - ic);
+                let (off, len) = a_block_span::<T, MR>(m, (pc, kc), (ic, mc));
+                let a_block: &[T::Real] = match &a.panels {
+                    Some(panels) => &panels[off..off + len],
+                    None => {
+                        let buf = first_n(&mut scratch.a, len, zero);
+                        pack_a_block::<T, MR>(a.opa, a.a, (ic, mc), (pc, kc), buf);
+                        buf
+                    }
+                };
+                let b_panels = b_block.chunks_exact(kc * p * NR).zip(skip.chunks_exact(kc));
+                for (jp, (bp, skip)) in b_panels.enumerate() {
+                    let j0 = jc + jp * NR;
+                    let nr = NR.min(jc + nc - j0);
+                    for (ip, ap) in a_block.chunks_exact(kc * p * MR).enumerate() {
+                        let i0 = ic + ip * MR;
+                        let mr = MR.min(ic + mc - i0);
+                        let mut tile = Tile {
+                            re: [[zero; MR]; NR],
+                            im: [[zero; MR]; NR],
+                        };
+                        for j in 0..nr {
+                            let at = (j0 + j) * m + i0;
+                            for (i, v) in c[at..at + mr].iter().enumerate() {
+                                tile.re[j][i] = v.re();
+                                tile.im[j][i] = v.im();
+                            }
+                        }
+                        kernel(ap, bp, skip, &mut tile);
+                        for j in 0..nr {
+                            let at = (j0 + j) * m + i0;
+                            for (i, v) in c[at..at + mr].iter_mut().enumerate() {
+                                *v = T::from_re_im(tile.re[j][i], tile.im[j][i]);
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -110,6 +461,20 @@ pub fn prepack_a<T: Scalar>(opa: Op, a: ColsRef<'_, T>) -> Prepacked<'_, T> {
 ///
 /// Dimensions are inferred and checked: `op(A)` is `m x k`, `op(B)` is
 /// `k x n`, `C` is `m x n`.
+///
+/// The result is defined bit for bit, on every machine. Each `C[i, j]`
+/// starts at `beta * C[i, j]` (exactly `0` when `beta == 0`, whatever `C`
+/// held; untouched when `beta == 1`), then for `l = 0, 1, ..., k-1` in that
+/// order, with `s = alpha * op(B)[l, j]` and `a = op(A)[i, l]`:
+///
+/// * if `s == 0` (either sign, both parts) the term is skipped — so a zero
+///   in `alpha * op(B)` shields `C` from an `inf`/`NaN` in the matching
+///   column of `op(A)`, and a sum of skipped terms keeps the sign of zero
+///   it started with;
+/// * otherwise `C[i, j] += s * a`, where the complex product is
+///   `(s.re*a.re - s.im*a.im, s.re*a.im + s.im*a.re)`, every product and
+///   the difference/sum rounded on their own (never fused), and only then
+///   added.
 pub fn gemm<T: Scalar>(
     opa: Op,
     opb: Op,
@@ -119,12 +484,27 @@ pub fn gemm<T: Scalar>(
     beta: T,
     c: ColsMut<'_, T>,
 ) {
-    gemm_prepacked(&prepack_a(opa, a), opb, alpha, b, beta, c);
+    gemm_prepacked(&Prepacked::borrowed(opa, a), opb, alpha, b, beta, c);
 }
 
-/// [`gemm`] against an already-resolved `op(A)`: bitwise identical to the
+/// [`gemm`] against an already-packed `op(A)`: bitwise identical to the
 /// one-shot call, with the packing cost paid once by the caller.
 pub fn gemm_prepacked<T: Scalar>(
+    a: &Prepacked<'_, T>,
+    opb: Op,
+    alpha: T,
+    b: ColsRef<'_, T>,
+    beta: T,
+    c: ColsMut<'_, T>,
+) {
+    gemm_on(true, a, opb, alpha, b, beta, c);
+}
+
+/// [`gemm_prepacked`] with the AVX2 instantiation allowed or not (tests
+/// compare the two).
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+fn gemm_on<T: Scalar>(
+    allow_avx2: bool,
     a: &Prepacked<'_, T>,
     opb: Op,
     alpha: T,
@@ -133,85 +513,43 @@ pub fn gemm_prepacked<T: Scalar>(
     mut c: ColsMut<'_, T>,
 ) {
     let (m, k) = (a.m, a.k);
-    let (kb, n) = match opb {
-        Op::None => (b.rows(), b.cols()),
-        _ => (b.cols(), b.rows()),
-    };
+    let (kb, n) = op_shape(opb, b);
     assert_eq!(k, kb, "gemm: inner dimensions differ ({k} vs {kb})");
     assert_eq!(c.rows(), m, "gemm: C row mismatch");
     assert_eq!(c.cols(), n, "gemm: C col mismatch");
     // Degenerate shapes: a rank can own zero rows/columns under extreme
-    // block-cyclic configurations; `chunks_mut(0)` would panic below.
+    // block-cyclic configurations.
     if m == 0 || n == 0 {
         return;
     }
-
-    let a_data = a.packed.as_ref().as_slice();
-
-    let b_at = |l: usize, j: usize| -> T {
-        match opb {
-            Op::None => b.at(l, j),
-            Op::Trans => b.at(j, l),
-            Op::ConjTrans => b.at(j, l).conj(),
-        }
-    };
-
-    // One NC-wide column panel of C, cache-blocked over (KC, MC) tiles of
-    // op(A). Per element the k-accumulation runs l = 0..k ascending —
-    // KC/MC boundaries reorder the *traversal*, never the per-element sum,
-    // so the result is bitwise independent of the tiling and of any column
-    // panelling done by the caller.
-    let panel = |j0: usize, c_panel: &mut [T]| {
-        if beta == T::zero() {
-            c_panel.fill(T::zero());
-        } else if beta != T::one() {
-            for v in c_panel.iter_mut() {
-                *v *= beta;
-            }
-        }
-        for l0 in (0..k).step_by(KC) {
-            let l1 = (l0 + KC).min(k);
-            for i0 in (0..m).step_by(MC) {
-                let i1 = (i0 + MC).min(m);
-                for (jj, c_col) in c_panel.chunks_mut(m).enumerate() {
-                    let c_tile = &mut c_col[i0..i1];
-                    for l in l0..l1 {
-                        let s = alpha * b_at(l, j0 + jj);
-                        if s != T::zero() {
-                            let a_tile = &a_data[l * m + i0..l * m + i1];
-                            for (ci, ai) in c_tile.iter_mut().zip(a_tile) {
-                                *ci += s * *ai;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    };
-
-    let c_data = c.as_mut_slice();
-    if m * n * k >= PAR_THRESHOLD {
-        c_data
-            .par_chunks_mut(m * NC)
-            .enumerate()
-            .for_each(|(p, chunk)| panel(p * NC, chunk));
-    } else {
-        for (p, chunk) in c_data.chunks_mut(m * NC).enumerate() {
-            panel(p * NC, chunk);
+    let c = c.as_mut_slice();
+    if beta == T::zero() {
+        c.fill(T::zero());
+    } else if beta != T::one() {
+        for v in c.iter_mut() {
+            *v *= beta;
         }
     }
+    with_scratch::<T::Real, _>(|scratch| {
+        with_tile!(T, MR, NR => {
+            #[cfg(target_arch = "x86_64")]
+            if allow_avx2 && std::arch::is_x86_feature_detected!("avx2") {
+                return gemm_blocked::<T, MR, NR>(a, opb, alpha, b, c, scratch, |ap, bp, skip, tile| {
+                    // SAFETY: this closure exists only on the branch where the
+                    // CPU was just seen to support AVX2, the one requirement
+                    // of the `#[target_feature]` function it calls.
+                    unsafe { microkernel_avx2::<T, MR, NR>(ap, bp, skip, tile) }
+                });
+            }
+            gemm_blocked::<T, MR, NR>(a, opb, alpha, b, c, scratch, microkernel::<T, MR, NR>)
+        })
+    });
 }
 
 /// Convenience: `C = op(A) * op(B)` into a fresh matrix.
 pub fn gemm_new<T: Scalar>(opa: Op, opb: Op, a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
-    let m = match opa {
-        Op::None => a.rows(),
-        _ => a.cols(),
-    };
-    let n = match opb {
-        Op::None => b.cols(),
-        _ => b.rows(),
-    };
+    let (m, _) = op_shape(opa, a.as_ref());
+    let (_, n) = op_shape(opb, b.as_ref());
     let mut c = Matrix::zeros(m, n);
     gemm(
         opa,
@@ -314,9 +652,260 @@ pub fn gemv<T: Scalar>(op: Op, alpha: T, a: &Matrix<T>, x: &[T], beta: T, y: &mu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scalar::C64;
-    use rand::SeedableRng;
+    use crate::scalar::{RealScalar, C32, C64};
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
+
+    const OPS: [Op; 3] = [Op::None, Op::Trans, Op::ConjTrans];
+
+    /// The fold contract on [`gemm`], literally: the axpy sweep the blocked
+    /// kernel replaced, one column of `C` at a time.
+    fn gemm_reference<T: Scalar>(
+        opa: Op,
+        opb: Op,
+        alpha: T,
+        a: &Matrix<T>,
+        b: &Matrix<T>,
+        beta: T,
+        c: &mut Matrix<T>,
+    ) {
+        let op_at = |op: Op, x: &Matrix<T>, i: usize, j: usize| match op {
+            Op::None => x[(i, j)],
+            Op::Trans => x[(j, i)],
+            Op::ConjTrans => x[(j, i)].conj(),
+        };
+        let k = match opa {
+            Op::None => a.cols(),
+            _ => a.rows(),
+        };
+        for j in 0..c.cols() {
+            let c_col = c.col_mut(j);
+            if beta == T::zero() {
+                c_col.fill(T::zero());
+            } else if beta != T::one() {
+                for v in c_col.iter_mut() {
+                    *v *= beta;
+                }
+            }
+            for l in 0..k {
+                let s = alpha * op_at(opb, b, l, j);
+                if s != T::zero() {
+                    for (i, ci) in c_col.iter_mut().enumerate() {
+                        *ci += s * op_at(opa, a, i, l);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every bit of every entry; NaNs compare equal to each other (Rust
+    /// leaves their sign and payload unspecified).
+    fn bits<T: Scalar>(m: &Matrix<T>) -> Vec<[u64; 2]> {
+        let one = |x: T::Real| {
+            let x = x.to_f64(); // exact for f32, keeps the sign of zero
+            if x.is_nan() {
+                u64::MAX
+            } else {
+                x.to_bits()
+            }
+        };
+        m.as_slice()
+            .iter()
+            .map(|v| [one(v.re()), one(v.im())])
+            .collect()
+    }
+
+    /// `x` as stored so that `op(stored) == x`.
+    fn stored_for<T: Scalar>(op: Op, x: &Matrix<T>) -> Matrix<T> {
+        match op {
+            Op::None => x.clone(),
+            Op::Trans => x.transpose(),
+            Op::ConjTrans => x.adjoint(),
+        }
+    }
+
+    /// 0, 1, -1 or a random scalar.
+    fn coefficient<T: Scalar>(kind: usize, rng: &mut ChaCha8Rng) -> T {
+        match kind {
+            0 => T::zero(),
+            1 => T::one(),
+            2 => -T::one(),
+            _ => T::sample_standard(rng),
+        }
+    }
+
+    /// Operands that exercise every clause of the fold contract: `op(B)`
+    /// has scattered `+0.0`/`-0.0` entries, one exact-zero column and
+    /// exact-zero rows; `op(A)` holds `inf`/`NaN` in the columns those zero
+    /// rows shield, plus (when `leak`) one `inf` that does reach `C`.
+    fn contract_operands<T: Scalar>(
+        (m, k, n): (usize, usize, usize),
+        leak: bool,
+        rng: &mut ChaCha8Rng,
+    ) -> (Matrix<T>, Matrix<T>) {
+        let mut oa = Matrix::<T>::random(m, k, rng);
+        let mut ob = Matrix::<T>::random(k, n, rng);
+        let signed_zero = |rng: &mut ChaCha8Rng| {
+            let z = T::zero();
+            if rng.gen::<f64>() < 0.5 {
+                -z
+            } else {
+                z
+            }
+        };
+        for j in 0..n {
+            for l in 0..k {
+                if rng.gen::<f64>() < 0.2 {
+                    ob[(l, j)] = signed_zero(rng);
+                }
+            }
+        }
+        if n > 0 {
+            let j = rng.gen::<u64>() as usize % n;
+            for l in 0..k {
+                ob[(l, j)] = signed_zero(rng);
+            }
+        }
+        let nan = T::Real::from_f64_r(f64::NAN);
+        let inf = T::Real::from_f64_r(f64::INFINITY);
+        for l in 0..k {
+            if rng.gen::<f64>() < 0.15 {
+                for j in 0..n {
+                    ob[(l, j)] = signed_zero(rng);
+                }
+                for i in 0..m {
+                    if rng.gen::<f64>() < 0.5 {
+                        oa[(i, l)] = T::from_re_im(inf, nan);
+                    }
+                }
+            }
+        }
+        if leak && m > 0 && k > 0 {
+            let (i, l) = (rng.gen::<u64>() as usize % m, rng.gen::<u64>() as usize % k);
+            oa[(i, l)] = T::from_re_im(-inf, T::Real::from_f64_r(1.0));
+        }
+        (oa, ob)
+    }
+
+    /// Shipped kernel (or the portable instantiation) against the reference
+    /// fold, bit for bit, for all nine `(opa, opb)` pairs on one problem.
+    fn check_fold_contract<T: Scalar>(
+        dims: (usize, usize, usize),
+        (alpha_kind, beta_kind): (usize, usize),
+        leak: bool,
+        seed: u64,
+    ) {
+        let (m, _, n) = dims;
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let (oa, ob) = contract_operands::<T>(dims, leak, &mut rng);
+        let alpha = coefficient::<T>(alpha_kind, &mut rng);
+        let beta = coefficient::<T>(beta_kind, &mut rng);
+        let mut c0 = Matrix::<T>::random(m, n, &mut rng);
+        if beta == T::zero() && m * n > 0 {
+            // beta == 0 overwrites: whatever C held must not leak through.
+            c0[(m - 1, n - 1)] = T::from_real(T::Real::from_f64_r(f64::NAN));
+        }
+        for opa in OPS {
+            let a = stored_for(opa, &oa);
+            for opb in OPS {
+                let b = stored_for(opb, &ob);
+                let mut want = c0.clone();
+                gemm_reference(opa, opb, alpha, &a, &b, beta, &mut want);
+                let what = format!(
+                    "{} {opa:?} {opb:?} {dims:?} alpha {alpha} beta {beta}",
+                    std::any::type_name::<T>()
+                );
+                if !leak {
+                    assert!(
+                        want.as_slice().iter().all(|v| v.is_finite()),
+                        "{what}: a shielded inf/NaN reached C"
+                    );
+                }
+                let mut got = c0.clone();
+                gemm(opa, opb, alpha, a.as_ref(), b.as_ref(), beta, got.as_mut());
+                assert_eq!(bits(&got), bits(&want), "{what}: gemm");
+                let mut got = c0.clone();
+                let packed = prepack_a(opa, a.as_ref());
+                gemm_prepacked(&packed, opb, alpha, b.as_ref(), beta, got.as_mut());
+                assert_eq!(bits(&got), bits(&want), "{what}: gemm_prepacked");
+            }
+        }
+    }
+
+    /// Sizes on both sides of every blocking constant (`MR` 4/16, `NR` 4/2,
+    /// `MC`, `NC` 128, `KC` 256), the degenerate 0 and 1, ragged remainders.
+    const M_SIZES: [usize; 14] = [0, 1, 3, 4, 5, 15, 16, 17, 33, 127, 128, 129, 133, 150];
+    const K_SIZES: [usize; 10] = [0, 1, 2, 7, 64, 255, 256, 257, 301, 513];
+    const N_SIZES: [usize; 12] = [0, 1, 2, 3, 4, 5, 9, 37, 127, 128, 129, 131];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+
+        /// The shipped kernel equals the reference fold bit for bit: four
+        /// scalars x nine op pairs per case, over blocking-straddling
+        /// shapes, special alpha/beta, signed zeros and shielded inf/NaN.
+        #[test]
+        fn kernel_equals_reference_fold_bitwise(
+            mi in 0usize..M_SIZES.len(),
+            ki in 0usize..K_SIZES.len(),
+            ni in 0usize..N_SIZES.len(),
+            alpha_kind in 0usize..4,
+            beta_kind in 0usize..4,
+            leak in 0usize..4,
+            seed in 0u64..1 << 32,
+        ) {
+            let dims = (M_SIZES[mi], K_SIZES[ki], N_SIZES[ni]);
+            let kinds = (alpha_kind, beta_kind);
+            check_fold_contract::<f32>(dims, kinds, leak == 0, seed);
+            check_fold_contract::<f64>(dims, kinds, leak == 0, seed);
+            check_fold_contract::<C32>(dims, kinds, leak == 0, seed);
+            check_fold_contract::<C64>(dims, kinds, leak == 0, seed);
+        }
+    }
+
+    /// Wider lanes, same IEEE operations, same bits: the AVX2 and portable
+    /// instantiations of the microkernel on identical inputs.
+    #[test]
+    fn avx2_and_portable_instantiations_agree_bitwise() {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            fn both<T: Scalar>(dims: (usize, usize, usize), seed: u64) {
+                let (m, _, n) = dims;
+                let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                let (oa, ob) = contract_operands::<T>(dims, true, &mut rng);
+                let alpha = T::sample_standard(&mut rng);
+                let beta = T::sample_standard(&mut rng);
+                let c0 = Matrix::<T>::random(m, n, &mut rng);
+                for opa in OPS {
+                    let a = stored_for(opa, &oa);
+                    let packed = Prepacked::borrowed(opa, a.as_ref());
+                    for opb in OPS {
+                        let b = stored_for(opb, &ob);
+                        let run = |avx2: bool| {
+                            let mut c = c0.clone();
+                            gemm_on(avx2, &packed, opb, alpha, b.as_ref(), beta, c.as_mut());
+                            bits(&c)
+                        };
+                        assert_eq!(
+                            run(true),
+                            run(false),
+                            "{} {opa:?} {opb:?} {dims:?}",
+                            std::any::type_name::<T>()
+                        );
+                    }
+                }
+            }
+            for (dims, seed) in [((133, 301, 37), 1), ((129, 257, 130), 2), ((17, 5, 3), 3)] {
+                both::<f32>(dims, seed);
+                both::<f64>(dims, seed);
+                both::<C32>(dims, seed);
+                both::<C64>(dims, seed);
+            }
+            return;
+        }
+        println!("skipped: this CPU has no AVX2, only the portable instantiation runs here");
+    }
 
     fn naive_gemm<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
         let mut c = Matrix::zeros(a.rows(), b.cols());
@@ -426,16 +1015,6 @@ mod tests {
     }
 
     #[test]
-    fn gemm_parallel_path() {
-        // Large enough to cross PAR_THRESHOLD.
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let a = Matrix::<f64>::random(80, 70, &mut rng);
-        let b = Matrix::<f64>::random(70, 64, &mut rng);
-        let c = gemm_new(Op::None, Op::None, &a, &b);
-        assert!(c.max_abs_diff(&naive_gemm(&a, &b)) < 1e-10);
-    }
-
-    #[test]
     fn gemm_tiled_crosses_all_block_boundaries() {
         // Shapes strictly larger than MC/NC/KC with ragged remainders, so
         // every tile loop runs more than once and ends on a partial tile.
@@ -445,7 +1024,7 @@ mod tests {
         let b = Matrix::<C64>::random(k, n, &mut rng);
         let c = gemm_new(Op::None, Op::None, &a, &b);
         assert!(c.max_abs_diff(&naive_gemm(&a, &b)) < 1e-9);
-        // Transposed operands through the packed path too.
+        // Transposed operands too.
         let ah = Matrix::<C64>::random(k, m, &mut rng);
         let c2 = gemm_new(Op::ConjTrans, Op::None, &ah, &b);
         assert!(c2.max_abs_diff(&naive_gemm(&ah.adjoint(), &b)) < 1e-9);
@@ -493,6 +1072,41 @@ mod tests {
                 flat.as_ref().as_slice(),
                 split.as_ref().as_slice(),
                 "panel width {panel} changed bits"
+            );
+        }
+
+        // The filter's odd steps: H^H X with a complex alpha, op(A) packed
+        // once by `prepack_a` and reused across the panels.
+        let ah = Matrix::<C64>::random(k, m, &mut rng);
+        let mut flat = c0.clone();
+        gemm(
+            Op::ConjTrans,
+            Op::None,
+            alpha,
+            ah.as_ref(),
+            b.as_ref(),
+            beta,
+            flat.as_mut(),
+        );
+        let packed = prepack_a(Op::ConjTrans, ah.as_ref());
+        assert_eq!((packed.m(), packed.k()), (m, k));
+        for panel in [1usize, 7, 32, 41] {
+            let mut split = c0.clone();
+            for j0 in (0..n).step_by(panel) {
+                let cols = j0..(j0 + panel).min(n);
+                gemm_prepacked(
+                    &packed,
+                    Op::None,
+                    alpha,
+                    b.cols_ref(cols.clone()),
+                    beta,
+                    split.cols_mut(cols),
+                );
+            }
+            assert_eq!(
+                flat.as_ref().as_slice(),
+                split.as_ref().as_slice(),
+                "prepacked ConjTrans, panel width {panel} changed bits"
             );
         }
     }
