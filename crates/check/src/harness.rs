@@ -12,18 +12,9 @@ use chase_device::Backend;
 use chase_linalg::{Matrix, RealScalar, Scalar, C64};
 use chase_matgen::{dense_with_spectrum, Spectrum};
 use chase_perfmodel::Machine;
-use chase_trace::{chrome_trace, RankTrace, Trace, TraceRecorder};
+use chase_trace::{chrome_trace, fnv1a, RankTrace, Trace, TraceRecorder};
 use chase_tune::{plan_from_entry, tune_entry, MeasuredHook, TuneOptions};
 use std::sync::Arc;
-
-/// FNV-1a over a byte stream; the crate's one content hash.
-fn fnv(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in bytes {
-        h = (h ^ b as u64).wrapping_mul(0x100000001b3);
-    }
-    h
-}
 
 /// Everything observable about one rank of one run, reduced to exactly
 /// the fields the schedule-independence invariant promises are stable:
@@ -129,6 +120,14 @@ impl Fingerprint {
         None
     }
 
+    /// 64-bit digest of everything the fingerprint holds (eigen, residual
+    /// and vector bits, counters, ledger projection, chrome-trace hash):
+    /// equal digests across two commits mean the case's reference run did
+    /// not change by one bit.
+    pub fn digest(&self) -> u64 {
+        fnv1a(format!("{self:?}").bytes())
+    }
+
     /// Rank 0's eigenvalues as `f64`s (the oracle comparison payload).
     pub fn eigenvalues(&self) -> Vec<f64> {
         self.ranks
@@ -162,7 +161,7 @@ fn rank_fp<T: Scalar>(result: Result<ChaseResult<T>, ChaseError>, ledger: &Ledge
             err: None,
             eigs: r.eigenvalues.iter().map(|&x| real_bits(x)).collect(),
             residuals: r.residuals.iter().map(|&x| real_bits(x)).collect(),
-            vec_hash: fnv(r.eigenvectors_local.as_slice().iter().flat_map(|&v| {
+            vec_hash: fnv1a(r.eigenvectors_local.as_slice().iter().flat_map(|&v| {
                 real_bits(v.re())
                     .to_le_bytes()
                     .into_iter()
@@ -206,7 +205,7 @@ where
         // estimate) so the entire solve is gated, and the canary so the
         // planted bug covers blocking, nonblocking and hop folds alike.
         ctx.set_schedule_policy(policy.clone());
-        ctx.set_order_sensitive_fold(canary);
+        ctx.seams.update(|s| s.order_canary = canary);
         let rec = Arc::new(TraceRecorder::new(ctx.world_rank()));
         ctx.set_trace_hook(Some(rec.clone()));
         let mut params = params.clone();
@@ -224,7 +223,7 @@ where
         let result = try_solve_dist(ctx, Backend::Nccl, dh, &params, None);
         ctx.set_tune_hook(None);
         ctx.set_trace_hook(None);
-        ctx.set_order_sensitive_fold(false);
+        ctx.seams.update(|s| s.order_canary = false);
         ctx.set_schedule_policy(None);
         (result, rec.finish())
     });
@@ -234,7 +233,7 @@ where
         ranks.push(rank_fp(result, ledger));
         traces.push(trace);
     }
-    let trace_hash = fnv(chrome_trace(&Trace { ranks: traces }).into_bytes());
+    let trace_hash = fnv1a(chrome_trace(&Trace { ranks: traces }).into_bytes());
     Fingerprint { ranks, trace_hash }
 }
 
@@ -272,6 +271,8 @@ pub struct CheckReport {
     pub case: CheckCase,
     /// Schedules executed (reference + baseline + systematic + seeded).
     pub schedules: usize,
+    /// [`Fingerprint::digest`] of the case's reference run.
+    pub digest: u64,
     pub violation: Option<Violation>,
 }
 
@@ -302,6 +303,7 @@ pub fn check_case(case: &CheckCase, seeds: &[u64], systematic: bool, canary: boo
         CheckReport {
             case: case.clone(),
             schedules,
+            digest: reference.digest(),
             violation: Some(Violation {
                 seed,
                 witness,
@@ -362,6 +364,7 @@ pub fn check_case(case: &CheckCase, seeds: &[u64], systematic: bool, canary: boo
     CheckReport {
         case: case.clone(),
         schedules,
+        digest: reference.digest(),
         violation: None,
     }
 }

@@ -37,10 +37,10 @@
 //!   deterministically reproduce the divergence.
 //!
 //! Because correct code never violates the invariant, the harness proves
-//! it can catch bugs via a *mutation canary*: the communicators' hidden
-//! order-sensitive-fold flag ([`chase_comm::Communicator::
-//! set_order_sensitive_fold`]) makes reductions fold in arrival order, a
-//! deliberately planted bug of exactly the class the harness hunts.
+//! it can catch bugs via a *mutation canary*: the rank seam record's
+//! order-sensitive-fold flag ([`chase_comm::Seams::order_canary`]) makes
+//! reductions fold in arrival order, a deliberately planted bug of exactly
+//! the class the harness hunts.
 
 pub mod config;
 pub mod harness;

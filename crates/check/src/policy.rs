@@ -24,18 +24,13 @@ pub(crate) fn mix(mut z: u64) -> u64 {
 /// sequence number and member count. Two different collectives never share
 /// a hash input, so a seeded policy decorrelates their permutations.
 fn point_hash(p: &SchedulePoint) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h = (h ^ b as u64).wrapping_mul(0x100000001b3);
-        }
-    };
-    eat(p.scope.name().as_bytes());
-    eat(p.stream.token().as_bytes());
-    eat(p.op.as_bytes());
-    eat(&p.seq.to_le_bytes());
-    eat(&(p.members as u64).to_le_bytes());
-    h
+    chase_trace::fnv1a(
+        [p.scope.name(), p.stream.token(), p.op]
+            .into_iter()
+            .flat_map(str::bytes)
+            .chain(p.seq.to_le_bytes())
+            .chain((p.members as u64).to_le_bytes()),
+    )
 }
 
 /// Identity policy: gate every collective, but in member (program) order.

@@ -8,11 +8,12 @@
 //! machine charges for it — those are recorded in the [`Ledger`] by callers
 //! and priced by `chase-perfmodel`.
 
-use crate::schedule::{slot_in_perm, SchedulePoint, SchedulePolicy, ScheduleStream};
-use crate::trace_hook::{CommScope, TraceHook};
+use crate::schedule::{slot_in_perm, SchedulePoint, ScheduleStream};
+use crate::seams::{RankSeams, Seams};
+use crate::trace_hook::CommScope;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::any::Any;
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -194,9 +195,9 @@ pub enum PostAction {
     Delay { ms: u64 },
 }
 
-/// Fault-injection hook consulted at every nonblocking post. Installed
-/// per-communicator by the chaos harness (`chase-faults`); production runs
-/// carry no hook and pay one `RefCell` borrow per post.
+/// Fault-injection hook consulted at every nonblocking post. Installed on
+/// the rank's seam record by the chaos harness (`chase-faults`); production
+/// runs carry no hook and pay one `RefCell` borrow per post.
 pub trait CommFaultHook: Send + Sync {
     /// Decide the fate of nonblocking op `seq` (`op` names the collective:
     /// "iallreduce", "ibcast", "iallgather").
@@ -222,40 +223,50 @@ macro_rules! impl_reduce_add {
 impl_reduce_add!(f32, f64, u32, u64, usize, i64);
 impl_reduce_add!(num_complex::Complex<f32>, num_complex::Complex<f64>);
 
-type Payload = Box<dyn Any + Send>;
-type Result_ = Arc<dyn Any + Send + Sync>;
+/// A type-erased `Vec<T>` staging or result buffer. Uniquely owned (and so
+/// writable) everywhere except while the takers of a completed op copy the
+/// result out, each through its own clone of the `Arc`.
+type Payload = Arc<dyn Any + Send + Sync>;
 
-struct SlotState {
-    /// Index of the collective currently being gathered.
-    epoch: u64,
-    arrived: usize,
-    taken: usize,
-    payloads: Vec<Option<Payload>>,
-    /// Member indices in deposit order for the current epoch. Feeds the
-    /// schedule-exploration gate and the order-sensitive-fold canary; reset
-    /// when the epoch drains.
-    arrival: Vec<usize>,
-    result: Option<Result_>,
+const TYPE_MISMATCH: &str = "collective type mismatch across ranks";
+
+fn vec_ref<T: 'static>(p: &Payload) -> &Vec<T> {
+    p.downcast_ref().expect(TYPE_MISMATCH)
+}
+
+fn vec_mut<T: 'static>(p: &mut Payload) -> &mut Vec<T> {
+    let unique = Arc::get_mut(p).expect("a buffer being written is unshared");
+    unique.downcast_mut().expect(TYPE_MISMATCH)
 }
 
 /// Key of one point-to-point channel: `(from, to, tag)`. Each channel is a
-/// FIFO queue, so matched send/recv pairs never reorder within a channel.
+/// FIFO queue of type-erased `Vec<T>` messages, so matched send/recv pairs
+/// never reorder within a channel.
 type MailKey = (usize, usize, u64);
+type Mail = VecDeque<Box<dyn Any + Send>>;
 
-/// One in-flight nonblocking collective. Unlike the blocking epoch machinery,
-/// ops are keyed by a per-rank sequence number, so a rank can post op `s+1`
-/// before anyone has waited on op `s` — the double-buffered filter pipeline
-/// depends on never blocking at post time.
-struct NbOp {
+/// Key of one collective: its stream (blocking and nonblocking calls count
+/// separately) and its per-rank sequence number in that stream. SPMD
+/// discipline — every member issues the same collectives in the same order
+/// — makes the key identical on every member.
+type OpKey = (ScheduleStream, u64);
+
+/// One in-flight collective. Ops are keyed, not queued, so a rank can post
+/// op `s+1` before anyone has waited on op `s` — the double-buffered filter
+/// pipeline depends on never blocking at post time, and a fast member of a
+/// blocking sequence may run one op ahead of a slow one.
+struct Op {
     arrived: usize,
     taken: usize,
     payloads: Vec<Option<Payload>>,
-    /// Member indices in deposit order (schedule gate + fold canary).
+    /// Member indices in deposit order; once complete, the fold order
+    /// (sorted back to member order unless the canary is on).
     arrival: Vec<usize>,
+    /// What the fold left for the waiters (`None` for a barrier).
     result: Option<Payload>,
 }
 
-impl NbOp {
+impl Op {
     fn new(members: usize) -> Self {
         Self {
             arrived: 0,
@@ -267,80 +278,54 @@ impl NbOp {
     }
 }
 
-/// Shared state of the nonblocking engine: in-flight ops plus a pool of
+/// Shared state of the collective engine: in-flight ops plus a pool of
 /// recycled type-erased staging buffers. Boxes circulate whole (never
 /// unboxed), so a steady-state collective performs zero heap allocations —
 /// the discipline NCCL enforces with its persistent communicator buffers.
-struct NbShared {
-    ops: HashMap<u64, NbOp>,
+/// The lock around it is held for bookkeeping and the fold, never across a
+/// copy in (staged before the post) or out (after the taker released it).
+#[derive(Default)]
+struct Engine {
+    ops: HashMap<OpKey, Op>,
     pool: Vec<Payload>,
     /// Retired op skeletons (payload slot vectors) awaiting reuse.
-    free_ops: Vec<NbOp>,
+    free_ops: Vec<Op>,
     /// Staging buffers newly allocated because the pool had no match.
     fresh_allocs: u64,
     /// Staging buffers served from the pool.
     pool_hits: u64,
 }
 
-impl NbShared {
-    /// Take a pooled `Vec<T>` box (cleared, capacity retained) or allocate.
-    fn checkout<T: Send + 'static>(&mut self) -> Payload {
-        if let Some(pos) = self.pool.iter().position(|p| p.is::<Vec<T>>()) {
-            self.pool_hits += 1;
-            let mut b = self.pool.swap_remove(pos);
-            b.downcast_mut::<Vec<T>>().unwrap().clear();
-            b
-        } else {
-            self.fresh_allocs += 1;
-            Box::new(Vec::<T>::new())
-        }
-    }
-
-    /// Take a pooled `Vec<T>` box resized to `len`. Unlike [`checkout`],
-    /// the recycled contents are *not* cleared first: when the pool serves
-    /// a buffer of the same length — the steady state of a fixed-shape
-    /// pipeline — the resize is a no-op and the caller gets a writable
-    /// buffer for free (no zeroing, no copy).
-    ///
-    /// [`checkout`]: NbShared::checkout
-    fn checkout_len<T: Clone + Default + Send + 'static>(&mut self, len: usize) -> Payload {
-        let exact = self
-            .pool
+impl Engine {
+    /// Take a pooled `Vec<T>` box — one already `len` long if there is one
+    /// — or allocate. The recycled contents are *not* cleared: the caller
+    /// clears or resizes, and a resize to the length the box already has —
+    /// the steady state of a fixed-shape pipeline — is a no-op (no zeroing,
+    /// no copy).
+    fn checkout<T: Send + Sync + 'static>(&mut self, len: usize) -> Payload {
+        let is_t = |p: &Payload| p.is::<Vec<T>>();
+        let exact = |p: &Payload| p.downcast_ref::<Vec<T>>().is_some_and(|v| v.len() == len);
+        let pool = &self.pool;
+        match pool
             .iter()
-            .position(|p| p.downcast_ref::<Vec<T>>().is_some_and(|v| v.len() == len));
-        let mut b =
-            if let Some(pos) = exact.or_else(|| self.pool.iter().position(|p| p.is::<Vec<T>>())) {
+            .position(exact)
+            .or_else(|| pool.iter().position(is_t))
+        {
+            Some(pos) => {
                 self.pool_hits += 1;
                 self.pool.swap_remove(pos)
-            } else {
+            }
+            None => {
                 self.fresh_allocs += 1;
-                Box::new(Vec::<T>::new()) as Payload
-            };
-        b.downcast_mut::<Vec<T>>()
-            .unwrap()
-            .resize(len, T::default());
-        b
-    }
-
-    fn checkin(&mut self, b: Payload) {
-        self.pool.push(b);
-    }
-
-    /// Fetch the in-flight op `op_id`, or start one from the recycled-op
-    /// stock. Ownership moves out of the map so the caller can mutate the op
-    /// and the pool without borrow conflicts; it must be re-inserted.
-    fn take_op(&mut self, op_id: u64, members: usize) -> NbOp {
-        self.ops
-            .remove(&op_id)
-            .unwrap_or_else(|| self.free_ops.pop().unwrap_or_else(|| NbOp::new(members)))
+                Arc::new(Vec::<T>::new())
+            }
+        }
     }
 
     /// Recycle a fully-drained op (all payload boxes already back in the
     /// pool or moved into the result).
-    fn retire(&mut self, mut op: NbOp) {
-        if let Some(r) = op.result.take() {
-            self.checkin(r);
-        }
+    fn retire(&mut self, mut op: Op) {
+        self.pool.extend(op.result.take());
         debug_assert!(op.payloads.iter().all(Option::is_none));
         op.arrived = 0;
         op.taken = 0;
@@ -349,7 +334,7 @@ impl NbShared {
     }
 }
 
-/// Buffer-pool accounting of one communicator's nonblocking engine.
+/// Buffer-pool accounting of one communicator's collective engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NbPoolStats {
     /// Staging/result buffers freshly heap-allocated (pool misses). Constant
@@ -364,9 +349,10 @@ pub struct NbPoolStats {
 }
 
 /// State of the dead-rank agreement round running on one slot. Unlike the
-/// epoch machinery it tolerates members that never show up: completion is
+/// collective engine it tolerates members that never show up: completion is
 /// "every member has either joined or is on the dead board", so survivors
 /// converge even while the collectives they abandoned stay wedged.
+#[derive(Default)]
 struct AgreeState {
     /// Bitmask (member index) of members that joined the round.
     joined: u64,
@@ -380,12 +366,14 @@ struct AgreeState {
     taken: u64,
 }
 
-/// The shared slots of one shrunk grid, built once (under the registry
-/// lock) by the first survivor to arrive and reused by the rest. Stored on
-/// the *old* world slot, keyed by the agreed dead mask, so every survivor
-/// resolves the same replacement rendezvous points without any collective
-/// on the wedged communicators.
-pub struct ShrunkSlots {
+/// The shared rendezvous points of one grid: the world slot, one slot per
+/// grid row and per grid column, and the dead-rank board they share. A
+/// *shrunk* grid's set is built once (under the registry lock) by the first
+/// survivor to arrive and reused by the rest: it is stored on the *old*
+/// world slot, keyed by the agreed dead mask, so every survivor resolves
+/// the same replacement rendezvous points without any collective on the
+/// wedged communicators.
+pub struct GridSlots {
     pub world: Arc<Slot>,
     pub rows: Vec<Arc<Slot>>,
     pub cols: Vec<Arc<Slot>>,
@@ -395,53 +383,43 @@ pub struct ShrunkSlots {
 /// Shared rendezvous point for one communicator.
 pub struct Slot {
     members: usize,
-    state: Mutex<SlotState>,
-    cv: Condvar,
-    /// Point-to-point mailboxes, independent of the collective epoch
-    /// machinery so sends never block behind an in-flight collective.
-    mail: Mutex<HashMap<MailKey, VecDeque<Payload>>>,
+    /// Point-to-point mailboxes, independent of the collective engine so
+    /// sends never block behind an in-flight collective.
+    mail: Mutex<HashMap<MailKey, Mail>>,
     mail_cv: Condvar,
-    /// Nonblocking collective engine, independent of both of the above so
-    /// blocking and nonblocking traffic interleave freely.
-    nb: Mutex<NbShared>,
-    nb_cv: Condvar,
-    /// Dead-rank agreement round, independent of every other engine so it
+    /// The collective engine: every blocking and nonblocking collective on
+    /// this slot, interleaving freely because ops are keyed.
+    engine: Mutex<Engine>,
+    engine_cv: Condvar,
+    /// Dead-rank agreement round, independent of the engine so it
     /// completes while collectives are wedged on a crashed member.
     agree: Mutex<AgreeState>,
     agree_cv: Condvar,
     /// Registry of shrunk-grid slot sets keyed by the agreed dead mask.
-    shrunk: Mutex<HashMap<u64, Arc<ShrunkSlots>>>,
+    shrunk: Mutex<HashMap<u64, Arc<GridSlots>>>,
+}
+
+impl GridSlots {
+    /// Fresh slots and a clean board for a `p x q` grid.
+    pub fn new(p: usize, q: usize) -> Self {
+        Self {
+            world: Slot::new(p * q),
+            rows: (0..p).map(|_| Slot::new(q)).collect(),
+            cols: (0..q).map(|_| Slot::new(p)).collect(),
+            board: Arc::new(DeadBoard::new()),
+        }
+    }
 }
 
 impl Slot {
     pub fn new(members: usize) -> Arc<Self> {
         Arc::new(Self {
             members,
-            state: Mutex::new(SlotState {
-                epoch: 0,
-                arrived: 0,
-                taken: 0,
-                payloads: (0..members).map(|_| None).collect(),
-                arrival: Vec::new(),
-                result: None,
-            }),
-            cv: Condvar::new(),
             mail: Mutex::new(HashMap::new()),
             mail_cv: Condvar::new(),
-            nb: Mutex::new(NbShared {
-                ops: HashMap::new(),
-                pool: Vec::new(),
-                free_ops: Vec::new(),
-                fresh_allocs: 0,
-                pool_hits: 0,
-            }),
-            nb_cv: Condvar::new(),
-            agree: Mutex::new(AgreeState {
-                joined: 0,
-                suspects: 0,
-                result: None,
-                taken: 0,
-            }),
+            engine: Mutex::default(),
+            engine_cv: Condvar::new(),
+            agree: Mutex::default(),
             agree_cv: Condvar::new(),
             shrunk: Mutex::new(HashMap::new()),
         })
@@ -449,11 +427,7 @@ impl Slot {
 
     /// Fetch the shrunk-slot set for `dead_mask`, building it with `make`
     /// under the registry lock if this is the first survivor to arrive.
-    pub fn shrunk_slots(
-        &self,
-        dead_mask: u64,
-        make: impl FnOnce() -> ShrunkSlots,
-    ) -> Arc<ShrunkSlots> {
+    pub fn shrunk_slots(&self, dead_mask: u64, make: impl FnOnce() -> GridSlots) -> Arc<GridSlots> {
         let mut reg = self.shrunk.lock();
         reg.entry(dead_mask)
             .or_insert_with(|| Arc::new(make()))
@@ -463,9 +437,8 @@ impl Slot {
     /// Wake every wait loop parked on this slot (used when a death is
     /// marked so detection does not wait out a full poll slice).
     fn notify_all_engines(&self) {
-        self.cv.notify_all();
         self.mail_cv.notify_all();
-        self.nb_cv.notify_all();
+        self.engine_cv.notify_all();
         self.agree_cv.notify_all();
     }
 }
@@ -509,40 +482,32 @@ impl DeathHandle {
 pub struct Communicator {
     slot: Arc<Slot>,
     my_index: usize,
-    epoch: Cell<u64>,
     /// World rank of each member, in member-index order. Topology-aware
     /// collectives use these to find the physical link a hop crosses; a
     /// plain communicator labels members with their own indices.
     labels: Arc<Vec<usize>>,
+    /// Which of the rank's communicators this is: tags its schedule points
+    /// and traced collectives.
+    scope: CommScope,
+    /// The rank's seam record, shared with the rank's other communicators
+    /// and its `RankCtx`; a standalone communicator carries a private one.
+    seams: RankSeams,
+    /// Per-rank counter of blocking collectives, the op key of the
+    /// `Blocking` stream. SPMD discipline (every member issues the same
+    /// collectives in the same order) keeps it consistent across ranks.
+    blk_seq: Cell<u64>,
+    /// Per-rank counter of nonblocking collective posts, the op key of the
+    /// `Nonblocking` stream.
+    nb_seq: Cell<u64>,
     /// Per-rank counter of topology-aware collective operations, used to
     /// derive unique p2p tags per operation (SPMD keeps it in sync).
     op_seq: Cell<u64>,
-    /// Per-rank counter of nonblocking collective posts. SPMD discipline
-    /// (every member posts the same nonblocking ops in the same order) keeps
-    /// it consistent across ranks, making it the op key.
-    nb_seq: Cell<u64>,
-    /// Watchdog for `Request::wait`, in milliseconds.
-    wait_timeout_ms: Cell<u64>,
-    /// Fault-injection hook consulted at nonblocking posts (chaos testing).
-    fault_hook: RefCell<Option<Arc<dyn CommFaultHook>>>,
-    /// Schedule-exploration policy gating deposit order, tagged with this
-    /// handle's grid scope. Installed by `chase-check`; production runs
-    /// carry no policy and pay one `RefCell` borrow per collective.
-    schedule: RefCell<Option<(Arc<dyn SchedulePolicy>, CommScope)>>,
-    /// Mutation canary: fold reductions in *arrival* order instead of
-    /// member-index order. Deliberately order-sensitive — exists only so
-    /// `chase-check` can prove its invariant checkers catch real bugs.
-    order_canary: Cell<bool>,
-    /// Tracing hook notified at every collective issue (blocking call or
-    /// nonblocking post), tagged with this handle's scope in the grid.
-    trace_hook: RefCell<Option<(Arc<dyn TraceHook>, CommScope)>>,
-    /// Per-rank sequence number of traced collective issues. SPMD discipline
-    /// (every member issues the same collectives in the same order) keeps it
-    /// identical across ranks — the key the trace stitcher aligns streams on.
+    /// Per-rank sequence number of traced collective issues — the key the
+    /// trace stitcher aligns streams on.
     trace_seq: Cell<u64>,
     /// Grid-wide dead-rank board (world-rank bits). Standalone communicators
     /// carry a private board; the three communicators of a grid rank share
-    /// one, installed by `run_grid` / `shrink_ctx`.
+    /// one.
     board: Arc<DeadBoard>,
 }
 
@@ -558,29 +523,39 @@ impl Communicator {
         Self::with_labels_board(slot, my_index, labels, Arc::new(DeadBoard::new()))
     }
 
-    /// Communicator sharing an explicit grid-wide dead-rank board — the
-    /// constructor `run_grid` and the shrink path use so a death marked on
-    /// any of a rank's communicators aborts waits on all of them.
+    /// Standalone communicator sharing an explicit dead-rank board, so a
+    /// death marked through any handle on the board aborts waits on all.
     pub fn with_labels_board(
         slot: Arc<Slot>,
         my_index: usize,
         labels: Arc<Vec<usize>>,
         board: Arc<DeadBoard>,
     ) -> Self {
+        let seams = RankSeams::new(Seams::default());
+        Self::in_grid(slot, my_index, labels, board, CommScope::Other, seams)
+    }
+
+    /// One of a grid rank's three communicators: `scope` says which, and
+    /// `seams` is a handle onto the rank's one seam record.
+    pub(crate) fn in_grid(
+        slot: Arc<Slot>,
+        my_index: usize,
+        labels: Arc<Vec<usize>>,
+        board: Arc<DeadBoard>,
+        scope: CommScope,
+        seams: RankSeams,
+    ) -> Self {
         assert!(my_index < slot.members);
         assert_eq!(labels.len(), slot.members, "one label per member");
         Self {
             slot,
             my_index,
-            epoch: Cell::new(0),
             labels,
-            op_seq: Cell::new(0),
+            scope,
+            seams,
+            blk_seq: Cell::new(0),
             nb_seq: Cell::new(0),
-            wait_timeout_ms: Cell::new(DEFAULT_WAIT_TIMEOUT_MS),
-            fault_hook: RefCell::new(None),
-            schedule: RefCell::new(None),
-            order_canary: Cell::new(false),
-            trace_hook: RefCell::new(None),
+            op_seq: Cell::new(0),
             trace_seq: Cell::new(0),
             board,
         }
@@ -609,72 +584,39 @@ impl Communicator {
         }
     }
 
-    /// Set the `wait()` watchdog for this handle, in milliseconds.
-    pub fn set_wait_timeout_ms(&self, ms: u64) {
-        self.wait_timeout_ms.set(ms);
+    /// This handle's view of its rank's seam record: what the rank's
+    /// `RankCtx` setters write, and where a standalone communicator's hooks
+    /// are installed.
+    pub fn seams(&self) -> &RankSeams {
+        &self.seams
     }
 
     /// Current `wait()` watchdog, in milliseconds.
     pub fn wait_timeout_ms(&self) -> u64 {
-        self.wait_timeout_ms.get()
+        let ms = self.seams.get().wait_timeout_ms;
+        ms.unwrap_or(DEFAULT_WAIT_TIMEOUT_MS)
     }
 
-    /// Install (or clear) the fault-injection hook consulted at every
-    /// nonblocking post on this handle.
-    pub fn set_fault_hook(&self, hook: Option<Arc<dyn CommFaultHook>>) {
-        *self.fault_hook.borrow_mut() = hook;
-    }
-
-    /// Consult the fault hook for op `seq`. `Deliver` when none installed.
-    fn post_action(&self, op: &'static str, seq: u64) -> PostAction {
-        match &*self.fault_hook.borrow() {
-            Some(h) => h.on_post(op, seq),
-            None => PostAction::Deliver,
-        }
-    }
-
-    /// Install (or clear) the schedule-exploration policy gating deposit
-    /// order on this handle, tagging its decisions with `scope`. All
-    /// members of the communicator must install the same policy (SPMD).
-    pub fn set_schedule_policy(&self, policy: Option<Arc<dyn SchedulePolicy>>, scope: CommScope) {
-        *self.schedule.borrow_mut() = policy.map(|p| (p, scope));
-    }
-
-    /// Currently installed schedule policy and scope, if any. Used by the
-    /// topology-aware collectives (`chase-topo`) to consult the same policy
-    /// at hop granularity.
-    pub fn schedule_policy(&self) -> Option<(Arc<dyn SchedulePolicy>, CommScope)> {
-        self.schedule.borrow().clone()
-    }
-
-    /// Enable the order-sensitive-fold mutation canary on this handle:
-    /// reductions fold in arrival order instead of member-index order,
-    /// deliberately breaking the bitwise schedule-independence invariant.
-    /// Exists so `chase-check` can prove it catches the bug class; never
-    /// set outside the harness.
-    pub fn set_order_sensitive_fold(&self, on: bool) {
-        self.order_canary.set(on);
-    }
-
-    /// True when the mutation canary is armed on this handle.
-    pub fn order_sensitive_fold(&self) -> bool {
-        self.order_canary.get()
+    /// Which of its rank's communicators this is. The topology-aware
+    /// collectives (`chase-topo`) tag their hop-granular schedule points
+    /// with it.
+    pub fn scope(&self) -> CommScope {
+        self.scope
     }
 
     /// This rank's forced deposit slot for op (`stream`, `op`, `seq`), or
     /// `None` when no policy is installed / the policy leaves the op
     /// free-running.
     fn schedule_slot(&self, stream: ScheduleStream, op: &'static str, seq: u64) -> Option<usize> {
-        let guard = self.schedule.borrow();
-        let (policy, scope) = guard.as_ref()?;
+        let seams = self.seams.get();
         let point = SchedulePoint {
-            scope: *scope,
+            scope: self.scope,
             stream,
             op,
             seq,
             members: self.slot.members,
         };
-        let perm = policy.arrival_order(&point)?;
+        let perm = seams.schedule.as_ref()?.arrival_order(&point)?;
         Some(slot_in_perm(
             &perm,
             self.slot.members,
@@ -683,61 +625,49 @@ impl Communicator {
         ))
     }
 
-    /// Deadlock-watchdogged wait inside a deposit gate: block until
-    /// `arrived()` reaches `my_slot`, waking on `cv`. Panics with a
-    /// diagnostic when the slot never comes up (a dropped predecessor post
-    /// or an asymmetric policy install) — a wedged explorer must surface,
-    /// not hang CI.
-    fn gate_wait<S>(
+    /// Deadlock-watchdogged wait inside the deposit gate: block until op
+    /// `key` has `my_slot` deposits. Panics with a diagnostic when the slot
+    /// never comes up (a dropped predecessor post or an asymmetric policy
+    /// install) — a wedged explorer must surface, not hang CI.
+    fn gate_wait(
         &self,
-        guard: &mut MutexGuard<'_, S>,
-        cv: &Condvar,
+        engine: &mut MutexGuard<'_, Engine>,
+        key: OpKey,
         my_slot: usize,
-        arrived: impl Fn(&S) -> usize,
         op: &'static str,
-        seq: u64,
     ) {
-        let timeout_ms = self.wait_timeout_ms.get();
+        let seq = key.1;
+        let timeout_ms = self.wait_timeout_ms();
         let deadline = Instant::now() + Duration::from_millis(timeout_ms);
         loop {
-            match arrived(guard).cmp(&my_slot) {
+            let arrived = engine.ops.get(&key).map_or(0, |o| o.arrived);
+            match arrived.cmp(&my_slot) {
                 Ordering::Equal => return,
                 Ordering::Greater => panic!(
-                    "schedule gate overrun: {op} op {seq}: member {} was assigned slot {} but {} deposits already arrived (policy not installed on every member?)",
-                    self.my_index,
-                    my_slot,
-                    arrived(guard)
+                    "schedule gate overrun: {op} op {seq}: member {} was assigned slot {my_slot} but {arrived} deposits already arrived (policy not installed on every member?)",
+                    self.my_index
                 ),
                 Ordering::Less => {
                     let now = Instant::now();
                     assert!(
                         now < deadline,
-                        "schedule gate deadlock: {op} op {seq}: member {} waiting for slot {} but only {} deposits arrived after {} ms",
-                        self.my_index,
-                        my_slot,
-                        arrived(guard),
-                        timeout_ms
+                        "schedule gate deadlock: {op} op {seq}: member {} waiting for slot {my_slot} but only {arrived} deposits arrived after {timeout_ms} ms",
+                        self.my_index
                     );
-                    cv.wait_for(guard, deadline - now);
+                    self.slot.engine_cv.wait_for(engine, deadline - now);
                 }
             }
         }
-    }
-
-    /// Install (or clear) the tracing hook notified at every collective
-    /// issued through this handle, tagging it with `scope`.
-    pub fn set_trace_hook(&self, hook: Option<Arc<dyn TraceHook>>, scope: CommScope) {
-        *self.trace_hook.borrow_mut() = hook.map(|h| (h, scope));
     }
 
     /// Notify the trace hook of one collective issue (blocking call or
     /// nonblocking post) and advance the per-communicator sequence number.
     /// One `RefCell` borrow when no hook is installed; never a collective.
     fn trace_collective(&self, op: &'static str, bytes: u64) {
-        if let Some((h, scope)) = &*self.trace_hook.borrow() {
+        if let Some(h) = &self.seams.get().trace {
             let seq = self.trace_seq.get();
             self.trace_seq.set(seq + 1);
-            h.collective(*scope, op, seq, bytes, self.slot.members as u64);
+            h.collective(self.scope, op, seq, bytes, self.slot.members as u64);
         }
     }
 
@@ -824,80 +754,167 @@ impl Communicator {
         self.recv(from, tag)
     }
 
-    /// Generic rendezvous: every member contributes `input`; the last to
-    /// arrive runs `combine` over the payloads (ordered by member index,
-    /// with the deposit order passed alongside for the fold canary) and the
-    /// result is shared with everyone.
-    fn collective<I, O, F>(&self, op: &'static str, input: I, combine: F) -> Arc<O>
-    where
-        I: Send + 'static,
-        O: Send + Sync + 'static,
-        F: FnOnce(Vec<I>, &[usize]) -> O,
-    {
-        let my_epoch = self.epoch.get();
-        self.epoch.set(my_epoch + 1);
-        let gate = self.schedule_slot(ScheduleStream::Blocking, op, my_epoch);
+    // ---- the collective engine -----------------------------------------
+    //
+    // As in NCCL there is one engine: every collective is a post (deposit a
+    // contribution into an op keyed by its sequence number; the last
+    // depositor folds), then a wait on that op. The blocking calls wait at
+    // once; the `i*` variants return a [`Request`] to wait on later, so a
+    // rank may hold several outstanding requests on one communicator. SPMD
+    // contract: same collectives in the same order on every member, and
+    // every request eventually waited.
+
+    /// Copy `data` into a pooled staging box. The pool is under the engine
+    /// lock; the copy is not.
+    fn stage<T: Clone + Send + Sync + 'static>(&self, data: &[T]) -> Payload {
+        let mut b = self.slot.engine.lock().checkout::<T>(data.len());
+        let v = vec_mut::<T>(&mut b);
+        v.clear();
+        v.extend_from_slice(data);
+        b
+    }
+
+    /// Post this member's contribution `mine` (`None`: it has none) to the
+    /// next op of `stream`: take the op's sequence number, pass the fault
+    /// hook and the schedule gate, deposit. The last depositor runs `fold`
+    /// over the contributions in the order it is handed (member-index
+    /// order, the bitwise-determinism invariant — arrival order only under
+    /// the canary), recycles what the fold left behind and wakes the
+    /// waiters. Never blocks outside the gate.
+    fn post(
+        &self,
+        stream: ScheduleStream,
+        op: &'static str,
+        mine: Option<Payload>,
+        fold: impl FnOnce(&mut [Option<Payload>], &[usize]) -> Option<Payload>,
+    ) -> OpKey {
         let slot = &*self.slot;
-        let mut st = slot.state.lock();
-
-        // Wait for the previous collective on this slot to fully drain.
-        // Death-aware: a crashed member wedges the epoch machinery forever,
-        // so every parked member re-checks the board and unwinds instead.
-        while st.epoch != my_epoch {
-            self.check_alive();
-            slot.cv
-                .wait_for(&mut st, Duration::from_millis(DEATH_POLL_MS));
+        let counter = match stream {
+            ScheduleStream::Blocking => &self.blk_seq,
+            _ => &self.nb_seq,
+        };
+        let key = (stream, counter.get());
+        counter.set(key.1 + 1);
+        // Nonblocking stream only: see `Seams::fault_hook`.
+        let action = match &self.seams.get().fault_hook {
+            Some(h) if stream == ScheduleStream::Nonblocking => h.on_post(op, key.1),
+            _ => PostAction::Deliver,
+        };
+        match action {
+            PostAction::Drop => {
+                // Stall: recycle the staging buffer, never deposit it. The
+                // op id is consumed so later posts stay aligned across ranks.
+                slot.engine.lock().pool.extend(mine);
+                return key;
+            }
+            PostAction::Delay { ms } => std::thread::sleep(Duration::from_millis(ms)),
+            PostAction::Deliver => {}
         }
-
+        let gate = self.schedule_slot(stream, op, key.1);
+        let mut engine = slot.engine.lock();
         // Schedule exploration: hold the deposit until the forced arrival
         // order reaches this member's slot.
         if let Some(my_slot) = gate {
-            self.gate_wait(&mut st, &slot.cv, my_slot, |s| s.arrived, op, my_epoch);
+            self.gate_wait(&mut engine, key, my_slot, op);
         }
-
-        debug_assert!(st.payloads[self.my_index].is_none(), "double arrival");
-        st.payloads[self.my_index] = Some(Box::new(input));
-        st.arrival.push(self.my_index);
-        st.arrived += 1;
-        if gate.is_some() {
-            // Wake members gated on the next slot (SPMD: if this handle is
-            // gated, every member is).
-            slot.cv.notify_all();
-        }
-
-        if st.arrived == slot.members {
-            let inputs: Vec<I> = st
-                .payloads
-                .iter_mut()
-                .map(|p| *p.take().expect("missing payload").downcast::<I>().unwrap())
-                .collect();
-            let arrival = std::mem::take(&mut st.arrival);
-            st.result = Some(Arc::new(combine(inputs, &arrival)));
-            slot.cv.notify_all();
-        } else {
-            while st.result.is_none() {
-                self.check_alive();
-                slot.cv
-                    .wait_for(&mut st, Duration::from_millis(DEATH_POLL_MS));
+        let Engine {
+            ops,
+            pool,
+            free_ops,
+            ..
+        } = &mut *engine;
+        let o = ops
+            .entry(key)
+            .or_insert_with(|| free_ops.pop().unwrap_or_else(|| Op::new(slot.members)));
+        debug_assert!(o.payloads[self.my_index].is_none(), "double post");
+        o.payloads[self.my_index] = mine;
+        o.arrival.push(self.my_index);
+        o.arrived += 1;
+        let last = o.arrived == slot.members;
+        if last {
+            if !self.seams.get().order_canary {
+                o.arrival.sort_unstable();
             }
+            o.result = fold(&mut o.payloads, &o.arrival);
+            pool.extend(o.payloads.iter_mut().filter_map(Option::take));
         }
+        // Completion wakes the waiters; a gated deposit additionally wakes
+        // the member holding the next slot (SPMD: if this handle is gated,
+        // every member is).
+        if last || gate.is_some() {
+            slot.engine_cv.notify_all();
+        }
+        key
+    }
 
-        let out = st
-            .result
-            .as_ref()
-            .unwrap()
-            .clone()
-            .downcast::<O>()
-            .expect("collective type mismatch across ranks");
-        st.taken += 1;
-        if st.taken == slot.members {
-            st.result = None;
-            st.arrived = 0;
-            st.taken = 0;
-            st.epoch += 1;
-            slot.cv.notify_all();
+    /// Block until op `key` is complete, hand its result — if this member
+    /// `want`s it — to `read` with the engine unlocked (takers copy out side
+    /// by side; no post queues behind a copy), and drain the op: the last
+    /// taker recycles every buffer.
+    ///
+    /// A *blocking* op waits without a watchdog and unwinds with
+    /// [`RankDeadPanic`] once the dead board shows a crash. A *nonblocking*
+    /// op gives up with a typed [`CommError`] instead: the watchdog expiring
+    /// yields `Timeout`, a crash on the dead-rank board yields `RankDead`
+    /// (the op can never complete), and an op the engine has no usable
+    /// record of — dropped by a fault hook, or carrying a mismatched
+    /// payload type — yields `UnknownOp`. After any error the op (and
+    /// partial payloads) stays parked in the map; the caller is expected to
+    /// abort the computation, not retry the wait.
+    fn complete<T: Send + 'static>(
+        &self,
+        key: OpKey,
+        want: bool,
+        read: impl FnOnce(&Vec<T>),
+    ) -> Result<(), CommError> {
+        let (slot, op_id) = (&*self.slot, key.1);
+        let timeout_ms = self.wait_timeout_ms();
+        let deadline = Instant::now() + Duration::from_millis(timeout_ms);
+        let mut engine = slot.engine.lock();
+        let result = loop {
+            match engine.ops.get(&key) {
+                Some(op) if op.arrived == slot.members => break op.result.clone().filter(|_| want),
+                _ => {}
+            }
+            // Every parked member re-checks the board each poll slice: a
+            // crashed member wedges the op forever.
+            let mut slice = Duration::from_millis(DEATH_POLL_MS);
+            if key.0 == ScheduleStream::Blocking {
+                self.check_alive();
+            } else {
+                if self.board.any_dead() {
+                    let dead = self.board.dead_ranks();
+                    return Err(CommError::RankDead { op_id, dead });
+                }
+                let now = Instant::now();
+                if now >= deadline {
+                    return Err(CommError::Timeout(WaitTimeout { op_id, timeout_ms }));
+                }
+                slice = slice.min(deadline - now);
+            }
+            slot.engine_cv.wait_for(&mut engine, slice);
+        };
+        if let Some(result) = result {
+            // A type-confused harness can still leave the engine without a
+            // readable payload — degrade to a typed error, never a panic
+            // that poisons the whole thread pool.
+            let Some(r) = result.downcast_ref::<Vec<T>>() else {
+                return Err(CommError::UnknownOp { op_id });
+            };
+            drop(engine);
+            read(r);
+            // Before this taker counts itself: the last one must find the
+            // result unshared to recycle it.
+            drop(result);
+            engine = slot.engine.lock();
         }
-        out
+        let op = engine.ops.get_mut(&key).expect("an op outlives its takers");
+        op.taken += 1;
+        if op.taken == slot.members {
+            let op = engine.ops.remove(&key).expect("just seen");
+            engine.retire(op);
+        }
+        Ok(())
     }
 
     /// Element-wise sum-allreduce, in place. All members must pass buffers of
@@ -907,27 +924,10 @@ impl Communicator {
         if self.size() == 1 {
             return;
         }
-        let mine: Vec<T> = buf.to_vec();
-        let canary = self.order_canary.get();
-        let summed = self.collective("allreduce", mine, move |inputs, arrival| {
-            // Member-index fold order is the bitwise-determinism invariant;
-            // the canary deliberately folds in arrival order instead.
-            let order: Vec<usize> = if canary {
-                arrival.to_vec()
-            } else {
-                (0..inputs.len()).collect()
-            };
-            let mut acc = inputs[order[0]].clone();
-            for &m in &order[1..] {
-                let contrib = &inputs[m];
-                assert_eq!(contrib.len(), acc.len(), "allreduce length mismatch");
-                for (a, b) in acc.iter_mut().zip(contrib) {
-                    a.reduce(b);
-                }
-            }
-            acc
-        });
-        buf.clone_from_slice(&summed);
+        let mine = Some(self.stage(buf));
+        let key = self.post(ScheduleStream::Blocking, "allreduce", mine, fold_sum::<T>);
+        self.complete(key, true, |r: &Vec<T>| buf.clone_from_slice(r))
+            .expect(TYPE_MISMATCH);
     }
 
     /// Broadcast `buf` from `root` to every member, in place.
@@ -937,37 +937,33 @@ impl Communicator {
         if self.size() == 1 {
             return;
         }
-        let mine: Option<Vec<T>> = if self.my_index == root {
-            Some(buf.to_vec())
-        } else {
-            None
-        };
-        let shared = self.collective("bcast", mine, move |mut inputs, _arrival| {
-            inputs[root].take().expect("root did not contribute")
-        });
-        if self.my_index != root {
-            assert_eq!(buf.len(), shared.len(), "bcast length mismatch");
-            buf.clone_from_slice(&shared);
-        }
+        let mine = (self.my_index == root).then(|| self.stage(buf));
+        let key = self.post(ScheduleStream::Blocking, "bcast", mine, fold_root(root));
+        self.complete(key, self.my_index != root, |r: &Vec<T>| {
+            assert_eq!(buf.len(), r.len(), "bcast length mismatch");
+            buf.clone_from_slice(r);
+        })
+        .expect(TYPE_MISMATCH);
     }
 
     /// Gather every member's contribution, concatenated in member order,
     /// replicated on all ranks. Contributions may differ in length.
     pub fn allgather<T: Clone + Send + Sync + 'static>(&self, mine: &[T]) -> Vec<T> {
         self.trace_collective("allgather", std::mem::size_of_val(mine) as u64);
-        let mine: Vec<T> = mine.to_vec();
         if self.size() == 1 {
-            return mine;
+            return mine.to_vec();
         }
-        let all = self.collective("allgather", mine, |inputs, _arrival| {
-            let total: usize = inputs.iter().map(Vec::len).sum();
-            let mut out = Vec::with_capacity(total);
-            for v in inputs {
-                out.extend(v);
-            }
-            out
-        });
-        (*all).clone()
+        let staged = Some(self.stage(mine));
+        let key = self.post(
+            ScheduleStream::Blocking,
+            "allgather",
+            staged,
+            fold_concat::<T>,
+        );
+        let mut all = Vec::new();
+        self.complete(key, true, |r: &Vec<T>| all.clone_from(r))
+            .expect(TYPE_MISMATCH);
+        all
     }
 
     /// Synchronize all members.
@@ -976,7 +972,9 @@ impl Communicator {
         if self.size() == 1 {
             return;
         }
-        let _ = self.collective("barrier", (), |_, _| ());
+        let key = self.post(ScheduleStream::Blocking, "barrier", None, |_, _| None);
+        self.complete(key, false, |_: &Vec<()>| {})
+            .expect(TYPE_MISMATCH);
     }
 
     /// Sum-allreduce of a single value.
@@ -987,31 +985,20 @@ impl Communicator {
         out
     }
 
-    // ---- nonblocking collectives ---------------------------------------
-    //
-    // The `i*` variants return immediately with a [`Request`]; the data
-    // exchange and the combine run as members arrive, and `wait()` blocks
-    // only until the result of *that* op is ready. Ops are keyed by a
-    // per-rank sequence number, so posting never blocks behind an earlier
-    // in-flight op (unlike the blocking epoch rendezvous) — a rank may hold
-    // several outstanding requests on one communicator. SPMD contract:
-    // every member posts the same nonblocking ops in the same order, and
-    // every request must eventually be waited.
-
-    fn next_nb_seq(&self) -> u64 {
-        let s = self.nb_seq.get();
-        self.nb_seq.set(s + 1);
-        s
-    }
-
-    /// Buffer-pool statistics of this communicator's nonblocking engine.
+    /// Buffer-pool statistics of this communicator's collective engine.
+    /// `in_flight` counts nonblocking ops only: a blocking op may still be
+    /// in the map for an instant after a peer's call returned.
     pub fn nb_pool_stats(&self) -> NbPoolStats {
-        let nb = self.slot.nb.lock();
+        let engine = self.slot.engine.lock();
         NbPoolStats {
-            fresh_allocs: nb.fresh_allocs,
-            pool_hits: nb.pool_hits,
-            pooled: nb.pool.len(),
-            in_flight: nb.ops.len(),
+            fresh_allocs: engine.fresh_allocs,
+            pool_hits: engine.pool_hits,
+            pooled: engine.pool.len(),
+            in_flight: engine
+                .ops
+                .keys()
+                .filter(|k| k.0 == ScheduleStream::Nonblocking)
+                .count(),
         }
     }
 
@@ -1020,11 +1007,33 @@ impl Communicator {
     /// [`Communicator::iallreduce_sum_staged`]. Steady state (a recycled
     /// buffer of the same length) this costs no allocation and no zeroing.
     /// Dropping an unposted `SendBuf` returns the buffer to the pool.
-    pub fn nb_staging<T: Clone + Default + Send + 'static>(&self, len: usize) -> SendBuf<'_, T> {
-        let buf = self.slot.nb.lock().checkout_len::<T>(len);
+    pub fn nb_staging<T: Clone + Default + Send + Sync + 'static>(
+        &self,
+        len: usize,
+    ) -> SendBuf<'_, T> {
+        let mut buf = self.slot.engine.lock().checkout::<T>(len);
+        vec_mut::<T>(&mut buf).resize(len, T::default());
         SendBuf {
             comm: self,
             buf: Some(buf),
+            _t: std::marker::PhantomData,
+        }
+    }
+
+    /// Trace and post one nonblocking collective of `len` elements.
+    fn ipost<T: Send + 'static>(
+        &self,
+        op: &'static str,
+        len: usize,
+        mine: Option<Payload>,
+        fold: impl FnOnce(&mut [Option<Payload>], &[usize]) -> Option<Payload>,
+    ) -> Request<'_, T> {
+        self.trace_collective(op, (len * std::mem::size_of::<T>()) as u64);
+        Request {
+            comm: self,
+            key: self.post(ScheduleStream::Nonblocking, op, mine, fold),
+            len,
+            done: false,
             _t: std::marker::PhantomData,
         }
     }
@@ -1035,33 +1044,8 @@ impl Communicator {
     /// identical (bitwise) to the copying path.
     pub fn iallreduce_sum_staged<T: Reduce>(&self, mut staged: SendBuf<'_, T>) -> Request<'_, T> {
         let mine = staged.buf.take().expect("staged buffer already posted");
-        let len = mine.downcast_ref::<Vec<T>>().unwrap().len();
-        let op_id = self.next_nb_seq();
-        self.trace_collective("iallreduce", (len * std::mem::size_of::<T>()) as u64);
-        match self.post_action("iallreduce", op_id) {
-            PostAction::Drop => {
-                // Stall: recycle the staging buffer, never deposit it. The
-                // op id is consumed so later posts stay aligned across ranks.
-                self.slot.nb.lock().checkin(mine);
-                return Request {
-                    comm: self,
-                    op_id,
-                    len,
-                    done: false,
-                    _t: std::marker::PhantomData,
-                };
-            }
-            PostAction::Delay { ms } => std::thread::sleep(Duration::from_millis(ms)),
-            PostAction::Deliver => {}
-        }
-        self.post_allreduce_payload::<T>(op_id, mine);
-        Request {
-            comm: self,
-            op_id,
-            len,
-            done: false,
-            _t: std::marker::PhantomData,
-        }
+        let len = vec_ref::<T>(&mine).len();
+        self.ipost("iallreduce", len, Some(mine), fold_sum::<T>)
     }
 
     /// Post a nonblocking element-wise sum-allreduce of `buf`. The returned
@@ -1069,99 +1053,12 @@ impl Communicator {
     /// order — bitwise identical to [`Communicator::allreduce_sum`]) into
     /// the buffer passed to it.
     pub fn iallreduce_sum<T: Reduce>(&self, buf: &[T]) -> Request<'_, T> {
-        let op_id = self.next_nb_seq();
-        self.trace_collective("iallreduce", std::mem::size_of_val(buf) as u64);
-        match self.post_action("iallreduce", op_id) {
-            PostAction::Drop => {
-                return Request {
-                    comm: self,
-                    op_id,
-                    len: buf.len(),
-                    done: false,
-                    _t: std::marker::PhantomData,
-                }
-            }
-            PostAction::Delay { ms } => std::thread::sleep(Duration::from_millis(ms)),
-            PostAction::Deliver => {}
-        }
-        let slot = &*self.slot;
-        let mut nb = slot.nb.lock();
-        let mut mine = nb.checkout::<T>();
-        mine.downcast_mut::<Vec<T>>()
-            .unwrap()
-            .extend_from_slice(buf);
-        drop(nb);
-        self.post_allreduce_payload::<T>(op_id, mine);
-        Request {
-            comm: self,
-            op_id,
-            len: buf.len(),
-            done: false,
-            _t: std::marker::PhantomData,
-        }
-    }
-
-    /// Deposit one rank's allreduce contribution; the last depositor folds
-    /// all payloads in member-index order (into member 0's buffer, which
-    /// becomes the result) and wakes the waiters.
-    fn post_allreduce_payload<T: Reduce>(&self, op_id: u64, mine: Payload) {
-        let gate = self.schedule_slot(ScheduleStream::Nonblocking, "iallreduce", op_id);
-        let slot = &*self.slot;
-        let mut nb = slot.nb.lock();
-        if let Some(my_slot) = gate {
-            self.gate_wait(
-                &mut nb,
-                &slot.nb_cv,
-                my_slot,
-                |s| s.ops.get(&op_id).map_or(0, |o| o.arrived),
-                "iallreduce",
-                op_id,
-            );
-        }
-        let mut op = nb.take_op(op_id, slot.members);
-        debug_assert!(op.payloads[self.my_index].is_none(), "double post");
-        op.payloads[self.my_index] = Some(mine);
-        op.arrival.push(self.my_index);
-        op.arrived += 1;
-        if op.arrived == slot.members {
-            // Fold in place into the first fold source's staging box — it
-            // becomes the result, so the reduction costs no extra buffer
-            // and no copy. Accumulation runs in member-index order, so the
-            // bits match `allreduce_sum` exactly; the canary deliberately
-            // folds in arrival order instead.
-            let order: Vec<usize> = if self.order_canary.get() {
-                op.arrival.clone()
-            } else {
-                (0..slot.members).collect()
-            };
-            let mut result = op.payloads[order[0]].take().unwrap();
-            {
-                let out = result.downcast_mut::<Vec<T>>().unwrap();
-                for &m in &order[1..] {
-                    let v = op.payloads[m]
-                        .as_ref()
-                        .unwrap()
-                        .downcast_ref::<Vec<T>>()
-                        .unwrap();
-                    assert_eq!(v.len(), out.len(), "iallreduce length mismatch");
-                    for (a, b) in out.iter_mut().zip(v) {
-                        a.reduce(b);
-                    }
-                }
-            }
-            for p in op.payloads.iter_mut() {
-                if let Some(b) = p.take() {
-                    nb.checkin(b);
-                }
-            }
-            op.result = Some(result);
-        }
-        // Completion wakes the waiters; a gated deposit additionally wakes
-        // the member holding the next slot.
-        if op.arrived == slot.members || gate.is_some() {
-            slot.nb_cv.notify_all();
-        }
-        nb.ops.insert(op_id, op);
+        self.ipost(
+            "iallreduce",
+            buf.len(),
+            Some(self.stage(buf)),
+            fold_sum::<T>,
+        )
     }
 
     /// Post a nonblocking broadcast of `root`'s `buf`. Non-root callers pass
@@ -1172,187 +1069,16 @@ impl Communicator {
         root: usize,
     ) -> Request<'_, T> {
         assert!(root < self.size());
-        let op_id = self.next_nb_seq();
-        self.trace_collective("ibcast", std::mem::size_of_val(buf) as u64);
-        match self.post_action("ibcast", op_id) {
-            PostAction::Drop => {
-                return Request {
-                    comm: self,
-                    op_id,
-                    len: buf.len(),
-                    done: false,
-                    _t: std::marker::PhantomData,
-                }
-            }
-            PostAction::Delay { ms } => std::thread::sleep(Duration::from_millis(ms)),
-            PostAction::Deliver => {}
-        }
-        let gate = self.schedule_slot(ScheduleStream::Nonblocking, "ibcast", op_id);
-        let slot = &*self.slot;
-        let mut nb = slot.nb.lock();
-        if let Some(my_slot) = gate {
-            self.gate_wait(
-                &mut nb,
-                &slot.nb_cv,
-                my_slot,
-                |s| s.ops.get(&op_id).map_or(0, |o| o.arrived),
-                "ibcast",
-                op_id,
-            );
-        }
-        let mut op = nb.take_op(op_id, slot.members);
-        if self.my_index == root {
-            let mut mine = nb.checkout::<T>();
-            mine.downcast_mut::<Vec<T>>()
-                .unwrap()
-                .extend_from_slice(buf);
-            op.payloads[root] = Some(mine);
-        }
-        op.arrival.push(self.my_index);
-        op.arrived += 1;
-        if op.arrived == slot.members {
-            // The root's staging box *is* the result — no copy, no churn.
-            op.result = Some(op.payloads[root].take().expect("root did not post"));
-        }
-        if op.arrived == slot.members || gate.is_some() {
-            slot.nb_cv.notify_all();
-        }
-        nb.ops.insert(op_id, op);
-        drop(nb);
-        Request {
-            comm: self,
-            op_id,
-            len: buf.len(),
-            done: false,
-            _t: std::marker::PhantomData,
-        }
+        let mine = (self.my_index == root).then(|| self.stage(buf));
+        self.ipost("ibcast", buf.len(), mine, fold_root(root))
     }
 
     /// Post a nonblocking allgather of `mine`. Contributions may be ragged;
     /// the result is the member-order concatenation, delivered through
     /// [`GatherRequest::wait`].
     pub fn iallgather<T: Clone + Send + Sync + 'static>(&self, mine: &[T]) -> GatherRequest<'_, T> {
-        let op_id = self.next_nb_seq();
-        self.trace_collective("iallgather", std::mem::size_of_val(mine) as u64);
-        match self.post_action("iallgather", op_id) {
-            PostAction::Drop => {
-                return GatherRequest {
-                    comm: self,
-                    op_id,
-                    done: false,
-                    _t: std::marker::PhantomData,
-                }
-            }
-            PostAction::Delay { ms } => std::thread::sleep(Duration::from_millis(ms)),
-            PostAction::Deliver => {}
-        }
-        let gate = self.schedule_slot(ScheduleStream::Nonblocking, "iallgather", op_id);
-        let slot = &*self.slot;
-        let mut nb = slot.nb.lock();
-        if let Some(my_slot) = gate {
-            self.gate_wait(
-                &mut nb,
-                &slot.nb_cv,
-                my_slot,
-                |s| s.ops.get(&op_id).map_or(0, |o| o.arrived),
-                "iallgather",
-                op_id,
-            );
-        }
-        let mut contrib = nb.checkout::<T>();
-        contrib
-            .downcast_mut::<Vec<T>>()
-            .unwrap()
-            .extend_from_slice(mine);
-        let mut op = nb.take_op(op_id, slot.members);
-        debug_assert!(op.payloads[self.my_index].is_none(), "double post");
-        op.payloads[self.my_index] = Some(contrib);
-        op.arrival.push(self.my_index);
-        op.arrived += 1;
-        if op.arrived == slot.members {
-            // Member 0's staging box grows into the concatenation in place;
-            // later contributions append in member order and recycle.
-            let mut result = op.payloads[0].take().unwrap();
-            {
-                let out = result.downcast_mut::<Vec<T>>().unwrap();
-                for p in &op.payloads[1..] {
-                    out.extend_from_slice(p.as_ref().unwrap().downcast_ref::<Vec<T>>().unwrap());
-                }
-            }
-            for p in op.payloads.iter_mut().skip(1) {
-                let b = p.take().unwrap();
-                nb.checkin(b);
-            }
-            op.result = Some(result);
-        }
-        if op.arrived == slot.members || gate.is_some() {
-            slot.nb_cv.notify_all();
-        }
-        nb.ops.insert(op_id, op);
-        drop(nb);
-        GatherRequest {
-            comm: self,
-            op_id,
-            done: false,
-            _t: std::marker::PhantomData,
-        }
-    }
-
-    /// Block until op `op_id` has a result, hand it to `read` under the
-    /// lock, and drain the op (last taker recycles every buffer). Gives up
-    /// with a typed [`CommError`] instead of hanging or panicking: the
-    /// watchdog expiring yields `Timeout`, a crash on the dead-rank board
-    /// yields `RankDead` (the op can never complete), and an op the engine
-    /// has no usable record of — never posted, dropped by a fault hook, or
-    /// carrying a mismatched payload type — yields `UnknownOp`. After any
-    /// error the op (and partial payloads) stays parked in the map; the
-    /// caller is expected to abort the computation, not retry the wait.
-    fn nb_wait_with<T: Send + 'static>(
-        &self,
-        op_id: u64,
-        read: impl FnOnce(&Vec<T>),
-    ) -> Result<(), CommError> {
-        let slot = &*self.slot;
-        let timeout_ms = self.wait_timeout_ms.get();
-        let deadline = Instant::now() + Duration::from_millis(timeout_ms);
-        let mut nb = slot.nb.lock();
-        while nb.ops.get(&op_id).is_none_or(|op| op.result.is_none()) {
-            if self.board.any_dead() {
-                return Err(CommError::RankDead {
-                    op_id,
-                    dead: self.board.dead_ranks(),
-                });
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(CommError::Timeout(WaitTimeout { op_id, timeout_ms }));
-            }
-            let slice = (deadline - now).min(Duration::from_millis(DEATH_POLL_MS));
-            slot.nb_cv.wait_for(&mut nb, slice);
-        }
-        // The loop guarantees presence-with-result on the happy path, but a
-        // fault hook or a type-confused harness can still leave the engine
-        // without a readable payload — degrade to a typed error, never a
-        // panic that poisons the whole thread pool.
-        let Some(op) = nb.ops.get(&op_id) else {
-            return Err(CommError::UnknownOp { op_id });
-        };
-        if op
-            .result
-            .as_ref()
-            .is_none_or(|r| r.downcast_ref::<Vec<T>>().is_none())
-        {
-            return Err(CommError::UnknownOp { op_id });
-        }
-        let mut op = nb.ops.remove(&op_id).expect("op vanished under the lock");
-        read(op.result.as_ref().unwrap().downcast_ref::<Vec<T>>().unwrap());
-        op.taken += 1;
-        if op.taken == slot.members {
-            nb.retire(op);
-        } else {
-            nb.ops.insert(op_id, op);
-        }
-        Ok(())
+        let staged = Some(self.stage(mine));
+        GatherRequest(self.ipost("iallgather", mine.len(), staged, fold_concat::<T>))
     }
 
     // ---- dead-rank agreement -------------------------------------------
@@ -1393,7 +1119,7 @@ impl Communicator {
             assert!(wr < 64);
             suspect_world |= 1u64 << wr;
         }
-        let timeout_ms = self.wait_timeout_ms.get();
+        let timeout_ms = self.wait_timeout_ms();
         let deadline = Instant::now() + Duration::from_millis(timeout_ms);
         let my_bit = 1u64 << self.my_index;
         let mut st = slot.agree.lock();
@@ -1438,6 +1164,42 @@ impl Communicator {
     }
 }
 
+/// Sum fold: accumulate every contribution into the first fold source's
+/// staging box, which becomes the result — no extra buffer, no copy. With
+/// `order` the member-index order the bits are the same whoever arrives
+/// when, and the same for `allreduce_sum` and `iallreduce_sum`.
+fn fold_sum<T: Reduce>(payloads: &mut [Option<Payload>], order: &[usize]) -> Option<Payload> {
+    let mut result = payloads[order[0]].take().expect("member did not post");
+    let out = vec_mut::<T>(&mut result);
+    for &m in &order[1..] {
+        let v = vec_ref::<T>(payloads[m].as_ref().expect("member did not post"));
+        assert_eq!(v.len(), out.len(), "allreduce length mismatch");
+        for (a, b) in out.iter_mut().zip(v) {
+            a.reduce(b);
+        }
+    }
+    Some(result)
+}
+
+/// Broadcast fold: the root's staging box *is* the result.
+fn fold_root(root: usize) -> impl FnOnce(&mut [Option<Payload>], &[usize]) -> Option<Payload> {
+    move |payloads, _| Some(payloads[root].take().expect("root did not post"))
+}
+
+/// Gather fold: member 0's staging box grows into the member-order
+/// concatenation in place.
+fn fold_concat<T: Clone + 'static>(
+    payloads: &mut [Option<Payload>],
+    _order: &[usize],
+) -> Option<Payload> {
+    let mut result = payloads[0].take().expect("member did not post");
+    let out = vec_mut::<T>(&mut result);
+    for p in &payloads[1..] {
+        out.extend_from_slice(vec_ref::<T>(p.as_ref().expect("member did not post")));
+    }
+    Some(result)
+}
+
 /// A pooled staging buffer checked out with [`Communicator::nb_staging`]:
 /// compute the local contribution directly into it, then move it into a
 /// collective with [`Communicator::iallreduce_sum_staged`] — the zero-copy
@@ -1451,12 +1213,7 @@ pub struct SendBuf<'c, T: Send + 'static> {
 impl<T: Send + 'static> SendBuf<'_, T> {
     /// Number of elements staged.
     pub fn len(&self) -> usize {
-        self.buf
-            .as_ref()
-            .unwrap()
-            .downcast_ref::<Vec<T>>()
-            .unwrap()
-            .len()
+        vec_ref::<T>(self.buf.as_ref().expect("staged buffer already posted")).len()
     }
 
     /// True when zero elements are staged.
@@ -1466,12 +1223,7 @@ impl<T: Send + 'static> SendBuf<'_, T> {
 
     /// Writable view of the staged contribution.
     pub fn as_mut_slice(&mut self) -> &mut [T] {
-        self.buf
-            .as_mut()
-            .unwrap()
-            .downcast_mut::<Vec<T>>()
-            .unwrap()
-            .as_mut_slice()
+        vec_mut::<T>(self.buf.as_mut().expect("staged buffer already posted"))
     }
 }
 
@@ -1479,7 +1231,7 @@ impl<T: Send + 'static> Drop for SendBuf<'_, T> {
     fn drop(&mut self) {
         // Unposted staging goes straight back to the pool.
         if let Some(b) = self.buf.take() {
-            self.comm.slot.nb.lock().checkin(b);
+            self.comm.slot.engine.lock().pool.push(b);
         }
     }
 }
@@ -1489,7 +1241,7 @@ impl<T: Send + 'static> Drop for SendBuf<'_, T> {
 #[must_use = "a nonblocking collective must be waited"]
 pub struct Request<'c, T: Send + 'static> {
     comm: &'c Communicator,
-    op_id: u64,
+    key: OpKey,
     len: usize,
     done: bool,
     _t: std::marker::PhantomData<T>,
@@ -1501,25 +1253,29 @@ impl<T: Send + 'static> Request<'_, T> {
     /// if some member never posts within the communicator's watchdog, a
     /// member is marked dead, or the engine has no record of the op — `out`
     /// is untouched in every error case.
-    pub fn wait(mut self, out: &mut [T]) -> Result<(), CommError>
+    pub fn wait(self, out: &mut [T]) -> Result<(), CommError>
     where
         T: Clone,
     {
         assert_eq!(self.len, out.len(), "wait buffer length mismatch");
-        // Resolved either way: a timed-out request must not panic on drop —
-        // the typed error *is* the resolution.
-        self.done = true;
-        self.comm.nb_wait_with::<T>(self.op_id, |r| {
+        self.finish(|r| {
             assert_eq!(r.len(), out.len(), "posted/result length mismatch");
             out.clone_from_slice(r);
         })
+    }
+
+    fn finish(mut self, read: impl FnOnce(&Vec<T>)) -> Result<(), CommError> {
+        // Resolved either way: a timed-out request must not panic on drop —
+        // the typed error *is* the resolution.
+        self.done = true;
+        self.comm.complete(self.key, true, read)
     }
 }
 
 impl<T: Send + 'static> Drop for Request<'_, T> {
     fn drop(&mut self) {
         if !self.done && !std::thread::panicking() {
-            panic!("nonblocking Request dropped without wait()");
+            panic!("nonblocking request dropped without wait()");
         }
     }
 }
@@ -1527,12 +1283,7 @@ impl<T: Send + 'static> Drop for Request<'_, T> {
 /// Handle to an in-flight nonblocking allgather (result length is only
 /// known once every contribution arrived).
 #[must_use = "a nonblocking collective must be waited"]
-pub struct GatherRequest<'c, T: Send + 'static> {
-    comm: &'c Communicator,
-    op_id: u64,
-    done: bool,
-    _t: std::marker::PhantomData<T>,
-}
+pub struct GatherRequest<'c, T: Send + 'static>(Request<'c, T>);
 
 impl<T: Send + 'static> GatherRequest<'_, T> {
     /// Block until the gather completes and replace `out`'s contents with
@@ -1540,29 +1291,18 @@ impl<T: Send + 'static> GatherRequest<'_, T> {
     /// Returns a typed [`CommError`] if some member never posts, a member
     /// is marked dead, or the engine has no record of the op; `out` is
     /// untouched in every error case.
-    pub fn wait(mut self, out: &mut Vec<T>) -> Result<(), CommError>
+    pub fn wait(self, out: &mut Vec<T>) -> Result<(), CommError>
     where
         T: Clone,
     {
-        self.done = true;
-        self.comm.nb_wait_with::<T>(self.op_id, |r| {
-            out.clear();
-            out.extend_from_slice(r);
-        })
-    }
-}
-
-impl<T: Send + 'static> Drop for GatherRequest<'_, T> {
-    fn drop(&mut self) {
-        if !self.done && !std::thread::panicking() {
-            panic!("nonblocking GatherRequest dropped without wait()");
-        }
+        self.0.finish(|r| out.clone_from(r))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::SchedulePolicy;
     use std::thread;
 
     fn run_spmd<R: Send + 'static>(
@@ -1638,8 +1378,8 @@ mod tests {
 
     #[test]
     fn repeated_collectives_stay_ordered() {
-        // 100 back-to-back collectives: the epoch machinery must never mix
-        // rounds even when threads race.
+        // 100 back-to-back collectives: the engine must never mix rounds
+        // even when threads race.
         let out = run_spmd(4, |c| {
             let mut acc = 0.0f64;
             for round in 0..100 {
@@ -1670,18 +1410,29 @@ mod tests {
     #[test]
     fn mixed_collective_sequence() {
         // A bcast followed by an allgather followed by an allreduce, to make
-        // sure heterogeneous payload types reuse the slot safely.
+        // sure heterogeneous payload types share the engine safely. Three
+        // members with per-rank jitter: a fast member deposits op e+1 before
+        // a slow one has taken op e — ops are keyed, nothing waits for the
+        // previous op to drain.
         let out = run_spmd(3, |c| {
-            let mut b = vec![if c.rank() == 0 { 42u64 } else { 0 }];
-            c.bcast(&mut b, 0);
-            let g = c.allgather(&[b[0] + c.rank() as u64]);
-            let mut s = vec![g.iter().sum::<u64>()];
-            c.allreduce_sum(&mut s);
-            s[0]
+            let mut total = 0u64;
+            for round in 0..20u64 {
+                let jitter = (c.rank() as u64 * 7 + round * 3) % 5;
+                thread::sleep(Duration::from_micros(200 * jitter));
+                let mut b = vec![if c.rank() == 0 { 42u64 + round } else { 0 }];
+                c.bcast(&mut b, 0);
+                let g = c.allgather(&[b[0] + c.rank() as u64]);
+                let mut s = vec![g.iter().sum::<u64>()];
+                c.allreduce_sum(&mut s);
+                total += s[0];
+            }
+            total
         });
-        // g = [42,43,44] on everyone, sum = 129, allreduce over 3 = 387
+        // Round r: g = [42+r, 43+r, 44+r] on everyone, sum = 129 + 3r,
+        // allreduce over 3 = 387 + 9r.
+        let expect: u64 = (0..20).map(|r| 387 + 9 * r).sum();
         for r in out {
-            assert_eq!(r, 387);
+            assert_eq!(r, expect);
         }
     }
 
@@ -1789,7 +1540,7 @@ mod tests {
     #[test]
     fn two_requests_in_flight_do_not_block_posts() {
         // The double-buffered pipeline posts op k+1 before waiting op k;
-        // with the blocking epoch machinery this would deadlock.
+        // an engine that admitted one op at a time would deadlock.
         let out = run_spmd(3, |c| {
             let a = vec![c.rank() as f64; 4];
             let b = vec![(c.rank() * 10) as f64; 2];
@@ -1866,16 +1617,24 @@ mod tests {
         let out = run_spmd(2, |c| {
             let data = vec![1.0f64; 64];
             let mut out_buf = vec![0.0f64; 64];
-            // Warm-up: populate the pool.
-            for _ in 0..3 {
+            // Blocking and nonblocking collectives draw on the same pool.
+            let round = |out_buf: &mut Vec<f64>| {
                 let r = c.iallreduce_sum(&data);
-                r.wait(&mut out_buf).unwrap();
+                c.allreduce_sum(out_buf);
+                c.bcast(out_buf, 1);
+                assert_eq!(c.allgather(&data[..3]).len(), 6);
+                r.wait(out_buf).unwrap();
+            };
+            // Warm-up: populate the pool, to beyond the few buffers any
+            // interleaving of one round's ops can have checked out at once.
+            for _ in 0..3 {
+                round(&mut out_buf);
             }
+            drop((0..8).map(|_| c.nb_staging::<f64>(64)).collect::<Vec<_>>());
             c.barrier();
             let warm = c.nb_pool_stats().fresh_allocs;
             for _ in 0..100 {
-                let r = c.iallreduce_sum(&data);
-                r.wait(&mut out_buf).unwrap();
+                round(&mut out_buf);
             }
             c.barrier();
             let after = c.nb_pool_stats();
@@ -1884,7 +1643,7 @@ mod tests {
         for (warm, after) in out {
             assert_eq!(
                 after.fresh_allocs, warm,
-                "steady-state nonblocking collectives must not allocate"
+                "steady-state collectives must not allocate"
             );
             assert!(after.pool_hits >= 200, "pool must serve steady state");
             assert_eq!(after.in_flight, 0);
@@ -1931,14 +1690,15 @@ mod tests {
     #[test]
     fn dropped_post_times_out_instead_of_hanging() {
         let out = run_spmd(3, |c| {
-            c.set_wait_timeout_ms(50);
-            c.set_fault_hook(Some(Arc::new(DropOp(0))));
+            c.seams().update(|s| s.wait_timeout_ms = Some(50));
+            c.seams()
+                .update(|s| s.fault_hook = Some(Arc::new(DropOp(0))));
             let req = c.iallreduce_sum(&[c.rank() as f64]);
             let mut buf = [0.0f64];
             let err = req.wait(&mut buf).unwrap_err();
             // The op after the stalled one must still work once the hook
             // stops dropping.
-            c.set_fault_hook(None);
+            c.seams().update(|s| s.fault_hook = None);
             let req = c.iallreduce_sum(&[1.0f64]);
             let mut ok = [0.0f64];
             req.wait(&mut ok).unwrap();
@@ -1960,8 +1720,9 @@ mod tests {
     #[test]
     fn dropped_gather_times_out() {
         let out = run_spmd(2, |c| {
-            c.set_wait_timeout_ms(40);
-            c.set_fault_hook(Some(Arc::new(DropOp(0))));
+            c.seams().update(|s| s.wait_timeout_ms = Some(40));
+            c.seams()
+                .update(|s| s.fault_hook = Some(Arc::new(DropOp(0))));
             let req = c.iallgather(&[c.rank() as u64]);
             let mut v = vec![99u64];
             let err = req.wait(&mut v).unwrap_err();
@@ -1980,7 +1741,8 @@ mod tests {
     fn delayed_post_still_delivers() {
         let out = run_spmd(2, |c| {
             if c.rank() == 1 {
-                c.set_fault_hook(Some(Arc::new(DelayAll(10))));
+                c.seams()
+                    .update(|s| s.fault_hook = Some(Arc::new(DelayAll(10))));
             }
             let req = c.iallreduce_sum(&[c.rank() as f64 + 1.0]);
             let mut buf = [0.0f64];
@@ -1995,8 +1757,9 @@ mod tests {
     #[test]
     fn dropped_ibcast_times_out() {
         let out = run_spmd(2, |c| {
-            c.set_wait_timeout_ms(40);
-            c.set_fault_hook(Some(Arc::new(DropOp(0))));
+            c.seams().update(|s| s.wait_timeout_ms = Some(40));
+            c.seams()
+                .update(|s| s.fault_hook = Some(Arc::new(DropOp(0))));
             let req = c.ibcast(&[c.rank() as u64], 0);
             let mut v = [7u64];
             match req.wait(&mut v).unwrap_err() {
@@ -2023,7 +1786,7 @@ mod tests {
             drop(c1);
             h.mark_dead();
         });
-        c0.set_wait_timeout_ms(5_000);
+        c0.seams().update(|s| s.wait_timeout_ms = Some(5_000));
         let req = c0.iallreduce_sum(&[1.0f64]);
         let mut out = [0.0f64];
         let err = req.wait(&mut out).unwrap_err();
@@ -2123,7 +1886,7 @@ mod tests {
             Arc::new(Reversed) as Arc<dyn SchedulePolicy>,
         ] {
             let gated = run_spmd(3, move |c| {
-                c.set_schedule_policy(Some(policy.clone()), CommScope::World);
+                c.seams().update(|s| s.schedule = Some(policy.clone()));
                 let mut b = vec![(c.rank() as f64 + 1.0) * 0.1; 2];
                 c.allreduce_sum(&mut b);
                 let req = c.iallreduce_sum(&[(c.rank() as f64 + 1.0) * 0.3]);
@@ -2144,8 +1907,8 @@ mod tests {
         // is exactly what chase-check's invariant checkers look for.
         let solve = |policy: Arc<dyn SchedulePolicy>, canary: bool| {
             run_spmd(3, move |c| {
-                c.set_schedule_policy(Some(policy.clone()), CommScope::World);
-                c.set_order_sensitive_fold(canary);
+                c.seams().update(|s| s.schedule = Some(policy.clone()));
+                c.seams().update(|s| s.order_canary = canary);
                 let mut blocking = [(c.rank() as f64 + 1.0) * 0.1];
                 c.allreduce_sum(&mut blocking);
                 let req = c.iallreduce_sum(&[(c.rank() as f64 + 1.0) * 0.1]);
@@ -2181,11 +1944,12 @@ mod tests {
             .map(|i| {
                 let c = Communicator::new(slot.clone(), i);
                 std::thread::spawn(move || {
-                    c.set_wait_timeout_ms(50);
-                    c.set_schedule_policy(Some(Arc::new(Reversed)), CommScope::World);
+                    c.seams().update(|s| s.wait_timeout_ms = Some(50));
+                    c.seams().update(|s| s.schedule = Some(Arc::new(Reversed)));
                     if i == 1 {
                         // Member 1 holds slot 0 but never deposits.
-                        c.set_fault_hook(Some(Arc::new(DropOp(0))));
+                        c.seams()
+                            .update(|s| s.fault_hook = Some(Arc::new(DropOp(0))));
                     }
                     let req = c.iallreduce_sum(&[1.0f64]);
                     let mut out = [0.0f64];

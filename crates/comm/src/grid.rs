@@ -8,13 +8,13 @@
 //! allreduces). Here each rank is an OS thread; the communicators exchange
 //! data through shared-memory rendezvous slots.
 
-use crate::collective::{Communicator, DeadBoard, DeathHandle, RankDeadPanic, ShrunkSlots, Slot};
+use crate::collective::{Communicator, DeathHandle, GridSlots, RankDeadPanic, Slot};
 use crate::ledger::{EventKind, Ledger, Region};
 use crate::schedule::SchedulePolicy;
+use crate::seams::{RankSeams, Seams};
 use crate::trace_hook::{CommScope, TraceHook};
 use crate::tune_hook::CollectiveTuneHook;
 use parking_lot::Mutex;
-use std::cell::RefCell;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -102,16 +102,55 @@ pub struct RankCtx {
     pub col_comm: Communicator,
     /// Event log (shared so it can be harvested after the run).
     pub ledger: Arc<Mutex<Ledger>>,
-    /// Structured-tracing hook, if installed ([`RankCtx::set_trace_hook`]).
-    /// Per-rank and purely local — recording never issues a collective.
-    pub trace: RefCell<Option<Arc<dyn TraceHook>>>,
-    /// Measured collective plan, if installed ([`RankCtx::set_tune_hook`]).
-    /// Consulted by the device layer before the analytic alpha-beta tuner;
-    /// per-rank, but required to be a pure function of SPMD-uniform inputs.
-    pub tune: RefCell<Option<Arc<dyn CollectiveTuneHook>>>,
+    /// This rank's seam record (trace / tune / fault hooks, schedule policy,
+    /// fold canary, wait watchdog), shared with the three communicators.
+    /// Per-rank and purely local — no seam ever issues a collective.
+    pub seams: RankSeams,
 }
 
 impl RankCtx {
+    /// The context of world rank `wr` of a `shape` grid over `slots`. The
+    /// row/column communicators carry world-rank labels so topology-aware
+    /// collectives can map their members onto physical nodes and links.
+    fn assemble(
+        shape: GridShape,
+        wr: usize,
+        slots: &GridSlots,
+        ledger: Arc<Mutex<Ledger>>,
+        seams: Seams,
+    ) -> RankCtx {
+        let seams = RankSeams::new(seams);
+        let (row, col) = (wr / shape.q, wr % shape.q);
+        let comm = |slot: &Arc<Slot>, idx, labels: Vec<usize>, scope| {
+            let board = slots.board.clone();
+            Communicator::in_grid(
+                slot.clone(),
+                idx,
+                Arc::new(labels),
+                board,
+                scope,
+                seams.clone(),
+            )
+        };
+        let row_labels = (0..shape.q).map(|j| row * shape.q + j).collect();
+        let col_labels = (0..shape.p).map(|i| i * shape.q + col).collect();
+        RankCtx {
+            shape,
+            row,
+            col,
+            world: comm(
+                &slots.world,
+                wr,
+                (0..shape.ranks()).collect(),
+                CommScope::World,
+            ),
+            row_comm: comm(&slots.rows[row], col, row_labels, CommScope::Row),
+            col_comm: comm(&slots.cols[col], row, col_labels, CommScope::Col),
+            ledger,
+            seams,
+        }
+    }
+
     /// Row-major world rank.
     pub fn world_rank(&self) -> usize {
         self.row * self.shape.q + self.col
@@ -129,21 +168,21 @@ impl RankCtx {
             l.record(kind);
             l.current_region().unwrap_or(Region::Other)
         };
-        if let Some(h) = &*self.trace.borrow() {
+        if let Some(h) = &self.seams.get().trace {
             h.event(region, kind);
         }
     }
 
     pub fn record_in(&self, region: Region, kind: EventKind) {
         self.ledger.lock().record_in(region, kind);
-        if let Some(h) = &*self.trace.borrow() {
+        if let Some(h) = &self.seams.get().trace {
             h.event(region, kind);
         }
     }
 
     pub fn set_region(&self, region: Region) {
         self.ledger.lock().set_region(region);
-        if let Some(h) = &*self.trace.borrow() {
+        if let Some(h) = &self.seams.get().trace {
             h.region(region);
         }
     }
@@ -160,69 +199,40 @@ impl RankCtx {
     /// marks, and the three grid communicators report their collective
     /// issues tagged with their scope.
     pub fn set_trace_hook(&self, hook: Option<Arc<dyn TraceHook>>) {
-        self.world.set_trace_hook(hook.clone(), CommScope::World);
-        self.row_comm.set_trace_hook(hook.clone(), CommScope::Row);
-        self.col_comm.set_trace_hook(hook.clone(), CommScope::Col);
-        *self.trace.borrow_mut() = hook;
+        self.seams.update(|s| s.trace = hook);
     }
 
-    /// The installed tracing hook, if any (cloned handle).
-    pub fn trace_hook(&self) -> Option<Arc<dyn TraceHook>> {
-        self.trace.borrow().clone()
-    }
-
-    /// Install (or clear) the schedule-exploration policy on this rank's
-    /// three communicators, each tagged with its grid scope. Every rank of
-    /// a grid must install the same policy (SPMD discipline) — the deposit
-    /// gates rely on each member computing the identical permutation.
+    /// Install (or clear) the schedule-exploration policy on this rank; its
+    /// three communicators tag their schedule points with their grid scope.
+    /// Every rank of a grid must install the same policy (SPMD discipline).
     pub fn set_schedule_policy(&self, policy: Option<Arc<dyn SchedulePolicy>>) {
-        self.world
-            .set_schedule_policy(policy.clone(), CommScope::World);
-        self.row_comm
-            .set_schedule_policy(policy.clone(), CommScope::Row);
-        self.col_comm.set_schedule_policy(policy, CommScope::Col);
-    }
-
-    /// Arm (or disarm) the order-sensitive-fold mutation canary on all
-    /// three communicators. Harness-only: deliberately breaks the bitwise
-    /// schedule-independence invariant so `chase-check` can prove its
-    /// checkers catch the bug class.
-    pub fn set_order_sensitive_fold(&self, on: bool) {
-        self.world.set_order_sensitive_fold(on);
-        self.row_comm.set_order_sensitive_fold(on);
-        self.col_comm.set_order_sensitive_fold(on);
+        self.seams.update(|s| s.schedule = policy);
     }
 
     /// Install (or clear) the measured collective plan on this rank. Every
-    /// rank of a grid must install the same plan (SPMD discipline); the
-    /// device layer consults it only where `Params` leaves the collective
-    /// knob on `Auto`.
+    /// rank of a grid must install the same plan (SPMD discipline), and the
+    /// plan must be a pure function of SPMD-uniform inputs.
     pub fn set_tune_hook(&self, hook: Option<Arc<dyn CollectiveTuneHook>>) {
-        *self.tune.borrow_mut() = hook;
-    }
-
-    /// The installed measured plan, if any (cloned handle).
-    pub fn tune_hook(&self) -> Option<Arc<dyn CollectiveTuneHook>> {
-        self.tune.borrow().clone()
+        self.seams.update(|s| s.tune = hook);
     }
 
     /// Open a named trace span (no-op without a hook).
     pub fn trace_span_begin(&self, name: &'static str, arg: u64) {
-        if let Some(h) = &*self.trace.borrow() {
+        if let Some(h) = &self.seams.get().trace {
             h.span_begin(name, arg);
         }
     }
 
     /// Close the innermost trace span named `name` (no-op without a hook).
     pub fn trace_span_end(&self, name: &'static str) {
-        if let Some(h) = &*self.trace.borrow() {
+        if let Some(h) = &self.seams.get().trace {
             h.span_end(name);
         }
     }
 
     /// Increment a named trace counter (no-op without a hook).
     pub fn trace_counter(&self, name: &'static str, delta: u64) {
-        if let Some(h) = &*self.trace.borrow() {
+        if let Some(h) = &self.seams.get().trace {
             h.counter(name, delta);
         }
     }
@@ -248,7 +258,7 @@ impl RankCtx {
         };
         // The trace mirror carries no wall span — only the deterministic
         // (region, kind) payload — so replayed traces stay byte-identical.
-        if let Some(h) = &*self.trace.borrow() {
+        if let Some(h) = &self.seams.get().trace {
             h.event(region, kind);
         }
     }
@@ -290,8 +300,9 @@ impl RankCtx {
 /// *old* world slot keyed by the agreed dead set, so every survivor resolves
 /// the same slots without any collective on the wedged communicators. The
 /// new context carries the old rank's ledger (recovery costs accrue to the
-/// same profile) and re-installs its trace/tune hooks; the dead board starts
-/// clean.
+/// same profile) and a copy of its whole seam record — a traced, gated or
+/// canary run stays traced, gated or canary after the crash; the dead board
+/// starts clean.
 pub fn shrink_ctx(old: &RankCtx, dead: &[usize]) -> Option<RankCtx> {
     let old_n = old.shape.ranks();
     let mut dead_mask = 0u64;
@@ -310,48 +321,13 @@ pub fn shrink_ctx(old: &RankCtx, dead: &[usize]) -> Option<RankCtx> {
     if my_new >= active {
         return None;
     }
-    let set = old.world.slot().shrunk_slots(dead_mask, || ShrunkSlots {
-        world: Slot::new(active),
-        rows: (0..shape.p).map(|_| Slot::new(shape.q)).collect(),
-        cols: (0..shape.q).map(|_| Slot::new(shape.p)).collect(),
-        board: Arc::new(DeadBoard::new()),
-    });
-    let (i, j) = (my_new / shape.q, my_new % shape.q);
-    let row_labels = Arc::new((0..shape.q).map(|jj| i * shape.q + jj).collect::<Vec<_>>());
-    let col_labels = Arc::new((0..shape.p).map(|ii| ii * shape.q + j).collect::<Vec<_>>());
-    let world_labels = Arc::new((0..active).collect::<Vec<_>>());
-    let ctx = RankCtx {
-        shape,
-        row: i,
-        col: j,
-        world: Communicator::with_labels_board(
-            set.world.clone(),
-            my_new,
-            world_labels,
-            set.board.clone(),
-        ),
-        row_comm: Communicator::with_labels_board(
-            set.rows[i].clone(),
-            j,
-            row_labels,
-            set.board.clone(),
-        ),
-        col_comm: Communicator::with_labels_board(
-            set.cols[j].clone(),
-            i,
-            col_labels,
-            set.board.clone(),
-        ),
-        ledger: old.ledger.clone(),
-        trace: RefCell::new(None),
-        tune: RefCell::new(None),
-    };
-    for c in [&ctx.world, &ctx.row_comm, &ctx.col_comm] {
-        c.set_wait_timeout_ms(old.world.wait_timeout_ms());
-    }
-    ctx.set_trace_hook(old.trace_hook());
-    ctx.set_tune_hook(old.tune_hook());
-    Some(ctx)
+    let slots = old
+        .world
+        .slot()
+        .shrunk_slots(dead_mask, || GridSlots::new(shape.p, shape.q));
+    let seams = old.seams.get().clone();
+    let ledger = old.ledger.clone();
+    Some(RankCtx::assemble(shape, my_new, &slots, ledger, seams))
 }
 
 /// Output of an SPMD run: per-rank results and ledgers, in world-rank order.
@@ -370,58 +346,20 @@ where
     F: Fn(&RankCtx) -> R + Send + Sync,
 {
     let n = shape.ranks();
-    let world_slot = Slot::new(n);
-    let row_slots: Vec<_> = (0..shape.p).map(|_| Slot::new(shape.q)).collect();
-    let col_slots: Vec<_> = (0..shape.q).map(|_| Slot::new(shape.p)).collect();
-    // World-rank labels let topology-aware collectives map members of the
-    // row/column sub-communicators onto physical nodes and links.
-    let row_labels: Vec<Arc<Vec<usize>>> = (0..shape.p)
-        .map(|i| Arc::new((0..shape.q).map(|j| i * shape.q + j).collect()))
-        .collect();
-    let col_labels: Vec<Arc<Vec<usize>>> = (0..shape.q)
-        .map(|j| Arc::new((0..shape.p).map(|i| i * shape.q + j).collect()))
-        .collect();
+    // One dead-rank board per grid, shared by every rank's three
+    // communicators: a death marked anywhere aborts waits everywhere.
+    let slots = GridSlots::new(shape.p, shape.q);
     let ledgers: Vec<Arc<Mutex<Ledger>>> = (0..n)
         .map(|_| Arc::new(Mutex::new(Ledger::new())))
         .collect();
-    // One dead-rank board per grid, shared by every rank's three
-    // communicators: a death marked anywhere aborts waits everywhere.
-    let board = Arc::new(DeadBoard::new());
-    let world_labels: Arc<Vec<usize>> = Arc::new((0..n).collect());
 
     let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
 
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(n);
         for (wr, result_slot) in results.iter_mut().enumerate() {
-            let i = wr / shape.q;
-            let j = wr % shape.q;
-            let ctx = RankCtx {
-                shape,
-                row: i,
-                col: j,
-                world: Communicator::with_labels_board(
-                    world_slot.clone(),
-                    wr,
-                    world_labels.clone(),
-                    board.clone(),
-                ),
-                row_comm: Communicator::with_labels_board(
-                    row_slots[i].clone(),
-                    j,
-                    row_labels[i].clone(),
-                    board.clone(),
-                ),
-                col_comm: Communicator::with_labels_board(
-                    col_slots[j].clone(),
-                    i,
-                    col_labels[j].clone(),
-                    board.clone(),
-                ),
-                ledger: ledgers[wr].clone(),
-                trace: RefCell::new(None),
-                tune: RefCell::new(None),
-            };
+            let ledger = ledgers[wr].clone();
+            let ctx = RankCtx::assemble(shape, wr, &slots, ledger, Seams::default());
             let f = &f;
             handles.push((
                 wr,
@@ -458,17 +396,13 @@ where
 
 /// Single-rank context for serial execution paths (no threads involved).
 pub fn solo_ctx() -> RankCtx {
-    RankCtx {
-        shape: GridShape::new(1, 1),
-        row: 0,
-        col: 0,
-        world: Communicator::solo(),
-        row_comm: Communicator::solo(),
-        col_comm: Communicator::solo(),
-        ledger: Arc::new(Mutex::new(Ledger::new())),
-        trace: RefCell::new(None),
-        tune: RefCell::new(None),
-    }
+    RankCtx::assemble(
+        GridShape::new(1, 1),
+        0,
+        &GridSlots::new(1, 1),
+        Arc::new(Mutex::new(Ledger::new())),
+        Seams::default(),
+    )
 }
 
 #[cfg(test)]
@@ -637,6 +571,64 @@ mod tests {
         for (_, sum, row) in got {
             assert_eq!(sum, 6, "1+2+3 over the shrunk world");
             assert_eq!(row, vec![0, 1, 2]);
+        }
+    }
+
+    #[test]
+    fn shrink_carries_the_whole_seam_record() {
+        // A gated, canary, traced, tuned rank with a non-default watchdog
+        // must still be all five after a crash shrinks its grid to 1x3.
+        struct Scopes(Mutex<Vec<CommScope>>);
+        impl TraceHook for Scopes {
+            fn event(&self, _: Region, _: EventKind) {}
+            fn region(&self, _: Region) {}
+            fn span_begin(&self, _: &'static str, _: u64) {}
+            fn span_end(&self, _: &'static str) {}
+            fn counter(&self, _: &'static str, _: u64) {}
+            fn collective(&self, scope: CommScope, _: &'static str, _: u64, _: u64, _: u64) {
+                self.0.lock().push(scope);
+            }
+        }
+        struct MemberOrder;
+        impl SchedulePolicy for MemberOrder {
+            fn arrival_order(&self, p: &crate::SchedulePoint) -> Option<Vec<usize>> {
+                Some((0..p.members).collect())
+            }
+        }
+        struct NoRule;
+        impl CollectiveTuneHook for NoRule {
+            fn choose(&self, _: crate::TuneOp, _: u64, _: usize) -> Option<crate::TuneChoice> {
+                None
+            }
+        }
+        let out = run_grid(GridShape::new(2, 2), |ctx| {
+            let scopes = Arc::new(Scopes(Mutex::new(Vec::new())));
+            ctx.set_schedule_policy(Some(Arc::new(MemberOrder)));
+            ctx.seams.update(|s| s.order_canary = true);
+            ctx.set_trace_hook(Some(scopes.clone()));
+            ctx.set_tune_hook(Some(Arc::new(NoRule)));
+            ctx.seams.update(|s| s.wait_timeout_ms = Some(1234));
+            if ctx.world_rank() == 1 {
+                ctx.death_handle().mark_dead();
+                return None;
+            }
+            while ctx.dead_ranks().is_empty() {
+                std::thread::yield_now();
+            }
+            let dead = ctx.world.agree_dead(&ctx.dead_ranks()).unwrap();
+            let new_ctx = shrink_ctx(ctx, &dead).expect("4 -> 3 never idles a survivor");
+            assert!(new_ctx.seams.get().tune.is_some());
+            for c in [&new_ctx.world, &new_ctx.row_comm, &new_ctx.col_comm] {
+                assert!(c.seams().get().schedule.is_some(), "policy dropped");
+                assert!(c.seams().get().order_canary, "canary dropped");
+                assert_eq!(c.wait_timeout_ms(), 1234);
+                c.barrier();
+            }
+            let seen = scopes.0.lock().clone();
+            Some(seen)
+        });
+        for seen in out.results.into_iter().flatten() {
+            assert_eq!(seen, [CommScope::World, CommScope::Row, CommScope::Col]);
         }
     }
 

@@ -17,12 +17,13 @@ pub mod grid;
 pub mod ledger;
 pub mod partition;
 pub mod schedule;
+pub mod seams;
 pub mod trace_hook;
 pub mod tune_hook;
 
 pub use collective::{
     scaled_timeout_ms, CommError, CommFaultHook, Communicator, DeadBoard, DeathHandle,
-    GatherRequest, NbPoolStats, PostAction, RankDeadPanic, Reduce, Request, SendBuf, ShrunkSlots,
+    GatherRequest, GridSlots, NbPoolStats, PostAction, RankDeadPanic, Reduce, Request, SendBuf,
     Slot, WaitTimeout, DEFAULT_WAIT_TIMEOUT_MS,
 };
 pub use grid::{block_range, run_grid, shrink_ctx, solo_ctx, GridShape, RankCtx, SpmdOutput};
@@ -32,5 +33,6 @@ pub use ledger::{
 };
 pub use partition::{Distribution, IndexSet};
 pub use schedule::{SchedulePoint, SchedulePolicy, ScheduleStream};
+pub use seams::{RankSeams, SeamGuard, Seams};
 pub use trace_hook::{CommScope, TraceHook};
 pub use tune_hook::{CollectiveTuneHook, TuneAlgo, TuneChoice, TuneOp};

@@ -13,7 +13,7 @@
 //! bits.
 //!
 //! Enforcement is *deposit gating*: before a rank deposits its payload it
-//! waits (on the communicator's existing condition variables) until the
+//! waits (on the collective engine's condition variable) until the
 //! number of earlier deposits equals its assigned slot in the permutation.
 //! Because the permutation is a pure function of the schedule point and is
 //! computed identically on every rank (SPMD), no extra shared state is
@@ -24,13 +24,13 @@
 
 use crate::trace_hook::CommScope;
 
-/// Which engine of the communicator a schedule point belongs to. The
-/// blocking rendezvous and the nonblocking engine keep independent
-/// sequence counters, so a point is only unique within its stream.
+/// Which stream of a communicator's collectives a schedule point belongs
+/// to. Blocking calls and nonblocking posts share one engine and one gate
+/// but count separately, so a point is only unique within its stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ScheduleStream {
     /// Blocking collectives (`allreduce_sum`, `bcast`, `allgather`,
-    /// `barrier`); `seq` is the slot epoch.
+    /// `barrier`); `seq` is the per-rank blocking op id.
     Blocking,
     /// Nonblocking posts (`iallreduce_sum`, `ibcast`, `iallgather`);
     /// `seq` is the per-rank nonblocking op id.
@@ -69,7 +69,7 @@ impl ScheduleStream {
 pub struct SchedulePoint {
     /// Grid scope of the communicator (world / row / column).
     pub scope: CommScope,
-    /// Which engine the op runs on.
+    /// Which stream the op belongs to.
     pub stream: ScheduleStream,
     /// Collective name ("allreduce", "iallreduce", "ibcast", ...).
     pub op: &'static str,

@@ -18,6 +18,7 @@
 //! restores are bitwise and NaN-safe.
 
 use chase_linalg::{Matrix, RealScalar, Scalar, SpectralBounds};
+use chase_trace::fnv1a;
 use chase_trace::json::{self, Json};
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -77,16 +78,6 @@ impl fmt::Display for CkptError {
 }
 
 impl std::error::Error for CkptError {}
-
-/// FNV-1a over bytes (same constants as the plan DB's content hash).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
 
 /// One solver snapshot, scalar-agnostic: every float is an `f64` bit
 /// pattern (`f32` payloads widen exactly on save and narrow exactly on
@@ -366,7 +357,7 @@ impl Snapshot {
     /// of the canonical body, then the body.
     pub fn emit(&self) -> String {
         let body = self.body_json();
-        let sum = fnv1a(body.as_bytes());
+        let sum = fnv1a(body.bytes());
         format!(
             "{{\"format\":\"{CKPT_FORMAT}\",\"version\":{CKPT_VERSION},\"checksum\":\"{}\",\"snapshot\":{body}}}\n",
             hex(sum)
@@ -427,7 +418,7 @@ impl Snapshot {
         // The canonical re-rendering of what we parsed must hash to the
         // recorded checksum: any altered payload digit re-renders
         // differently and is caught here.
-        let actual = fnv1a(snap.body_json().as_bytes());
+        let actual = fnv1a(snap.body_json().bytes());
         if actual != recorded {
             return Err(CkptError::ChecksumMismatch {
                 found: recorded,

@@ -23,7 +23,7 @@ use crate::result::{
     ChaseError, ChaseErrorKind, ChaseResult, IterStats, RecoveryEventKind, RecoveryLog,
 };
 use crate::warm::WarmStart;
-use chase_comm::{CommFaultHook, Reduce, Region};
+use chase_comm::{Reduce, Region};
 use chase_device::{Backend, Device};
 use chase_faults::FaultPlan;
 use chase_linalg::{Matrix, Op, RealScalar, Scalar, SpectralBounds};
@@ -1355,20 +1355,18 @@ where
         .inject
         .as_ref()
         .map(|spec| Arc::new(FaultPlan::new(spec.clone(), ctx.world_rank(), ctx.row)));
-    let comms = [&ctx.world, &ctx.row_comm, &ctx.col_comm];
-    if let Some(ms) = params.wait_timeout_ms {
-        for c in comms {
-            c.set_wait_timeout_ms(ms);
+    // Installed for this solve only: the guard restores the rank's record
+    // on return and when a `RankDeadPanic` unwinds to the elastic driver.
+    let _seams = ctx.seams.scoped(|s| {
+        s.wait_timeout_ms = params.wait_timeout_ms.or(s.wait_timeout_ms);
+        if let Some(p) = &plan {
+            s.fault_hook = Some(p.clone());
         }
-    }
+    });
     if let Some(p) = &plan {
-        let hook: Arc<dyn CommFaultHook> = p.clone();
-        for c in comms {
-            c.set_fault_hook(Some(hook.clone()));
-        }
         // Mirror injections into the trace stream when a recorder is
         // installed on this rank.
-        p.set_trace_hook(ctx.trace_hook());
+        p.set_trace_hook(ctx.seams.get().trace.clone());
         // Arm rank-crash injections: without a death handle a `rank-crash`
         // site is inert, so plain solves never crash by accident.
         p.set_death_handle(Some(ctx.death_handle()));
@@ -1380,28 +1378,18 @@ where
         chase_device::Topology::juwels_booster(),
     )
     .with_faults(plan.clone());
-    let out = (|| {
-        let mut chase = Chase::with_warm_start(&dev, h, params.clone(), warm);
-        if let Some(snap) = resume {
-            chase.apply_snapshot(snap).map_err(|e| ChaseError {
-                kind: ChaseErrorKind::BadCheckpoint {
-                    detail: e.to_string(),
-                },
-                iter: snap.iter,
-                recovery: RecoveryLog::default(),
-            })?;
-        }
-        chase.set_prelude_recovery(prelude);
-        chase.try_solve()
-    })();
-    if let Some(p) = &plan {
-        for c in comms {
-            c.set_fault_hook(None);
-        }
-        p.set_trace_hook(None);
-        p.set_death_handle(None);
+    let mut chase = Chase::with_warm_start(&dev, h, params.clone(), warm);
+    if let Some(snap) = resume {
+        chase.apply_snapshot(snap).map_err(|e| ChaseError {
+            kind: ChaseErrorKind::BadCheckpoint {
+                detail: e.to_string(),
+            },
+            iter: snap.iter,
+            recovery: RecoveryLog::default(),
+        })?;
     }
-    out
+    chase.set_prelude_recovery(prelude);
+    chase.try_solve()
 }
 
 /// Solve a distributed eigenproblem from within an SPMD region (the historic
@@ -1476,6 +1464,26 @@ mod tests {
         assert_eq!(m[(0, 1)], 0.0); // old col 3 (which held col 0's data)
         assert_eq!(m[(0, 2)], 10.0);
         assert_eq!(m[(0, 3)], 20.0);
+    }
+
+    #[test]
+    fn solve_restores_the_seam_record() {
+        // `wait_timeout_ms: Some(..)` holds for that solve only: a later
+        // solve on the same context with `None` gets the default back.
+        let spec = chase_matgen::Spectrum::uniform(40, -1.0, 1.0);
+        let h = chase_matgen::dense_with_spectrum::<f64>(&spec, 7);
+        let ctx = chase_comm::solo_ctx();
+        let mut p = Params::new(4, 3);
+        for timeout in [Some(50), None] {
+            p.wait_timeout_ms = timeout;
+            let dh = DistHerm::from_global(&h, &ctx);
+            assert!(try_solve_dist(&ctx, Backend::Nccl, dh, &p, None).is_ok());
+        }
+        assert_eq!(
+            ctx.world.wait_timeout_ms(),
+            chase_comm::DEFAULT_WAIT_TIMEOUT_MS
+        );
+        assert!(ctx.seams.get().fault_hook.is_none());
     }
 
     #[test]

@@ -277,7 +277,7 @@ impl<'a> Device<'a> {
                 // context) outranks the analytic alpha-beta model; a miss —
                 // no hook, or no rule covering this (op, size, members) —
                 // falls through to the analytic choice.
-                if let Some(hook) = self.ctx.tune_hook() {
+                if let Some(hook) = &self.ctx.seams.get().tune {
                     if let Some(c) = hook.choose(tune_op(op), bytes, comm.size()) {
                         return match c.algo {
                             TuneAlgo::Flat => None,

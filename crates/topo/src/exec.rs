@@ -58,11 +58,11 @@ type Parts<T> = Vec<(u32, Vec<T>)>;
 /// is semantically invisible — which is exactly the invariant `chase-check`
 /// explores — while the order-sensitive-fold canary makes it observable.
 fn hop_permute<T>(comm: &Communicator, tag: u64, parts: &mut Parts<T>) {
-    let Some((policy, scope)) = comm.schedule_policy() else {
+    let Some(policy) = comm.seams().get().schedule.clone() else {
         return;
     };
     let point = SchedulePoint {
-        scope,
+        scope: comm.scope(),
         stream: ScheduleStream::Hop,
         op: "fold",
         seq: tag,
@@ -90,7 +90,7 @@ fn hop_permute<T>(comm: &Communicator, tag: u64, parts: &mut Parts<T>) {
 /// invariant rules out.
 fn fold_in_order<T: Reduce>(comm: &Communicator, tag: u64, mut parts: Parts<T>) -> Vec<T> {
     hop_permute(comm, tag, &mut parts);
-    if !comm.order_sensitive_fold() {
+    if !comm.seams().get().order_canary {
         parts.sort_by_key(|p| p.0);
     }
     let mut it = parts.into_iter();
@@ -767,10 +767,8 @@ mod tests {
             let want = reference_sum(&inputs);
             for algo in Algo::ALL {
                 let got = run_spmd((0..k).collect(), |comm| {
-                    comm.set_schedule_policy(
-                        Some(Arc::new(ReverseHops)),
-                        chase_comm::CommScope::World,
-                    );
+                    comm.seams()
+                        .update(|s| s.schedule = Some(Arc::new(ReverseHops)));
                     let mut buf = input_for(comm.rank(), 17);
                     let mut sink = |_b: u64, _l: LinkClass| {};
                     allreduce(comm, &topo, &mut buf, algo, 64, &mut sink);
@@ -793,12 +791,10 @@ mod tests {
         let run = |reversed: bool| {
             run_spmd((0..k).collect(), |comm| {
                 if reversed {
-                    comm.set_schedule_policy(
-                        Some(Arc::new(ReverseHops)),
-                        chase_comm::CommScope::World,
-                    );
+                    comm.seams()
+                        .update(|s| s.schedule = Some(Arc::new(ReverseHops)));
                 }
-                comm.set_order_sensitive_fold(true);
+                comm.seams().update(|s| s.order_canary = true);
                 let mut buf = vec![0.1 * (comm.rank() as f64 + 1.0)];
                 let mut sink = |_b: u64, _l: LinkClass| {};
                 allreduce(comm, &topo, &mut buf, Algo::Tree, 64, &mut sink);

@@ -48,3 +48,13 @@ pub use export::{chrome_trace, metrics_json, summary_table, validate_chrome_trac
 pub use model::{to_ledger, RankTrace, Trace, TraceEvent};
 pub use recorder::TraceRecorder;
 pub use stitch::{stitch, GlobalEvent, StitchError, Timeline};
+
+/// FNV-1a over a byte stream: the workspace's one stable content hash
+/// (checkpoint checksums, plan-DB content hashes and machine fingerprints,
+/// seeded schedule permutations, `chase check` fingerprints). Stable across
+/// runs and toolchains, unlike `DefaultHasher`'s seeded SipHash.
+pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf29ce484222325, |h: u64, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100000001b3)
+    })
+}

@@ -9,6 +9,7 @@
 //! actually vary.
 
 use chase_comm::{TuneAlgo, TuneChoice, TuneOp};
+use chase_trace::fnv1a;
 use chase_trace::json::{self, Json};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -225,7 +226,7 @@ impl PlanEntry {
     /// Stable 64-bit content hash of the canonical JSON rendering — what
     /// ranks compare to world-agree on a plan before executing it.
     pub fn content_hash(&self) -> u64 {
-        fnv1a(self.to_json().as_bytes())
+        fnv1a(self.to_json().bytes())
     }
 
     pub fn to_json(&self) -> String {
@@ -396,17 +397,6 @@ impl PlanDb {
             detail: format!("{}: {e}", path.display()),
         })
     }
-}
-
-/// FNV-1a over bytes: the stable content hash used for plan agreement and
-/// machine fingerprints (no dependency on `DefaultHasher`'s unstable seed).
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 /// Emit an f64 so `str::parse::<f64>` round-trips it exactly (Rust's

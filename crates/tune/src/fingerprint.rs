@@ -4,8 +4,8 @@
 //! crossover — so the DB key starts with a hash of every constant the cost
 //! model (and thus the deterministic trial clock) depends on.
 
-use crate::db::fnv1a;
 use chase_perfmodel::Machine;
+use chase_trace::fnv1a;
 
 /// Stable fingerprint of a machine model: `m-` plus 16 hex digits of an
 /// FNV-1a hash over the exact bit patterns of the calibration constants and
@@ -35,7 +35,7 @@ pub fn machine_fingerprint(machine: &Machine) -> String {
     // The topology's link parameters feed the per-hop trial pricing; its
     // Debug rendering is a deterministic function of the field values.
     bytes.extend_from_slice(format!("{:?}", machine.topo).as_bytes());
-    format!("m-{:016x}", fnv1a(&bytes))
+    format!("m-{:016x}", fnv1a(bytes))
 }
 
 #[cfg(test)]

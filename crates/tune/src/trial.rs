@@ -336,11 +336,7 @@ where
     // (`chase_comm::scaled_timeout_ms`) like every other timeout-bearing
     // path, so oversubscribed CI keeps a real margin.
     let watchdog = chase_comm::scaled_timeout_ms(TRIAL_WATCHDOG_MS);
-    let comms = [&ctx.world, &ctx.row_comm, &ctx.col_comm];
-    let prior_timeouts: Vec<u64> = comms.iter().map(|c| c.wait_timeout_ms()).collect();
-    for c in comms {
-        c.set_wait_timeout_ms(watchdog);
-    }
+    let _seams = ctx.seams.scoped(|s| s.wait_timeout_ms = Some(watchdog));
     let es = std::mem::size_of::<T>() as u64;
     let pctx = PriceCtx {
         scalar: scalar_kind::<T>(),
@@ -474,10 +470,6 @@ where
         "rank {} diverged from the world-agreed plan",
         ctx.world_rank()
     );
-
-    for (c, ms) in comms.iter().zip(prior_timeouts) {
-        c.set_wait_timeout_ms(ms);
-    }
 
     TuneOutcome {
         entry,

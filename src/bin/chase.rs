@@ -1013,7 +1013,10 @@ fn cmd_check(flags: HashMap<String, String>) -> Result<(), String> {
         let report = check_case(case, &seeds, systematic, canary);
         schedules += report.schedules;
         match report.violation {
-            None => println!("check {case}: ok ({} schedules)", report.schedules),
+            None => println!(
+                "check {case}: ok ({} schedules) digest {:016x}",
+                report.schedules, report.digest
+            ),
             Some(v) => {
                 println!("check {case}: VIOLATION — {}", v.diff);
                 println!(
