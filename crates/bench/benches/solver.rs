@@ -58,7 +58,9 @@ fn bench_solve(c: &mut Criterion) {
     let mut p = Params::new(8, 6);
     p.tol = 1e-9;
 
-    group.bench_function("chase_serial_n200", |b| b.iter(|| solve_serial(&h, &p)));
+    group.bench_function("chase_serial_n200", |b| {
+        b.iter(|| solve_serial(&h, &p, None).expect("ChASE solve"))
+    });
 
     let (href, pref) = (&h, &p);
     group.bench_function("chase_2x2_threads_n200", |b| {
@@ -71,6 +73,7 @@ fn bench_solve(c: &mut Criterion) {
                     pref,
                     None,
                 )
+                .expect("ChASE solve")
             })
         })
     });

@@ -25,7 +25,7 @@ fn main() {
             p.tol = 1e-10;
             p.optimize_degrees = optimize;
             p.track_true_cond = true;
-            let r = solve_serial(&h, &p);
+            let r = solve_serial(&h, &p, None).expect("ChASE solve");
             assert!(r.converged, "{} opt={optimize} failed", problem.name);
             let peak = r
                 .stats

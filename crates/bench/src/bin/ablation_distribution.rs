@@ -35,7 +35,10 @@ fn main() {
         let out = run_grid(GridShape::new(2, 2), move |ctx| {
             let dh = DistHerm::from_global_dist(href, ctx, dist);
             let shape = (dh.n_r(), dh.n_c());
-            (solve_dist(ctx, Backend::Nccl, dh, pref, None), shape)
+            (
+                solve_dist(ctx, Backend::Nccl, dh, pref, None).expect("ChASE solve"),
+                shape,
+            )
         });
         let (r, _) = &out.results[0];
         assert!(r.converged, "{name} did not converge");

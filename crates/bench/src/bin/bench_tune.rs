@@ -21,13 +21,12 @@
 
 use chase_bench::{run_live, write_bench_json, BenchRecord};
 use chase_comm::{run_grid, GridShape, Ledger};
-use chase_core::{solve_dist, ChaseResult, DistHerm, Params, PrecisionMode};
+use chase_core::{DistHerm, Params, PrecisionMode};
 use chase_device::{Backend, CollectiveAlgo};
-use chase_linalg::{Matrix, C64};
+use chase_linalg::C64;
 use chase_matgen::{dense_with_spectrum, Spectrum};
 use chase_perfmodel::{price_ledger, residual_report, residual_summary, PriceCtx, ScalarKind};
-use chase_tune::{plan_from_entry, tune_entry, MeasuredHook, TuneOptions, TuneOutcome};
-use std::sync::Arc;
+use chase_tune::{solve_grid, tune_entry, GridRun, PlanChoice, TuneOptions};
 
 /// Trial and solve costs here are micro/milliseconds; `fmt_s` rounds them
 /// to 0.000.
@@ -50,29 +49,6 @@ fn comm_seconds(ledger: &Ledger, opts: &TuneOptions) -> f64 {
         .values()
         .map(|c| c.comm)
         .sum()
-}
-
-/// Solve with the measured plan applied and its hook installed.
-fn run_measured(
-    h: &Matrix<C64>,
-    params: &Params,
-    shape: GridShape,
-    outcome: &TuneOutcome,
-) -> (ChaseResult<C64>, Ledger) {
-    let entry = &outcome.entry;
-    let out = run_grid(shape, move |ctx| {
-        let mut p = params.clone();
-        p.precision = PrecisionMode::Auto;
-        p.apply_plan(&plan_from_entry(entry));
-        ctx.set_tune_hook(Some(Arc::new(MeasuredHook::new(entry.clone()))));
-        let r = solve_dist(ctx, Backend::Nccl, DistHerm::from_global(h, ctx), &p, None);
-        ctx.set_tune_hook(None);
-        r
-    });
-    (
-        out.results.into_iter().next().expect("rank 0"),
-        out.ledgers.into_iter().next().expect("rank 0 ledger"),
-    )
 }
 
 fn main() {
@@ -124,7 +100,19 @@ fn main() {
     let mut pa = p.clone();
     pa.collective = CollectiveAlgo::Auto;
     let analytic = run_live(&h, &pa, shape, Backend::Nccl);
-    let (measured_r, measured_l) = run_measured(&h, &p, shape, &outcome);
+    let mut pm = p.clone();
+    pm.precision = PrecisionMode::Auto;
+    let stored = PlanChoice::Hit(outcome.entry.clone());
+    let run = GridRun {
+        plan: Some(&stored),
+        ..GridRun::new(shape)
+    };
+    let mut measured = solve_grid(&h, &pm, &run);
+    let measured_l = measured.ledgers.swap_remove(0);
+    let measured_r = measured
+        .into_solved()
+        .expect("measured-plan solve")
+        .swap_remove(0);
 
     // Pure reschedules: the data plane is identical under every schedule.
     assert_eq!(

@@ -33,7 +33,7 @@ fn main() {
             p.tol = 1e-10;
             p.optimize_degrees = optimize;
             p.track_true_cond = true;
-            let r = solve_serial(&h, &p);
+            let r = solve_serial(&h, &p, None).expect("ChASE solve");
             let label = if optimize { "opt   " } else { "no-opt" };
             println!(
                 "  [{label}] converged = {} in {} iterations, {} MatVecs",

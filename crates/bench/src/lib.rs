@@ -17,14 +17,13 @@
 //! | `ablation_*` | design-choice ablations from DESIGN.md |
 
 use chase_comm::{run_grid, GridShape, Ledger};
-use chase_core::{
-    chebyshev_filter_with, solve_dist, ChaseResult, DistHerm, FilterBounds, FilterExec, Params,
-};
+use chase_core::{chebyshev_filter_with, ChaseResult, DistHerm, FilterBounds, FilterExec, Params};
 use chase_device::{Backend, Device};
 use chase_linalg::{Matrix, C64};
 use chase_perfmodel::{
     iteration_events, CommFlavor, IterationSpec, Layout, Machine, PriceCtx, ScalarKind,
 };
+use chase_tune::{solve_grid, GridRun};
 
 /// Outcome of a live (functional) distributed run: per-rank result of rank
 /// 0 plus its event ledger.
@@ -34,17 +33,21 @@ pub struct LiveRun {
     pub wall: std::time::Duration,
 }
 
-/// Solve `h` on a `shape` grid of threads with the given backend.
+/// Solve `h` on a `shape` grid of threads with the given backend. Panics
+/// when the solve fails: the bench binaries run fault-free problems.
 pub fn run_live(h: &Matrix<C64>, params: &Params, shape: GridShape, backend: Backend) -> LiveRun {
     let t0 = std::time::Instant::now();
-    let out = run_grid(shape, move |ctx| {
-        let dh = DistHerm::from_global(h, ctx);
-        solve_dist(ctx, backend, dh, params, None)
-    });
+    let run = GridRun {
+        backend,
+        ..GridRun::new(shape)
+    };
+    let mut out = solve_grid(h, params, &run);
     let wall = t0.elapsed();
+    let ledger = out.ledgers.swap_remove(0);
+    let solved = out.into_solved();
     LiveRun {
-        result: out.results.into_iter().next().expect("at least one rank"),
-        ledger: out.ledgers.into_iter().next().unwrap(),
+        result: solved.expect("ChASE solve aborted").swap_remove(0),
+        ledger,
         wall,
     }
 }

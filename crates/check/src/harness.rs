@@ -6,14 +6,12 @@ use crate::config::{CheckCase, ScalarKind};
 use crate::policy::{MemberOrder, RecordingSchedule, SeededSchedule, SystematicSchedule};
 use crate::replay::Witness;
 use crate::shrink::{shrink, ShrinkBudget};
-use chase_comm::{kind_to_json, run_grid, Ledger, SchedulePolicy};
-use chase_core::{try_solve_dist, ChaseError, ChaseResult, DistHerm};
-use chase_device::Backend;
+use chase_comm::{kind_to_json, Ledger, SchedulePolicy};
+use chase_core::{ChaseError, ChaseResult};
 use chase_linalg::{Matrix, RealScalar, Scalar, C64};
 use chase_matgen::{dense_with_spectrum, Spectrum};
-use chase_perfmodel::Machine;
-use chase_trace::{chrome_trace, fnv1a, RankTrace, Trace, TraceRecorder};
-use chase_tune::{plan_from_entry, tune_entry, MeasuredHook, TuneOptions};
+use chase_trace::{chrome_trace, fnv1a};
+use chase_tune::{solve_grid, GridRun, PlanChoice, TuneOptions};
 use std::sync::Arc;
 
 /// Everything observable about one rank of one run, reduced to exactly
@@ -199,41 +197,30 @@ where
 {
     let spec = Spectrum::uniform(case.n, -1.0, 1.0);
     let h: Matrix<T> = dense_with_spectrum(&spec, case.pseed);
-    let params = case.params();
-    let out = run_grid(case.shape(), |ctx| {
-        // Install the seam before the first collective (the bounds
-        // estimate) so the entire solve is gated, and the canary so the
-        // planted bug covers blocking, nonblocking and hop folds alike.
-        ctx.set_schedule_policy(policy.clone());
-        ctx.seams.update(|s| s.order_canary = canary);
-        let rec = Arc::new(TraceRecorder::new(ctx.world_rank()));
-        ctx.set_trace_hook(Some(rec.clone()));
-        let mut params = params.clone();
-        let mut dh = DistHerm::from_global(&h, ctx);
-        if case.plan {
-            let opts = TuneOptions {
-                deterministic: true,
-                machine: Machine::juwels_booster(),
-                backend: Backend::Nccl,
-            };
-            let t = tune_entry(ctx, &mut dh, params.nev, params.nex, &opts);
-            params.apply_plan(&plan_from_entry(&t.entry));
-            ctx.set_tune_hook(Some(Arc::new(MeasuredHook::new(t.entry))));
-        }
-        let result = try_solve_dist(ctx, Backend::Nccl, dh, &params, None);
-        ctx.set_tune_hook(None);
-        ctx.set_trace_hook(None);
-        ctx.seams.update(|s| s.order_canary = false);
-        ctx.set_schedule_policy(None);
-        (result, rec.finish())
-    });
-    let mut ranks = Vec::new();
-    let mut traces: Vec<RankTrace> = Vec::new();
-    for ((result, trace), ledger) in out.results.into_iter().zip(&out.ledgers) {
-        ranks.push(rank_fp(result, ledger));
-        traces.push(trace);
-    }
-    let trace_hash = fnv1a(chrome_trace(&Trace { ranks: traces }).into_bytes());
+    // A planned case measures its plan inside the run, so the trials are
+    // explored, traced and fingerprinted with the solve they precede.
+    let plan = case
+        .plan
+        .then(|| PlanChoice::Tune(TuneOptions::deterministic()));
+    let out = solve_grid(
+        &h,
+        &case.params(),
+        &GridRun {
+            trace: true,
+            plan: plan.as_ref(),
+            policy,
+            canary,
+            ..GridRun::new(case.shape())
+        },
+    );
+    let ranks = out
+        .results
+        .into_iter()
+        .zip(&out.ledgers)
+        .map(|(result, ledger)| rank_fp(result.expect("check cases plan no crash"), ledger))
+        .collect();
+    let trace = out.trace.expect("the run was traced");
+    let trace_hash = fnv1a(chrome_trace(&trace).into_bytes());
     Fingerprint { ranks, trace_hash }
 }
 

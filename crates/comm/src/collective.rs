@@ -1834,12 +1834,8 @@ mod tests {
                 let slot = slot.clone();
                 let board = board.clone();
                 thread::spawn(move || {
-                    let c = Communicator::with_labels_board(
-                        slot,
-                        i,
-                        Arc::new(vec![0, 1, 2, 3]),
-                        board,
-                    );
+                    let c =
+                        Communicator::with_labels_board(slot, i, Arc::new(vec![0, 1, 2, 3]), board);
                     let suspected = if i == 0 { vec![2] } else { vec![] };
                     c.agree_dead(&suspected).unwrap()
                 })

@@ -314,7 +314,9 @@ pub fn shrink_ctx(old: &RankCtx, dead: &[usize]) -> Option<RankCtx> {
     if dead_mask & (1u64 << me) != 0 {
         return None;
     }
-    let survivors: Vec<usize> = (0..old_n).filter(|r| dead_mask & (1u64 << r) == 0).collect();
+    let survivors: Vec<usize> = (0..old_n)
+        .filter(|r| dead_mask & (1u64 << r) == 0)
+        .collect();
     let shape = GridShape::squarest(survivors.len());
     let active = shape.ranks();
     let my_new = survivors.iter().position(|&r| r == me).unwrap();

@@ -1,6 +1,7 @@
-//! Minimal JSON reader used by the trace decoder and the Chrome trace-event
-//! schema validator. The build environment has no serde; this is a small,
-//! strict recursive-descent parser over the subset the trace formats use
+//! Minimal JSON reader used by every decoder in the workspace (ledger
+//! events, traces and the Chrome trace-event schema validator, plan DBs,
+//! checkpoints). The build environment has no serde; this is a small,
+//! strict recursive-descent parser over the subset those formats use
 //! (no exponent-heavy float edge cases, no surrogate escapes).
 
 /// A parsed JSON value.
@@ -41,6 +42,20 @@ impl Json {
             Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
             _ => None,
         }
+    }
+
+    /// The string under `key`, or a message naming the field.
+    pub fn str_field(&self, key: &str) -> Result<&str, String> {
+        self.get(key)
+            .and_then(Json::as_str)
+            .ok_or_else(|| format!("missing string field {key}"))
+    }
+
+    /// The non-negative integer under `key`, or a message naming the field.
+    pub fn u64_field(&self, key: &str) -> Result<u64, String> {
+        self.get(key)
+            .and_then(Json::as_u64)
+            .ok_or_else(|| format!("missing integer field {key}"))
     }
 
     /// First value under `key` in an object.

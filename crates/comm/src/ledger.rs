@@ -7,6 +7,8 @@
 //! (JUWELS-Booster, 4×A100 per node), split into the computation /
 //! communication / data-movement categories of Fig. 2.
 
+use crate::json::{self, Json};
+
 /// Which ChASE kernel an event belongs to (the four bars of Fig. 2, plus
 /// Lanczos and a catch-all).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -447,37 +449,24 @@ impl Ledger {
 
     /// JSON encoding of the event log: an array of flat objects, one per
     /// event, e.g. `{"region":"Filter","kind":"Gemm","m":4,"n":5,"k":6}`.
-    /// Hand-rolled (the build environment has no serde); [`Ledger::from_json`]
-    /// round-trips exactly this format.
+    /// [`Ledger::from_json`] round-trips exactly this format.
     pub fn to_json(&self) -> String {
         let items: Vec<String> = self.events.iter().map(event_to_json).collect();
         format!("[{}]", items.join(","))
     }
 
-    /// Parse a ledger from the output of [`Ledger::to_json`]. This is a
-    /// round-trip decoder for our own flat encoding, not a general JSON
-    /// parser.
+    /// Parse a ledger from the output of [`Ledger::to_json`].
     pub fn from_json(s: &str) -> Result<Ledger, String> {
-        let body = s
-            .trim()
-            .strip_prefix('[')
-            .and_then(|t| t.strip_suffix(']'))
+        let doc = json::parse(s)?;
+        let events = doc
+            .as_arr()
             .ok_or("ledger JSON must be an array")?
-            .trim();
-        let mut events = Vec::new();
-        if !body.is_empty() {
-            // Objects are flat, so "},{" cleanly separates events.
-            for obj in body.split("},{") {
-                let obj = obj.trim_start_matches('{').trim_end_matches('}');
-                events.push(event_from_json(obj)?);
-            }
-        }
+            .iter()
+            .map(event_from_json)
+            .collect::<Result<_, _>>()?;
         Ok(Ledger {
             events,
-            region: None,
-            window: None,
-            next_window: 0,
-            lo: false,
+            ..Ledger::new()
         })
     }
 }
@@ -547,119 +536,90 @@ pub fn kind_to_json(kind: &EventKind) -> String {
     }
 }
 
-fn json_str_field(obj: &str, key: &str) -> Result<String, String> {
-    let pat = format!("\"{key}\":\"");
-    let start = obj
-        .find(&pat)
-        .ok_or_else(|| format!("missing field {key}"))?
-        + pat.len();
-    let end = obj[start..]
-        .find('"')
-        .ok_or_else(|| format!("unterminated {key}"))?
-        + start;
-    Ok(obj[start..end].to_string())
-}
-
-fn json_u64_field(obj: &str, key: &str) -> Result<u64, String> {
-    let pat = format!("\"{key}\":");
-    let start = obj
-        .find(&pat)
-        .ok_or_else(|| format!("missing field {key}"))?
-        + pat.len();
-    let digits: String = obj[start..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().map_err(|e| format!("bad {key}: {e}"))
-}
-
-fn event_from_json(obj: &str) -> Result<Event, String> {
-    let region = json_str_field(obj, "region")?;
-    let region = Region::parse_name(&region).ok_or_else(|| format!("unknown region {region}"))?;
-    let kind = kind_from_json(obj)?;
-    let window = json_u64_field(obj, "win").ok().map(|w| w as u32);
-    let lo = json_u64_field(obj, "lo").map(|v| v != 0).unwrap_or(false);
-    let t0_us = json_u64_field(obj, "t0").unwrap_or(0);
-    let t1_us = json_u64_field(obj, "t1").unwrap_or(0);
+fn event_from_json(obj: &Json) -> Result<Event, String> {
+    let region = obj.str_field("region")?;
+    let region = Region::parse_name(region).ok_or_else(|| format!("unknown region {region}"))?;
+    // The encoder leaves these out when they carry nothing; a key that is
+    // present must still hold an integer.
+    let optional = |key: &str| obj.get(key).map(|_| obj.u64_field(key)).transpose();
     Ok(Event {
-        kind,
+        kind: kind_from_json(obj)?,
         region,
-        window,
-        t0_us,
-        t1_us,
-        lo,
+        window: optional("win")?.map(|w| w as u32),
+        t0_us: optional("t0")?.unwrap_or(0),
+        t1_us: optional("t1")?.unwrap_or(0),
+        lo: optional("lo")?.is_some_and(|v| v != 0),
     })
 }
 
-/// Decode an [`EventKind`] from the flat fields emitted by [`kind_to_json`]
-/// (the input is the brace-stripped object body).
-pub fn kind_from_json(obj: &str) -> Result<EventKind, String> {
-    let kind_name = json_str_field(obj, "kind")?;
-    let kind = match kind_name.as_str() {
+/// Decode an [`EventKind`] from an object carrying the flat fields emitted
+/// by [`kind_to_json`] (other keys, such as a ledger event's `region` or a
+/// trace event's `ev` tag, are ignored).
+pub fn kind_from_json(obj: &Json) -> Result<EventKind, String> {
+    Ok(match obj.str_field("kind")? {
         "Gemm" => EventKind::Gemm {
-            m: json_u64_field(obj, "m")?,
-            n: json_u64_field(obj, "n")?,
-            k: json_u64_field(obj, "k")?,
+            m: obj.u64_field("m")?,
+            n: obj.u64_field("n")?,
+            k: obj.u64_field("k")?,
         },
         "Herk" => EventKind::Herk {
-            m: json_u64_field(obj, "m")?,
-            n: json_u64_field(obj, "n")?,
+            m: obj.u64_field("m")?,
+            n: obj.u64_field("n")?,
         },
         "Potrf" => EventKind::Potrf {
-            n: json_u64_field(obj, "n")?,
+            n: obj.u64_field("n")?,
         },
         "Trsm" => EventKind::Trsm {
-            m: json_u64_field(obj, "m")?,
-            n: json_u64_field(obj, "n")?,
+            m: obj.u64_field("m")?,
+            n: obj.u64_field("n")?,
         },
         "Heevd" => EventKind::Heevd {
-            n: json_u64_field(obj, "n")?,
+            n: obj.u64_field("n")?,
         },
         "HhQr" => EventKind::HhQr {
-            m: json_u64_field(obj, "m")?,
-            n: json_u64_field(obj, "n")?,
+            m: obj.u64_field("m")?,
+            n: obj.u64_field("n")?,
         },
         "Blas1" => EventKind::Blas1 {
-            n: json_u64_field(obj, "n")?,
+            n: obj.u64_field("n")?,
         },
         "H2D" => EventKind::H2D {
-            bytes: json_u64_field(obj, "bytes")?,
+            bytes: obj.u64_field("bytes")?,
         },
         "D2H" => EventKind::D2H {
-            bytes: json_u64_field(obj, "bytes")?,
+            bytes: obj.u64_field("bytes")?,
         },
         "AllReduce" => EventKind::AllReduce {
-            bytes: json_u64_field(obj, "bytes")?,
-            members: json_u64_field(obj, "members")?,
+            bytes: obj.u64_field("bytes")?,
+            members: obj.u64_field("members")?,
         },
         "Bcast" => EventKind::Bcast {
-            bytes: json_u64_field(obj, "bytes")?,
-            members: json_u64_field(obj, "members")?,
+            bytes: obj.u64_field("bytes")?,
+            members: obj.u64_field("members")?,
         },
         "AllGather" => EventKind::AllGather {
-            bytes_per_rank: json_u64_field(obj, "bytes_per_rank")?,
-            members: json_u64_field(obj, "members")?,
+            bytes_per_rank: obj.u64_field("bytes_per_rank")?,
+            members: obj.u64_field("members")?,
         },
         "Barrier" => EventKind::Barrier {
-            members: json_u64_field(obj, "members")?,
+            members: obj.u64_field("members")?,
         },
         "P2p" => {
-            let link = json_str_field(obj, "link")?;
+            let link = obj.str_field("link")?;
             EventKind::P2p {
-                bytes: json_u64_field(obj, "bytes")?,
-                link: LinkClass::parse_name(&link).ok_or_else(|| format!("unknown link {link}"))?,
+                bytes: obj.u64_field("bytes")?,
+                link: LinkClass::parse_name(link).ok_or_else(|| format!("unknown link {link}"))?,
             }
         }
         "GridShrink" => EventKind::GridShrink {
-            from_ranks: json_u64_field(obj, "from_ranks")?,
-            to_ranks: json_u64_field(obj, "to_ranks")?,
+            from_ranks: obj.u64_field("from_ranks")?,
+            to_ranks: obj.u64_field("to_ranks")?,
         },
         "Redistribute" => EventKind::Redistribute {
-            bytes: json_u64_field(obj, "bytes")?,
+            bytes: obj.u64_field("bytes")?,
         },
         other => return Err(format!("unknown event kind {other}")),
-    };
-    Ok(kind)
+    })
 }
 
 /// RAII guard restoring the previous region on drop.
@@ -846,5 +806,25 @@ mod tests {
         assert_eq!(back.to_json(), s, "re-encoding must be stable");
         assert_eq!(Ledger::from_json("[]").unwrap().events().len(), 0);
         assert!(Ledger::from_json("{oops}").is_err());
+    }
+
+    #[test]
+    fn decode_rejects_what_a_substring_scan_accepts() {
+        // The only `"n":` is inside a string value; `n` itself is missing.
+        let inside_string = r#"[{"region":"QR","kind":"Potrf","note":"\"n\":4"}]"#;
+        assert!(Ledger::from_json(inside_string).is_err());
+        // `"},{"` inside a string is not an event boundary.
+        let boundary = r#"[{"region":"QR","note":"},{","kind":"Potrf","n":4}]"#;
+        assert_eq!(Ledger::from_json(boundary).unwrap().events().len(), 1);
+        for bad in [
+            r#"[{"region":"QR","kind":"Potrf","n":"4"}]"#,
+            r#"[{"region":"QR","kind":"Potrf","n":4.5}]"#,
+            r#"[{"region":"QR","kind":"Potrf","n":4,"win":"x"}]"#,
+            r#"[{"region":"QR","kind":"Potrf","n":4}"#,
+            r#"[{"region":"QR","kind":"Potrf","n":4}] tail"#,
+            r#"[7]"#,
+        ] {
+            assert!(Ledger::from_json(bad).is_err(), "accepted {bad}");
+        }
     }
 }

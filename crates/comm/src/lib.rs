@@ -11,9 +11,12 @@
 //! * [`ledger`] — per-rank event log of compute kernels, collectives and
 //!   host↔device transfers, from which `chase-perfmodel` prices the paper's
 //!   Fig. 2 profile.
+//! * [`json`] — the workspace's one JSON reader (ledger events here; trace,
+//!   plan-DB and checkpoint files through `chase_trace::json`).
 
 pub mod collective;
 pub mod grid;
+pub mod json;
 pub mod ledger;
 pub mod partition;
 pub mod schedule;

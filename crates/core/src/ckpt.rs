@@ -136,18 +136,24 @@ fn parse_hex(s: &str, field: &'static str) -> Result<u64, CkptError> {
 }
 
 fn hex_field(v: &Json, field: &'static str) -> Result<u64, CkptError> {
-    let s = v.get(field).and_then(Json::as_str).ok_or(CkptError::Field {
-        field,
-        detail: "missing or not a hex string".into(),
-    })?;
+    let s = v
+        .get(field)
+        .and_then(Json::as_str)
+        .ok_or(CkptError::Field {
+            field,
+            detail: "missing or not a hex string".into(),
+        })?;
     parse_hex(s, field)
 }
 
 fn hex_arr_field(v: &Json, field: &'static str) -> Result<Vec<u64>, CkptError> {
-    let arr = v.get(field).and_then(Json::as_arr).ok_or(CkptError::Field {
-        field,
-        detail: "missing or not an array".into(),
-    })?;
+    let arr = v
+        .get(field)
+        .and_then(Json::as_arr)
+        .ok_or(CkptError::Field {
+            field,
+            detail: "missing or not an array".into(),
+        })?;
     arr.iter()
         .map(|e| {
             e.as_str()
@@ -168,10 +174,13 @@ fn u64_field(v: &Json, field: &'static str) -> Result<u64, CkptError> {
 }
 
 fn u64_arr_field(v: &Json, field: &'static str) -> Result<Vec<u64>, CkptError> {
-    let arr = v.get(field).and_then(Json::as_arr).ok_or(CkptError::Field {
-        field,
-        detail: "missing or not an array".into(),
-    })?;
+    let arr = v
+        .get(field)
+        .and_then(Json::as_arr)
+        .ok_or(CkptError::Field {
+            field,
+            detail: "missing or not an array".into(),
+        })?;
     arr.iter()
         .map(|e| {
             e.as_u64().ok_or(CkptError::Field {

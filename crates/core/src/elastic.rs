@@ -34,7 +34,7 @@ use crate::ckpt::{load_latest, Snapshot};
 use crate::layout::DistHerm;
 use crate::params::Params;
 use crate::result::{ChaseError, ChaseErrorKind, ChaseResult, RecoveryEventKind, RecoveryLog};
-use crate::solver::try_solve_dist_inner;
+use crate::solver::{solve_from, Start};
 use chase_comm::{shrink_ctx, Category, EventKind, GridShape, RankCtx, Reduce};
 use chase_device::Backend;
 use chase_faults::{InjectionRecord, RankCrashPanic};
@@ -100,11 +100,13 @@ where
                 bytes: bytes as u64,
             });
         }
-        let prelude_now = std::mem::take(&mut prelude);
         let snap = resume_from.take();
-        let attempt = catch_unwind(AssertUnwindSafe(|| {
-            try_solve_dist_inner(cur, backend, h, &p, None, snap.as_ref(), prelude_now)
-        }));
+        // On the first attempt both are empty: a cold start.
+        let start = Start::Resume {
+            snapshot: snap.as_ref(),
+            prelude: std::mem::take(&mut prelude),
+        };
+        let attempt = catch_unwind(AssertUnwindSafe(|| solve_from(cur, backend, h, &p, start)));
 
         // Classify the attempt: done, or a death to recover from.
         let suspected: Vec<usize> = match attempt {
@@ -152,11 +154,9 @@ where
             Ok(d) => d,
             Err(t) => {
                 return Some(ElasticOutcome {
-                    result: Err(ChaseError {
-                        kind: ChaseErrorKind::CollectiveTimeout(t),
-                        iter: 0,
-                        recovery: RecoveryLog::default(),
-                    }),
+                    result: Err(ChaseError::outside_loop(ChaseErrorKind::CollectiveTimeout(
+                        t,
+                    ))),
                     attempts,
                     shape: cur.shape,
                     comm_events: 0,

@@ -84,7 +84,7 @@ impl<R: RealScalar> FilterBounds<R> {
 
 /// Typed rejection of filter inputs. `BadSpectrum`/`BadDegrees` are
 /// reachable from user-supplied workloads (bad bounds in a warm start, a
-/// corrupt degree table), so they surface as errors through `try_solve_*`
+/// corrupt degree table), so they surface as errors through `solve_dist`
 /// instead of aborting the process; `Comm` propagates a nonblocking
 /// collective that never completed (timeout, dead peer, dropped post).
 #[derive(Debug, Clone, PartialEq, Eq)]

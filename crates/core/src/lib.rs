@@ -7,15 +7,25 @@
 //! collective accounting.
 //!
 //! Entry points:
-//! * [`solve_serial`] — one-rank solve on a replicated matrix.
-//! * [`solve_dist`] — SPMD solve inside a [`chase_comm::run_grid`] region.
+//! * [`solve_dist`] — the one way into the solver: an SPMD solve inside a
+//!   [`chase_comm::run_grid`] region, cold or warm-started from the previous
+//!   problem of a sequence (`Option<&WarmStart<T>>`). Every failure —
+//!   malformed parameters, a warm block of the wrong shape, an unrecoverable
+//!   injected fault — is a typed [`ChaseError`], before any collective where
+//!   the input decides it.
+//! * [`solve_serial`] — `solve_dist` on a replicated matrix and a 1x1 grid,
+//!   without spawning a thread.
+//! * [`try_solve_elastic`] — `solve_dist` re-attempted on a shrunk grid when
+//!   a rank dies; `chase_tune::solve_grid`, the SPMD driver the CLI, the
+//!   serve scheduler and `chase check` share, picks it when the fault spec
+//!   plans a crash.
 //! * [`lms::solve_lms`] — the legacy v1.2 layout (redundant QR/RR/residuals),
 //!   kept as the ChASE(LMS) baseline of the paper's evaluation.
 
 pub mod ckpt;
 pub mod condest;
-pub mod elastic;
 pub mod degrees;
+pub mod elastic;
 pub mod filter;
 pub mod hemm;
 pub mod layout;
@@ -28,9 +38,9 @@ pub mod solver;
 pub mod warm;
 
 pub use ckpt::{load_latest, CkptError, Snapshot, CKPT_FORMAT, CKPT_VERSION};
-pub use elastic::{try_solve_elastic, ElasticOutcome};
 pub use condest::{cond_est, growth_factor};
 pub use degrees::{degree_sort_permutation, optimal_degree, optimize_degrees};
+pub use elastic::{try_solve_elastic, ElasticOutcome};
 pub use filter::{
     chebyshev_filter, chebyshev_filter_mixed, chebyshev_filter_with, FilterBounds, FilterError,
     FilterExec,
@@ -47,8 +57,8 @@ pub use result::{
     ChaseError, ChaseErrorKind, ChaseResult, IterStats, RecoveryEvent, RecoveryEventKind,
     RecoveryLog,
 };
-pub use solver::{
-    estimate_bounds_dist, solve_dist, solve_serial, try_solve_dist, try_solve_dist_resumed,
-    try_solve_dist_warm, try_solve_serial, try_solve_serial_warm, Chase,
-};
+/// The name `bench_e2e/src/adapter.rs` calls [`solve_dist`] by; goes with
+/// the next PR that may edit the benchmark.
+pub use solver::solve_dist as try_solve_dist_warm;
+pub use solver::{estimate_bounds_dist, solve_dist, solve_serial, Chase};
 pub use warm::WarmStart;

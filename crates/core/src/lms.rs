@@ -14,19 +14,12 @@ use crate::layout::{DistHerm, MemoryReport, RowDist};
 use crate::params::Params;
 use crate::qr::QrVariant;
 use crate::result::{ChaseResult, IterStats};
-use crate::solver::{estimate_bounds_dist, permute_cols};
+use crate::solver::{estimate_bounds_dist, permute_cols, permute_vec};
 use chase_comm::{RankCtx, Reduce, Region};
 use chase_device::{Backend, Device};
 use chase_linalg::{Matrix, Op, RealScalar, Scalar};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-
-fn permute_vec<V: Copy>(v: &mut [V], perm: &[usize]) {
-    let old: Vec<V> = v.to_vec();
-    for (k, &src) in perm.iter().enumerate() {
-        v[k] = old[src];
-    }
-}
 
 /// Solve with the v1.2 legacy scheme. Functionally equivalent to
 /// [`crate::solve_dist`]; the execution/communication profile matches the

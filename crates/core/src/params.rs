@@ -175,6 +175,16 @@ impl Params {
         }
     }
 
+    /// Whether the fault campaign plans a rank death. Only
+    /// [`crate::try_solve_elastic`] survives one, and it runs cold and
+    /// without a measured plan: warm payloads and plans are laid out for
+    /// the pre-crash grid.
+    pub fn plans_rank_crash(&self) -> bool {
+        self.inject
+            .as_ref()
+            .is_some_and(|s| !s.crash_sites().is_empty())
+    }
+
     /// Search-space width `ne = nev + nex`.
     pub fn ne(&self) -> usize {
         self.nev + self.nex

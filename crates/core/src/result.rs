@@ -141,11 +141,7 @@ impl fmt::Display for RecoveryEventKind {
                 write!(f, "agreed dead rank(s): {dead:?}")
             }
             RecoveryEventKind::GridShrunk { from, to } => {
-                write!(
-                    f,
-                    "grid shrunk {}x{} -> {}x{}",
-                    from.p, from.q, to.p, to.q
-                )
+                write!(f, "grid shrunk {}x{} -> {}x{}", from.p, from.q, to.p, to.q)
             }
             RecoveryEventKind::CheckpointSaved { iter, locked } => {
                 write!(f, "checkpoint saved at iter {iter} ({locked} locked)")
@@ -210,6 +206,18 @@ pub struct ChaseError {
     /// Iteration the solver aborted in (0 = outside the loop).
     pub iter: usize,
     pub recovery: RecoveryLog,
+}
+
+impl ChaseError {
+    /// A failure outside the iteration loop, with nothing on the recovery
+    /// trail: refused input, a grid nobody survived.
+    pub fn outside_loop(kind: ChaseErrorKind) -> Self {
+        Self {
+            kind,
+            iter: 0,
+            recovery: RecoveryLog::default(),
+        }
+    }
 }
 
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -37,18 +37,6 @@ use std::sync::Arc;
 /// `[mu_ne, b_sup]` — 1% of the spectral span is cheap insurance.
 const WARM_BOUND_MARGIN: f64 = 0.01;
 
-/// Swap two columns of a matrix.
-#[allow(dead_code)]
-pub(crate) fn swap_cols<T: Scalar>(m: &mut Matrix<T>, i: usize, j: usize) {
-    if i == j {
-        return;
-    }
-    let (a, b) = m.two_cols_mut(i, j);
-    for (x, y) in a.iter_mut().zip(b.iter_mut()) {
-        std::mem::swap(x, y);
-    }
-}
-
 /// Permute columns `offset..offset+perm.len()` of `m` so that new column `k`
 /// is old column `offset + perm[k]`.
 pub(crate) fn permute_cols<T: Scalar>(m: &mut Matrix<T>, offset: usize, perm: &[usize]) {
@@ -58,7 +46,7 @@ pub(crate) fn permute_cols<T: Scalar>(m: &mut Matrix<T>, offset: usize, perm: &[
     }
 }
 
-fn permute_vec<V: Copy>(v: &mut [V], perm: &[usize]) {
+pub(crate) fn permute_vec<V: Copy>(v: &mut [V], perm: &[usize]) {
     let old: Vec<V> = v.to_vec();
     for (k, &src) in perm.iter().enumerate() {
         v[k] = old[src];
@@ -119,6 +107,22 @@ const LO_FLOOR_EPS_MULT: f64 = 5.0e3;
 /// eps-based estimate.
 const LO_STALL_LIMIT: usize = 2;
 
+/// Where a solve begins.
+pub(crate) enum Start<'a, T: Scalar> {
+    /// Seeded random block, Lanczos bounds.
+    Cold,
+    /// Approximate solution of the previous problem of a sequence.
+    Warm(&'a WarmStart<T>),
+    /// An attempt of the elastic driver: `prelude` is the
+    /// crash→shrink→restore trail so far (empty on the first attempt),
+    /// `snapshot` the checkpoint to continue from on the shrunk grid
+    /// (`None`: start at iteration 0).
+    Resume {
+        snapshot: Option<&'a Snapshot>,
+        prelude: RecoveryLog,
+    },
+}
+
 /// Solver state for one rank.
 pub struct Chase<'d, 'c, T: Scalar + Reduce>
 where
@@ -137,7 +141,6 @@ where
     degs: Vec<usize>,
     locked: usize,
     c_dist: RowDist,
-    b_dist: RowDist,
     /// Cached spectral bounds from a warm start; when set the Lanczos
     /// estimation phase is skipped.
     warm_bounds: Option<SpectralBounds<T::Real>>,
@@ -158,7 +161,7 @@ where
     /// while running demoted.
     low_stall: usize,
     /// Outer iteration to resume *after* (0 for a fresh solve); set by
-    /// [`Chase::apply_snapshot`]. The loop starts at `start_iter + 1`.
+    /// `apply_snapshot`. The loop starts at `start_iter + 1`.
     start_iter: usize,
     /// MatVecs accumulated before the restored checkpoint was taken; folded
     /// into the result so elastic runs report true total work.
@@ -177,32 +180,17 @@ where
     T::Real: Reduce,
     T::Lo: Reduce,
 {
-    /// Allocate buffers for the given distributed matrix.
-    ///
-    /// `initial` optionally provides a global `N x ne` block of approximate
-    /// eigenvectors (ChASE's sequence-of-eigenproblems use case); otherwise
-    /// the start block is random (seeded, identical across ranks).
-    pub fn new(
-        dev: &'d Device<'c>,
-        h: DistHerm<T>,
-        params: Params,
-        initial: Option<&Matrix<T>>,
-    ) -> Self {
-        let warm = initial.map(|v0| WarmStart {
-            v0: v0.clone(),
-            bounds: None,
-        });
-        Self::with_warm_start(dev, h, params, warm.as_ref())
-    }
-
-    /// Allocate buffers, seeding the search space from a [`WarmStart`]
-    /// (the first-class sequence entry point).
+    /// Allocate buffers for the given distributed matrix, seeding the
+    /// search space from `warm` when given and from the seeded random block
+    /// (identical across ranks) otherwise.
     ///
     /// The warm block may have any `1 <= k <= ne` columns; the remaining
-    /// `ne - k` search directions are drawn from the seeded random block, so
-    /// callers no longer pad by hand. Cached bounds, when present, replace
-    /// the Lanczos estimation phase (with a `b_sup` safety margin).
-    pub fn with_warm_start(
+    /// `ne - k` search directions are drawn from the random block, so
+    /// callers never pad by hand. Cached bounds, when present, replace the
+    /// Lanczos estimation phase (with a `b_sup` safety margin). Panics on
+    /// parameters or a warm block that do not fit `h`; [`solve_dist`]
+    /// rejects both as a typed error first.
+    pub fn new(
         dev: &'d Device<'c>,
         h: DistHerm<T>,
         params: Params,
@@ -212,7 +200,6 @@ where
         let ne = params.ne();
         let ctx = dev.ctx();
         let c_dist = RowDist::c_layout(h.n, ctx.shape, h.dist);
-        let b_dist = RowDist::b_layout(h.n, ctx.shape, h.dist);
 
         let c_global = match warm {
             Some(w) => {
@@ -254,7 +241,6 @@ where
             degs: vec![0; ne],
             locked: 0,
             c_dist,
-            b_dist,
             params,
             warm_bounds: warm.and_then(|w| w.inflated_bounds(WARM_BOUND_MARGIN)),
             h_lo: None,
@@ -273,9 +259,9 @@ where
     /// a *different* (shrunk) grid than the one that wrote it: the global
     /// iterate is re-sliced into this rank's C-layout row set, and the
     /// Lanczos phase is skipped via the snapshot's spectral bounds. The
-    /// subsequent [`Chase::try_solve`] resumes at `snapshot.iter + 1` with
-    /// Ritz values, residuals, degrees, and the locked prefix intact.
-    pub fn apply_snapshot(&mut self, snap: &Snapshot) -> Result<(), CkptError> {
+    /// subsequent `run` resumes at `snapshot.iter + 1` with Ritz values,
+    /// residuals, degrees, and the locked prefix intact.
+    fn apply_snapshot(&mut self, snap: &Snapshot) -> Result<(), CkptError> {
         let ne = self.params.ne();
         snap.check_problem::<T>(self.h.n, self.params.nev, ne, self.params.seed)?;
         if snap.locked > ne {
@@ -302,12 +288,6 @@ where
         self.base_matvecs = snap.matvecs;
         self.base_lowprec_matvecs = snap.lowprec_matvecs;
         Ok(())
-    }
-
-    /// Prepend recovery events recorded before this solve attempt (the
-    /// elastic driver's crash→shrink→restore trail).
-    pub fn set_prelude_recovery(&mut self, prelude: RecoveryLog) {
-        self.prelude_recovery = prelude;
     }
 
     /// Eq. (2) audit: bytes actually allocated by this rank.
@@ -385,6 +365,21 @@ where
         let _ = ctx.world.allreduce_scalar(0.0);
     }
 
+    /// `B[:, cols] = H C[:, cols]` for the `cols` columns from `offset`.
+    fn h_times_c(&mut self, offset: usize, cols: usize) {
+        hemm_c_to_b(
+            self.dev,
+            self.dev.ctx(),
+            &self.h,
+            &self.c,
+            &mut self.b,
+            offset,
+            cols,
+            T::one(),
+            T::zero(),
+        );
+    }
+
     /// One Rayleigh–Ritz projection over the active columns
     /// (Algorithm 2, lines 14–20). Returns the active Ritz values.
     ///
@@ -401,17 +396,7 @@ where
 
         self.update_b2();
         // B[:, act] = H C[:, act]
-        hemm_c_to_b(
-            self.dev,
-            ctx,
-            &self.h,
-            &self.c,
-            &mut self.b,
-            self.locked,
-            act,
-            T::one(),
-            T::zero(),
-        );
+        self.h_times_c(self.locked, act);
         // A = B2[:, act]^H B[:, act], reduced over the row communicator.
         let mut a = Matrix::<T>::zeros(act, act);
         self.dev.gemm(
@@ -465,17 +450,7 @@ where
         let act = ne - self.locked;
         let ctx = self.dev.ctx();
         // B[:, act] = H C[:, act]
-        hemm_c_to_b(
-            self.dev,
-            ctx,
-            &self.h,
-            &self.c,
-            &mut self.b,
-            self.locked,
-            act,
-            T::one(),
-            T::zero(),
-        );
+        self.h_times_c(self.locked, act);
         // B -= ritzv .* B2 , column-wise (single batched BLAS-1 kernel).
         self.dev.blas1::<T>(self.h.n_c() * act * 2);
         let mut nrm: Vec<T::Real> = Vec::with_capacity(act);
@@ -601,17 +576,7 @@ where
         // caught here.
         self.c2 = self.c.clone();
         self.update_b2();
-        hemm_c_to_b(
-            self.dev,
-            ctx,
-            &self.h,
-            &self.c,
-            &mut self.b,
-            0,
-            nev,
-            T::one(),
-            T::zero(),
-        );
+        self.h_times_c(0, nev);
         let mut nrm: Vec<T::Real> = Vec::with_capacity(nev);
         for (k, &lambda) in ritz.iter().enumerate().take(nev) {
             let b2col = self.b2.col(k).to_vec();
@@ -643,17 +608,10 @@ where
         Ok(())
     }
 
-    /// Run the full Algorithm 2 loop, panicking on unrecoverable faults
-    /// (the historic infallible API).
-    pub fn solve(self) -> ChaseResult<T> {
-        self.try_solve()
-            .unwrap_or_else(|e| panic!("ChASE solve aborted: {e}"))
-    }
-
     /// Run the full Algorithm 2 loop with the detection/recovery guard
     /// layer. Returns a typed [`ChaseError`] (carrying the recovery log)
     /// instead of hanging or silently returning corrupt eigenpairs.
-    pub fn try_solve(mut self) -> Result<ChaseResult<T>, ChaseError> {
+    fn run(mut self) -> Result<ChaseResult<T>, ChaseError> {
         /// Rollback-restarts tolerated before declaring the run lost.
         const MAX_RESTARTS: usize = 3;
         let ne = self.params.ne();
@@ -1226,11 +1184,6 @@ where
         }
         Ok(mv)
     }
-
-    /// Access the B-layout distribution (used by diagnostics).
-    pub fn b_dist(&self) -> &RowDist {
-        &self.b_dist
-    }
 }
 
 /// Map a filter failure to the solver's typed abort, logging timeouts into
@@ -1266,35 +1219,20 @@ fn filter_abort(e: FilterError, iter: usize, mut recovery: RecoveryLog) -> Chase
     }
 }
 
-/// Solve a distributed eigenproblem from within an SPMD region, returning a
-/// typed error (with the recovery log) on unrecoverable faults.
+/// Solve a distributed eigenproblem from within an SPMD region: the one
+/// way into the solver. `warm` is the approximate solution of the previous
+/// problem of a sequence — any `1..=ne` columns, optionally with spectral
+/// bounds that replace the Lanczos phase; `None` starts from the seeded
+/// random block.
 ///
-/// When `params.inject` is set, a per-rank [`FaultPlan`] is compiled and
-/// wired into the rank's three communicators (payload corruption, delays,
-/// drops) and into the device layer (filtered-block corruption). The hooks
-/// are always cleared before returning.
-pub fn try_solve_dist<T: Scalar + Reduce>(
-    ctx: &chase_comm::RankCtx,
-    backend: Backend,
-    h: DistHerm<T>,
-    params: &Params,
-    initial: Option<&Matrix<T>>,
-) -> Result<ChaseResult<T>, ChaseError>
-where
-    T::Real: Reduce,
-    T::Lo: Reduce,
-{
-    let warm = initial.map(|v0| WarmStart {
-        v0: v0.clone(),
-        bounds: None,
-    });
-    try_solve_dist_warm(ctx, backend, h, params, warm.as_ref())
-}
-
-/// [`try_solve_dist`] with a first-class [`WarmStart`]: the sequence entry
-/// point. Accepts a partial vector block (`k <= ne` columns) and optional
-/// cached spectral bounds (skipping the Lanczos phase).
-pub fn try_solve_dist_warm<T: Scalar + Reduce>(
+/// Parameters or a warm block that do not fit `h` come back as
+/// [`ChaseErrorKind::InvalidParams`] before any collective (every rank sees
+/// the same inputs, so every rank returns the same error). When
+/// `params.inject` is set, a per-rank [`FaultPlan`] is compiled and wired
+/// into the rank's three communicators (payload corruption, delays, drops)
+/// and into the device layer (filtered-block corruption); an unrecoverable
+/// fault is a typed error carrying the recovery log.
+pub fn solve_dist<T: Scalar + Reduce>(
     ctx: &chase_comm::RankCtx,
     backend: Backend,
     h: DistHerm<T>,
@@ -1305,52 +1243,42 @@ where
     T::Real: Reduce,
     T::Lo: Reduce,
 {
-    try_solve_dist_inner(ctx, backend, h, params, warm, None, RecoveryLog::default())
+    let start = warm.map_or(Start::Cold, Start::Warm);
+    solve_from(ctx, backend, h, params, start)
 }
 
-/// Resume a solve from a checkpoint [`Snapshot`] — typically on a *shrunk*
-/// grid after a rank crash. The snapshot's global iterate is re-sliced into
-/// this grid's block-cyclic C-layout, the Lanczos phase is skipped via the
-/// snapshot's bounds, and the loop continues at `snapshot.iter + 1`.
-/// `prelude` carries the crash→shrink→restore trail recorded by the
-/// elastic driver; it is prepended to the attempt's recovery log.
-pub fn try_solve_dist_resumed<T: Scalar + Reduce>(
-    ctx: &chase_comm::RankCtx,
-    backend: Backend,
-    h: DistHerm<T>,
-    params: &Params,
-    snapshot: &Snapshot,
-    prelude: RecoveryLog,
-) -> Result<ChaseResult<T>, ChaseError>
-where
-    T::Real: Reduce,
-    T::Lo: Reduce,
-{
-    try_solve_dist_inner(ctx, backend, h, params, None, Some(snapshot), prelude)
-}
-
-pub(crate) fn try_solve_dist_inner<T: Scalar + Reduce>(
-    ctx: &chase_comm::RankCtx,
-    backend: Backend,
-    h: DistHerm<T>,
-    params: &Params,
-    warm: Option<&WarmStart<T>>,
-    resume: Option<&Snapshot>,
-    prelude: RecoveryLog,
-) -> Result<ChaseResult<T>, ChaseError>
-where
-    T::Real: Reduce,
-    T::Lo: Reduce,
-{
-    // Reject malformed parameters as a typed error before any collective
-    // work: one bad workload entry must not abort a whole serve run.
-    if let Err(detail) = params.try_validate(h.n) {
-        return Err(ChaseError {
-            kind: ChaseErrorKind::InvalidParams { detail },
-            iter: 0,
-            recovery: RecoveryLog::default(),
-        });
+/// What [`solve_dist`] refuses up front: parameters that do not fit an
+/// `n x n` problem, or a warm block of the wrong shape (a session step whose
+/// `n`, `nev` or `nex` differs from the step that produced the block).
+fn check_input<T: Scalar>(params: &Params, n: usize, start: &Start<'_, T>) -> Result<(), String> {
+    params.try_validate(n)?;
+    if let Start::Warm(w) = start {
+        let (rows, cols, ne) = (w.v0.rows(), w.v0.cols(), params.ne());
+        if rows != n || !(1..=ne).contains(&cols) {
+            return Err(format!(
+                "warm-start block is {rows} x {cols}, need {n} rows and 1..={ne} columns"
+            ));
+        }
     }
+    Ok(())
+}
+
+/// [`solve_dist`] with the start the elastic driver needs as well.
+pub(crate) fn solve_from<T: Scalar + Reduce>(
+    ctx: &chase_comm::RankCtx,
+    backend: Backend,
+    h: DistHerm<T>,
+    params: &Params,
+    start: Start<'_, T>,
+) -> Result<ChaseResult<T>, ChaseError>
+where
+    T::Real: Reduce,
+    T::Lo: Reduce,
+{
+    // Reject malformed input as a typed error before any collective work:
+    // one bad workload entry must not abort a whole serve run.
+    check_input(params, h.n, &start)
+        .map_err(|detail| ChaseError::outside_loop(ChaseErrorKind::InvalidParams { detail }))?;
     let plan = params
         .inject
         .as_ref()
@@ -1378,54 +1306,29 @@ where
         chase_device::Topology::juwels_booster(),
     )
     .with_faults(plan.clone());
-    let mut chase = Chase::with_warm_start(&dev, h, params.clone(), warm);
-    if let Some(snap) = resume {
-        chase.apply_snapshot(snap).map_err(|e| ChaseError {
-            kind: ChaseErrorKind::BadCheckpoint {
-                detail: e.to_string(),
-            },
-            iter: snap.iter,
-            recovery: RecoveryLog::default(),
-        })?;
+    let warm = match start {
+        Start::Warm(w) => Some(w),
+        _ => None,
+    };
+    let mut chase = Chase::new(&dev, h, params.clone(), warm);
+    if let Start::Resume { snapshot, prelude } = start {
+        if let Some(snap) = snapshot {
+            chase.apply_snapshot(snap).map_err(|e| ChaseError {
+                kind: ChaseErrorKind::BadCheckpoint {
+                    detail: e.to_string(),
+                },
+                iter: snap.iter,
+                recovery: RecoveryLog::default(),
+            })?;
+        }
+        chase.prelude_recovery = prelude;
     }
-    chase.set_prelude_recovery(prelude);
-    chase.try_solve()
+    chase.run()
 }
 
-/// Solve a distributed eigenproblem from within an SPMD region (the historic
-/// infallible API; panics on unrecoverable injected faults).
-pub fn solve_dist<T: Scalar + Reduce>(
-    ctx: &chase_comm::RankCtx,
-    backend: Backend,
-    h: DistHerm<T>,
-    params: &Params,
-    initial: Option<&Matrix<T>>,
-) -> ChaseResult<T>
-where
-    T::Real: Reduce,
-    T::Lo: Reduce,
-{
-    try_solve_dist(ctx, backend, h, params, initial)
-        .unwrap_or_else(|e| panic!("ChASE solve aborted: {e}"))
-}
-
-/// Serial fallible entry point: solve on a replicated matrix with a trivial
-/// 1x1 grid (still exercising the full distributed code path).
-pub fn try_solve_serial<T: Scalar + Reduce>(
-    h: &Matrix<T>,
-    params: &Params,
-) -> Result<ChaseResult<T>, ChaseError>
-where
-    T::Real: Reduce,
-    T::Lo: Reduce,
-{
-    let ctx = chase_comm::solo_ctx();
-    let dh = DistHerm::from_global(h, &ctx);
-    try_solve_dist(&ctx, Backend::Nccl, dh, params, None)
-}
-
-/// Serial warm-started entry point for sequences of correlated problems.
-pub fn try_solve_serial_warm<T: Scalar + Reduce>(
+/// [`solve_dist`] on a replicated matrix and a 1x1 grid: the full
+/// distributed code path without spawning a thread.
+pub fn solve_serial<T: Scalar + Reduce>(
     h: &Matrix<T>,
     params: &Params,
     warm: Option<&WarmStart<T>>,
@@ -1436,16 +1339,7 @@ where
 {
     let ctx = chase_comm::solo_ctx();
     let dh = DistHerm::from_global(h, &ctx);
-    try_solve_dist_warm(&ctx, Backend::Nccl, dh, params, warm)
-}
-
-/// Serial convenience entry point (panics on unrecoverable injected faults).
-pub fn solve_serial<T: Scalar + Reduce>(h: &Matrix<T>, params: &Params) -> ChaseResult<T>
-where
-    T::Real: Reduce,
-    T::Lo: Reduce,
-{
-    try_solve_serial(h, params).unwrap_or_else(|e| panic!("ChASE solve aborted: {e}"))
+    solve_dist(&ctx, Backend::Nccl, dh, params, warm)
 }
 
 #[cfg(test)]
@@ -1456,7 +1350,7 @@ mod tests {
     #[test]
     fn swap_and_permute_cols() {
         let mut m = Matrix::<f64>::from_fn(2, 4, |i, j| (10 * j + i) as f64);
-        swap_cols(&mut m, 0, 3);
+        permute_cols(&mut m, 0, &[3, 1, 2, 0]); // swap columns 0 and 3
         assert_eq!(m[(0, 0)], 30.0);
         assert_eq!(m[(1, 3)], 1.0);
         // permute active block [1..4] with perm [2,0,1] over old cols 1,2,3
@@ -1477,7 +1371,7 @@ mod tests {
         for timeout in [Some(50), None] {
             p.wait_timeout_ms = timeout;
             let dh = DistHerm::from_global(&h, &ctx);
-            assert!(try_solve_dist(&ctx, Backend::Nccl, dh, &p, None).is_ok());
+            assert!(solve_dist(&ctx, Backend::Nccl, dh, &p, None).is_ok());
         }
         assert_eq!(
             ctx.world.wait_timeout_ms(),
@@ -1487,12 +1381,32 @@ mod tests {
     }
 
     #[test]
+    fn mismatched_warm_block_is_a_typed_error() {
+        // A session step whose shape differs from the step that produced
+        // the block: wrong row count, and more columns than the subspace.
+        let h = chase_matgen::dense_with_spectrum::<f64>(
+            &chase_matgen::Spectrum::uniform(48, -1.0, 1.0),
+            7,
+        );
+        for (rows, cols, nev, nex) in [(64, 8, 5, 3), (48, 11, 3, 2), (48, 0, 5, 3)] {
+            let warm = WarmStart::from_vectors(Matrix::<f64>::zeros(rows, cols));
+            let err = solve_serial(&h, &Params::new(nev, nex), Some(&warm)).unwrap_err();
+            assert!(
+                matches!(&err.kind, ChaseErrorKind::InvalidParams { detail }
+                    if detail.contains(&format!("{rows} x {cols}"))),
+                "{rows} x {cols} block: {err}"
+            );
+            assert_eq!(err.iter, 0);
+        }
+    }
+
+    #[test]
     fn serial_solve_small_uniform() {
         let spec = chase_matgen::Spectrum::uniform(60, -1.0, 1.0);
         let h = chase_matgen::dense_with_spectrum::<C64>(&spec, 42);
         let mut p = Params::new(6, 4);
         p.tol = 1e-9;
-        let r = solve_serial(&h, &p);
+        let r = solve_serial(&h, &p, None).expect("clean solve");
         assert!(r.converged, "did not converge in {} iters", r.iterations);
         for (k, v) in r.eigenvalues.iter().enumerate() {
             let want = spec.values()[k];

@@ -16,14 +16,11 @@ use crate::job::{JobId, JobOutcome, JobReport, JobSpec, SolveOutput, WarmKind};
 use crate::metrics::ServeMetrics;
 use crate::plan::{build_plan, Plan};
 use chase_comm::Reduce;
-use chase_core::{
-    try_solve_dist_warm, try_solve_elastic, ChaseError, ChaseErrorKind, ChaseResult, DistHerm,
-    RecoveryEventKind, RecoveryLog, WarmStart,
-};
+use chase_core::{ChaseResult, RecoveryEventKind, WarmStart};
 use chase_device::Backend;
-use chase_linalg::{Matrix, Scalar};
-use chase_trace::{Trace, TraceRecorder};
-use chase_tune::{plan_from_entry, plan_key, tune_entry, MeasuredHook, PlanDb, TuneOptions};
+use chase_linalg::Scalar;
+use chase_trace::Trace;
+use chase_tune::{solve_grid, GridRun, PlanChoice, PlanDb, TuneOptions};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -400,12 +397,7 @@ where
                             }
                             cv.wait(&mut g);
                         };
-                        let crashy = specs[claimed]
-                            .params
-                            .inject
-                            .as_ref()
-                            .is_some_and(|s| !s.crash_sites().is_empty());
-                        let (payload, kind) = if crashy {
+                        let (payload, kind) = if specs[claimed].params.plans_rank_crash() {
                             // A crash-spec'd job runs the elastic path and
                             // resumes from its own checkpoints, not the
                             // session cache: the warm payload would be laid
@@ -498,9 +490,16 @@ where
 /// everything it needs arrives as arguments, everything it learns leaves in
 /// the return value (plus an idempotent plan-DB insert when it tuned).
 ///
+/// A job whose fault spec plans a rank crash runs elastic inside
+/// [`solve_grid`]: the crash shrinks the grid and the solve resumes from
+/// the job's checkpoint directory (cold from iteration 0 without one), the
+/// survivors' results assemble exactly like a normal solve because together
+/// they still cover every row of the shrunk layout, and no plan is tuned or
+/// applied — one keyed to the original grid would be wrong for the shrunk.
+///
 /// The third return reports plan resolution: `Some(true)` = this job ran
 /// measurement trials (cold DB), `Some(false)` = reused a DB entry with
-/// zero trials, `None` = tuning disabled.
+/// zero trials, `None` = no plan (tuning disabled, or an elastic run).
 fn run_job<T: Scalar + Reduce>(
     spec: &JobSpec<T>,
     warm: Option<&WarmStart<T>>,
@@ -514,185 +513,53 @@ where
     T::Lo: Reduce,
 {
     let h = spec.matrix.materialize();
-    let params = spec.params.clone();
-    if params
-        .inject
-        .as_ref()
-        .is_some_and(|s| !s.crash_sites().is_empty())
-    {
-        // The job's fault spec plans a rank crash: route through the
-        // elastic driver so the crash is survived by a shrink + checkpoint
-        // resume instead of wedging the grid. Tuning is skipped — a
-        // measured plan keyed to the original grid would be wrong for the
-        // shrunk one.
-        return run_job_elastic(spec, &h, backend, record_traces);
-    }
+    let params = &spec.params;
     // Plan phase: decide hit-vs-tune once, before the SPMD region, so every
     // rank of the grid agrees (a per-rank DB lookup could straddle another
     // worker's insert and deadlock the grid's collectives).
-    let cached = tune.map(|opts| {
-        let key = plan_key::<T>(
-            &opts.machine,
-            spec.grid.p,
-            spec.grid.q,
-            h.rows(),
-            params.nev,
-            params.nex,
-        );
-        plan_db.lock().get(&key).cloned()
+    let plan = tune.map(|opts| {
+        let db = plan_db.lock();
+        PlanChoice::lookup::<T>(&db, opts, spec.grid, h.rows(), params.nev, params.nex)
     });
-    let out = chase_comm::run_grid(spec.grid, |ctx| {
-        let rec = record_traces.then(|| Arc::new(TraceRecorder::new(ctx.world_rank())));
-        if let Some(r) = &rec {
-            ctx.set_trace_hook(Some(r.clone() as Arc<dyn chase_comm::TraceHook>));
-        }
-        let mut dh = DistHerm::from_global(&h, ctx);
-        let mut params = params.clone();
-        let entry = match &cached {
-            Some(Some(e)) => Some(e.clone()),
-            Some(None) => {
-                let opts = tune.expect("tune options present on a DB miss");
-                Some(tune_entry(ctx, &mut dh, params.nev, params.nex, opts).entry)
-            }
-            None => None,
-        };
-        if let Some(e) = &entry {
-            params.apply_plan(&plan_from_entry(e));
-            ctx.set_tune_hook(Some(Arc::new(MeasuredHook::new(e.clone()))));
-        }
-        let result = try_solve_dist_warm(ctx, backend, dh, &params, warm);
-        ctx.set_tune_hook(None);
-        if rec.is_some() {
-            ctx.set_trace_hook(None);
-        }
-        (result, rec.map(|r| r.finish()), entry)
-    });
-    let mut oks: Vec<ChaseResult<T>> = Vec::new();
-    let mut err = None;
-    let mut rank_traces = Vec::new();
-    let mut entry_out = None;
-    for (res, tr, entry) in out.results {
-        match res {
-            Ok(r) => oks.push(r),
-            Err(e) if err.is_none() => err = Some(e),
-            Err(_) => {}
-        }
-        rank_traces.extend(tr);
-        entry_out = entry_out.or(entry);
-    }
-    let tuned = match &cached {
-        None => None,
-        Some(Some(_)) => Some(false),
-        Some(None) => {
+    let mut out = solve_grid(
+        &h,
+        params,
+        &GridRun {
+            backend,
+            warm,
+            trace: record_traces,
+            plan: plan.as_ref(),
+            ..GridRun::new(spec.grid)
+        },
+    );
+    let trace = out.trace.take();
+    let tuned = out.tuned.take().map(|t| match plan {
+        Some(PlanChoice::Tune(_)) => {
             // Freshly measured (world-agreed, identical on every rank):
             // publish so later solves with this key run zero trials.
-            if let Some(e) = entry_out {
-                plan_db.lock().insert(e);
-            }
-            Some(true)
+            plan_db.lock().insert(t.entry);
+            true
+        }
+        _ => false,
+    });
+    let outcome = match out.into_solved() {
+        Err(e) => JobOutcome::Failed(e),
+        Ok(oks) => {
+            let eigenvectors = ChaseResult::assemble_eigenvectors(&oks);
+            let r0 = oks.into_iter().next().expect("at least one rank");
+            JobOutcome::Done(SolveOutput {
+                eigenvalues: r0.eigenvalues,
+                residuals: r0.residuals,
+                eigenvectors,
+                bounds: r0.bounds,
+                matvecs: r0.matvecs,
+                lowprec_matvecs: r0.lowprec_matvecs,
+                iterations: r0.iterations,
+                converged: r0.converged,
+                recovery: r0.recovery,
+                plan: r0.plan,
+            })
         }
     };
-    let trace = record_traces.then_some(Trace { ranks: rank_traces });
-    match err {
-        Some(e) => (JobOutcome::Failed(e), trace, tuned),
-        None => {
-            let eigenvectors = ChaseResult::assemble_eigenvectors(&oks);
-            let r0 = oks.into_iter().next().expect("at least one rank");
-            (
-                JobOutcome::Done(SolveOutput {
-                    eigenvalues: r0.eigenvalues,
-                    residuals: r0.residuals,
-                    eigenvectors,
-                    bounds: r0.bounds,
-                    matvecs: r0.matvecs,
-                    lowprec_matvecs: r0.lowprec_matvecs,
-                    iterations: r0.iterations,
-                    converged: r0.converged,
-                    recovery: r0.recovery,
-                    plan: r0.plan,
-                }),
-                trace,
-                tuned,
-            )
-        }
-    }
-}
-
-/// The elastic leg of [`run_job`]: a crash-spec'd job runs under
-/// [`try_solve_elastic`], so a planned rank death mid-solve shrinks the
-/// grid and resumes from the job's checkpoint directory (cold from
-/// iteration 0 when none is configured). Ranks that leave the computation
-/// (the victim, idled-out survivors) return `None` and contribute nothing;
-/// the survivors' results assemble exactly like a normal solve because
-/// together they still cover every row of the shrunk layout.
-fn run_job_elastic<T: Scalar + Reduce>(
-    spec: &JobSpec<T>,
-    h: &Matrix<T>,
-    backend: Backend,
-    record_traces: bool,
-) -> (JobOutcome<T>, Option<Trace>, Option<bool>)
-where
-    T::Real: Reduce,
-    T::Lo: Reduce,
-{
-    let params = spec.params.clone();
-    let out = chase_comm::run_grid(spec.grid, |ctx| {
-        let rec = record_traces.then(|| Arc::new(TraceRecorder::new(ctx.world_rank())));
-        if let Some(r) = &rec {
-            ctx.set_trace_hook(Some(r.clone() as Arc<dyn chase_comm::TraceHook>));
-        }
-        let outcome = try_solve_elastic(ctx, backend, |c| DistHerm::from_global(h, c), &params);
-        ctx.set_trace_hook(None);
-        (outcome, rec.map(|r| r.finish()))
-    });
-    let mut oks: Vec<ChaseResult<T>> = Vec::new();
-    let mut err = None;
-    let mut rank_traces = Vec::new();
-    for (res, tr) in out.results {
-        if let Some(o) = res {
-            match o.result {
-                Ok(r) => oks.push(r),
-                Err(e) if err.is_none() => err = Some(e),
-                Err(_) => {}
-            }
-        }
-        rank_traces.extend(tr);
-    }
-    let trace = record_traces.then_some(Trace { ranks: rank_traces });
-    match err {
-        Some(e) => (JobOutcome::Failed(e), trace, None),
-        None if oks.is_empty() => {
-            // Every rank left the computation — e.g. the victim of a 1x1
-            // grid, which leaves no survivors to shrink onto.
-            (
-                JobOutcome::Failed(ChaseError {
-                    kind: ChaseErrorKind::RankDead { dead: Vec::new() },
-                    iter: 0,
-                    recovery: RecoveryLog::default(),
-                }),
-                trace,
-                None,
-            )
-        }
-        None => {
-            let eigenvectors = ChaseResult::assemble_eigenvectors(&oks);
-            let r0 = oks.into_iter().next().expect("at least one rank");
-            (
-                JobOutcome::Done(SolveOutput {
-                    eigenvalues: r0.eigenvalues,
-                    residuals: r0.residuals,
-                    eigenvectors,
-                    bounds: r0.bounds,
-                    matvecs: r0.matvecs,
-                    lowprec_matvecs: r0.lowprec_matvecs,
-                    iterations: r0.iterations,
-                    converged: r0.converged,
-                    recovery: r0.recovery,
-                    plan: r0.plan,
-                }),
-                trace,
-                None,
-            )
-        }
-    }
+    (outcome, trace, tuned)
 }

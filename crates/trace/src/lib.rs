@@ -39,11 +39,13 @@
 //!   run instead of a synthetic event stream.
 
 pub mod export;
-pub mod json;
 pub mod model;
 pub mod recorder;
 pub mod stitch;
 
+/// The workspace's JSON reader; it lives in chase-comm, next to the ledger
+/// event codec that shares it.
+pub use chase_comm::json;
 pub use export::{chrome_trace, metrics_json, summary_table, validate_chrome_trace};
 pub use model::{to_ledger, RankTrace, Trace, TraceEvent};
 pub use recorder::TraceRecorder;

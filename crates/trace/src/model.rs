@@ -69,21 +69,11 @@ impl TraceEvent {
             .get("ev")
             .and_then(Json::as_str)
             .ok_or("trace event missing \"ev\" tag")?;
-        let str_field = |key: &str| -> Result<String, String> {
-            v.get(key)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("trace event missing string field {key}"))
-        };
-        let u64_field = |key: &str| -> Result<u64, String> {
-            v.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("trace event missing integer field {key}"))
-        };
+        let str_field = |key: &str| v.str_field(key).map(str::to_string);
         Ok(match tag {
             "b" => TraceEvent::SpanBegin {
                 name: str_field("name")?,
-                arg: u64_field("arg")?,
+                arg: v.u64_field("arg")?,
             },
             "e" => TraceEvent::SpanEnd {
                 name: str_field("name")?,
@@ -92,21 +82,9 @@ impl TraceEvent {
                 let region = str_field("region")?;
                 let region = Region::parse_name(&region)
                     .ok_or_else(|| format!("unknown region {region}"))?;
-                // The kind decoder consumes the flat ledger encoding; re-emit
-                // the object's fields in that shape.
-                let flat: Vec<String> = v
-                    .as_obj()
-                    .unwrap()
-                    .iter()
-                    .map(|(k, val)| match val {
-                        Json::Str(s) => format!("\"{k}\":\"{s}\""),
-                        Json::Num(n) => format!("\"{k}\":{n}"),
-                        other => format!("\"{k}\":{other:?}"),
-                    })
-                    .collect();
                 TraceEvent::Op {
                     region,
-                    kind: kind_from_json(&flat.join(","))?,
+                    kind: kind_from_json(v)?,
                 }
             }
             "coll" => {
@@ -115,14 +93,14 @@ impl TraceEvent {
                     scope: CommScope::parse_name(&scope)
                         .ok_or_else(|| format!("unknown scope {scope}"))?,
                     op: str_field("op")?,
-                    seq: u64_field("seq")?,
-                    bytes: u64_field("bytes")?,
-                    members: u64_field("members")?,
+                    seq: v.u64_field("seq")?,
+                    bytes: v.u64_field("bytes")?,
+                    members: v.u64_field("members")?,
                 }
             }
             "ctr" => TraceEvent::Counter {
                 name: str_field("name")?,
-                value: u64_field("value")?,
+                value: v.u64_field("value")?,
             },
             other => return Err(format!("unknown trace event tag {other}")),
         })

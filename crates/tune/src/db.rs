@@ -8,7 +8,7 @@
 //! problem dimensions × scalar, the axes along which tuning decisions
 //! actually vary.
 
-use chase_comm::{TuneAlgo, TuneChoice, TuneOp};
+use chase_comm::{CollectiveTuneHook, TuneAlgo, TuneChoice, TuneOp};
 use chase_trace::fnv1a;
 use chase_trace::json::{self, Json};
 use std::collections::BTreeMap;
@@ -198,12 +198,15 @@ pub struct PlanEntry {
     pub trials: u64,
 }
 
-impl PlanEntry {
+/// Installed on a rank, an entry answers the device layer's `Auto` arm per
+/// collective call from its measured rules.
+impl CollectiveTuneHook for PlanEntry {
     /// Resolve a collective schedule from the rule table: the tightest rule
     /// covering `(op, members, bytes)`, the largest same-`(op, members)`
     /// rule for sizes beyond the measured range, `None` when the table
-    /// never measured this `(op, members)` pair at all.
-    pub fn choose(&self, op: TuneOp, bytes: u64, members: usize) -> Option<TuneChoice> {
+    /// never measured this `(op, members)` pair at all (the device layer
+    /// then falls back to the analytic model).
+    fn choose(&self, op: TuneOp, bytes: u64, members: usize) -> Option<TuneChoice> {
         let mut fallback: Option<&CollRule> = None;
         let mut best: Option<&CollRule> = None;
         for r in &self.rules {
@@ -222,7 +225,9 @@ impl PlanEntry {
             chunk_bytes: r.chunk_bytes,
         })
     }
+}
 
+impl PlanEntry {
     /// Stable 64-bit content hash of the canonical JSON rendering — what
     /// ranks compare to world-agree on a plan before executing it.
     pub fn content_hash(&self) -> u64 {

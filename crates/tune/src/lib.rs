@@ -14,52 +14,33 @@
 //! whatever knobs `Params` left on `Auto`.
 //!
 //! Layering: the measured choices flow back into the solver through the
-//! [`chase_comm::CollectiveTuneHook`] seam — the device layer consults the
-//! hook first and falls back to the analytic model when the DB has no
+//! [`chase_comm::CollectiveTuneHook`] seam, which a [`PlanEntry`]
+//! implements — the device layer consults the hook first and falls back to the analytic model when the DB has no
 //! opinion, so a missing or stale DB degrades to exactly the pre-tuner
 //! behavior.
+//!
+//! Being the lowest crate that sees the solver, the trace recorder and the
+//! plan types together, this crate also holds the one SPMD driver around a
+//! solve, [`grid::solve_grid`].
 
 pub mod db;
 pub mod fingerprint;
+pub mod grid;
 pub mod trial;
 
 pub use db::{CollRule, DbError, PlanDb, PlanEntry, PlanKey, DB_FORMAT, DB_VERSION};
 pub use fingerprint::machine_fingerprint;
+pub use grid::{solve_grid, GridOutcome, GridRun, PlanChoice};
 pub use trial::{plan_key, scalar_kind, scalar_name, tune_entry, TuneOptions, TuneOutcome};
 
-use chase_comm::{CollectiveTuneHook, TuneChoice, TuneOp};
-use chase_core::{Params, PlanSource, PrecisionMode, SolvePlan};
+use chase_core::{PlanSource, PrecisionMode, SolvePlan};
 use chase_device::CollectiveAlgo;
-
-/// A [`CollectiveTuneHook`] backed by one measured [`PlanEntry`]: the
-/// device layer's `Auto` arm asks it per collective call, and it answers
-/// from the entry's measured rules (falling back to the analytic model by
-/// returning `None` for operations the trials never probed).
-#[derive(Debug, Clone)]
-pub struct MeasuredHook {
-    entry: PlanEntry,
-}
-
-impl MeasuredHook {
-    pub fn new(entry: PlanEntry) -> Self {
-        Self { entry }
-    }
-
-    pub fn entry(&self) -> &PlanEntry {
-        &self.entry
-    }
-}
-
-impl CollectiveTuneHook for MeasuredHook {
-    fn choose(&self, op: TuneOp, bytes: u64, members: usize) -> Option<TuneChoice> {
-        self.entry.choose(op, bytes, members)
-    }
-}
 
 /// Convert a measured DB entry into the [`SolvePlan`] the solver consumes.
 ///
 /// The plan's collective knob is `Auto` — per-call choices come from the
-/// [`MeasuredHook`], not a single global algorithm — while overlap, panel
+/// entry's rule table (the entry is itself the [`chase_comm::CollectiveTuneHook`]
+/// the driver installs), not a single global algorithm — while overlap, panel
 /// and precision are the trial winners. `tuned_cost`/`flat_cost` carry the
 /// world-agreed trial metric so callers can report (and tests assert) that
 /// the tuned plan is never worse than the flat reference.
@@ -85,22 +66,10 @@ pub fn plan_from_entry(entry: &PlanEntry) -> SolvePlan {
     }
 }
 
-/// Resolve a plan for `params` from the DB, or report a miss.
-///
-/// On a hit the plan is applied to `params` (filling only `Auto` knobs —
-/// explicit pins always win) and the entry is returned so the caller can
-/// install a [`MeasuredHook`] on its rank context.
-pub fn resolve_plan(db: &PlanDb, key: &PlanKey, params: &mut Params) -> Option<PlanEntry> {
-    let entry = db.get(key)?.clone();
-    let plan = plan_from_entry(&entry);
-    params.apply_plan(&plan);
-    Some(entry)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chase_comm::TuneAlgo;
+    use chase_comm::{CollectiveTuneHook, TuneAlgo, TuneOp};
 
     fn entry() -> PlanEntry {
         PlanEntry {
@@ -133,7 +102,7 @@ mod tests {
 
     #[test]
     fn hook_answers_from_rules() {
-        let hook = MeasuredHook::new(entry());
+        let hook: &dyn CollectiveTuneHook = &entry();
         let c = hook.choose(TuneOp::AllReduce, 2048, 2).expect("rule hit");
         assert_eq!(c.algo, TuneAlgo::Ring);
         assert_eq!(c.chunk_bytes, 1024);
@@ -152,17 +121,14 @@ mod tests {
 
     #[test]
     fn resolve_hits_and_misses() {
+        let opts = TuneOptions::deterministic();
+        let mut e = entry();
+        e.key.machine = machine_fingerprint(&opts.machine);
+        let shape = chase_comm::GridShape::new(e.key.p, e.key.q);
         let mut db = PlanDb::new();
-        let e = entry();
-        let key = e.key.clone();
-        db.insert(e);
-        let mut p = Params::new(8, 8);
-        assert!(resolve_plan(&db, &key, &mut p).is_some());
-        assert!(p.plan.is_some());
-        let mut other = key.clone();
-        other.n = 128;
-        let mut p2 = Params::new(8, 8);
-        assert!(resolve_plan(&db, &other, &mut p2).is_none());
-        assert!(p2.plan.is_none());
+        db.insert(e.clone());
+        let lookup = |n| PlanChoice::lookup::<f64>(&db, &opts, shape, n, 8, 8);
+        assert!(matches!(lookup(64), PlanChoice::Hit(hit) if hit == e));
+        assert!(matches!(lookup(128), PlanChoice::Tune(_)));
     }
 }

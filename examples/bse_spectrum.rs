@@ -28,7 +28,7 @@ fn main() {
     params.qr = QrStrategy::Auto;
 
     let t0 = std::time::Instant::now();
-    let chase = solve_serial(&h, &params);
+    let chase = solve_serial(&h, &params, None).expect("ChASE solve");
     let t_chase = t0.elapsed();
     assert!(chase.converged, "ChASE failed to converge");
 

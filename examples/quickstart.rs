@@ -30,7 +30,7 @@ fn main() {
         "Running ChASE (nev = {nev}, nex = {nex}, tol = {:.0e})...",
         params.tol
     );
-    let result = solve_serial(&h, &params);
+    let result = solve_serial(&h, &params, None).expect("ChASE solve");
 
     println!(
         "Converged: {} in {} iterations, {} MatVecs\n",

@@ -42,6 +42,7 @@ fn main() {
                 pref,
                 None,
             )
+            .expect("ChASE solve")
         });
         let bytes = out.ledgers[0].bytes_in(chase_comm::Category::Comm);
         let costs = price_ledger(&out.ledgers[0], &machine, PriceCtx::nccl());

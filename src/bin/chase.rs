@@ -14,18 +14,17 @@
 //! ```
 
 use chase_comm::{run_grid, Distribution, GridShape};
-use chase_core::{
-    lms::solve_lms, try_solve_dist, ChaseError, ChaseResult, DistHerm, Params, QrStrategy,
-};
+use chase_core::{ChaseError, ChaseResult, DistHerm, Params, QrStrategy};
 use chase_device::{Backend, CollectiveAlgo};
 use chase_linalg::{Matrix, RealScalar, Scalar, C64};
 use chase_matgen::io::{load, save_c64, save_f64, LoadedMatrix};
 use chase_matgen::{dense_with_spectrum, Spectrum};
 use chase_perfmodel::residual_report;
 use chase_serve::{JobOutcome, Scheduler, SchedulerConfig, WarmKind};
-use chase_trace::{chrome_trace, metrics_json, stitch, summary_table, Trace, TraceRecorder};
+use chase_trace::{chrome_trace, metrics_json, stitch, summary_table, Trace};
 use chase_tune::{
-    plan_from_entry, plan_key, tune_entry, MeasuredHook, PlanDb, TuneOptions, TuneOutcome,
+    plan_from_entry, plan_key, solve_grid, tune_entry, GridRun, PlanChoice, PlanDb, TuneOptions,
+    TuneOutcome,
 };
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -128,14 +127,11 @@ fn parse_grid(s: &str) -> Result<GridShape, String> {
     ))
 }
 
-/// How `--plan-db` resolved before the solve's SPMD region: a warm DB hit
-/// runs zero trials, a miss tunes inside the solve grid (so the tuning
-/// shows up as `tune` spans in the solve's own trace).
-enum PlanChoice {
-    Hit(chase_tune::PlanEntry),
-    Miss(TuneOptions),
-}
-
+/// One `chase solve`, printed. With `tune`, the solve's key is looked up in
+/// the plan DB first: a hit applies the stored plan with zero trials, a miss
+/// tunes inside the solve grid (so the trials show up as `tune` spans in
+/// the solve's own trace). The lowest-ranked rank that saw the solve
+/// through speaks for the SPMD run, unless another surviving rank failed.
 fn solve_generic<T: Scalar + chase_comm::Reduce>(
     h: &Matrix<T>,
     params: &Params,
@@ -143,113 +139,45 @@ fn solve_generic<T: Scalar + chase_comm::Reduce>(
     backend: Backend,
     dist: Distribution,
     tracing: bool,
-    plan: Option<&PlanChoice>,
+    tune: Option<(&PlanDb, &TuneOptions)>,
 ) -> (
-    Result<ChaseResult<T>, ChaseError>,
+    Result<(), ChaseError>,
     Option<Trace>,
+    Option<PlanChoice>,
     Option<TuneOutcome>,
 )
 where
     T::Real: chase_comm::Reduce,
     T::Lo: chase_comm::Reduce,
 {
-    // A crash-spec'd solve runs the elastic driver: the planned rank death
-    // shrinks the grid and the solve resumes from --checkpoint (cold from
-    // iteration 0 without one). Elastic attempts rebuild the layout per
-    // grid, so the measured-plan path (keyed to the original grid) is
-    // rejected up front in cmd_solve.
-    let crashy = params
-        .inject
-        .as_ref()
-        .is_some_and(|s| !s.crash_sites().is_empty());
-    let out = run_grid(shape, move |ctx| {
-        // One recorder per rank, installed before any collective so the
-        // trace covers the bounds estimate too; always uninstalled before
-        // the rendezvous teardown.
-        let rec = tracing.then(|| std::sync::Arc::new(TraceRecorder::new(ctx.world_rank())));
-        if let Some(r) = &rec {
-            ctx.set_trace_hook(Some(r.clone() as std::sync::Arc<dyn chase_comm::TraceHook>));
-        }
-        let mut params = params.clone();
-        let (result, tuned) = if crashy {
-            let outcome = chase_core::try_solve_elastic(
-                ctx,
-                backend,
-                |c| DistHerm::from_global_dist(h, c, dist),
-                &params,
-            );
-            (outcome.map(|o| o.result), None)
-        } else {
-            let mut dh = DistHerm::from_global_dist(h, ctx, dist);
-            let tuned = match plan {
-                Some(PlanChoice::Hit(e)) => Some(TuneOutcome {
-                    entry: e.clone(),
-                    residuals: Vec::new(),
-                }),
-                Some(PlanChoice::Miss(opts)) => {
-                    Some(tune_entry(ctx, &mut dh, params.nev, params.nex, opts))
-                }
-                None => None,
-            };
-            if let Some(t) = &tuned {
-                params.apply_plan(&plan_from_entry(&t.entry));
-                ctx.set_tune_hook(Some(std::sync::Arc::new(MeasuredHook::new(
-                    t.entry.clone(),
-                ))));
-            }
-            let result = if matches!(backend, Backend::Lms) {
-                Ok(solve_lms(ctx, dh, &params, None))
-            } else {
-                try_solve_dist(ctx, backend, dh, &params, None)
-            };
-            (Some(result), tuned)
-        };
-        ctx.set_tune_hook(None);
-        if rec.is_some() {
-            ctx.set_trace_hook(None);
-        }
-        (result, rec.map(|r| r.finish()), tuned)
+    let t0 = std::time::Instant::now();
+    let choice = tune.map(|(db, opts)| {
+        PlanChoice::lookup::<T>(db, opts, shape, h.rows(), params.nev, params.nex)
     });
-    // Results arrive in world-rank order; the lowest-ranked rank that saw
-    // the solve through speaks for the SPMD run (the crash victim and
-    // idled-out survivors return None), the traces are stitched across all
-    // ranks.
-    let mut results = Vec::new();
-    let mut rank_traces = Vec::new();
-    let mut tuned_out = None;
-    for (res, trace, tuned) in out.results {
-        results.extend(res);
-        rank_traces.extend(trace);
-        tuned_out = tuned_out.or(tuned);
-    }
-    let trace = tracing.then_some(Trace { ranks: rank_traces });
-    let first = results.into_iter().next().unwrap_or_else(|| {
-        // Every rank left the computation — e.g. the victim of a 1x1 grid,
-        // which leaves no survivors to shrink onto.
-        Err(ChaseError {
-            kind: chase_core::ChaseErrorKind::RankDead { dead: Vec::new() },
-            iter: 0,
-            recovery: chase_core::RecoveryLog::default(),
-        })
-    });
-    (first, trace, tuned_out)
+    let run = GridRun {
+        backend,
+        dist,
+        trace: tracing,
+        plan: choice.as_ref(),
+        ..GridRun::new(shape)
+    };
+    let mut out = solve_grid(h, params, &run);
+    let (trace, tuned) = (out.trace.take(), out.tuned.take());
+    let printed = out
+        .into_solved()
+        .map(|solved| print_result(&solved[0], t0.elapsed()));
+    (printed, trace, choice, tuned)
 }
 
-/// Look up this solve's key in the plan DB: hit = apply with zero trials,
-/// miss = tune inside the solve grid.
-fn resolve_plan_choice<T: Scalar>(
-    db: &PlanDb,
-    opts: &TuneOptions,
-    shape: GridShape,
-    n: usize,
-    nev: usize,
-    nex: usize,
-) -> PlanChoice {
-    let key = plan_key::<T>(&opts.machine, shape.p, shape.q, n, nev, nex);
-    match db.get(&key) {
-        Some(e) => PlanChoice::Hit(e.clone()),
-        None => PlanChoice::Miss(opts.clone()),
-    }
+/// Persist the plan DB and say how many entries it holds.
+fn save_plan_db(db: &PlanDb, path: &str) -> Result<(), String> {
+    db.save(path).map_err(|e| e.to_string())?;
+    let n = db.len();
+    println!(
+        "plan db: {path} ({n} entr{})",
+        if n == 1 { "y" } else { "ies" }
+    );
+    Ok(())
 }
 
 /// After a `--plan-db` solve: report how the plan resolved and persist any
@@ -261,7 +189,7 @@ fn report_plan(
     db_path: Option<&str>,
 ) -> Result<(), String> {
     match (choice, tuned) {
-        (Some(PlanChoice::Miss(_)), Some(out)) => {
+        (Some(PlanChoice::Tune(_)), Some(out)) => {
             println!(
                 "plan: measured fresh ({} trial(s)) for {}",
                 out.entry.trials,
@@ -270,12 +198,7 @@ fn report_plan(
             print!("{}", residual_report(&out.residuals));
             db.insert(out.entry);
             if let Some(p) = db_path {
-                db.save(p).map_err(|e| e.to_string())?;
-                println!(
-                    "plan db: {p} ({} entr{})",
-                    db.len(),
-                    if db.len() == 1 { "y" } else { "ies" }
-                );
+                save_plan_db(db, p)?;
             }
         }
         (Some(PlanChoice::Hit(_)), Some(out)) => {
@@ -455,11 +378,7 @@ fn cmd_solve(flags: HashMap<String, String>) -> Result<(), String> {
         ),
         None => None,
     };
-    if params
-        .inject
-        .as_ref()
-        .is_some_and(|s| !s.crash_sites().is_empty())
-    {
+    if params.plans_rank_crash() {
         silence_expected_crash_panics();
     }
     params.wait_timeout_ms = match flags.get("wait-timeout-ms") {
@@ -517,17 +436,10 @@ fn cmd_solve(flags: HashMap<String, String>) -> Result<(), String> {
     if plan_db_path.is_some() && matches!(backend, Backend::Lms) {
         return Err("--plan-db is not supported with the lms baseline backend".into());
     }
-    if plan_db_path.is_some()
-        && params
-            .inject
-            .as_ref()
-            .is_some_and(|s| !s.crash_sites().is_empty())
-    {
-        return Err(
-            "--plan-db is not supported with a rank-crash fault plan \
+    if plan_db_path.is_some() && params.plans_rank_crash() {
+        return Err("--plan-db is not supported with a rank-crash fault plan \
              (the measured plan is keyed to the pre-crash grid)"
-                .into(),
-        );
+            .into());
     }
     let tune_opts = plan_db_path.as_ref().map(|_| TuneOptions {
         deterministic: flags.contains_key("deterministic"),
@@ -552,34 +464,10 @@ fn cmd_solve(flags: HashMap<String, String>) -> Result<(), String> {
             m.rows()
         ));
     }
-    let t0 = std::time::Instant::now();
+    let tune = tune_opts.as_ref().map(|o| (&db, o));
     let (outcome, trace, choice, tuned) = match m {
-        LoadedMatrix::C64(h) => {
-            let choice = tune_opts.as_ref().map(|o| {
-                resolve_plan_choice::<C64>(&db, o, shape, h.rows(), params.nev, params.nex)
-            });
-            let (res, trace, tuned) =
-                solve_generic(&h, &params, shape, backend, dist, tracing, choice.as_ref());
-            (
-                res.map(|r| print_result(&r, t0.elapsed())),
-                trace,
-                choice,
-                tuned,
-            )
-        }
-        LoadedMatrix::F64(h) => {
-            let choice = tune_opts.as_ref().map(|o| {
-                resolve_plan_choice::<f64>(&db, o, shape, h.rows(), params.nev, params.nex)
-            });
-            let (res, trace, tuned) =
-                solve_generic(&h, &params, shape, backend, dist, tracing, choice.as_ref());
-            (
-                res.map(|r| print_result(&r, t0.elapsed())),
-                trace,
-                choice,
-                tuned,
-            )
-        }
+        LoadedMatrix::C64(h) => solve_generic(&h, &params, shape, backend, dist, tracing, tune),
+        LoadedMatrix::F64(h) => solve_generic(&h, &params, shape, backend, dist, tracing, tune),
     };
     report_plan(choice, tuned, &mut db, plan_db_path.as_deref())?;
     // Export the trace even for failed runs — a chaos run's timeline is most
@@ -688,13 +576,7 @@ fn cmd_tune(flags: HashMap<String, String>) -> Result<(), String> {
     println!("\nmodeled-vs-measured residuals:");
     print!("{}", residual_report(&outcome.residuals));
     db.insert(outcome.entry);
-    db.save(&db_path).map_err(|e| e.to_string())?;
-    println!(
-        "plan db: {db_path} ({} entr{})",
-        db.len(),
-        if db.len() == 1 { "y" } else { "ies" }
-    );
-    Ok(())
+    save_plan_db(&db, &db_path)
 }
 
 /// Run the tuner alone on its grid (no solve afterwards).
@@ -767,12 +649,7 @@ fn cmd_serve(flags: HashMap<String, String>) -> Result<(), String> {
             j.params.checkpoint_every = ckpt_every;
         }
     }
-    if jobs.iter().any(|j| {
-        j.params
-            .inject
-            .as_ref()
-            .is_some_and(|s| !s.crash_sites().is_empty())
-    }) {
+    if jobs.iter().any(|j| j.params.plans_rank_crash()) {
         silence_expected_crash_panics();
     }
 
@@ -868,13 +745,7 @@ fn cmd_serve(flags: HashMap<String, String>) -> Result<(), String> {
         );
     }
     if let Some(p) = &plan_db_path {
-        let db = sched.plan_db_snapshot();
-        db.save(p).map_err(|e| e.to_string())?;
-        println!(
-            "plan db: {p} ({} entr{})",
-            db.len(),
-            if db.len() == 1 { "y" } else { "ies" }
-        );
+        save_plan_db(&sched.plan_db_snapshot(), p)?;
     }
     if let Some(p) = &metrics_path {
         std::fs::write(p, m.to_json()).map_err(|e| format!("{p}: {e}"))?;

@@ -30,7 +30,7 @@ fn live_one_iteration(n: usize, ne: usize, backend: Backend, lms: bool) -> Ledge
         if lms {
             chase_core::lms::solve_lms(ctx, dh, pref, None)
         } else {
-            solve_dist(ctx, backend, dh, pref, None)
+            solve_dist(ctx, backend, dh, pref, None).expect("ChASE solve")
         }
     });
     let mut filtered = Ledger::new();

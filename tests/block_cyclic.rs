@@ -15,7 +15,7 @@ fn block_cyclic_solve_matches_serial() {
     let h = dense_with_spectrum::<C64>(&spec, 7);
     let mut p = Params::new(8, 6);
     p.tol = 1e-9;
-    let reference = solve_serial(&h, &p);
+    let reference = solve_serial(&h, &p, None).expect("ChASE solve");
     assert!(reference.converged);
 
     for dist in [
@@ -31,7 +31,7 @@ fn block_cyclic_solve_matches_serial() {
             let (h, p, reference) = (&h, &p, &reference);
             let out = run_grid(shape, move |ctx| {
                 let dh = DistHerm::from_global_dist(h, ctx, dist);
-                solve_dist(ctx, Backend::Nccl, dh, p, None)
+                solve_dist(ctx, Backend::Nccl, dh, p, None).expect("ChASE solve")
             });
             for r in &out.results {
                 assert!(r.converged, "{dist:?} {shape:?} did not converge");
@@ -79,6 +79,7 @@ fn block_and_cyclic_are_bitwise_identical_in_counts() {
             pref,
             None,
         )
+        .expect("ChASE solve")
     });
     let cyclic = run_grid(GridShape::new(2, 2), move |ctx| {
         solve_dist(
@@ -88,6 +89,7 @@ fn block_and_cyclic_are_bitwise_identical_in_counts() {
             pref,
             None,
         )
+        .expect("ChASE solve")
     });
     let (b, c) = (&block.results[0], &cyclic.results[0]);
     assert!(b.converged && c.converged);
@@ -105,7 +107,7 @@ fn lms_supports_block_cyclic_too() {
     let h = dense_with_spectrum::<C64>(&spec, 9);
     let mut p = Params::new(5, 4);
     p.tol = 1e-9;
-    let reference = solve_serial(&h, &p);
+    let reference = solve_serial(&h, &p, None).expect("ChASE solve");
     let (href, pref) = (&h, &p);
     let out = run_grid(GridShape::new(2, 2), move |ctx| {
         let dh = DistHerm::from_global_dist(href, ctx, Distribution::BlockCyclic { block: 3 });

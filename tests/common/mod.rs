@@ -7,20 +7,18 @@
 //! different subset, so everything is `allow(dead_code)`.
 #![allow(dead_code)]
 
-use chase_comm::{run_grid, GridShape, Reduce, TraceHook};
+use chase_comm::{run_grid, GridShape, Reduce};
 use chase_core::{
-    chebyshev_filter_with, try_solve_dist, ChaseError, ChaseResult, DistHerm, FilterBounds,
-    FilterExec, Params, PrecisionMode,
+    chebyshev_filter_with, ChaseError, ChaseResult, DistHerm, FilterBounds, FilterExec, Params,
+    PrecisionMode,
 };
 use chase_device::{Backend, Device};
 use chase_linalg::{Matrix, Scalar};
 use chase_matgen::{dense_with_spectrum, Spectrum};
-use chase_perfmodel::Machine;
-use chase_trace::{Trace, TraceRecorder};
-use chase_tune::{plan_from_entry, tune_entry, MeasuredHook, TuneOptions};
+use chase_trace::Trace;
+use chase_tune::{solve_grid, GridOutcome, GridRun, PlanChoice, TuneOptions};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::sync::Arc;
 
 /// Dense Hermitian test problem with a uniform spectrum on `[lo, hi]`,
 /// returned with the spectrum so tests can check eigenvalues against truth.
@@ -55,6 +53,14 @@ pub fn params_prec(mode: PrecisionMode) -> Params {
     p
 }
 
+/// Every rank's result of a run none of whose ranks left (world-rank order).
+fn all_ranks<T: Scalar>(out: GridOutcome<T>) -> Vec<Result<ChaseResult<T>, ChaseError>> {
+    out.results
+        .into_iter()
+        .map(|r| r.expect("no rank leaves a run that plans no crash"))
+        .collect()
+}
+
 /// Run the distributed guarded solver SPMD over `shape` and return every
 /// rank's result (world-rank order).
 pub fn solve_on<T>(
@@ -67,10 +73,7 @@ where
     T::Real: Reduce,
     T::Lo: Reduce,
 {
-    run_grid(shape, move |ctx| {
-        try_solve_dist(ctx, Backend::Nccl, DistHerm::from_global(h, ctx), p, None)
-    })
-    .results
+    all_ranks(solve_grid(h, p, &GridRun::new(shape)))
 }
 
 /// Like [`solve_on`], but with the autotuner in the loop: each rank runs a
@@ -88,25 +91,15 @@ where
     T::Real: Reduce,
     T::Lo: Reduce,
 {
-    run_grid(shape, move |ctx| {
-        let mut p = p.clone();
-        let mut dh = DistHerm::from_global(h, ctx);
-        let opts = TuneOptions {
-            deterministic: true,
-            machine: Machine::juwels_booster(),
-            backend: Backend::Nccl,
-        };
-        let t = tune_entry(ctx, &mut dh, p.nev, p.nex, &opts);
-        p.apply_plan(&plan_from_entry(&t.entry));
-        ctx.set_tune_hook(Some(Arc::new(MeasuredHook::new(t.entry))));
-        let res = try_solve_dist(ctx, Backend::Nccl, dh, &p, None);
-        ctx.set_tune_hook(None);
-        res
-    })
-    .results
+    let plan = PlanChoice::Tune(TuneOptions::deterministic());
+    let run = GridRun {
+        plan: Some(&plan),
+        ..GridRun::new(shape)
+    };
+    all_ranks(solve_grid(h, p, &run))
 }
 
-/// Like [`solve_on`], but with a [`TraceRecorder`] installed on every rank:
+/// Like [`solve_on`], but with a trace recorder installed on every rank:
 /// returns the per-rank results alongside the assembled [`Trace`], for
 /// suites asserting byte-for-byte trace replay.
 pub fn traced_solve_on<T>(
@@ -119,15 +112,13 @@ where
     T::Real: Reduce,
     T::Lo: Reduce,
 {
-    let out = run_grid(shape, move |ctx| {
-        let rec = Arc::new(TraceRecorder::new(ctx.world_rank()));
-        ctx.set_trace_hook(Some(rec.clone() as Arc<dyn TraceHook>));
-        let res = try_solve_dist(ctx, Backend::Nccl, DistHerm::from_global(h, ctx), p, None);
-        ctx.set_trace_hook(None);
-        (res, rec.finish())
-    });
-    let (results, ranks) = out.results.into_iter().unzip();
-    (results, Trace { ranks })
+    let run = GridRun {
+        trace: true,
+        ..GridRun::new(shape)
+    };
+    let mut out = solve_grid(h, p, &run);
+    let trace = out.trace.take().expect("the run was traced");
+    (all_ranks(out), trace)
 }
 
 /// Grid axis for the standalone filter suites: serial, square, and a

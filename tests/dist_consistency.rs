@@ -25,7 +25,7 @@ fn params() -> Params {
 fn serial_matches_direct_reference() {
     let (h, _) = test_problem(80);
     let p = params();
-    let chase = solve_serial(&h, &p);
+    let chase = solve_serial(&h, &p, None).expect("ChASE solve");
     assert!(chase.converged);
     let direct = chase_direct::eigh_one_stage(&h);
     for k in 0..p.nev {
@@ -42,7 +42,7 @@ fn serial_matches_direct_reference() {
 fn all_grids_and_backends_agree_with_serial() {
     let (h, _) = test_problem(72);
     let p = params();
-    let reference = solve_serial(&h, &p);
+    let reference = solve_serial(&h, &p, None).expect("ChASE solve");
     assert!(reference.converged);
 
     for shape in [
@@ -56,7 +56,7 @@ fn all_grids_and_backends_agree_with_serial() {
             let (h, p, reference) = (&h, &p, &reference);
             let out = run_grid(shape, move |ctx| {
                 let dh = DistHerm::from_global(h, ctx);
-                solve_dist(ctx, backend, dh, p, None)
+                solve_dist(ctx, backend, dh, p, None).expect("ChASE solve")
             });
             for r in &out.results {
                 assert!(r.converged, "{shape:?} {backend:?} did not converge");
@@ -96,7 +96,7 @@ fn all_grids_and_backends_agree_with_serial() {
 fn lms_layout_agrees_with_new_scheme() {
     let (h, _) = test_problem(64);
     let p = params();
-    let reference = solve_serial(&h, &p);
+    let reference = solve_serial(&h, &p, None).expect("ChASE solve");
     let (href, pref) = (&h, &p);
     let out = run_grid(GridShape::new(2, 2), move |ctx| {
         let dh = DistHerm::from_global(href, ctx);
@@ -129,6 +129,7 @@ fn backends_differ_only_in_ledger_not_results() {
             pref,
             None,
         )
+        .expect("ChASE solve")
     });
     let nccl_out = run_grid(GridShape::new(2, 2), move |ctx| {
         solve_dist(
@@ -138,6 +139,7 @@ fn backends_differ_only_in_ledger_not_results() {
             pref,
             None,
         )
+        .expect("ChASE solve")
     });
     // Bitwise identical math.
     for (a, b) in std_out.results.iter().zip(&nccl_out.results) {
@@ -166,7 +168,7 @@ fn dft_surrogate_problem_converges() {
     let h = dense_with_spectrum::<C64>(&spec, 99);
     let mut p = Params::new(12, 6);
     p.tol = 1e-9;
-    let r = solve_serial(&h, &p);
+    let r = solve_serial(&h, &p, None).expect("ChASE solve");
     assert!(
         r.converged,
         "DFT surrogate did not converge in {} iters",

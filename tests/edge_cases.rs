@@ -13,7 +13,7 @@ fn minimal_search_space() {
     let h = dense_with_spectrum::<C64>(&spec, 1);
     let mut p = Params::new(1, 1);
     p.tol = 1e-9;
-    let r = solve_serial(&h, &p);
+    let r = solve_serial(&h, &p, None).expect("ChASE solve");
     assert!(r.converged);
     assert!((r.eigenvalues[0] - spec.min()).abs() < 1e-7);
 }
@@ -25,7 +25,7 @@ fn non_convergence_is_reported_not_panicked() {
     let mut p = Params::new(6, 4);
     p.tol = 1e-12;
     p.max_iter = 1; // impossible budget
-    let r = solve_serial(&h, &p);
+    let r = solve_serial(&h, &p, None).expect("ChASE solve");
     assert!(!r.converged);
     assert_eq!(r.iterations, 1);
     // Best-effort eigenvalues are still returned (nev of them).
@@ -42,7 +42,7 @@ fn repeated_eigenvalues() {
     let h = dense_with_spectrum::<C64>(&spec, 3);
     let mut p = Params::new(6, 4);
     p.tol = 1e-8;
-    let r = solve_serial(&h, &p);
+    let r = solve_serial(&h, &p, None).expect("ChASE solve");
     assert!(
         r.converged,
         "degenerate problem stalled at iter {}",
@@ -65,7 +65,7 @@ fn subspace_close_to_full_dimension() {
     let h = dense_with_spectrum::<C64>(&spec, 4);
     let mut p = Params::new(10, 5);
     p.tol = 1e-8;
-    let r = solve_serial(&h, &p);
+    let r = solve_serial(&h, &p, None).expect("ChASE solve");
     assert!(r.converged);
     for k in 0..10 {
         assert!((r.eigenvalues[k] - spec.values()[k]).abs() < 1e-6);
@@ -79,7 +79,7 @@ fn negative_definite_spectrum() {
     let h = dense_with_spectrum::<C64>(&spec, 5);
     let mut p = Params::new(5, 4);
     p.tol = 1e-9;
-    let r = solve_serial(&h, &p);
+    let r = solve_serial(&h, &p, None).expect("ChASE solve");
     assert!(r.converged);
     assert!((r.eigenvalues[0] + 9.0).abs() < 1e-7);
 }
@@ -103,6 +103,7 @@ fn tiny_matrix_many_ranks() {
             pref,
             None,
         )
+        .expect("ChASE solve")
     });
     for r in &out.results {
         assert!(r.converged);
@@ -116,5 +117,5 @@ fn oversized_subspace_rejected() {
     let spec = Spectrum::uniform(10, -1.0, 1.0);
     let h = dense_with_spectrum::<C64>(&spec, 7);
     let p = Params::new(8, 8); // ne = 16 > n = 10
-    solve_serial(&h, &p);
+    solve_serial(&h, &p, None).expect("ChASE solve");
 }

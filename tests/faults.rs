@@ -8,8 +8,7 @@ mod common;
 
 use chase_comm::GridShape;
 use chase_core::{
-    solve_serial, try_solve_serial, ChaseError, ChaseErrorKind, ChaseResult, Params,
-    RecoveryEventKind,
+    solve_serial, ChaseError, ChaseErrorKind, ChaseResult, Params, RecoveryEventKind,
 };
 use chase_linalg::{Matrix, C64};
 use common::{params, problem as problem_seeded, scaled_timeout_ms, solve_on};
@@ -36,7 +35,7 @@ fn run_chaos(
 fn chaos_matrix_is_never_silently_wrong() {
     let h = problem(60);
     let p = base_params();
-    let baseline = solve_serial(&h, &p);
+    let baseline = solve_serial(&h, &p, None).expect("ChASE solve");
     assert!(baseline.converged);
 
     let specs = [
@@ -93,10 +92,10 @@ fn chaos_matrix_is_never_silently_wrong() {
 #[test]
 fn breakdown_escalates_to_householder_and_recovers() {
     let h = problem(60);
-    let clean = solve_serial(&h, &base_params());
+    let clean = solve_serial(&h, &base_params(), None).expect("ChASE solve");
     let mut p = base_params();
     p.inject = Some("seed=5;breakdown@iter=1,cols=2".parse().unwrap());
-    let r = try_solve_serial(&h, &p).expect("a QR breakdown must be recoverable");
+    let r = solve_serial(&h, &p, None).expect("a QR breakdown must be recoverable");
     assert!(r.converged);
     for k in 0..p.nev {
         assert!(
@@ -187,10 +186,10 @@ fn identical_spec_replays_identical_recovery_logs() {
 fn guards_are_invisible_on_clean_runs() {
     let h = problem(60);
     let p = base_params(); // guards on, no injection
-    let guarded = solve_serial(&h, &p);
+    let guarded = solve_serial(&h, &p, None).expect("ChASE solve");
     let mut pu = base_params();
     pu.guards = false;
-    let unguarded = solve_serial(&h, &pu);
+    let unguarded = solve_serial(&h, &pu, None).expect("ChASE solve");
     assert!(guarded.recovery.is_empty(), "{}", guarded.recovery);
     assert_eq!(guarded.eigenvalues, unguarded.eigenvalues);
     assert_eq!(guarded.matvecs, unguarded.matvecs);
@@ -204,7 +203,7 @@ fn refilter_budget_exhaustion_is_a_typed_error() {
     let mut p = base_params();
     p.max_refilter = 0;
     p.inject = Some("seed=3;nan-block@iter=1,cols=1".parse().unwrap());
-    let e = try_solve_serial(&h, &p).expect_err("budget 0 must abort on first corruption");
+    let e = solve_serial(&h, &p, None).expect_err("budget 0 must abort on first corruption");
     assert!(matches!(e.kind, ChaseErrorKind::UnrecoverableNonFinite));
     assert!(
         e.recovery
@@ -214,25 +213,13 @@ fn refilter_budget_exhaustion_is_a_typed_error() {
     );
 }
 
-/// The historic infallible API panics with the typed error's message rather
-/// than propagating corrupt results.
-#[test]
-#[should_panic(expected = "ChASE solve aborted")]
-fn infallible_api_panics_on_unrecoverable_faults() {
-    let h = problem(48);
-    let mut p = base_params();
-    p.max_refilter = 0;
-    p.inject = Some("seed=3;nan-block@iter=1,cols=1".parse().unwrap());
-    let _ = solve_serial(&h, &p);
-}
-
 /// A transient delay (straggler link) is absorbed without any recovery
 /// action: the run converges to the clean answer, with only the injection
 /// itself on record.
 #[test]
 fn delay_is_absorbed_without_recovery_action() {
     let h = problem(48);
-    let clean = solve_serial(&h, &base_params());
+    let clean = solve_serial(&h, &base_params(), None).expect("ChASE solve");
     let mut p = base_params();
     p.overlap = true;
     p.inject = Some("seed=8;delay@iter=1,region=filter,ms=3".parse().unwrap());

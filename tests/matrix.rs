@@ -28,6 +28,7 @@ use chase_linalg::{RealScalar, Scalar, C64};
 use chase_serve::{
     GenSpec, JobSpec, MatrixSource, Scheduler, SchedulerConfig, SpectrumKind, WarmKind,
 };
+use chase_tune::{solve_grid, GridRun};
 use common::{expect_all_ok, params, problem, solve_on, solve_tuned_on, MATRIX_GRIDS};
 
 const N: usize = 48;
@@ -443,6 +444,27 @@ where
                     // race (+-1). The algorithmic outputs above are bitwise.
                 }
                 _ => panic!("{case}: replay changed who survived"),
+            }
+        }
+
+        // The grid driver picks the elastic path by itself from the crash
+        // spec: same survivors, same bits, same trail as the direct call.
+        let driven = solve_grid(&h, &crash_params(None), &GridRun::new(shape));
+        for (rank, (d, s)) in driven.results.iter().zip(&scratch).enumerate() {
+            match (d, s) {
+                (None, None) => {}
+                (Some(d), Some(s)) => {
+                    let (rd, rs) = (d.as_ref().unwrap(), s.result.as_ref().unwrap());
+                    assert_eq!(rd.eigenvalues, rs.eigenvalues, "{case}: driver eigs");
+                    assert_eq!(rd.residuals, rs.residuals, "{case}: driver residuals");
+                    assert_eq!(
+                        rd.eigenvectors_local.as_slice(),
+                        rs.eigenvectors_local.as_slice(),
+                        "{case}: driver vectors"
+                    );
+                    assert_eq!(rd.recovery, rs.recovery, "{case}: driver recovery log");
+                }
+                _ => panic!("{case}: rank {rank} survived one run and not the other"),
             }
         }
 

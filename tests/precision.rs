@@ -239,8 +239,8 @@ fn degenerate_warm_bounds_surface_as_typed_bad_spectrum() {
             b_sup: 2.0,
         }),
     };
-    let err = chase_core::try_solve_serial_warm(&h, &p, Some(&warm))
-        .expect_err("degenerate interval must fail");
+    let err =
+        chase_core::solve_serial(&h, &p, Some(&warm)).expect_err("degenerate interval must fail");
     assert!(
         matches!(err.kind, ChaseErrorKind::BadSpectrum { .. }),
         "got {:?}",
@@ -253,7 +253,7 @@ fn malformed_params_surface_as_typed_invalid_params() {
     let (h, _) = problem(32, 21);
     let mut p = params(PrecisionMode::Mixed);
     p.tol = f64::NAN;
-    let err = chase_core::try_solve_serial(&h, &p).expect_err("NaN tol must fail");
+    let err = chase_core::solve_serial(&h, &p, None).expect_err("NaN tol must fail");
     assert!(
         matches!(err.kind, ChaseErrorKind::InvalidParams { .. }),
         "got {:?}",

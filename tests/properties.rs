@@ -154,7 +154,7 @@ fn cond_estimate_upper_bounds_truth_in_live_runs() {
         let mut p = Params::new(8, 6);
         p.tol = 1e-9;
         p.track_true_cond = true;
-        let r = chase_core::solve_serial(&h, &p);
+        let r = chase_core::solve_serial(&h, &p, None).expect("ChASE solve");
         assert!(r.converged);
         // Skip iteration 1 (the paper documents the first-iteration caveat:
         // the derivation assumes kappa(input) = 1, not true for random

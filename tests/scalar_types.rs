@@ -19,7 +19,7 @@ fn solve_f64() {
     let h = dense_with_spectrum::<f64>(&spec, 1);
     let mut p = Params::new(6, 4);
     p.tol = 1e-9;
-    let r = solve_serial(&h, &p);
+    let r = solve_serial(&h, &p, None).expect("ChASE solve");
     assert!(r.converged);
     for k in 0..p.nev {
         assert!((r.eigenvalues[k] - spec.values()[k]).abs() < 1e-7);
@@ -33,7 +33,7 @@ fn solve_c64() {
     let h = dense_with_spectrum::<C64>(&spec, 2);
     let mut p = Params::new(6, 4);
     p.tol = 1e-9;
-    let r = solve_serial(&h, &p);
+    let r = solve_serial(&h, &p, None).expect("ChASE solve");
     assert!(r.converged);
     for k in 0..p.nev {
         assert!((r.eigenvalues[k] - spec.values()[k]).abs() < 1e-7);
@@ -48,7 +48,7 @@ fn solve_f32() {
     let mut p = Params::new(6, 4);
     // Single precision: the paper's 1e-10 is unreachable; use ~sqrt(eps_32).
     p.tol = 1e-4;
-    let r = solve_serial(&h, &p);
+    let r = solve_serial(&h, &p, None).expect("ChASE solve");
     assert!(
         r.converged,
         "f32 solve failed after {} iterations",
@@ -71,7 +71,7 @@ fn solve_c32() {
     let h = dense_with_spectrum::<C32>(&spec, 4);
     let mut p = Params::new(6, 4);
     p.tol = 1e-4;
-    let r = solve_serial(&h, &p);
+    let r = solve_serial(&h, &p, None).expect("ChASE solve");
     assert!(
         r.converged,
         "c32 solve failed after {} iterations",
@@ -101,7 +101,7 @@ where
     let (h, p) = (&h, &p);
     let out = run_grid(shape, move |ctx| {
         let dh = DistHerm::from_global(h, ctx);
-        solve_dist(ctx, Backend::Nccl, dh, p, None)
+        solve_dist(ctx, Backend::Nccl, dh, p, None).expect("ChASE solve")
     });
     let r0 = &out.results[0];
     assert!(

@@ -7,7 +7,7 @@
 //! eigenvectors *and* cached spectral bounds (the Lanczos estimate is
 //! skipped) — which is also what the `chase-serve` session cache feeds.
 
-use chase_core::{solve_serial, try_solve_serial_warm, Params, WarmStart};
+use chase_core::{solve_serial, Params, WarmStart};
 use chase_linalg::{Matrix, C64};
 use chase_matgen::{dense_with_spectrum, perturb_hermitian, Spectrum};
 
@@ -34,7 +34,7 @@ fn warm_starts_cut_matvecs() {
     p.tol = 1e-9;
 
     // Cold solve of the first Hamiltonian.
-    let r0 = solve_serial(&seq[0], &p);
+    let r0 = solve_serial(&seq[0], &p, None).expect("ChASE solve");
     assert!(r0.converged);
 
     let mut prev = r0;
@@ -42,8 +42,8 @@ fn warm_starts_cut_matvecs() {
         // Hand the previous eigenpairs (and spectral bounds) over whole:
         // the random search-direction tail is padded internally.
         let warm_start = WarmStart::from_results(std::slice::from_ref(&prev));
-        let cold = solve_serial(h, &p);
-        let warm = try_solve_serial_warm(h, &p, Some(&warm_start)).expect("warm solve aborted");
+        let cold = solve_serial(h, &p, None).expect("ChASE solve");
+        let warm = solve_serial(h, &p, Some(&warm_start)).expect("warm solve aborted");
         assert!(warm.converged, "warm solve {k} failed");
         assert!(cold.converged, "cold solve {k} failed");
         assert!(warm.warm_started, "bounds reuse not engaged at step {k}");
@@ -71,11 +71,11 @@ fn exact_eigenvectors_converge_almost_instantly() {
     let h = dense_with_spectrum::<C64>(&spec, 14);
     let mut p = Params::new(6, 4);
     p.tol = 1e-9;
-    let first = solve_serial(&h, &p);
+    let first = solve_serial(&h, &p, None).expect("ChASE solve");
     assert!(first.converged);
 
     let warm_start = WarmStart::from_results(std::slice::from_ref(&first));
-    let again = try_solve_serial_warm(&h, &p, Some(&warm_start)).expect("restart aborted");
+    let again = solve_serial(&h, &p, Some(&warm_start)).expect("restart aborted");
     assert!(again.converged);
     assert!(
         again.iterations <= first.iterations,

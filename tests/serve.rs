@@ -12,7 +12,7 @@
 //! Plus the scheduler's operational edges: LRU eviction under a byte
 //! budget, admission control, cancellation, and virtual-tick deadlines.
 
-use chase_core::Params;
+use chase_core::{ChaseErrorKind, Params};
 use chase_linalg::{Scalar, C64};
 use chase_serve::{
     GenSpec, JobOutcome, JobSpec, MatrixSource, Scheduler, SchedulerConfig, SolveOutput,
@@ -531,9 +531,8 @@ fn rank_crash_job_retries_on_shrunk_pool() {
         "recovery log must show the shrink"
     );
     assert!(
-        out.recovery.any(
-            |k| matches!(k, RecoveryEventKind::CheckpointRestored { iter, .. } if *iter > 0)
-        ),
+        out.recovery
+            .any(|k| matches!(k, RecoveryEventKind::CheckpointRestored { iter, .. } if *iter > 0)),
         "with checkpoint_every=1 the resume must restore a real snapshot"
     );
     assert_eq!(c1.warm, WarmKind::FallbackCold, "warm start must degrade");
@@ -553,4 +552,54 @@ fn rank_crash_job_retries_on_shrunk_pool() {
     }
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A session step whose problem shape differs from the step that produced
+/// its warm block — another `n`, or a subspace narrower than the cached
+/// block — fails alone and typed, before any collective: the drain returns
+/// a report for every job and the sibling's bits equal its solo run.
+#[test]
+fn mismatched_session_step_fails_typed_and_alone() {
+    let sibling = || gen_job("lone", 40, SpectrumKind::Uniform, 3, None);
+    let (solo, _) = run_batch(vec![sibling()], 2);
+
+    // Session `rows`: step 1 has another n. Session `cols`: step 0 leaves
+    // an 11-column block, step 1 searches 5 columns.
+    let rows0 = gen_job("rows0", 64, SpectrumKind::Dft, 7, Some(("rows", 0)));
+    let rows1 = gen_job("rows1", 48, SpectrumKind::Dft, 7, Some(("rows", 1)));
+    let mut cols0 = gen_job("cols0", 64, SpectrumKind::Bse, 9, Some(("cols", 0)));
+    cols0.params.nev = 8;
+    let mut cols1 = gen_job("cols1", 64, SpectrumKind::Bse, 9, Some(("cols", 1)));
+    (cols1.params.nev, cols1.params.nex) = (3, 2);
+
+    let mut sched: Scheduler<C64> = Scheduler::new(SchedulerConfig {
+        workers: 2,
+        ..SchedulerConfig::default()
+    });
+    for j in [rows0, rows1, cols0, cols1, sibling()] {
+        sched.submit(j).unwrap();
+    }
+    let reports: BTreeMap<String, _> = sched
+        .drain()
+        .into_iter()
+        .map(|r| (r.name.clone(), r))
+        .collect();
+    assert_eq!(reports.len(), 5, "one report per job");
+
+    for step0 in ["rows0", "cols0"] {
+        assert!(reports[step0].solve().expect("step 0 is sound").converged);
+    }
+    for (step1, block) in [("rows1", "64 x 5"), ("cols1", "64 x 8")] {
+        let e = reports[step1].failed().expect("mismatched step must fail");
+        assert!(
+            matches!(&e.kind, ChaseErrorKind::InvalidParams { detail } if detail.contains(block)),
+            "{step1}: {e}"
+        );
+        assert_eq!(reports[step1].warm, WarmKind::Warm);
+    }
+    assert_eq!(sched.metrics.failed, 2);
+    assert_eq!(
+        &fingerprint(reports["lone"].solve().unwrap()),
+        &solo["lone"].0
+    );
 }

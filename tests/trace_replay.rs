@@ -5,17 +5,16 @@
 //! injection, and installing a recorder must not perturb the solve by a
 //! single bit.
 
-use std::sync::Arc;
+mod common;
 
-use chase_comm::{run_grid, GridShape, Reduce, TraceHook};
-use chase_core::{try_solve_dist, ChaseError, ChaseResult, DistHerm, Params};
-use chase_device::Backend;
-use chase_linalg::{Matrix, Scalar, C64};
+use chase_comm::{GridShape, Reduce};
+use chase_core::{ChaseError, ChaseResult, Params};
+use chase_linalg::{Scalar, C64};
 use chase_matgen::{dense_with_spectrum, Spectrum};
 use chase_trace::{
     chrome_trace, metrics_json, stitch, summary_table, validate_chrome_trace, Trace, TraceEvent,
-    TraceRecorder,
 };
+use common::{solve_on as plain_solve, traced_solve_on as traced_solve};
 use proptest::prelude::*;
 
 const SHAPES: [(usize, usize); 2] = [(1, 1), (2, 2)];
@@ -34,47 +33,6 @@ fn params(inject: Option<&str>) -> Params {
     p.tol = 1e-9;
     p.inject = inject.map(|s| s.parse().expect("fault spec must parse"));
     p
-}
-
-/// Solve over `shape` with a per-rank [`TraceRecorder`] installed and return
-/// both the per-rank outcomes and the assembled world-rank-ordered trace.
-fn traced_solve<T>(
-    h: &Matrix<T>,
-    p: &Params,
-    shape: GridShape,
-) -> (Vec<Result<ChaseResult<T>, ChaseError>>, Trace)
-where
-    T: Scalar + Reduce,
-    T::Real: Reduce,
-    T::Lo: Reduce,
-{
-    let (h, p) = (h, p);
-    let out = run_grid(shape, move |ctx| {
-        let rec = Arc::new(TraceRecorder::new(ctx.world_rank()));
-        ctx.set_trace_hook(Some(rec.clone() as Arc<dyn TraceHook>));
-        let res = try_solve_dist(ctx, Backend::Nccl, DistHerm::from_global(h, ctx), p, None);
-        ctx.set_trace_hook(None);
-        (res, rec.finish())
-    });
-    let (results, ranks) = out.results.into_iter().unzip();
-    (results, Trace { ranks })
-}
-
-fn plain_solve<T>(
-    h: &Matrix<T>,
-    p: &Params,
-    shape: GridShape,
-) -> Vec<Result<ChaseResult<T>, ChaseError>>
-where
-    T: Scalar + Reduce,
-    T::Real: Reduce,
-    T::Lo: Reduce,
-{
-    let (h, p) = (h, p);
-    run_grid(shape, move |ctx| {
-        try_solve_dist(ctx, Backend::Nccl, DistHerm::from_global(h, ctx), p, None)
-    })
-    .results
 }
 
 /// Bitwise equality of two per-rank outcome vectors (field by field; the

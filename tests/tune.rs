@@ -10,7 +10,7 @@
 //! - the plan is world-agreed: every rank of a grid derives bitwise the
 //!   same entry before anything executes under it;
 //! - a tuned plan is a pure reschedule: solving under `apply_plan` +
-//!   measured hook is bitwise identical to hand-pinning the same knobs;
+//!   the entry as hook is bitwise identical to hand-pinning the same knobs;
 //! - the DB actually short-circuits work: a warm solve replays the stored
 //!   plan with *zero* `tune` trial spans in its trace, and lands on bitwise
 //!   the same answer as the cold solve that measured it.
@@ -19,13 +19,13 @@ mod common;
 
 use std::sync::Arc;
 
-use chase_comm::{run_grid, GridShape, Reduce, TraceHook, TuneAlgo, TuneOp};
-use chase_core::{try_solve_dist, ChaseResult, DistHerm, Params, PrecisionMode};
+use chase_comm::{run_grid, GridShape, Reduce, TuneAlgo, TuneOp};
+use chase_core::{solve_dist, ChaseResult, DistHerm, Params, PrecisionMode};
 use chase_device::CollectiveAlgo;
 use chase_linalg::{Scalar, C64};
-use chase_trace::{TraceEvent, TraceRecorder};
+use chase_trace::TraceEvent;
 use chase_tune::{
-    plan_from_entry, plan_key, tune_entry, CollRule, DbError, MeasuredHook, PlanDb, PlanEntry,
+    plan_key, solve_grid, tune_entry, CollRule, DbError, GridRun, PlanChoice, PlanDb, PlanEntry,
     PlanKey, TuneOptions, DB_FORMAT, DB_VERSION,
 };
 use common::{expect_all_ok, params, problem};
@@ -232,7 +232,8 @@ fn tuned_cost_never_exceeds_flat_and_ranks_agree() {
 // Plans are pure reschedules: tuned solve == manually-pinned solve, bitwise.
 // ---------------------------------------------------------------------------
 
-/// Solve with the measured hook installed, under the given params.
+/// Solve with the measured hook installed by hand, under the given params:
+/// the reference the driver's plan application is compared against.
 fn solve_hooked(
     h: &chase_linalg::Matrix<C64>,
     p: &Params,
@@ -240,8 +241,8 @@ fn solve_hooked(
     entry: &PlanEntry,
 ) -> Vec<ChaseResult<C64>> {
     let out = run_grid(shape, move |ctx| {
-        ctx.set_tune_hook(Some(Arc::new(MeasuredHook::new(entry.clone()))));
-        let r = try_solve_dist(
+        ctx.set_tune_hook(Some(Arc::new(entry.clone())));
+        let r = solve_dist(
             ctx,
             chase_device::Backend::Nccl,
             DistHerm::from_global(h, ctx),
@@ -265,8 +266,14 @@ fn tuned_solve_is_bitwise_equal_to_manual_pinning() {
     // measured plan, provenance attached.
     let mut pa = params(6, 4, 1e-9);
     pa.precision = PrecisionMode::Auto;
-    pa.apply_plan(&plan_from_entry(&entry));
-    let a = solve_hooked(&h, &pa, shape, &entry);
+    let stored = PlanChoice::Hit(entry.clone());
+    let run = GridRun {
+        plan: Some(&stored),
+        ..GridRun::new(shape)
+    };
+    let a = solve_grid(&h, &pa, &run)
+        .into_solved()
+        .expect("planned solve");
     assert!(
         a[0].plan.is_some(),
         "plan provenance missing from the result"
@@ -296,9 +303,9 @@ fn tuned_solve_is_bitwise_equal_to_manual_pinning() {
 // The DB short-circuits measurement: warm solves run zero tune trials.
 // ---------------------------------------------------------------------------
 
-/// One cold-or-warm solve against `db`, mirroring the scheduler's
-/// plan-then-execute flow: the hit/miss decision is taken *once* before the
-/// SPMD region, trials (on a miss) run inside it under a trace recorder.
+/// One cold-or-warm solve against `db`, the way the scheduler and the CLI
+/// do it: the hit/miss decision is taken *once* before the SPMD region,
+/// trials (on a miss) run inside it under the solve's trace recorder.
 /// Returns every rank's result and the total `tune` span count.
 fn solve_against_db(
     h: &chase_linalg::Matrix<C64>,
@@ -306,42 +313,39 @@ fn solve_against_db(
     db: &mut PlanDb,
 ) -> (Vec<ChaseResult<C64>>, usize) {
     let opts = TuneOptions::deterministic();
-    let key = plan_key::<C64>(&opts.machine, shape.p, shape.q, h.rows(), 6, 4);
-    let cached = db.get(&key).cloned();
-    let (cached_ref, opts_ref) = (&cached, &opts);
-    let out = run_grid(shape, move |ctx| {
-        let rec = Arc::new(TraceRecorder::new(ctx.world_rank()));
-        ctx.set_trace_hook(Some(rec.clone() as Arc<dyn TraceHook>));
-        let mut dh = DistHerm::from_global(h, ctx);
-        let entry = match cached_ref {
-            Some(e) => e.clone(),
-            None => tune_entry(ctx, &mut dh, 6, 4, opts_ref).entry,
-        };
-        let mut p = params(6, 4, 1e-9);
-        p.precision = PrecisionMode::Auto;
-        p.apply_plan(&plan_from_entry(&entry));
-        ctx.set_tune_hook(Some(Arc::new(MeasuredHook::new(entry.clone()))));
-        let r = try_solve_dist(ctx, chase_device::Backend::Nccl, dh, &p, None);
-        ctx.set_tune_hook(None);
-        ctx.set_trace_hook(None);
-        (r, rec.finish(), entry)
-    });
-    let mut results = Vec::new();
-    let mut spans = 0usize;
-    let mut fresh = None;
-    for (rank, (r, trace, entry)) in out.results.into_iter().enumerate() {
-        results.push(r.unwrap_or_else(|e| panic!("rank {rank}: {e}")));
-        spans += trace
-            .events
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::SpanBegin { name, .. } if name == "tune"))
-            .count();
-        fresh = Some(entry);
+    let plan = PlanChoice::lookup::<C64>(db, &opts, shape, h.rows(), 6, 4);
+    let mut p = params(6, 4, 1e-9);
+    p.precision = PrecisionMode::Auto;
+    let run = GridRun {
+        trace: true,
+        plan: Some(&plan),
+        ..GridRun::new(shape)
+    };
+    let mut out = solve_grid(h, &p, &run);
+    let trace = out.trace.take().expect("the run was traced");
+    let spans = trace
+        .ranks
+        .iter()
+        .flat_map(|r| &r.events)
+        .filter(|e| matches!(e, TraceEvent::SpanBegin { name, .. } if name == "tune"))
+        .count();
+    let tuned = out.tuned.take().expect("the run had a plan");
+    if matches!(plan, PlanChoice::Tune(_)) {
+        // The trials sit inside the solve's own trace, before its `solve` span.
+        for r in &trace.ranks {
+            let first = |span: &str| {
+                r.events
+                    .iter()
+                    .position(|e| matches!(e, TraceEvent::SpanBegin { name, .. } if name == span))
+                    .unwrap_or_else(|| panic!("rank {}: no `{span}` span", r.rank))
+            };
+            assert!(first("tune") < first("solve"), "rank {}", r.rank);
+        }
+        db.insert(tuned.entry);
+    } else {
+        assert!(tuned.residuals.is_empty(), "a hit measures nothing");
     }
-    if cached.is_none() {
-        db.insert(fresh.expect("at least one rank"));
-    }
-    (results, spans)
+    (out.into_solved().expect("solve against the db"), spans)
 }
 
 #[test]
