@@ -148,13 +148,12 @@ pub fn householder_qr_dist<T: Scalar>(
     x: &mut Matrix<T>,
     dist: &RowDist,
 ) {
-    let full = if comm.size() == 1 {
-        x.clone()
+    let q = if comm.size() == 1 {
+        dev.hhqr_q(x)
     } else {
         let gathered = dev.allgather(comm, x.as_slice());
-        dist.assemble(&gathered, x.cols())
+        dev.hhqr_q(&dist.assemble(&gathered, x.cols()))
     };
-    let q = dev.hhqr_q(&full);
     let my = &dist.parts[comm.rank()];
     *x = q.select_rows(my.iter());
 }
@@ -215,7 +214,8 @@ pub fn qr_ladder<T: Scalar + Reduce>(
     let mut variant = ladder_start(est_cond, strategy);
     // The fallible rungs mutate x in place (TRSM); keep the filtered block
     // so each escalation refactors the original, not a half-solved wreck.
-    let backup = x.clone();
+    // Householder QR cannot fail, so a ladder that starts there keeps none.
+    let backup = (variant != QrVariant::Householder).then(|| x.clone());
     loop {
         let outcome = match variant {
             QrVariant::CholeskyQr1 => cholesky_qr(dev, comm, x, 1),
@@ -239,6 +239,7 @@ pub fn qr_ladder<T: Scalar + Reduce>(
                     variant,
                     error: Some(e),
                 });
+                let backup = backup.as_ref().expect("every fallible rung has a backup");
                 x.as_mut_slice().copy_from_slice(backup.as_slice());
                 variant = next_rung(variant).expect("Householder QR cannot break down");
             }

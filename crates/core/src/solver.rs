@@ -437,8 +437,9 @@ where
             self.c.cols_mut(self.locked..ne),
         );
         // C2 mirrors C on the active part; refresh B2 for the residuals.
-        let act_block = self.c.copy_cols(self.locked..ne);
-        self.c2.set_cols(self.locked, &act_block);
+        self.c2
+            .cols_mut(self.locked..ne)
+            .copy_from(self.c.cols_ref(self.locked..ne));
         self.update_b2();
         Ok(vals)
     }
@@ -457,11 +458,8 @@ where
         for k in 0..act {
             let j = self.locked + k;
             let lambda = self.ritzv[j];
-            let (bj, b2j) = {
-                let b2col = self.b2.col(j).to_vec();
-                (self.b.col_mut(j), b2col)
-            };
-            for (x, y) in bj.iter_mut().zip(&b2j) {
+            let (bj, b2j) = (self.b.col_mut(j), self.b2.col(j));
+            for (x, y) in bj.iter_mut().zip(b2j) {
                 *x -= y.scale(lambda);
             }
             nrm.push(chase_linalg::blas1::nrm2_sqr(bj));
@@ -579,9 +577,8 @@ where
         self.h_times_c(0, nev);
         let mut nrm: Vec<T::Real> = Vec::with_capacity(nev);
         for (k, &lambda) in ritz.iter().enumerate().take(nev) {
-            let b2col = self.b2.col(k).to_vec();
-            let bk = self.b.col_mut(k);
-            for (x, y) in bk.iter_mut().zip(&b2col) {
+            let (bk, b2k) = (self.b.col_mut(k), self.b2.col(k));
+            for (x, y) in bk.iter_mut().zip(b2k) {
                 *x -= y.scale(lambda);
             }
             nrm.push(chase_linalg::blas1::nrm2_sqr(bk));
@@ -964,12 +961,12 @@ where
                 }
             }
             // Line 13: restore exact locked vectors, refresh C2's active part.
-            if self.locked > 0 {
-                let locked_block = self.c2.copy_cols(0..self.locked);
-                self.c.set_cols(0, &locked_block);
-            }
-            let act_block = self.c.copy_cols(self.locked..ne);
-            self.c2.set_cols(self.locked, &act_block);
+            self.c
+                .cols_mut(0..self.locked)
+                .copy_from(self.c2.cols_ref(0..self.locked));
+            self.c2
+                .cols_mut(self.locked..ne)
+                .copy_from(self.c.cols_ref(self.locked..ne));
 
             // --- Rayleigh-Ritz (lines 14-20) + residuals (21-25), guarded ---
             let mut regression: Option<(usize, u64)> = None;

@@ -31,11 +31,18 @@
 //! one source — portably and with AVX2 enabled, chosen per call by run-time
 //! detection — and both give the same bits: wider vectors yes, fused
 //! multiply-add and re-association never.
+//!
+//! One loop nest, three more callers: [`gram`], [`trsm_right_upper`] and
+//! `potrf_upper` run their BLAS-3 part through the same nest and microkernel
+//! as [`gemm`], each with its own [`Fold`] (which terms, added or
+//! subtracted, which tiles) and each bit for bit the scalar sweep it
+//! replaced.
 
 use crate::matrix::{ColsMut, ColsRef, Matrix};
 use crate::scalar::Scalar;
 use std::any::Any;
 use std::cell::RefCell;
+use std::ops::Range;
 
 /// Transpose operation applied to a GEMM operand.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -119,6 +126,13 @@ impl<'a, T: Scalar> Prepacked<'a, T> {
             k,
             panels: None,
         }
+    }
+
+    /// Only the first `k` columns of `op(A)`: the terms `l < k` of the fold.
+    fn first_k(mut self, k: usize) -> Self {
+        assert!(k <= self.k, "first_k: op(A) has only {} columns", self.k);
+        self.k = k;
+        self
     }
 
     /// Rows of `op(A)`.
@@ -227,15 +241,33 @@ fn pack_a_block<T: Scalar, const MR: usize>(
     }
 }
 
-/// Pack `s = alpha * op(B)[l, j]` for the `kc x nc` block at `(pc, jc)`
-/// into `NR`-column micro-panels (same plane layout as `op(A)`), and flag
-/// in `skip` each `l` of each panel where some `s` is zero: those terms are
-/// skipped, so the microkernel takes its per-column path for that `l`.
-/// Columns past `nc` are zero and unflagged; they feed tile columns that
-/// are never stored.
+/// What one pass of the loop nest folds into `C`, beyond the operands: all
+/// that differs between [`gemm`] and the three CholeskyQR kernels.
+#[derive(Clone, Copy)]
+struct Fold<T> {
+    /// `s = alpha * op(B)[l, j]`; `None` takes `op(B)[l, j]` as stored (for
+    /// complex `T`, `1 * s` is not `s` when a part is `-0`, `inf` or `NaN`).
+    alpha: Option<T>,
+    /// Skip the terms whose `s` is zero.
+    skip_zeros: bool,
+    /// `C[i, j] -= s * a` instead of `+=`. Not done by packing `-s`: for
+    /// complex `T` a component whose two products cancel is `+0` either
+    /// way, so `C + (-s) * a` and `C - s * a` differ in the sign of a zero.
+    subtract: bool,
+    /// Visit only the tiles that hold an entry on or above `C`'s diagonal.
+    upper: bool,
+}
+
+/// Pack the fold's `s` (`alpha * op(B)[l, j]`, or `op(B)[l, j]` as stored)
+/// for the `kc x nc` block at `(pc, jc)` into `NR`-column micro-panels (same
+/// plane layout as `op(A)`), and, if the fold skips zeros, flag in `skip`
+/// each `l` of each panel where some `s` is zero: those terms are skipped,
+/// so the microkernel takes its per-column path for that `l`. Columns past
+/// `nc` are zero and unflagged; they feed tile columns that are never
+/// stored.
 fn pack_b_block<T: Scalar, const NR: usize>(
     opb: Op,
-    alpha: T,
+    fold: Fold<T>,
     b: ColsRef<'_, T>,
     (pc, kc): (usize, usize),
     (jc, nc): (usize, usize),
@@ -256,17 +288,17 @@ fn pack_b_block<T: Scalar, const NR: usize>(
         skip.fill(false);
         for jj in 0..nr {
             for (l, (dst, skip)) in panel.chunks_exact_mut(p * NR).zip(&mut *skip).enumerate() {
-                let s = alpha
-                    * match opb {
-                        Op::None => b.at(pc + l, j0 + jj),
-                        Op::Trans => b.at(j0 + jj, pc + l),
-                        Op::ConjTrans => b.at(j0 + jj, pc + l).conj(),
-                    };
+                let stored = match opb {
+                    Op::None => b.at(pc + l, j0 + jj),
+                    Op::Trans => b.at(j0 + jj, pc + l),
+                    Op::ConjTrans => b.at(j0 + jj, pc + l).conj(),
+                };
+                let s = fold.alpha.map_or(stored, |alpha| alpha * stored);
                 dst[jj] = s.re();
                 if T::IS_COMPLEX {
                     dst[NR + jj] = s.im();
                 }
-                *skip |= s == T::zero();
+                *skip |= fold.skip_zeros && s == T::zero();
             }
         }
     }
@@ -279,10 +311,11 @@ struct Tile<R, const MR: usize, const NR: usize> {
     im: [[R; MR]; NR],
 }
 
-/// `tile[j][i] += sum_l s[l, j] * a[i, l]` over one micro-panel pair, `l`
-/// ascending, with the accumulators in registers across the whole loop.
+/// `tile[j][i] += s[l, j] * a[i, l]` (`-=` for `SUB`) over one micro-panel
+/// pair, `l` ascending, with the accumulators in registers across the whole
+/// loop.
 #[inline(always)]
-fn microkernel_body<T: Scalar, const MR: usize, const NR: usize>(
+fn microkernel_body<T: Scalar, const MR: usize, const NR: usize, const SUB: bool>(
     ap: &[T::Real],
     bp: &[T::Real],
     skip: &[bool],
@@ -291,6 +324,7 @@ fn microkernel_body<T: Scalar, const MR: usize, const NR: usize>(
     let p = planes::<T>();
     let zero = <T::Real as Scalar>::zero();
     let (mut cre, mut cim) = (tile.re, tile.im);
+    let fold = |c: &mut T::Real, term: T::Real| if SUB { *c -= term } else { *c += term };
     let terms = ap
         .chunks_exact(p * MR)
         .zip(bp.chunks_exact(p * NR))
@@ -308,10 +342,10 @@ fn microkernel_body<T: Scalar, const MR: usize, const NR: usize>(
             }
             for i in 0..MR {
                 if T::IS_COMPLEX {
-                    cre[j][i] += sre[j] * are[i] - sim[j] * aim[i];
-                    cim[j][i] += sre[j] * aim[i] + sim[j] * are[i];
+                    fold(&mut cre[j][i], sre[j] * are[i] - sim[j] * aim[i]);
+                    fold(&mut cim[j][i], sre[j] * aim[i] + sim[j] * are[i]);
                 } else {
-                    cre[j][i] += sre[j] * are[i];
+                    fold(&mut cre[j][i], sre[j] * are[i]);
                 }
             }
         }
@@ -328,9 +362,14 @@ fn microkernel<T: Scalar, const MR: usize, const NR: usize>(
     ap: &[T::Real],
     bp: &[T::Real],
     skip: &[bool],
+    subtract: bool,
     tile: &mut Tile<T::Real, MR, NR>,
 ) {
-    microkernel_body::<T, MR, NR>(ap, bp, skip, tile);
+    if subtract {
+        microkernel_body::<T, MR, NR, true>(ap, bp, skip, tile);
+    } else {
+        microkernel_body::<T, MR, NR, false>(ap, bp, skip, tile);
+    }
 }
 
 /// The same source compiled with AVX2 enabled: 256-bit lanes, the same
@@ -342,9 +381,14 @@ fn microkernel_avx2<T: Scalar, const MR: usize, const NR: usize>(
     ap: &[T::Real],
     bp: &[T::Real],
     skip: &[bool],
+    subtract: bool,
     tile: &mut Tile<T::Real, MR, NR>,
 ) {
-    microkernel_body::<T, MR, NR>(ap, bp, skip, tile);
+    if subtract {
+        microkernel_body::<T, MR, NR, true>(ap, bp, skip, tile);
+    } else {
+        microkernel_body::<T, MR, NR, false>(ap, bp, skip, tile);
+    }
 }
 
 /// One thread's pack buffers for one real type.
@@ -386,16 +430,16 @@ fn first_n<V: Copy>(buf: &mut Vec<V>, len: usize, fill: V) -> &mut [V] {
     &mut buf[..len]
 }
 
-/// The loop nest of the module header: `C += alpha * op(A) * op(B)` on a
-/// `C` that already holds `beta * C`.
+/// The loop nest of the module header: `C (+|-)= op(A) * s` for the fold's
+/// `s`, on a `C` that already holds its starting value.
 fn gemm_blocked<T: Scalar, const MR: usize, const NR: usize>(
+    fold: Fold<T>,
     a: &Prepacked<'_, T>,
     opb: Op,
-    alpha: T,
     b: ColsRef<'_, T>,
     c: &mut [T],
     scratch: &mut Scratch<T::Real>,
-    kernel: impl Fn(&[T::Real], &[T::Real], &[bool], &mut Tile<T::Real, MR, NR>),
+    kernel: impl Fn(&[T::Real], &[T::Real], &[bool], bool, &mut Tile<T::Real, MR, NR>),
 ) {
     const {
         assert!(
@@ -409,12 +453,14 @@ fn gemm_blocked<T: Scalar, const MR: usize, const NR: usize>(
     let zero = <T::Real as Scalar>::zero();
     for jc in (0..n).step_by(NC) {
         let nc = NC.min(n - jc);
+        // Row blocks and tiles wholly below the diagonal are not visited.
+        let m_used = if fold.upper { m.min(jc + nc) } else { m };
         for pc in (0..k).step_by(KC) {
             let kc = KC.min(k - pc);
             let b_block = first_n(&mut scratch.b, p * kc * nc.next_multiple_of(NR), zero);
             let skip = first_n(&mut scratch.skip, kc * nc.div_ceil(NR), false);
-            pack_b_block::<T, NR>(opb, alpha, b, (pc, kc), (jc, nc), b_block, skip);
-            for ic in (0..m).step_by(MC) {
+            pack_b_block::<T, NR>(opb, fold, b, (pc, kc), (jc, nc), b_block, skip);
+            for ic in (0..m_used).step_by(MC) {
                 let mc = MC.min(m - ic);
                 let (off, len) = a_block_span::<T, MR>(m, (pc, kc), (ic, mc));
                 let a_block: &[T::Real] = match &a.panels {
@@ -431,6 +477,9 @@ fn gemm_blocked<T: Scalar, const MR: usize, const NR: usize>(
                     let nr = NR.min(jc + nc - j0);
                     for (ip, ap) in a_block.chunks_exact(kc * p * MR).enumerate() {
                         let i0 = ic + ip * MR;
+                        if fold.upper && i0 >= j0 + nr {
+                            break;
+                        }
                         let mr = MR.min(ic + mc - i0);
                         let mut tile = Tile {
                             re: [[zero; MR]; NR],
@@ -443,7 +492,7 @@ fn gemm_blocked<T: Scalar, const MR: usize, const NR: usize>(
                                 tile.im[j][i] = v.im();
                             }
                         }
-                        kernel(ap, bp, skip, &mut tile);
+                        kernel(ap, bp, skip, fold.subtract, &mut tile);
                         for j in 0..nr {
                             let at = (j0 + j) * m + i0;
                             for (i, v) in c[at..at + mr].iter_mut().enumerate() {
@@ -455,6 +504,56 @@ fn gemm_blocked<T: Scalar, const MR: usize, const NR: usize>(
             }
         }
     }
+}
+
+thread_local! {
+    /// Tests set this to run the portable instantiation on an AVX2 machine.
+    #[cfg(test)]
+    static PORTABLE_ONLY: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+#[cfg(target_arch = "x86_64")]
+fn portable_only() -> bool {
+    #[cfg(test)]
+    return PORTABLE_ONLY.get();
+    #[cfg(not(test))]
+    false
+}
+
+/// `C (+|-)= op(A) * s` for the fold's `s` from `op(B)[..k, :]`, `k` the
+/// columns of `op(A)`: the loop nest on this thread's pack buffers, with the
+/// widest microkernel instantiation this CPU runs.
+fn fold_into<T: Scalar>(
+    fold: Fold<T>,
+    a: &Prepacked<'_, T>,
+    opb: Op,
+    b: ColsRef<'_, T>,
+    mut c: ColsMut<'_, T>,
+) {
+    let (kb, n) = op_shape(opb, b);
+    assert!(a.k <= kb, "fold: op(B) has {kb} rows, fewer than {}", a.k);
+    assert_eq!(c.rows(), a.m, "fold: C row mismatch");
+    assert_eq!(c.cols(), n, "fold: C col mismatch");
+    // Degenerate shapes: a rank can own zero rows/columns under extreme
+    // block-cyclic configurations.
+    if a.m == 0 || n == 0 {
+        return;
+    }
+    let c = c.as_mut_slice();
+    with_scratch::<T::Real, _>(|scratch| {
+        with_tile!(T, MR, NR => {
+            #[cfg(target_arch = "x86_64")]
+            if !portable_only() && std::arch::is_x86_feature_detected!("avx2") {
+                return gemm_blocked::<T, MR, NR>(fold, a, opb, b, c, scratch, |ap, bp, skip, sub, tile| {
+                    // SAFETY: this closure exists only on the branch where the
+                    // CPU was just seen to support AVX2, the one requirement
+                    // of the `#[target_feature]` function it calls.
+                    unsafe { microkernel_avx2::<T, MR, NR>(ap, bp, skip, sub, tile) }
+                });
+            }
+            gemm_blocked::<T, MR, NR>(fold, a, opb, b, c, scratch, microkernel::<T, MR, NR>)
+        })
+    });
 }
 
 /// General matrix-matrix multiply: `C = alpha * op(A) * op(B) + beta * C`.
@@ -495,55 +594,24 @@ pub fn gemm_prepacked<T: Scalar>(
     alpha: T,
     b: ColsRef<'_, T>,
     beta: T,
-    c: ColsMut<'_, T>,
-) {
-    gemm_on(true, a, opb, alpha, b, beta, c);
-}
-
-/// [`gemm_prepacked`] with the AVX2 instantiation allowed or not (tests
-/// compare the two).
-#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
-fn gemm_on<T: Scalar>(
-    allow_avx2: bool,
-    a: &Prepacked<'_, T>,
-    opb: Op,
-    alpha: T,
-    b: ColsRef<'_, T>,
-    beta: T,
     mut c: ColsMut<'_, T>,
 ) {
-    let (m, k) = (a.m, a.k);
-    let (kb, n) = op_shape(opb, b);
+    let (k, kb) = (a.k, op_shape(opb, b).0);
     assert_eq!(k, kb, "gemm: inner dimensions differ ({k} vs {kb})");
-    assert_eq!(c.rows(), m, "gemm: C row mismatch");
-    assert_eq!(c.cols(), n, "gemm: C col mismatch");
-    // Degenerate shapes: a rank can own zero rows/columns under extreme
-    // block-cyclic configurations.
-    if m == 0 || n == 0 {
-        return;
-    }
-    let c = c.as_mut_slice();
     if beta == T::zero() {
-        c.fill(T::zero());
+        c.as_mut_slice().fill(T::zero());
     } else if beta != T::one() {
-        for v in c.iter_mut() {
+        for v in c.as_mut_slice() {
             *v *= beta;
         }
     }
-    with_scratch::<T::Real, _>(|scratch| {
-        with_tile!(T, MR, NR => {
-            #[cfg(target_arch = "x86_64")]
-            if allow_avx2 && std::arch::is_x86_feature_detected!("avx2") {
-                return gemm_blocked::<T, MR, NR>(a, opb, alpha, b, c, scratch, |ap, bp, skip, tile| {
-                    // SAFETY: this closure exists only on the branch where the
-                    // CPU was just seen to support AVX2, the one requirement
-                    // of the `#[target_feature]` function it calls.
-                    unsafe { microkernel_avx2::<T, MR, NR>(ap, bp, skip, tile) }
-                });
-            }
-            gemm_blocked::<T, MR, NR>(a, opb, alpha, b, c, scratch, microkernel::<T, MR, NR>)
-        })
-    });
+    let fold = Fold {
+        alpha: Some(alpha),
+        skip_zeros: true,
+        subtract: false,
+        upper: false,
+    };
+    fold_into(fold, a, opb, b, c);
 }
 
 /// Convenience: `C = op(A) * op(B)` into a fresh matrix.
@@ -565,55 +633,104 @@ pub fn gemm_new<T: Scalar>(opa: Op, opb: Op, a: &Matrix<T>, b: &Matrix<T>) -> Ma
 
 /// Gram matrix `X^H X` (the SYRK/HERK of Algorithm 3, line 3).
 ///
-/// Only the upper triangle is computed by dot products; the lower triangle is
-/// mirrored so downstream kernels can treat the result as a full matrix.
+/// Bit for bit a `dotc` sweep: for `i <= j`, `G[i, j]` starts at `0` and
+/// takes `conj(X[l, i]) * X[l, j]` for `l = 0, 1, ...` in that order, each
+/// product rounded as in [`gemm`] before its add and *no* term skipped — a
+/// `NaN`/`inf` in `X` reaches every entry of its row and column of `G`, zero
+/// partner or not, which is what the CholeskyQR finite-Gram guard reads.
+/// Computed by the [`gemm`] loop nest as `ConjTrans x None` over the tiles on
+/// or above the diagonal; the lower triangle is mirrored (`conj`) so
+/// downstream kernels can treat the result as a full matrix, and the diagonal
+/// is made exactly real (the imaginary part of `x^H x` is pure round-off and
+/// breaks POTRF's sqrt).
 pub fn gram<T: Scalar>(x: ColsRef<'_, T>) -> Matrix<T> {
     let n = x.cols();
     let mut g = Matrix::zeros(n, n);
+    let fold = Fold {
+        alpha: None,
+        skip_zeros: false,
+        subtract: false,
+        upper: true,
+    };
+    let xh = Prepacked::borrowed(Op::ConjTrans, x);
+    fold_into(fold, &xh, Op::None, x, g.as_mut());
     for j in 0..n {
-        for i in 0..=j {
-            let v = crate::blas1::dotc(x.col(i), x.col(j));
-            g[(i, j)] = v;
-            if i != j {
-                g[(j, i)] = v.conj();
-            } else {
-                // Force an exactly real diagonal: the imaginary part of
-                // x^H x is pure round-off and breaks POTRF's sqrt.
-                g[(i, j)] = T::from_real(v.re());
-            }
+        for i in 0..j {
+            g[(j, i)] = g[(i, j)].conj();
         }
+        g[(j, j)] = T::from_real(g[(j, j)].re());
     }
     g
 }
 
+/// Width of the column (row) blocks [`trsm_right_upper`] (`potrf_upper`)
+/// works in: the terms from outside a block go through the loop nest, the
+/// `PANEL^2 / 2` per row (column) inside it stay scalar. A whole number of
+/// micro-panels for every scalar type.
+pub(crate) const PANEL: usize = 16;
+
 /// Triangular solve from the right with an upper-triangular factor:
 /// `X := X * R^{-1}` (the TRSM of Algorithm 3, line 6).
+///
+/// Bit for bit the column sweep: `X[i, j]` takes `-= R[l, j] * X[i, l]` for
+/// `l = 0, ..., j-1` in that order against the finished columns `l` (terms
+/// with `R[l, j] == 0` skipped, products rounded as in [`gemm`]), then
+/// `*= 1 / R[j, j]`. Columns go in blocks of [`PANEL`]: the terms `l` left of
+/// a block are one pass of the [`gemm`] loop nest, subtracting, the few
+/// inside it the scalar sweep.
 pub fn trsm_right_upper<T: Scalar>(mut x: ColsMut<'_, T>, r: &Matrix<T>) {
     let n = x.cols();
     assert_eq!(r.rows(), n);
     assert_eq!(r.cols(), n);
     let m = x.rows();
     let data = x.as_mut_slice();
-    for j in 0..n {
-        // x_j -= sum_{l<j} x_l * R[l, j]
-        for l in 0..j {
-            let s = r[(l, j)];
-            if s != T::zero() {
-                let (lo, hi) = data.split_at_mut(j * m);
-                let xl = &lo[l * m..(l + 1) * m];
-                let xj = &mut hi[..m];
-                for (a, b) in xj.iter_mut().zip(xl) {
-                    *a -= s * *b;
+    let fold = Fold {
+        alpha: None,
+        skip_zeros: true,
+        subtract: true,
+        upper: false,
+    };
+    for j0 in (0..n).step_by(PANEL) {
+        let j1 = (j0 + PANEL).min(n);
+        let (solved, rest) = data.split_at_mut(j0 * m);
+        let solved = Prepacked::borrowed(Op::None, ColsRef::new(solved, m, j0));
+        let block = ColsMut::new(&mut rest[..(j1 - j0) * m], m, j1 - j0);
+        fold_into(fold, &solved, Op::None, r.cols_ref(j0..j1), block);
+        for j in j0..j1 {
+            for l in j0..j {
+                let s = r[(l, j)];
+                if s != T::zero() {
+                    let (lo, hi) = data.split_at_mut(j * m);
+                    let xl = &lo[l * m..(l + 1) * m];
+                    let xj = &mut hi[..m];
+                    for (a, b) in xj.iter_mut().zip(xl) {
+                        *a -= s * *b;
+                    }
                 }
             }
-        }
-        let d = r[(j, j)];
-        assert_ne!(d, T::zero(), "trsm: singular triangular factor at {j}");
-        let inv = T::one() / d;
-        for a in &mut data[j * m..(j + 1) * m] {
-            *a *= inv;
+            let d = r[(j, j)];
+            assert_ne!(d, T::zero(), "trsm: singular triangular factor at {j}");
+            let inv = T::one() / d;
+            for a in &mut data[j * m..(j + 1) * m] {
+                *a *= inv;
+            }
         }
     }
+}
+
+/// `W -= U[..k0, rows]^H * U[..k0, k0..]` with `k0 = rows.start`, no term
+/// skipped: what the finished rows `..k0` of the factor contribute to the
+/// row block `rows` in `potrf_upper`, through the [`gemm`] loop nest.
+pub(crate) fn sub_finished_rows<T: Scalar>(u: &Matrix<T>, rows: Range<usize>, w: ColsMut<'_, T>) {
+    let k0 = rows.start;
+    let fold = Fold {
+        alpha: None,
+        skip_zeros: false,
+        subtract: true,
+        upper: false,
+    };
+    let uh = Prepacked::borrowed(Op::ConjTrans, u.cols_ref(rows)).first_k(k0);
+    fold_into(fold, &uh, Op::None, u.cols_ref(k0..u.cols()), w);
 }
 
 /// Matrix-vector product `y = alpha * op(A) * x + beta * y`.
@@ -649,9 +766,38 @@ pub fn gemv<T: Scalar>(op: Op, alpha: T, a: &Matrix<T>, x: &[T], beta: T, y: &mu
     }
 }
 
+/// Every bit of every entry; NaNs compare equal to each other (Rust leaves
+/// their sign and payload unspecified).
+#[cfg(test)]
+pub(crate) fn bits<T: Scalar>(m: &Matrix<T>) -> Vec<[u64; 2]> {
+    use crate::scalar::RealScalar;
+    let one = |x: T::Real| {
+        let x = x.to_f64(); // exact for f32, keeps the sign of zero
+        if x.is_nan() {
+            u64::MAX
+        } else {
+            x.to_bits()
+        }
+    };
+    m.as_slice()
+        .iter()
+        .map(|v| [one(v.re()), one(v.im())])
+        .collect()
+}
+
+/// Run `f` with the AVX2 microkernel switched off on this thread.
+#[cfg(test)]
+pub(crate) fn on_portable<O>(f: impl FnOnce() -> O) -> O {
+    PORTABLE_ONLY.set(true);
+    let out = f();
+    PORTABLE_ONLY.set(false);
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cholesky::potrf_upper;
     use crate::scalar::{RealScalar, C32, C64};
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
@@ -699,21 +845,47 @@ mod tests {
         }
     }
 
-    /// Every bit of every entry; NaNs compare equal to each other (Rust
-    /// leaves their sign and payload unspecified).
-    fn bits<T: Scalar>(m: &Matrix<T>) -> Vec<[u64; 2]> {
-        let one = |x: T::Real| {
-            let x = x.to_f64(); // exact for f32, keeps the sign of zero
-            if x.is_nan() {
-                u64::MAX
-            } else {
-                x.to_bits()
+    /// The fold contract on [`gram`], literally: the `dotc` sweep the blocked
+    /// kernel replaced.
+    fn gram_reference<T: Scalar>(x: ColsRef<'_, T>) -> Matrix<T> {
+        let n = x.cols();
+        let mut g = Matrix::zeros(n, n);
+        for j in 0..n {
+            for i in 0..=j {
+                let v = crate::blas1::dotc(x.col(i), x.col(j));
+                g[(i, j)] = v;
+                if i != j {
+                    g[(j, i)] = v.conj();
+                } else {
+                    g[(i, j)] = T::from_real(v.re());
+                }
             }
-        };
-        m.as_slice()
-            .iter()
-            .map(|v| [one(v.re()), one(v.im())])
-            .collect()
+        }
+        g
+    }
+
+    /// The fold contract on [`trsm_right_upper`], literally: the axpy sweep
+    /// the blocked kernel replaced, one column of `X` at a time.
+    fn trsm_reference<T: Scalar>(mut x: ColsMut<'_, T>, r: &Matrix<T>) {
+        let (m, n) = (x.rows(), x.cols());
+        let data = x.as_mut_slice();
+        for j in 0..n {
+            for l in 0..j {
+                let s = r[(l, j)];
+                if s != T::zero() {
+                    let (lo, hi) = data.split_at_mut(j * m);
+                    let xl = &lo[l * m..(l + 1) * m];
+                    let xj = &mut hi[..m];
+                    for (a, b) in xj.iter_mut().zip(xl) {
+                        *a -= s * *b;
+                    }
+                }
+            }
+            let inv = T::one() / r[(j, j)];
+            for a in &mut data[j * m..(j + 1) * m] {
+                *a *= inv;
+            }
+        }
     }
 
     /// `x` as stored so that `op(stored) == x`.
@@ -746,25 +918,17 @@ mod tests {
     ) -> (Matrix<T>, Matrix<T>) {
         let mut oa = Matrix::<T>::random(m, k, rng);
         let mut ob = Matrix::<T>::random(k, n, rng);
-        let signed_zero = |rng: &mut ChaCha8Rng| {
-            let z = T::zero();
-            if rng.gen::<f64>() < 0.5 {
-                -z
-            } else {
-                z
-            }
-        };
         for j in 0..n {
             for l in 0..k {
                 if rng.gen::<f64>() < 0.2 {
-                    ob[(l, j)] = signed_zero(rng);
+                    ob[(l, j)] = signed_zero::<T>(rng);
                 }
             }
         }
         if n > 0 {
             let j = rng.gen::<u64>() as usize % n;
             for l in 0..k {
-                ob[(l, j)] = signed_zero(rng);
+                ob[(l, j)] = signed_zero::<T>(rng);
             }
         }
         let nan = T::Real::from_f64_r(f64::NAN);
@@ -772,7 +936,7 @@ mod tests {
         for l in 0..k {
             if rng.gen::<f64>() < 0.15 {
                 for j in 0..n {
-                    ob[(l, j)] = signed_zero(rng);
+                    ob[(l, j)] = signed_zero::<T>(rng);
                 }
                 for i in 0..m {
                     if rng.gen::<f64>() < 0.5 {
@@ -833,11 +997,111 @@ mod tests {
         }
     }
 
+    /// `+0.0` or `-0.0` (both parts).
+    fn signed_zero<T: Scalar>(rng: &mut ChaCha8Rng) -> T {
+        if rng.gen::<f64>() < 0.5 {
+            -T::zero()
+        } else {
+            T::zero()
+        }
+    }
+
+    /// A random block with scattered signed zeros and some all-zero rows.
+    fn block_with_zeros<T: Scalar>(m: usize, n: usize, rng: &mut ChaCha8Rng) -> Matrix<T> {
+        let mut x = Matrix::<T>::random(m, n, rng);
+        for i in 0..m {
+            let zero_row = rng.gen::<f64>() < 0.1;
+            for j in 0..n {
+                if zero_row || rng.gen::<f64>() < 0.15 {
+                    x[(i, j)] = signed_zero(rng);
+                }
+            }
+        }
+        x
+    }
+
+    /// [`gram`] against the `dotc` sweep, bit for bit. With `poison`, a few
+    /// `NaN`/`inf` entries of `X` sit in rows where another column holds an
+    /// exact zero: the sweep lets them through to that pair's Gram entry,
+    /// and so must the kernel (no zero shielding here).
+    fn check_gram_contract<T: Scalar>((m, n): (usize, usize), poison: bool, seed: u64) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut x = block_with_zeros::<T>(m, n, &mut rng);
+        let what = format!("{} {m}x{n} seed {seed}", std::any::type_name::<T>());
+        let mut reached = Vec::new();
+        if poison && m > 0 && n > 1 {
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let r = rng.gen::<u64>() as usize % m;
+                let c = rng.gen::<u64>() as usize % n;
+                let partner = (c + 1 + rng.gen::<u64>() as usize % (n - 1)) % n;
+                x[(r, c)] = T::from_real(T::Real::from_f64_r(bad));
+                x[(r, partner)] = signed_zero(&mut rng);
+                reached.push((c.min(partner), c.max(partner)));
+            }
+        }
+        let want = gram_reference(x.as_ref());
+        for at in reached {
+            assert!(!want[at].is_finite(), "{what}: sweep shielded {at:?}");
+        }
+        assert_eq!(bits(&gram(x.as_ref())), bits(&want), "{what}: gram");
+    }
+
+    /// An upper-triangular factor for the TRSM contract: nonzero diagonal,
+    /// scattered signed zeros and one all-zero column above it (skipped
+    /// terms), `NaN` below it (never read).
+    fn contract_factor<T: Scalar>(n: usize, rng: &mut ChaCha8Rng) -> Matrix<T> {
+        let mut r = Matrix::<T>::random(n, n, rng);
+        let zero_col = rng.gen::<u64>() as usize % n.max(1);
+        for j in 0..n {
+            for i in 0..n {
+                if i > j {
+                    r[(i, j)] = T::from_real(T::Real::from_f64_r(f64::NAN));
+                } else if i == j {
+                    // Away from zero whatever the draw.
+                    let push = if r[(i, j)].re() < T::zero().re() {
+                        -2.0
+                    } else {
+                        2.0
+                    };
+                    r[(i, j)] += T::from_f64(push);
+                } else if j == zero_col || rng.gen::<f64>() < 0.2 {
+                    r[(i, j)] = signed_zero(rng);
+                }
+            }
+        }
+        r
+    }
+
+    /// [`trsm_right_upper`] against the axpy sweep, bit for bit. With
+    /// `poison`, `X` holds an `inf` and a `NaN` that zeros in `R` shield
+    /// from some columns and not from others.
+    fn check_trsm_contract<T: Scalar>((m, n): (usize, usize), poison: bool, seed: u64) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let r = contract_factor::<T>(n, &mut rng);
+        let mut x = block_with_zeros::<T>(m, n, &mut rng);
+        if poison && m * n > 0 {
+            for bad in [f64::NAN, f64::INFINITY] {
+                let at = (rng.gen::<u64>() as usize % m, rng.gen::<u64>() as usize % n);
+                x[at] = T::from_re_im(T::Real::from_f64_r(bad), T::Real::from_f64_r(1.0));
+            }
+        }
+        let mut want = x.clone();
+        trsm_reference(want.as_mut(), &r);
+        trsm_right_upper(x.as_mut(), &r);
+        let what = format!("{} {m}x{n} seed {seed}", std::any::type_name::<T>());
+        assert_eq!(bits(&x), bits(&want), "{what}: trsm");
+    }
+
     /// Sizes on both sides of every blocking constant (`MR` 4/16, `NR` 4/2,
     /// `MC`, `NC` 128, `KC` 256), the degenerate 0 and 1, ragged remainders.
     const M_SIZES: [usize; 14] = [0, 1, 3, 4, 5, 15, 16, 17, 33, 127, 128, 129, 133, 150];
     const K_SIZES: [usize; 10] = [0, 1, 2, 7, 64, 255, 256, 257, 301, 513];
     const N_SIZES: [usize; 12] = [0, 1, 2, 3, 4, 5, 9, 37, 127, 128, 129, 131];
+    /// Column counts of a CholeskyQR block: around `PANEL` 16 and its
+    /// multiples as well, and past `KC` (the TRSM's inner dimension).
+    const QR_COLS: [usize; 16] = [
+        0, 1, 2, 3, 5, 15, 16, 17, 31, 32, 33, 48, 129, 150, 257, 290,
+    ];
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(40))]
@@ -862,10 +1126,45 @@ mod tests {
             check_fold_contract::<C32>(dims, kinds, leak == 0, seed);
             check_fold_contract::<C64>(dims, kinds, leak == 0, seed);
         }
+
+        /// `gram` equals the `dotc` sweep bit for bit: rows (the inner
+        /// dimension, 0 for a rank that owns none) across `KC`, columns
+        /// across the tile, block and panel sizes, signed zeros, and
+        /// non-finite entries that a zero partner must not shield.
+        #[test]
+        fn gram_equals_dotc_fold_bitwise(
+            mi in 0usize..K_SIZES.len(),
+            ni in 0usize..QR_COLS.len() - 2,
+            poison in 0usize..2,
+            seed in 0u64..1 << 32,
+        ) {
+            let dims = (K_SIZES[mi], QR_COLS[ni]);
+            check_gram_contract::<f32>(dims, poison == 1, seed);
+            check_gram_contract::<f64>(dims, poison == 1, seed);
+            check_gram_contract::<C32>(dims, poison == 1, seed);
+            check_gram_contract::<C64>(dims, poison == 1, seed);
+        }
+
+        /// `trsm_right_upper` equals the axpy sweep bit for bit, zeros of
+        /// either sign in `R` skipped and `-0.0` in `X` kept.
+        #[test]
+        fn trsm_equals_reference_sweep_bitwise(
+            mi in 0usize..M_SIZES.len(),
+            ni in 0usize..QR_COLS.len(),
+            poison in 0usize..3,
+            seed in 0u64..1 << 32,
+        ) {
+            let dims = (M_SIZES[mi], QR_COLS[ni]);
+            check_trsm_contract::<f32>(dims, poison == 0, seed);
+            check_trsm_contract::<f64>(dims, poison == 0, seed);
+            check_trsm_contract::<C32>(dims, poison == 0, seed);
+            check_trsm_contract::<C64>(dims, poison == 0, seed);
+        }
     }
 
     /// Wider lanes, same IEEE operations, same bits: the AVX2 and portable
-    /// instantiations of the microkernel on identical inputs.
+    /// instantiations of the microkernel on identical inputs, through
+    /// `gemm` and through the three CholeskyQR kernels.
     #[test]
     fn avx2_and_portable_instantiations_agree_bitwise() {
         #[cfg(target_arch = "x86_64")]
@@ -877,24 +1176,30 @@ mod tests {
                 let alpha = T::sample_standard(&mut rng);
                 let beta = T::sample_standard(&mut rng);
                 let c0 = Matrix::<T>::random(m, n, &mut rng);
+                let what = format!("{} {dims:?}", std::any::type_name::<T>());
                 for opa in OPS {
                     let a = stored_for(opa, &oa);
-                    let packed = Prepacked::borrowed(opa, a.as_ref());
                     for opb in OPS {
                         let b = stored_for(opb, &ob);
-                        let run = |avx2: bool| {
+                        let run = || {
                             let mut c = c0.clone();
-                            gemm_on(avx2, &packed, opb, alpha, b.as_ref(), beta, c.as_mut());
+                            gemm(opa, opb, alpha, a.as_ref(), b.as_ref(), beta, c.as_mut());
                             bits(&c)
                         };
-                        assert_eq!(
-                            run(true),
-                            run(false),
-                            "{} {opa:?} {opb:?} {dims:?}",
-                            std::any::type_name::<T>()
-                        );
+                        assert_eq!(run(), on_portable(run), "{what} {opa:?} {opb:?}");
                     }
                 }
+                // The CholeskyQR chain on the same block: Gram of op(A)
+                // (with its inf), POTRF of a finite Gram, TRSM by its factor.
+                let x = Matrix::<T>::random(m + 2 * n, n, &mut rng);
+                let run = || {
+                    let g = gram(x.as_ref());
+                    let u = potrf_upper(&g).expect("Gram of a tall random block");
+                    let mut q = x.clone();
+                    trsm_right_upper(q.as_mut(), &u);
+                    [bits(&gram(oa.as_ref())), bits(&g), bits(&u), bits(&q)]
+                };
+                assert_eq!(run(), on_portable(run), "{what} gram/potrf/trsm");
             }
             for (dims, seed) in [((133, 301, 37), 1), ((129, 257, 130), 2), ((17, 5, 3), 3)] {
                 both::<f32>(dims, seed);

@@ -5,7 +5,8 @@
 //! (Algorithm 4, lines 3–11) adds `s I` before factorizing to survive
 //! ill-conditioned inputs.
 
-use crate::matrix::Matrix;
+use crate::blas3::{sub_finished_rows, PANEL};
+use crate::matrix::{ColsMut, Matrix};
 use crate::scalar::{RealScalar, Scalar};
 
 /// Error raised when the matrix is not (numerically) positive definite.
@@ -28,32 +29,52 @@ impl std::error::Error for NotPositiveDefinite {}
 ///
 /// On success the returned matrix has the factor in its upper triangle and
 /// zeros below. Equivalent to LAPACK `zpotrf('U', ...)`.
+///
+/// Bit for bit the row-by-row recurrence: the pivot is
+/// `d = re(A[k, k]) - |U[0, k]|^2 - ... - |U[k-1, k]|^2` (real arithmetic,
+/// in that order; the first `d` that is not positive and finite is the
+/// reported pivot), `U[k, k] = sqrt(d)`, and for `j > k`, `U[k, j]` starts
+/// at `A[k, j]`, takes `-= conj(U[l, k]) * U[l, j]` for `l = 0, ..., k-1` in
+/// that order (no term skipped, products rounded as in `gemm`), then
+/// `*= 1 / U[k, k]`. Rows go in blocks of `PANEL`: the terms `l` above a
+/// block are one pass of the `gemm` loop nest, subtracting, the few inside
+/// it and the pivots the scalar recurrence.
 pub fn potrf_upper<T: Scalar>(a: &Matrix<T>) -> Result<Matrix<T>, NotPositiveDefinite> {
     let n = a.rows();
     assert_eq!(a.cols(), n, "potrf: matrix must be square");
     let mut u = a.clone();
-    for k in 0..n {
-        // u[k,k] = sqrt(a[k,k] - sum_{l<k} |u[l,k]|^2)
-        let mut d = u[(k, k)].re();
-        for l in 0..k {
-            d -= u[(l, k)].abs_sqr();
+    // Rows `k0..k1` of `A`, columns `k0..`, less the terms `l < k0`.
+    let mut w = vec![T::zero(); PANEL.min(n) * n];
+    for k0 in (0..n).step_by(PANEL) {
+        let k1 = (k0 + PANEL).min(n);
+        let rows = k1 - k0;
+        let w = &mut w[..rows * (n - k0)];
+        for (wj, j) in w.chunks_exact_mut(rows).zip(k0..) {
+            wj.copy_from_slice(&u.col(j)[k0..k1]);
         }
-        let positive = d > <T::Real as Scalar>::zero();
-        if !positive || !d.is_finite_r() {
-            return Err(NotPositiveDefinite { pivot: k });
-        }
-        let dk = d.sqrt_r();
-        u[(k, k)] = T::from_real(dk);
-        let inv = T::from_real(<T::Real as Scalar>::one() / dk);
-        for j in k + 1..n {
-            let mut s = u[(k, j)];
+        sub_finished_rows(&u, k0..k1, ColsMut::new(w, rows, n - k0));
+        for k in k0..k1 {
+            let mut d = u[(k, k)].re();
             for l in 0..k {
-                s -= u[(l, k)].conj() * u[(l, j)];
+                d -= u[(l, k)].abs_sqr();
             }
-            u[(k, j)] = s * inv;
-        }
-        for i in k + 1..n {
-            u[(i, k)] = T::zero();
+            let positive = d > <T::Real as Scalar>::zero();
+            if !positive || !d.is_finite_r() {
+                return Err(NotPositiveDefinite { pivot: k });
+            }
+            let dk = d.sqrt_r();
+            u[(k, k)] = T::from_real(dk);
+            let inv = T::from_real(<T::Real as Scalar>::one() / dk);
+            for j in k + 1..n {
+                let mut s = w[(j - k0) * rows + k - k0];
+                for l in k0..k {
+                    s -= u[(l, k)].conj() * u[(l, j)];
+                }
+                u[(k, j)] = s * inv;
+            }
+            for i in k + 1..n {
+                u[(i, k)] = T::zero();
+            }
         }
     }
     Ok(u)
@@ -78,10 +99,114 @@ pub fn add_shift<T: Scalar>(a: &Matrix<T>, s: T::Real) -> Matrix<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blas3::{gemm_new, Op};
-    use crate::scalar::C64;
-    use rand::SeedableRng;
+    use crate::blas3::{bits, gemm_new, gram, Op};
+    use crate::scalar::{C32, C64};
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
+
+    /// The fold contract on [`potrf_upper`], literally: the row-by-row
+    /// recurrence the blocked kernel replaced.
+    fn potrf_reference<T: Scalar>(a: &Matrix<T>) -> Result<Matrix<T>, NotPositiveDefinite> {
+        let n = a.rows();
+        let mut u = a.clone();
+        for k in 0..n {
+            let mut d = u[(k, k)].re();
+            for l in 0..k {
+                d -= u[(l, k)].abs_sqr();
+            }
+            let positive = d > <T::Real as Scalar>::zero();
+            if !positive || !d.is_finite_r() {
+                return Err(NotPositiveDefinite { pivot: k });
+            }
+            let dk = d.sqrt_r();
+            u[(k, k)] = T::from_real(dk);
+            let inv = T::from_real(<T::Real as Scalar>::one() / dk);
+            for j in k + 1..n {
+                let mut s = u[(k, j)];
+                for l in 0..k {
+                    s -= u[(l, k)].conj() * u[(l, j)];
+                }
+                u[(k, j)] = s * inv;
+            }
+            for i in k + 1..n {
+                u[(i, k)] = T::zero();
+            }
+        }
+        Ok(u)
+    }
+
+    /// [`potrf_upper`] against the recurrence, bit for bit, factor or
+    /// pivot. The input is a Gram matrix whose columns fall in two groups
+    /// with disjoint row support (exact zeros between them, half of them
+    /// flipped to `-0.0`: terms the recurrence does not skip, so `-0 - (-0)`
+    /// turns `+0`), with `NaN` below the diagonal (never read) and, by
+    /// `kind`: 1 a negated diagonal entry, 2 a `NaN` on or above the
+    /// diagonal, 3 an `inf` on it.
+    fn check_potrf_contract<T: Scalar>(n: usize, kind: usize, seed: u64) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut x = Matrix::<T>::random(2 * n + 3, n, &mut rng);
+        for j in 0..n {
+            let upper_half = rng.gen::<f64>() < 0.5;
+            for i in 0..x.rows() {
+                if (i < n) == upper_half {
+                    x[(i, j)] = T::zero();
+                }
+            }
+        }
+        let mut a = gram(x.as_ref());
+        for j in 0..n {
+            for i in 0..n {
+                if i > j {
+                    a[(i, j)] = T::from_real(T::Real::from_f64_r(f64::NAN));
+                } else if a[(i, j)] == T::zero() && rng.gen::<f64>() < 0.5 {
+                    a[(i, j)] = -T::zero();
+                }
+            }
+        }
+        if n > 0 {
+            let j = rng.gen::<u64>() as usize % n;
+            let i = rng.gen::<u64>() as usize % (j + 1);
+            match kind {
+                1 => a[(j, j)] = -a[(j, j)],
+                2 => a[(i, j)] = T::from_real(T::Real::from_f64_r(f64::NAN)),
+                3 => a[(j, j)] = T::from_real(T::Real::from_f64_r(f64::INFINITY)),
+                _ => {}
+            }
+        }
+        let what = format!(
+            "{} n {n} kind {kind} seed {seed}",
+            std::any::type_name::<T>()
+        );
+        match (potrf_upper(&a), potrf_reference(&a)) {
+            (Ok(got), Ok(want)) => assert_eq!(bits(&got), bits(&want), "{what}"),
+            (got, want) => assert_eq!(got.err(), want.err(), "{what}"),
+        }
+    }
+
+    /// Orders around `PANEL` 16 and its multiples, the tile sizes (4, 16),
+    /// `MC`/`NC` 128 and `KC` 256.
+    const ORDERS: [usize; 16] = [
+        0, 1, 2, 3, 5, 15, 16, 17, 31, 32, 33, 48, 129, 150, 257, 290,
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+
+        /// `potrf_upper` equals the row-by-row recurrence bit for bit, and
+        /// breaks down at the same pivot when it does.
+        #[test]
+        fn potrf_equals_reference_bitwise(
+            ni in 0usize..ORDERS.len(),
+            kind in 0usize..6,
+            seed in 0u64..1 << 32,
+        ) {
+            check_potrf_contract::<f32>(ORDERS[ni], kind, seed);
+            check_potrf_contract::<f64>(ORDERS[ni], kind, seed);
+            check_potrf_contract::<C32>(ORDERS[ni], kind, seed);
+            check_potrf_contract::<C64>(ORDERS[ni], kind, seed);
+        }
+    }
 
     fn random_spd(n: usize, seed: u64) -> Matrix<C64> {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);

@@ -2,7 +2,7 @@
 //! ladder: the dispatch thresholds, the rung ordering, graceful rung-by-rung
 //! escalation on rank-deficient input, and the typed non-finite Gram guard.
 
-use chase_comm::solo_ctx;
+use chase_comm::{run_grid, solo_ctx, Distribution, GridShape};
 use chase_core::{
     cholesky_qr, ladder_start, next_rung, qr_ladder, QrError, QrStrategy, QrVariant, RowDist,
     COND_SHIFTED, COND_SINGLE,
@@ -129,4 +129,38 @@ fn nan_gram_yields_typed_error_not_silent_nan() {
         matches!(err, QrError::NonFiniteGram { .. }),
         "expected NonFiniteGram, got {err}"
     );
+}
+
+/// The guard reads what the Gram kernel lets through. A NaN in column 1
+/// must reach the Gram entry it shares with column 3 although column 3
+/// holds an exact `0.0` in that row (`0 * NaN` is NaN; GEMM's zero-skip
+/// would drop the term and leave `G[1, 3]` finite), and the typed error
+/// names the same entry as ever — the mirrored `(1, 0)`, the first the
+/// column-major scan meets — on one rank and across a 2x1 grid, where the
+/// NaN sits in rank 0's rows and reaches rank 1 through the allreduce.
+#[test]
+fn nan_behind_a_zero_partner_reaches_the_gram_guard() {
+    let mut rng = ChaCha8Rng::seed_from_u64(1);
+    let mut xg = Matrix::<C64>::random(24, 4, &mut rng);
+    xg.col_mut(1)[5] = C64::from_f64(f64::NAN);
+    xg.col_mut(3)[5] = C64::zero();
+    let g = gram(xg.as_ref());
+    assert!(!g[(1, 3)].is_finite() && !g[(3, 1)].is_finite());
+    let want = QrError::NonFiniteGram { row: 1, col: 0 };
+
+    let ctx = solo_ctx();
+    let dev = Device::new(&ctx, Backend::Nccl);
+    let err = cholesky_qr(&dev, &ctx.world, &mut xg.clone(), 1).unwrap_err();
+    assert_eq!(err, want, "1x1");
+
+    let xg = &xg;
+    let out = run_grid(GridShape::new(2, 1), move |ctx| {
+        let dev = Device::new(ctx, Backend::Std);
+        let dist = RowDist::c_layout(24, ctx.shape, Distribution::Block);
+        let mut x = xg.select_rows(dist.parts[ctx.col_comm.rank()].iter());
+        cholesky_qr(&dev, &ctx.col_comm, &mut x, 1).unwrap_err()
+    });
+    for err in out.results {
+        assert_eq!(err, want, "2x1");
+    }
 }
