@@ -126,6 +126,23 @@ impl Fingerprint {
         fnv1a(format!("{self:?}").bytes())
     }
 
+    /// 64-bit digest of the answer alone: per rank the outcome, the
+    /// eigenvalue, residual and vector bits and the solver counters — no
+    /// ledger projection, no trace hash. Equal across two commits whose
+    /// `digest`s differ means the change re-sequenced events or collectives
+    /// without moving one bit of what the solver returns.
+    pub fn answer(&self) -> u64 {
+        let answers: Vec<_> = self
+            .ranks
+            .iter()
+            .map(|r| RankFp {
+                ledger: Vec::new(),
+                ..r.clone()
+            })
+            .collect();
+        fnv1a(format!("{answers:?}").bytes())
+    }
+
     /// Rank 0's eigenvalues as `f64`s (the oracle comparison payload).
     pub fn eigenvalues(&self) -> Vec<f64> {
         self.ranks
@@ -260,6 +277,8 @@ pub struct CheckReport {
     pub schedules: usize,
     /// [`Fingerprint::digest`] of the case's reference run.
     pub digest: u64,
+    /// [`Fingerprint::answer`] of the case's reference run.
+    pub answer: u64,
     pub violation: Option<Violation>,
 }
 
@@ -291,6 +310,7 @@ pub fn check_case(case: &CheckCase, seeds: &[u64], systematic: bool, canary: boo
             case: case.clone(),
             schedules,
             digest: reference.digest(),
+            answer: reference.answer(),
             violation: Some(Violation {
                 seed,
                 witness,
@@ -352,6 +372,7 @@ pub fn check_case(case: &CheckCase, seeds: &[u64], systematic: bool, canary: boo
         case: case.clone(),
         schedules,
         digest: reference.digest(),
+        answer: reference.answer(),
         violation: None,
     }
 }

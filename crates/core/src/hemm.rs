@@ -7,7 +7,7 @@
 //! (`H B`, row-communicator allreduce) returns to C-layout. No vector block
 //! is ever re-distributed.
 
-use crate::layout::DistHerm;
+use crate::layout::{DistHerm, RowDist};
 use chase_comm::{CommError, Communicator, RankCtx, Reduce};
 use chase_device::{DevAllreduce, Device};
 use chase_linalg::matrix::ColsMut;
@@ -229,44 +229,43 @@ pub fn hemm_b_to_c_pipelined<T: Scalar + Reduce>(
     )
 }
 
-/// Distributed matvec on a *replicated* global vector: `y = H x`.
+/// Distributed product on a *replicated* block of global vectors:
+/// `Y = H X`, one `ConjTrans` GEMM + one allreduce over the column
+/// communicator + one allgather over the row communicator whatever the
+/// number of columns.
 ///
 /// Used by the Lanczos estimator, where vectors are cheap (`O(N)`) and
-/// keeping them replicated avoids a second layout. The result is identical
-/// (bitwise) on every rank.
+/// keeping them replicated avoids a second layout; `b_dist` is
+/// [`RowDist::b_layout`] of `h`, built once by the caller. The result is
+/// identical (bitwise) on every rank, and each column of `Y` depends on the
+/// matching column of `X` alone.
 pub fn matvec_replicated<T: Scalar + Reduce>(
     dev: &Device<'_>,
     ctx: &RankCtx,
     h: &DistHerm<T>,
-    x: &[T],
-    y: &mut [T],
+    b_dist: &RowDist,
+    x: &Matrix<T>,
+    y: &mut Matrix<T>,
 ) {
-    debug_assert_eq!(x.len(), h.n);
-    debug_assert_eq!(y.len(), h.n);
-    // Local contribution to rows J_j: H[I_i, J_j]^H x[I_i].
-    let mut part = vec![T::zero(); h.n_c()];
-    let x_rows: Vec<T> = h.row_set.iter().map(|g| x[g]).collect();
-    {
-        let xv = chase_linalg::matrix::ColsRef::new(&x_rows, h.n_r(), 1);
-        let pv = ColsMut::new(&mut part, h.n_c(), 1);
-        dev.gemm(
-            Op::ConjTrans,
-            Op::None,
-            T::one(),
-            h.local.as_ref(),
-            xv,
-            T::zero(),
-            pv,
-        );
-    }
-    dev.allreduce_sum(&ctx.col_comm, &mut part);
+    debug_assert_eq!(x.rows(), h.n);
+    debug_assert_eq!((y.rows(), y.cols()), (h.n, x.cols()));
+    // Local contribution to rows J_j: H[I_i, J_j]^H X[I_i, :].
+    let x_rows = x.select_rows(h.row_set.iter());
+    let mut part = Matrix::<T>::zeros(h.n_c(), x.cols());
+    dev.gemm(
+        Op::ConjTrans,
+        Op::None,
+        T::one(),
+        h.local.as_ref(),
+        x_rows.as_ref(),
+        T::zero(),
+        part.as_mut(),
+    );
+    dev.allreduce_sum(&ctx.col_comm, part.as_mut_slice());
     // Ranks of a row communicator hold disjoint J_j sets covering 0..N;
     // scatter the gathered pieces by their global indices.
-    let gathered = dev.allgather(&ctx.row_comm, &part);
-    debug_assert_eq!(gathered.len(), h.n);
-    let b_dist = crate::layout::RowDist::b_layout(h.n, ctx.shape, h.dist);
-    let full = b_dist.assemble(&gathered, 1);
-    y.copy_from_slice(full.col(0));
+    let gathered = dev.allgather(&ctx.row_comm, part.as_slice());
+    *y = b_dist.assemble(&gathered, x.cols());
 }
 
 #[cfg(test)]
@@ -456,13 +455,14 @@ mod tests {
         let x: Vec<C64> = (0..n).map(|_| C64::sample_standard(&mut rng)).collect();
         let xm = Matrix::from_vec(n, 1, x.clone());
         let expect = gemm_new(Op::None, Op::None, &h, &xm);
-        let (h, x, expect) = (&h, &x, &expect);
+        let (h, xm, expect) = (&h, &xm, &expect);
         let out = run_grid(GridShape::new(2, 3), move |ctx| {
             let dev = Device::new(ctx, Backend::Nccl);
             let dh = DistHerm::from_global(h, ctx);
-            let mut y = vec![C64::zero(); n];
-            matvec_replicated(&dev, ctx, &dh, x, &mut y);
-            y
+            let b_dist = RowDist::b_layout(n, ctx.shape, dh.dist);
+            let mut y = Matrix::zeros(n, 1);
+            matvec_replicated(&dev, ctx, &dh, &b_dist, xm, &mut y);
+            y.col(0).to_vec()
         });
         for y in &out.results {
             for i in 0..n {

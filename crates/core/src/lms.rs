@@ -61,7 +61,7 @@ where
     let mut full_c;
     let mut full_w;
 
-    let bounds = estimate_bounds_dist(&dev, &h, ne, params);
+    let bounds = estimate_bounds_dist(&dev, &h, ne, params).expect("LMS Lanczos bounds failed");
     let b_sup = bounds.b_sup;
     let mut mu_1 = bounds.mu_1;
     let mut mu_ne = bounds.mu_ne;

@@ -54,25 +54,39 @@ pub(crate) fn permute_vec<V: Copy>(v: &mut [V], perm: &[usize]) {
 }
 
 /// Distributed spectral-bound estimation (Algorithm 2, line 1): `runs`
-/// Lanczos runs of `steps` iterations on the distributed operator, with a
-/// DoS quantile for `mu_ne`. Identical output on every rank.
+/// Lanczos runs of `steps` iterations on the distributed operator, advanced
+/// as one block (two collectives per step whatever `runs` is), with a DoS
+/// quantile for `mu_ne`. Identical output on every rank.
+///
+/// A non-finite entry in `H` makes the estimate fail as
+/// [`ChaseErrorKind::BadSpectrum`]; the quantities it is detected on are
+/// replicated, so every rank takes that exit, after the same collectives.
 pub fn estimate_bounds_dist<T: Scalar + Reduce>(
     dev: &Device<'_>,
     h: &DistHerm<T>,
     ne: usize,
     params: &Params,
-) -> SpectralBounds<T::Real> {
+) -> Result<SpectralBounds<T::Real>, ChaseError> {
     dev.set_region(Region::Lanczos);
     let ctx = dev.ctx();
+    let b_dist = RowDist::b_layout(h.n, ctx.shape, h.dist);
     let mut rng = ChaCha8Rng::seed_from_u64(params.seed ^ 0x1a9c205);
-    chase_linalg::estimate_bounds::<T, _, _>(
+    let bounds = chase_linalg::estimate_bounds::<T, _, _>(
         h.n,
         ne,
         params.lanczos_steps,
         params.lanczos_runs,
-        |x, y| matvec_replicated(dev, ctx, h, x, y),
+        |x, y| matvec_replicated(dev, ctx, h, &b_dist, x, y),
         &mut rng,
-    )
+    );
+    let detail = match bounds {
+        Ok(b) if [b.mu_1, b.mu_ne, b.b_sup].iter().all(|v| v.is_finite_r()) => return Ok(b),
+        Ok(b) => format!("Lanczos bounds {b:?} are not finite"),
+        Err(e) => format!("Lanczos estimate failed: {e}"),
+    };
+    Err(ChaseError::outside_loop(ChaseErrorKind::BadSpectrum {
+        detail: format!("{detail} (non-finite entry in H?)"),
+    }))
 }
 
 /// Lightweight checkpoint of the locked eigenpairs: enough to roll the
@@ -624,7 +638,7 @@ where
         let warm_started = self.warm_bounds.is_some();
         let bounds = match self.warm_bounds {
             Some(b) => b,
-            None => estimate_bounds_dist(self.dev, &self.h, ne, &self.params),
+            None => estimate_bounds_dist(self.dev, &self.h, ne, &self.params)?,
         };
         let b_sup = bounds.b_sup;
         let mut mu_1 = bounds.mu_1;
@@ -1342,6 +1356,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chase_comm::GridShape;
     use chase_linalg::C64;
 
     #[test]
@@ -1410,5 +1425,182 @@ mod tests {
             assert!((v - want).abs() < 1e-7, "lambda_{k}: got {v}, want {want}");
         }
         assert!(r.matvecs > 0);
+    }
+
+    /// What one rank saw of one Lanczos phase made both ways.
+    struct LanczosPhase {
+        /// `estimate_bounds_dist` (one block) and the bounds of the same
+        /// runs made one at a time through a one-column operator.
+        block_bounds: [u64; 3],
+        one_by_one_bounds: [u64; 3],
+        /// Steps each run took.
+        steps: Vec<usize>,
+        /// `(collectives, comm bytes, flops)` of the two.
+        block_cost: (usize, u64, u64),
+        one_by_one_cost: (usize, u64, u64),
+    }
+
+    fn lanczos_phase<T: Scalar + Reduce>(
+        shape: GridShape,
+        h: &Matrix<T>,
+        params: &Params,
+    ) -> Vec<LanczosPhase> {
+        let n = h.rows();
+        let ne = params.ne();
+        let dist = chase_comm::Distribution::BlockCyclic { block: 3 };
+        let bits =
+            |b: SpectralBounds<T::Real>| [b.mu_1, b.mu_ne, b.b_sup].map(|x| x.to_f64().to_bits());
+        let cost = |l: chase_comm::Ledger| {
+            (
+                l.collective_count(),
+                l.bytes_in(chase_comm::Category::Comm),
+                l.flops_in(Region::Lanczos),
+            )
+        };
+        chase_comm::run_grid(shape, |ctx| {
+            let dev = Device::new(ctx, Backend::Nccl);
+            let dh = DistHerm::from_global_dist(h, ctx, dist);
+            let from = ctx.ledger_snapshot().len();
+            let block = estimate_bounds_dist(&dev, &dh, ne, params).expect("finite H");
+            let block_cost = cost(ctx.ledger_snapshot().since(from));
+
+            let from = ctx.ledger_snapshot().len();
+            let b_dist = RowDist::b_layout(n, ctx.shape, dist);
+            let mut rng = ChaCha8Rng::seed_from_u64(params.seed ^ 0x1a9c205);
+            let runs: Vec<_> = (0..params.lanczos_runs)
+                .map(|_| {
+                    let matvec = |x: &[T], y: &mut [T]| {
+                        let mut ym = Matrix::zeros(n, 1);
+                        let xm = Matrix::from_vec(n, 1, x.to_vec());
+                        matvec_replicated(&dev, ctx, &dh, &b_dist, &xm, &mut ym);
+                        y.copy_from_slice(ym.col(0));
+                    };
+                    chase_linalg::lanczos_run(n, params.lanczos_steps, matvec, &mut rng)
+                        .expect("finite H")
+                })
+                .collect();
+            LanczosPhase {
+                block_bounds: bits(block),
+                one_by_one_bounds: bits(SpectralBounds::from_runs(n, ne, &runs)),
+                steps: runs.iter().map(|r| r.ritz.len()).collect(),
+                block_cost,
+                one_by_one_cost: cost(ctx.ledger_snapshot().since(from)),
+            }
+        })
+        .results
+    }
+
+    /// A matrix with `distinct` different eigenvalues of size `scale`:
+    /// Krylov spaces close after `distinct` steps, up to rounding.
+    fn few_eigenvalues<T: Scalar>(n: usize, distinct: usize, scale: f64, seed: u64) -> Matrix<T> {
+        let values = (0..n)
+            .map(|i| scale * (1.0 + (i % distinct) as f64))
+            .collect();
+        chase_matgen::dense_with_spectrum(&chase_matgen::Spectrum::from_values(values), seed)
+    }
+
+    fn check_block_lanczos<T: Scalar + Reduce>(
+        (n, distinct, scale): (usize, usize, f64),
+        (steps, runs): (usize, usize),
+        seed: u64,
+    ) {
+        let h = few_eigenvalues::<T>(n, distinct.min(n), scale, seed);
+        let mut params = Params::new(n.div_ceil(4), n / 8);
+        (params.lanczos_steps, params.lanczos_runs, params.seed) = (steps, runs, seed);
+        for (p, q) in [(1, 1), (1, 2), (2, 1), (2, 2)] {
+            let what = format!(
+                "{} {p}x{q} n={n} distinct={distinct} scale={scale} steps={steps} runs={runs} seed={seed}",
+                std::any::type_name::<T>()
+            );
+            let ranks = lanczos_phase(GridShape::new(p, q), &h, &params);
+            for r in &ranks {
+                assert_eq!(
+                    r.block_bounds, ranks[0].block_bounds,
+                    "{what}: ranks disagree"
+                );
+                assert_eq!(r.block_bounds, r.one_by_one_bounds, "{what}");
+                // Two collectives per step of the longest run, against two
+                // per step of every run; the same bytes and flops either way.
+                let longest = *r.steps.iter().max().expect("runs >= 1");
+                assert_eq!(r.block_cost.0, 2 * longest, "{what}");
+                assert_eq!(
+                    r.one_by_one_cost.0,
+                    2 * r.steps.iter().sum::<usize>(),
+                    "{what}"
+                );
+                assert_eq!(r.block_cost.1, r.one_by_one_cost.1, "{what}: bytes");
+                assert_eq!(r.block_cost.2, r.one_by_one_cost.2, "{what}: flops");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
+
+        /// The block Lanczos phase against the same runs made one at a time
+        /// through the same distributed operator (what `estimate_bounds_dist`
+        /// did before; chase-linalg's own proptest ties the one-column call
+        /// to the sequential loop): the same bits on every rank of every
+        /// grid, for every scalar — with Krylov spaces that close early, on
+        /// some columns before others, and with `steps > n`.
+        #[test]
+        fn block_lanczos_equals_runs_made_one_at_a_time(
+            n in 2usize..30,
+            distinct in 1usize..30,
+            scale in 0usize..4,
+            steps in 1usize..36,
+            runs in 1usize..7,
+            seed in 0u64..1 << 32,
+        ) {
+            let spectrum = (n, distinct, [1e-2, 3.0, 4.0, 1e2][scale]);
+            check_block_lanczos::<f32>(spectrum, (steps, runs), seed);
+            check_block_lanczos::<f64>(spectrum, (steps, runs), seed);
+            check_block_lanczos::<chase_linalg::C32>(spectrum, (steps, runs), seed);
+            check_block_lanczos::<C64>(spectrum, (steps, runs), seed);
+        }
+    }
+
+    #[test]
+    fn lanczos_phase_is_two_collectives_per_step_whatever_the_runs() {
+        let h = few_eigenvalues::<C64>(64, 64, 1.0, 3);
+        let mut params = Params::new(8, 4);
+        let mut one_run_bytes = Vec::new();
+        for runs in [1, 4, 6] {
+            params.lanczos_runs = runs;
+            let ranks = lanczos_phase(GridShape::new(2, 2), &h, &params);
+            if runs == 1 {
+                one_run_bytes = ranks.iter().map(|r| r.block_cost.1).collect();
+            }
+            for (rank, one_run_bytes) in ranks.iter().zip(&one_run_bytes) {
+                assert_eq!(rank.steps, vec![params.lanczos_steps; runs]);
+                assert_eq!(rank.block_cost.0, 2 * params.lanczos_steps, "{runs} runs");
+                assert_eq!(
+                    rank.block_cost.1,
+                    runs as u64 * one_run_bytes,
+                    "{runs} runs"
+                );
+            }
+        }
+    }
+
+    /// A non-finite entry in `H` is `BadSpectrum` from the Lanczos phase on
+    /// every rank — it used to panic in the tridiagonal eigensolve.
+    #[test]
+    fn non_finite_h_is_a_typed_error_on_every_rank() {
+        let mut h = few_eigenvalues::<C64>(40, 40, 1.0, 5);
+        (h[(7, 31)], h[(31, 7)]) = (C64::from_f64(f64::NAN), C64::from_f64(f64::NAN));
+        let params = Params::new(6, 4);
+        let serial = solve_serial(&h, &params, None).unwrap_err();
+        assert!(
+            matches!(serial.kind, ChaseErrorKind::BadSpectrum { .. }),
+            "{serial}"
+        );
+        let out = chase_comm::run_grid(GridShape::new(2, 2), |ctx| {
+            let dh = DistHerm::from_global(&h, ctx);
+            solve_dist(ctx, Backend::Nccl, dh, &params, None).unwrap_err()
+        });
+        for err in &out.results {
+            assert_eq!(err, &serial);
+        }
     }
 }

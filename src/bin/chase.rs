@@ -885,8 +885,8 @@ fn cmd_check(flags: HashMap<String, String>) -> Result<(), String> {
         schedules += report.schedules;
         match report.violation {
             None => println!(
-                "check {case}: ok ({} schedules) digest {:016x}",
-                report.schedules, report.digest
+                "check {case}: ok ({} schedules) digest {:016x} answer {:016x}",
+                report.schedules, report.digest, report.answer
             ),
             Some(v) => {
                 println!("check {case}: VIOLATION — {}", v.diff);
