@@ -58,10 +58,13 @@ pub enum Op {
 /// Cache blocking: an `MC x KC` block of packed `op(A)` (512 KiB at C64,
 /// L2-resident) is reused across `NC` columns; one `KC`-deep micro-panel of
 /// each operand (16 KiB at C64) stays in L1 under the microkernel. `NC` is
-/// the widest slice of `op(B)` packed at once; wider inputs are panelled.
+/// the widest slice of `op(B)` packed at once; wider inputs are panelled, and
+/// every panel packs each block of `op(A)` again — so `NC` covers the widest
+/// active block a solve of half the matrix filters (160 columns of 320). The
+/// `op(B)` buffer is sized by the call, not by `NC`.
 const MC: usize = 128;
 const KC: usize = 256;
-const NC: usize = 128;
+const NC: usize = 256;
 
 /// Run `$body` with `MR` and `NR` bound to the microkernel tile shape for
 /// `$t` — one shape per scalar width, the fastest measured on AVX2 with
@@ -254,8 +257,18 @@ struct Fold<T> {
     /// complex `T` a component whose two products cancel is `+0` either
     /// way, so `C + (-s) * a` and `C - s * a` differ in the sign of a zero.
     subtract: bool,
-    /// Visit only the tiles that hold an entry on or above `C`'s diagonal.
-    upper: bool,
+    /// Which tiles of `C` are visited.
+    tiles: Tiles,
+}
+
+/// The part of `C` a pass computes, tile by tile.
+#[derive(Clone, Copy, PartialEq)]
+enum Tiles {
+    All,
+    /// Only the tiles that hold an entry on or above `C`'s diagonal.
+    Upper,
+    /// Only the tiles that hold an entry on or below `C`'s diagonal.
+    Lower,
 }
 
 /// Pack the fold's `s` (`alpha * op(B)[l, j]`, or `op(B)[l, j]` as stored)
@@ -453,14 +466,19 @@ fn gemm_blocked<T: Scalar, const MR: usize, const NR: usize>(
     let zero = <T::Real as Scalar>::zero();
     for jc in (0..n).step_by(NC) {
         let nc = NC.min(n - jc);
-        // Row blocks and tiles wholly below the diagonal are not visited.
-        let m_used = if fold.upper { m.min(jc + nc) } else { m };
+        // Row blocks and tiles wholly on the wrong side of the diagonal are
+        // not visited.
+        let rows = match fold.tiles {
+            Tiles::All => 0..m,
+            Tiles::Upper => 0..m.min(jc + nc),
+            Tiles::Lower => jc - jc % MC..m,
+        };
         for pc in (0..k).step_by(KC) {
             let kc = KC.min(k - pc);
             let b_block = first_n(&mut scratch.b, p * kc * nc.next_multiple_of(NR), zero);
             let skip = first_n(&mut scratch.skip, kc * nc.div_ceil(NR), false);
             pack_b_block::<T, NR>(opb, fold, b, (pc, kc), (jc, nc), b_block, skip);
-            for ic in (0..m_used).step_by(MC) {
+            for ic in rows.clone().step_by(MC) {
                 let mc = MC.min(m - ic);
                 let (off, len) = a_block_span::<T, MR>(m, (pc, kc), (ic, mc));
                 let a_block: &[T::Real] = match &a.panels {
@@ -477,8 +495,10 @@ fn gemm_blocked<T: Scalar, const MR: usize, const NR: usize>(
                     let nr = NR.min(jc + nc - j0);
                     for (ip, ap) in a_block.chunks_exact(kc * p * MR).enumerate() {
                         let i0 = ic + ip * MR;
-                        if fold.upper && i0 >= j0 + nr {
-                            break;
+                        match fold.tiles {
+                            Tiles::Upper if i0 >= j0 + nr => break,
+                            Tiles::Lower if i0 + MR <= j0 => continue,
+                            _ => {}
                         }
                         let mr = MR.min(ic + mc - i0);
                         let mut tile = Tile {
@@ -609,7 +629,7 @@ pub fn gemm_prepacked<T: Scalar>(
         alpha: Some(alpha),
         skip_zeros: true,
         subtract: false,
-        upper: false,
+        tiles: Tiles::All,
     };
     fold_into(fold, a, opb, b, c);
 }
@@ -650,7 +670,7 @@ pub fn gram<T: Scalar>(x: ColsRef<'_, T>) -> Matrix<T> {
         alpha: None,
         skip_zeros: false,
         subtract: false,
-        upper: true,
+        tiles: Tiles::Upper,
     };
     let xh = Prepacked::borrowed(Op::ConjTrans, x);
     fold_into(fold, &xh, Op::None, x, g.as_mut());
@@ -688,7 +708,7 @@ pub fn trsm_right_upper<T: Scalar>(mut x: ColsMut<'_, T>, r: &Matrix<T>) {
         alpha: None,
         skip_zeros: true,
         subtract: true,
-        upper: false,
+        tiles: Tiles::All,
     };
     for j0 in (0..n).step_by(PANEL) {
         let j1 = (j0 + PANEL).min(n);
@@ -727,10 +747,23 @@ pub(crate) fn sub_finished_rows<T: Scalar>(u: &Matrix<T>, rows: Range<usize>, w:
         alpha: None,
         skip_zeros: false,
         subtract: true,
-        upper: false,
+        tiles: Tiles::All,
     };
     let uh = Prepacked::borrowed(Op::ConjTrans, u.cols_ref(rows)).first_k(k0);
     fold_into(fold, &uh, Op::None, u.cols_ref(k0..u.cols()), w);
+}
+
+/// `C -= A * B^H` on the tiles that hold an entry on or below `C`'s diagonal
+/// (the rest of `C` is left stale), no term skipped: the rank-2k update of
+/// the trailing matrix in `heevd`'s reduction, through the [`gemm`] loop nest.
+pub(crate) fn sub_abh_lower<T: Scalar>(a: ColsRef<'_, T>, b: ColsRef<'_, T>, c: ColsMut<'_, T>) {
+    let fold = Fold {
+        alpha: None,
+        skip_zeros: false,
+        subtract: true,
+        tiles: Tiles::Lower,
+    };
+    fold_into(fold, &Prepacked::borrowed(Op::None, a), Op::ConjTrans, b, c);
 }
 
 /// Matrix-vector product `y = alpha * op(A) * x + beta * y`.
@@ -1093,10 +1126,10 @@ mod tests {
     }
 
     /// Sizes on both sides of every blocking constant (`MR` 4/16, `NR` 4/2,
-    /// `MC`, `NC` 128, `KC` 256), the degenerate 0 and 1, ragged remainders.
+    /// `MC` 128, `NC` and `KC` 256), the degenerate 0 and 1, ragged remainders.
     const M_SIZES: [usize; 14] = [0, 1, 3, 4, 5, 15, 16, 17, 33, 127, 128, 129, 133, 150];
     const K_SIZES: [usize; 10] = [0, 1, 2, 7, 64, 255, 256, 257, 301, 513];
-    const N_SIZES: [usize; 12] = [0, 1, 2, 3, 4, 5, 9, 37, 127, 128, 129, 131];
+    const N_SIZES: [usize; 13] = [0, 1, 2, 3, 4, 5, 9, 37, 129, 255, 256, 257, 261];
     /// Column counts of a CholeskyQR block: around `PANEL` 16 and its
     /// multiples as well, and past `KC` (the TRSM's inner dimension).
     const QR_COLS: [usize; 16] = [
