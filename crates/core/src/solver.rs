@@ -71,15 +71,14 @@ pub fn estimate_bounds_dist<T: Scalar + Reduce>(
     let ctx = dev.ctx();
     let b_dist = RowDist::b_layout(h.n, ctx.shape, h.dist);
     let mut rng = ChaCha8Rng::seed_from_u64(params.seed ^ 0x1a9c205);
-    let bounds = chase_linalg::estimate_bounds::<T, _, _>(
+    let runs = chase_linalg::lanczos_block::<T, _, _>(
         h.n,
-        ne,
         params.lanczos_steps,
         params.lanczos_runs,
         |x, y| matvec_replicated(dev, ctx, h, &b_dist, x, y),
         &mut rng,
     );
-    let detail = match bounds {
+    let detail = match runs.map(|runs| SpectralBounds::from_runs(h.n, ne, &runs)) {
         Ok(b) if [b.mu_1, b.mu_ne, b.b_sup].iter().all(|v| v.is_finite_r()) => return Ok(b),
         Ok(b) => format!("Lanczos bounds {b:?} are not finite"),
         Err(e) => format!("Lanczos estimate failed: {e}"),

@@ -42,6 +42,14 @@ struct WyBlock<T> {
     t: Matrix<T>,
 }
 
+/// `A = Q T Q^H`: the diagonal `d` and subdiagonal `e` of the real
+/// tridiagonal `T`, and `Q = H_0 H_1 ... H_{n-2}` as WY blocks, first to last.
+struct Reduction<T: Scalar> {
+    d: Vec<T::Real>,
+    e: Vec<T::Real>,
+    q: Vec<WyBlock<T>>,
+}
+
 /// `p = A[from.., from..] * x` for the Hermitian `A` whose lower triangle is
 /// stored (the diagonal's imaginary parts are not read): one sweep over the
 /// columns, each contributing below the diagonal as stored and to the right
@@ -61,9 +69,7 @@ fn hemv_lower<T: Scalar>(a: &Matrix<T>, from: usize, x: &[T], p: &mut [T]) {
 }
 
 /// Householder reduction `A = Q T Q^H` of the Hermitian matrix whose lower
-/// triangle `a` holds (LAPACK `zhetrd('L')` / `zlatrd`): the diagonal and
-/// subdiagonal of the real tridiagonal `T`, and `Q = H_0 H_1 ... H_{n-2}` as
-/// WY blocks.
+/// triangle `a` holds (LAPACK `zhetrd('L')` / `zlatrd`).
 ///
 /// Reflector `H_k = I - tau v v^H` comes from column `k` of the reduced
 /// matrix and acts on rows `k+1..` (the last, with an empty tail, is the
@@ -74,7 +80,7 @@ fn hemv_lower<T: Scalar>(a: &Matrix<T>, from: usize, x: &[T], p: &mut [T]) {
 /// up to date when its turn comes, `A v` is corrected by the panel's `V` and
 /// `W` — and the trailing matrix takes the whole panel's rank-2k update in
 /// one pass of the [`crate::gemm`] loop nest.
-fn hetrd<T: Scalar>(a: &Matrix<T>) -> (Vec<T::Real>, Vec<T::Real>, Vec<WyBlock<T>>) {
+fn hetrd<T: Scalar>(a: &Matrix<T>) -> Reduction<T> {
     use crate::blas1::{axpy, dotc, scal};
     let n = a.rows();
     assert_eq!(a.cols(), n, "tridiagonalize: square matrix required");
@@ -156,7 +162,7 @@ fn hetrd<T: Scalar>(a: &Matrix<T>) -> (Vec<T::Real>, Vec<T::Real>, Vec<WyBlock<T
     if n > 0 {
         d.push(trail[(0, 0)].re());
     }
-    (d, e, blocks)
+    Reduction { d, e, q: blocks }
 }
 
 /// `X := X Q^H` for the `Q` of a reduction, block by block (last first)
@@ -207,9 +213,9 @@ fn apply_qh_right<T: Scalar>(blocks: &[WyBlock<T>], x: &mut Matrix<T>) {
 ///
 /// Returns `(d, e, Q)` where `d` has length `n` and `e` length `n - 1`.
 pub fn tridiagonalize<T: Scalar>(a: &Matrix<T>) -> (Vec<T::Real>, Vec<T::Real>, Matrix<T>) {
-    let (d, e, blocks) = hetrd(a);
+    let Reduction { d, e, q } = hetrd(a);
     let mut qh = Matrix::identity(a.rows(), a.rows());
-    apply_qh_right(&blocks, &mut qh);
+    apply_qh_right(&q, &mut qh);
     (d, e, qh.adjoint())
 }
 
@@ -350,7 +356,7 @@ pub fn eigvals_tridiagonal<R: RealScalar>(d: &[R], e: &[R]) -> Result<Vec<R>, No
 /// lower triangle, the same bits whichever microkernel instantiation runs.
 pub fn heevd<T: Scalar>(a: &Matrix<T>) -> Result<(Vec<T::Real>, Matrix<T>), NoConvergence> {
     let n = a.rows();
-    let (mut d, mut e, blocks) = hetrd(a);
+    let Reduction { mut d, mut e, q } = hetrd(a);
     let mut z = Matrix::<T::Real>::identity(n, n);
     steqr::<T::Real>(&mut d, &mut e, Some(&mut z))?;
     let mut idx: Vec<usize> = (0..n).collect();
@@ -358,7 +364,7 @@ pub fn heevd<T: Scalar>(a: &Matrix<T>) -> Result<(Vec<T::Real>, Matrix<T>), NoCo
     let vals: Vec<T::Real> = idx.iter().map(|&i| d[i]).collect();
     // (Q Z)^H = Z^T Q^H, so that a block's rows are a column range.
     let mut vh = Matrix::<T>::from_fn(n, n, |j, i| T::from_real(z[(i, idx[j])]));
-    apply_qh_right(&blocks, &mut vh);
+    apply_qh_right(&q, &mut vh);
     Ok((vals, vh.adjoint()))
 }
 

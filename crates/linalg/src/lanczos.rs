@@ -183,10 +183,11 @@ where
 }
 
 impl<R: RealScalar> SpectralBounds<R> {
-    /// The three bounds from the Ritz data of independent Lanczos runs on
-    /// an operator of dimension `n` (the paper's DoS approach): `mu_1` the
-    /// smallest Ritz value, `b_sup` the largest Ritz value plus its residual
-    /// bound, `mu_ne` the `ne`-th quantile of the averaged DoS.
+    /// The three bounds ChASE needs, from the Ritz data of independent
+    /// Lanczos runs ([`lanczos_block`]) on an operator of dimension `n` (the
+    /// paper's DoS approach): `mu_1` the smallest Ritz value, `b_sup` the
+    /// largest Ritz value plus its residual bound, `mu_ne` the `ne`-th
+    /// quantile of the averaged DoS.
     pub fn from_runs(n: usize, ne: usize, runs: &[LanczosRun<R>]) -> Self {
         assert!(!runs.is_empty());
         let mut all_nodes: Vec<(R, R)> = Vec::new();
@@ -230,25 +231,6 @@ impl<R: RealScalar> SpectralBounds<R> {
         }
         SpectralBounds { mu_1, mu_ne, b_sup }
     }
-}
-
-/// Estimate the three bounds ChASE needs, using `nvec` independent Lanczos
-/// runs of `steps` iterations each, made as one [`lanczos_block`].
-pub fn estimate_bounds<T, F, R>(
-    n: usize,
-    ne: usize,
-    steps: usize,
-    nvec: usize,
-    apply: F,
-    rng: &mut R,
-) -> Result<SpectralBounds<T::Real>, NoConvergence>
-where
-    T: Scalar,
-    F: FnMut(&Matrix<T>, &mut Matrix<T>),
-    R: Rng + ?Sized,
-{
-    let runs = lanczos_block::<T, _, R>(n, steps, nvec, apply, rng)?;
-    Ok(SpectralBounds::from_runs(n, ne, &runs))
 }
 
 #[cfg(test)]
@@ -447,6 +429,16 @@ mod tests {
         assert!(mixed >= 20, "only {mixed} of 40 blocks retired unevenly");
     }
 
+    fn estimate_bounds(
+        (n, ne): (usize, usize),
+        (steps, nvec): (usize, usize),
+        apply: impl FnMut(&Matrix<C64>, &mut Matrix<C64>),
+        rng: &mut ChaCha8Rng,
+    ) -> Result<SpectralBounds<f64>, NoConvergence> {
+        let runs = lanczos_block(n, steps, nvec, apply, rng)?;
+        Ok(SpectralBounds::from_runs(n, ne, &runs))
+    }
+
     fn diag_operator(spec: Vec<f64>) -> impl FnMut(&Matrix<C64>, &mut Matrix<C64>) {
         move |x, y| {
             for j in 0..x.cols() {
@@ -464,8 +456,7 @@ mod tests {
             .map(|i| i as f64 / (n - 1) as f64 * 10.0 - 2.0)
             .collect();
         let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let b = estimate_bounds::<C64, _, _>(n, 40, 25, 6, diag_operator(spec.clone()), &mut rng)
-            .unwrap();
+        let b = estimate_bounds((n, 40), (25, 6), diag_operator(spec.clone()), &mut rng).unwrap();
         assert!(
             b.b_sup >= 8.0 - 1e-6,
             "b_sup {} must bound lambda_max 8",
@@ -518,8 +509,7 @@ mod tests {
         for seed in 0..8u64 {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let b =
-                estimate_bounds::<C64, _, _>(n, 15, 25, 4, diag_operator(spec.clone()), &mut rng)
-                    .unwrap();
+                estimate_bounds((n, 15), (25, 4), diag_operator(spec.clone()), &mut rng).unwrap();
             assert!(b.b_sup >= 5.0 - 1e-6, "seed {seed}: b_sup {} < 5", b.b_sup);
         }
     }
@@ -530,6 +520,6 @@ mod tests {
         let mut spec: Vec<f64> = (0..30).map(|i| i as f64).collect();
         spec[7] = f64::NAN;
         let mut rng = ChaCha8Rng::seed_from_u64(8);
-        assert!(estimate_bounds::<C64, _, _>(30, 5, 10, 3, diag_operator(spec), &mut rng).is_err());
+        assert!(estimate_bounds((30, 5), (10, 3), diag_operator(spec), &mut rng).is_err());
     }
 }

@@ -31,7 +31,7 @@ pub use blas3::{
 };
 pub use cholesky::{add_shift, potrf_upper, shifted_cholesky_shift, NotPositiveDefinite};
 pub use heevd::{eigvals_tridiagonal, heevd, steqr, tridiagonalize, NoConvergence};
-pub use lanczos::{estimate_bounds, lanczos_block, lanczos_run, LanczosRun, SpectralBounds};
+pub use lanczos::{lanczos_block, lanczos_run, LanczosRun, SpectralBounds};
 pub use matrix::{ColsMut, ColsRef, Matrix};
 pub use qr::{householder_qr, random_orthonormal, HouseholderQr};
 pub use scalar::{RealScalar, Scalar, C32, C64};
