@@ -135,9 +135,9 @@ impl Fingerprint {
         let answers: Vec<_> = self
             .ranks
             .iter()
-            .map(|r| RankFp {
-                ledger: Vec::new(),
-                ..r.clone()
+            .map(|r| {
+                let counters = (r.iterations, r.matvecs, r.lowprec_matvecs, r.converged);
+                (&r.err, &r.eigs, &r.residuals, r.vec_hash, counters)
             })
             .collect();
         fnv1a(format!("{answers:?}").bytes())

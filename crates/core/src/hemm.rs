@@ -229,26 +229,24 @@ pub fn hemm_b_to_c_pipelined<T: Scalar + Reduce>(
     )
 }
 
-/// Distributed product on a *replicated* block of global vectors:
-/// `Y = H X`, one `ConjTrans` GEMM + one allreduce over the column
+/// Distributed product on a *replicated* block of global vectors: returns
+/// `H X`, one `ConjTrans` GEMM + one allreduce over the column
 /// communicator + one allgather over the row communicator whatever the
 /// number of columns.
 ///
 /// Used by the Lanczos estimator, where vectors are cheap (`O(N)`) and
 /// keeping them replicated avoids a second layout; `b_dist` is
 /// [`RowDist::b_layout`] of `h`, built once by the caller. The result is
-/// identical (bitwise) on every rank, and each column of `Y` depends on the
-/// matching column of `X` alone.
+/// identical (bitwise) on every rank, and each of its columns depends on
+/// the matching column of `X` alone.
 pub fn matvec_replicated<T: Scalar + Reduce>(
     dev: &Device<'_>,
     ctx: &RankCtx,
     h: &DistHerm<T>,
     b_dist: &RowDist,
     x: &Matrix<T>,
-    y: &mut Matrix<T>,
-) {
+) -> Matrix<T> {
     debug_assert_eq!(x.rows(), h.n);
-    debug_assert_eq!((y.rows(), y.cols()), (h.n, x.cols()));
     // Local contribution to rows J_j: H[I_i, J_j]^H X[I_i, :].
     let x_rows = x.select_rows(h.row_set.iter());
     let mut part = Matrix::<T>::zeros(h.n_c(), x.cols());
@@ -265,7 +263,7 @@ pub fn matvec_replicated<T: Scalar + Reduce>(
     // Ranks of a row communicator hold disjoint J_j sets covering 0..N;
     // scatter the gathered pieces by their global indices.
     let gathered = dev.allgather(&ctx.row_comm, part.as_slice());
-    *y = b_dist.assemble(&gathered, x.cols());
+    b_dist.assemble(&gathered, x.cols())
 }
 
 #[cfg(test)]
@@ -460,9 +458,9 @@ mod tests {
             let dev = Device::new(ctx, Backend::Nccl);
             let dh = DistHerm::from_global(h, ctx);
             let b_dist = RowDist::b_layout(n, ctx.shape, dh.dist);
-            let mut y = Matrix::zeros(n, 1);
-            matvec_replicated(&dev, ctx, &dh, &b_dist, xm, &mut y);
-            y.col(0).to_vec()
+            matvec_replicated(&dev, ctx, &dh, &b_dist, xm)
+                .col(0)
+                .to_vec()
         });
         for y in &out.results {
             for i in 0..n {

@@ -75,7 +75,7 @@ pub fn estimate_bounds_dist<T: Scalar + Reduce>(
         h.n,
         params.lanczos_steps,
         params.lanczos_runs,
-        |x, y| matvec_replicated(dev, ctx, h, &b_dist, x, y),
+        |x| matvec_replicated(dev, ctx, h, &b_dist, x),
         &mut rng,
     );
     let detail = match runs.map(|runs| SpectralBounds::from_runs(h.n, ne, &runs)) {
@@ -1469,10 +1469,8 @@ mod tests {
             let runs: Vec<_> = (0..params.lanczos_runs)
                 .map(|_| {
                     let matvec = |x: &[T], y: &mut [T]| {
-                        let mut ym = Matrix::zeros(n, 1);
                         let xm = Matrix::from_vec(n, 1, x.to_vec());
-                        matvec_replicated(&dev, ctx, &dh, &b_dist, &xm, &mut ym);
-                        y.copy_from_slice(ym.col(0));
+                        y.copy_from_slice(matvec_replicated(&dev, ctx, &dh, &b_dist, &xm).col(0));
                     };
                     chase_linalg::lanczos_run(n, params.lanczos_steps, matvec, &mut rng)
                         .expect("finite H")

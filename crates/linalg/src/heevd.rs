@@ -86,7 +86,7 @@ fn hetrd<T: Scalar>(a: &Matrix<T>) -> Reduction<T> {
     assert_eq!(a.cols(), n, "tridiagonalize: square matrix required");
     let mut d = Vec::with_capacity(n);
     let mut e = Vec::with_capacity(n.saturating_sub(1));
-    let mut blocks = Vec::with_capacity(n.div_ceil(PANEL));
+    let mut q = Vec::with_capacity(n.div_ceil(PANEL));
     // The part still to reduce, as a matrix of its own; only its lower
     // triangle is read and kept up to date.
     let mut trail = a.clone();
@@ -127,8 +127,7 @@ fn hetrd<T: Scalar>(a: &Matrix<T>) -> Reduction<T> {
                 axpy(-t[(l, j)], &w.col(l)[j..], p);
             }
             scal(tau, p);
-            let half = <T::Real as Scalar>::one() / T::Real::from_f64_r(2.0);
-            axpy(-(tau * dotc(p, vj)).scale(half), vj, p);
+            axpy(-(tau * dotc(p, vj)).scale(T::Real::from_f64_r(0.5)), vj, p);
             w.col_mut(j)[j..].copy_from_slice(p);
             // T[..j, j] = -tau T[..j, ..j] (V[:, ..j]^H v).
             for i in 0..j {
@@ -157,12 +156,12 @@ fn hetrd<T: Scalar>(a: &Matrix<T>) -> Reduction<T> {
         }
         sub_abh_lower(vw.as_ref(), wv.as_ref(), next.as_mut());
         trail = next;
-        blocks.push(WyBlock { v, t });
+        q.push(WyBlock { v, t });
     }
     if n > 0 {
         d.push(trail[(0, 0)].re());
     }
-    Reduction { d, e, q: blocks }
+    Reduction { d, e, q }
 }
 
 /// `X := X Q^H` for the `Q` of a reduction, block by block (last first)

@@ -103,13 +103,13 @@ fn ritz_of<R: RealScalar>(
 /// reorthogonalization, advanced in lock-step so the operator sees one
 /// block per step.
 ///
-/// `apply(x, y)` must compute `Y = A X` for the Hermitian operator `A` of
-/// dimension `n`; `X` holds the current vector of every run still going, in
+/// `apply(x)` must return `A X` for the Hermitian operator `A` of dimension
+/// `n`; `X` holds the current vector of every run still going, in
 /// run order. A run stops early when its Krylov space closes; the others go
 /// on with a narrower block.
 ///
 /// Bit for bit `nvec` one-vector runs made one after the other on the same
-/// `rng`, provided `apply` computes each column of `Y` from the matching
+/// `rng`, provided `apply` computes each column of `A X` from the matching
 /// column of `X` alone (as [`crate::gemm`] does): the start vectors are drawn
 /// run by run before the first step and a run draws nothing else, and column
 /// `r` goes through exactly run `r`'s sequence of dot products and updates.
@@ -125,7 +125,7 @@ pub fn lanczos_block<T, F, R>(
 ) -> Result<Vec<LanczosRun<T::Real>>, NoConvergence>
 where
     T: Scalar,
-    F: FnMut(&Matrix<T>, &mut Matrix<T>),
+    F: FnMut(&Matrix<T>) -> Matrix<T>,
     R: Rng + ?Sized,
 {
     assert!(n >= 1);
@@ -151,8 +151,12 @@ where
         for (a, &r) in active.iter().enumerate() {
             x.col_mut(a).copy_from_slice(&runs[r].v);
         }
-        let mut w = Matrix::<T>::zeros(n, active.len());
-        apply(&x, &mut w);
+        let mut w = apply(&x);
+        assert_eq!(
+            (w.rows(), w.cols()),
+            (n, active.len()),
+            "lanczos: A X shape"
+        );
         active = active
             .iter()
             .enumerate()
@@ -178,8 +182,12 @@ where
     F: FnMut(&[T], &mut [T]),
     R: Rng + ?Sized,
 {
-    let mut runs = lanczos_block(n, m, 1, |x, y| matvec(x.col(0), y.col_mut(0)), rng)?;
-    Ok(runs.remove(0))
+    let column = |x: &Matrix<T>| {
+        let mut y = Matrix::zeros(n, 1);
+        matvec(x.col(0), y.col_mut(0));
+        y
+    };
+    Ok(lanczos_block(n, m, 1, column, rng)?.remove(0))
 }
 
 impl<R: RealScalar> SpectralBounds<R> {
@@ -236,7 +244,7 @@ impl<R: RealScalar> SpectralBounds<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blas3::{gemm, gemm_new, gemv, Op};
+    use crate::blas3::{gemm_new, gemv, Op};
     use crate::scalar::{C32, C64};
     use proptest::prelude::*;
     use rand::SeedableRng;
@@ -338,17 +346,7 @@ mod tests {
         seed: u64,
     ) -> Vec<usize> {
         let n = a.rows();
-        let apply = |x: &Matrix<T>, y: &mut Matrix<T>| {
-            gemm(
-                Op::ConjTrans,
-                Op::None,
-                T::one(),
-                a.as_ref(),
-                x.as_ref(),
-                T::zero(),
-                y.as_mut(),
-            )
-        };
+        let apply = |x: &Matrix<T>| gemm_new(Op::ConjTrans, Op::None, a, x);
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let block = lanczos_block(n, steps, nvec, apply, &mut rng).expect("QL converges");
         let mut rng_ref = ChaCha8Rng::seed_from_u64(seed);
@@ -357,9 +355,7 @@ mod tests {
             steps,
             nvec,
             |x: &[T], y: &mut [T]| {
-                let mut ym = Matrix::zeros(n, 1);
-                apply(&Matrix::from_vec(n, 1, x.to_vec()), &mut ym);
-                y.copy_from_slice(ym.col(0));
+                y.copy_from_slice(apply(&Matrix::from_vec(n, 1, x.to_vec())).col(0));
             },
             &mut rng_ref,
         );
@@ -432,21 +428,15 @@ mod tests {
     fn estimate_bounds(
         (n, ne): (usize, usize),
         (steps, nvec): (usize, usize),
-        apply: impl FnMut(&Matrix<C64>, &mut Matrix<C64>),
+        apply: impl FnMut(&Matrix<C64>) -> Matrix<C64>,
         rng: &mut ChaCha8Rng,
     ) -> Result<SpectralBounds<f64>, NoConvergence> {
         let runs = lanczos_block(n, steps, nvec, apply, rng)?;
         Ok(SpectralBounds::from_runs(n, ne, &runs))
     }
 
-    fn diag_operator(spec: Vec<f64>) -> impl FnMut(&Matrix<C64>, &mut Matrix<C64>) {
-        move |x, y| {
-            for j in 0..x.cols() {
-                for (i, (xi, yi)) in x.col(j).iter().zip(y.col_mut(j)).enumerate() {
-                    *yi = xi.scale(spec[i]);
-                }
-            }
-        }
+    fn diag_operator(spec: Vec<f64>) -> impl FnMut(&Matrix<C64>) -> Matrix<C64> {
+        move |x| Matrix::from_fn(x.rows(), x.cols(), |i, j| x[(i, j)].scale(spec[i]))
     }
 
     #[test]
