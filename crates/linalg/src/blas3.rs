@@ -1126,10 +1126,11 @@ mod tests {
     }
 
     /// Sizes on both sides of every blocking constant (`MR` 4/16, `NR` 4/2,
-    /// `MC` 128, `NC` and `KC` 256), the degenerate 0 and 1, ragged remainders.
+    /// `MC` 128, `KC` 256; `NC` 256 has its own test below), the degenerate 0
+    /// and 1, ragged remainders.
     const M_SIZES: [usize; 14] = [0, 1, 3, 4, 5, 15, 16, 17, 33, 127, 128, 129, 133, 150];
     const K_SIZES: [usize; 10] = [0, 1, 2, 7, 64, 255, 256, 257, 301, 513];
-    const N_SIZES: [usize; 13] = [0, 1, 2, 3, 4, 5, 9, 37, 129, 255, 256, 257, 261];
+    const N_SIZES: [usize; 12] = [0, 1, 2, 3, 4, 5, 9, 37, 127, 128, 129, 131];
     /// Column counts of a CholeskyQR block: around `PANEL` 16 and its
     /// multiples as well, and past `KC` (the TRSM's inner dimension).
     const QR_COLS: [usize; 16] = [
@@ -1192,6 +1193,19 @@ mod tests {
             check_trsm_contract::<f64>(dims, poison == 0, seed);
             check_trsm_contract::<C32>(dims, poison == 0, seed);
             check_trsm_contract::<C64>(dims, poison == 0, seed);
+        }
+    }
+
+    /// The fold contract across the `NC` column slices: narrow in `m` and
+    /// `k`, so that the widths the proptest would pay for dearly are cheap.
+    #[test]
+    fn kernel_equals_reference_fold_across_column_slices() {
+        for (n, seed) in [(NC - 1, 1), (NC, 2), (NC + 1, 3), (2 * NC + 5, 4)] {
+            let dims = (MC + 5, 9, n);
+            check_fold_contract::<f32>(dims, (3, 3), true, seed);
+            check_fold_contract::<f64>(dims, (3, 3), true, seed);
+            check_fold_contract::<C32>(dims, (3, 3), true, seed);
+            check_fold_contract::<C64>(dims, (3, 3), true, seed);
         }
     }
 

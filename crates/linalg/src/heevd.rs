@@ -622,7 +622,7 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
+        #![proptest_config(ProptestConfig::with_cases(24))]
 
         /// Residual and orthogonality bounds on the inputs that break
         /// eigensolvers, at the sizes that straddle the panel, for every
