@@ -18,7 +18,7 @@
 //! sorted ascending-by-degree and shrinking the active range as steps pass
 //! each column's degree.
 
-use crate::hemm::{hemm_b_to_c, hemm_b_to_c_pipelined, hemm_c_to_b, hemm_c_to_b_pipelined};
+use crate::hemm::{hemm, Direction};
 use crate::layout::DistHerm;
 use chase_comm::{CommError, RankCtx, Reduce, Region};
 use chase_device::Device;
@@ -175,42 +175,6 @@ pub fn chebyshev_filter<T: Scalar + Reduce>(
     .expect("flat filter on validated inputs")
 }
 
-/// One recurrence step: `direction` picks C→B (odd steps) or B→C (even
-/// steps), `exec` picks the flat or pipelined schedule. Keeping the
-/// (direction × schedule) dispatch in one place stops the precision
-/// dimension from multiplying the old four-way match into eight arms.
-#[allow(clippy::too_many_arguments)]
-fn filter_step<T: Scalar + Reduce>(
-    dev: &Device<'_>,
-    ctx: &RankCtx,
-    h: &mut DistHerm<T>,
-    c_buf: &mut Matrix<T>,
-    b_buf: &mut Matrix<T>,
-    c_to_b: bool,
-    col0: usize,
-    ncols: usize,
-    alpha: T,
-    beta: T,
-    exec: FilterExec,
-) -> Result<(), CommError> {
-    match (c_to_b, exec) {
-        (true, FilterExec::Flat) => {
-            hemm_c_to_b(dev, ctx, h, c_buf, b_buf, col0, ncols, alpha, beta);
-            Ok(())
-        }
-        (false, FilterExec::Flat) => {
-            hemm_b_to_c(dev, ctx, h, b_buf, c_buf, col0, ncols, alpha, beta);
-            Ok(())
-        }
-        (true, FilterExec::Pipelined { panel }) => {
-            hemm_c_to_b_pipelined(dev, ctx, h, c_buf, b_buf, col0, ncols, alpha, beta, panel)
-        }
-        (false, FilterExec::Pipelined { panel }) => {
-            hemm_b_to_c_pipelined(dev, ctx, h, b_buf, c_buf, col0, ncols, alpha, beta, panel)
-        }
-    }
-}
-
 /// [`chebyshev_filter`] with an explicit execution strategy. The pipelined
 /// strategy produces bitwise-identical output to the flat one; only the
 /// schedule (and therefore the ledger) differs.
@@ -270,11 +234,13 @@ pub fn chebyshev_filter_with<T: Scalar + Reduce>(
         };
 
         // Odd applications move C-layout -> B-layout, even ones back.
-        let c_to_b = step % 2 == 1;
-        filter_step(
-            dev, ctx, h, c_buf, b_buf, c_to_b, col0, ncols, alpha, beta, exec,
-        )
-        .inspect_err(|_e| h.clear_shift())?;
+        let (dir, src, dst) = if step % 2 == 1 {
+            (Direction::CToB, &*c_buf, &mut *b_buf)
+        } else {
+            (Direction::BToC, &*b_buf, &mut *c_buf)
+        };
+        hemm(dev, ctx, h, dir, src, dst, col0, ncols, alpha, beta, exec)
+            .inspect_err(|_e| h.clear_shift())?;
         matvecs += ncols as u64;
     }
 

@@ -7,12 +7,25 @@
 //! (`H B`, row-communicator allreduce) returns to C-layout. No vector block
 //! is ever re-distributed.
 
+use crate::filter::FilterExec;
 use crate::layout::{DistHerm, RowDist};
-use chase_comm::{CommError, Communicator, RankCtx, Reduce};
+use chase_comm::{CommError, RankCtx, Reduce};
 use chase_device::{DevAllreduce, Device};
 use chase_linalg::matrix::ColsMut;
 use chase_linalg::{Matrix, Op, Scalar};
 use std::ops::Range;
+
+/// Which layout a HEMM reads and which it writes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Direction {
+    /// `H^H` times a C-layout block into B-layout: the stored block
+    /// conjugate-transposed, partial products summed over the column
+    /// communicator.
+    CToB,
+    /// `H` times a B-layout block into C-layout: the stored block as it is,
+    /// partial products summed over the row communicator.
+    BToC,
+}
 
 /// `B[:, range] = alpha * H^H * C[:, range] + beta * B[:, range]`
 /// (C-layout in, B-layout out; allreduce over the column communicator).
@@ -32,21 +45,11 @@ pub fn hemm_c_to_b<T: Scalar + Reduce>(
     alpha: T,
     beta: T,
 ) {
-    debug_assert_eq!(c_buf.rows(), h.n_r());
-    debug_assert_eq!(b_buf.rows(), h.n_c());
-    let on_root = ctx.col_comm.rank() == 0;
-    let eff_beta = if on_root { beta } else { T::zero() };
-    dev.gemm(
-        Op::ConjTrans,
-        Op::None,
-        alpha,
-        h.local.as_ref(),
-        c_buf.cols_ref(col0..col0 + ncols),
-        eff_beta,
-        b_buf.cols_mut(col0..col0 + ncols),
-    );
-    let mut view = b_buf.cols_mut(col0..col0 + ncols);
-    dev.allreduce_sum(&ctx.col_comm, view.as_mut_slice());
+    let (dir, exec) = (Direction::CToB, FilterExec::Flat);
+    hemm(
+        dev, ctx, h, dir, c_buf, b_buf, col0, ncols, alpha, beta, exec,
+    )
+    .expect("a flat HEMM waits on no nonblocking collective");
 }
 
 /// `C[:, range] = alpha * H * B[:, range] + beta * C[:, range]`
@@ -63,170 +66,114 @@ pub fn hemm_b_to_c<T: Scalar + Reduce>(
     alpha: T,
     beta: T,
 ) {
-    debug_assert_eq!(c_buf.rows(), h.n_r());
-    debug_assert_eq!(b_buf.rows(), h.n_c());
-    let on_root = ctx.row_comm.rank() == 0;
-    let eff_beta = if on_root { beta } else { T::zero() };
-    dev.gemm(
-        Op::None,
-        Op::None,
-        alpha,
-        h.local.as_ref(),
-        b_buf.cols_ref(col0..col0 + ncols),
-        eff_beta,
-        c_buf.cols_mut(col0..col0 + ncols),
-    );
-    let mut view = c_buf.cols_mut(col0..col0 + ncols);
-    dev.allreduce_sum(&ctx.row_comm, view.as_mut_slice());
+    let (dir, exec) = (Direction::BToC, FilterExec::Flat);
+    hemm(
+        dev, ctx, h, dir, b_buf, c_buf, col0, ncols, alpha, beta, exec,
+    )
+    .expect("a flat HEMM waits on no nonblocking collective");
 }
 
-/// Panel-chunked double-buffered HEMM core: split the column range into
-/// `panel`-wide panels; while panel `k`'s allreduce is in flight, panel
-/// `k+1`'s GEMM runs. The whole pipelined step executes inside one ledger
-/// overlap window so the overlap-aware perfmodel prices it at
-/// `max(compute, comm)`.
+/// `dst[:, range] = alpha * op(H) * src[:, range] + beta * dst[:, range]`
+/// in direction `dir`, executed as `exec` says.
 ///
-/// Bitwise identical to the flat path: the tiled GEMM's per-element
-/// accumulation order is independent of column panelling, and the
-/// nonblocking allreduce folds contributions in the same member order as
-/// the blocking one.
+/// [`FilterExec::Flat`]: one GEMM and one blocking allreduce; never fails.
 ///
-/// Returns `Err` if an in-flight allreduce never completes (a peer's post
-/// was dropped): the overlap window is closed and the timeout propagates so
-/// the solver can abort with a typed error instead of wedging.
+/// [`FilterExec::Pipelined`]: the column range is split into `panel`-wide
+/// panels (`None` asks the topology tuner for the width); while panel `k`'s
+/// allreduce is in flight, panel `k+1`'s GEMM runs. The whole pipelined
+/// step executes inside one ledger overlap window so the overlap-aware
+/// perfmodel prices it at `max(compute, comm)`. Bitwise identical to the
+/// flat path: the tiled GEMM's per-element accumulation order is
+/// independent of column panelling, and the nonblocking allreduce folds
+/// contributions in the same member order as the blocking one. Returns
+/// `Err` if an in-flight allreduce never completes (a peer's post was
+/// dropped): the overlap window is closed and the timeout propagates so the
+/// solver can abort with a typed error instead of wedging.
 #[allow(clippy::too_many_arguments)]
-fn hemm_pipelined<T: Scalar + Reduce>(
+pub(crate) fn hemm<T: Scalar + Reduce>(
     dev: &Device<'_>,
-    comm: &Communicator,
-    opa: Op,
-    h_local: &Matrix<T>,
+    ctx: &RankCtx,
+    h: &DistHerm<T>,
+    dir: Direction,
     src: &Matrix<T>,
     dst: &mut Matrix<T>,
     col0: usize,
     ncols: usize,
     alpha: T,
     beta: T,
-    panel: usize,
+    exec: FilterExec,
 ) -> Result<(), CommError> {
+    let (comm, opa, rows) = match dir {
+        Direction::CToB => (&ctx.col_comm, Op::ConjTrans, (h.n_r(), h.n_c())),
+        Direction::BToC => (&ctx.row_comm, Op::None, (h.n_c(), h.n_r())),
+    };
+    debug_assert_eq!((src.rows(), dst.rows()), rows);
     let on_root = comm.rank() == 0;
     let eff_beta = if on_root { beta } else { T::zero() };
-    let panel = panel.max(1);
+    let panel = match exec {
+        FilterExec::Flat => {
+            let range = col0..col0 + ncols;
+            dev.gemm(
+                opa,
+                Op::None,
+                alpha,
+                h.local.as_ref(),
+                src.cols_ref(range.clone()),
+                eff_beta,
+                dst.cols_mut(range.clone()),
+            );
+            let mut view = dst.cols_mut(range);
+            dev.allreduce_sum(comm, view.as_mut_slice());
+            return Ok(());
+        }
+        FilterExec::Pipelined { panel } => panel
+            .unwrap_or_else(|| dev.overlap_panel_cols::<T>(comm, ncols, rows.1, rows.0))
+            .max(1),
+    };
     let out_rows = dst.rows();
     // Pack op(H_local) once: packing it per panel would cost
     // O(n_r * n_c) per panel and erase the pipeline's win.
-    let h_packed = chase_linalg::prepack_a(opa, h_local.as_ref());
+    let h_packed = chase_linalg::prepack_a(opa, h.local.as_ref());
     dev.begin_overlap();
-    let mut pending: Option<(DevAllreduce<'_, '_, T>, Range<usize>)> = None;
-    let mut j0 = col0;
-    while j0 < col0 + ncols {
-        let w = panel.min(col0 + ncols - j0);
-        let range = j0..j0 + w;
-        // Zero-copy posting: the GEMM writes its panel straight into a
-        // pooled staging buffer, which then *moves* into the collective.
-        // Only the beta-carrying root rank must preload the destination
-        // panel (the GEMM reads `C` when beta != 0); everyone else posts
-        // without ever touching `dst` on the way out.
-        let mut stage = dev.nb_staging::<T>(comm, out_rows * w);
-        if eff_beta != T::zero() {
-            stage
-                .as_mut_slice()
-                .copy_from_slice(dst.cols_ref(range.clone()).as_slice());
-        }
-        dev.gemm_prepacked(
-            &h_packed,
-            Op::None,
-            alpha,
-            src.cols_ref(range.clone()),
-            eff_beta,
-            ColsMut::new(stage.as_mut_slice(), out_rows, w),
-        );
-        if let Some((req, done)) = pending.take() {
-            let mut view = dst.cols_mut(done);
-            if let Err(e) = req.wait(view.as_mut_slice()) {
-                dev.end_overlap();
-                return Err(e);
+    let mut pipeline = || {
+        let mut pending: Option<(DevAllreduce<'_, '_, T>, Range<usize>)> = None;
+        let mut j0 = col0;
+        while j0 < col0 + ncols {
+            let w = panel.min(col0 + ncols - j0);
+            let range = j0..j0 + w;
+            // Zero-copy posting: the GEMM writes its panel straight into a
+            // pooled staging buffer, which then *moves* into the collective.
+            // Only the beta-carrying root rank must preload the destination
+            // panel (the GEMM reads `C` when beta != 0); everyone else posts
+            // without ever touching `dst` on the way out.
+            let mut stage = dev.nb_staging::<T>(comm, out_rows * w);
+            if eff_beta != T::zero() {
+                stage
+                    .as_mut_slice()
+                    .copy_from_slice(dst.cols_ref(range.clone()).as_slice());
             }
+            dev.gemm_prepacked(
+                &h_packed,
+                Op::None,
+                alpha,
+                src.cols_ref(range.clone()),
+                eff_beta,
+                ColsMut::new(stage.as_mut_slice(), out_rows, w),
+            );
+            if let Some((req, done)) = pending.take() {
+                req.wait(dst.cols_mut(done).as_mut_slice())?;
+            }
+            pending = Some((dev.iallreduce_sum_staged(comm, stage), range));
+            j0 += w;
         }
-        pending = Some((dev.iallreduce_sum_staged(comm, stage), range));
-        j0 += w;
-    }
-    if let Some((req, done)) = pending.take() {
-        let mut view = dst.cols_mut(done);
-        if let Err(e) = req.wait(view.as_mut_slice()) {
-            dev.end_overlap();
-            return Err(e);
+        match pending {
+            Some((req, done)) => req.wait(dst.cols_mut(done).as_mut_slice()),
+            None => Ok(()),
         }
-    }
+    };
+    let piped = pipeline();
     dev.end_overlap();
-    Ok(())
-}
-
-/// Pipelined variant of [`hemm_c_to_b`]: `panel = None` asks the topology
-/// tuner for the width; `Some(w)` pins it.
-#[allow(clippy::too_many_arguments)]
-pub fn hemm_c_to_b_pipelined<T: Scalar + Reduce>(
-    dev: &Device<'_>,
-    ctx: &RankCtx,
-    h: &DistHerm<T>,
-    c_buf: &Matrix<T>,
-    b_buf: &mut Matrix<T>,
-    col0: usize,
-    ncols: usize,
-    alpha: T,
-    beta: T,
-    panel: Option<usize>,
-) -> Result<(), CommError> {
-    debug_assert_eq!(c_buf.rows(), h.n_r());
-    debug_assert_eq!(b_buf.rows(), h.n_c());
-    let panel = panel
-        .unwrap_or_else(|| dev.overlap_panel_cols::<T>(&ctx.col_comm, ncols, h.n_c(), h.n_r()));
-    hemm_pipelined(
-        dev,
-        &ctx.col_comm,
-        Op::ConjTrans,
-        &h.local,
-        c_buf,
-        b_buf,
-        col0,
-        ncols,
-        alpha,
-        beta,
-        panel,
-    )
-}
-
-/// Pipelined variant of [`hemm_b_to_c`]: `panel = None` asks the topology
-/// tuner for the width; `Some(w)` pins it.
-#[allow(clippy::too_many_arguments)]
-pub fn hemm_b_to_c_pipelined<T: Scalar + Reduce>(
-    dev: &Device<'_>,
-    ctx: &RankCtx,
-    h: &DistHerm<T>,
-    b_buf: &Matrix<T>,
-    c_buf: &mut Matrix<T>,
-    col0: usize,
-    ncols: usize,
-    alpha: T,
-    beta: T,
-    panel: Option<usize>,
-) -> Result<(), CommError> {
-    debug_assert_eq!(c_buf.rows(), h.n_r());
-    debug_assert_eq!(b_buf.rows(), h.n_c());
-    let panel = panel
-        .unwrap_or_else(|| dev.overlap_panel_cols::<T>(&ctx.row_comm, ncols, h.n_r(), h.n_c()));
-    hemm_pipelined(
-        dev,
-        &ctx.row_comm,
-        Op::None,
-        &h.local,
-        b_buf,
-        c_buf,
-        col0,
-        ncols,
-        alpha,
-        beta,
-        panel,
-    )
+    piped
 }
 
 /// Distributed product on a *replicated* block of global vectors: returns
@@ -250,16 +197,17 @@ pub fn matvec_replicated<T: Scalar + Reduce>(
     // Local contribution to rows J_j: H[I_i, J_j]^H X[I_i, :].
     let x_rows = x.select_rows(h.row_set.iter());
     let mut part = Matrix::<T>::zeros(h.n_c(), x.cols());
-    dev.gemm(
-        Op::ConjTrans,
-        Op::None,
+    hemm_c_to_b(
+        dev,
+        ctx,
+        h,
+        &x_rows,
+        &mut part,
+        0,
+        x.cols(),
         T::one(),
-        h.local.as_ref(),
-        x_rows.as_ref(),
         T::zero(),
-        part.as_mut(),
     );
-    dev.allreduce_sum(&ctx.col_comm, part.as_mut_slice());
     // Ranks of a row communicator hold disjoint J_j sets covering 0..N;
     // scatter the gathered pieces by their global indices.
     let gathered = dev.allgather(&ctx.row_comm, part.as_slice());
@@ -410,9 +358,11 @@ mod tests {
                 let beta = C64::from_f64(-0.5);
                 let mut flat = bg0.select_rows(dh.col_set.iter());
                 hemm_c_to_b(&dev, ctx, &dh, &c_loc, &mut flat, 0, ne, alpha, beta);
+                let exec = FilterExec::Pipelined { panel };
                 let mut piped = bg0.select_rows(dh.col_set.iter());
-                hemm_c_to_b_pipelined(
-                    &dev, ctx, &dh, &c_loc, &mut piped, 0, ne, alpha, beta, panel,
+                let dir = Direction::CToB;
+                hemm(
+                    &dev, ctx, &dh, dir, &c_loc, &mut piped, 0, ne, alpha, beta, exec,
                 )
                 .unwrap();
                 assert_eq!(
@@ -425,17 +375,19 @@ mod tests {
                 let mut flat_c = bg0.select_rows(dh.row_set.iter());
                 hemm_b_to_c(&dev, ctx, &dh, &b_loc, &mut flat_c, 0, ne, alpha, beta);
                 let mut piped_c = bg0.select_rows(dh.row_set.iter());
-                hemm_b_to_c_pipelined(
+                let dir = Direction::BToC;
+                hemm(
                     &dev,
                     ctx,
                     &dh,
+                    dir,
                     &b_loc,
                     &mut piped_c,
                     0,
                     ne,
                     alpha,
                     beta,
-                    panel,
+                    exec,
                 )
                 .unwrap();
                 assert_eq!(flat_c.as_ref().as_slice(), piped_c.as_ref().as_slice());

@@ -35,6 +35,7 @@ pub mod plan;
 pub mod qr;
 pub mod result;
 pub mod solver;
+mod subspace;
 pub mod warm;
 
 pub use ckpt::{load_latest, CkptError, Snapshot, CKPT_FORMAT, CKPT_VERSION};
@@ -45,7 +46,7 @@ pub use filter::{
     chebyshev_filter, chebyshev_filter_mixed, chebyshev_filter_with, FilterBounds, FilterError,
     FilterExec,
 };
-pub use hemm::{hemm_b_to_c, hemm_b_to_c_pipelined, hemm_c_to_b, hemm_c_to_b_pipelined};
+pub use hemm::{hemm_b_to_c, hemm_c_to_b};
 pub use layout::{DistHerm, MemoryReport, RowDist};
 pub use params::{Params, PrecisionMode, QrStrategy};
 pub use plan::{PlanSource, SolvePlan};

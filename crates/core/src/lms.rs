@@ -8,13 +8,14 @@
 //! time the rank count quadruples. Those are exactly the bottlenecks the
 //! novel scheme removes.
 
-use crate::degrees::{degree_sort_permutation, optimize_degrees};
 use crate::filter::{chebyshev_filter, FilterBounds};
+use crate::hemm::hemm_c_to_b;
 use crate::layout::{DistHerm, MemoryReport, RowDist};
 use crate::params::Params;
 use crate::qr::QrVariant;
-use crate::result::{ChaseResult, IterStats};
-use crate::solver::{estimate_bounds_dist, permute_cols, permute_vec};
+use crate::result::{ChaseError, ChaseErrorKind, ChaseResult, RecoveryLog};
+use crate::solver::estimate_bounds_dist;
+use crate::subspace::{permute_cols, Measured, Subspace};
 use chase_comm::{RankCtx, Reduce, Region};
 use chase_device::{Backend, Device};
 use chase_linalg::{Matrix, Op, RealScalar, Scalar};
@@ -22,18 +23,22 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 /// Solve with the v1.2 legacy scheme. Functionally equivalent to
-/// [`crate::solve_dist`]; the execution/communication profile matches the
-/// old layout. Always uses (redundant) Householder QR, as v1.2 did.
+/// [`crate::solve_dist`] — parameters that do not fit `h` and a spectrum
+/// Lanczos or Rayleigh–Ritz cannot handle (a non-finite `H`) are the same
+/// typed errors — while the execution/communication profile matches the old
+/// layout. Always uses (redundant) Householder QR, as v1.2 did.
 pub fn solve_lms<T: Scalar + Reduce>(
     ctx: &RankCtx,
     h: DistHerm<T>,
     params: &Params,
     initial: Option<&Matrix<T>>,
-) -> ChaseResult<T>
+) -> Result<ChaseResult<T>, ChaseError>
 where
     T::Real: Reduce,
 {
-    params.validate(h.n);
+    params
+        .try_validate(h.n)
+        .map_err(|detail| ChaseError::outside_loop(ChaseErrorKind::InvalidParams { detail }))?;
     let dev = Device::with_collectives(
         ctx,
         Backend::Lms,
@@ -45,6 +50,7 @@ where
     let n = h.n;
     let mut h = h;
     let c_dist = RowDist::c_layout(n, ctx.shape, h.dist);
+    let b_dist = RowDist::b_layout(n, ctx.shape, h.dist);
 
     // Distributed C block plus the two redundant full-size buffers that
     // define the LMS memory profile.
@@ -57,21 +63,18 @@ where
     };
     let mut c = c_global0.select_rows(h.row_set.iter());
     let mut b = Matrix::<T>::zeros(h.n_c(), ne);
-    // Redundant buffers (the memory bottleneck of Section 2.3).
+    // Redundant buffers (the memory bottleneck of Section 2.3), each
+    // collected from the distributed block it replicates.
     let mut full_c;
     let mut full_w;
+    let collect = |comm: &chase_comm::Communicator, dist: &RowDist, local: &Matrix<T>| {
+        dist.assemble(&dev.allgather(comm, local.as_slice()), ne)
+    };
 
-    let bounds = estimate_bounds_dist(&dev, &h, ne, params).expect("LMS Lanczos bounds failed");
-    let b_sup = bounds.b_sup;
-    let mut mu_1 = bounds.mu_1;
-    let mut mu_ne = bounds.mu_ne;
-    let norm_h = mu_1.abs_r().max_r(b_sup.abs_r());
-
-    let mut ritzv = vec![mu_1; ne];
-    let mut resd = vec![<T::Real as Scalar>::one(); ne];
-    let init_deg = params.deg + params.deg % 2;
-    let mut degs = vec![init_deg; ne];
-    let mut locked = 0usize;
+    let mut bounds = estimate_bounds_dist(&dev, &h, ne, params)?;
+    let norm_h = bounds.mu_1.abs_r().max_r(bounds.b_sup.abs_r());
+    let tol = T::Real::from_f64_r(params.tol) * norm_h;
+    let mut sub = Subspace::new(ne, bounds.mu_1, params.init_deg());
 
     let mut stats = Vec::new();
     let mut total_matvecs = 0u64;
@@ -80,64 +83,28 @@ where
 
     for iter in 1..=params.max_iter {
         iterations = iter;
-        let half = T::Real::from_f64_r(0.5);
-        let c_center = (b_sup + mu_ne) * half;
-        let e_half = (b_sup - mu_ne) * half;
-
+        let fb = FilterBounds::from_spectrum(bounds.mu_1, bounds.mu_ne, bounds.b_sup);
         if iter > 1 {
-            if params.optimize_degrees {
-                let new_degs = optimize_degrees(
-                    &resd[locked..]
-                        .iter()
-                        .map(|r| r.to_f64())
-                        .collect::<Vec<_>>(),
-                    &ritzv[locked..]
-                        .iter()
-                        .map(|r| r.to_f64())
-                        .collect::<Vec<_>>(),
-                    c_center.to_f64(),
-                    e_half.to_f64(),
-                    params.tol * norm_h.to_f64(),
-                    params.max_deg,
-                );
-                degs[locked..].copy_from_slice(&new_degs);
-            }
-            let perm = degree_sort_permutation(&degs[locked..]);
-            permute_cols(&mut c, locked, &perm);
-            permute_vec(&mut ritzv[locked..], &perm);
-            permute_vec(&mut resd[locked..], &perm);
-            permute_vec(&mut degs[locked..], &perm);
+            let perm = sub.plan_degrees(params, &fb, norm_h);
+            permute_cols(&mut c, sub.locked, &perm);
         }
+        let (locked, act) = (sub.locked, ne - sub.locked);
 
         // --- Filter: identical distributed implementation ---
-        let fb = FilterBounds {
-            c: c_center,
-            e: e_half,
-            mu_1,
-        };
-        let degrees: Vec<usize> = degs[locked..].to_vec();
+        let degrees: Vec<usize> = sub.degs[locked..].to_vec();
         let mv = chebyshev_filter(&dev, ctx, &mut h, &mut c, &mut b, locked, &degrees, fb);
         total_matvecs += mv;
 
         // --- QR: gather + redundant Householder on every rank ---
         dev.set_region(Region::Qr);
-        {
-            let gathered = dev.allgather(&ctx.col_comm, c.as_slice());
-            full_c = c_dist.assemble(&gathered, ne);
-        }
-        full_c = dev.hhqr_q(&full_c);
+        full_c = dev.hhqr_q(&collect(&ctx.col_comm, &c_dist, &c));
         c = full_c.select_rows(h.row_set.iter());
 
         // --- Rayleigh-Ritz: W = H C distributed, then redundant A and
         //     redundant back-transform on gathered buffers ---
         dev.set_region(Region::RayleighRitz);
-        let act = ne - locked;
-        crate::hemm::hemm_c_to_b(&dev, ctx, &h, &c, &mut b, locked, act, T::one(), T::zero());
-        {
-            let gathered = dev.allgather(&ctx.row_comm, b.as_slice());
-            let b_dist = RowDist::b_layout(n, ctx.shape, h.dist);
-            full_w = b_dist.assemble(&gathered, ne);
-        }
+        hemm_c_to_b(&dev, ctx, &h, &c, &mut b, locked, act, T::one(), T::zero());
+        full_w = collect(&ctx.row_comm, &b_dist, &b);
         let mut a = Matrix::<T>::zeros(act, act);
         dev.gemm(
             Op::ConjTrans,
@@ -148,7 +115,14 @@ where
             T::zero(),
             a.as_mut(),
         );
-        let (vals, y) = dev.heevd(&a).expect("LMS Rayleigh-Ritz failed");
+        // `A` is replicated, so every rank takes this exit together.
+        let (vals, y) = dev.heevd(&a).map_err(|e| ChaseError {
+            kind: ChaseErrorKind::BadSpectrum {
+                detail: format!("Rayleigh-Ritz eigensolve failed: {e}"),
+            },
+            iter,
+            recovery: RecoveryLog::default(),
+        })?;
         // Redundant back-transform on the full buffer.
         let active = full_c.copy_cols(locked..ne);
         dev.gemm(
@@ -161,72 +135,46 @@ where
             full_c.cols_mut(locked..ne),
         );
         c = full_c.select_rows(h.row_set.iter());
-        ritzv[locked..].copy_from_slice(&vals);
+        sub.ritzv[locked..].copy_from_slice(&vals);
 
         // --- Residuals: redundant on gathered buffers ---
         dev.set_region(Region::Residuals);
-        crate::hemm::hemm_c_to_b(&dev, ctx, &h, &c, &mut b, locked, act, T::one(), T::zero());
-        {
-            let gathered = dev.allgather(&ctx.row_comm, b.as_slice());
-            let b_dist = RowDist::b_layout(n, ctx.shape, h.dist);
-            full_w = b_dist.assemble(&gathered, ne);
-        }
+        hemm_c_to_b(&dev, ctx, &h, &c, &mut b, locked, act, T::one(), T::zero());
+        full_w = collect(&ctx.row_comm, &b_dist, &b);
         dev.blas1::<T>(n * act * 2);
-        for k in 0..act {
-            let j = locked + k;
-            let lambda = ritzv[j];
+        for j in locked..ne {
+            let lambda = sub.ritzv[j];
             let cj = full_c.col(j).to_vec();
             let wj = full_w.col_mut(j);
             for (x, y) in wj.iter_mut().zip(&cj) {
                 *x -= y.scale(lambda);
             }
-            resd[j] = chase_linalg::blas1::nrm2(wj);
+            sub.resd[j] = chase_linalg::blas1::nrm2(wj);
         }
 
-        // --- Locking: longest converged prefix in ascending Ritz order ---
-        let tol = T::Real::from_f64_r(params.tol) * norm_h;
-        let before = locked;
-        while locked < ne && resd[locked] < tol {
-            locked += 1;
-        }
-
-        let active_res = &resd[locked.min(ne - 1)..];
-        stats.push(IterStats {
-            low_precision: false,
+        // --- Locking, the iteration's diagnostics, bound updates ---
+        let measured = Measured {
             iter,
+            matvecs: mv,
+            low_precision: false,
             est_cond: f64::NAN, // v1.2 has no condition estimator
             true_cond: None,
             qr_variant: QrVariant::Householder,
-            matvecs: mv,
-            new_locked: locked - before,
-            locked,
-            min_res: active_res
-                .iter()
-                .fold(f64::INFINITY, |m, r| m.min(r.to_f64())),
-            max_res: active_res.iter().fold(0.0f64, |m, r| m.max(r.to_f64())),
-            max_degree: *degs[locked.min(ne - 1)..].iter().max().unwrap_or(&0),
-        });
+        };
+        stats.push(sub.lock_and_record(tol, measured));
+        (bounds.mu_1, bounds.mu_ne) = sub.ritz_extent();
 
-        mu_1 = ritzv.iter().copied().fold(ritzv[0], |m, v| m.min_r(v));
-        mu_ne = ritzv.iter().copied().fold(ritzv[0], |m, v| m.max_r(v));
-
-        if locked >= nev {
+        if sub.locked >= nev {
             converged = true;
             break;
         }
     }
 
-    let take = locked.max(nev).min(ne);
-    let mut order: Vec<usize> = (0..take).collect();
-    order.sort_by(|&a, &b| ritzv[a].partial_cmp(&ritzv[b]).unwrap());
-    permute_cols(&mut c, 0, &order);
-    let ritz_sorted: Vec<T::Real> = order.iter().map(|&i| ritzv[i]).collect();
-    let res_sorted: Vec<T::Real> = order.iter().map(|&i| resd[i]).collect();
-
-    ChaseResult {
+    let (eigenvalues, residuals) = sub.sorted_pairs(nev, &mut c);
+    Ok(ChaseResult {
         lowprec_matvecs: 0,
-        eigenvalues: ritz_sorted[..nev].to_vec(),
-        residuals: res_sorted[..nev].to_vec(),
+        eigenvalues,
+        residuals,
         eigenvectors_local: c.copy_cols(0..nev),
         rows: h.row_set.clone(),
         n,
@@ -235,11 +183,11 @@ where
         converged,
         stats,
         norm_h: norm_h.to_f64(),
-        bounds: chase_linalg::SpectralBounds { mu_1, mu_ne, b_sup },
+        bounds,
         warm_started: false,
-        recovery: crate::result::RecoveryLog::default(),
+        recovery: RecoveryLog::default(),
         plan: None,
-    }
+    })
 }
 
 /// Memory report for the LMS layout (includes the redundant buffers of

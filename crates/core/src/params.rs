@@ -190,6 +190,12 @@ impl Params {
         self.nev + self.nex
     }
 
+    /// The filter degree every column starts at: `deg`, rounded up to even
+    /// (filtered vectors must end in `C`).
+    pub(crate) fn init_deg(&self) -> usize {
+        self.deg + self.deg % 2
+    }
+
     /// Validate against a problem size, reporting the first violation as a
     /// typed error (a bad workload entry must not abort a whole serve run).
     pub fn try_validate(&self, n: usize) -> Result<(), String> {

@@ -8,27 +8,33 @@
 //! back-transform locally, compute residuals in B-layout, then deflate and
 //! lock converged columns. The only replicated object is the `ne x ne`
 //! quotient `A` — the `O(N ne)` redundancy of v1.2 is gone (Section 3.1).
+//!
+//! `Chase::run` is that loop and `Chase::iterate` one pass through its
+//! stages, in the paper's order. An iteration leaves the straight path in
+//! one of two ways, and each is handled in one place: `Step::Restart` (the
+//! replicas diverged, or Ritz values/residuals regressed to non-finite —
+//! `Chase::restart` rolls back to the last locked checkpoint) and `Abort`
+//! (`Chase::abort` turns it into the typed [`ChaseError`]).
 
 use crate::ckpt::{CkptError, Snapshot};
 use crate::condest::cond_est;
-use crate::degrees::{degree_sort_permutation, optimize_degrees};
-use crate::filter::{
-    chebyshev_filter_mixed, chebyshev_filter_with, FilterBounds, FilterError, FilterExec,
-};
+use crate::filter::{chebyshev_filter_mixed, chebyshev_filter_with, FilterBounds, FilterError};
 use crate::hemm::{hemm_c_to_b, matvec_replicated};
 use crate::layout::{DistHerm, MemoryReport, RowDist};
 use crate::params::{Params, PrecisionMode};
-use crate::qr::qr_ladder;
+use crate::qr::{qr_ladder, QrVariant};
 use crate::result::{
     ChaseError, ChaseErrorKind, ChaseResult, IterStats, RecoveryEventKind, RecoveryLog,
 };
+use crate::subspace::{permute_cols, Measured, Subspace};
 use crate::warm::WarmStart;
-use chase_comm::{Reduce, Region};
+use chase_comm::{CommError, RankCtx, Reduce, Region};
 use chase_device::{Backend, Device};
 use chase_faults::FaultPlan;
 use chase_linalg::{Matrix, Op, RealScalar, Scalar, SpectralBounds};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Relative `b_sup` inflation applied to cached warm-start bounds: a
@@ -36,22 +42,6 @@ use std::sync::Arc;
 /// upper estimate, and the Chebyshev filter amplifies anything outside
 /// `[mu_ne, b_sup]` — 1% of the spectral span is cheap insurance.
 const WARM_BOUND_MARGIN: f64 = 0.01;
-
-/// Permute columns `offset..offset+perm.len()` of `m` so that new column `k`
-/// is old column `offset + perm[k]`.
-pub(crate) fn permute_cols<T: Scalar>(m: &mut Matrix<T>, offset: usize, perm: &[usize]) {
-    let block = m.copy_cols(offset..offset + perm.len());
-    for (k, &src) in perm.iter().enumerate() {
-        m.col_mut(offset + k).copy_from_slice(block.col(src));
-    }
-}
-
-pub(crate) fn permute_vec<V: Copy>(v: &mut [V], perm: &[usize]) {
-    let old: Vec<V> = v.to_vec();
-    for (k, &src) in perm.iter().enumerate() {
-        v[k] = old[src];
-    }
-}
 
 /// Distributed spectral-bound estimation (Algorithm 2, line 1): `runs`
 /// Lanczos runs of `steps` iterations on the distributed operator, advanced
@@ -99,6 +89,18 @@ struct Checkpoint<T: Scalar> {
     resd: Vec<T::Real>,
 }
 
+impl<T: Scalar> Checkpoint<T> {
+    /// The locked prefix of `sub`, with its columns of the local iterate `c`.
+    fn of(c: &Matrix<T>, sub: &Subspace<T::Real>) -> Self {
+        Self {
+            locked: sub.locked,
+            c: c.copy_cols(0..sub.locked),
+            ritzv: sub.ritzv[..sub.locked].to_vec(),
+            resd: sub.resd[..sub.locked].to_vec(),
+        }
+    }
+}
+
 /// Estimated condition number of the filtered block above which the next
 /// low-precision filter is considered at risk of f32 overflow; the mixed
 /// policy escalates preemptively instead of waiting for the guard to catch
@@ -119,6 +121,131 @@ const LO_FLOOR_EPS_MULT: f64 = 5.0e3;
 /// filter amplification pushes the single-precision noise floor above the
 /// eps-based estimate.
 const LO_STALL_LIMIT: usize = 2;
+
+/// The mixed-precision policy: may the next filter call run demoted? A pure
+/// function of world-replicated state (residuals, Ritz values and the
+/// previous condition estimate are identical on every rank), so it decides —
+/// and flips — identically on every rank.
+struct LoPolicy {
+    /// Mixed mode was asked for and the scalar has a narrower type.
+    enabled: bool,
+    /// Residual floor of the demoted filter: below ~50*eps_lo*||H|| the
+    /// low-precision recurrence can no longer separate the subspace.
+    floor: f64,
+    /// Sticky escalation flag: once true, every remaining filter call runs
+    /// at full precision.
+    escalated: bool,
+    /// Previous iteration's estimated condition number of the filtered
+    /// block (drives preemptive escalation before an f32 overflow).
+    prev_est_cond: f64,
+    /// Max active residual seen at the previous decision point (stall
+    /// detection).
+    prev_max_res: f64,
+    /// Consecutive decision points without meaningful residual improvement
+    /// while running demoted.
+    stall: usize,
+}
+
+impl LoPolicy {
+    fn new(enabled: bool, floor: f64) -> Self {
+        Self {
+            enabled,
+            floor,
+            escalated: false,
+            prev_est_cond: 0.0,
+            prev_max_res: f64::INFINITY,
+            stall: 0,
+        }
+    }
+
+    /// Decide the next filter call from the largest active residual and
+    /// whether the filter interval survives demotion. Residuals start at
+    /// one, so iteration 1 always qualifies.
+    fn decide(&mut self, max_active_res: f64, fb_demotable: bool) -> bool {
+        if !self.enabled || self.escalated {
+            return false;
+        }
+        if max_active_res < 0.7 * self.prev_max_res {
+            self.stall = 0;
+        } else {
+            self.stall += 1;
+        }
+        self.prev_max_res = max_active_res;
+        let run_low = max_active_res > self.floor
+            && self.stall < LO_STALL_LIMIT
+            && self.prev_est_cond < LO_COND_LIMIT
+            && fb_demotable;
+        if !run_low {
+            // The policy declined once (floor reached, conditioning at
+            // risk, or interval degenerates under demotion): stay full for
+            // the rest of the solve so the schedule is monotone.
+            self.escalated = true;
+        }
+        run_low
+    }
+}
+
+/// Rollback-restarts tolerated before declaring the run lost.
+const MAX_RESTARTS: usize = 3;
+
+/// Where a solve stands: the work done and the recovery trail so far. All
+/// zero for a fresh solve; a checkpoint restore fills in the work done
+/// before the snapshot (so elastic runs report true totals) and the elastic
+/// driver the crash→shrink→restore trail that led to this attempt (so
+/// `ChaseResult::recovery` tells the whole story).
+#[derive(Default)]
+struct Progress {
+    /// The outer iteration under way, or the last one finished.
+    iter: usize,
+    matvecs: u64,
+    /// The demoted-precision subset of `matvecs`.
+    lowprec_matvecs: u64,
+    recovery: RecoveryLog,
+    restarts: usize,
+    /// Recovery events already mirrored into the trace counter stream.
+    traced: usize,
+}
+
+impl Progress {
+    /// Log a recovery event against the current iteration.
+    fn note(&mut self, kind: RecoveryEventKind) {
+        self.recovery.push(self.iter, kind);
+    }
+
+    /// Mirror the recovery events logged since the last call into the trace.
+    fn trace_new_events(&mut self, ctx: &RankCtx) {
+        let new = self.recovery.events.len() - self.traced;
+        if new > 0 {
+            ctx.trace_counter("recovery_events", new as u64);
+            self.traced += new;
+        }
+    }
+}
+
+/// How an iteration that did not abort ended.
+enum Step {
+    /// Through every stage.
+    Done(IterStats),
+    /// Abandoned for the detected reason: roll back and restart the active
+    /// subspace ([`Chase::restart`]).
+    Restart(RecoveryEventKind),
+}
+
+/// Why the solve gives up ([`Chase::abort`] makes the [`ChaseError`]).
+enum Abort {
+    /// Non-finite data outlived the re-filter attempts or the restarts.
+    NonFinite,
+    /// A filter call failed: timeout, dead peer, unusable interval.
+    Filter(FilterError),
+    /// The cross-check of the returned pairs failed.
+    Verification(String),
+}
+
+impl From<FilterError> for Abort {
+    fn from(e: FilterError) -> Self {
+        Abort::Filter(e)
+    }
+}
 
 /// Where a solve begins.
 pub(crate) enum Start<'a, T: Scalar> {
@@ -149,10 +276,7 @@ where
     c2: Matrix<T>,
     b: Matrix<T>,
     b2: Matrix<T>,
-    ritzv: Vec<T::Real>,
-    resd: Vec<T::Real>,
-    degs: Vec<usize>,
-    locked: usize,
+    sub: Subspace<T::Real>,
     c_dist: RowDist,
     /// Cached spectral bounds from a warm start; when set the Lanczos
     /// estimation phase is skipped.
@@ -160,32 +284,10 @@ where
     /// Demoted replica of the local `H` panel, built lazily the first time a
     /// mixed-precision filter call runs (never built in full mode).
     h_lo: Option<DistHerm<T::Lo>>,
-    /// Sticky escalation flag of the mixed-precision policy: once true,
-    /// every remaining filter call runs at full precision. A pure function
-    /// of world-replicated state, so it flips identically on every rank.
-    escalated: bool,
-    /// Previous iteration's estimated condition number of the filtered
-    /// block (drives preemptive escalation before an f32 overflow).
-    prev_est_cond: f64,
-    /// Max active residual seen at the previous mixed-mode decision point
-    /// (stall detection).
-    prev_low_max_res: f64,
-    /// Consecutive decision points without meaningful residual improvement
-    /// while running demoted.
-    low_stall: usize,
-    /// Outer iteration to resume *after* (0 for a fresh solve); set by
-    /// `apply_snapshot`. The loop starts at `start_iter + 1`.
-    start_iter: usize,
-    /// MatVecs accumulated before the restored checkpoint was taken; folded
-    /// into the result so elastic runs report true total work.
-    base_matvecs: u64,
-    /// Demoted-precision MatVecs accumulated before the checkpoint.
-    base_lowprec_matvecs: u64,
-    /// Recovery events that happened before this solve attempt (the
-    /// crash→shrink→restore trail from the elastic driver); prepended to
-    /// the attempt's own log so `ChaseResult::recovery` tells the whole
-    /// story.
-    prelude_recovery: RecoveryLog,
+    /// The loop starts at `progress.iter + 1`.
+    progress: Progress,
+    /// The rollback target of [`Chase::restart`].
+    ckpt: Checkpoint<T>,
 }
 
 impl<'d, 'c, T: Scalar + Reduce> Chase<'d, 'c, T>
@@ -209,39 +311,32 @@ where
         params: Params,
         warm: Option<&WarmStart<T>>,
     ) -> Self {
-        params.validate(h.n);
+        if let Err(refused) = check_input(&params, h.n, warm) {
+            panic!("{refused}");
+        }
         let ne = params.ne();
         let ctx = dev.ctx();
         let c_dist = RowDist::c_layout(h.n, ctx.shape, h.dist);
 
+        let seeded = || Matrix::random(h.n, ne, &mut ChaCha8Rng::seed_from_u64(params.seed));
         let c_global = match warm {
+            Some(w) if w.v0.cols() == ne => w.v0.clone(),
             Some(w) => {
-                assert_eq!(w.v0.rows(), h.n, "warm-start block row count");
-                let k = w.v0.cols();
-                assert!(
-                    (1..=ne).contains(&k),
-                    "warm-start block must have 1..=ne columns (got {k}, ne {ne})"
-                );
-                if k == ne {
-                    w.v0.clone()
-                } else {
-                    let mut rng = ChaCha8Rng::seed_from_u64(params.seed);
-                    let mut g = Matrix::random(h.n, ne, &mut rng);
-                    for j in 0..k {
-                        g.col_mut(j).copy_from_slice(w.v0.col(j));
-                    }
-                    g
+                let mut g = seeded();
+                for j in 0..w.v0.cols() {
+                    g.col_mut(j).copy_from_slice(w.v0.col(j));
                 }
+                g
             }
-            None => {
-                let mut rng = ChaCha8Rng::seed_from_u64(params.seed);
-                Matrix::random(h.n, ne, &mut rng)
-            }
+            None => seeded(),
         };
         let c = c_global.select_rows(h.row_set.iter());
         let c2 = c.clone();
         let b = Matrix::zeros(h.n_c(), ne);
         let b2 = Matrix::zeros(h.n_c(), ne);
+        // `run` sets the Ritz values and degrees once the bounds are known.
+        let sub = Subspace::new(ne, <T::Real as Scalar>::zero(), 0);
+        let ckpt = Checkpoint::of(&c, &sub);
         Self {
             dev,
             h,
@@ -249,22 +344,13 @@ where
             c2,
             b,
             b2,
-            ritzv: vec![<T::Real as Scalar>::zero(); ne],
-            resd: vec![<T::Real as Scalar>::one(); ne],
-            degs: vec![0; ne],
-            locked: 0,
+            sub,
             c_dist,
-            params,
             warm_bounds: warm.and_then(|w| w.inflated_bounds(WARM_BOUND_MARGIN)),
+            params,
             h_lo: None,
-            escalated: false,
-            prev_est_cond: 0.0,
-            prev_low_max_res: f64::INFINITY,
-            low_stall: 0,
-            start_iter: 0,
-            base_matvecs: 0,
-            base_lowprec_matvecs: 0,
-            prelude_recovery: RecoveryLog::default(),
+            progress: Progress::default(),
+            ckpt,
         }
     }
 
@@ -286,20 +372,24 @@ where
         let c_global = snap.c_global::<T>()?;
         self.c = c_global.select_rows(self.h.row_set.iter());
         self.c2 = self.c.clone();
-        for (dst, &bits) in self.ritzv.iter_mut().zip(&snap.ritzv_bits) {
-            *dst = T::Real::from_f64_r(f64::from_bits(bits));
+        for (dst, bits) in [
+            (&mut self.sub.ritzv, &snap.ritzv_bits),
+            (&mut self.sub.resd, &snap.resd_bits),
+        ] {
+            for (dst, &bits) in dst.iter_mut().zip(bits) {
+                *dst = T::Real::from_f64_r(f64::from_bits(bits));
+            }
         }
-        for (dst, &bits) in self.resd.iter_mut().zip(&snap.resd_bits) {
-            *dst = T::Real::from_f64_r(f64::from_bits(bits));
-        }
-        for (dst, &d) in self.degs.iter_mut().zip(&snap.degs) {
+        for (dst, &d) in self.sub.degs.iter_mut().zip(&snap.degs) {
             *dst = d as usize;
         }
-        self.locked = snap.locked;
+        self.sub.locked = snap.locked;
         self.warm_bounds = Some(snap.bounds::<T::Real>());
-        self.start_iter = snap.iter;
-        self.base_matvecs = snap.matvecs;
-        self.base_lowprec_matvecs = snap.lowprec_matvecs;
+        self.progress.iter = snap.iter;
+        self.progress.matvecs = snap.matvecs;
+        self.progress.lowprec_matvecs = snap.lowprec_matvecs;
+        // The restored locked prefix already is a known-good state.
+        self.ckpt = Checkpoint::of(&self.c, &self.sub);
         Ok(())
     }
 
@@ -314,12 +404,29 @@ where
         }
     }
 
+    /// The active (not yet locked) columns.
+    fn active(&self) -> Range<usize> {
+        self.sub.locked..self.params.ne()
+    }
+
+    /// The global `n x ne` block behind the C-layout buffer `local`, every
+    /// rank of the column communicator joining. `on_ledger = false` gathers
+    /// below the device layer: a diagnostic the cost model must not see.
+    fn gather_c(&self, local: &Matrix<T>, on_ledger: bool) -> Matrix<T> {
+        let comm = &self.dev.ctx().col_comm;
+        let gathered = if on_ledger {
+            self.dev.allgather(comm, local.as_slice())
+        } else {
+            comm.allgather(local.as_slice())
+        };
+        self.c_dist.assemble(&gathered, self.params.ne())
+    }
+
     /// Redistribute `C2` (C-layout) into `B2` (B-layout): a single broadcast
     /// from the diagonal rank on square grids (Algorithm 2, line 14), an
     /// allgather + slice otherwise.
     fn update_b2(&mut self) {
         let ctx = self.dev.ctx();
-        let ne = self.params.ne();
         if ctx.shape.is_square() {
             let root = ctx.col; // rank (j, j) within column communicator j
             if ctx.row == root {
@@ -328,834 +435,289 @@ where
             }
             self.dev.bcast(&ctx.col_comm, self.b2.as_mut_slice(), root);
         } else {
-            let gathered = self.dev.allgather(&ctx.col_comm, self.c2.as_slice());
-            let full = self.c_dist.assemble(&gathered, ne);
+            let full = self.gather_c(&self.c2, true);
             self.b2 = full.select_rows(self.h.col_set.iter());
         }
     }
 
-    /// Assemble the global iterate over the column communicator (every rank
-    /// joins the collective) and persist a [`Snapshot`] from world rank 0
-    /// via tmp+rename, so readers never observe a torn file. Write errors
-    /// are swallowed deliberately: a full disk on rank 0 must not diverge
-    /// its control flow from the other ranks' (recovery logs are compared
-    /// bitwise across ranks).
-    fn write_checkpoint(
-        &self,
-        iter: usize,
-        matvecs: u64,
-        lowprec_matvecs: u64,
-        bounds: SpectralBounds<T::Real>,
-    ) {
-        let ctx = self.dev.ctx();
-        let ne = self.params.ne();
-        self.dev.set_region(Region::Other);
-        let gathered = self.dev.allgather(&ctx.col_comm, self.c.as_slice());
-        let full = self.c_dist.assemble(&gathered, ne);
-        if ctx.world_rank() == 0 {
-            if let Some(dir) = &self.params.checkpoint_dir {
-                let snap = Snapshot::capture::<T>(
-                    iter,
-                    self.locked,
-                    self.params.nev,
-                    self.params.seed,
-                    &bounds,
-                    &self.ritzv,
-                    &self.resd,
-                    &self.degs,
-                    matvecs,
-                    lowprec_matvecs,
-                    &full,
-                );
-                let _ = snap.save(dir);
-            }
-        }
-        // Commit barrier: no rank may advance past this iteration until the
-        // snapshot is durable. Without it a fast rank could crash in the
-        // *next* iteration while rank 0 is still writing, making checkpoint
-        // availability on recovery a wall-clock race instead of an
-        // invariant ("a crash at iter N always finds the iter N-k file").
-        let _ = ctx.world.allreduce_scalar(0.0);
-    }
-
-    /// `B[:, cols] = H C[:, cols]` for the `cols` columns from `offset`.
-    fn h_times_c(&mut self, offset: usize, cols: usize) {
+    /// `B[:, cols] = H C[:, cols]`.
+    fn h_times_c(&mut self, cols: Range<usize>) {
         hemm_c_to_b(
             self.dev,
             self.dev.ctx(),
             &self.h,
             &self.c,
             &mut self.b,
-            offset,
-            cols,
+            cols.start,
+            cols.len(),
             T::one(),
             T::zero(),
         );
     }
 
-    /// One Rayleigh–Ritz projection over the active columns
-    /// (Algorithm 2, lines 14–20). Returns the active Ritz values.
-    ///
-    /// With guards enabled, a poisoned (non-finite) quotient or a failed
-    /// redundant eigensolve returns `Err(())` — agreed across the whole
-    /// world first, so every rank bails before the next collective and the
-    /// SPMD call sequences stay aligned. Without guards the historic panic
-    /// behavior is kept.
-    fn rayleigh_ritz(&mut self) -> Result<Vec<T::Real>, ()> {
-        self.dev.set_region(Region::RayleighRitz);
-        let ne = self.params.ne();
-        let act = ne - self.locked;
-        let ctx = self.dev.ctx();
-
-        self.update_b2();
-        // B[:, act] = H C[:, act]
-        self.h_times_c(self.locked, act);
-        // A = B2[:, act]^H B[:, act], reduced over the row communicator.
-        let mut a = Matrix::<T>::zeros(act, act);
-        self.dev.gemm(
-            Op::ConjTrans,
-            Op::None,
-            T::one(),
-            self.b2.cols_ref(self.locked..ne),
-            self.b.cols_ref(self.locked..ne),
-            T::zero(),
-            a.as_mut(),
-        );
-        self.dev.allreduce_sum(&ctx.row_comm, a.as_mut_slice());
-        let a_finite = a.as_slice().iter().all(|v| v.is_finite());
-        let solved = if a_finite {
-            self.dev.heevd(&a).ok()
-        } else {
-            None
-        };
-        if self.params.guards {
-            // Corruption may have poisoned only one grid row's replica of A;
-            // agree world-wide so all ranks take the same exit.
-            let bad = ctx
-                .world
-                .allreduce_scalar(if solved.is_some() { 0.0f64 } else { 1.0 });
-            if bad > 0.0 {
-                return Err(());
-            }
-        }
-        let (vals, y) = solved.expect("Rayleigh-Ritz eigensolve failed");
-        // Back-transform: C[:, act] = C2[:, act] Y (local within column comm).
-        self.dev.gemm(
-            Op::None,
-            Op::None,
-            T::one(),
-            self.c2.cols_ref(self.locked..ne),
-            y.as_ref(),
-            T::zero(),
-            self.c.cols_mut(self.locked..ne),
-        );
-        // C2 mirrors C on the active part; refresh B2 for the residuals.
-        self.c2
-            .cols_mut(self.locked..ne)
-            .copy_from(self.c.cols_ref(self.locked..ne));
-        self.update_b2();
-        Ok(vals)
-    }
-
-    /// Residual norms of the active columns (Algorithm 2, lines 21–25).
-    fn residuals(&mut self) {
-        self.dev.set_region(Region::Residuals);
-        let ne = self.params.ne();
-        let act = ne - self.locked;
-        let ctx = self.dev.ctx();
-        // B[:, act] = H C[:, act]
-        self.h_times_c(self.locked, act);
-        // B -= ritzv .* B2 , column-wise (single batched BLAS-1 kernel).
-        self.dev.blas1::<T>(self.h.n_c() * act * 2);
-        let mut nrm: Vec<T::Real> = Vec::with_capacity(act);
-        for k in 0..act {
-            let j = self.locked + k;
-            let lambda = self.ritzv[j];
+    /// `‖H c_j − lambda_j c_j‖` for `j` in `cols`, where `B` holds `H C` and
+    /// `B2` the same columns of `C` in B-layout: `B -= lambda .* B2`
+    /// column-wise, then one allreduce of the squared norms over the row
+    /// communicator. `B[:, cols]` is overwritten with the residual vectors.
+    fn residual_norms(&mut self, cols: Range<usize>, lambda: &[T::Real]) -> Vec<T::Real> {
+        let mut nrm: Vec<T::Real> = Vec::with_capacity(cols.len());
+        for (j, &lambda) in cols.zip(lambda) {
             let (bj, b2j) = (self.b.col_mut(j), self.b2.col(j));
             for (x, y) in bj.iter_mut().zip(b2j) {
                 *x -= y.scale(lambda);
             }
             nrm.push(chase_linalg::blas1::nrm2_sqr(bj));
         }
-        self.dev.allreduce_sum_real::<T>(&ctx.row_comm, &mut nrm);
-        for (k, v) in nrm.into_iter().enumerate() {
-            self.resd[self.locked + k] = v.sqrt_r();
-        }
+        self.dev.allreduce_sum(&self.dev.ctx().row_comm, &mut nrm);
+        nrm.into_iter().map(|v| v.sqrt_r()).collect()
     }
 
-    /// Deflation & locking: after the Rayleigh–Ritz step the active columns
-    /// are in ascending Ritz order, so locking the longest converged
-    /// *prefix* guarantees the locked set is exactly the lowest eigenpairs
-    /// (no holes — a converged pair above an unconverged one must wait).
-    /// Returns how many were locked.
-    fn lock_converged(&mut self, norm_h: T::Real) -> usize {
-        let ne = self.params.ne();
-        let tol = T::Real::from_f64_r(self.params.tol) * norm_h;
-        let before = self.locked;
-        while self.locked < ne && self.resd[self.locked] < tol {
-            self.locked += 1;
-        }
-        self.locked - before
+    /// Whether any rank of the world says `mine`: how a finding on one
+    /// replica becomes the same exit on every rank.
+    fn any_rank(&self, mine: bool) -> bool {
+        let votes = if mine { 1.0f64 } else { 0.0 };
+        self.dev.ctx().world.allreduce_scalar(votes) > 0.0
     }
 
     /// Fold any fault-injection records the device/comm layers produced
     /// since the last drain into the recovery log.
-    fn drain_faults(&self, iter: usize, recovery: &mut RecoveryLog) {
+    fn drain_faults(&mut self) {
         if let Some(plan) = self.dev.fault_plan() {
             for r in plan.take_records() {
-                recovery.push(iter, RecoveryEventKind::Injected(r));
+                self.progress.note(RecoveryEventKind::Injected(r));
             }
         }
-    }
-
-    /// Roll the locked set back to `ckpt` and restart the active subspace
-    /// from a fresh deterministic random block. The block is generated
-    /// globally and sliced per rank — identical on every rank — so this
-    /// also restores replica consistency after a detected divergence.
-    fn rollback_and_restart(
-        &mut self,
-        iter: usize,
-        mu_1: T::Real,
-        init_deg: usize,
-        ckpt: &Checkpoint<T>,
-    ) -> (usize, usize) {
-        let ne = self.params.ne();
-        let kept = ckpt.locked;
-        for j in 0..kept {
-            self.c.col_mut(j).copy_from_slice(ckpt.c.col(j));
-            self.ritzv[j] = ckpt.ritzv[j];
-            self.resd[j] = ckpt.resd[j];
-        }
-        self.locked = kept;
-        let restarted = ne - kept;
-        let mut rng = ChaCha8Rng::seed_from_u64(
-            self.params.seed ^ 0x0dd_f00d ^ (iter as u64).rotate_left(32),
-        );
-        let fresh = Matrix::<T>::random(self.h.n, restarted, &mut rng);
-        let local = fresh.select_rows(self.h.row_set.iter());
-        for (t, j) in (kept..ne).enumerate() {
-            self.c.col_mut(j).copy_from_slice(local.col(t));
-            self.ritzv[j] = mu_1;
-            self.resd[j] = <T::Real as Scalar>::one();
-            self.degs[j] = init_deg;
-        }
-        self.c2 = self.c.clone();
-        (kept, restarted)
-    }
-
-    /// Post-solve verification (fault-injection runs only): the returned
-    /// eigenvalues must agree bitwise-closely across all replicas, and the
-    /// residuals recomputed from scratch must match the reported ones. Any
-    /// violation is world-agreed before returning so every rank exits the
-    /// collectives in lockstep.
-    fn verify_returned_pairs(
-        &mut self,
-        nev: usize,
-        ritz: &[T::Real],
-        reported: &[T::Real],
-        norm_h: T::Real,
-    ) -> Result<(), String> {
-        let ctx = self.dev.ctx();
-        let scale = norm_h.to_f64().max(1.0);
-        let p = ctx.world.size() as f64;
-
-        // (a) Replica agreement: grid-row divergence shows up here.
-        let mut sums: Vec<f64> = ritz[..nev].iter().map(|v| v.to_f64()).collect();
-        ctx.world.allreduce_sum(&mut sums);
-        let mut detail = String::new();
-        for (k, s) in sums.iter().enumerate() {
-            let mine = ritz[k].to_f64();
-            let avg = s / p;
-            if !mine.is_finite() || (mine - avg).abs() > 1e-6 * scale {
-                detail =
-                    format!("eigenvalue {k} diverges across ranks (local {mine}, grid mean {avg})");
-                break;
-            }
-        }
-        let bad = ctx
-            .world
-            .allreduce_scalar(if detail.is_empty() { 0.0f64 } else { 1.0 });
-        if bad > 0.0 {
-            if detail.is_empty() {
-                detail = "eigenvalue divergence detected on another rank".into();
-            }
-            return Err(detail);
-        }
-
-        // (b) Recompute residuals of the returned pairs from scratch: a
-        // corrupted residual collective that caused a premature lock is
-        // caught here.
-        self.c2 = self.c.clone();
-        self.update_b2();
-        self.h_times_c(0, nev);
-        let mut nrm: Vec<T::Real> = Vec::with_capacity(nev);
-        for (k, &lambda) in ritz.iter().enumerate().take(nev) {
-            let (bk, b2k) = (self.b.col_mut(k), self.b2.col(k));
-            for (x, y) in bk.iter_mut().zip(b2k) {
-                *x -= y.scale(lambda);
-            }
-            nrm.push(chase_linalg::blas1::nrm2_sqr(bk));
-        }
-        self.dev.allreduce_sum_real::<T>(&ctx.row_comm, &mut nrm);
-        let mut detail = String::new();
-        for (k, v) in nrm.into_iter().enumerate() {
-            let r = v.sqrt_r().to_f64();
-            let rep = reported[k].to_f64();
-            if !r.is_finite() || r > 100.0 * rep + 1e-8 * scale {
-                detail = format!("residual {k} recomputed as {r}, reported {rep}");
-                break;
-            }
-        }
-        let bad = ctx
-            .world
-            .allreduce_scalar(if detail.is_empty() { 0.0f64 } else { 1.0 });
-        if bad > 0.0 {
-            if detail.is_empty() {
-                detail = "residual mismatch detected on another rank".into();
-            }
-            return Err(detail);
-        }
-        Ok(())
     }
 
     /// Run the full Algorithm 2 loop with the detection/recovery guard
     /// layer. Returns a typed [`ChaseError`] (carrying the recovery log)
     /// instead of hanging or silently returning corrupt eigenpairs.
     fn run(mut self) -> Result<ChaseResult<T>, ChaseError> {
-        /// Rollback-restarts tolerated before declaring the run lost.
-        const MAX_RESTARTS: usize = 3;
         let ne = self.params.ne();
-        let nev = self.params.nev;
-        let ctx = self.dev.ctx();
-        ctx.trace_span_begin("solve", 0);
-        // Recovery events already mirrored into the trace counter stream.
-        let mut traced_recovery = 0usize;
+        self.dev.ctx().trace_span_begin("solve", 0);
 
         // Warm starts reuse the previous solve's (inflated) bounds and skip
         // the Lanczos phase entirely — the sequence's second saving besides
         // the reduced filter degrees.
         let warm_started = self.warm_bounds.is_some();
-        let bounds = match self.warm_bounds {
+        let mut bounds = match self.warm_bounds {
             Some(b) => b,
             None => estimate_bounds_dist(self.dev, &self.h, ne, &self.params)?,
         };
-        let b_sup = bounds.b_sup;
-        let mut mu_1 = bounds.mu_1;
-        let mut mu_ne = bounds.mu_ne;
-        let norm_h = mu_1.abs_r().max_r(b_sup.abs_r());
-        // Residual floor of the demoted filter: below ~50*eps_lo*||H|| the
-        // low-precision recurrence can no longer separate the subspace.
-        let lo_floor = LO_FLOOR_EPS_MULT
-            * <<T::Lo as Scalar>::Real as RealScalar>::EPS.to_f64()
-            * norm_h.to_f64();
-        let mixed = self.params.precision == PrecisionMode::Mixed && T::HAS_LO;
-        let mut lowprec_matvecs = self.base_lowprec_matvecs;
-
-        let resumed = self.start_iter > 0;
-        let init_deg = self.params.deg + self.params.deg % 2;
-        if !resumed {
-            // Initialize Ritz values at the lower estimate (used by the first
-            // condition estimate; see Section 4.2's first-iteration caveat).
+        let norm_h = bounds.mu_1.abs_r().max_r(bounds.b_sup.abs_r());
+        let mut lo = LoPolicy::new(
+            self.params.precision == PrecisionMode::Mixed && T::HAS_LO,
+            LO_FLOOR_EPS_MULT
+                * <<T::Lo as Scalar>::Real as RealScalar>::EPS.to_f64()
+                * norm_h.to_f64(),
+        );
+        if self.progress.iter == 0 {
             // A checkpoint resume keeps the restored values instead.
-            self.ritzv.fill(mu_1);
-            self.degs.fill(init_deg);
+            self.sub = Subspace::new(ne, bounds.mu_1, self.params.init_deg());
         }
 
         let mut stats: Vec<IterStats> = Vec::new();
-        let mut total_matvecs = self.base_matvecs;
         let mut converged = false;
-        let mut iterations = self.start_iter;
-        let mut recovery = std::mem::take(&mut self.prelude_recovery);
-        let mut restarts = 0usize;
-        // The rollback target: on resume the restored locked prefix already
-        // is a known-good state, so seed it from there.
-        let mut ckpt = Checkpoint {
-            locked: self.locked,
-            c: self.c.copy_cols(0..self.locked),
-            ritzv: self.ritzv[..self.locked].to_vec(),
-            resd: self.resd[..self.locked].to_vec(),
-        };
-
-        for iter in (self.start_iter + 1)..=self.params.max_iter {
-            iterations = iter;
-            // Re-opening "iteration" auto-closes the previous iteration span,
-            // so the recovery `continue` paths need no explicit span end.
-            ctx.trace_span_begin("iteration", iter as u64);
-            if recovery.events.len() > traced_recovery {
-                ctx.trace_counter(
-                    "recovery_events",
-                    (recovery.events.len() - traced_recovery) as u64,
-                );
-                traced_recovery = recovery.events.len();
+        for iter in (self.progress.iter + 1)..=self.params.max_iter {
+            match self.iterate(iter, &mut bounds, norm_h, &mut lo) {
+                Ok(Step::Done(row)) => stats.push(row),
+                Ok(Step::Restart(cause)) => match self.restart(cause, bounds.mu_1) {
+                    Ok(()) => continue,
+                    Err(abort) => return Err(self.abort(abort)),
+                },
+                Err(abort) => return Err(self.abort(abort)),
             }
-            if let Some(plan) = self.dev.fault_plan() {
-                plan.set_iter(iter as u64);
-            }
-            let half = T::Real::from_f64_r(0.5);
-            let c_center = (b_sup + mu_ne) * half;
-            let e_half = (b_sup - mu_ne) * half;
-
-            if iter > 1 {
-                if self.params.optimize_degrees {
-                    let new_degs = optimize_degrees(
-                        &self.resd[self.locked..]
-                            .iter()
-                            .map(|r| r.to_f64())
-                            .collect::<Vec<_>>(),
-                        &self.ritzv[self.locked..]
-                            .iter()
-                            .map(|r| r.to_f64())
-                            .collect::<Vec<_>>(),
-                        c_center.to_f64(),
-                        e_half.to_f64(),
-                        self.params.tol * norm_h.to_f64(),
-                        self.params.max_deg,
-                    );
-                    self.degs[self.locked..].copy_from_slice(&new_degs);
-                } else {
-                    for d in &mut self.degs[self.locked..] {
-                        *d = init_deg;
-                    }
-                }
-                // Sort active columns ascending by degree (Alg. 1 line 12).
-                let perm = degree_sort_permutation(&self.degs[self.locked..]);
-                permute_cols(&mut self.c, self.locked, &perm);
-                permute_cols(&mut self.c2, self.locked, &perm);
-                permute_vec(&mut self.ritzv[self.locked..], &perm);
-                permute_vec(&mut self.resd[self.locked..], &perm);
-                permute_vec(&mut self.degs[self.locked..], &perm);
-            }
-
-            // --- Filter (Algorithm 2 line 10) ---
-            let fb = FilterBounds {
-                c: c_center,
-                e: e_half,
-                mu_1,
-            };
-            let degrees: Vec<usize> = self.degs[self.locked..].to_vec();
-            let exec = self.params.filter_exec();
-            // --- Mixed-precision policy (pure function of world-replicated
-            // state: residuals, Ritz values and the previous condition
-            // estimate are identical on every rank, so the decision is too).
-            // Residuals start at one(), so iteration 1 always qualifies.
-            let max_active_res = self.resd[self.locked..]
-                .iter()
-                .fold(0.0f64, |m, r| m.max(r.to_f64()));
-            if mixed && !self.escalated {
-                if max_active_res < 0.7 * self.prev_low_max_res {
-                    self.low_stall = 0;
-                } else {
-                    self.low_stall += 1;
-                }
-                self.prev_low_max_res = max_active_res;
-            }
-            let run_low = mixed
-                && !self.escalated
-                && max_active_res > lo_floor
-                && self.low_stall < LO_STALL_LIMIT
-                && self.prev_est_cond < LO_COND_LIMIT
-                && fb.demote().is_valid();
-            if mixed && !run_low && !self.escalated {
-                // The policy declined once (floor reached, conditioning at
-                // risk, or interval degenerates under demotion): stay full
-                // for the rest of the solve so the schedule is monotone.
-                self.escalated = true;
-            }
-            let filtered = if run_low {
-                if self.h_lo.is_none() {
-                    self.h_lo = Some(self.h.demote());
-                }
-                chebyshev_filter_mixed(
-                    self.dev,
-                    ctx,
-                    self.h_lo.as_mut().expect("demoted replica just built"),
-                    &mut self.c,
-                    &mut self.b,
-                    self.locked,
-                    &degrees,
-                    fb,
-                    exec,
-                )
-            } else {
-                chebyshev_filter_with(
-                    self.dev,
-                    ctx,
-                    &mut self.h,
-                    &mut self.c,
-                    &mut self.b,
-                    self.locked,
-                    &degrees,
-                    fb,
-                    exec,
-                )
-            };
-            let mv = match filtered {
-                Ok(mv) => mv,
-                Err(e) => {
-                    self.drain_faults(iter, &mut recovery);
-                    return Err(filter_abort(e, iter, recovery));
-                }
-            };
-            total_matvecs += mv;
-            if run_low {
-                lowprec_matvecs += mv;
-            }
-
-            // --- Inject planned block faults (chaos harness only) ---
-            if let Some(plan) = self.dev.fault_plan() {
-                plan.apply_block_faults(&mut self.c, self.locked, ne - self.locked);
-            }
-
-            // --- Guard: post-filter finite check + bounded re-filter ---
-            if self.params.guards {
-                let mut attempt = 0usize;
-                let mut precision_rung_used = false;
-                loop {
-                    let act = ne - self.locked;
-                    let mut flags = vec![0.0f64; act];
-                    for (k, f) in flags.iter_mut().enumerate() {
-                        if self.c.col(self.locked + k).iter().any(|v| !v.is_finite()) {
-                            *f = 1.0;
-                        }
-                    }
-                    // Agree world-wide on which columns are poisoned: a NaN
-                    // in one replica must trigger the same repair everywhere.
-                    ctx.world.allreduce_sum(&mut flags);
-                    let bad: Vec<usize> = flags
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, f)| **f > 0.0)
-                        .map(|(k, _)| self.locked + k)
-                        .collect();
-                    if bad.is_empty() {
-                        break;
-                    }
-                    self.drain_faults(iter, &mut recovery);
-                    recovery.push(iter, RecoveryEventKind::NonFiniteBlock { cols: bad.len() });
-                    // Precision rung: when this iteration filtered demoted,
-                    // non-finite output is most likely an f32 range problem,
-                    // not a transient fault. Re-filter the poisoned columns
-                    // at full precision and the *same* degrees before
-                    // spending any bounded degree-bump attempts. Escalation
-                    // is sticky and world-agreed (the poison set came from a
-                    // world allreduce, so every rank takes this rung
-                    // together).
-                    if run_low && !precision_rung_used {
-                        precision_rung_used = true;
-                        self.escalated = true;
-                        let mut by_degree: Vec<(usize, usize)> =
-                            bad.iter().map(|&j| (self.degs[j], j)).collect();
-                        by_degree.sort_unstable();
-                        match self.refilter_columns(&by_degree, fb, exec) {
-                            Ok(mv2) => total_matvecs += mv2,
-                            Err(e) => {
-                                self.drain_faults(iter, &mut recovery);
-                                return Err(filter_abort(e, iter, recovery));
-                            }
-                        }
-                        recovery.push(
-                            iter,
-                            RecoveryEventKind::PrecisionEscalated {
-                                cols: by_degree.len(),
-                            },
-                        );
-                        continue;
-                    }
-                    attempt += 1;
-                    if attempt > self.params.max_refilter {
-                        return Err(ChaseError {
-                            kind: ChaseErrorKind::UnrecoverableNonFinite,
-                            iter,
-                            recovery,
-                        });
-                    }
-                    // Restore poisoned columns from the pre-filter copy and
-                    // re-filter them at a bumped (still even) degree.
-                    let mut by_degree: Vec<(usize, usize)> = bad
-                        .iter()
-                        .map(|&j| {
-                            let mut d = (self.degs[j] + 2 * attempt).min(self.params.max_deg);
-                            d += d % 2;
-                            (d, j)
-                        })
-                        .collect();
-                    by_degree.sort_unstable();
-                    match self.refilter_columns(&by_degree, fb, exec) {
-                        Ok(mv2) => total_matvecs += mv2,
-                        Err(e) => {
-                            self.drain_faults(iter, &mut recovery);
-                            return Err(filter_abort(e, iter, recovery));
-                        }
-                    }
-                    recovery.push(
-                        iter,
-                        RecoveryEventKind::Refiltered {
-                            cols: by_degree.len(),
-                            degree: by_degree.last().map(|&(d, _)| d).unwrap_or(0),
-                            attempt,
-                        },
-                    );
-                }
-            }
-
-            // --- Condition estimate (Algorithm 2 line 11 / Algorithm 5) ---
-            let est_cond = cond_est(
-                &self.ritzv.iter().map(|r| r.to_f64()).collect::<Vec<_>>(),
-                c_center.to_f64(),
-                e_half.to_f64(),
-                &self.degs,
-                self.locked,
-            );
-            self.prev_est_cond = est_cond;
-
-            // kappa_com of "the matrix of vectors outputted by the filter"
-            // (Fig. 1): the active block only — locked columns were not
-            // filtered this iteration.
-            let true_cond = if self.params.track_true_cond {
-                let gathered = ctx.col_comm.allgather(self.c.as_slice());
-                let full = self.c_dist.assemble(&gathered, ne);
-                let active = full.copy_cols(self.locked..ne);
-                Some(chase_linalg::cond2(&active).to_f64())
-            } else {
-                None
-            };
-
-            // --- Flexible QR with escalation ladder (Algorithm 2 line 12) ---
-            self.dev.set_region(Region::Qr);
-            let (qr_variant, attempts) = qr_ladder(
-                self.dev,
-                &ctx.col_comm,
-                &mut self.c,
-                &self.c_dist,
-                est_cond,
-                self.params.qr,
-            );
-            if attempts.len() > 1 {
-                ctx.trace_counter("qr_rung_climbs", (attempts.len() - 1) as u64);
-            }
-            for (k, a) in attempts.iter().enumerate() {
-                if let Some(e) = a.error {
-                    recovery.push(
-                        iter,
-                        RecoveryEventKind::QrBreakdown {
-                            variant: a.variant.name(),
-                            detail: e.to_string(),
-                        },
-                    );
-                    recovery.push(
-                        iter,
-                        RecoveryEventKind::QrEscalated {
-                            from: a.variant.name(),
-                            to: attempts[k + 1].variant.name(),
-                        },
-                    );
-                }
-            }
-            if self.params.guards {
-                // Each column communicator ran its ladder on its own replica.
-                // If escalation counts disagree, the replicas have diverged:
-                // roll back and restart the active subspace in lockstep.
-                let esc = (attempts.len() - 1) as f64;
-                let total = ctx.world.allreduce_scalar(esc);
-                if total != esc * ctx.world.size() as f64 {
-                    self.drain_faults(iter, &mut recovery);
-                    recovery.push(iter, RecoveryEventKind::ReplicaDivergence { stage: "qr" });
-                    restarts += 1;
-                    if restarts > MAX_RESTARTS {
-                        return Err(ChaseError {
-                            kind: ChaseErrorKind::UnrecoverableNonFinite,
-                            iter,
-                            recovery,
-                        });
-                    }
-                    let (kept, restarted) = self.rollback_and_restart(iter, mu_1, init_deg, &ckpt);
-                    recovery.push(iter, RecoveryEventKind::LockedRollback { kept, restarted });
-                    continue;
-                }
-            }
-            // Line 13: restore exact locked vectors, refresh C2's active part.
-            self.c
-                .cols_mut(0..self.locked)
-                .copy_from(self.c2.cols_ref(0..self.locked));
-            self.c2
-                .cols_mut(self.locked..ne)
-                .copy_from(self.c.cols_ref(self.locked..ne));
-
-            // --- Rayleigh-Ritz (lines 14-20) + residuals (21-25), guarded ---
-            let mut regression: Option<(usize, u64)> = None;
-            match self.rayleigh_ritz() {
-                Ok(vals) => {
-                    self.ritzv[self.locked..].copy_from_slice(&vals);
-                    self.residuals();
-                    if self.params.guards {
-                        let mut local: Option<(usize, u64)> = None;
-                        for j in self.locked..ne {
-                            let rv = self.ritzv[j].to_f64();
-                            let rs = self.resd[j].to_f64();
-                            if !rv.is_finite() {
-                                local = Some((j, rv.to_bits()));
-                                break;
-                            }
-                            if !rs.is_finite() {
-                                local = Some((j, rs.to_bits()));
-                                break;
-                            }
-                        }
-                        let bad =
-                            ctx.world
-                                .allreduce_scalar(if local.is_some() { 1.0f64 } else { 0.0 });
-                        if bad > 0.0 {
-                            regression =
-                                Some(local.unwrap_or((self.locked, f64::INFINITY.to_bits())));
-                        }
-                    }
-                }
-                Err(()) => {
-                    regression = Some((self.locked, f64::INFINITY.to_bits()));
-                }
-            }
-            if let Some((col, value_bits)) = regression {
-                self.drain_faults(iter, &mut recovery);
-                recovery.push(
-                    iter,
-                    RecoveryEventKind::ResidualRegression { col, value_bits },
-                );
-                restarts += 1;
-                if restarts > MAX_RESTARTS {
-                    return Err(ChaseError {
-                        kind: ChaseErrorKind::UnrecoverableNonFinite,
-                        iter,
-                        recovery,
-                    });
-                }
-                let (kept, restarted) = self.rollback_and_restart(iter, mu_1, init_deg, &ckpt);
-                recovery.push(iter, RecoveryEventKind::LockedRollback { kept, restarted });
-                continue;
-            }
-
-            // --- Deflation & locking (line 26) ---
-            let new_locked = self.lock_converged(norm_h);
-            if new_locked > 0 {
-                ckpt = Checkpoint {
-                    locked: self.locked,
-                    c: self.c.copy_cols(0..self.locked),
-                    ritzv: self.ritzv[..self.locked].to_vec(),
-                    resd: self.resd[..self.locked].to_vec(),
-                };
-            }
-
-            let active_res = &self.resd[self.locked.min(ne - 1)..];
-            stats.push(IterStats {
-                iter,
-                est_cond,
-                true_cond,
-                qr_variant,
-                matvecs: mv,
-                low_precision: run_low,
-                new_locked,
-                locked: self.locked,
-                min_res: active_res
-                    .iter()
-                    .fold(f64::INFINITY, |m, r| m.min(r.to_f64())),
-                max_res: active_res.iter().fold(0.0f64, |m, r| m.max(r.to_f64())),
-                max_degree: *self.degs[self.locked.min(ne - 1)..]
-                    .iter()
-                    .max()
-                    .unwrap_or(&0),
-            });
-
-            // Bound updates (Algorithm 2, lines 5-7).
-            mu_1 = self
-                .ritzv
-                .iter()
-                .copied()
-                .fold(self.ritzv[0], |m, v| m.min_r(v));
-            mu_ne = self
-                .ritzv
-                .iter()
-                .copied()
-                .fold(self.ritzv[0], |m, v| m.max_r(v));
-
-            // --- Periodic checkpoint (elastic recovery substrate) ---
-            // Every rank joins the assembly collective; rank 0 writes. The
-            // saved event is pushed on every rank so cross-rank recovery
-            // logs stay bitwise-identical.
-            if self.params.checkpoint_every > 0
-                && self.params.checkpoint_dir.is_some()
-                && iter % self.params.checkpoint_every == 0
-                && self.locked < nev
-            {
-                self.write_checkpoint(
-                    iter,
-                    total_matvecs,
-                    lowprec_matvecs,
-                    SpectralBounds { mu_1, mu_ne, b_sup },
-                );
-                recovery.push(
-                    iter,
-                    RecoveryEventKind::CheckpointSaved {
-                        iter,
-                        locked: self.locked,
-                    },
-                );
-            }
-
-            self.drain_faults(iter, &mut recovery);
-            if self.locked >= nev {
+            if self.sub.locked >= self.params.nev {
                 converged = true;
                 break;
             }
         }
-        self.drain_faults(iterations, &mut recovery);
-        if recovery.events.len() > traced_recovery {
-            ctx.trace_counter(
-                "recovery_events",
-                (recovery.events.len() - traced_recovery) as u64,
-            );
+        self.finish(bounds, norm_h, stats, converged, warm_started)
+    }
+
+    /// One outer iteration (Algorithm 2, lines 8–26), stage by stage.
+    fn iterate(
+        &mut self,
+        iter: usize,
+        bounds: &mut SpectralBounds<T::Real>,
+        norm_h: T::Real,
+        lo: &mut LoPolicy,
+    ) -> Result<Step, Abort> {
+        let ctx = self.dev.ctx();
+        self.progress.iter = iter;
+        // Re-opening "iteration" auto-closes the previous iteration span,
+        // so a restarted iteration needs no explicit span end.
+        ctx.trace_span_begin("iteration", iter as u64);
+        self.progress.trace_new_events(ctx);
+        if let Some(plan) = self.dev.fault_plan() {
+            plan.set_iter(iter as u64);
         }
-        ctx.trace_span_end("solve");
+        let fb = FilterBounds::from_spectrum(bounds.mu_1, bounds.mu_ne, bounds.b_sup);
 
-        // Sort the locked prefix ascending by Ritz value for clean output.
-        let take = self.locked.max(nev.min(ne)).min(ne);
-        let mut order: Vec<usize> = (0..take).collect();
-        order.sort_by(|&a, &b| self.ritzv[a].partial_cmp(&self.ritzv[b]).unwrap());
-        permute_cols(&mut self.c, 0, &order);
-        let ritz_sorted: Vec<T::Real> = order.iter().map(|&i| self.ritzv[i]).collect();
-        let res_sorted: Vec<T::Real> = order.iter().map(|&i| self.resd[i]).collect();
+        if iter > 1 {
+            self.plan_degrees(&fb, norm_h);
+        }
+        let (matvecs, low_precision) = self.filter(fb, lo)?;
+        // Planned block faults (chaos harness only).
+        if let Some(plan) = self.dev.fault_plan() {
+            let active = self.active();
+            plan.apply_block_faults(&mut self.c, active.start, active.len());
+        }
+        if self.params.guards {
+            self.guard_filtered_block(fb, low_precision, lo)?;
+        }
+        let (est_cond, true_cond) = self.condition(&fb);
+        lo.prev_est_cond = est_cond;
+        let qr_variant = match self.orthonormalize(est_cond) {
+            Ok(variant) => variant,
+            Err(cause) => return Ok(Step::Restart(cause)),
+        };
+        if let Err(cause) = self.rayleigh_ritz().and_then(|()| self.residuals()) {
+            return Ok(Step::Restart(cause));
+        }
+        let measured = Measured {
+            iter,
+            matvecs,
+            low_precision,
+            est_cond,
+            true_cond,
+            qr_variant,
+        };
+        let row = self.lock_and_record(bounds, norm_h, measured);
+        self.maybe_checkpoint(bounds);
+        self.drain_faults();
+        Ok(Step::Done(row))
+    }
 
-        // Chaos runs must never return silently-wrong eigenpairs: cross-check
-        // the replicas and the residuals before handing the result back.
-        if self.params.inject.is_some() {
-            self.dev.set_region(Region::Other);
-            if let Err(detail) = self.verify_returned_pairs(nev, &ritz_sorted, &res_sorted, norm_h)
-            {
-                self.drain_faults(iterations, &mut recovery);
-                return Err(ChaseError {
-                    kind: ChaseErrorKind::VerificationFailed { detail },
-                    iter: iterations,
-                    recovery,
-                });
+    /// Filter degrees of the active columns (Algorithm 1, line 11), and the
+    /// active columns sorted ascending by degree (line 12).
+    fn plan_degrees(&mut self, fb: &FilterBounds<T::Real>, norm_h: T::Real) {
+        let locked = self.sub.locked;
+        let perm = self.sub.plan_degrees(&self.params, fb, norm_h);
+        permute_cols(&mut self.c, locked, &perm);
+        permute_cols(&mut self.c2, locked, &perm);
+    }
+
+    /// The Chebyshev filter on the active columns (Algorithm 2, line 10),
+    /// demoted when the mixed-precision policy allows. Returns the MatVecs
+    /// spent and whether they ran demoted.
+    fn filter(
+        &mut self,
+        fb: FilterBounds<T::Real>,
+        lo: &mut LoPolicy,
+    ) -> Result<(u64, bool), FilterError> {
+        let ctx = self.dev.ctx();
+        let locked = self.sub.locked;
+        let degrees: Vec<usize> = self.sub.degs[locked..].to_vec();
+        let exec = self.params.filter_exec();
+        let max_active_res = self.sub.resd[locked..]
+            .iter()
+            .fold(0.0f64, |m, r| m.max(r.to_f64()));
+        let run_low = lo.decide(max_active_res, fb.demote().is_valid());
+        let mv = if run_low {
+            chebyshev_filter_mixed(
+                self.dev,
+                ctx,
+                self.h_lo.get_or_insert_with(|| self.h.demote()),
+                &mut self.c,
+                &mut self.b,
+                locked,
+                &degrees,
+                fb,
+                exec,
+            )
+        } else {
+            chebyshev_filter_with(
+                self.dev,
+                ctx,
+                &mut self.h,
+                &mut self.c,
+                &mut self.b,
+                locked,
+                &degrees,
+                fb,
+                exec,
+            )
+        }?;
+        self.progress.matvecs += mv;
+        if run_low {
+            self.progress.lowprec_matvecs += mv;
+        }
+        Ok((mv, run_low))
+    }
+
+    /// Post-filter finite check with the bounded re-filter ladder: poisoned
+    /// columns are restored from the pre-filter copy and filtered again —
+    /// once at full precision and the same degrees if this iteration
+    /// filtered demoted, then up to `max_refilter` times at a bumped degree.
+    fn guard_filtered_block(
+        &mut self,
+        fb: FilterBounds<T::Real>,
+        ran_low: bool,
+        lo: &mut LoPolicy,
+    ) -> Result<(), Abort> {
+        let mut attempt = 0usize;
+        let mut precision_rung_used = false;
+        loop {
+            let poisoned = |j| self.c.col(j).iter().any(|v| !v.is_finite());
+            let mut flags: Vec<f64> = self.active().map(|j| f64::from(poisoned(j))).collect();
+            // Agree world-wide on which columns are poisoned: a NaN
+            // in one replica must trigger the same repair everywhere.
+            self.dev.ctx().world.allreduce_sum(&mut flags);
+            let bad: Vec<usize> = self
+                .active()
+                .zip(&flags)
+                .filter(|(_, f)| **f > 0.0)
+                .map(|(j, _)| j)
+                .collect();
+            if bad.is_empty() {
+                return Ok(());
             }
-            self.drain_faults(iterations, &mut recovery);
+            self.drain_faults();
+            self.progress
+                .note(RecoveryEventKind::NonFiniteBlock { cols: bad.len() });
+            // Precision rung: when this iteration filtered demoted,
+            // non-finite output is most likely an f32 range problem, not a
+            // transient fault. Re-filter the poisoned columns at full
+            // precision and the *same* degrees before spending any bounded
+            // degree-bump attempts. Escalation is sticky and world-agreed
+            // (the poison set came from a world allreduce, so every rank
+            // takes this rung together).
+            let precision_rung = ran_low && !precision_rung_used;
+            if precision_rung {
+                precision_rung_used = true;
+                lo.escalated = true;
+            } else {
+                attempt += 1;
+                if attempt > self.params.max_refilter {
+                    return Err(Abort::NonFinite);
+                }
+            }
+            let mut by_degree: Vec<(usize, usize)> = bad
+                .iter()
+                .map(|&j| {
+                    let mut d = self.sub.degs[j];
+                    if !precision_rung {
+                        // A bumped (still even) degree.
+                        d = (d + 2 * attempt).min(self.params.max_deg);
+                        d += d % 2;
+                    }
+                    (d, j)
+                })
+                .collect();
+            by_degree.sort_unstable();
+            self.progress.matvecs += self.refilter_columns(&by_degree, fb)?;
+            let cols = by_degree.len();
+            self.progress.note(if precision_rung {
+                RecoveryEventKind::PrecisionEscalated { cols }
+            } else {
+                RecoveryEventKind::Refiltered {
+                    cols,
+                    degree: by_degree.last().map(|&(d, _)| d).unwrap_or(0),
+                    attempt,
+                }
+            });
         }
-
-        Ok(ChaseResult {
-            eigenvalues: ritz_sorted[..nev].to_vec(),
-            residuals: res_sorted[..nev].to_vec(),
-            eigenvectors_local: self.c.copy_cols(0..nev),
-            rows: self.h.row_set.clone(),
-            n: self.h.n,
-            iterations,
-            matvecs: total_matvecs,
-            lowprec_matvecs,
-            converged,
-            stats,
-            norm_h: norm_h.to_f64(),
-            bounds: SpectralBounds { mu_1, mu_ne, b_sup },
-            warm_started,
-            recovery,
-            plan: self.params.plan.clone(),
-        })
     }
 
     /// Restore the columns named in `by_degree` (sorted ascending
@@ -1167,7 +729,6 @@ where
         &mut self,
         by_degree: &[(usize, usize)],
         fb: FilterBounds<T::Real>,
-        exec: FilterExec,
     ) -> Result<u64, FilterError> {
         let ctx = self.dev.ctx();
         let k = by_degree.len();
@@ -1186,46 +747,418 @@ where
             0,
             &redegs,
             fb,
-            exec,
+            self.params.filter_exec(),
         )?;
         for (t, &(d, j)) in by_degree.iter().enumerate() {
             self.c.col_mut(j).copy_from_slice(tmp_c.col(t));
-            self.degs[j] = d;
+            self.sub.degs[j] = d;
         }
         Ok(mv)
     }
-}
 
-/// Map a filter failure to the solver's typed abort, logging timeouts into
-/// the recovery trail (spectrum/degree violations are caller bugs or stale
-/// warm bounds — no recovery event, just the typed error).
-fn filter_abort(e: FilterError, iter: usize, mut recovery: RecoveryLog) -> ChaseError {
-    let kind = match e {
-        FilterError::Comm(chase_comm::CommError::Timeout(t)) => {
-            recovery.push(
+    /// Condition estimate of the filtered block (Algorithm 2 line 11 /
+    /// Algorithm 5) and, when tracked, the true kappa_com of "the matrix of
+    /// vectors outputted by the filter" (Fig. 1): the active block only —
+    /// locked columns were not filtered this iteration.
+    fn condition(&self, fb: &FilterBounds<T::Real>) -> (f64, Option<f64>) {
+        let ritzv: Vec<f64> = self.sub.ritzv.iter().map(|r| r.to_f64()).collect();
+        let est_cond = cond_est(
+            &ritzv,
+            fb.c.to_f64(),
+            fb.e.to_f64(),
+            &self.sub.degs,
+            self.sub.locked,
+        );
+        let true_cond = self.params.track_true_cond.then(|| {
+            let active = self.gather_c(&self.c, false).copy_cols(self.active());
+            chase_linalg::cond2(&active).to_f64()
+        });
+        (est_cond, true_cond)
+    }
+
+    /// Flexible QR with escalation ladder (Algorithm 2 line 12), then line
+    /// 13. With guards enabled, `Err` names the divergence of the replicas
+    /// the ladder exposed — agreed world-wide, so every rank restarts.
+    fn orthonormalize(&mut self, est_cond: f64) -> Result<QrVariant, RecoveryEventKind> {
+        let ctx = self.dev.ctx();
+        self.dev.set_region(Region::Qr);
+        let (qr_variant, attempts) = qr_ladder(
+            self.dev,
+            &ctx.col_comm,
+            &mut self.c,
+            &self.c_dist,
+            est_cond,
+            self.params.qr,
+        );
+        if attempts.len() > 1 {
+            ctx.trace_counter("qr_rung_climbs", (attempts.len() - 1) as u64);
+        }
+        for (k, a) in attempts.iter().enumerate() {
+            if let Some(e) = a.error {
+                self.progress.note(RecoveryEventKind::QrBreakdown {
+                    variant: a.variant.name(),
+                    detail: e.to_string(),
+                });
+                self.progress.note(RecoveryEventKind::QrEscalated {
+                    from: a.variant.name(),
+                    to: attempts[k + 1].variant.name(),
+                });
+            }
+        }
+        if self.params.guards {
+            // Each column communicator ran its ladder on its own replica.
+            // If escalation counts disagree, the replicas have diverged:
+            // roll back and restart the active subspace in lockstep.
+            let esc = (attempts.len() - 1) as f64;
+            let total = ctx.world.allreduce_scalar(esc);
+            if total != esc * ctx.world.size() as f64 {
+                return Err(RecoveryEventKind::ReplicaDivergence { stage: "qr" });
+            }
+        }
+        // Line 13: restore exact locked vectors, refresh C2's active part.
+        let (locked, active) = (0..self.sub.locked, self.active());
+        self.c
+            .cols_mut(locked.clone())
+            .copy_from(self.c2.cols_ref(locked));
+        self.c2
+            .cols_mut(active.clone())
+            .copy_from(self.c.cols_ref(active));
+        Ok(qr_variant)
+    }
+
+    /// One Rayleigh–Ritz projection over the active columns
+    /// (Algorithm 2, lines 14–20), leaving the active Ritz values in `sub`.
+    ///
+    /// With guards enabled, a poisoned (non-finite) quotient or a failed
+    /// redundant eigensolve is `Err` with the regression to restart on —
+    /// agreed across the whole world first, so every rank bails before the
+    /// next collective and the SPMD call sequences stay aligned. Without
+    /// guards the historic panic behavior is kept.
+    fn rayleigh_ritz(&mut self) -> Result<(), RecoveryEventKind> {
+        self.dev.set_region(Region::RayleighRitz);
+        let active = self.active();
+        let act = active.len();
+        let ctx = self.dev.ctx();
+
+        self.update_b2();
+        // B[:, act] = H C[:, act]
+        self.h_times_c(active.clone());
+        // A = B2[:, act]^H B[:, act], reduced over the row communicator.
+        let mut a = Matrix::<T>::zeros(act, act);
+        self.dev.gemm(
+            Op::ConjTrans,
+            Op::None,
+            T::one(),
+            self.b2.cols_ref(active.clone()),
+            self.b.cols_ref(active.clone()),
+            T::zero(),
+            a.as_mut(),
+        );
+        self.dev.allreduce_sum(&ctx.row_comm, a.as_mut_slice());
+        let a_finite = a.as_slice().iter().all(|v| v.is_finite());
+        let solved = if a_finite {
+            self.dev.heevd(&a).ok()
+        } else {
+            None
+        };
+        if self.params.guards {
+            // Corruption may have poisoned only one grid row's replica of A;
+            // agree world-wide so all ranks take the same exit.
+            if self.any_rank(solved.is_none()) {
+                return Err(RecoveryEventKind::ResidualRegression {
+                    col: active.start,
+                    value_bits: f64::INFINITY.to_bits(),
+                });
+            }
+        }
+        let (vals, y) = solved.expect("Rayleigh-Ritz eigensolve failed");
+        // Back-transform: C[:, act] = C2[:, act] Y (local within column comm).
+        self.dev.gemm(
+            Op::None,
+            Op::None,
+            T::one(),
+            self.c2.cols_ref(active.clone()),
+            y.as_ref(),
+            T::zero(),
+            self.c.cols_mut(active.clone()),
+        );
+        // C2 mirrors C on the active part; refresh B2 for the residuals.
+        self.c2
+            .cols_mut(active.clone())
+            .copy_from(self.c.cols_ref(active.clone()));
+        self.update_b2();
+        self.sub.ritzv[active].copy_from_slice(&vals);
+        Ok(())
+    }
+
+    /// Residual norms of the active columns (Algorithm 2, lines 21–25).
+    /// With guards enabled, a non-finite Ritz value or residual on any rank
+    /// is `Err` with the regression to restart on.
+    fn residuals(&mut self) -> Result<(), RecoveryEventKind> {
+        self.dev.set_region(Region::Residuals);
+        let active = self.active();
+        // B[:, act] = H C[:, act]
+        self.h_times_c(active.clone());
+        // B -= ritzv .* B2 , column-wise (single batched BLAS-1 kernel).
+        self.dev.blas1::<T>(self.h.n_c() * active.len() * 2);
+        let lambda = self.sub.ritzv[active.clone()].to_vec();
+        let norms = self.residual_norms(active.clone(), &lambda);
+        self.sub.resd[active.clone()].copy_from_slice(&norms);
+        if !self.params.guards {
+            return Ok(());
+        }
+        let local = active.clone().find_map(|j| {
+            [self.sub.ritzv[j].to_f64(), self.sub.resd[j].to_f64()]
+                .into_iter()
+                .find(|v| !v.is_finite())
+                .map(|v| (j, v.to_bits()))
+        });
+        if self.any_rank(local.is_some()) {
+            let (col, value_bits) = local.unwrap_or((active.start, f64::INFINITY.to_bits()));
+            return Err(RecoveryEventKind::ResidualRegression { col, value_bits });
+        }
+        Ok(())
+    }
+
+    /// Deflation & locking (Algorithm 2, line 26) with the iteration's row
+    /// of diagnostics, a fresh rollback target when columns locked, and the
+    /// bound updates (lines 5–7).
+    fn lock_and_record(
+        &mut self,
+        bounds: &mut SpectralBounds<T::Real>,
+        norm_h: T::Real,
+        measured: Measured,
+    ) -> IterStats {
+        let tol = T::Real::from_f64_r(self.params.tol) * norm_h;
+        let row = self.sub.lock_and_record(tol, measured);
+        if row.new_locked > 0 {
+            self.ckpt = Checkpoint::of(&self.c, &self.sub);
+        }
+        (bounds.mu_1, bounds.mu_ne) = self.sub.ritz_extent();
+        row
+    }
+
+    /// Periodic checkpoint (elastic recovery substrate): assemble the
+    /// global iterate over the column communicator (every rank joins the
+    /// collective) and persist a [`Snapshot`] from world rank 0 via
+    /// tmp+rename, so readers never observe a torn file. Write errors are
+    /// swallowed deliberately: a full disk on rank 0 must not diverge its
+    /// control flow from the other ranks' (recovery logs are compared
+    /// bitwise across ranks) — for the same reason the saved event is
+    /// logged on every rank.
+    fn maybe_checkpoint(&mut self, bounds: &SpectralBounds<T::Real>) {
+        let iter = self.progress.iter;
+        let Some(dir) = &self.params.checkpoint_dir else {
+            return;
+        };
+        // `checkpoint_every = 0` (off) has no multiple among `iter >= 1`.
+        if !iter.is_multiple_of(self.params.checkpoint_every) || self.sub.locked >= self.params.nev
+        {
+            return;
+        }
+        let ctx = self.dev.ctx();
+        self.dev.set_region(Region::Other);
+        let full = self.gather_c(&self.c, true);
+        if ctx.world_rank() == 0 {
+            let snap = Snapshot::capture::<T>(
                 iter,
-                RecoveryEventKind::Timeout {
+                self.sub.locked,
+                self.params.nev,
+                self.params.seed,
+                bounds,
+                &self.sub.ritzv,
+                &self.sub.resd,
+                &self.sub.degs,
+                self.progress.matvecs,
+                self.progress.lowprec_matvecs,
+                &full,
+            );
+            let _ = snap.save(dir);
+        }
+        // Commit barrier: no rank may advance past this iteration until the
+        // snapshot is durable. Without it a fast rank could crash in the
+        // *next* iteration while rank 0 is still writing, making checkpoint
+        // availability on recovery a wall-clock race instead of an
+        // invariant ("a crash at iter N always finds the iter N-k file").
+        let _ = ctx.world.allreduce_scalar(0.0);
+        let locked = self.sub.locked;
+        self.progress
+            .note(RecoveryEventKind::CheckpointSaved { iter, locked });
+    }
+
+    /// The one restart path: log what was detected and — unless
+    /// [`MAX_RESTARTS`] are spent — roll the locked set back to the
+    /// checkpoint and restart the active subspace from a fresh
+    /// deterministic random block. The block is generated globally and
+    /// sliced per rank — identical on every rank — so this also restores
+    /// replica consistency after a detected divergence.
+    fn restart(&mut self, cause: RecoveryEventKind, mu_1: T::Real) -> Result<(), Abort> {
+        self.drain_faults();
+        self.progress.note(cause);
+        self.progress.restarts += 1;
+        if self.progress.restarts > MAX_RESTARTS {
+            return Err(Abort::NonFinite);
+        }
+        let ne = self.params.ne();
+        let kept = self.ckpt.locked;
+        for j in 0..kept {
+            self.c.col_mut(j).copy_from_slice(self.ckpt.c.col(j));
+            self.sub.ritzv[j] = self.ckpt.ritzv[j];
+            self.sub.resd[j] = self.ckpt.resd[j];
+        }
+        self.sub.locked = kept;
+        let restarted = ne - kept;
+        let mut rng = ChaCha8Rng::seed_from_u64(
+            self.params.seed ^ 0x0dd_f00d ^ (self.progress.iter as u64).rotate_left(32),
+        );
+        let fresh = Matrix::<T>::random(self.h.n, restarted, &mut rng);
+        let local = fresh.select_rows(self.h.row_set.iter());
+        for (t, j) in (kept..ne).enumerate() {
+            self.c.col_mut(j).copy_from_slice(local.col(t));
+            self.sub.ritzv[j] = mu_1;
+            self.sub.resd[j] = <T::Real as Scalar>::one();
+            self.sub.degs[j] = self.params.init_deg();
+        }
+        self.c2 = self.c.clone();
+        self.progress
+            .note(RecoveryEventKind::LockedRollback { kept, restarted });
+        Ok(())
+    }
+
+    /// The one abort path: the fault records not yet drained, what a failed
+    /// collective has to say (spectrum/degree violations are caller bugs or
+    /// stale warm bounds — no recovery event, just the typed error), and the
+    /// recovery trail handed over to the error.
+    fn abort(&mut self, cause: Abort) -> ChaseError {
+        self.drain_faults();
+        let kind = match cause {
+            Abort::NonFinite => ChaseErrorKind::UnrecoverableNonFinite,
+            Abort::Verification(detail) => ChaseErrorKind::VerificationFailed { detail },
+            Abort::Filter(FilterError::Comm(CommError::Timeout(t))) => {
+                self.progress.note(RecoveryEventKind::Timeout {
                     op_id: t.op_id,
                     timeout_ms: t.timeout_ms,
-                },
-            );
-            ChaseErrorKind::CollectiveTimeout(t)
+                });
+                ChaseErrorKind::CollectiveTimeout(t)
+            }
+            Abort::Filter(FilterError::Comm(CommError::RankDead { dead, .. })) => {
+                self.progress
+                    .note(RecoveryEventKind::RankDead { dead: dead.clone() });
+                ChaseErrorKind::RankDead { dead }
+            }
+            Abort::Filter(FilterError::Comm(CommError::UnknownOp { op_id })) => {
+                ChaseErrorKind::UnknownCollective { op_id }
+            }
+            Abort::Filter(FilterError::BadSpectrum(detail) | FilterError::BadDegrees(detail)) => {
+                ChaseErrorKind::BadSpectrum { detail }
+            }
+        };
+        ChaseError {
+            kind,
+            iter: self.progress.iter,
+            recovery: std::mem::take(&mut self.progress.recovery),
         }
-        FilterError::Comm(chase_comm::CommError::RankDead { dead, .. }) => {
-            recovery.push(iter, RecoveryEventKind::RankDead { dead: dead.clone() });
-            ChaseErrorKind::RankDead { dead }
+    }
+
+    /// Close the solve: sort the returned pairs, cross-check them on chaos
+    /// runs, and hand the result over.
+    fn finish(
+        mut self,
+        bounds: SpectralBounds<T::Real>,
+        norm_h: T::Real,
+        stats: Vec<IterStats>,
+        converged: bool,
+        warm_started: bool,
+    ) -> Result<ChaseResult<T>, ChaseError> {
+        let ctx = self.dev.ctx();
+        let nev = self.params.nev;
+        self.drain_faults();
+        self.progress.trace_new_events(ctx);
+        ctx.trace_span_end("solve");
+
+        let (eigenvalues, residuals) = self.sub.sorted_pairs(nev, &mut self.c);
+
+        // Chaos runs must never return silently-wrong eigenpairs: cross-check
+        // the replicas and the residuals before handing the result back.
+        if self.params.inject.is_some() {
+            self.dev.set_region(Region::Other);
+            if let Err(detail) = self.verify_returned_pairs(&eigenvalues, &residuals, norm_h) {
+                return Err(self.abort(Abort::Verification(detail)));
+            }
+            self.drain_faults();
         }
-        FilterError::Comm(chase_comm::CommError::UnknownOp { op_id }) => {
-            ChaseErrorKind::UnknownCollective { op_id }
+
+        Ok(ChaseResult {
+            eigenvalues,
+            residuals,
+            eigenvectors_local: self.c.copy_cols(0..nev),
+            rows: self.h.row_set.clone(),
+            n: self.h.n,
+            iterations: self.progress.iter,
+            matvecs: self.progress.matvecs,
+            lowprec_matvecs: self.progress.lowprec_matvecs,
+            converged,
+            stats,
+            norm_h: norm_h.to_f64(),
+            bounds,
+            warm_started,
+            recovery: self.progress.recovery,
+            plan: self.params.plan.clone(),
+        })
+    }
+
+    /// Post-solve verification (fault-injection runs only): the returned
+    /// eigenvalues must agree bitwise-closely across all replicas, and the
+    /// residuals recomputed from scratch must match the reported ones. Any
+    /// violation is world-agreed before returning so every rank exits the
+    /// collectives in lockstep.
+    fn verify_returned_pairs(
+        &mut self,
+        ritz: &[T::Real],
+        reported: &[T::Real],
+        norm_h: T::Real,
+    ) -> Result<(), String> {
+        let ctx = self.dev.ctx();
+        let scale = norm_h.to_f64().max(1.0);
+        let p = ctx.world.size() as f64;
+
+        // (a) Replica agreement: grid-row divergence shows up here.
+        let mut sums: Vec<f64> = ritz.iter().map(|v| v.to_f64()).collect();
+        ctx.world.allreduce_sum(&mut sums);
+        let diverged = sums.iter().zip(ritz).enumerate().find_map(|(k, (s, v))| {
+            let (mine, avg) = (v.to_f64(), s / p);
+            (!mine.is_finite() || (mine - avg).abs() > 1e-6 * scale).then(|| {
+                format!("eigenvalue {k} diverges across ranks (local {mine}, grid mean {avg})")
+            })
+        });
+        self.agreed(diverged, "eigenvalue divergence")?;
+
+        // (b) Recompute residuals of the returned pairs from scratch: a
+        // corrupted residual collective that caused a premature lock is
+        // caught here.
+        self.c2 = self.c.clone();
+        self.update_b2();
+        self.h_times_c(0..ritz.len());
+        let recomputed = self.residual_norms(0..ritz.len(), ritz);
+        let mismatch = recomputed
+            .iter()
+            .zip(reported)
+            .enumerate()
+            .find_map(|(k, (r, rep))| {
+                let (r, rep) = (r.to_f64(), rep.to_f64());
+                (!r.is_finite() || r > 100.0 * rep + 1e-8 * scale)
+                    .then(|| format!("residual {k} recomputed as {r}, reported {rep}"))
+            });
+        self.agreed(mismatch, "residual mismatch")
+    }
+
+    /// World-agree on a finding of the verification: every rank leaves with
+    /// one — its own, or word of another rank's — or none does.
+    fn agreed(&self, finding: Option<String>, what: &str) -> Result<(), String> {
+        if self.any_rank(finding.is_some()) {
+            return Err(finding.unwrap_or_else(|| format!("{what} detected on another rank")));
         }
-        FilterError::BadSpectrum(detail) | FilterError::BadDegrees(detail) => {
-            ChaseErrorKind::BadSpectrum { detail }
-        }
-    };
-    ChaseError {
-        kind,
-        iter,
-        recovery,
+        Ok(())
     }
 }
 
@@ -1260,9 +1193,13 @@ where
 /// What [`solve_dist`] refuses up front: parameters that do not fit an
 /// `n x n` problem, or a warm block of the wrong shape (a session step whose
 /// `n`, `nev` or `nex` differs from the step that produced the block).
-fn check_input<T: Scalar>(params: &Params, n: usize, start: &Start<'_, T>) -> Result<(), String> {
+fn check_input<T: Scalar>(
+    params: &Params,
+    n: usize,
+    warm: Option<&WarmStart<T>>,
+) -> Result<(), String> {
     params.try_validate(n)?;
-    if let Start::Warm(w) = start {
+    if let Some(w) = warm {
         let (rows, cols, ne) = (w.v0.rows(), w.v0.cols(), params.ne());
         if rows != n || !(1..=ne).contains(&cols) {
             return Err(format!(
@@ -1287,7 +1224,11 @@ where
 {
     // Reject malformed input as a typed error before any collective work:
     // one bad workload entry must not abort a whole serve run.
-    check_input(params, h.n, &start)
+    let warm = match start {
+        Start::Warm(w) => Some(w),
+        _ => None,
+    };
+    check_input(params, h.n, warm)
         .map_err(|detail| ChaseError::outside_loop(ChaseErrorKind::InvalidParams { detail }))?;
     let plan = params
         .inject
@@ -1316,10 +1257,6 @@ where
         chase_device::Topology::juwels_booster(),
     )
     .with_faults(plan.clone());
-    let warm = match start {
-        Start::Warm(w) => Some(w),
-        _ => None,
-    };
     let mut chase = Chase::new(&dev, h, params.clone(), warm);
     if let Start::Resume { snapshot, prelude } = start {
         if let Some(snap) = snapshot {
@@ -1331,7 +1268,7 @@ where
                 recovery: RecoveryLog::default(),
             })?;
         }
-        chase.prelude_recovery = prelude;
+        chase.progress.recovery = prelude;
     }
     chase.run()
 }
@@ -1355,6 +1292,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::result::RecoveryEvent;
     use chase_comm::GridShape;
     use chase_linalg::C64;
 
@@ -1578,6 +1516,205 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The mixed-precision policy as a decision table. Whole solves reach
+    /// it only through `tests/precision.rs`.
+    #[test]
+    fn lo_policy_decision_table() {
+        let floor = 1e-3;
+        // Full mode, or a scalar without a narrower type: never demoted.
+        let mut off = LoPolicy::new(false, floor);
+        assert!(!off.decide(1.0, true));
+        assert!(!off.escalated, "nothing to escalate from");
+
+        // Residuals start at one: iteration 1 runs demoted; so does every
+        // iteration that keeps improving above the floor.
+        let mut lo = LoPolicy::new(true, floor);
+        for res in [1.0, 0.5, 0.1, 2e-3] {
+            assert!(lo.decide(res, true), "res {res}");
+        }
+        // At the floor it declines, and the decline is sticky: not even a
+        // residual back above the floor re-demotes.
+        assert!(!lo.decide(floor, true));
+        assert!(lo.escalated);
+        assert!(!lo.decide(1.0, true));
+
+        // Two decision points in a row without a 30% improvement.
+        let mut lo = LoPolicy::new(true, floor);
+        assert!(lo.decide(1.0, true));
+        assert!(lo.decide(0.9, true), "one stall is tolerated");
+        assert!(lo.decide(0.5, true), "an improvement resets the count");
+        assert!(lo.decide(0.45, true));
+        assert!(!lo.decide(0.4, true), "the second stall in a row is not");
+        assert!(!lo.decide(0.01, true), "sticky");
+
+        // The previous filtered block was conditioned at the overflow limit.
+        let mut lo = LoPolicy::new(true, floor);
+        lo.prev_est_cond = 0.99 * LO_COND_LIMIT;
+        assert!(lo.decide(1.0, true));
+        lo.prev_est_cond = LO_COND_LIMIT;
+        assert!(!lo.decide(0.5, true));
+        lo.prev_est_cond = 1.0;
+        assert!(!lo.decide(0.1, true), "sticky");
+
+        // An interval that degenerates under demotion.
+        let mut lo = LoPolicy::new(true, floor);
+        assert!(!lo.decide(1.0, false));
+        assert!(!lo.decide(1.0, true), "sticky");
+    }
+
+    /// A solver on the 1x1 grid at the start of its first iteration, as
+    /// `run` would have it after the Lanczos phase.
+    fn with_chase<T: Scalar + Reduce, R>(
+        params: &Params,
+        f: impl FnOnce(&mut Chase<'_, '_, T>) -> R,
+    ) -> R
+    where
+        T::Real: Reduce,
+        T::Lo: Reduce,
+    {
+        let spec = chase_matgen::Spectrum::uniform(40, -1.0, 1.0);
+        let h = chase_matgen::dense_with_spectrum::<T>(&spec, 7);
+        let ctx = chase_comm::solo_ctx();
+        let dev = Device::new(&ctx, Backend::Nccl);
+        let dh = DistHerm::from_global(&h, &ctx);
+        let mut chase = Chase::new(&dev, dh, params.clone(), None);
+        let mu_1 = T::Real::from_f64_r(-1.0);
+        chase.sub = Subspace::new(params.ne(), mu_1, params.init_deg());
+        chase.progress.iter = 1;
+        f(&mut chase)
+    }
+
+    /// A demoted filter call that went non-finite takes the precision rung
+    /// once — escalating the policy for good — before any bounded attempt.
+    #[test]
+    fn precision_rung_escalates_the_policy_before_any_attempt() {
+        let mut params = Params::new(4, 3);
+        params.max_refilter = 0;
+        with_chase::<C64, _>(&params, |chase| {
+            let fb = FilterBounds::from_spectrum(-1.0, 0.0, 1.0);
+            let mut lo = LoPolicy::new(true, 0.0);
+            chase.c[(3, 5)] = C64::from_f64(f64::NAN);
+            assert!(chase.guard_filtered_block(fb, true, &mut lo).is_ok());
+            assert!(lo.escalated && !lo.decide(1.0, true));
+            let kinds: Vec<_> = chase.progress.recovery.events.iter().collect();
+            assert!(
+                matches!(
+                    kinds[..],
+                    [
+                        RecoveryEvent {
+                            iter: 1,
+                            kind: RecoveryEventKind::NonFiniteBlock { cols: 1 }
+                        },
+                        RecoveryEvent {
+                            iter: 1,
+                            kind: RecoveryEventKind::PrecisionEscalated { cols: 1 }
+                        },
+                    ]
+                ),
+                "{}",
+                chase.progress.recovery
+            );
+            // The same poison after a full-precision call has no such rung.
+            chase.c[(3, 5)] = C64::from_f64(f64::NAN);
+            let out = chase.guard_filtered_block(fb, false, &mut lo);
+            assert!(matches!(out, Err(Abort::NonFinite)));
+        });
+    }
+
+    /// `Chase::restart` is the one restart path: whatever the cause, it logs
+    /// it, restores the locked checkpoint, restarts the rest, and gives up
+    /// after `MAX_RESTARTS` through the one abort path.
+    #[test]
+    fn every_cause_restarts_alike_and_aborts_after_max_restarts() {
+        let params = Params::new(4, 3);
+        let ne = params.ne();
+        let causes = [
+            RecoveryEventKind::ReplicaDivergence { stage: "qr" },
+            RecoveryEventKind::ResidualRegression {
+                col: 2,
+                value_bits: f64::NAN.to_bits(),
+            },
+        ];
+        let logs = causes.clone().map(|cause| {
+            with_chase::<f64, _>(&params, |chase| {
+                // Two columns locked and checkpointed, then two more locked
+                // (not checkpointed) by an iteration that went wrong.
+                chase.sub.locked = 2;
+                chase.sub.ritzv[..2].copy_from_slice(&[-0.9, -0.8]);
+                chase.sub.resd[..2].copy_from_slice(&[1e-12, 2e-12]);
+                chase.ckpt = Checkpoint::of(&chase.c, &chase.sub);
+                let good = chase.c.copy_cols(0..2);
+                for attempt in 1..=MAX_RESTARTS {
+                    chase.progress.iter = attempt;
+                    chase.sub.locked = 4;
+                    chase.sub.ritzv.fill(f64::NAN);
+                    chase.sub.resd.fill(f64::NAN);
+                    chase.sub.degs.fill(36);
+                    chase.c.as_mut_slice().fill(f64::NAN);
+                    assert!(chase.restart(cause.clone(), -1.0).is_ok());
+                    assert_eq!(chase.sub.locked, 2);
+                    assert_eq!(chase.c.copy_cols(0..2), good);
+                    assert_eq!(chase.c, chase.c2);
+                    assert!(chase.c.as_slice().iter().all(|v| v.is_finite()));
+                    assert_eq!(chase.sub.ritzv, [-0.9, -0.8, -1.0, -1.0, -1.0, -1.0, -1.0]);
+                    assert_eq!(chase.sub.resd, [1e-12, 2e-12, 1.0, 1.0, 1.0, 1.0, 1.0]);
+                    assert_eq!(chase.sub.degs[2..], [params.init_deg(); 5]);
+                }
+                chase.progress.iter = MAX_RESTARTS + 1;
+                let Err(abort) = chase.restart(cause.clone(), -1.0) else {
+                    panic!("restart {} must abort", MAX_RESTARTS + 1);
+                };
+                let err = chase.abort(abort);
+                assert_eq!(err.kind, ChaseErrorKind::UnrecoverableNonFinite);
+                assert_eq!(err.iter, MAX_RESTARTS + 1);
+                assert!(chase.progress.recovery.is_empty(), "the error owns the log");
+                err.recovery
+            })
+        });
+        for (cause, log) in causes.iter().zip(&logs) {
+            let rollback = RecoveryEventKind::LockedRollback {
+                kept: 2,
+                restarted: ne - 2,
+            };
+            let mut expected = RecoveryLog::default();
+            for iter in 1..=MAX_RESTARTS {
+                expected.push(iter, cause.clone());
+                expected.push(iter, rollback.clone());
+            }
+            expected.push(MAX_RESTARTS + 1, cause.clone());
+            assert_eq!(log, &expected);
+        }
+    }
+
+    /// Parameters that do not fit the problem and a non-finite `H` are the
+    /// same typed errors from the LMS baseline as from `solve_dist`.
+    #[test]
+    fn lms_refuses_what_solve_dist_refuses() {
+        let mut h = few_eigenvalues::<C64>(40, 40, 1.0, 5);
+        let solve_both = |h: &Matrix<C64>, params: &Params| {
+            let ctx = chase_comm::solo_ctx();
+            let lms = crate::lms::solve_lms(&ctx, DistHerm::from_global(h, &ctx), params, None);
+            (lms.unwrap_err(), solve_serial(h, params, None).unwrap_err())
+        };
+        let mut bad = [Params::new(0, 4), Params::new(6, 4), Params::new(30, 20)];
+        bad[1].tol = 0.0;
+        for params in &bad {
+            let (lms, new) = solve_both(&h, params);
+            assert!(
+                matches!(lms.kind, ChaseErrorKind::InvalidParams { .. }),
+                "{lms}"
+            );
+            assert_eq!(lms, new);
+        }
+        (h[(7, 31)], h[(31, 7)]) = (C64::from_f64(f64::NAN), C64::from_f64(f64::NAN));
+        let (lms, new) = solve_both(&h, &Params::new(6, 4));
+        assert!(
+            matches!(lms.kind, ChaseErrorKind::BadSpectrum { .. }),
+            "{lms}"
+        );
+        assert_eq!(lms, new);
     }
 
     /// A non-finite entry in `H` is `BadSpectrum` from the Lanczos phase on

@@ -246,11 +246,15 @@ impl<'a> Device<'a> {
 
     // ---- collectives -----------------------------------------------------
 
-    fn stage<T>(&self, len: usize, both_ways: bool) {
+    /// The host copies a `Std`/`Lms` collective of `bytes` pays on this rank
+    /// (the blue data-movement bars of Fig. 2): device to host before the
+    /// transfer, host to device after it. `Nccl` records nothing.
+    fn stage(&self, bytes: u64, d2h: bool, h2d: bool) {
         if self.backend.stages_through_host() {
-            let bytes = (len * size_of::<T>()) as u64;
-            self.ctx.record(EventKind::D2H { bytes });
-            if both_ways {
+            if d2h {
+                self.ctx.record(EventKind::D2H { bytes });
+            }
+            if h2d {
                 self.ctx.record(EventKind::H2D { bytes });
             }
         }
@@ -297,40 +301,22 @@ impl<'a> Device<'a> {
         }
     }
 
+    /// The sink a hop schedule reports to: each chunk transfer is a `P2p`
+    /// event over its physical link, in place of the flat path's one
+    /// collective event.
+    fn p2p_sink(&self) -> impl FnMut(u64, LinkClass) + '_ {
+        |bytes, link| self.ctx.record(EventKind::P2p { bytes, link })
+    }
+
     /// Sum-allreduce of a device buffer over `comm`.
     pub fn allreduce_sum<T: Scalar + Reduce>(&self, comm: &Communicator, buf: &mut [T]) {
         if let Some(plan) = &self.faults {
             plan.corrupt_payload("allreduce", buf);
         }
-        self.stage::<T>(buf.len(), true);
         let bytes = size_of_val(buf) as u64;
+        self.stage(bytes, true, true);
         if let Some((algo, chunk)) = self.schedule(CollOp::AllReduce, bytes, comm) {
-            let ctx = self.ctx;
-            let mut sink = |b: u64, link: LinkClass| ctx.record(EventKind::P2p { bytes: b, link });
-            exec::allreduce(comm, &self.topo, buf, algo, chunk, &mut sink);
-        } else {
-            self.ctx.record(EventKind::AllReduce {
-                bytes,
-                members: comm.size() as u64,
-            });
-            comm.allreduce_sum(buf);
-        }
-    }
-
-    /// Sum-allreduce of real workspace (residual norms, Frobenius norms).
-    pub fn allreduce_sum_real<T: Scalar>(&self, comm: &Communicator, buf: &mut [T::Real])
-    where
-        T::Real: Reduce,
-    {
-        if let Some(plan) = &self.faults {
-            plan.corrupt_payload("allreduce", buf);
-        }
-        self.stage::<T::Real>(buf.len(), true);
-        let bytes = size_of_val(buf) as u64;
-        if let Some((algo, chunk)) = self.schedule(CollOp::AllReduce, bytes, comm) {
-            let ctx = self.ctx;
-            let mut sink = |b: u64, link: LinkClass| ctx.record(EventKind::P2p { bytes: b, link });
-            exec::allreduce(comm, &self.topo, buf, algo, chunk, &mut sink);
+            exec::allreduce(comm, &self.topo, buf, algo, chunk, &mut self.p2p_sink());
         } else {
             self.ctx.record(EventKind::AllReduce {
                 bytes,
@@ -376,36 +362,11 @@ impl<'a> Device<'a> {
         comm: &'c Communicator,
         buf: &[T],
     ) -> DevAllreduce<'a, 'c, T> {
-        let bytes = size_of_val(buf) as u64;
-        let staged = if self.backend.stages_through_host() {
-            self.ctx.record(EventKind::D2H { bytes });
-            true
-        } else {
-            false
-        };
-        let t0_us = now_us();
-        let req = match &self.faults {
-            Some(plan) => {
-                // Corrupt a scratch copy so the caller's buffer stays clean
-                // (the fault models a transport-level flip, not memory
-                // corruption on the source).
-                let mut tmp = buf.to_vec();
-                if plan.corrupt_payload("iallreduce", &mut tmp) {
-                    comm.iallreduce_sum(&tmp)
-                } else {
-                    comm.iallreduce_sum(buf)
-                }
-            }
-            None => comm.iallreduce_sum(buf),
-        };
-        DevAllreduce {
-            req,
-            ctx: self.ctx,
-            staged,
-            bytes,
-            members: comm.size() as u64,
-            t0_us,
-        }
+        // What travels is a copy: a planned fault models a transport-level
+        // flip, not memory corruption on the source.
+        let mut staged = self.nb_staging::<T>(comm, buf.len());
+        staged.as_mut_slice().copy_from_slice(buf);
+        self.iallreduce_sum_staged(comm, staged)
     }
 
     /// Check out a pooled staging buffer to compute a contribution directly
@@ -420,9 +381,8 @@ impl<'a> Device<'a> {
         comm.nb_staging::<T>(len)
     }
 
-    /// Zero-copy twin of [`Device::iallreduce_sum`]: the staged buffer
-    /// *moves* into the collective as this rank's payload, skipping the
-    /// posting copy entirely. Ledger semantics are identical.
+    /// [`Device::iallreduce_sum`] without the posting copy: the staged
+    /// buffer *moves* into the collective as this rank's payload.
     pub fn iallreduce_sum_staged<'c, T: Scalar + Reduce>(
         &self,
         comm: &'c Communicator,
@@ -432,17 +392,12 @@ impl<'a> Device<'a> {
             plan.corrupt_payload("iallreduce", staged.as_mut_slice());
         }
         let bytes = (staged.len() * size_of::<T>()) as u64;
-        let staging = if self.backend.stages_through_host() {
-            self.ctx.record(EventKind::D2H { bytes });
-            true
-        } else {
-            false
-        };
+        self.stage(bytes, true, false);
         let t0_us = now_us();
         DevAllreduce {
             req: comm.iallreduce_sum_staged(staged),
             ctx: self.ctx,
-            staged: staging,
+            staged: self.backend.stages_through_host(),
             bytes,
             members: comm.size() as u64,
             t0_us,
@@ -479,28 +434,28 @@ impl<'a> Device<'a> {
 
     /// Broadcast a device buffer from `root`.
     pub fn bcast<T: Scalar>(&self, comm: &Communicator, buf: &mut [T], root: usize) {
+        let on_root = comm.rank() == root;
         // Only the root's buffer is payload; corruption elsewhere would be
         // silently overwritten by the broadcast itself.
-        if comm.rank() == root {
+        if on_root {
             if let Some(plan) = &self.faults {
                 plan.corrupt_payload("bcast", buf);
             }
         }
         // The root only pays D2H; receivers only pay H2D. Record one copy on
         // each side (the ledger is per-rank).
-        if self.backend.stages_through_host() {
-            let bytes = size_of_val(buf) as u64;
-            if comm.rank() == root {
-                self.ctx.record(EventKind::D2H { bytes });
-            } else {
-                self.ctx.record(EventKind::H2D { bytes });
-            }
-        }
         let bytes = size_of_val(buf) as u64;
+        self.stage(bytes, on_root, !on_root);
         if let Some((algo, chunk)) = self.schedule(CollOp::Bcast, bytes, comm) {
-            let ctx = self.ctx;
-            let mut sink = |b: u64, link: LinkClass| ctx.record(EventKind::P2p { bytes: b, link });
-            exec::bcast(comm, &self.topo, buf, root, algo, chunk, &mut sink);
+            exec::bcast(
+                comm,
+                &self.topo,
+                buf,
+                root,
+                algo,
+                chunk,
+                &mut self.p2p_sink(),
+            );
         } else {
             self.ctx.record(EventKind::Bcast {
                 bytes,
@@ -513,7 +468,7 @@ impl<'a> Device<'a> {
     /// Allgather device blocks (used by the legacy LMS layout to replicate
     /// the distributed vector block on every rank, Section 2.3).
     pub fn allgather<T: Scalar>(&self, comm: &Communicator, mine: &[T]) -> Vec<T> {
-        self.stage::<T>(mine.len(), false);
+        self.stage(size_of_val(mine) as u64, true, false);
         // Blocks may be ragged (sizes differ by one under the block
         // distribution), so the tuner input is the *global* gathered size —
         // known a priori in the real library, agreed here through a
@@ -523,29 +478,22 @@ impl<'a> Device<'a> {
         } else {
             0
         };
-        if let Some((algo, chunk)) = self.schedule(CollOp::AllGather, total_bytes, comm) {
-            let ctx = self.ctx;
-            let mut sink = |b: u64, link: LinkClass| ctx.record(EventKind::P2p { bytes: b, link });
-            let out = exec::allgather(comm, &self.topo, mine, algo, chunk, &mut sink);
-            if self.backend.stages_through_host() {
-                self.ctx.record(EventKind::H2D {
-                    bytes: size_of_val(out.as_slice()) as u64,
-                });
+        let hop = self.schedule(CollOp::AllGather, total_bytes, comm);
+        let out = match hop {
+            Some((algo, chunk)) => {
+                exec::allgather(comm, &self.topo, mine, algo, chunk, &mut self.p2p_sink())
             }
-            out
-        } else {
-            let out = comm.allgather(mine);
-            if self.backend.stages_through_host() {
-                self.ctx.record(EventKind::H2D {
-                    bytes: size_of_val(out.as_slice()) as u64,
-                });
-            }
+            None => comm.allgather(mine),
+        };
+        // Every rank receives the whole gathered block.
+        self.stage(size_of_val(out.as_slice()) as u64, false, true);
+        if hop.is_none() {
             self.ctx.record(EventKind::AllGather {
                 bytes_per_rank: size_of_val(mine) as u64,
                 members: comm.size() as u64,
             });
-            out
         }
+        out
     }
 }
 

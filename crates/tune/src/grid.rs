@@ -170,7 +170,7 @@ where
             });
             let params = planned.as_ref().unwrap_or(params);
             let result = if run.backend == Backend::Lms {
-                Ok(solve_lms(ctx, dh, params, run.warm.map(|w| &w.v0)))
+                solve_lms(ctx, dh, params, run.warm.map(|w| &w.v0))
             } else {
                 solve_dist(ctx, run.backend, dh, params, run.warm)
             };

@@ -28,7 +28,7 @@ fn live_one_iteration(n: usize, ne: usize, backend: Backend, lms: bool) -> Ledge
     let out = run_grid(GridShape::new(2, 2), move |ctx| {
         let dh = DistHerm::from_global(href, ctx);
         if lms {
-            chase_core::lms::solve_lms(ctx, dh, pref, None)
+            chase_core::lms::solve_lms(ctx, dh, pref, None).expect("LMS solve")
         } else {
             solve_dist(ctx, backend, dh, pref, None).expect("ChASE solve")
         }

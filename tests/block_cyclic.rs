@@ -111,7 +111,7 @@ fn lms_supports_block_cyclic_too() {
     let (href, pref) = (&h, &p);
     let out = run_grid(GridShape::new(2, 2), move |ctx| {
         let dh = DistHerm::from_global_dist(href, ctx, Distribution::BlockCyclic { block: 3 });
-        chase_core::lms::solve_lms(ctx, dh, pref, None)
+        chase_core::lms::solve_lms(ctx, dh, pref, None).expect("LMS solve")
     });
     for r in &out.results {
         assert!(r.converged);

@@ -100,7 +100,7 @@ fn lms_layout_agrees_with_new_scheme() {
     let (href, pref) = (&h, &p);
     let out = run_grid(GridShape::new(2, 2), move |ctx| {
         let dh = DistHerm::from_global(href, ctx);
-        solve_lms(ctx, dh, pref, None)
+        solve_lms(ctx, dh, pref, None).expect("LMS solve")
     });
     for r in &out.results {
         assert!(r.converged, "LMS did not converge");

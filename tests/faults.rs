@@ -241,3 +241,67 @@ fn delay_is_absorbed_without_recovery_action() {
         );
     }
 }
+
+/// There is one restart path, whoever reports the divergence: four
+/// iterations in a row poisoned at the QR agreement, and four poisoned at
+/// the Rayleigh–Ritz/residual agreement, leave logs of the same shape —
+/// `(cause, rollback)` for each tolerated restart, then the fourth cause —
+/// and the same typed abort, on every rank.
+#[test]
+fn restarts_exhaust_alike_whichever_agreement_reports_them() {
+    let h = problem(60);
+    let shape_of = |region: &str, is_cause: fn(&RecoveryEventKind) -> bool| {
+        let mut p = base_params();
+        let sites: Vec<String> = (1..=4)
+            .map(|iter| format!("inf@iter={iter},region={region},rank=1"))
+            .collect();
+        p.inject = Some(format!("seed=19;{}", sites.join(";")).parse().unwrap());
+        let mut shapes = Vec::new();
+        for r in run_chaos(&h, &p, GridShape::new(2, 2)) {
+            let e = r.expect_err("a fourth restart must abort the solve");
+            assert_eq!(e.kind, ChaseErrorKind::UnrecoverableNonFinite, "{region}");
+            assert_eq!(e.iter, 4, "{region}");
+            let shape: Vec<(usize, &str)> = e
+                .recovery
+                .events
+                .iter()
+                .filter(|ev| {
+                    // What only the poisoned rank (and, for the QR ladder,
+                    // its column communicator) logs on the way there.
+                    !matches!(
+                        ev.kind,
+                        RecoveryEventKind::Injected(_)
+                            | RecoveryEventKind::QrBreakdown { .. }
+                            | RecoveryEventKind::QrEscalated { .. }
+                    )
+                })
+                .map(|ev| match &ev.kind {
+                    k if is_cause(k) => (ev.iter, "cause"),
+                    RecoveryEventKind::LockedRollback {
+                        kept: 0,
+                        restarted: 10,
+                    } => (ev.iter, "rollback"),
+                    other => panic!("{region}: unexpected event {other}"),
+                })
+                .collect();
+            shapes.push(shape);
+        }
+        assert!(
+            shapes.iter().all(|s| s == &shapes[0]),
+            "{region}: ranks disagree"
+        );
+        shapes.swap_remove(0)
+    };
+    let qr = shape_of("qr", |k| {
+        matches!(k, RecoveryEventKind::ReplicaDivergence { stage: "qr" })
+    });
+    let rr = shape_of("rr", |k| {
+        matches!(k, RecoveryEventKind::ResidualRegression { .. })
+    });
+    let expected: Vec<(usize, &str)> = (1..=4)
+        .flat_map(|iter| [(iter, "cause"), (iter, "rollback")])
+        .take(7)
+        .collect();
+    assert_eq!(qr, expected);
+    assert_eq!(rr, expected);
+}
