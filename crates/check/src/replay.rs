@@ -93,10 +93,7 @@ fn parse_case(rest: &str) -> Result<CheckCase, String> {
     let scalar_tok = field(&map, "scalar")?;
     let scalar = ScalarKind::from_token(scalar_tok)
         .ok_or_else(|| format!("unknown scalar {scalar_tok:?}"))?;
-    let grid = field(&map, "grid")?;
-    let (p, q) = grid
-        .split_once('x')
-        .ok_or_else(|| format!("invalid grid {grid:?}"))?;
+    let grid: chase_comm::GridShape = field(&map, "grid")?.parse()?;
     let on_off = |key: &str| -> Result<bool, String> {
         match field(&map, key)? {
             "on" => Ok(true),
@@ -106,7 +103,7 @@ fn parse_case(rest: &str) -> Result<CheckCase, String> {
     };
     Ok(CheckCase {
         scalar,
-        grid: (parse_num(p, "grid rows")?, parse_num(q, "grid cols")?),
+        grid: (grid.p, grid.q),
         overlap: on_off("overlap")?,
         plan: on_off("plan")?,
         n: parse_num(field(&map, "n")?, "n")?,

@@ -75,6 +75,24 @@ impl GridShape {
     }
 }
 
+/// `"PxQ"` with `P, Q >= 1` (`2x2`, `1x4`): the one spelling of a grid shape
+/// the CLI flags, workload lines and check witnesses share. Whatever a user
+/// can type is an `Err` here, never the assert in [`GridShape::new`].
+impl std::str::FromStr for GridShape {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        let dims = s
+            .split_once('x')
+            .and_then(|(p, q)| Some((p.parse::<usize>().ok()?, q.parse::<usize>().ok()?)));
+        match dims {
+            Some((p, q)) if p >= 1 && q >= 1 => Ok(Self { p, q }),
+            Some(_) => Err(format!("grid '{s}' has no ranks: need PxQ with P, Q >= 1")),
+            None => Err(format!("grid '{s}' must look like PxQ, e.g. 2x2")),
+        }
+    }
+}
+
 /// Contiguous block partition of `n` items over `parts` owners: the block
 /// data distribution of `H` (Section 2.2). Remainder items go to the lowest
 /// indices, so sizes differ by at most one.
@@ -410,6 +428,22 @@ pub fn solo_ctx() -> RankCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn grid_shape_parses_pxq_and_refuses_everything_else() {
+        assert_eq!("2x3".parse(), Ok(GridShape::new(2, 3)));
+        assert_eq!("1x1".parse(), Ok(GridShape::new(1, 1)));
+        for zero in ["0x1", "1x0", "0x0"] {
+            let err = zero.parse::<GridShape>().unwrap_err();
+            assert!(err.contains(zero) && err.contains(">= 1"), "{err}");
+        }
+        for malformed in [
+            "4", "2*2", "", "x", "2x", "x2", "axb", "-1x2", "2x2x2", " 2x2",
+        ] {
+            let err = malformed.parse::<GridShape>().unwrap_err();
+            assert!(err.contains("must look like PxQ"), "{malformed:?}: {err}");
+        }
+    }
 
     #[test]
     fn block_range_covers_everything() {

@@ -53,14 +53,6 @@ fn take<T: std::str::FromStr>(
     }
 }
 
-fn parse_grid(s: &str) -> Result<GridShape, String> {
-    let (p, q) = s.split_once('x').ok_or("grid must look like 2x2")?;
-    Ok(GridShape::new(
-        p.parse().map_err(|_| "bad grid rows")?,
-        q.parse().map_err(|_| "bad grid cols")?,
-    ))
-}
-
 /// Matrices loaded once per path and shared across jobs via `Arc`.
 #[derive(Default)]
 struct FileCache {
@@ -184,7 +176,9 @@ fn parse_job_line(
 
     let mut spec = JobSpec::new(name.clone(), matrix, params);
     if let Some(g) = kv.get("grid") {
-        spec.grid = parse_grid(g).map_err(|e| format!("job '{name}': {e}"))?;
+        spec.grid = g
+            .parse::<GridShape>()
+            .map_err(|e| format!("job '{name}': {e}"))?;
     }
     match (kv.get("session"), kv.get("step")) {
         (Some(sid), step) => {
@@ -289,6 +283,18 @@ gen name=solo n=32 spectrum=uniform nev=4 priority=9 deadline=5000
                 .unwrap_err()
                 .contains("session")
         );
+    }
+
+    #[test]
+    fn a_grid_without_ranks_is_that_lines_error_not_a_panic() {
+        let text = "\
+gen name=ok n=32 spectrum=uniform nev=4 grid=2x1
+gen name=bad n=32 spectrum=uniform nev=4 grid=0x2
+";
+        let err = parse_workload(text).unwrap_err();
+        assert!(err.starts_with("line 2: job 'bad': grid '0x2'"), "{err}");
+        let err = validate_line("gen name=bad n=32 spectrum=uniform nev=4 grid=2").unwrap_err();
+        assert!(err.contains("must look like PxQ"), "{err}");
     }
 
     #[test]

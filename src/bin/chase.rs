@@ -119,12 +119,16 @@ fn cmd_info(flags: HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn parse_grid(s: &str) -> Result<GridShape, String> {
-    let (p, q) = s.split_once('x').ok_or("grid must look like 2x2")?;
-    Ok(GridShape::new(
-        p.parse().map_err(|_| "bad grid rows")?,
-        q.parse().map_err(|_| "bad grid cols")?,
-    ))
+fn parse_grid(flag: &str, s: &str) -> Result<GridShape, String> {
+    s.trim().parse().map_err(|e| format!("--{flag}: {e}"))
+}
+
+/// A count a flag takes that must be at least one (`--ranks`, `--cyclic`).
+fn parse_positive(flag: &str, what: &str, s: &str) -> Result<usize, String> {
+    match s.parse() {
+        Ok(n) if n >= 1 => Ok(n),
+        _ => Err(format!("--{flag} needs {what} >= 1, got '{s}'")),
+    }
 }
 
 /// One `chase solve`, printed. With `tune`, the solve's key is looked up in
@@ -295,11 +299,11 @@ fn cmd_solve(flags: HashMap<String, String>) -> Result<(), String> {
     // idle rather than degenerate to 1 x N). Either way, log the choice —
     // the shape decides every communicator in the run.
     let ranks: Option<usize> = match flags.get("ranks") {
-        Some(r) => Some(r.parse().map_err(|_| "--ranks needs a rank count")?),
+        Some(r) => Some(parse_positive("ranks", "a rank count", r)?),
         None => None,
     };
     let shape = match (flags.get("grid"), ranks) {
-        (Some(g), _) => parse_grid(g)?,
+        (Some(g), _) => parse_grid("grid", g)?,
         (None, Some(n)) => GridShape::squarest(n),
         (None, None) => GridShape::new(1, 1),
     };
@@ -348,7 +352,7 @@ fn cmd_solve(flags: HashMap<String, String>) -> Result<(), String> {
     };
     let dist = match flags.get("cyclic") {
         Some(b) => Distribution::BlockCyclic {
-            block: b.parse().map_err(|_| "--cyclic needs a block size")?,
+            block: parse_positive("cyclic", "a block size", b)?,
         },
         None => Distribution::Block,
     };
@@ -497,7 +501,7 @@ fn cmd_tune(flags: HashMap<String, String>) -> Result<(), String> {
     let nex: usize = get(&flags, "nex", Some(nev.div_ceil(2).max(2)))?;
     let db_path: String = get(&flags, "db", None)?;
     let shape = match flags.get("grid") {
-        Some(g) => parse_grid(g)?,
+        Some(g) => parse_grid("grid", g)?,
         None => GridShape::new(1, 1),
     };
     let backend = match flags.get("backend").map(String::as_str).unwrap_or("nccl") {
@@ -826,7 +830,7 @@ fn write_trace_outputs(
 
 fn parse_check_grids(s: &str) -> Result<Vec<(usize, usize)>, String> {
     s.split(',')
-        .map(|g| parse_grid(g.trim()).map(|sh| (sh.p, sh.q)))
+        .map(|g| parse_grid("grids", g).map(|sh| (sh.p, sh.q)))
         .collect()
 }
 

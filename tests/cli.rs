@@ -1,0 +1,80 @@
+//! The `chase` binary on input it must refuse: every refusal is exit code 1
+//! with a one-line `error:` on stderr — never a panic (exit 101 and a
+//! backtrace), whatever the flag or workload line says.
+
+use std::path::PathBuf;
+use std::process::{Command, Output};
+
+fn chase(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_chase"))
+        .args(args)
+        .output()
+        .expect("spawn chase")
+}
+
+/// A small generated matrix under the test's scratch directory.
+fn matrix(name: &str) -> String {
+    let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name);
+    let path = path.to_str().expect("utf-8 tmpdir").to_string();
+    let out = chase(&["generate", "--n", "24", "--out", &path]);
+    assert!(out.status.success(), "generate failed: {out:?}");
+    path
+}
+
+fn assert_refused(args: &[&str], needle: &str) {
+    let out = chase(args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("error:")).collect();
+    assert_eq!(errors.len(), 1, "{args:?}: {stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+    assert!(errors[0].contains(needle), "{args:?}: {stderr}");
+}
+
+#[test]
+fn a_grid_without_ranks_is_a_usage_error() {
+    let m = matrix("cli-grid.chasemat");
+    let solve = ["solve", "--matrix", m.as_str(), "--nev", "4"];
+    for (flag, value, needle) in [
+        ("--grid", "0x1", "grid '0x1'"),
+        ("--grid", "1x0", "grid '1x0'"),
+        ("--grid", "banana", "must look like PxQ"),
+        ("--ranks", "0", "--ranks needs a rank count >= 1"),
+        ("--cyclic", "0", "--cyclic needs a block size >= 1"),
+    ] {
+        assert_refused(&[&solve[..], &[flag, value]].concat(), needle);
+    }
+    assert_refused(&["check", "--grids", "1x1,0x1"], "--grids: grid '0x1'");
+    let workload = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("cli-grid.workload");
+    let line = "gen name=a n=32 spectrum=uniform nev=4 grid=0x2";
+    assert_refused(
+        &[
+            "submit",
+            "--workload",
+            workload.to_str().unwrap(),
+            "--line",
+            line,
+        ],
+        "line 1: job 'a': grid '0x2'",
+    );
+    std::fs::write(&workload, format!("{line}\n")).unwrap();
+    assert_refused(
+        &["serve", "--workload", workload.to_str().unwrap()],
+        "line 1: job 'a': grid '0x2'",
+    );
+}
+
+#[test]
+fn the_lms_backend_refuses_bad_parameters_like_the_others() {
+    let m = matrix("cli-lms.chasemat");
+    for backend in ["lms", "nccl"] {
+        let solve = ["solve", "--matrix", m.as_str(), "--backend", backend];
+        for bad in [&["--nev", "0"][..], &["--nev", "4", "--tol", "0"]] {
+            assert_refused(
+                &[&solve[..], bad].concat(),
+                "solve aborted: invalid parameters:",
+            );
+        }
+    }
+}
