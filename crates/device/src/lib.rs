@@ -447,15 +447,8 @@ impl<'a> Device<'a> {
         let bytes = size_of_val(buf) as u64;
         self.stage(bytes, on_root, !on_root);
         if let Some((algo, chunk)) = self.schedule(CollOp::Bcast, bytes, comm) {
-            exec::bcast(
-                comm,
-                &self.topo,
-                buf,
-                root,
-                algo,
-                chunk,
-                &mut self.p2p_sink(),
-            );
+            let sink = &mut self.p2p_sink();
+            exec::bcast(comm, &self.topo, buf, root, algo, chunk, sink);
         } else {
             self.ctx.record(EventKind::Bcast {
                 bytes,
