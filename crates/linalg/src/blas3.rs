@@ -27,9 +27,11 @@
 //! *traversal*, never a per-element sum, so the result is a pure function
 //! of the inputs: independent of tile boundaries, of how a caller splits
 //! `C` into column panels (the filter's overlapped pipeline relies on
-//! that), and of the vector width. The microkernel is compiled twice from
-//! one source — portably and with AVX2 enabled, chosen per call by run-time
-//! detection — and both give the same bits: wider vectors yes, fused
+//! that), and of the vector width. The microkernel has three instantiations
+//! — one array source compiled portably and with AVX2 enabled, and the same
+//! loop on 512-bit registers under `avx512f` — the widest the CPU runs chosen
+//! per call by run-time detection, together with its tile shape
+//! ([`kernel_isa`]), and all give the same bits: wider vectors yes, fused
 //! multiply-add and re-association never.
 //!
 //! One loop nest, three more callers: [`gram`], [`trsm_right_upper`] and
@@ -38,6 +40,9 @@
 //! subtracted, which tiles) and each bit for bit the scalar sweep it
 //! replaced.
 
+use crate::lanes::Isa;
+#[cfg(target_arch = "x86_64")]
+use crate::lanes::{Avx512, Element, Lanes};
 use crate::matrix::{ColsMut, ColsRef, Matrix};
 use crate::scalar::Scalar;
 use std::any::Any;
@@ -67,25 +72,64 @@ const KC: usize = 256;
 const NC: usize = 256;
 
 /// Run `$body` with `MR` and `NR` bound to the microkernel tile shape for
-/// `$t` — one shape per scalar width, the fastest measured on AVX2 with
-/// clean code generation (EXPERIMENTS.md): 4 x 4 on 64-bit reals (at C64
-/// eight accumulator vectors, leaving room in 16 registers for the two
-/// planes of an `op(A)` column, the broadcast `s` and the products), 16 x 2
-/// on 32-bit reals (the same eight accumulators; 8 x 4 would be too, but the
-/// vectoriser then pairs lanes across columns and the loop fills with
-/// shuffles).
+/// `$t` on the instantiation named (`Portable`, `Avx2`, `Avx512`) — one
+/// shape per scalar width and kind of lanes, the fastest measured with clean
+/// code generation (EXPERIMENTS.md). Array lanes (portable, AVX2): 4 x 4 on
+/// 64-bit reals (at C64 eight accumulator vectors, leaving room in 16
+/// registers for the two planes of an `op(A)` column, the broadcast `s` and
+/// the products), 16 x 2 on 32-bit reals (the same eight accumulators; 8 x 4
+/// would be too, but the vectoriser then pairs lanes across columns and the
+/// loop fills with shuffles). 512-bit registers: one register per plane of a
+/// tile column, 8 x 4 and 16 x 4 (`NR` = 8 is no faster at C64, where the
+/// loop is bound by its multiplies and adds, and would pad the four-column
+/// Lanczos product). `$body` is compiled for both widths whatever `$t` is;
+/// only the one of `$t`'s width ever runs.
 macro_rules! with_tile {
-    ($t:ty, $mr:ident, $nr:ident => $body:expr) => {
+    ($t:ty, Avx512, $mr:ident, $nr:ident => $body:expr) => {
+        with_tile!(@by_width $t, (16, 4), (8, 4), $mr, $nr => $body)
+    };
+    ($t:ty, Avx2, $mr:ident, $nr:ident => $body:expr) => {
+        with_tile!(@by_width $t, (16, 2), (4, 4), $mr, $nr => $body)
+    };
+    ($t:ty, Portable, $mr:ident, $nr:ident => $body:expr) => {
+        with_tile!($t, Avx2, $mr, $nr => $body)
+    };
+    (@by_width $t:ty, ($mr4:expr, $nr4:expr), ($mr8:expr, $nr8:expr),
+     $mr:ident, $nr:ident => $body:expr) => {
         if size_of::<<$t as Scalar>::Real>() == 4 {
-            const $mr: usize = 16;
-            const $nr: usize = 2;
+            const $mr: usize = $mr4;
+            const $nr: usize = $nr4;
             $body
         } else {
-            const $mr: usize = 4;
-            const $nr: usize = 4;
+            const $mr: usize = $mr8;
+            const $nr: usize = $nr8;
             $body
         }
     };
+}
+
+/// [`with_tile!`] for the instantiation the kernels take on this thread now.
+macro_rules! with_current_tile {
+    ($t:ty, $mr:ident, $nr:ident => $body:expr) => {
+        match Isa::current() {
+            Isa::Avx512 => with_tile!($t, Avx512, $mr, $nr => $body),
+            Isa::Avx2 => with_tile!($t, Avx2, $mr, $nr => $body),
+            Isa::Portable => with_tile!($t, Portable, $mr, $nr => $body),
+        }
+    };
+}
+
+/// The microkernel instantiation this CPU runs for `T`, with its tile shape:
+/// what the speed of everything BLAS-3 here depends on, for a solve's log.
+pub fn kernel_isa<T: Scalar>() -> &'static str {
+    match (Isa::current(), size_of::<T::Real>()) {
+        (Isa::Avx512, 4) => "avx512f 16x4",
+        (Isa::Avx512, _) => "avx512f 8x4",
+        (Isa::Avx2, 4) => "avx2 16x2",
+        (Isa::Avx2, _) => "avx2 4x4",
+        (Isa::Portable, 4) => "portable 16x2",
+        (Isa::Portable, _) => "portable 4x4",
+    }
 }
 
 /// `(rows, cols)` of `op(X)`.
@@ -114,9 +158,11 @@ pub struct Prepacked<'a, T: Scalar> {
     m: usize,
     k: usize,
     /// Every `(pc, ic)` block of `op(A)` in micro-panel order, back to
-    /// back; `None` for the one-shot [`gemm`], which packs block by block
-    /// into the thread's buffer instead of allocating an `m x k` copy.
-    panels: Option<Vec<T::Real>>,
+    /// back, with the `MR` the micro-panels were laid out for: a pass whose
+    /// instantiation has another `MR` packs for itself. `None` for the
+    /// one-shot [`gemm`], which packs block by block into the thread's
+    /// buffer instead of allocating an `m x k` copy.
+    panels: Option<(usize, Vec<T::Real>)>,
 }
 
 impl<'a, T: Scalar> Prepacked<'a, T> {
@@ -152,7 +198,7 @@ impl<'a, T: Scalar> Prepacked<'a, T> {
 /// Pack `op(A)` once, up front.
 pub fn prepack_a<T: Scalar>(opa: Op, a: ColsRef<'_, T>) -> Prepacked<'_, T> {
     let mut p = Prepacked::borrowed(opa, a);
-    p.panels = Some(with_tile!(T, MR, _NR => pack_a_all::<T, MR>(&p)));
+    p.panels = Some(with_current_tile!(T, MR, _NR => (MR, pack_a_all::<T, MR>(&p))));
     p
 }
 
@@ -225,10 +271,15 @@ fn pack_a_block<T: Scalar, const MR: usize>(
             }
             Op::Trans | Op::ConjTrans => {
                 // op(A)[i, l] = A[l, i]: row i of the panel is a contiguous
-                // stretch of column i of A.
-                for ii in 0..mr {
-                    let src = &a.col(i0 + ii)[pc..pc + kc];
-                    for (dst, v) in panel.chunks_exact_mut(p * MR).zip(src) {
+                // stretch of column i of A. Read as `mr` streams side by
+                // side, so that the panel is written once, front to back.
+                let rows: [&[T]; MR] = std::array::from_fn(|ii| match ii < mr {
+                    true => &a.col(i0 + ii)[pc..pc + kc],
+                    false => &[][..],
+                });
+                for (l, dst) in panel.chunks_exact_mut(p * MR).enumerate() {
+                    for (ii, row) in rows[..mr].iter().enumerate() {
+                        let v = row[l];
                         dst[ii] = v.re();
                         if T::IS_COMPLEX {
                             dst[MR + ii] = if opa == Op::ConjTrans {
@@ -317,6 +368,10 @@ fn pack_b_block<T: Scalar, const NR: usize>(
     }
 }
 
+/// The 512-bit register of `T`'s reals.
+#[cfg(target_arch = "x86_64")]
+type Zmm<T> = <<T as Scalar>::Real as Element>::Zmm;
+
 /// The accumulators of one `MR x NR` tile of `C`, planes apart like the
 /// packed operands (`im` stays zero for real `T`).
 struct Tile<R, const MR: usize, const NR: usize> {
@@ -404,6 +459,74 @@ fn microkernel_avx2<T: Scalar, const MR: usize, const NR: usize>(
     }
 }
 
+/// [`microkernel_body`] term for term with each plane of a tile column one
+/// 512-bit register (`MR` is its lane count) and each lane-wise operation one
+/// `std::arch` intrinsic — `vmulp*`, `vaddp*`, `vsubp*`, never the `vfmadd*`
+/// that `avx512f` also has — hence the same bits. Written out, because the
+/// array source compiled under `avx512f` comes out of the vectoriser full of
+/// cross-lane shuffles, 3.4x slower than under AVX2 (DESIGN.md §3).
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn microkernel_body_zmm<T: Scalar, const MR: usize, const NR: usize, const SUB: bool>(
+    avx512: Avx512,
+    ap: &[T::Real],
+    bp: &[T::Real],
+    skip: &[bool],
+    tile: &mut Tile<T::Real, MR, NR>,
+) {
+    let load = |src: &[T::Real]| <Zmm<T> as Lanes<T::Real>>::load(avx512, src);
+    let splat = |x: T::Real| <Zmm<T> as Lanes<T::Real>>::splat(avx512, x);
+    assert_eq!(MR, <Zmm<T> as Lanes<T::Real>>::LEN, "one register a plane");
+    let p = planes::<T>();
+    let zero = <T::Real as Scalar>::zero();
+    let mut cre: [Zmm<T>; NR] = std::array::from_fn(|j| load(&tile.re[j]));
+    let mut cim: [Zmm<T>; NR] = std::array::from_fn(|j| load(&tile.im[j]));
+    let fold = |c: &mut Zmm<T>, term: Zmm<T>| *c = if SUB { *c - term } else { *c + term };
+    let terms = ap
+        .chunks_exact(p * MR)
+        .zip(bp.chunks_exact(p * NR))
+        .zip(skip);
+    for ((a, s), &skip) in terms {
+        let (are, aim) = (load(&a[..MR]), load(&a[(p - 1) * MR..]));
+        let sre: &[T::Real; NR] = s[..NR].try_into().expect("NR reals");
+        let sim: &[T::Real; NR] = s[(p - 1) * NR..].try_into().expect("NR reals");
+        for j in 0..NR {
+            if skip && sre[j] == zero && (!T::IS_COMPLEX || sim[j] == zero) {
+                continue;
+            }
+            let (sre_j, sim_j) = (splat(sre[j]), splat(sim[j]));
+            if T::IS_COMPLEX {
+                fold(&mut cre[j], sre_j * are - sim_j * aim);
+                fold(&mut cim[j], sre_j * aim + sim_j * are);
+            } else {
+                fold(&mut cre[j], sre_j * are);
+            }
+        }
+    }
+    for j in 0..NR {
+        cre[j].store(&mut tile.re[j]);
+        cim[j].store(&mut tile.im[j]);
+    }
+}
+
+/// The 512-bit instantiation.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn microkernel_avx512<T: Scalar, const MR: usize, const NR: usize>(
+    ap: &[T::Real],
+    bp: &[T::Real],
+    skip: &[bool],
+    subtract: bool,
+    tile: &mut Tile<T::Real, MR, NR>,
+) {
+    let avx512 = Avx512::enabled_here();
+    if subtract {
+        microkernel_body_zmm::<T, MR, NR, true>(avx512, ap, bp, skip, tile);
+    } else {
+        microkernel_body_zmm::<T, MR, NR, false>(avx512, ap, bp, skip, tile);
+    }
+}
+
 /// One thread's pack buffers for one real type.
 #[derive(Default)]
 struct Scratch<R> {
@@ -482,8 +605,8 @@ fn gemm_blocked<T: Scalar, const MR: usize, const NR: usize>(
                 let mc = MC.min(m - ic);
                 let (off, len) = a_block_span::<T, MR>(m, (pc, kc), (ic, mc));
                 let a_block: &[T::Real] = match &a.panels {
-                    Some(panels) => &panels[off..off + len],
-                    None => {
+                    Some((mr, panels)) if *mr == MR => &panels[off..off + len],
+                    _ => {
                         let buf = first_n(&mut scratch.a, len, zero);
                         pack_a_block::<T, MR>(a.opa, a.a, (ic, mc), (pc, kc), buf);
                         buf
@@ -526,20 +649,6 @@ fn gemm_blocked<T: Scalar, const MR: usize, const NR: usize>(
     }
 }
 
-thread_local! {
-    /// Tests set this to run the portable instantiation on an AVX2 machine.
-    #[cfg(test)]
-    static PORTABLE_ONLY: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-#[cfg(target_arch = "x86_64")]
-fn portable_only() -> bool {
-    #[cfg(test)]
-    return PORTABLE_ONLY.get();
-    #[cfg(not(test))]
-    false
-}
-
 /// `C (+|-)= op(A) * s` for the fold's `s` from `op(B)[..k, :]`, `k` the
 /// columns of `op(A)`: the loop nest on this thread's pack buffers, with the
 /// widest microkernel instantiation this CPU runs.
@@ -560,19 +669,28 @@ fn fold_into<T: Scalar>(
         return;
     }
     let c = c.as_mut_slice();
-    with_scratch::<T::Real, _>(|scratch| {
-        with_tile!(T, MR, NR => {
-            #[cfg(target_arch = "x86_64")]
-            if !portable_only() && std::arch::is_x86_feature_detected!("avx2") {
-                return gemm_blocked::<T, MR, NR>(fold, a, opb, b, c, scratch, |ap, bp, skip, sub, tile| {
-                    // SAFETY: this closure exists only on the branch where the
-                    // CPU was just seen to support AVX2, the one requirement
-                    // of the `#[target_feature]` function it calls.
-                    unsafe { microkernel_avx2::<T, MR, NR>(ap, bp, skip, sub, tile) }
-                });
-            }
+    with_scratch::<T::Real, _>(|scratch| match Isa::current() {
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 => with_tile!(T, Avx512, MR, NR => {
+            gemm_blocked::<T, MR, NR>(fold, a, opb, b, c, scratch, |ap, bp, skip, sub, tile| {
+                // SAFETY: `Isa::current()` is `Avx512` only when run-time
+                // detection found `avx512f` on this CPU, the one
+                // requirement of the `#[target_feature]` function called.
+                unsafe { microkernel_avx512::<T, MR, NR>(ap, bp, skip, sub, tile) }
+            })
+        }),
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 => with_tile!(T, Avx2, MR, NR => {
+            gemm_blocked::<T, MR, NR>(fold, a, opb, b, c, scratch, |ap, bp, skip, sub, tile| {
+                // SAFETY: `Isa::current()` is `Avx2` only when run-time
+                // detection found `avx2` on this CPU, the one requirement
+                // of the `#[target_feature]` function called.
+                unsafe { microkernel_avx2::<T, MR, NR>(ap, bp, skip, sub, tile) }
+            })
+        }),
+        _ => with_tile!(T, Portable, MR, NR => {
             gemm_blocked::<T, MR, NR>(fold, a, opb, b, c, scratch, microkernel::<T, MR, NR>)
-        })
+        }),
     });
 }
 
@@ -818,19 +936,12 @@ pub(crate) fn bits<T: Scalar>(m: &Matrix<T>) -> Vec<[u64; 2]> {
         .collect()
 }
 
-/// Run `f` with the AVX2 microkernel switched off on this thread.
-#[cfg(test)]
-pub(crate) fn on_portable<O>(f: impl FnOnce() -> O) -> O {
-    PORTABLE_ONLY.set(true);
-    let out = f();
-    PORTABLE_ONLY.set(false);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cholesky::potrf_upper;
+    use crate::heevd::heevd;
+    use crate::lanes::{on_each_isa, with_isa, ISAS};
     use crate::scalar::{RealScalar, C32, C64};
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
@@ -985,7 +1096,7 @@ mod tests {
         (oa, ob)
     }
 
-    /// Shipped kernel (or the portable instantiation) against the reference
+    /// Every microkernel instantiation this CPU runs against the reference
     /// fold, bit for bit, for all nine `(opa, opb)` pairs on one problem.
     fn check_fold_contract<T: Scalar>(
         dims: (usize, usize, usize),
@@ -1019,13 +1130,15 @@ mod tests {
                         "{what}: a shielded inf/NaN reached C"
                     );
                 }
-                let mut got = c0.clone();
-                gemm(opa, opb, alpha, a.as_ref(), b.as_ref(), beta, got.as_mut());
-                assert_eq!(bits(&got), bits(&want), "{what}: gemm");
-                let mut got = c0.clone();
-                let packed = prepack_a(opa, a.as_ref());
-                gemm_prepacked(&packed, opb, alpha, b.as_ref(), beta, got.as_mut());
-                assert_eq!(bits(&got), bits(&want), "{what}: gemm_prepacked");
+                on_each_isa(|isa| {
+                    let mut got = c0.clone();
+                    gemm(opa, opb, alpha, a.as_ref(), b.as_ref(), beta, got.as_mut());
+                    assert_eq!(bits(&got), bits(&want), "{what}: gemm on {isa:?}");
+                    let mut got = c0.clone();
+                    let packed = prepack_a(opa, a.as_ref());
+                    gemm_prepacked(&packed, opb, alpha, b.as_ref(), beta, got.as_mut());
+                    assert_eq!(bits(&got), bits(&want), "{what}: prepacked on {isa:?}");
+                });
             }
         }
     }
@@ -1063,8 +1176,12 @@ mod tests {
         let what = format!("{} {m}x{n} seed {seed}", std::any::type_name::<T>());
         let mut reached = Vec::new();
         if poison && m > 0 && n > 1 {
-            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-                let r = rng.gen::<u64>() as usize % m;
+            // Each in a row of its own, so that no later zero lands on an
+            // earlier poison.
+            let r0 = rng.gen::<u64>() as usize % m;
+            let bads = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+            for (k, bad) in bads.into_iter().enumerate().take(m) {
+                let r = (r0 + k) % m;
                 let c = rng.gen::<u64>() as usize % n;
                 let partner = (c + 1 + rng.gen::<u64>() as usize % (n - 1)) % n;
                 x[(r, c)] = T::from_real(T::Real::from_f64_r(bad));
@@ -1076,7 +1193,13 @@ mod tests {
         for at in reached {
             assert!(!want[at].is_finite(), "{what}: sweep shielded {at:?}");
         }
-        assert_eq!(bits(&gram(x.as_ref())), bits(&want), "{what}: gram");
+        on_each_isa(|isa| {
+            assert_eq!(
+                bits(&gram(x.as_ref())),
+                bits(&want),
+                "{what}: gram on {isa:?}"
+            )
+        });
     }
 
     /// An upper-triangular factor for the TRSM contract: nonzero diagonal,
@@ -1120,21 +1243,27 @@ mod tests {
         }
         let mut want = x.clone();
         trsm_reference(want.as_mut(), &r);
-        trsm_right_upper(x.as_mut(), &r);
         let what = format!("{} {m}x{n} seed {seed}", std::any::type_name::<T>());
-        assert_eq!(bits(&x), bits(&want), "{what}: trsm");
+        on_each_isa(|isa| {
+            let mut got = x.clone();
+            trsm_right_upper(got.as_mut(), &r);
+            assert_eq!(bits(&got), bits(&want), "{what}: trsm on {isa:?}");
+        });
     }
 
-    /// Sizes on both sides of every blocking constant (`MR` 4/16, `NR` 4/2,
+    /// Sizes on both sides of every blocking constant (`MR` 4/8/16, `NR` 4/2,
     /// `MC` 128, `KC` 256; `NC` 256 has its own test below), the degenerate 0
-    /// and 1, ragged remainders.
-    const M_SIZES: [usize; 14] = [0, 1, 3, 4, 5, 15, 16, 17, 33, 127, 128, 129, 133, 150];
+    /// and 1, ragged remainders (`2 MR + 3` among them).
+    const M_SIZES: [usize; 19] = [
+        0, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 19, 33, 35, 127, 128, 129, 133, 150,
+    ];
     const K_SIZES: [usize; 10] = [0, 1, 2, 7, 64, 255, 256, 257, 301, 513];
     const N_SIZES: [usize; 12] = [0, 1, 2, 3, 4, 5, 9, 37, 127, 128, 129, 131];
-    /// Column counts of a CholeskyQR block: around `PANEL` 16 and its
-    /// multiples as well, and past `KC` (the TRSM's inner dimension).
-    const QR_COLS: [usize; 16] = [
-        0, 1, 2, 3, 5, 15, 16, 17, 31, 32, 33, 48, 129, 150, 257, 290,
+    /// Column counts of a CholeskyQR block (the Gram matrix's tile rows as
+    /// well): around `PANEL` 16 and its multiples too, and past `KC` (the
+    /// TRSM's inner dimension).
+    const QR_COLS: [usize; 21] = [
+        0, 1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 19, 31, 32, 33, 35, 48, 129, 150, 257, 290,
     ];
 
     proptest! {
@@ -1209,54 +1338,134 @@ mod tests {
         }
     }
 
-    /// Wider lanes, same IEEE operations, same bits: the AVX2 and portable
-    /// instantiations of the microkernel on identical inputs, through
-    /// `gemm` and through the three CholeskyQR kernels.
+    /// Wider lanes, same IEEE operations, same bits: every instantiation of
+    /// the microkernel this CPU runs on identical inputs, through `gemm`,
+    /// the three CholeskyQR kernels and `heevd`.
     #[test]
-    fn avx2_and_portable_instantiations_agree_bitwise() {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            fn both<T: Scalar>(dims: (usize, usize, usize), seed: u64) {
-                let (m, _, n) = dims;
-                let mut rng = ChaCha8Rng::seed_from_u64(seed);
-                let (oa, ob) = contract_operands::<T>(dims, true, &mut rng);
-                let alpha = T::sample_standard(&mut rng);
-                let beta = T::sample_standard(&mut rng);
-                let c0 = Matrix::<T>::random(m, n, &mut rng);
-                let what = format!("{} {dims:?}", std::any::type_name::<T>());
+    fn instantiations_agree_bitwise() {
+        fn all<T: Scalar>(dims: (usize, usize, usize), seed: u64) {
+            let (m, _, n) = dims;
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let (oa, ob) = contract_operands::<T>(dims, true, &mut rng);
+            let alpha = T::sample_standard(&mut rng);
+            let beta = T::sample_standard(&mut rng);
+            let c0 = Matrix::<T>::random(m, n, &mut rng);
+            // The CholeskyQR chain on one block — Gram of op(A) (with its
+            // inf), POTRF of a finite Gram, TRSM by its factor — and the
+            // eigenpairs of that Gram matrix.
+            let x = Matrix::<T>::random(m + 2 * n, n, &mut rng);
+            let run = || {
+                let mut out = Vec::new();
                 for opa in OPS {
                     let a = stored_for(opa, &oa);
                     for opb in OPS {
                         let b = stored_for(opb, &ob);
-                        let run = || {
-                            let mut c = c0.clone();
-                            gemm(opa, opb, alpha, a.as_ref(), b.as_ref(), beta, c.as_mut());
-                            bits(&c)
-                        };
-                        assert_eq!(run(), on_portable(run), "{what} {opa:?} {opb:?}");
+                        let mut c = c0.clone();
+                        gemm(opa, opb, alpha, a.as_ref(), b.as_ref(), beta, c.as_mut());
+                        out.push(bits(&c));
                     }
                 }
-                // The CholeskyQR chain on the same block: Gram of op(A)
-                // (with its inf), POTRF of a finite Gram, TRSM by its factor.
-                let x = Matrix::<T>::random(m + 2 * n, n, &mut rng);
-                let run = || {
-                    let g = gram(x.as_ref());
-                    let u = potrf_upper(&g).expect("Gram of a tall random block");
-                    let mut q = x.clone();
-                    trsm_right_upper(q.as_mut(), &u);
-                    [bits(&gram(oa.as_ref())), bits(&g), bits(&u), bits(&q)]
-                };
-                assert_eq!(run(), on_portable(run), "{what} gram/potrf/trsm");
+                let g = gram(x.as_ref());
+                let u = potrf_upper(&g).expect("Gram of a tall random block");
+                let mut q = x.clone();
+                trsm_right_upper(q.as_mut(), &u);
+                let (vals, v) = heevd(&g).expect("QL converges");
+                let vals = Matrix::<T::Real>::from_vec(n, 1, vals);
+                out.extend([gram(oa.as_ref()), g, u, q, v].map(|m| bits(&m)));
+                out.push(bits(&vals));
+                out
+            };
+            let portable = with_isa(Isa::Portable, run).expect("runs on every CPU");
+            for isa in [Isa::Avx2, Isa::Avx512] {
+                if let Some(got) = with_isa(isa, run) {
+                    let what = format!("{} {dims:?} on {isa:?}", std::any::type_name::<T>());
+                    assert!(got == portable, "{what}: bits differ from the portable run");
+                }
             }
-            for (dims, seed) in [((133, 301, 37), 1), ((129, 257, 130), 2), ((17, 5, 3), 3)] {
-                both::<f32>(dims, seed);
-                both::<f64>(dims, seed);
-                both::<C32>(dims, seed);
-                both::<C64>(dims, seed);
-            }
-            return;
         }
-        println!("skipped: this CPU has no AVX2, only the portable instantiation runs here");
+        for (dims, seed) in [
+            ((133, 301, 37), 1),
+            ((129, 257, 130), 2),
+            ((17, 5, 3), 3),
+            ((19, 9, 7), 4),
+            ((35, 40, 9), 5),
+        ] {
+            all::<f32>(dims, seed);
+            all::<f64>(dims, seed);
+            all::<C32>(dims, seed);
+            all::<C64>(dims, seed);
+        }
+    }
+
+    /// Panels packed for one instantiation's `MR` and consumed by another
+    /// must not be read as if they had the consumer's layout.
+    #[test]
+    fn prepacked_panels_survive_a_change_of_instantiation() {
+        fn one<T: Scalar>(seed: u64) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let (m, k, n) = (MC + 11, 70, 9);
+            let a = Matrix::<T>::random(k, m, &mut rng);
+            let b = Matrix::<T>::random(k, n, &mut rng);
+            let mut want = Matrix::<T>::zeros(m, n);
+            let (one, zero) = (T::one(), T::zero());
+            gemm_reference(Op::ConjTrans, Op::None, one, &a, &b, zero, &mut want);
+            for packer in ISAS {
+                let Some(packed) = with_isa(packer, || prepack_a(Op::ConjTrans, a.as_ref())) else {
+                    continue;
+                };
+                for consumer in ISAS {
+                    with_isa(consumer, || {
+                        let mut got = Matrix::<T>::zeros(m, n);
+                        gemm_prepacked(&packed, Op::None, one, b.as_ref(), zero, got.as_mut());
+                        let what = std::any::type_name::<T>();
+                        assert_eq!(
+                            bits(&got),
+                            bits(&want),
+                            "{what}: packed on {packer:?}, consumed on {consumer:?}"
+                        );
+                    });
+                }
+            }
+        }
+        one::<f32>(1);
+        one::<f64>(2);
+        one::<C32>(3);
+        one::<C64>(4);
+    }
+
+    /// The instantiation a solve logs is the widest one the CPU admits, with
+    /// the tile shape the nest runs — so neither a detection slip nor a
+    /// stale name can go unnoticed.
+    #[test]
+    fn kernel_isa_names_the_widest_instantiation_and_its_tile() {
+        #[cfg(target_arch = "x86_64")]
+        let widest = if std::arch::is_x86_feature_detected!("avx512f") {
+            (Isa::Avx512, "avx512f")
+        } else if std::arch::is_x86_feature_detected!("avx2") {
+            (Isa::Avx2, "avx2")
+        } else {
+            (Isa::Portable, "portable")
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        let widest = (Isa::Portable, "portable");
+        assert_eq!(Isa::current(), widest.0);
+        fn tile<T: Scalar>() -> String {
+            with_current_tile!(T, MR, NR => format!("{MR}x{NR}"))
+        }
+        for (isa, name) in [
+            (Isa::Portable, "portable"),
+            (Isa::Avx2, "avx2"),
+            (Isa::Avx512, "avx512f"),
+            widest,
+        ] {
+            with_isa(isa, || {
+                assert_eq!(kernel_isa::<f32>(), format!("{name} {}", tile::<f32>()));
+                assert_eq!(kernel_isa::<f64>(), format!("{name} {}", tile::<f64>()));
+                assert_eq!(kernel_isa::<C32>(), format!("{name} {}", tile::<C32>()));
+                assert_eq!(kernel_isa::<C64>(), format!("{name} {}", tile::<C64>()));
+            });
+        }
+        println!("kernel: {}", kernel_isa::<C64>());
     }
 
     fn naive_gemm<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {

@@ -100,6 +100,7 @@ pub fn add_shift<T: Scalar>(a: &Matrix<T>, s: T::Real) -> Matrix<T> {
 mod tests {
     use super::*;
     use crate::blas3::{bits, gemm_new, gram, Op};
+    use crate::lanes::on_each_isa;
     use crate::scalar::{C32, C64};
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
@@ -178,16 +179,17 @@ mod tests {
             "{} n {n} kind {kind} seed {seed}",
             std::any::type_name::<T>()
         );
-        match (potrf_upper(&a), potrf_reference(&a)) {
-            (Ok(got), Ok(want)) => assert_eq!(bits(&got), bits(&want), "{what}"),
-            (got, want) => assert_eq!(got.err(), want.err(), "{what}"),
-        }
+        let want = potrf_reference(&a);
+        on_each_isa(|isa| match (potrf_upper(&a), &want) {
+            (Ok(got), Ok(want)) => assert_eq!(bits(&got), bits(want), "{what} on {isa:?}"),
+            (got, want) => assert_eq!(got.err(), want.clone().err(), "{what} on {isa:?}"),
+        });
     }
 
-    /// Orders around `PANEL` 16 and its multiples, the tile sizes (4, 16),
+    /// Orders around `PANEL` 16 and its multiples, the tile sizes (4, 8, 16),
     /// `MC`/`NC` 128 and `KC` 256.
-    const ORDERS: [usize; 16] = [
-        0, 1, 2, 3, 5, 15, 16, 17, 31, 32, 33, 48, 129, 150, 257, 290,
+    const ORDERS: [usize; 21] = [
+        0, 1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 19, 31, 32, 33, 35, 48, 129, 150, 257, 290,
     ];
 
     proptest! {

@@ -370,7 +370,8 @@ pub fn heevd<T: Scalar>(a: &Matrix<T>) -> Result<(Vec<T::Real>, Matrix<T>), NoCo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blas3::{bits, gemm_new, on_portable};
+    use crate::blas3::{bits, gemm_new};
+    use crate::lanes::{with_isa, Isa, ISAS};
     use crate::scalar::{C32, C64};
     use proptest::prelude::*;
     use rand::SeedableRng;
@@ -503,9 +504,23 @@ mod tests {
         "complex tridiagonal",
     ];
 
-    /// Sizes around the panel width, the trailing update's first tiles, and
-    /// the Rayleigh-Ritz quotient of the `wide` benchmark workload.
-    const SIZES: [usize; 8] = [1, 2, PANEL - 1, PANEL, PANEL + 1, 2 * PANEL + 3, 50, 160];
+    /// Sizes around the panel width (the 16-row tile as well) and the 8-row
+    /// tile, the trailing update's first tiles, and the Rayleigh-Ritz
+    /// quotient of the `wide` benchmark workload.
+    const SIZES: [usize; 12] = [
+        1,
+        2,
+        7,
+        8,
+        9,
+        PANEL - 1,
+        PANEL,
+        PANEL + 1,
+        19,
+        2 * PANEL + 3,
+        50,
+        160,
+    ];
 
     fn adversarial<T: Scalar>(kind: &str, n: usize, rng: &mut ChaCha8Rng) -> Matrix<T> {
         let r = T::Real::from_f64_r;
@@ -577,22 +592,24 @@ mod tests {
     }
 
     /// Backward error and orthogonality of [`heevd`] on `a` in units of
-    /// `n eps ||A||_F` and `n eps`, and the same bits from the portable
-    /// microkernel instantiation.
+    /// `n eps ||A||_F` and `n eps`, and the same bits from every microkernel
+    /// instantiation this CPU runs.
     fn check_heevd<T: Scalar>(a: &Matrix<T>, what: &str) -> (f64, f64) {
         let n = a.rows();
         let (vals, v) = heevd(a).unwrap_or_else(|e| panic!("{what}: {e}"));
-        let (vals_p, v_p) = on_portable(|| heevd(a)).expect("converged once already");
-        assert_eq!(
-            bits(&v),
-            bits(&v_p),
-            "{what}: AVX2 and portable eigenvectors differ"
-        );
-        assert_eq!(
-            bits(&Matrix::<T::Real>::from_vec(n, 1, vals.clone())),
-            bits(&Matrix::<T::Real>::from_vec(n, 1, vals_p)),
-            "{what}: AVX2 and portable eigenvalues differ"
-        );
+        // The run above took the widest of them.
+        for isa in ISAS.into_iter().filter(|&isa| isa != Isa::detect()) {
+            let Some(narrower) = with_isa(isa, || heevd(a)) else {
+                continue;
+            };
+            let (vals_n, v_n) = narrower.expect("converged once already");
+            assert_eq!(bits(&v), bits(&v_n), "{what}: eigenvectors on {isa:?}");
+            assert_eq!(
+                bits(&Matrix::<T::Real>::from_vec(n, 1, vals.clone())),
+                bits(&Matrix::<T::Real>::from_vec(n, 1, vals_n)),
+                "{what}: eigenvalues on {isa:?}"
+            );
+        }
         assert!(
             vals.windows(2).all(|w| w[0] <= w[1]),
             "{what}: not ascending"
@@ -626,7 +643,7 @@ mod tests {
 
         /// Residual and orthogonality bounds on the inputs that break
         /// eigensolvers, at the sizes that straddle the panel, for every
-        /// scalar, with the same bits from both microkernel instantiations.
+        /// scalar, with the same bits from every microkernel instantiation.
         #[test]
         fn heevd_adversarial(
             kind in 0usize..KINDS.len(),

@@ -386,9 +386,9 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         /// Block Lanczos equals the sequential runs bit for bit, for every
-        /// scalar, 1 to 6 columns, dense spectra and spectra whose Krylov
-        /// spaces close (`distinct < steps`, some columns before others),
-        /// and `steps > n`.
+        /// scalar and microkernel instantiation, 1 to 6 columns, dense
+        /// spectra and spectra whose Krylov spaces close (`distinct < steps`,
+        /// some columns before others), and `steps > n`.
         #[test]
         fn block_equals_sequential_runs_bitwise(
             n in 1usize..40,
@@ -401,7 +401,9 @@ mod tests {
             fn one<T: Scalar>(n: usize, distinct: usize, scale: f64, steps: usize, nvec: usize, seed: u64) {
                 let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5eed);
                 let a = few_eigenvalues::<T>(n, distinct.min(n), scale, &mut rng);
-                check_block_equals_reference(&a, steps, nvec, seed);
+                crate::lanes::on_each_isa(|_| {
+                    check_block_equals_reference(&a, steps, nvec, seed);
+                });
             }
             let scale = SCALES[scale];
             one::<f32>(n, distinct, scale, steps, nvec, seed);

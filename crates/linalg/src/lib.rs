@@ -21,13 +21,15 @@ pub mod blas3;
 pub mod cholesky;
 pub mod heevd;
 pub mod lanczos;
+mod lanes;
 pub mod matrix;
 pub mod qr;
 pub mod scalar;
 pub mod svd;
 
 pub use blas3::{
-    gemm, gemm_new, gemm_prepacked, gemv, gram, prepack_a, trsm_right_upper, Op, Prepacked,
+    gemm, gemm_new, gemm_prepacked, gemv, gram, kernel_isa, prepack_a, trsm_right_upper, Op,
+    Prepacked,
 };
 pub use cholesky::{add_shift, potrf_upper, shifted_cholesky_shift, NotPositiveDefinite};
 pub use heevd::{eigvals_tridiagonal, heevd, steqr, tridiagonalize, NoConvergence};

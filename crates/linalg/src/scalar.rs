@@ -16,7 +16,9 @@ use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssi
 ///
 /// `RealScalar` is the value domain for norms, residuals, eigenvalues of
 /// Hermitian operators and all Chebyshev-filter parameters.
-pub trait RealScalar: Scalar<Real = Self, Lo = <Self as RealScalar>::RLo> + PartialOrd {
+pub trait RealScalar:
+    Scalar<Real = Self, Lo = <Self as RealScalar>::RLo> + PartialOrd + crate::lanes::Element
+{
     /// The demoted real type (`f64 → f32`, `f32 → f32`). Identical to
     /// [`Scalar::Lo`] — the `Lo = Self::RLo` supertrait equality ties them
     /// together — but declared here with the `RealScalar` bound so generic

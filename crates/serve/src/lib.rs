@@ -56,5 +56,5 @@ pub use job::{
     SpectrumKind, WarmKind,
 };
 pub use metrics::ServeMetrics;
-pub use scheduler::{Scheduler, SchedulerConfig, SubmitError};
+pub use scheduler::{ConfigError, Scheduler, SchedulerConfig, SubmitError};
 pub use workload::{parse_workload, validate_line};

@@ -81,6 +81,26 @@ impl fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
+/// A [`SchedulerConfig`] no pool can be built from.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ConfigError {
+    /// `workers == 0`: nothing would ever run a job.
+    NoWorkers,
+    /// `max_queue == 0`: no job could ever be admitted.
+    NoQueue,
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ConfigError::NoWorkers => write!(f, "a scheduler needs at least one worker"),
+            ConfigError::NoQueue => write!(f, "a scheduler needs a queue of at least one job"),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
 struct Pending<T: Scalar> {
     id: JobId,
     spec: JobSpec<T>,
@@ -139,10 +159,16 @@ where
     T::Real: Reduce,
     T::Lo: Reduce,
 {
-    pub fn new(cfg: SchedulerConfig) -> Self {
-        assert!(cfg.workers >= 1, "need at least one worker");
+    /// A pool for `cfg`, or why none can be built from it.
+    pub fn try_new(cfg: SchedulerConfig) -> Result<Self, ConfigError> {
+        if cfg.workers == 0 {
+            return Err(ConfigError::NoWorkers);
+        }
+        if cfg.max_queue == 0 {
+            return Err(ConfigError::NoQueue);
+        }
         let cache = SessionCache::new(cfg.cache_bytes);
-        Self {
+        Ok(Self {
             cfg,
             next_id: 1,
             queue: Vec::new(),
@@ -152,7 +178,16 @@ where
             baselines: BTreeMap::new(),
             plan_db: Arc::new(Mutex::new(PlanDb::new())),
             metrics: ServeMetrics::default(),
-        }
+        })
+    }
+
+    /// [`Scheduler::try_new`] for a configuration written in the program
+    /// (one read from outside it goes through `try_new`).
+    ///
+    /// # Panics
+    /// On a configuration `try_new` refuses.
+    pub fn new(cfg: SchedulerConfig) -> Self {
+        Self::try_new(cfg).unwrap_or_else(|e| panic!("{e}"))
     }
 
     pub fn config(&self) -> &SchedulerConfig {

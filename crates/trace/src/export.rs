@@ -203,8 +203,10 @@ pub fn summary_table(trace: &Trace) -> String {
 }
 
 /// Machine-readable metrics JSON for the bench bins: per-rank aggregates
-/// plus run totals. Deterministic field order.
-pub fn metrics_json(trace: &Trace) -> String {
+/// plus run totals, and `kernel`, the microkernel instantiation the host
+/// ran (`chase_linalg::kernel_isa`; the trace itself is host-independent, so
+/// the caller supplies it). Deterministic field order.
+pub fn metrics_json(trace: &Trace, kernel: &str) -> String {
     let mut ranks = Vec::new();
     let mut tot = (0u64, 0u64, 0u64, 0usize);
     for r in &trace.ranks {
@@ -231,7 +233,8 @@ pub fn metrics_json(trace: &Trace) -> String {
         ));
     }
     format!(
-        "{{\"ranks\":[{}],\"totals\":{{\"flops\":{},\"comm_bytes\":{},\"transfer_bytes\":{},\"collectives\":{}}}}}",
+        "{{\"kernel\":\"{}\",\"ranks\":[{}],\"totals\":{{\"flops\":{},\"comm_bytes\":{},\"transfer_bytes\":{},\"collectives\":{}}}}}",
+        json::escape(kernel),
         ranks.join(","),
         tot.0,
         tot.1,
@@ -330,8 +333,9 @@ mod tests {
         assert!(table.contains("Filter"));
         assert!(table.contains("240"), "gemm flops in Filter row");
         assert!(table.contains("96"), "h2d bytes in QR row");
-        let m = metrics_json(&t);
+        let m = metrics_json(&t, "portable 4x4");
         crate::json::parse(&m).unwrap();
+        assert!(m.starts_with("{\"kernel\":\"portable 4x4\","));
         assert!(m.contains("\"flops\":240"));
         assert!(m.contains("\"comm_bytes\":64"));
         assert!(m.contains("\"qr_rung_climbs\":2"));

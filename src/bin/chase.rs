@@ -123,7 +123,8 @@ fn parse_grid(flag: &str, s: &str) -> Result<GridShape, String> {
     s.trim().parse().map_err(|e| format!("--{flag}: {e}"))
 }
 
-/// A count a flag takes that must be at least one (`--ranks`, `--cyclic`).
+/// A count a flag takes that must be at least one (`--ranks`, `--cyclic`,
+/// `--workers`, `--max-queue`).
 fn parse_positive(flag: &str, what: &str, s: &str) -> Result<usize, String> {
     match s.parse() {
         Ok(n) if n >= 1 => Ok(n),
@@ -307,10 +308,14 @@ fn cmd_solve(flags: HashMap<String, String>) -> Result<(), String> {
         (None, Some(n)) => GridShape::squarest(n),
         (None, None) => GridShape::new(1, 1),
     };
+    // Beside it, what the speed of every BLAS-3 call on this host hangs on:
+    // the microkernel instantiation its CPU admits (both scalars a matrix
+    // file stores, f64 and C64, pack 64-bit reals — one tile shape).
+    let kernel = chase_linalg::kernel_isa::<f64>();
     {
         let idle = ranks.map_or(0, |n| n.saturating_sub(shape.ranks()));
         println!(
-            "grid: {}x{} ({} ranks{})",
+            "grid: {}x{} ({} ranks{}), kernel {kernel}",
             shape.p,
             shape.q,
             shape.ranks(),
@@ -482,6 +487,7 @@ fn cmd_solve(flags: HashMap<String, String>) -> Result<(), String> {
             trace_path.as_deref(),
             trace_format,
             metrics_path.as_deref(),
+            kernel,
         )?;
     }
     match outcome {
@@ -608,9 +614,13 @@ where
 /// `chase serve`: run a workload file through the multi-tenant scheduler.
 fn cmd_serve(flags: HashMap<String, String>) -> Result<(), String> {
     let path: String = get(&flags, "workload", None)?;
-    let workers: usize = get(&flags, "workers", Some(2))?;
+    let positive = |flag: &str, what: &str, default: usize| match flags.get(flag) {
+        Some(v) => parse_positive(flag, what, v),
+        None => Ok(default),
+    };
+    let workers = positive("workers", "a worker count", 2)?;
     let cache_mb: usize = get(&flags, "cache-mb", Some(256))?;
-    let max_queue: usize = get(&flags, "max-queue", Some(1024))?;
+    let max_queue = positive("max-queue", "a queue capacity", 1024)?;
     let backend = match flags.get("backend").map(String::as_str).unwrap_or("nccl") {
         "nccl" => Backend::Nccl,
         "std" => Backend::Std,
@@ -657,9 +667,9 @@ fn cmd_serve(flags: HashMap<String, String>) -> Result<(), String> {
         silence_expected_crash_panics();
     }
 
-    let mut sched: Scheduler<C64> = Scheduler::new(SchedulerConfig {
+    let mut sched: Scheduler<C64> = Scheduler::try_new(SchedulerConfig {
         workers,
-        cache_bytes: cache_mb << 20,
+        cache_bytes: cache_mb.saturating_mul(1 << 20),
         max_queue,
         backend,
         record_traces: trace_dir.is_some(),
@@ -668,7 +678,8 @@ fn cmd_serve(flags: HashMap<String, String>) -> Result<(), String> {
             machine: chase_perfmodel::Machine::juwels_booster(),
             backend,
         }),
-    });
+    })
+    .map_err(|e| e.to_string())?;
     if let Some(p) = &plan_db_path {
         sched.set_plan_db(PlanDb::load(p).map_err(|e| e.to_string())?);
     }
@@ -804,6 +815,7 @@ fn write_trace_outputs(
     trace_path: Option<&str>,
     format: TraceFormat,
     metrics_path: Option<&str>,
+    kernel: &str,
 ) -> Result<(), String> {
     // Stitching validates the streams (ordered sequence numbers, aligned
     // world collectives) before anything is written.
@@ -822,7 +834,8 @@ fn write_trace_outputs(
         );
     }
     if let Some(path) = metrics_path {
-        std::fs::write(path, metrics_json(trace)).map_err(|e| format!("writing {path}: {e}"))?;
+        std::fs::write(path, metrics_json(trace, kernel))
+            .map_err(|e| format!("writing {path}: {e}"))?;
         println!("metrics: {path}");
     }
     Ok(())

@@ -66,6 +66,28 @@ fn a_grid_without_ranks_is_a_usage_error() {
 }
 
 #[test]
+fn a_pool_that_can_run_or_admit_nothing_is_a_usage_error() {
+    let workload = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("cli-pool.workload");
+    std::fs::write(&workload, "gen name=a n=32 spectrum=uniform nev=4\n").unwrap();
+    let serve = ["serve", "--workload", workload.to_str().unwrap()];
+    for (flag, value, needle) in [
+        (
+            "--workers",
+            "0",
+            "--workers needs a worker count >= 1, got '0'",
+        ),
+        ("--workers", "two", "--workers needs a worker count >= 1"),
+        (
+            "--max-queue",
+            "0",
+            "--max-queue needs a queue capacity >= 1",
+        ),
+    ] {
+        assert_refused(&[&serve[..], &[flag, value]].concat(), needle);
+    }
+}
+
+#[test]
 fn the_lms_backend_refuses_bad_parameters_like_the_others() {
     let m = matrix("cli-lms.chasemat");
     for backend in ["lms", "nccl"] {

@@ -366,6 +366,18 @@ fn admission_control_applies_backpressure() {
     sched
         .submit(gen_job("q2", 32, SpectrumKind::Uniform, 3, None))
         .expect("queue drained, submit must pass");
+    // A pool that could never run or admit a job is refused up front, typed.
+    for (workers, max_queue, want) in [
+        (0, 2, chase_serve::ConfigError::NoWorkers),
+        (2, 0, chase_serve::ConfigError::NoQueue),
+    ] {
+        let refused = Scheduler::<C64>::try_new(SchedulerConfig {
+            workers,
+            max_queue,
+            ..SchedulerConfig::default()
+        });
+        assert_eq!(refused.err(), Some(want));
+    }
 }
 
 #[test]

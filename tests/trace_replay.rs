@@ -188,7 +188,7 @@ fn solve_trace_stitches_and_exports_valid_chrome_json() {
         table.contains("Filter"),
         "summary missing Filter row:\n{table}"
     );
-    let metrics = metrics_json(&trace);
+    let metrics = metrics_json(&trace, chase_linalg::kernel_isa::<C64>());
     for rt in &trace.ranks {
         assert!(
             metrics.contains(&format!("\"rank\":{}", rt.rank)),
