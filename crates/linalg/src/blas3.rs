@@ -15,30 +15,34 @@
 //!
 //! Transposition and conjugation are folded into the packing, and packed
 //! operands keep real and imaginary parts in separate planes, so the
-//! microkernel is plain lane-wise multiplies and adds on `T::Real` arrays
+//! microkernel is plain lane-wise fused multiply-adds on `T::Real` arrays
 //! that the compiler vectorises without shuffles. The pack buffers are per
 //! thread, reused across calls and freed with the thread; they hold at most
 //! `MC*KC + KC*NC` elements (plus `KC*NC/NR` zero flags) whatever the
 //! operand shapes.
 //!
 //! The fold contract (spelled out on [`gemm`]): per element of `C` the `k`
-//! terms are added in ascending order, each product rounded before its add,
-//! terms with a zero `alpha*op(B)` factor skipped. Blocking reorders the
-//! *traversal*, never a per-element sum, so the result is a pure function
-//! of the inputs: independent of tile boundaries, of how a caller splits
-//! `C` into column panels (the filter's overlapped pipeline relies on
-//! that), and of the vector width. The microkernel has three instantiations
-//! — one array source compiled portably and with AVX2 enabled, and the same
-//! loop on 512-bit registers under `avx512f` — the widest the CPU runs chosen
-//! per call by run-time detection, together with its tile shape
-//! ([`kernel_isa`]), and all give the same bits: wider vectors yes, fused
-//! multiply-add and re-association never.
+//! terms are folded in ascending order, each one fused term
+//! ([`Scalar::mul_acc`]: one rounding per real multiply-add), terms with a
+//! zero `alpha*op(B)` factor skipped. Blocking reorders the *traversal*,
+//! never a per-element sum, so the result is a pure function of the inputs:
+//! independent of tile boundaries, of how a caller splits `C` into column
+//! panels (the filter's overlapped pipeline relies on that), and of the
+//! vector width. The microkernel has three instantiations — one array source
+//! compiled portably and with AVX2 and FMA enabled, and the same loop on
+//! 512-bit registers under `avx512f` — the widest the CPU runs chosen per
+//! call by run-time detection, together with its tile shape
+//! ([`kernel_isa`]), and all give the same bits, because a fused multiply-add
+//! is exact wherever it runs (one instruction, or libm's `fma` on a CPU
+//! without one): wider vectors yes, one fused term everywhere,
+//! re-association never.
 //!
 //! One loop nest, three more callers: [`gram`], [`trsm_right_upper`] and
 //! `potrf_upper` run their BLAS-3 part through the same nest and microkernel
-//! as [`gemm`], each with its own [`Fold`] (which terms, added or
-//! subtracted, which tiles) and each bit for bit the scalar sweep it
-//! replaced.
+//! as [`gemm`], each with its own [`Fold`] (which `s`, which terms, which
+//! tiles) and each bit for bit the scalar sweep of the same fused term. A
+//! pass that subtracts packs `-s`: `c - s*a` and `c + (-s)*a` are the same
+//! fused operations argument for argument, signed zeros included.
 
 use crate::lanes::Isa;
 #[cfg(target_arch = "x86_64")]
@@ -61,8 +65,9 @@ pub enum Op {
 }
 
 /// Cache blocking: an `MC x KC` block of packed `op(A)` (512 KiB at C64,
-/// L2-resident) is reused across `NC` columns; one `KC`-deep micro-panel of
-/// each operand (16 KiB at C64) stays in L1 under the microkernel. `NC` is
+/// L2-resident) is reused across `NC` columns; the `KC`-deep micro-panel of
+/// `op(B)` (at most 32 KiB at C64) stays in L1 under the microkernel while
+/// the micro-panels of `op(A)` stream past it. `NC` is
 /// the widest slice of `op(B)` packed at once; wider inputs are panelled, and
 /// every panel packs each block of `op(A)` again — so `NC` covers the widest
 /// active block a solve of half the matrix filters (160 columns of 320). The
@@ -74,22 +79,23 @@ const NC: usize = 256;
 /// Run `$body` with `MR` and `NR` bound to the microkernel tile shape for
 /// `$t` on the instantiation named (`Portable`, `Avx2`, `Avx512`) — one
 /// shape per scalar width and kind of lanes, the fastest measured with clean
-/// code generation (EXPERIMENTS.md). Array lanes (portable, AVX2): 4 x 4 on
-/// 64-bit reals (at C64 eight accumulator vectors, leaving room in 16
-/// registers for the two planes of an `op(A)` column, the broadcast `s` and
-/// the products), 16 x 2 on 32-bit reals (the same eight accumulators; 8 x 4
-/// would be too, but the vectoriser then pairs lanes across columns and the
-/// loop fills with shuffles). 512-bit registers: one register per plane of a
-/// tile column, 8 x 4 and 16 x 4 (`NR` = 8 is no faster at C64, where the
-/// loop is bound by its multiplies and adds, and would pad the four-column
-/// Lanczos product). `$body` is compiled for both widths whatever `$t` is;
-/// only the one of `$t`'s width ever runs.
+/// code generation (EXPERIMENTS.md "Fused fold"). What bounds the fused loop
+/// is latency, not ports: a complex accumulator carries two dependent fused
+/// multiply-adds per `l` (8 cycles), so a tile needs 16 accumulator registers
+/// to keep two FMA ports busy. 512-bit registers have the room: one register
+/// per plane of a tile column, 8 x 8 and 16 x 8 (16 x 4 with two registers a
+/// plane streams twice the `op(A)` per term from L2 and loses a third).
+/// Array lanes (portable, AVX2 + FMA) have 16 registers in all: 4 x 4 on
+/// 64-bit reals (at C64 eight accumulator vectors, leaving room for the two
+/// planes of an `op(A)` column and the broadcast `s`; every wider shape
+/// spills), 16 x 4 on 32-bit reals. `$body` is compiled for both widths
+/// whatever `$t` is; only the one of `$t`'s width ever runs.
 macro_rules! with_tile {
     ($t:ty, Avx512, $mr:ident, $nr:ident => $body:expr) => {
-        with_tile!(@by_width $t, (16, 4), (8, 4), $mr, $nr => $body)
+        with_tile!(@by_width $t, (16, 8), (8, 8), $mr, $nr => $body)
     };
     ($t:ty, Avx2, $mr:ident, $nr:ident => $body:expr) => {
-        with_tile!(@by_width $t, (16, 2), (4, 4), $mr, $nr => $body)
+        with_tile!(@by_width $t, (16, 4), (4, 4), $mr, $nr => $body)
     };
     ($t:ty, Portable, $mr:ident, $nr:ident => $body:expr) => {
         with_tile!($t, Avx2, $mr, $nr => $body)
@@ -119,16 +125,23 @@ macro_rules! with_current_tile {
     };
 }
 
-/// The microkernel instantiation this CPU runs for `T`, with its tile shape:
-/// what the speed of everything BLAS-3 here depends on, for a solve's log.
+/// The microkernel instantiation this CPU runs for `T`, with its tile shape
+/// and how its fused multiply-add is compiled: what the speed of everything
+/// BLAS-3 here depends on, for a solve's log. A portable instantiation built
+/// without FMA at compile time (any x86-64 build that does not ask for it)
+/// calls libm's `fma` once per real multiply-add — the same bits an order of
+/// magnitude slower, and the name says so.
 pub fn kernel_isa<T: Scalar>() -> &'static str {
-    match (Isa::current(), size_of::<T::Real>()) {
-        (Isa::Avx512, 4) => "avx512f 16x4",
-        (Isa::Avx512, _) => "avx512f 8x4",
-        (Isa::Avx2, 4) => "avx2 16x2",
-        (Isa::Avx2, _) => "avx2 4x4",
-        (Isa::Portable, 4) => "portable 16x2",
-        (Isa::Portable, _) => "portable 4x4",
+    const LIBM: bool = cfg!(all(target_arch = "x86_64", not(target_feature = "fma")));
+    match (Isa::current(), size_of::<T::Real>(), LIBM) {
+        (Isa::Avx512, 4, _) => "avx512f 16x8 fma",
+        (Isa::Avx512, _, _) => "avx512f 8x8 fma",
+        (Isa::Avx2, 4, _) => "avx2 16x4 fma",
+        (Isa::Avx2, _, _) => "avx2 4x4 fma",
+        (Isa::Portable, 4, false) => "portable 16x4 fma",
+        (Isa::Portable, _, false) => "portable 4x4 fma",
+        (Isa::Portable, 4, true) => "portable 16x4 libm-fma",
+        (Isa::Portable, _, true) => "portable 4x4 libm-fma",
     }
 }
 
@@ -299,17 +312,25 @@ fn pack_a_block<T: Scalar, const MR: usize>(
 /// that differs between [`gemm`] and the three CholeskyQR kernels.
 #[derive(Clone, Copy)]
 struct Fold<T> {
-    /// `s = alpha * op(B)[l, j]`; `None` takes `op(B)[l, j]` as stored (for
-    /// complex `T`, `1 * s` is not `s` when a part is `-0`, `inf` or `NaN`).
-    alpha: Option<T>,
+    /// The `s` of the term `C[i, j] += s * a`, from `op(B)[l, j]`.
+    s: Factor<T>,
     /// Skip the terms whose `s` is zero.
     skip_zeros: bool,
-    /// `C[i, j] -= s * a` instead of `+=`. Not done by packing `-s`: for
-    /// complex `T` a component whose two products cancel is `+0` either
-    /// way, so `C + (-s) * a` and `C - s * a` differ in the sign of a zero.
-    subtract: bool,
     /// Which tiles of `C` are visited.
     tiles: Tiles,
+}
+
+/// How a pass gets its `s` from `b = op(B)[l, j]`.
+#[derive(Clone, Copy)]
+enum Factor<T> {
+    /// `alpha * b`.
+    Times(T),
+    /// `b` as stored (for complex `T`, `1 * b` is not `b` when a part is
+    /// `-0`, `inf` or `NaN`).
+    Stored,
+    /// `-b`: the pass subtracts, `C[i, j] -= b * a`, exactly (see
+    /// [`Scalar::mul_acc`]).
+    Negated,
 }
 
 /// The part of `C` a pass computes, tile by tile.
@@ -322,8 +343,8 @@ enum Tiles {
     Lower,
 }
 
-/// Pack the fold's `s` (`alpha * op(B)[l, j]`, or `op(B)[l, j]` as stored)
-/// for the `kc x nc` block at `(pc, jc)` into `NR`-column micro-panels (same
+/// Pack the fold's `s` (`alpha * op(B)[l, j]`, or `op(B)[l, j]` as stored or
+/// negated) for the `kc x nc` block at `(pc, jc)` into `NR`-column micro-panels (same
 /// plane layout as `op(A)`), and, if the fold skips zeros, flag in `skip`
 /// each `l` of each panel where some `s` is zero: those terms are skipped,
 /// so the microkernel takes its per-column path for that `l`. Columns past
@@ -357,7 +378,11 @@ fn pack_b_block<T: Scalar, const NR: usize>(
                     Op::Trans => b.at(j0 + jj, pc + l),
                     Op::ConjTrans => b.at(j0 + jj, pc + l).conj(),
                 };
-                let s = fold.alpha.map_or(stored, |alpha| alpha * stored);
+                let s = match fold.s {
+                    Factor::Times(alpha) => alpha * stored,
+                    Factor::Stored => stored,
+                    Factor::Negated => -stored,
+                };
                 dst[jj] = s.re();
                 if T::IS_COMPLEX {
                     dst[NR + jj] = s.im();
@@ -379,11 +404,11 @@ struct Tile<R, const MR: usize, const NR: usize> {
     im: [[R; MR]; NR],
 }
 
-/// `tile[j][i] += s[l, j] * a[i, l]` (`-=` for `SUB`) over one micro-panel
+/// `tile[j][i] = mul_acc(tile[j][i], s[l, j], a[i, l])` over one micro-panel
 /// pair, `l` ascending, with the accumulators in registers across the whole
-/// loop.
+/// loop: the array source of the portable and the 256-bit instantiation.
 #[inline(always)]
-fn microkernel_body<T: Scalar, const MR: usize, const NR: usize, const SUB: bool>(
+fn microkernel_arrays<T: Scalar, const MR: usize, const NR: usize>(
     ap: &[T::Real],
     bp: &[T::Real],
     skip: &[bool],
@@ -392,7 +417,6 @@ fn microkernel_body<T: Scalar, const MR: usize, const NR: usize, const SUB: bool
     let p = planes::<T>();
     let zero = <T::Real as Scalar>::zero();
     let (mut cre, mut cim) = (tile.re, tile.im);
-    let fold = |c: &mut T::Real, term: T::Real| if SUB { *c -= term } else { *c += term };
     let terms = ap
         .chunks_exact(p * MR)
         .zip(bp.chunks_exact(p * NR))
@@ -408,66 +432,26 @@ fn microkernel_body<T: Scalar, const MR: usize, const NR: usize, const SUB: bool
             if skip && sre[j] == zero && (!T::IS_COMPLEX || sim[j] == zero) {
                 continue;
             }
+            let s = T::from_re_im(sre[j], sim[j]);
             for i in 0..MR {
-                if T::IS_COMPLEX {
-                    fold(&mut cre[j][i], sre[j] * are[i] - sim[j] * aim[i]);
-                    fold(&mut cim[j][i], sre[j] * aim[i] + sim[j] * are[i]);
-                } else {
-                    fold(&mut cre[j][i], sre[j] * are[i]);
-                }
+                let c = T::from_re_im(cre[j][i], cim[j][i]);
+                let c = T::mul_acc(c, s, T::from_re_im(are[i], aim[i]));
+                (cre[j][i], cim[j][i]) = (c.re(), c.im());
             }
         }
     }
     (tile.re, tile.im) = (cre, cim);
 }
 
-/// The portable instantiation. Kept out of line: compiled on its own, the
-/// planar tile loads and stores are what seeds the vectoriser, one lane per
-/// row; inlined into the driver, the interleaved stores to `C` seed it
-/// instead and the loop fills with shuffles.
-#[inline(never)]
-fn microkernel<T: Scalar, const MR: usize, const NR: usize>(
-    ap: &[T::Real],
-    bp: &[T::Real],
-    skip: &[bool],
-    subtract: bool,
-    tile: &mut Tile<T::Real, MR, NR>,
-) {
-    if subtract {
-        microkernel_body::<T, MR, NR, true>(ap, bp, skip, tile);
-    } else {
-        microkernel_body::<T, MR, NR, false>(ap, bp, skip, tile);
-    }
-}
-
-/// The same source compiled with AVX2 enabled: 256-bit lanes, the same
-/// IEEE multiplies and adds (AVX2 does not include FMA, and Rust never
-/// contracts `a * b + c`), hence the same bits.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn microkernel_avx2<T: Scalar, const MR: usize, const NR: usize>(
-    ap: &[T::Real],
-    bp: &[T::Real],
-    skip: &[bool],
-    subtract: bool,
-    tile: &mut Tile<T::Real, MR, NR>,
-) {
-    if subtract {
-        microkernel_body::<T, MR, NR, true>(ap, bp, skip, tile);
-    } else {
-        microkernel_body::<T, MR, NR, false>(ap, bp, skip, tile);
-    }
-}
-
-/// [`microkernel_body`] term for term with each plane of a tile column one
-/// 512-bit register (`MR` is its lane count) and each lane-wise operation one
-/// `std::arch` intrinsic — `vmulp*`, `vaddp*`, `vsubp*`, never the `vfmadd*`
-/// that `avx512f` also has — hence the same bits. Written out, because the
-/// array source compiled under `avx512f` comes out of the vectoriser full of
-/// cross-lane shuffles, 3.4x slower than under AVX2 (DESIGN.md §3).
+/// [`microkernel_arrays`] term for term with each plane of a tile column one
+/// 512-bit register (`MR` is its lane count) and each [`Scalar::mul_acc`] of
+/// `MR` rows the same fused multiply-adds in the same order, one `std::arch`
+/// intrinsic each (`vfmadd*`, `vfnmadd*`) — hence the same bits. Written out,
+/// because the array source compiled under `avx512f` comes out of the
+/// vectoriser full of cross-lane shuffles (DESIGN.md §3).
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
-fn microkernel_body_zmm<T: Scalar, const MR: usize, const NR: usize, const SUB: bool>(
+fn microkernel_zmm<T: Scalar, const MR: usize, const NR: usize>(
     avx512: Avx512,
     ap: &[T::Real],
     bp: &[T::Real],
@@ -481,7 +465,6 @@ fn microkernel_body_zmm<T: Scalar, const MR: usize, const NR: usize, const SUB: 
     let zero = <T::Real as Scalar>::zero();
     let mut cre: [Zmm<T>; NR] = std::array::from_fn(|j| load(&tile.re[j]));
     let mut cim: [Zmm<T>; NR] = std::array::from_fn(|j| load(&tile.im[j]));
-    let fold = |c: &mut Zmm<T>, term: Zmm<T>| *c = if SUB { *c - term } else { *c + term };
     let terms = ap
         .chunks_exact(p * MR)
         .zip(bp.chunks_exact(p * NR))
@@ -496,10 +479,10 @@ fn microkernel_body_zmm<T: Scalar, const MR: usize, const NR: usize, const SUB: 
             }
             let (sre_j, sim_j) = (splat(sre[j]), splat(sim[j]));
             if T::IS_COMPLEX {
-                fold(&mut cre[j], sre_j * are - sim_j * aim);
-                fold(&mut cim[j], sre_j * aim + sim_j * are);
+                cre[j] = sim_j.neg_mul_add(aim, sre_j.mul_add(are, cre[j]));
+                cim[j] = sim_j.mul_add(are, sre_j.mul_add(aim, cim[j]));
             } else {
-                fold(&mut cre[j], sre_j * are);
+                cre[j] = sre_j.mul_add(are, cre[j]);
             }
         }
     }
@@ -509,22 +492,22 @@ fn microkernel_body_zmm<T: Scalar, const MR: usize, const NR: usize, const SUB: 
     }
 }
 
-/// The 512-bit instantiation.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-fn microkernel_avx512<T: Scalar, const MR: usize, const NR: usize>(
+/// The microkernel: one source per kind of lanes, compiled for the
+/// instantiation this thread takes and chosen with it.
+fn microkernel<T: Scalar, const MR: usize, const NR: usize>(
     ap: &[T::Real],
     bp: &[T::Real],
     skip: &[bool],
-    subtract: bool,
     tile: &mut Tile<T::Real, MR, NR>,
 ) {
-    let avx512 = Avx512::enabled_here();
-    if subtract {
-        microkernel_body_zmm::<T, MR, NR, true>(avx512, ap, bp, skip, tile);
-    } else {
-        microkernel_body_zmm::<T, MR, NR, false>(avx512, ap, bp, skip, tile);
-    }
+    Isa::dispatch(
+        #[inline(always)]
+        |avx512| match avx512 {
+            #[cfg(target_arch = "x86_64")]
+            Some(avx512) => microkernel_zmm::<T, MR, NR>(avx512, ap, bp, skip, tile),
+            _ => microkernel_arrays::<T, MR, NR>(ap, bp, skip, tile),
+        },
+    )
 }
 
 /// One thread's pack buffers for one real type.
@@ -566,8 +549,8 @@ fn first_n<V: Copy>(buf: &mut Vec<V>, len: usize, fill: V) -> &mut [V] {
     &mut buf[..len]
 }
 
-/// The loop nest of the module header: `C (+|-)= op(A) * s` for the fold's
-/// `s`, on a `C` that already holds its starting value.
+/// The loop nest of the module header: `C += op(A) * s` for the fold's `s`,
+/// on a `C` that already holds its starting value.
 fn gemm_blocked<T: Scalar, const MR: usize, const NR: usize>(
     fold: Fold<T>,
     a: &Prepacked<'_, T>,
@@ -575,7 +558,6 @@ fn gemm_blocked<T: Scalar, const MR: usize, const NR: usize>(
     b: ColsRef<'_, T>,
     c: &mut [T],
     scratch: &mut Scratch<T::Real>,
-    kernel: impl Fn(&[T::Real], &[T::Real], &[bool], bool, &mut Tile<T::Real, MR, NR>),
 ) {
     const {
         assert!(
@@ -635,7 +617,7 @@ fn gemm_blocked<T: Scalar, const MR: usize, const NR: usize>(
                                 tile.im[j][i] = v.im();
                             }
                         }
-                        kernel(ap, bp, skip, fold.subtract, &mut tile);
+                        microkernel::<T, MR, NR>(ap, bp, skip, &mut tile);
                         for j in 0..nr {
                             let at = (j0 + j) * m + i0;
                             for (i, v) in c[at..at + mr].iter_mut().enumerate() {
@@ -649,9 +631,9 @@ fn gemm_blocked<T: Scalar, const MR: usize, const NR: usize>(
     }
 }
 
-/// `C (+|-)= op(A) * s` for the fold's `s` from `op(B)[..k, :]`, `k` the
-/// columns of `op(A)`: the loop nest on this thread's pack buffers, with the
-/// widest microkernel instantiation this CPU runs.
+/// `C += op(A) * s` for the fold's `s` from `op(B)[..k, :]`, `k` the columns
+/// of `op(A)`: the loop nest on this thread's pack buffers, with the tile
+/// shape of the widest microkernel instantiation this CPU runs.
 fn fold_into<T: Scalar>(
     fold: Fold<T>,
     a: &Prepacked<'_, T>,
@@ -669,28 +651,16 @@ fn fold_into<T: Scalar>(
         return;
     }
     let c = c.as_mut_slice();
-    with_scratch::<T::Real, _>(|scratch| match Isa::current() {
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 => with_tile!(T, Avx512, MR, NR => {
-            gemm_blocked::<T, MR, NR>(fold, a, opb, b, c, scratch, |ap, bp, skip, sub, tile| {
-                // SAFETY: `Isa::current()` is `Avx512` only when run-time
-                // detection found `avx512f` on this CPU, the one
-                // requirement of the `#[target_feature]` function called.
-                unsafe { microkernel_avx512::<T, MR, NR>(ap, bp, skip, sub, tile) }
-            })
-        }),
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => with_tile!(T, Avx2, MR, NR => {
-            gemm_blocked::<T, MR, NR>(fold, a, opb, b, c, scratch, |ap, bp, skip, sub, tile| {
-                // SAFETY: `Isa::current()` is `Avx2` only when run-time
-                // detection found `avx2` on this CPU, the one requirement
-                // of the `#[target_feature]` function called.
-                unsafe { microkernel_avx2::<T, MR, NR>(ap, bp, skip, sub, tile) }
-            })
-        }),
-        _ => with_tile!(T, Portable, MR, NR => {
-            gemm_blocked::<T, MR, NR>(fold, a, opb, b, c, scratch, microkernel::<T, MR, NR>)
-        }),
+    with_scratch::<T::Real, _>(|scratch| {
+        with_current_tile!(T, MR, NR => {
+            // A product no wider than half a tile (block Lanczos' four
+            // columns) would spend half its multiply-adds on padding.
+            if 2 * n <= NR {
+                gemm_blocked::<T, MR, { NR / 2 }>(fold, a, opb, b, c, scratch)
+            } else {
+                gemm_blocked::<T, MR, NR>(fold, a, opb, b, c, scratch)
+            }
+        })
     });
 }
 
@@ -708,10 +678,12 @@ fn fold_into<T: Scalar>(
 ///   in `alpha * op(B)` shields `C` from an `inf`/`NaN` in the matching
 ///   column of `op(A)`, and a sum of skipped terms keeps the sign of zero
 ///   it started with;
-/// * otherwise `C[i, j] += s * a`, where the complex product is
-///   `(s.re*a.re - s.im*a.im, s.re*a.im + s.im*a.re)`, every product and
-///   the difference/sum rounded on their own (never fused), and only then
-///   added.
+/// * otherwise `C[i, j] = mul_acc(C[i, j], s, a)` ([`Scalar::mul_acc`]): for
+///   real scalars one fused multiply-add, `s*a + C[i, j]` rounded once; for
+///   complex ones `re = fma(-s.im, a.im, fma(s.re, a.re, re))` and
+///   `im = fma(s.im, a.re, fma(s.re, a.im, im))`, two chained roundings a
+///   component. `s` itself (`alpha * op(B)[l, j]`) is an ordinary rounded
+///   product.
 pub fn gemm<T: Scalar>(
     opa: Op,
     opb: Op,
@@ -744,9 +716,8 @@ pub fn gemm_prepacked<T: Scalar>(
         }
     }
     let fold = Fold {
-        alpha: Some(alpha),
+        s: Factor::Times(alpha),
         skip_zeros: true,
-        subtract: false,
         tiles: Tiles::All,
     };
     fold_into(fold, a, opb, b, c);
@@ -771,9 +742,9 @@ pub fn gemm_new<T: Scalar>(opa: Op, opb: Op, a: &Matrix<T>, b: &Matrix<T>) -> Ma
 
 /// Gram matrix `X^H X` (the SYRK/HERK of Algorithm 3, line 3).
 ///
-/// Bit for bit a `dotc` sweep: for `i <= j`, `G[i, j]` starts at `0` and
-/// takes `conj(X[l, i]) * X[l, j]` for `l = 0, 1, ...` in that order, each
-/// product rounded as in [`gemm`] before its add and *no* term skipped — a
+/// Bit for bit a dot-product sweep: for `i <= j`, `G[i, j]` starts at `0` and
+/// takes the fused term of [`gemm`] with `s = X[l, j]`, `a = conj(X[l, i])`
+/// for `l = 0, 1, ...` in that order and *no* term skipped — a
 /// `NaN`/`inf` in `X` reaches every entry of its row and column of `G`, zero
 /// partner or not, which is what the CholeskyQR finite-Gram guard reads.
 /// Computed by the [`gemm`] loop nest as `ConjTrans x None` over the tiles on
@@ -785,9 +756,8 @@ pub fn gram<T: Scalar>(x: ColsRef<'_, T>) -> Matrix<T> {
     let n = x.cols();
     let mut g = Matrix::zeros(n, n);
     let fold = Fold {
-        alpha: None,
+        s: Factor::Stored,
         skip_zeros: false,
-        subtract: false,
         tiles: Tiles::Upper,
     };
     let xh = Prepacked::borrowed(Op::ConjTrans, x);
@@ -810,12 +780,13 @@ pub(crate) const PANEL: usize = 16;
 /// Triangular solve from the right with an upper-triangular factor:
 /// `X := X * R^{-1}` (the TRSM of Algorithm 3, line 6).
 ///
-/// Bit for bit the column sweep: `X[i, j]` takes `-= R[l, j] * X[i, l]` for
+/// Bit for bit the column sweep: `X[i, j]` takes the fused term of [`gemm`]
+/// with `s = -R[l, j]`, `a = X[i, l]` (that is, `-= R[l, j] * X[i, l]`) for
 /// `l = 0, ..., j-1` in that order against the finished columns `l` (terms
-/// with `R[l, j] == 0` skipped, products rounded as in [`gemm`]), then
-/// `*= 1 / R[j, j]`. Columns go in blocks of [`PANEL`]: the terms `l` left of
-/// a block are one pass of the [`gemm`] loop nest, subtracting, the few
-/// inside it the scalar sweep.
+/// with `R[l, j] == 0` skipped), then `*= 1 / R[j, j]`. Columns go in blocks
+/// of [`PANEL`]: the terms `l` left of a block are one pass of the [`gemm`]
+/// loop nest, the few inside it the scalar sweep of the same term, compiled
+/// for the same instantiation as the microkernel.
 pub fn trsm_right_upper<T: Scalar>(mut x: ColsMut<'_, T>, r: &Matrix<T>) {
     let n = x.cols();
     assert_eq!(r.rows(), n);
@@ -823,9 +794,8 @@ pub fn trsm_right_upper<T: Scalar>(mut x: ColsMut<'_, T>, r: &Matrix<T>) {
     let m = x.rows();
     let data = x.as_mut_slice();
     let fold = Fold {
-        alpha: None,
+        s: Factor::Negated,
         skip_zeros: true,
-        subtract: true,
         tiles: Tiles::All,
     };
     for j0 in (0..n).step_by(PANEL) {
@@ -834,25 +804,30 @@ pub fn trsm_right_upper<T: Scalar>(mut x: ColsMut<'_, T>, r: &Matrix<T>) {
         let solved = Prepacked::borrowed(Op::None, ColsRef::new(solved, m, j0));
         let block = ColsMut::new(&mut rest[..(j1 - j0) * m], m, j1 - j0);
         fold_into(fold, &solved, Op::None, r.cols_ref(j0..j1), block);
-        for j in j0..j1 {
-            for l in j0..j {
-                let s = r[(l, j)];
-                if s != T::zero() {
-                    let (lo, hi) = data.split_at_mut(j * m);
-                    let xl = &lo[l * m..(l + 1) * m];
-                    let xj = &mut hi[..m];
-                    for (a, b) in xj.iter_mut().zip(xl) {
-                        *a -= s * *b;
+        Isa::dispatch(
+            #[inline(always)]
+            |_| {
+                for j in j0..j1 {
+                    for l in j0..j {
+                        let s = r[(l, j)];
+                        if s != T::zero() {
+                            let (lo, hi) = data.split_at_mut(j * m);
+                            let xl = &lo[l * m..(l + 1) * m];
+                            let xj = &mut hi[..m];
+                            for (c, a) in xj.iter_mut().zip(xl) {
+                                *c = T::mul_acc(*c, -s, *a);
+                            }
+                        }
+                    }
+                    let d = r[(j, j)];
+                    assert_ne!(d, T::zero(), "trsm: singular triangular factor at {j}");
+                    let inv = T::one() / d;
+                    for a in &mut data[j * m..(j + 1) * m] {
+                        *a *= inv;
                     }
                 }
-            }
-            let d = r[(j, j)];
-            assert_ne!(d, T::zero(), "trsm: singular triangular factor at {j}");
-            let inv = T::one() / d;
-            for a in &mut data[j * m..(j + 1) * m] {
-                *a *= inv;
-            }
-        }
+            },
+        );
     }
 }
 
@@ -862,9 +837,8 @@ pub fn trsm_right_upper<T: Scalar>(mut x: ColsMut<'_, T>, r: &Matrix<T>) {
 pub(crate) fn sub_finished_rows<T: Scalar>(u: &Matrix<T>, rows: Range<usize>, w: ColsMut<'_, T>) {
     let k0 = rows.start;
     let fold = Fold {
-        alpha: None,
+        s: Factor::Negated,
         skip_zeros: false,
-        subtract: true,
         tiles: Tiles::All,
     };
     let uh = Prepacked::borrowed(Op::ConjTrans, u.cols_ref(rows)).first_k(k0);
@@ -876,9 +850,8 @@ pub(crate) fn sub_finished_rows<T: Scalar>(u: &Matrix<T>, rows: Range<usize>, w:
 /// the trailing matrix in `heevd`'s reduction, through the [`gemm`] loop nest.
 pub(crate) fn sub_abh_lower<T: Scalar>(a: ColsRef<'_, T>, b: ColsRef<'_, T>, c: ColsMut<'_, T>) {
     let fold = Fold {
-        alpha: None,
+        s: Factor::Negated,
         skip_zeros: false,
-        subtract: true,
         tiles: Tiles::Lower,
     };
     fold_into(fold, &Prepacked::borrowed(Op::None, a), Op::ConjTrans, b, c);
@@ -982,21 +955,23 @@ mod tests {
                 let s = alpha * op_at(opb, b, l, j);
                 if s != T::zero() {
                     for (i, ci) in c_col.iter_mut().enumerate() {
-                        *ci += s * op_at(opa, a, i, l);
+                        *ci = T::mul_acc(*ci, s, op_at(opa, a, i, l));
                     }
                 }
             }
         }
     }
 
-    /// The fold contract on [`gram`], literally: the `dotc` sweep the blocked
-    /// kernel replaced.
+    /// The fold contract on [`gram`], literally: a dot-product sweep of its
+    /// own (`blas1::dotc` is BLAS-1 and stays unfused), `s` the entry of the
+    /// column `op(B)` holds.
     fn gram_reference<T: Scalar>(x: ColsRef<'_, T>) -> Matrix<T> {
         let n = x.cols();
         let mut g = Matrix::zeros(n, n);
         for j in 0..n {
             for i in 0..=j {
-                let v = crate::blas1::dotc(x.col(i), x.col(j));
+                let terms = x.col(j).iter().zip(x.col(i));
+                let v = terms.fold(T::zero(), |c, (&s, a)| T::mul_acc(c, s, a.conj()));
                 g[(i, j)] = v;
                 if i != j {
                     g[(j, i)] = v.conj();
@@ -1020,8 +995,8 @@ mod tests {
                     let (lo, hi) = data.split_at_mut(j * m);
                     let xl = &lo[l * m..(l + 1) * m];
                     let xj = &mut hi[..m];
-                    for (a, b) in xj.iter_mut().zip(xl) {
-                        *a -= s * *b;
+                    for (c, a) in xj.iter_mut().zip(xl) {
+                        *c = T::mul_acc(*c, -s, *a);
                     }
                 }
             }
@@ -1251,9 +1226,9 @@ mod tests {
         });
     }
 
-    /// Sizes on both sides of every blocking constant (`MR` 4/8/16, `NR` 4/2,
-    /// `MC` 128, `KC` 256; `NC` 256 has its own test below), the degenerate 0
-    /// and 1, ragged remainders (`2 MR + 3` among them).
+    /// Sizes on both sides of every blocking constant (`MR` 4/8/16, `NR` 8/4
+    /// and their halves, `MC` 128, `KC` 256; `NC` 256 has its own test below),
+    /// the degenerate 0 and 1, ragged remainders (`2 MR + 3` among them).
     const M_SIZES: [usize; 19] = [
         0, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 19, 33, 35, 127, 128, 129, 133, 150,
     ];
@@ -1397,6 +1372,95 @@ mod tests {
         }
     }
 
+    /// A witness on which one rounding per term and two differ, through
+    /// `gemm` (adding) and `trsm_right_upper` (subtracting, nest and in-panel
+    /// sweep) under every instantiation: a kernel that silently un-fuses, or
+    /// a libm whose `fma` is not exact, fails here by name. With
+    /// `x = 1 + 2^-h` and `c = -(1 + 2^-(h-1))`, `x*x + c` is `2^-2h` fused
+    /// and `0` once the product is rounded on its own (`h` = 30 for f64, 13
+    /// for f32); a complex term shows it in each component.
+    #[test]
+    fn fused_term_rounds_once() {
+        fn witness<T: Scalar>(h: i32) {
+            let real = |e: i32| T::Real::from_f64_r(2f64.powi(e));
+            let one = <T::Real as Scalar>::one();
+            let (x, c, tiny) = (one + real(-h), -(one + real(1 - h)), real(-2 * h));
+            let zero = <T::Real as Scalar>::zero();
+            assert_eq!(x * x + c, zero, "the unfused term loses the witness");
+            // (c, s, a, fused result): s*a is x^2 in the real part, then in the
+            // imaginary part through either product, then -(x^2) through the
+            // product the real part subtracts.
+            let mut cases = vec![(
+                T::from_re_im(c, zero),
+                T::from_real(x),
+                T::from_real(x),
+                T::from_re_im(tiny, zero),
+            )];
+            if T::IS_COMPLEX {
+                cases.extend([
+                    (
+                        T::from_re_im(zero, c),
+                        T::from_real(x),
+                        T::from_re_im(zero, x),
+                        T::from_re_im(zero, tiny),
+                    ),
+                    (
+                        T::from_re_im(zero, c),
+                        T::from_re_im(zero, x),
+                        T::from_real(x),
+                        T::from_re_im(zero, tiny),
+                    ),
+                    (
+                        T::from_re_im(-c, zero),
+                        T::from_re_im(zero, x),
+                        T::from_re_im(zero, x),
+                        T::from_re_im(-tiny, zero),
+                    ),
+                ]);
+            }
+            let what = std::any::type_name::<T>();
+            for (c, s, a, want) in cases {
+                assert_eq!(T::mul_acc(c, s, a), want, "{what}: mul_acc({c}, {s}, {a})");
+                // `C = 1*C + A*B` with `A` a column of `a` and `B = [s]`; and
+                // the solve `X R^-1` whose column `j` takes `-= R[l, j] * X[:, l]`
+                // from column `l = 0` — through the nest for `j = PANEL`, in the
+                // in-panel sweep for `j = 1` — with `X[:, l] = a`, `R[l, j] = -s`.
+                let m = 19;
+                let a_col = Matrix::<T>::from_fn(m, 1, |_, _| a);
+                let b = Matrix::<T>::from_fn(1, 1, |_, _| s);
+                let n = PANEL + 1;
+                let mut r = Matrix::<T>::identity(n, n);
+                (r[(0, 1)], r[(0, PANEL)]) = (-s, -s);
+                let x0 = Matrix::<T>::from_fn(m, n, |_, j| match j {
+                    0 => a,
+                    1 | PANEL => c,
+                    _ => T::zero(),
+                });
+                on_each_isa(|isa| {
+                    let mut got = Matrix::<T>::from_fn(m, 1, |_, _| c);
+                    let (one, a_col, b) = (T::one(), a_col.as_ref(), b.as_ref());
+                    gemm(Op::None, Op::None, one, a_col, b, one, got.as_mut());
+                    assert!(
+                        got.as_slice().iter().all(|&v| v == want),
+                        "{what}: gemm un-fused {c} + {s}*{a} on {isa:?}"
+                    );
+                    let mut x = x0.clone();
+                    trsm_right_upper(x.as_mut(), &r);
+                    for j in [1, PANEL] {
+                        assert!(
+                            x.col(j).iter().all(|&v| v == want),
+                            "{what}: trsm un-fused column {j} on {isa:?}"
+                        );
+                    }
+                });
+            }
+        }
+        witness::<f64>(30);
+        witness::<C64>(30);
+        witness::<f32>(13);
+        witness::<C32>(13);
+    }
+
     /// Panels packed for one instantiation's `MR` and consumed by another
     /// must not be read as if they had the consumer's layout.
     #[test]
@@ -1441,7 +1505,9 @@ mod tests {
         #[cfg(target_arch = "x86_64")]
         let widest = if std::arch::is_x86_feature_detected!("avx512f") {
             (Isa::Avx512, "avx512f")
-        } else if std::arch::is_x86_feature_detected!("avx2") {
+        } else if std::arch::is_x86_feature_detected!("avx2")
+            && std::arch::is_x86_feature_detected!("fma")
+        {
             (Isa::Avx2, "avx2")
         } else {
             (Isa::Portable, "portable")
@@ -1452,17 +1518,44 @@ mod tests {
         fn tile<T: Scalar>() -> String {
             with_current_tile!(T, MR, NR => format!("{MR}x{NR}"))
         }
-        for (isa, name) in [
-            (Isa::Portable, "portable"),
-            (Isa::Avx2, "avx2"),
-            (Isa::Avx512, "avx512f"),
-            widest,
+        // What a `mul_add` compiled at the baseline is: on x86-64 a call into
+        // libm unless the whole build enables FMA.
+        let baseline = if cfg!(all(target_arch = "x86_64", not(target_feature = "fma"))) {
+            "libm-fma"
+        } else {
+            "fma"
+        };
+        for (isa, name, fma) in [
+            (Isa::Portable, "portable", baseline),
+            (Isa::Avx2, "avx2", "fma"),
+            (Isa::Avx512, "avx512f", "fma"),
+            (
+                widest.0,
+                widest.1,
+                if widest.0 == Isa::Portable {
+                    baseline
+                } else {
+                    "fma"
+                },
+            ),
         ] {
             with_isa(isa, || {
-                assert_eq!(kernel_isa::<f32>(), format!("{name} {}", tile::<f32>()));
-                assert_eq!(kernel_isa::<f64>(), format!("{name} {}", tile::<f64>()));
-                assert_eq!(kernel_isa::<C32>(), format!("{name} {}", tile::<C32>()));
-                assert_eq!(kernel_isa::<C64>(), format!("{name} {}", tile::<C64>()));
+                assert_eq!(
+                    kernel_isa::<f32>(),
+                    format!("{name} {} {fma}", tile::<f32>())
+                );
+                assert_eq!(
+                    kernel_isa::<f64>(),
+                    format!("{name} {} {fma}", tile::<f64>())
+                );
+                assert_eq!(
+                    kernel_isa::<C32>(),
+                    format!("{name} {} {fma}", tile::<C32>())
+                );
+                assert_eq!(
+                    kernel_isa::<C64>(),
+                    format!("{name} {} {fma}", tile::<C64>())
+                );
             });
         }
         println!("kernel: {}", kernel_isa::<C64>());

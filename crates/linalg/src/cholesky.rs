@@ -6,6 +6,7 @@
 //! ill-conditioned inputs.
 
 use crate::blas3::{sub_finished_rows, PANEL};
+use crate::lanes::Isa;
 use crate::matrix::{ColsMut, Matrix};
 use crate::scalar::{RealScalar, Scalar};
 
@@ -32,13 +33,15 @@ impl std::error::Error for NotPositiveDefinite {}
 ///
 /// Bit for bit the row-by-row recurrence: the pivot is
 /// `d = re(A[k, k]) - |U[0, k]|^2 - ... - |U[k-1, k]|^2` (real arithmetic,
-/// in that order; the first `d` that is not positive and finite is the
-/// reported pivot), `U[k, k] = sqrt(d)`, and for `j > k`, `U[k, j]` starts
-/// at `A[k, j]`, takes `-= conj(U[l, k]) * U[l, j]` for `l = 0, ..., k-1` in
-/// that order (no term skipped, products rounded as in `gemm`), then
-/// `*= 1 / U[k, k]`. Rows go in blocks of `PANEL`: the terms `l` above a
-/// block are one pass of the `gemm` loop nest, subtracting, the few inside
-/// it and the pivots the scalar recurrence.
+/// unfused, in that order; the first `d` that is not positive and finite is
+/// the reported pivot), `U[k, k] = sqrt(d)`, and for `j > k`, `U[k, j]` starts
+/// at `A[k, j]`, takes the fused term of `gemm` with `s = -U[l, j]`,
+/// `a = conj(U[l, k])` (that is, `-= conj(U[l, k]) * U[l, j]`) for
+/// `l = 0, ..., k-1` in that order (no term skipped), then `*= 1 / U[k, k]`.
+/// Rows go in blocks of `PANEL`: the terms `l` above a block are one pass of
+/// the `gemm` loop nest, the few inside it the scalar recurrence of the same
+/// term, compiled for the same instantiation as the microkernel, and the
+/// pivots beside them.
 pub fn potrf_upper<T: Scalar>(a: &Matrix<T>) -> Result<Matrix<T>, NotPositiveDefinite> {
     let n = a.rows();
     assert_eq!(a.cols(), n, "potrf: matrix must be square");
@@ -53,29 +56,35 @@ pub fn potrf_upper<T: Scalar>(a: &Matrix<T>) -> Result<Matrix<T>, NotPositiveDef
             wj.copy_from_slice(&u.col(j)[k0..k1]);
         }
         sub_finished_rows(&u, k0..k1, ColsMut::new(w, rows, n - k0));
-        for k in k0..k1 {
-            let mut d = u[(k, k)].re();
-            for l in 0..k {
-                d -= u[(l, k)].abs_sqr();
-            }
-            let positive = d > <T::Real as Scalar>::zero();
-            if !positive || !d.is_finite_r() {
-                return Err(NotPositiveDefinite { pivot: k });
-            }
-            let dk = d.sqrt_r();
-            u[(k, k)] = T::from_real(dk);
-            let inv = T::from_real(<T::Real as Scalar>::one() / dk);
-            for j in k + 1..n {
-                let mut s = w[(j - k0) * rows + k - k0];
-                for l in k0..k {
-                    s -= u[(l, k)].conj() * u[(l, j)];
+        Isa::dispatch(
+            #[inline(always)]
+            |_| {
+                for k in k0..k1 {
+                    let mut d = u[(k, k)].re();
+                    for l in 0..k {
+                        d -= u[(l, k)].abs_sqr();
+                    }
+                    let positive = d > <T::Real as Scalar>::zero();
+                    if !positive || !d.is_finite_r() {
+                        return Err(NotPositiveDefinite { pivot: k });
+                    }
+                    let dk = d.sqrt_r();
+                    u[(k, k)] = T::from_real(dk);
+                    let inv = T::from_real(<T::Real as Scalar>::one() / dk);
+                    for j in k + 1..n {
+                        let mut c = w[(j - k0) * rows + k - k0];
+                        for l in k0..k {
+                            c = T::mul_acc(c, -u[(l, j)], u[(l, k)].conj());
+                        }
+                        u[(k, j)] = c * inv;
+                    }
+                    for i in k + 1..n {
+                        u[(i, k)] = T::zero();
+                    }
                 }
-                u[(k, j)] = s * inv;
-            }
-            for i in k + 1..n {
-                u[(i, k)] = T::zero();
-            }
-        }
+                Ok(())
+            },
+        )?;
     }
     Ok(u)
 }
@@ -124,11 +133,11 @@ mod tests {
             u[(k, k)] = T::from_real(dk);
             let inv = T::from_real(<T::Real as Scalar>::one() / dk);
             for j in k + 1..n {
-                let mut s = u[(k, j)];
+                let mut c = u[(k, j)];
                 for l in 0..k {
-                    s -= u[(l, k)].conj() * u[(l, j)];
+                    c = T::mul_acc(c, -u[(l, j)], u[(l, k)].conj());
                 }
-                u[(k, j)] = s * inv;
+                u[(k, j)] = c * inv;
             }
             for i in k + 1..n {
                 u[(i, k)] = T::zero();

@@ -1,12 +1,14 @@
-//! Which microkernel instantiation (`blas3`) this CPU runs, and the 512-bit
-//! registers the widest one is written against.
+//! Which microkernel instantiation (`blas3`) this CPU runs, how code gets
+//! compiled for it ([`Isa::dispatch`]), and the 512-bit registers the widest
+//! one is written against.
 
 /// A microkernel instantiation, narrowest first.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum Isa {
     /// The target's baseline code generation (SSE2 on x86-64).
     Portable,
-    /// The same source compiled under `#[target_feature(enable = "avx2")]`.
+    /// The same source compiled under
+    /// `#[target_feature(enable = "avx2,fma")]`.
     Avx2,
     /// 512-bit registers through `std::arch`, under `avx512f`.
     Avx512,
@@ -20,7 +22,11 @@ impl Isa {
             if std::arch::is_x86_feature_detected!("avx512f") {
                 return Isa::Avx512;
             }
-            if std::arch::is_x86_feature_detected!("avx2") {
+            // Both: the 256-bit code is `vfmadd*` on `ymm`, and there are CPUs
+            // with either feature alone.
+            if std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("fma")
+            {
                 return Isa::Avx2;
             }
         }
@@ -36,7 +42,51 @@ impl Isa {
         }
         Isa::detect()
     }
+
+    /// `f`, compiled for the instantiation this thread takes — so that a
+    /// `mul_add` in it is one instruction wherever the CPU has one — and
+    /// handed the evidence when that is the 512-bit one. The one place that
+    /// turns an [`Isa`] into code: the microkernel and the in-panel sweeps of
+    /// `trsm`/`potrf` both come through here. Pass an `#[inline(always)]`
+    /// closure: what it does is compiled with the features of the function it
+    /// is inlined into, and a closure left out of line runs at the baseline
+    /// (the same bits, `mul_add` a libm call).
+    #[inline(always)]
+    pub(crate) fn dispatch<O>(f: impl FnOnce(Option<Avx512>) -> O) -> O {
+        match Isa::current() {
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => {
+                // SAFETY: `Isa::current()` is `Avx512` only when run-time
+                // detection found `avx512f` on this CPU, the one requirement
+                // of the `#[target_feature]` function called.
+                unsafe { x86::under_avx512(f) }
+            }
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => {
+                // SAFETY: `Isa::current()` is `Avx2` only when run-time
+                // detection found `avx2` and `fma` on this CPU, the two
+                // requirements of the `#[target_feature]` function called.
+                unsafe { x86::under_avx2_fma(f) }
+            }
+            _ => at_baseline(f),
+        }
+    }
 }
+
+/// `f` at the target's baseline. Out of line like the other two, so that the
+/// portable microkernel is compiled on its own: its planar tile loads and
+/// stores are then what seeds the vectoriser, one lane per row; inlined into
+/// the loop nest, the interleaved stores to `C` seed it instead and the loop
+/// fills with shuffles.
+#[inline(never)]
+fn at_baseline<O>(f: impl FnOnce(Option<Avx512>) -> O) -> O {
+    f(None)
+}
+
+/// Evidence that the running CPU has AVX-512F; only [`Isa::dispatch`] makes
+/// one, on x86-64, behind run-time detection.
+#[derive(Clone, Copy)]
+pub struct Avx512(());
 
 #[cfg(test)]
 thread_local! {
@@ -83,40 +133,44 @@ impl Element for f32 {}
 impl Element for f64 {}
 
 #[cfg(target_arch = "x86_64")]
-pub use x86::{Avx512, Lanes};
+pub use x86::Lanes;
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::Element;
+    use super::{Avx512, Element};
     use std::arch::x86_64::*;
-    use std::ops::{Add, Mul, Sub};
 
-    /// Evidence that the running CPU has AVX-512F.
-    #[derive(Clone, Copy)]
-    pub struct Avx512(());
-
-    impl Avx512 {
-        /// A safe call only from code compiled with `avx512f` enabled, which
-        /// in turn is reached only behind a run-time detection of the feature.
-        #[target_feature(enable = "avx512f")]
-        pub(crate) fn enabled_here() -> Self {
-            Avx512(())
-        }
+    /// `f` compiled with 512-bit registers and `vfmadd*` (`avx512f` implies
+    /// `avx2` and `fma`), and handed the evidence.
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn under_avx512<O>(f: impl FnOnce(Option<Avx512>) -> O) -> O {
+        f(Some(Avx512(())))
     }
 
-    /// One 512-bit register of `LEN` reals `R` with lane-wise `*`, `+` and
-    /// `-`, each one IEEE operation per lane (never a fused multiply-add).
-    /// Only [`Lanes::load`] and [`Lanes::splat`] make a value, and both ask
-    /// for an [`Avx512`], so holding a value is evidence that the CPU has
-    /// the instructions behind the other methods.
-    pub trait Lanes<R>:
-        Copy + Add<Output = Self> + Sub<Output = Self> + Mul<Output = Self>
-    {
+    /// `f` compiled with 256-bit registers and `vfmadd*`.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) fn under_avx2_fma<O>(f: impl FnOnce(Option<Avx512>) -> O) -> O {
+        f(None)
+    }
+
+    /// One 512-bit register of `LEN` reals `R` whose only arithmetic is the
+    /// fused multiply-add, one IEEE fusedMultiplyAdd per lane: what
+    /// `f32::mul_add` / `f64::mul_add` compute, so the 512-bit microkernel
+    /// and the array one fold the same term. Only [`Lanes::load`] and
+    /// [`Lanes::splat`] make a value, and both ask for an [`Avx512`], so
+    /// holding a value is evidence that the CPU has the instructions behind
+    /// the other methods.
+    pub trait Lanes<R>: Copy {
         const LEN: usize;
         /// The first `LEN` elements of `src`.
         fn load(avx512: Avx512, src: &[R]) -> Self;
         /// `x` in every lane.
         fn splat(avx512: Avx512, x: R) -> Self;
+        /// `self * a + c`, rounded once (`vfmadd*`).
+        fn mul_add(self, a: Self, c: Self) -> Self;
+        /// `-(self * a) + c`, rounded once (`vfnmadd*`): `(-self).mul_add(a, c)`
+        /// bit for bit, the negation of a factor being exact.
+        fn neg_mul_add(self, a: Self, c: Self) -> Self;
         /// Into the first `LEN` elements of `dst`.
         fn store(self, dst: &mut [R]);
     }
@@ -127,7 +181,7 @@ mod x86 {
 
     macro_rules! zmm_lanes {
         ($r:ty, $v:ty, $len:expr, $load:ident, $set1:ident, $store:ident,
-         $add:ident, $sub:ident, $mul:ident) => {
+         $fmadd:ident, $fnmadd:ident) => {
             impl Element for $r {
                 type Zmm = Zmm<$v>;
             }
@@ -149,28 +203,23 @@ mod x86 {
                     Zmm(unsafe { $set1(x) })
                 }
                 #[inline(always)]
+                fn mul_add(self, a: Self, c: Self) -> Self {
+                    // SAFETY: the operands came from `load` or `splat`, which
+                    // were shown an `Avx512`: the CPU has the instruction.
+                    Zmm(unsafe { $fmadd(self.0, a.0, c.0) })
+                }
+                #[inline(always)]
+                fn neg_mul_add(self, a: Self, c: Self) -> Self {
+                    // SAFETY: as for `mul_add`.
+                    Zmm(unsafe { $fnmadd(self.0, a.0, c.0) })
+                }
+                #[inline(always)]
                 fn store(self, dst: &mut [$r]) {
                     let dst: &mut [$r; $len] = (&mut dst[..$len]).try_into().expect("LEN reals");
                     // SAFETY: `self` came from `load` or `splat`, which were
                     // shown an `Avx512`; it writes `LEN` reals into an array
                     // of `LEN` and asks for no alignment.
                     unsafe { $store(dst.as_mut_ptr(), self.0) }
-                }
-            }
-
-            zmm_lanes!(@op $v, Add, add, $add);
-            zmm_lanes!(@op $v, Sub, sub, $sub);
-            zmm_lanes!(@op $v, Mul, mul, $mul);
-        };
-        (@op $v:ty, $op:ident, $f:ident, $intrinsic:ident) => {
-            impl $op for Zmm<$v> {
-                type Output = Self;
-                #[inline(always)]
-                fn $f(self, rhs: Self) -> Self {
-                    // SAFETY: both operands came from `load` or `splat`,
-                    // which were shown an `Avx512`: the CPU has the
-                    // instruction.
-                    Zmm(unsafe { $intrinsic(self.0, rhs.0) })
                 }
             }
         };
@@ -183,9 +232,8 @@ mod x86 {
         _mm512_loadu_pd,
         _mm512_set1_pd,
         _mm512_storeu_pd,
-        _mm512_add_pd,
-        _mm512_sub_pd,
-        _mm512_mul_pd
+        _mm512_fmadd_pd,
+        _mm512_fnmadd_pd
     );
     zmm_lanes!(
         f32,
@@ -194,8 +242,7 @@ mod x86 {
         _mm512_loadu_ps,
         _mm512_set1_ps,
         _mm512_storeu_ps,
-        _mm512_add_ps,
-        _mm512_sub_ps,
-        _mm512_mul_ps
+        _mm512_fmadd_ps,
+        _mm512_fnmadd_ps
     );
 }

@@ -113,6 +113,28 @@ pub trait Scalar:
     fn sample_standard<R: Rng + ?Sized>(rng: &mut R) -> Self;
     fn is_finite(self) -> bool;
 
+    /// `c + s * a`, fused: the one term everything BLAS-3 in this crate folds
+    /// (`blas3`'s microkernel and the in-panel sweeps of `trsm`/`potrf`), so
+    /// what it rounds is defined here and nowhere else. Real: one IEEE-754
+    /// fusedMultiplyAdd, `s * a + c` rounded once. Complex: four of them, each
+    /// component two chained roundings where the unfused product took four —
+    ///
+    /// ```text
+    /// re = fma(-s.im, a.im, fma(s.re, a.re, c.re))
+    /// im = fma( s.im, a.re, fma(s.re, a.im, c.im))
+    /// ```
+    ///
+    /// in that order. The term is *not* symmetric in its factors: swapping `s`
+    /// and `a` swaps which product of the imaginary part is rounded first, so
+    /// `s` is always the factor the loop nest packs from `op(B)` and `a` the
+    /// one from `op(A)`. `c - s * a` is `mul_acc(c, -s, a)`, bit for bit:
+    /// negating a factor of a fused multiply-add is exact (`fnmadd(x, y, c)`
+    /// is `fma(-x, y, c)`, signed zeros included). `mul_add` is exact on every
+    /// host — one instruction where the code is compiled with FMA enabled,
+    /// libm's `fma` where it is not — so the result does not depend on the
+    /// machine, only the speed does.
+    fn mul_acc(c: Self, s: Self, a: Self) -> Self;
+
     /// Narrow to the low-precision companion type. Rust float casts round to
     /// nearest and saturate overflow to `±inf`, so a demoted value is always
     /// well-defined (never UB) — an out-of-range `f64` demotes to an infinity
@@ -255,6 +277,10 @@ macro_rules! impl_real {
             fn is_finite(self) -> bool {
                 <$t>::is_finite(self)
             }
+            #[inline(always)]
+            fn mul_acc(c: Self, s: Self, a: Self) -> Self {
+                s.mul_add(a, c)
+            }
             #[inline]
             fn demote(self) -> Self::Lo {
                 self as $lo
@@ -336,6 +362,13 @@ macro_rules! impl_complex {
             #[inline]
             fn is_finite(self) -> bool {
                 self.re.is_finite() && self.im.is_finite()
+            }
+            #[inline(always)]
+            fn mul_acc(c: Self, s: Self, a: Self) -> Self {
+                Complex::new(
+                    (-s.im).mul_add(a.im, s.re.mul_add(a.re, c.re)),
+                    s.im.mul_add(a.re, s.re.mul_add(a.im, c.im)),
+                )
             }
             #[inline]
             fn demote(self) -> Self::Lo {

@@ -470,11 +470,25 @@ where
 
         // Checkpoint restore must beat the from-scratch restart on
         // surviving-rank communication volume (it skips the re-run
-        // iterations and the Lanczos re-estimation).
+        // iterations and the Lanczos re-estimation) whenever it does not
+        // iterate longer — and in full precision it must not. A resumed
+        // mixed solve starts its demotion policy afresh (the policy is not
+        // part of a snapshot) and an f32 filter's iteration count moves with
+        // the last bit of its input (5, 7 or 10 iterations on this problem,
+        // by grid and by fold arithmetic), so there a longer resumed
+        // trajectory is not a failure of the checkpoint.
         for (rank, (c, s)) in runs[0].iter().zip(&scratch).enumerate() {
             if let (Some(c), Some(s)) = (c, s) {
+                let iterations = |o: &ElasticOutcome<T>| o.result.as_ref().unwrap().iterations;
                 assert!(
-                    c.comm_events < s.comm_events,
+                    precision != PrecisionMode::Full || iterations(c) <= iterations(s),
+                    "{case}: rank {rank}: resumed from a snapshot, {} iterations against {} \
+                     from scratch",
+                    iterations(c),
+                    iterations(s)
+                );
+                assert!(
+                    iterations(c) > iterations(s) || c.comm_events < s.comm_events,
                     "{case}: rank {rank}: checkpointed resume ({}) must use strictly fewer \
                      comm events than a from-scratch restart ({})",
                     c.comm_events,
