@@ -29,13 +29,53 @@ use chase_tune::{
 use std::collections::HashMap;
 use std::process::ExitCode;
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
+type Flags = HashMap<String, String>;
+type Command = fn(Flags) -> Result<(), String>;
+
+/// The subcommands, each with the flags it reads. One it does not is
+/// refused: a run with a mistyped flag must not measure the defaults and
+/// exit 0.
+const COMMANDS: [(&str, Command, &str); 7] = [
+    ("generate", cmd_generate, "n out seed spectrum real"),
+    ("info", cmd_info, "matrix"),
+    (
+        "solve",
+        cmd_solve,
+        "matrix nev nex tol grid ranks backend qr collective cyclic no-degopt overlap panel \
+         precision inject wait-timeout-ms no-guards checkpoint checkpoint-every plan-db \
+         deterministic trace trace-format metrics",
+    ),
+    (
+        "tune",
+        cmd_tune,
+        "matrix nev nex db grid backend deterministic force",
+    ),
+    (
+        "serve",
+        cmd_serve,
+        "workload workers cache-mb max-queue backend plan-db metrics trace-dir checkpoint \
+         checkpoint-every",
+    ),
+    ("submit", cmd_submit, "workload line"),
+    (
+        "check",
+        cmd_check,
+        "seeds grids scalars systematic no-oracle canary witness-out replay",
+    ),
+];
+
+/// `--key value` pairs and switches of one subcommand; a flag outside
+/// `known` is an error that names it and the subcommand.
+fn parse_flags(cmd: &str, known: &str, args: &[String]) -> Result<Flags, String> {
     let mut out = HashMap::new();
     let mut i = 0;
     while i < args.len() {
         let key = args[i]
             .strip_prefix("--")
             .ok_or_else(|| format!("expected --flag, got '{}'", args[i]))?;
+        if !known.split(' ').any(|k| k == key) {
+            return Err(format!("chase {cmd} takes no flag --{key}"));
+        }
         // Boolean flags take no value.
         if matches!(
             key,
@@ -62,11 +102,7 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
     Ok(out)
 }
 
-fn get<T: std::str::FromStr>(
-    flags: &HashMap<String, String>,
-    key: &str,
-    default: Option<T>,
-) -> Result<T, String> {
+fn get<T: std::str::FromStr>(flags: &Flags, key: &str, default: Option<T>) -> Result<T, String> {
     match flags.get(key) {
         Some(v) => v
             .parse()
@@ -75,7 +111,7 @@ fn get<T: std::str::FromStr>(
     }
 }
 
-fn cmd_generate(flags: HashMap<String, String>) -> Result<(), String> {
+fn cmd_generate(flags: Flags) -> Result<(), String> {
     let n: usize = get(&flags, "n", None)?;
     let out: String = get(&flags, "out", None)?;
     let seed: u64 = get(&flags, "seed", Some(42))?;
@@ -83,17 +119,24 @@ fn cmd_generate(flags: HashMap<String, String>) -> Result<(), String> {
         .get("spectrum")
         .map(String::as_str)
         .unwrap_or("uniform");
-    let spec = match kind {
-        "uniform" => Spectrum::uniform(n, -1.0, 1.0),
-        "dft" => Spectrum::dft_like(n),
-        "bse" => Spectrum::bse_like(n),
-        "geometric" => Spectrum::geometric(n, 1e-3, 1.0),
+    // Each spectrum's constructor asserts its smallest `n`; ask first.
+    let (min_n, build): (usize, fn(usize) -> Spectrum) = match kind {
+        "uniform" => (1, |n| Spectrum::uniform(n, -1.0, 1.0)),
+        "dft" => (16, Spectrum::dft_like),
+        "bse" => (8, Spectrum::bse_like),
+        "geometric" => (2, |n| Spectrum::geometric(n, 1e-3, 1.0)),
         other => {
             return Err(format!(
                 "unknown spectrum '{other}' (uniform|dft|bse|geometric)"
             ))
         }
     };
+    if n < min_n {
+        return Err(format!(
+            "--n: a {kind} spectrum needs n >= {min_n}, got {n}"
+        ));
+    }
+    let spec = build(n);
     if flags.contains_key("real") {
         let h = dense_with_spectrum::<f64>(&spec, seed);
         save_f64(&h, &out).map_err(|e| e.to_string())?;
@@ -105,7 +148,7 @@ fn cmd_generate(flags: HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_info(flags: HashMap<String, String>) -> Result<(), String> {
+fn cmd_info(flags: Flags) -> Result<(), String> {
     let path: String = get(&flags, "matrix", None)?;
     let m = load(&path).map_err(|e| e.to_string())?;
     println!(
@@ -290,7 +333,7 @@ fn silence_expected_crash_panics() {
     }));
 }
 
-fn cmd_solve(flags: HashMap<String, String>) -> Result<(), String> {
+fn cmd_solve(flags: Flags) -> Result<(), String> {
     let path: String = get(&flags, "matrix", None)?;
     let nev: usize = get(&flags, "nev", None)?;
     let nex: usize = get(&flags, "nex", Some(nev.div_ceil(2).max(2)))?;
@@ -501,7 +544,7 @@ fn cmd_solve(flags: HashMap<String, String>) -> Result<(), String> {
 
 /// `chase tune`: run the measurement trials for one solve configuration and
 /// persist the winning plan, without solving.
-fn cmd_tune(flags: HashMap<String, String>) -> Result<(), String> {
+fn cmd_tune(flags: Flags) -> Result<(), String> {
     let path: String = get(&flags, "matrix", None)?;
     let nev: usize = get(&flags, "nev", None)?;
     let nex: usize = get(&flags, "nex", Some(nev.div_ceil(2).max(2)))?;
@@ -612,7 +655,7 @@ where
 }
 
 /// `chase serve`: run a workload file through the multi-tenant scheduler.
-fn cmd_serve(flags: HashMap<String, String>) -> Result<(), String> {
+fn cmd_serve(flags: Flags) -> Result<(), String> {
     let path: String = get(&flags, "workload", None)?;
     let positive = |flag: &str, what: &str, default: usize| match flags.get(flag) {
         Some(v) => parse_positive(flag, what, v),
@@ -780,7 +823,7 @@ fn cmd_serve(flags: HashMap<String, String>) -> Result<(), String> {
 }
 
 /// `chase submit`: validate one workload line and append it to the file.
-fn cmd_submit(flags: HashMap<String, String>) -> Result<(), String> {
+fn cmd_submit(flags: Flags) -> Result<(), String> {
     let path: String = get(&flags, "workload", None)?;
     let line: String = get(&flags, "line", None)?;
     let spec = chase_serve::validate_line(&line)?;
@@ -856,7 +899,7 @@ fn parse_check_scalars(s: &str) -> Result<Vec<chase_check::ScalarKind>, String> 
         .collect()
 }
 
-fn cmd_check(flags: HashMap<String, String>) -> Result<(), String> {
+fn cmd_check(flags: Flags) -> Result<(), String> {
     use chase_check::{check_case, cross_config_check, differential_check, replay, Witness};
 
     if let Some(path) = flags.get("replay") {
@@ -1055,20 +1098,16 @@ fn main() -> ExitCode {
         eprint!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let result = parse_flags(rest).and_then(|flags| match cmd.as_str() {
-        "generate" => cmd_generate(flags),
-        "info" => cmd_info(flags),
-        "solve" => cmd_solve(flags),
-        "tune" => cmd_tune(flags),
-        "serve" => cmd_serve(flags),
-        "check" => cmd_check(flags),
-        "submit" => cmd_submit(flags),
+    let result = match cmd.as_str() {
         "help" | "--help" | "-h" => {
             print!("{USAGE}");
             Ok(())
         }
-        other => Err(format!("unknown command '{other}'\n{USAGE}")),
-    });
+        cmd => match COMMANDS.iter().find(|(name, ..)| *name == cmd) {
+            Some((_, run, known)) => parse_flags(cmd, known, rest).and_then(run),
+            None => Err(format!("unknown command '{cmd}'\n{USAGE}")),
+        },
+    };
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {

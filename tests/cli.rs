@@ -100,3 +100,60 @@ fn the_lms_backend_refuses_bad_parameters_like_the_others() {
         }
     }
 }
+
+#[test]
+fn a_flag_the_subcommand_does_not_read_is_refused() {
+    let m = matrix("cli-flags.chasemat");
+    let solve = ["solve", "--matrix", m.as_str(), "--nev", "4"];
+    for (flag, value) in [
+        ("--deg", "0"),
+        ("--max-iter", "0"),
+        ("--bogus-flag", "7"),
+        ("--presicion", "mixed"),
+        // Another subcommand's flag is no better than a typo.
+        ("--workers", "2"),
+    ] {
+        assert_refused(
+            &[&solve[..], &[flag, value]].concat(),
+            &format!("chase solve takes no flag {flag}"),
+        );
+    }
+    // A switch too, and before anything is read or written.
+    assert_refused(
+        &["info", "--matrix", m.as_str(), "--real"],
+        "chase info takes no flag --real",
+    );
+    assert_refused(
+        &["generate", "--n", "24", "--nev", "4"],
+        "chase generate takes no flag --nev",
+    );
+    assert_refused(
+        &["check", "--seed", "1"],
+        "chase check takes no flag --seed",
+    );
+    let ok = chase(&[&solve[..], &["--precision", "full"]].concat());
+    assert!(ok.status.success(), "a flag solve reads: {ok:?}");
+}
+
+#[test]
+fn a_spectrum_too_small_for_its_shape_is_a_usage_error() {
+    let out = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("cli-small.chasemat");
+    let out = out.to_str().unwrap();
+    for (n, spectrum, min_n) in [
+        ("0", "uniform", 1),
+        ("8", "dft", 16),
+        ("15", "dft", 16),
+        ("1", "bse", 8),
+        ("7", "bse", 8),
+        ("1", "geometric", 2),
+    ] {
+        assert_refused(
+            &["generate", "--n", n, "--spectrum", spectrum, "--out", out],
+            &format!("a {spectrum} spectrum needs n >= {min_n}, got {n}"),
+        );
+        // The smallest one it takes is generated.
+        let n = min_n.to_string();
+        let made = chase(&["generate", "--n", &n, "--spectrum", spectrum, "--out", out]);
+        assert!(made.status.success(), "{spectrum} at n = {n}: {made:?}");
+    }
+}
