@@ -914,7 +914,7 @@ mod tests {
     use super::*;
     use crate::cholesky::potrf_upper;
     use crate::heevd::heevd;
-    use crate::lanes::{on_each_isa, with_isa, ISAS};
+    use crate::lanes::{on_each_isa, on_each_isa_within, with_isa, ISAS};
     use crate::scalar::{RealScalar, C32, C64};
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
@@ -924,6 +924,7 @@ mod tests {
 
     /// The fold contract on [`gemm`], literally: the axpy sweep the blocked
     /// kernel replaced, one column of `C` at a time.
+    #[inline(always)]
     fn gemm_reference<T: Scalar>(
         opa: Op,
         opb: Op,
@@ -1079,7 +1080,7 @@ mod tests {
         leak: bool,
         seed: u64,
     ) {
-        let (m, _, n) = dims;
+        let (m, k, n) = dims;
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let (oa, ob) = contract_operands::<T>(dims, leak, &mut rng);
         let alpha = coefficient::<T>(alpha_kind, &mut rng);
@@ -1094,7 +1095,12 @@ mod tests {
             for opb in OPS {
                 let b = stored_for(opb, &ob);
                 let mut want = c0.clone();
-                gemm_reference(opa, opb, alpha, &a, &b, beta, &mut want);
+                // With this CPU's own fused multiply-add where it has one: the
+                // term is exact either way, and a libm call per term is slow.
+                Isa::dispatch(
+                    #[inline(always)]
+                    |_| gemm_reference(opa, opb, alpha, &a, &b, beta, &mut want),
+                );
                 let what = format!(
                     "{} {opa:?} {opb:?} {dims:?} alpha {alpha} beta {beta}",
                     std::any::type_name::<T>()
@@ -1105,7 +1111,7 @@ mod tests {
                         "{what}: a shielded inf/NaN reached C"
                     );
                 }
-                on_each_isa(|isa| {
+                on_each_isa_within(m * k * n, |isa| {
                     let mut got = c0.clone();
                     gemm(opa, opb, alpha, a.as_ref(), b.as_ref(), beta, got.as_mut());
                     assert_eq!(bits(&got), bits(&want), "{what}: gemm on {isa:?}");
@@ -1141,8 +1147,8 @@ mod tests {
         x
     }
 
-    /// [`gram`] against the `dotc` sweep, bit for bit. With `poison`, a few
-    /// `NaN`/`inf` entries of `X` sit in rows where another column holds an
+    /// [`gram`] against the dot-product sweep, bit for bit. With `poison`, a
+    /// few `NaN`/`inf` entries of `X` sit in rows where another column holds an
     /// exact zero: the sweep lets them through to that pair's Gram entry,
     /// and so must the kernel (no zero shielding here).
     fn check_gram_contract<T: Scalar>((m, n): (usize, usize), poison: bool, seed: u64) {
@@ -1265,8 +1271,9 @@ mod tests {
             check_fold_contract::<C64>(dims, kinds, leak == 0, seed);
         }
 
-        /// `gram` equals the `dotc` sweep bit for bit: rows (the inner
-        /// dimension, 0 for a rank that owns none) across `KC`, columns
+        /// `gram` equals the dot-product sweep of the fused term bit for
+        /// bit: rows (the inner dimension, 0 for a rank that owns none)
+        /// across `KC`, columns
         /// across the tile, block and panel sizes, signed zeros, and
         /// non-finite entries that a zero partner must not shield.
         #[test]

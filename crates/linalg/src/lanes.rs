@@ -113,11 +113,29 @@ pub(crate) fn with_isa<O>(isa: Isa, f: impl FnOnce() -> O) -> Option<O> {
 
 /// Run `f` once under every instantiation this CPU runs.
 #[cfg(test)]
-pub(crate) fn on_each_isa(mut f: impl FnMut(Isa)) {
+pub(crate) fn on_each_isa(f: impl FnMut(Isa)) {
+    on_each_isa_within(0, f)
+}
+
+/// [`on_each_isa`] for a case of `terms` multiply-adds: on a CPU that runs a
+/// wider instantiation, the portable one — at the baseline of x86-64 a libm
+/// call per real multiply-add — sits out the cases past [`PORTABLE_TERMS`].
+/// It shares loop nest and tile shapes with the 256-bit one, so every
+/// blocking boundary is still crossed under both shapes.
+#[cfg(test)]
+pub(crate) fn on_each_isa_within(terms: usize, mut f: impl FnMut(Isa)) {
     for isa in ISAS {
+        if isa == Isa::Portable && Isa::detect() > isa && terms > PORTABLE_TERMS {
+            continue;
+        }
         with_isa(isa, || f(isa));
     }
 }
+
+/// Sized so that `cargo test -q` stays within 1.5x of what it took when the
+/// portable term was two SSE2 instructions.
+#[cfg(test)]
+const PORTABLE_TERMS: usize = 1 << 19;
 
 /// The reals the kernels pack (`f32`, `f64`): a supertrait of `RealScalar`
 /// that names each one's 512-bit register, implemented here and nowhere else.
