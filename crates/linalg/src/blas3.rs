@@ -809,13 +809,13 @@ pub fn trsm_right_upper<T: Scalar>(mut x: ColsMut<'_, T>, r: &Matrix<T>) {
             |_| {
                 for j in j0..j1 {
                     for l in j0..j {
-                        let s = r[(l, j)];
+                        let s = -r[(l, j)];
                         if s != T::zero() {
                             let (lo, hi) = data.split_at_mut(j * m);
                             let xl = &lo[l * m..(l + 1) * m];
                             let xj = &mut hi[..m];
                             for (c, a) in xj.iter_mut().zip(xl) {
-                                *c = T::mul_acc(*c, -s, *a);
+                                *c = T::mul_acc(*c, s, *a);
                             }
                         }
                     }

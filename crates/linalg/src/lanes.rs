@@ -84,8 +84,10 @@ fn at_baseline<O>(f: impl FnOnce(Option<Avx512>) -> O) -> O {
 }
 
 /// Evidence that the running CPU has AVX-512F; only [`Isa::dispatch`] makes
-/// one, on x86-64, behind run-time detection.
+/// one, on x86-64, behind run-time detection (elsewhere the type is only a
+/// name in signatures).
 #[derive(Clone, Copy)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
 pub struct Avx512(());
 
 #[cfg(test)]
