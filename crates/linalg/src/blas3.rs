@@ -84,7 +84,11 @@ const NC: usize = 256;
 /// multiply-adds per `l` (8 cycles), so a tile needs 16 accumulator registers
 /// to keep two FMA ports busy. 512-bit registers have the room: one register
 /// per plane of a tile column, 8 x 8 and 16 x 8 (16 x 4 with two registers a
-/// plane streams twice the `op(A)` per term from L2 and loses a third).
+/// plane streams twice the `op(A)` per term from L2 and loses a third). A
+/// product narrower than `NR` pays for the padding — block Lanczos' four
+/// columns run the full eight — and a second, narrower shape for it was
+/// measured and dropped: `core.lanczos_s` 7 to 19 % better, `solve_s`
+/// unresolved, the nest's monomorphs doubled.
 /// Array lanes (portable, AVX2 + FMA) have 16 registers in all: 4 x 4 on
 /// 64-bit reals (at C64 eight accumulator vectors, leaving room for the two
 /// planes of an `op(A)` column and the broadcast `s`; every wider shape
@@ -114,10 +118,10 @@ macro_rules! with_tile {
     };
 }
 
-/// [`with_tile!`] for the instantiation the kernels take on this thread now.
-macro_rules! with_current_tile {
-    ($t:ty, $mr:ident, $nr:ident => $body:expr) => {
-        match Isa::current() {
+/// [`with_tile!`] for the instantiation `$isa`.
+macro_rules! with_tile_of {
+    ($isa:expr, $t:ty, $mr:ident, $nr:ident => $body:expr) => {
+        match $isa {
             Isa::Avx512 => with_tile!($t, Avx512, $mr, $nr => $body),
             Isa::Avx2 => with_tile!($t, Avx2, $mr, $nr => $body),
             Isa::Portable => with_tile!($t, Portable, $mr, $nr => $body),
@@ -211,7 +215,7 @@ impl<'a, T: Scalar> Prepacked<'a, T> {
 /// Pack `op(A)` once, up front.
 pub fn prepack_a<T: Scalar>(opa: Op, a: ColsRef<'_, T>) -> Prepacked<'_, T> {
     let mut p = Prepacked::borrowed(opa, a);
-    p.panels = Some(with_current_tile!(T, MR, _NR => (MR, pack_a_all::<T, MR>(&p))));
+    p.panels = Some(with_tile_of!(Isa::current(), T, MR, _NR => (MR, pack_a_all::<T, MR>(&p))));
     p
 }
 
@@ -493,14 +497,16 @@ fn microkernel_zmm<T: Scalar, const MR: usize, const NR: usize>(
 }
 
 /// The microkernel: one source per kind of lanes, compiled for the
-/// instantiation this thread takes and chosen with it.
+/// instantiation `isa` — the one that chose `MR` and `NR` — and chosen with
+/// it.
 fn microkernel<T: Scalar, const MR: usize, const NR: usize>(
+    isa: Isa,
     ap: &[T::Real],
     bp: &[T::Real],
     skip: &[bool],
     tile: &mut Tile<T::Real, MR, NR>,
 ) {
-    Isa::dispatch(
+    isa.dispatch(
         #[inline(always)]
         |avx512| match avx512 {
             #[cfg(target_arch = "x86_64")]
@@ -550,8 +556,10 @@ fn first_n<V: Copy>(buf: &mut Vec<V>, len: usize, fill: V) -> &mut [V] {
 }
 
 /// The loop nest of the module header: `C += op(A) * s` for the fold's `s`,
-/// on a `C` that already holds its starting value.
+/// on a `C` that already holds its starting value, in the `MR x NR` tiles of
+/// the instantiation `isa`.
 fn gemm_blocked<T: Scalar, const MR: usize, const NR: usize>(
+    isa: Isa,
     fold: Fold<T>,
     a: &Prepacked<'_, T>,
     opb: Op,
@@ -617,7 +625,7 @@ fn gemm_blocked<T: Scalar, const MR: usize, const NR: usize>(
                                 tile.im[j][i] = v.im();
                             }
                         }
-                        microkernel::<T, MR, NR>(ap, bp, skip, &mut tile);
+                        microkernel::<T, MR, NR>(isa, ap, bp, skip, &mut tile);
                         for j in 0..nr {
                             let at = (j0 + j) * m + i0;
                             for (i, v) in c[at..at + mr].iter_mut().enumerate() {
@@ -651,15 +659,10 @@ fn fold_into<T: Scalar>(
         return;
     }
     let c = c.as_mut_slice();
+    let isa = Isa::current();
     with_scratch::<T::Real, _>(|scratch| {
-        with_current_tile!(T, MR, NR => {
-            // A product no wider than half a tile (block Lanczos' four
-            // columns) would spend half its multiply-adds on padding.
-            if 2 * n <= NR {
-                gemm_blocked::<T, MR, { NR / 2 }>(fold, a, opb, b, c, scratch)
-            } else {
-                gemm_blocked::<T, MR, NR>(fold, a, opb, b, c, scratch)
-            }
+        with_tile_of!(isa, T, MR, NR => {
+            gemm_blocked::<T, MR, NR>(isa, fold, a, opb, b, c, scratch)
         })
     });
 }
@@ -750,8 +753,10 @@ pub fn gemm_new<T: Scalar>(opa: Op, opb: Op, a: &Matrix<T>, b: &Matrix<T>) -> Ma
 /// Computed by the [`gemm`] loop nest as `ConjTrans x None` over the tiles on
 /// or above the diagonal; the lower triangle is mirrored (`conj`) so
 /// downstream kernels can treat the result as a full matrix, and the diagonal
-/// is made exactly real (the imaginary part of `x^H x` is pure round-off and
-/// breaks POTRF's sqrt).
+/// is made exactly real: under the fused term the imaginary part of the sum
+/// for `x^H x` is not `0` but the rounding errors of the products
+/// `x.re * x.im`, one per row (`fma(x.im, x.re, -(x.re * x.im))`), and `G`
+/// is returned exactly Hermitian without it.
 pub fn gram<T: Scalar>(x: ColsRef<'_, T>) -> Matrix<T> {
     let n = x.cols();
     let mut g = Matrix::zeros(n, n);
@@ -798,13 +803,14 @@ pub fn trsm_right_upper<T: Scalar>(mut x: ColsMut<'_, T>, r: &Matrix<T>) {
         skip_zeros: true,
         tiles: Tiles::All,
     };
+    let isa = Isa::current();
     for j0 in (0..n).step_by(PANEL) {
         let j1 = (j0 + PANEL).min(n);
         let (solved, rest) = data.split_at_mut(j0 * m);
         let solved = Prepacked::borrowed(Op::None, ColsRef::new(solved, m, j0));
         let block = ColsMut::new(&mut rest[..(j1 - j0) * m], m, j1 - j0);
         fold_into(fold, &solved, Op::None, r.cols_ref(j0..j1), block);
-        Isa::dispatch(
+        isa.dispatch(
             #[inline(always)]
             |_| {
                 for j in j0..j1 {
@@ -1097,7 +1103,7 @@ mod tests {
                 let mut want = c0.clone();
                 // With this CPU's own fused multiply-add where it has one: the
                 // term is exact either way, and a libm call per term is slow.
-                Isa::dispatch(
+                Isa::current().dispatch(
                     #[inline(always)]
                     |_| gemm_reference(opa, opb, alpha, &a, &b, beta, &mut want),
                 );
@@ -1232,9 +1238,9 @@ mod tests {
         });
     }
 
-    /// Sizes on both sides of every blocking constant (`MR` 4/8/16, `NR` 8/4
-    /// and their halves, `MC` 128, `KC` 256; `NC` 256 has its own test below),
-    /// the degenerate 0 and 1, ragged remainders (`2 MR + 3` among them).
+    /// Sizes on both sides of every blocking constant (`MR` 4/8/16, `NR` 8/4,
+    /// `MC` 128, `KC` 256; `NC` 256 has its own test below), the degenerate 0
+    /// and 1, ragged remainders (`2 MR + 3` among them).
     const M_SIZES: [usize; 19] = [
         0, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 19, 33, 35, 127, 128, 129, 133, 150,
     ];
@@ -1468,6 +1474,61 @@ mod tests {
         witness::<C32>(13);
     }
 
+    /// The half of [`Isa::dispatch`]'s contract that no bitwise test sees:
+    /// what is passed to it is compiled for the level — an
+    /// `#[inline(always)]` closure, inlined into the trampoline — and not
+    /// left at the baseline, where every fused term is a call into libm (the
+    /// same bits, an order of magnitude slower). So it is timed: the
+    /// microkernel through `gemm`, and the in-panel sweeps of
+    /// `trsm_right_upper` and `potrf_upper` on inputs one `PANEL` wide (all
+    /// sweep, no pass of the nest), each at the widest level against
+    /// `Portable`, best of several runs. A CPU with no wider level, or a
+    /// build whose baseline has FMA itself, has nothing to tell apart.
+    #[test]
+    fn dispatched_code_is_compiled_for_its_level() {
+        if Isa::detect() == Isa::Portable || cfg!(target_feature = "fma") {
+            println!("skipped: the baseline is this CPU's only level, or has FMA in this build");
+            return;
+        }
+        let mut rng = ChaCha8Rng::seed_from_u64(11);
+        let a = Matrix::<C64>::random(96, 96, &mut rng);
+        let x = Matrix::<C64>::random(1024, PANEL, &mut rng);
+        let g = gram(x.as_ref());
+        let u = potrf_upper(&g).expect("Gram of a tall random block");
+        let kernels: [(&str, usize, &dyn Fn()); 3] = [
+            ("gemm (the microkernel)", 5, &|| {
+                std::hint::black_box(gemm_new(Op::None, Op::None, &a, &a));
+            }),
+            ("trsm_right_upper's in-panel sweep", 5, &|| {
+                let mut q = x.clone();
+                trsm_right_upper(q.as_mut(), &u);
+                std::hint::black_box(q);
+            }),
+            ("potrf_upper's in-panel sweep", 200, &|| {
+                std::hint::black_box(potrf_upper(&g).expect("as above"));
+            }),
+        ];
+        for (what, runs, kernel) in kernels {
+            let best = || {
+                let one = || {
+                    let t = std::time::Instant::now();
+                    kernel();
+                    t.elapsed()
+                };
+                (0..runs).map(|_| one()).min().expect("at least one run")
+            };
+            let at_level = best();
+            let at_baseline = with_isa(Isa::Portable, best).expect("runs on every CPU");
+            println!("{what}: {at_level:?} dispatched, {at_baseline:?} at the baseline");
+            assert!(
+                at_baseline > 2 * at_level,
+                "{what}: {at_level:?} on {:?} against {at_baseline:?} at the baseline — its \
+                 fused terms are libm calls, so it was not inlined into the trampoline",
+                Isa::detect()
+            );
+        }
+    }
+
     /// Panels packed for one instantiation's `MR` and consumed by another
     /// must not be read as if they had the consumer's layout.
     #[test]
@@ -1523,7 +1584,7 @@ mod tests {
         let widest = (Isa::Portable, "portable");
         assert_eq!(Isa::current(), widest.0);
         fn tile<T: Scalar>() -> String {
-            with_current_tile!(T, MR, NR => format!("{MR}x{NR}"))
+            with_tile_of!(Isa::current(), T, MR, NR => format!("{MR}x{NR}"))
         }
         // What a `mul_add` compiled at the baseline is: on x86-64 a call into
         // libm unless the whole build enables FMA.
@@ -1772,19 +1833,30 @@ mod tests {
         }
     }
 
+    /// Exactly Hermitian, diagonal exactly real, under every instantiation —
+    /// although the fused diagonal sum is not: with `s = x` and
+    /// `a = conj(x)` its imaginary part takes `fma(x.im, x.re, -(x.re*x.im))`
+    /// per term, the rounding error of the product, where the unfused term
+    /// cancelled to `0`. `gram` drops it when it mirrors.
     #[test]
     fn gram_is_hermitian_psd() {
         let mut rng = ChaCha8Rng::seed_from_u64(4);
         let x = Matrix::<C64>::random(30, 6, &mut rng);
-        let g = gram(x.as_ref());
-        let gh = g.adjoint();
-        assert!(g.max_abs_diff(&gh) < 1e-13);
-        let expect = gemm_new(Op::ConjTrans, Op::None, &x, &x);
-        assert!(g.max_abs_diff(&expect) < 1e-12);
-        for i in 0..6 {
-            assert!(g[(i, i)].re() > 0.0);
-            assert_eq!(g[(i, i)].im(), 0.0);
-        }
+        let fused_diagonal = |j: usize| {
+            let terms = x.col(j).iter();
+            terms.fold(C64::zero(), |c, &s| C64::mul_acc(c, s, s.conj()))
+        };
+        assert!((0..6).any(|j| fused_diagonal(j).im() != 0.0));
+        on_each_isa(|isa| {
+            let g = gram(x.as_ref());
+            assert_eq!(g.as_slice(), g.adjoint().as_slice(), "{isa:?}");
+            let expect = gemm_new(Op::ConjTrans, Op::None, &x, &x);
+            assert!(g.max_abs_diff(&expect) < 1e-12);
+            for i in 0..6 {
+                assert!(g[(i, i)].re() > 0.0);
+                assert_eq!(g[(i, i)], C64::from_real(fused_diagonal(i).re()), "{isa:?}");
+            }
+        });
     }
 
     #[test]

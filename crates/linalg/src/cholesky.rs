@@ -56,7 +56,7 @@ pub fn potrf_upper<T: Scalar>(a: &Matrix<T>) -> Result<Matrix<T>, NotPositiveDef
             wj.copy_from_slice(&u.col(j)[k0..k1]);
         }
         sub_finished_rows(&u, k0..k1, ColsMut::new(w, rows, n - k0));
-        Isa::dispatch(
+        Isa::current().dispatch(
             #[inline(always)]
             |_| {
                 for k in k0..k1 {

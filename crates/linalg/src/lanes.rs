@@ -43,29 +43,36 @@ impl Isa {
         Isa::detect()
     }
 
-    /// `f`, compiled for the instantiation this thread takes — so that a
-    /// `mul_add` in it is one instruction wherever the CPU has one — and
-    /// handed the evidence when that is the 512-bit one. The one place that
-    /// turns an [`Isa`] into code: the microkernel and the in-panel sweeps of
-    /// `trsm`/`potrf` both come through here. Pass an `#[inline(always)]`
-    /// closure: what it does is compiled with the features of the function it
-    /// is inlined into, and a closure left out of line runs at the baseline
-    /// (the same bits, `mul_add` a libm call).
+    /// `f`, compiled for this instantiation — so that a `mul_add` in it is
+    /// one instruction wherever the CPU has one — and handed the evidence
+    /// when that is the 512-bit one. The one place that turns an [`Isa`] into
+    /// code: the microkernel and the in-panel sweeps of `trsm`/`potrf` both
+    /// come through here, on the [`Isa::current`] their caller read once (so
+    /// a fold's tile shape and its kernel are chosen by the same value). Pass
+    /// an `#[inline(always)]` closure: what it does is compiled with the
+    /// features of the function it is inlined into, and a closure left out of
+    /// line runs at the baseline (the same bits, `mul_add` a libm call —
+    /// `blas3`'s `dispatched_code_is_compiled_for_its_level` times that).
     #[inline(always)]
-    pub(crate) fn dispatch<O>(f: impl FnOnce(Option<Avx512>) -> O) -> O {
-        match Isa::current() {
+    pub(crate) fn dispatch<O>(self, f: impl FnOnce(Option<Avx512>) -> O) -> O {
+        // `Isa::current()` never exceeds what detection found; an `Isa` made
+        // some other way is held to it here, which is what makes the two
+        // calls below sound whatever the caller passes.
+        match self.min(Isa::detect()) {
             #[cfg(target_arch = "x86_64")]
             Isa::Avx512 => {
-                // SAFETY: `Isa::current()` is `Avx512` only when run-time
-                // detection found `avx512f` on this CPU, the one requirement
-                // of the `#[target_feature]` function called.
+                // SAFETY: the level matched on is at most `Isa::detect()`,
+                // which is `Avx512` only when run-time detection found
+                // `avx512f` on this CPU, the one requirement of the
+                // `#[target_feature]` function called.
                 unsafe { x86::under_avx512(f) }
             }
             #[cfg(target_arch = "x86_64")]
             Isa::Avx2 => {
-                // SAFETY: `Isa::current()` is `Avx2` only when run-time
-                // detection found `avx2` and `fma` on this CPU, the two
-                // requirements of the `#[target_feature]` function called.
+                // SAFETY: the level matched on is at most `Isa::detect()`,
+                // which is `Avx2` or wider only when run-time detection found
+                // `avx2` and `fma` on this CPU (`avx512f` implies both), the
+                // two requirements of the `#[target_feature]` function called.
                 unsafe { x86::under_avx2_fma(f) }
             }
             _ => at_baseline(f),
