@@ -220,24 +220,6 @@ pub fn bench_filter_variants(
         .collect()
 }
 
-/// [`bench_filter_variants`] for a single strategy.
-#[allow(clippy::too_many_arguments)]
-pub fn bench_filter_grid(
-    h: &Matrix<C64>,
-    x: &Matrix<C64>,
-    degrees: &[usize],
-    bounds: FilterBounds<f64>,
-    shape: GridShape,
-    backend: Backend,
-    exec: FilterExec,
-    warmup: usize,
-    reps: usize,
-) -> FilterBench {
-    bench_filter_variants(h, x, degrees, bounds, shape, backend, &[exec], warmup, reps)
-        .pop()
-        .unwrap()
-}
-
 /// Median of a sample set (average of the middle pair for even counts).
 pub fn median(samples: &[f64]) -> f64 {
     assert!(!samples.is_empty(), "median of no samples");
@@ -402,28 +384,20 @@ mod tests {
         let degrees = vec![4usize; ne];
         let bounds = chase_core::FilterBounds::from_spectrum(-1.0, 0.0, 1.0);
         let shape = GridShape::new(2, 2);
-        let flat = bench_filter_grid(
+        let execs = [FilterExec::Flat, FilterExec::Pipelined { panel: Some(2) }];
+        let [flat, piped] = bench_filter_variants(
             &h,
             &x,
             &degrees,
             bounds,
             shape,
             Backend::Nccl,
-            FilterExec::Flat,
+            &execs,
             1,
             2,
-        );
-        let piped = bench_filter_grid(
-            &h,
-            &x,
-            &degrees,
-            bounds,
-            shape,
-            Backend::Nccl,
-            FilterExec::Pipelined { panel: Some(2) },
-            1,
-            2,
-        );
+        )
+        .try_into()
+        .unwrap_or_else(|_| panic!("one bench per variant"));
         assert_eq!(flat.samples.len(), 2);
         assert!(flat.samples.iter().all(|&s| s > 0.0));
         // Each grid-column block of C is replicated across the p grid rows,
