@@ -385,19 +385,10 @@ mod tests {
         let bounds = chase_core::FilterBounds::from_spectrum(-1.0, 0.0, 1.0);
         let shape = GridShape::new(2, 2);
         let execs = [FilterExec::Flat, FilterExec::Pipelined { panel: Some(2) }];
-        let [flat, piped] = bench_filter_variants(
-            &h,
-            &x,
-            &degrees,
-            bounds,
-            shape,
-            Backend::Nccl,
-            &execs,
-            1,
-            2,
-        )
-        .try_into()
-        .unwrap_or_else(|_| panic!("one bench per variant"));
+        let [flat, piped] =
+            bench_filter_variants(&h, &x, &degrees, bounds, shape, Backend::Nccl, &execs, 1, 2)
+                .try_into()
+                .unwrap_or_else(|_| panic!("one bench per variant"));
         assert_eq!(flat.samples.len(), 2);
         assert!(flat.samples.iter().all(|&s| s > 0.0));
         // Each grid-column block of C is replicated across the p grid rows,

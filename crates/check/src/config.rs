@@ -2,27 +2,23 @@
 //! explores schedules over.
 
 use chase_comm::GridShape;
-use chase_core::{Params, PrecisionMode};
+use chase_core::Params;
 use std::fmt;
 
-/// Scalar/precision leg of a check case. `C64Mixed` runs the complex
-/// solver with the mixed-precision filter — the leg where demoted
-/// arithmetic, escalation and the schedule seam all interact.
+/// Scalar leg of a check case: the real and the complex solver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScalarKind {
     F64,
     C64,
-    C64Mixed,
 }
 
 impl ScalarKind {
-    pub const ALL: [ScalarKind; 3] = [ScalarKind::F64, ScalarKind::C64, ScalarKind::C64Mixed];
+    pub const ALL: [ScalarKind; 2] = [ScalarKind::F64, ScalarKind::C64];
 
     pub fn token(self) -> &'static str {
         match self {
             ScalarKind::F64 => "f64",
             ScalarKind::C64 => "c64",
-            ScalarKind::C64Mixed => "c64-mixed",
         }
     }
 
@@ -30,15 +26,7 @@ impl ScalarKind {
         match s {
             "f64" => Some(ScalarKind::F64),
             "c64" => Some(ScalarKind::C64),
-            "c64-mixed" => Some(ScalarKind::C64Mixed),
             _ => None,
-        }
-    }
-
-    pub fn precision(self) -> PrecisionMode {
-        match self {
-            ScalarKind::C64Mixed => PrecisionMode::Mixed,
-            _ => PrecisionMode::Full,
         }
     }
 }
@@ -92,15 +80,12 @@ impl CheckCase {
         GridShape::new(self.grid.0, self.grid.1)
     }
 
-    /// Solver parameters for this case. Precision is pinned explicitly
-    /// (never `Auto`) so a tuned plan cannot silently flip it — keeping
-    /// the tuned/untuned comparison within one arithmetic.
+    /// Solver parameters for this case.
     pub fn params(&self) -> Params {
         let mut p = Params::new(self.nev, self.nex);
         p.tol = self.tol;
         p.seed = self.pseed;
         p.overlap = self.overlap;
-        p.precision = self.scalar.precision();
         p
     }
 }
@@ -141,8 +126,8 @@ pub fn matrix(grids: &[(usize, usize)], scalars: &[ScalarKind]) -> Vec<CheckCase
     out
 }
 
-/// The full default matrix ({1x1, 2x2, 1x4} x {f64, c64, c64-mixed} x
-/// {overlap off, on}): 18 cases.
+/// The full default matrix ({1x1, 2x2, 1x4} x {f64, c64} x {overlap off,
+/// on}): 12 cases.
 pub fn default_matrix() -> Vec<CheckCase> {
     matrix(&DEFAULT_GRIDS, &ScalarKind::ALL)
 }
@@ -152,11 +137,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_matrix_is_the_18_case_cross() {
+    fn default_matrix_is_the_12_case_cross() {
         let m = default_matrix();
-        assert_eq!(m.len(), 18);
+        assert_eq!(m.len(), 12);
         let uniq: std::collections::BTreeSet<String> = m.iter().map(|c| c.to_string()).collect();
-        assert_eq!(uniq.len(), 18, "case displays are unique");
+        assert_eq!(uniq.len(), 12, "case displays are unique");
     }
 
     #[test]
@@ -165,12 +150,6 @@ mod tests {
             assert_eq!(ScalarKind::from_token(s.token()), Some(s));
         }
         assert_eq!(ScalarKind::from_token("f32"), None);
-    }
-
-    #[test]
-    fn mixed_leg_pins_mixed_precision() {
-        let c = CheckCase::new(ScalarKind::C64Mixed, (2, 2), true);
-        assert_eq!(c.params().precision, PrecisionMode::Mixed);
-        assert!(c.params().overlap);
+        assert_eq!(ScalarKind::from_token("c64-mixed"), None);
     }
 }

@@ -210,7 +210,6 @@ fn run_case_t<T>(
 where
     T: Scalar + chase_comm::Reduce,
     T::Real: chase_comm::Reduce,
-    T::Lo: chase_comm::Reduce,
 {
     let spec = Spectrum::uniform(case.n, -1.0, 1.0);
     let h: Matrix<T> = dense_with_spectrum(&spec, case.pseed);
@@ -250,7 +249,7 @@ pub fn run_case(
 ) -> Fingerprint {
     match case.scalar {
         ScalarKind::F64 => run_case_t::<f64>(case, policy, canary),
-        ScalarKind::C64 | ScalarKind::C64Mixed => run_case_t::<C64>(case, policy, canary),
+        ScalarKind::C64 => run_case_t::<C64>(case, policy, canary),
     }
 }
 
@@ -402,7 +401,7 @@ pub fn differential_check(case: &CheckCase) -> Result<(), String> {
     let eigs = fp.eigenvalues();
     let direct = match case.scalar {
         ScalarKind::F64 => direct_eigs::<f64>(case),
-        ScalarKind::C64 | ScalarKind::C64Mixed => direct_eigs::<C64>(case),
+        ScalarKind::C64 => direct_eigs::<C64>(case),
     };
     let bound = 100.0 * case.tol;
     for (i, (a, b)) in eigs.iter().zip(&direct).enumerate() {
@@ -449,21 +448,6 @@ pub fn cross_config_check(scalar: ScalarKind) -> Result<(), String> {
         }
     }
 
-    if scalar == ScalarKind::C64Mixed {
-        let full = run_case(&CheckCase::new(ScalarKind::C64, (2, 2), false), None, false);
-        for (i, (a, b)) in base
-            .eigenvalues()
-            .iter()
-            .zip(full.eigenvalues())
-            .enumerate()
-        {
-            if (a - b).abs() > 100.0 * base_case.tol {
-                return Err(format!(
-                    "mixed-precision eigenvalue {i} diverges from full precision: {a} vs {b}"
-                ));
-            }
-        }
-    }
     Ok(())
 }
 

@@ -26,7 +26,7 @@
 //!   deterministic chrome-trace bytes, and the iteration/matvec counters.
 //!   The differential oracle cross-checks eigenvalues against the dense
 //!   `chase-direct` solver and across configurations (grid x overlap x
-//!   precision x tuned plan).
+//!   tuned plan).
 //!
 //! * **Minimizing replay** ([`shrink`], [`replay`]) — on a violation, the
 //!   shrinker greedily drops recorded permutations back to identity and

@@ -216,7 +216,7 @@ mod tests {
             vec![1, 0],
         );
         Witness::new(
-            CheckCase::new(ScalarKind::C64Mixed, (2, 2), true).with_plan(false),
+            CheckCase::new(ScalarKind::C64, (2, 2), true).with_plan(false),
             true,
             perms,
         )

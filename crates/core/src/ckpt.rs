@@ -111,7 +111,8 @@ pub struct Snapshot {
     pub degs: Vec<u64>,
     /// Filter MatVecs accumulated before the snapshot.
     pub matvecs: u64,
-    /// Demoted-precision MatVecs accumulated before the snapshot.
+    /// A field of the file format from when the filter could run demoted:
+    /// the solver writes 0 and a resume ignores it.
     pub lowprec_matvecs: u64,
     /// Real plane of the global `N x ne` iterate, column-major, f64 bits.
     pub c_re_bits: Vec<u64>,

@@ -79,7 +79,6 @@ pub fn try_solve_elastic<T, F>(
 where
     T: Scalar + Reduce,
     T::Real: Reduce,
-    T::Lo: Reduce,
     F: Fn(&RankCtx) -> DistHerm<T>,
 {
     let mut owned: Option<RankCtx> = None;

@@ -48,7 +48,7 @@ pub use filter::{
 };
 pub use hemm::{hemm_b_to_c, hemm_c_to_b};
 pub use layout::{DistHerm, MemoryReport, RowDist};
-pub use params::{Params, PrecisionMode, QrStrategy};
+pub use params::{Params, QrStrategy};
 pub use plan::{PlanSource, SolvePlan};
 pub use qr::{
     cholesky_qr, flexible_qr, householder_qr_dist, ladder_start, next_rung, qr_ladder,

@@ -156,7 +156,6 @@ where
         let measured = Measured {
             iter,
             matvecs: mv,
-            low_precision: false,
             est_cond: f64::NAN, // v1.2 has no condition estimator
             true_cond: None,
             qr_variant: QrVariant::Householder,

@@ -17,53 +17,6 @@ pub enum QrStrategy {
     AlwaysCholeskyQr1,
 }
 
-/// Arithmetic precision the Chebyshev filter runs in.
-///
-/// Everything outside the filter (QR, Rayleigh–Ritz, residuals, locking)
-/// always runs at the solver's native precision `T`; the filter only needs
-/// to *separate* the subspace, not resolve it, which is what makes the
-/// demoted path safe (Winkelmann et al., TOMS 2019, §4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PrecisionMode {
-    /// Every filter call runs in `T` (the historic behavior).
-    #[default]
-    Full,
-    /// Filter calls run in the demoted type `T::Lo` (`f64→f32`, `C64→C32`)
-    /// while residuals stay far from the single-precision floor
-    /// (`~50·eps_f32·‖H‖`); the solver escalates to full precision — once,
-    /// stickily, world-agreed — as convergence approaches the floor, or
-    /// immediately when a low filter output goes non-finite (the precision
-    /// rung of the recovery ladder). No-op for natively 32-bit scalars.
-    Mixed,
-    /// Defer the choice to a resolved [`crate::SolvePlan`]
-    /// ([`Params::apply_plan`] replaces `Auto` with the plan's concrete
-    /// mode). A solve entered with `Auto` still unresolved runs `Full` —
-    /// the conservative historic behavior.
-    Auto,
-}
-
-impl PrecisionMode {
-    pub fn name(self) -> &'static str {
-        match self {
-            PrecisionMode::Full => "full",
-            PrecisionMode::Mixed => "mixed",
-            PrecisionMode::Auto => "auto",
-        }
-    }
-}
-
-impl std::str::FromStr for PrecisionMode {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "full" => Ok(PrecisionMode::Full),
-            "mixed" => Ok(PrecisionMode::Mixed),
-            "auto" => Ok(PrecisionMode::Auto),
-            other => Err(format!("unknown precision '{other}' (full|mixed|auto)")),
-        }
-    }
-}
-
 /// ChASE configuration.
 #[derive(Debug, Clone)]
 pub struct Params {
@@ -121,8 +74,6 @@ pub struct Params {
     /// Override the nonblocking-collective wait timeout (ms) on the rank's
     /// communicators; `None` keeps [`chase_comm::DEFAULT_WAIT_TIMEOUT_MS`].
     pub wait_timeout_ms: Option<u64>,
-    /// Filter arithmetic precision (see [`PrecisionMode`]).
-    pub precision: PrecisionMode,
     /// Directory for periodic solver checkpoints; `None` disables them.
     pub checkpoint_dir: Option<String>,
     /// Write a checkpoint every this many outer iterations (0 means only
@@ -157,7 +108,6 @@ impl Params {
             guards: true,
             max_refilter: 2,
             wait_timeout_ms: None,
-            precision: PrecisionMode::Full,
             checkpoint_dir: None,
             checkpoint_every: 0,
             plan: None,

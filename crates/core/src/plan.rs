@@ -1,7 +1,7 @@
 //! Resolved solve plans (the output vocabulary of `chase-tune`).
 //!
 //! A [`SolvePlan`] pins every performance knob a solve needs — collective
-//! schedule, overlap panel width, filter precision — together with its
+//! schedule and overlap panel width — together with its
 //! provenance: where the decisions came from and what the model says they
 //! cost relative to the `Flat` defaults. `chase-tune` produces plans from
 //! measured micro-benchmark trials; [`crate::Params::apply_plan`] merges one
@@ -9,7 +9,7 @@
 //! `Auto`/default settings; the solver stamps the applied plan onto
 //! [`crate::ChaseResult`] so every result records how it was scheduled.
 
-use crate::params::{Params, PrecisionMode};
+use crate::params::Params;
 use chase_device::CollectiveAlgo;
 
 /// Where a plan's decisions came from.
@@ -45,15 +45,13 @@ pub struct SolvePlan {
     pub overlap: bool,
     /// Pinned panel width for the pipeline (`None` = per-step tuner choice).
     pub overlap_panel: Option<usize>,
-    /// Filter arithmetic precision (always concrete, never `Auto`).
-    pub precision: PrecisionMode,
     /// Provenance of the decisions above.
     pub source: PlanSource,
     /// Modeled cost (seconds) of the tuned components of one iteration
     /// under this plan — the quantity the tuner minimized.
     pub tuned_cost: f64,
     /// The same components' modeled cost under the `Flat` defaults
-    /// (flat collectives, no overlap, full precision). A measured plan
+    /// (flat collectives, no overlap). A measured plan
     /// guarantees `tuned_cost <= flat_cost`: the flat path is always among
     /// the trial candidates.
     pub flat_cost: f64,
@@ -67,7 +65,6 @@ impl SolvePlan {
             collective: CollectiveAlgo::Flat,
             overlap: false,
             overlap_panel: None,
-            precision: PrecisionMode::Full,
             source: PlanSource::Manual,
             tuned_cost: 0.0,
             flat_cost: 0.0,
@@ -82,9 +79,8 @@ impl SolvePlan {
             (true, Some(w)) => format!("{w}"),
         };
         format!(
-            "collective={} overlap_panel={panel} precision={} source={} modeled {:.3}ms vs flat {:.3}ms",
+            "collective={} overlap_panel={panel} source={} modeled {:.3}ms vs flat {:.3}ms",
             self.collective.name(),
-            self.precision.name(),
             self.source.name(),
             self.tuned_cost * 1e3,
             self.flat_cost * 1e3,
@@ -100,7 +96,6 @@ impl Params {
     ///   `Auto`; a forced `Ring`/`Tree`/`Doubling` pin is respected.
     /// * `overlap`/`overlap_panel` — adopted unless the caller already
     ///   turned overlap on (an explicit panel pin stays).
-    /// * `precision` — replaced only when [`PrecisionMode::Auto`].
     ///
     /// The plan is stamped on `self.plan` either way, so the solver can
     /// attach provenance to the result.
@@ -111,9 +106,6 @@ impl Params {
         if !self.overlap {
             self.overlap = plan.overlap;
             self.overlap_panel = plan.overlap_panel;
-        }
-        if self.precision == PrecisionMode::Auto {
-            self.precision = plan.precision;
         }
         self.plan = Some(plan.clone());
     }
@@ -128,7 +120,6 @@ mod tests {
             collective: CollectiveAlgo::Auto,
             overlap: true,
             overlap_panel: Some(16),
-            precision: PrecisionMode::Mixed,
             source: PlanSource::Measured { db_key: "k".into() },
             tuned_cost: 1.0,
             flat_cost: 2.0,
@@ -138,12 +129,10 @@ mod tests {
     #[test]
     fn apply_fills_auto_knobs() {
         let mut p = Params::new(6, 4);
-        p.precision = PrecisionMode::Auto;
         p.apply_plan(&measured());
         assert_eq!(p.collective, CollectiveAlgo::Auto);
         assert!(p.overlap);
         assert_eq!(p.overlap_panel, Some(16));
-        assert_eq!(p.precision, PrecisionMode::Mixed);
         assert!(p.plan.is_some());
     }
 
@@ -153,10 +142,8 @@ mod tests {
         p.collective = CollectiveAlgo::Ring;
         p.overlap = true;
         p.overlap_panel = Some(4);
-        p.precision = PrecisionMode::Full;
         p.apply_plan(&measured());
         assert_eq!(p.collective, CollectiveAlgo::Ring);
         assert_eq!(p.overlap_panel, Some(4));
-        assert_eq!(p.precision, PrecisionMode::Full);
     }
 }

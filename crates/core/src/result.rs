@@ -73,11 +73,6 @@ pub enum RecoveryEventKind {
     ReplicaDivergence { stage: &'static str },
     /// A nonblocking collective wait timed out.
     Timeout { op_id: u64, timeout_ms: u64 },
-    /// A low-precision filter output went non-finite (e.g. f32 overflow):
-    /// the poisoned columns were restored and re-filtered at full precision
-    /// — the precision rung sits *before* the degree-bump rung and does not
-    /// consume a re-filter attempt.
-    PrecisionEscalated { cols: usize },
     /// Survivors agreed (via the deterministic agreement round) that these
     /// world ranks stopped depositing into collectives. Ranks are numbered
     /// in the world the crash happened in.
@@ -130,12 +125,6 @@ impl fmt::Display for RecoveryEventKind {
             }
             RecoveryEventKind::Timeout { op_id, timeout_ms } => {
                 write!(f, "collective op {op_id} timed out after {timeout_ms} ms")
-            }
-            RecoveryEventKind::PrecisionEscalated { cols } => {
-                write!(
-                    f,
-                    "escalated {cols} column(s) from demoted to full precision"
-                )
             }
             RecoveryEventKind::RankDead { dead } => {
                 write!(f, "agreed dead rank(s): {dead:?}")

@@ -18,10 +18,10 @@
 
 use crate::ckpt::{CkptError, Snapshot};
 use crate::condest::cond_est;
-use crate::filter::{chebyshev_filter_mixed, chebyshev_filter_with, FilterBounds, FilterError};
+use crate::filter::{chebyshev_filter_with, FilterBounds, FilterError};
 use crate::hemm::{hemm_c_to_b, matvec_replicated};
 use crate::layout::{DistHerm, MemoryReport, RowDist};
-use crate::params::{Params, PrecisionMode};
+use crate::params::Params;
 use crate::qr::{qr_ladder, QrVariant};
 use crate::result::{
     ChaseError, ChaseErrorKind, ChaseResult, IterStats, RecoveryEventKind, RecoveryLog,
@@ -101,90 +101,6 @@ impl<T: Scalar> Checkpoint<T> {
     }
 }
 
-/// Estimated condition number of the filtered block above which the next
-/// low-precision filter is considered at risk of f32 overflow; the mixed
-/// policy escalates preemptively instead of waiting for the guard to catch
-/// non-finite output.
-const LO_COND_LIMIT: f64 = 1e30;
-
-/// Multiple of the demoted type's epsilon defining the single-precision
-/// residual floor. The theoretical floor is ~50 * eps_lo * ||H||, but the
-/// degree-<=36 Chebyshev recurrence amplifies the demoted iterate's rounding
-/// noise by about two further orders of magnitude before Rayleigh-Ritz sees
-/// it, so the practical switch point sits at ~5e3 * eps_lo * ||H|| —
-/// escalating there keeps every demoted iteration productive instead of
-/// burning MatVecs against the noise floor.
-const LO_FLOOR_EPS_MULT: f64 = 5.0e3;
-
-/// Consecutive low-precision iterations allowed without a >30% residual
-/// improvement before escalating anyway: the backstop for problems whose
-/// filter amplification pushes the single-precision noise floor above the
-/// eps-based estimate.
-const LO_STALL_LIMIT: usize = 2;
-
-/// The mixed-precision policy: may the next filter call run demoted? A pure
-/// function of world-replicated state (residuals, Ritz values and the
-/// previous condition estimate are identical on every rank), so it decides —
-/// and flips — identically on every rank.
-struct LoPolicy {
-    /// Mixed mode was asked for and the scalar has a narrower type.
-    enabled: bool,
-    /// Residual floor of the demoted filter: below ~50*eps_lo*||H|| the
-    /// low-precision recurrence can no longer separate the subspace.
-    floor: f64,
-    /// Sticky escalation flag: once true, every remaining filter call runs
-    /// at full precision.
-    escalated: bool,
-    /// Previous iteration's estimated condition number of the filtered
-    /// block (drives preemptive escalation before an f32 overflow).
-    prev_est_cond: f64,
-    /// Max active residual seen at the previous decision point (stall
-    /// detection).
-    prev_max_res: f64,
-    /// Consecutive decision points without meaningful residual improvement
-    /// while running demoted.
-    stall: usize,
-}
-
-impl LoPolicy {
-    fn new(enabled: bool, floor: f64) -> Self {
-        Self {
-            enabled,
-            floor,
-            escalated: false,
-            prev_est_cond: 0.0,
-            prev_max_res: f64::INFINITY,
-            stall: 0,
-        }
-    }
-
-    /// Decide the next filter call from the largest active residual and
-    /// whether the filter interval survives demotion. Residuals start at
-    /// one, so iteration 1 always qualifies.
-    fn decide(&mut self, max_active_res: f64, fb_demotable: bool) -> bool {
-        if !self.enabled || self.escalated {
-            return false;
-        }
-        if max_active_res < 0.7 * self.prev_max_res {
-            self.stall = 0;
-        } else {
-            self.stall += 1;
-        }
-        self.prev_max_res = max_active_res;
-        let run_low = max_active_res > self.floor
-            && self.stall < LO_STALL_LIMIT
-            && self.prev_est_cond < LO_COND_LIMIT
-            && fb_demotable;
-        if !run_low {
-            // The policy declined once (floor reached, conditioning at
-            // risk, or interval degenerates under demotion): stay full for
-            // the rest of the solve so the schedule is monotone.
-            self.escalated = true;
-        }
-        run_low
-    }
-}
-
 /// Rollback-restarts tolerated before declaring the run lost.
 const MAX_RESTARTS: usize = 3;
 
@@ -198,8 +114,6 @@ struct Progress {
     /// The outer iteration under way, or the last one finished.
     iter: usize,
     matvecs: u64,
-    /// The demoted-precision subset of `matvecs`.
-    lowprec_matvecs: u64,
     recovery: RecoveryLog,
     restarts: usize,
     /// Recovery events already mirrored into the trace counter stream.
@@ -267,7 +181,6 @@ pub(crate) enum Start<'a, T: Scalar> {
 pub struct Chase<'d, 'c, T: Scalar + Reduce>
 where
     T::Real: Reduce,
-    T::Lo: Reduce,
 {
     dev: &'d Device<'c>,
     params: Params,
@@ -281,9 +194,6 @@ where
     /// Cached spectral bounds from a warm start; when set the Lanczos
     /// estimation phase is skipped.
     warm_bounds: Option<SpectralBounds<T::Real>>,
-    /// Demoted replica of the local `H` panel, built lazily the first time a
-    /// mixed-precision filter call runs (never built in full mode).
-    h_lo: Option<DistHerm<T::Lo>>,
     /// The loop starts at `progress.iter + 1`.
     progress: Progress,
     /// The rollback target of [`Chase::restart`].
@@ -293,7 +203,6 @@ where
 impl<'d, 'c, T: Scalar + Reduce> Chase<'d, 'c, T>
 where
     T::Real: Reduce,
-    T::Lo: Reduce,
 {
     /// Allocate buffers for the given distributed matrix, seeding the
     /// search space from `warm` when given and from the seeded random block
@@ -348,7 +257,6 @@ where
             c_dist,
             warm_bounds: warm.and_then(|w| w.inflated_bounds(WARM_BOUND_MARGIN)),
             params,
-            h_lo: None,
             progress: Progress::default(),
             ckpt,
         }
@@ -387,7 +295,6 @@ where
         self.warm_bounds = Some(snap.bounds::<T::Real>());
         self.progress.iter = snap.iter;
         self.progress.matvecs = snap.matvecs;
-        self.progress.lowprec_matvecs = snap.lowprec_matvecs;
         // The restored locked prefix already is a known-good state.
         self.ckpt = Checkpoint::of(&self.c, &self.sub);
         Ok(())
@@ -505,12 +412,6 @@ where
             None => estimate_bounds_dist(self.dev, &self.h, ne, &self.params)?,
         };
         let norm_h = bounds.mu_1.abs_r().max_r(bounds.b_sup.abs_r());
-        let mut lo = LoPolicy::new(
-            self.params.precision == PrecisionMode::Mixed && T::HAS_LO,
-            LO_FLOOR_EPS_MULT
-                * <<T::Lo as Scalar>::Real as RealScalar>::EPS.to_f64()
-                * norm_h.to_f64(),
-        );
         if self.progress.iter == 0 {
             // A checkpoint resume keeps the restored values instead.
             self.sub = Subspace::new(ne, bounds.mu_1, self.params.init_deg());
@@ -519,7 +420,7 @@ where
         let mut stats: Vec<IterStats> = Vec::new();
         let mut converged = false;
         for iter in (self.progress.iter + 1)..=self.params.max_iter {
-            match self.iterate(iter, &mut bounds, norm_h, &mut lo) {
+            match self.iterate(iter, &mut bounds, norm_h) {
                 Ok(Step::Done(row)) => stats.push(row),
                 Ok(Step::Restart(cause)) => match self.restart(cause, bounds.mu_1) {
                     Ok(()) => continue,
@@ -541,7 +442,6 @@ where
         iter: usize,
         bounds: &mut SpectralBounds<T::Real>,
         norm_h: T::Real,
-        lo: &mut LoPolicy,
     ) -> Result<Step, Abort> {
         let ctx = self.dev.ctx();
         self.progress.iter = iter;
@@ -557,17 +457,16 @@ where
         if iter > 1 {
             self.plan_degrees(&fb, norm_h);
         }
-        let (matvecs, low_precision) = self.filter(fb, lo)?;
+        let matvecs = self.filter(fb)?;
         // Planned block faults (chaos harness only).
         if let Some(plan) = self.dev.fault_plan() {
             let active = self.active();
             plan.apply_block_faults(&mut self.c, active.start, active.len());
         }
         if self.params.guards {
-            self.guard_filtered_block(fb, low_precision, lo)?;
+            self.guard_filtered_block(fb)?;
         }
         let (est_cond, true_cond) = self.condition(&fb);
-        lo.prev_est_cond = est_cond;
         let qr_variant = match self.orthonormalize(est_cond) {
             Ok(variant) => variant,
             Err(cause) => return Ok(Step::Restart(cause)),
@@ -578,7 +477,6 @@ where
         let measured = Measured {
             iter,
             matvecs,
-            low_precision,
             est_cond,
             true_cond,
             qr_variant,
@@ -598,66 +496,31 @@ where
         permute_cols(&mut self.c2, locked, &perm);
     }
 
-    /// The Chebyshev filter on the active columns (Algorithm 2, line 10),
-    /// demoted when the mixed-precision policy allows. Returns the MatVecs
-    /// spent and whether they ran demoted.
-    fn filter(
-        &mut self,
-        fb: FilterBounds<T::Real>,
-        lo: &mut LoPolicy,
-    ) -> Result<(u64, bool), FilterError> {
-        let ctx = self.dev.ctx();
+    /// The Chebyshev filter on the active columns (Algorithm 2, line 10).
+    /// Returns the MatVecs spent.
+    fn filter(&mut self, fb: FilterBounds<T::Real>) -> Result<u64, FilterError> {
         let locked = self.sub.locked;
         let degrees: Vec<usize> = self.sub.degs[locked..].to_vec();
-        let exec = self.params.filter_exec();
-        let max_active_res = self.sub.resd[locked..]
-            .iter()
-            .fold(0.0f64, |m, r| m.max(r.to_f64()));
-        let run_low = lo.decide(max_active_res, fb.demote().is_valid());
-        let mv = if run_low {
-            chebyshev_filter_mixed(
-                self.dev,
-                ctx,
-                self.h_lo.get_or_insert_with(|| self.h.demote()),
-                &mut self.c,
-                &mut self.b,
-                locked,
-                &degrees,
-                fb,
-                exec,
-            )
-        } else {
-            chebyshev_filter_with(
-                self.dev,
-                ctx,
-                &mut self.h,
-                &mut self.c,
-                &mut self.b,
-                locked,
-                &degrees,
-                fb,
-                exec,
-            )
-        }?;
+        let mv = chebyshev_filter_with(
+            self.dev,
+            self.dev.ctx(),
+            &mut self.h,
+            &mut self.c,
+            &mut self.b,
+            locked,
+            &degrees,
+            fb,
+            self.params.filter_exec(),
+        )?;
         self.progress.matvecs += mv;
-        if run_low {
-            self.progress.lowprec_matvecs += mv;
-        }
-        Ok((mv, run_low))
+        Ok(mv)
     }
 
     /// Post-filter finite check with the bounded re-filter ladder: poisoned
-    /// columns are restored from the pre-filter copy and filtered again —
-    /// once at full precision and the same degrees if this iteration
-    /// filtered demoted, then up to `max_refilter` times at a bumped degree.
-    fn guard_filtered_block(
-        &mut self,
-        fb: FilterBounds<T::Real>,
-        ran_low: bool,
-        lo: &mut LoPolicy,
-    ) -> Result<(), Abort> {
+    /// columns are restored from the pre-filter copy and filtered again, up
+    /// to `max_refilter` times at a bumped degree.
+    fn guard_filtered_block(&mut self, fb: FilterBounds<T::Real>) -> Result<(), Abort> {
         let mut attempt = 0usize;
-        let mut precision_rung_used = false;
         loop {
             let poisoned = |j| self.c.col(j).iter().any(|v| !v.is_finite());
             let mut flags: Vec<f64> = self.active().map(|j| f64::from(poisoned(j))).collect();
@@ -676,55 +539,32 @@ where
             self.drain_faults();
             self.progress
                 .note(RecoveryEventKind::NonFiniteBlock { cols: bad.len() });
-            // Precision rung: when this iteration filtered demoted,
-            // non-finite output is most likely an f32 range problem, not a
-            // transient fault. Re-filter the poisoned columns at full
-            // precision and the *same* degrees before spending any bounded
-            // degree-bump attempts. Escalation is sticky and world-agreed
-            // (the poison set came from a world allreduce, so every rank
-            // takes this rung together).
-            let precision_rung = ran_low && !precision_rung_used;
-            if precision_rung {
-                precision_rung_used = true;
-                lo.escalated = true;
-            } else {
-                attempt += 1;
-                if attempt > self.params.max_refilter {
-                    return Err(Abort::NonFinite);
-                }
+            attempt += 1;
+            if attempt > self.params.max_refilter {
+                return Err(Abort::NonFinite);
             }
             let mut by_degree: Vec<(usize, usize)> = bad
                 .iter()
                 .map(|&j| {
-                    let mut d = self.sub.degs[j];
-                    if !precision_rung {
-                        // A bumped (still even) degree.
-                        d = (d + 2 * attempt).min(self.params.max_deg);
-                        d += d % 2;
-                    }
-                    (d, j)
+                    // A bumped (still even) degree.
+                    let d = (self.sub.degs[j] + 2 * attempt).min(self.params.max_deg);
+                    (d + d % 2, j)
                 })
                 .collect();
             by_degree.sort_unstable();
             self.progress.matvecs += self.refilter_columns(&by_degree, fb)?;
-            let cols = by_degree.len();
-            self.progress.note(if precision_rung {
-                RecoveryEventKind::PrecisionEscalated { cols }
-            } else {
-                RecoveryEventKind::Refiltered {
-                    cols,
-                    degree: by_degree.last().map(|&(d, _)| d).unwrap_or(0),
-                    attempt,
-                }
+            self.progress.note(RecoveryEventKind::Refiltered {
+                cols: by_degree.len(),
+                degree: by_degree.last().map(|&(d, _)| d).unwrap_or(0),
+                attempt,
             });
         }
     }
 
     /// Restore the columns named in `by_degree` (sorted ascending
     /// `(degree, col)` pairs) from the pre-filter copy `C2` and re-filter
-    /// them at full precision, writing the results (and degrees) back in
-    /// place. Shared by the precision rung (same degrees) and the
-    /// degree-bump rung (bumped degrees) of the recovery ladder.
+    /// them at those degrees, writing the results (and degrees) back in
+    /// place.
     fn refilter_columns(
         &mut self,
         by_degree: &[(usize, usize)],
@@ -970,7 +810,7 @@ where
                 &self.sub.resd,
                 &self.sub.degs,
                 self.progress.matvecs,
-                self.progress.lowprec_matvecs,
+                0,
                 &full,
             );
             let _ = snap.save(dir);
@@ -1096,7 +936,7 @@ where
             n: self.h.n,
             iterations: self.progress.iter,
             matvecs: self.progress.matvecs,
-            lowprec_matvecs: self.progress.lowprec_matvecs,
+            lowprec_matvecs: 0,
             converged,
             stats,
             norm_h: norm_h.to_f64(),
@@ -1184,7 +1024,6 @@ pub fn solve_dist<T: Scalar + Reduce>(
 ) -> Result<ChaseResult<T>, ChaseError>
 where
     T::Real: Reduce,
-    T::Lo: Reduce,
 {
     let start = warm.map_or(Start::Cold, Start::Warm);
     solve_from(ctx, backend, h, params, start)
@@ -1220,7 +1059,6 @@ pub(crate) fn solve_from<T: Scalar + Reduce>(
 ) -> Result<ChaseResult<T>, ChaseError>
 where
     T::Real: Reduce,
-    T::Lo: Reduce,
 {
     // Reject malformed input as a typed error before any collective work:
     // one bad workload entry must not abort a whole serve run.
@@ -1282,7 +1120,6 @@ pub fn solve_serial<T: Scalar + Reduce>(
 ) -> Result<ChaseResult<T>, ChaseError>
 where
     T::Real: Reduce,
-    T::Lo: Reduce,
 {
     let ctx = chase_comm::solo_ctx();
     let dh = DistHerm::from_global(h, &ctx);
@@ -1518,52 +1355,6 @@ mod tests {
         }
     }
 
-    /// The mixed-precision policy as a decision table. Whole solves reach
-    /// it only through `tests/precision.rs`.
-    #[test]
-    fn lo_policy_decision_table() {
-        let floor = 1e-3;
-        // Full mode, or a scalar without a narrower type: never demoted.
-        let mut off = LoPolicy::new(false, floor);
-        assert!(!off.decide(1.0, true));
-        assert!(!off.escalated, "nothing to escalate from");
-
-        // Residuals start at one: iteration 1 runs demoted; so does every
-        // iteration that keeps improving above the floor.
-        let mut lo = LoPolicy::new(true, floor);
-        for res in [1.0, 0.5, 0.1, 2e-3] {
-            assert!(lo.decide(res, true), "res {res}");
-        }
-        // At the floor it declines, and the decline is sticky: not even a
-        // residual back above the floor re-demotes.
-        assert!(!lo.decide(floor, true));
-        assert!(lo.escalated);
-        assert!(!lo.decide(1.0, true));
-
-        // Two decision points in a row without a 30% improvement.
-        let mut lo = LoPolicy::new(true, floor);
-        assert!(lo.decide(1.0, true));
-        assert!(lo.decide(0.9, true), "one stall is tolerated");
-        assert!(lo.decide(0.5, true), "an improvement resets the count");
-        assert!(lo.decide(0.45, true));
-        assert!(!lo.decide(0.4, true), "the second stall in a row is not");
-        assert!(!lo.decide(0.01, true), "sticky");
-
-        // The previous filtered block was conditioned at the overflow limit.
-        let mut lo = LoPolicy::new(true, floor);
-        lo.prev_est_cond = 0.99 * LO_COND_LIMIT;
-        assert!(lo.decide(1.0, true));
-        lo.prev_est_cond = LO_COND_LIMIT;
-        assert!(!lo.decide(0.5, true));
-        lo.prev_est_cond = 1.0;
-        assert!(!lo.decide(0.1, true), "sticky");
-
-        // An interval that degenerates under demotion.
-        let mut lo = LoPolicy::new(true, floor);
-        assert!(!lo.decide(1.0, false));
-        assert!(!lo.decide(1.0, true), "sticky");
-    }
-
     /// A solver on the 1x1 grid at the start of its first iteration, as
     /// `run` would have it after the Lanczos phase.
     fn with_chase<T: Scalar + Reduce, R>(
@@ -1572,7 +1363,6 @@ mod tests {
     ) -> R
     where
         T::Real: Reduce,
-        T::Lo: Reduce,
     {
         let spec = chase_matgen::Spectrum::uniform(40, -1.0, 1.0);
         let h = chase_matgen::dense_with_spectrum::<T>(&spec, 7);
@@ -1586,18 +1376,19 @@ mod tests {
         f(&mut chase)
     }
 
-    /// A demoted filter call that went non-finite takes the precision rung
-    /// once — escalating the policy for good — before any bounded attempt.
+    /// A poisoned column is restored and re-filtered at a bumped degree;
+    /// with no attempt left the guard gives up through the abort path.
     #[test]
-    fn precision_rung_escalates_the_policy_before_any_attempt() {
+    fn refilter_ladder_bumps_the_degree_then_aborts() {
         let mut params = Params::new(4, 3);
-        params.max_refilter = 0;
+        params.max_refilter = 1;
         with_chase::<C64, _>(&params, |chase| {
             let fb = FilterBounds::from_spectrum(-1.0, 0.0, 1.0);
-            let mut lo = LoPolicy::new(true, 0.0);
             chase.c[(3, 5)] = C64::from_f64(f64::NAN);
-            assert!(chase.guard_filtered_block(fb, true, &mut lo).is_ok());
-            assert!(lo.escalated && !lo.decide(1.0, true));
+            assert!(chase.guard_filtered_block(fb).is_ok());
+            assert!(chase.c.as_slice().iter().all(|v| v.is_finite()));
+            let degree = params.init_deg() + 2;
+            assert_eq!(chase.sub.degs[5], degree);
             let kinds: Vec<_> = chase.progress.recovery.events.iter().collect();
             assert!(
                 matches!(
@@ -1609,16 +1400,20 @@ mod tests {
                         },
                         RecoveryEvent {
                             iter: 1,
-                            kind: RecoveryEventKind::PrecisionEscalated { cols: 1 }
+                            kind: RecoveryEventKind::Refiltered {
+                                cols: 1,
+                                degree: d,
+                                attempt: 1
+                            }
                         },
-                    ]
+                    ] if *d == degree
                 ),
                 "{}",
                 chase.progress.recovery
             );
-            // The same poison after a full-precision call has no such rung.
+            chase.params.max_refilter = 0;
             chase.c[(3, 5)] = C64::from_f64(f64::NAN);
-            let out = chase.guard_filtered_block(fb, false, &mut lo);
+            let out = chase.guard_filtered_block(fb);
             assert!(matches!(out, Err(Abort::NonFinite)));
         });
     }

@@ -33,7 +33,6 @@ fn permute_vec<V: Copy>(v: &mut [V], perm: &[usize]) {
 pub(crate) struct Measured {
     pub iter: usize,
     pub matvecs: u64,
-    pub low_precision: bool,
     pub est_cond: f64,
     pub true_cond: Option<f64>,
     pub qr_variant: QrVariant,
@@ -111,7 +110,7 @@ impl<R: RealScalar> Subspace<R> {
             true_cond: m.true_cond,
             qr_variant: m.qr_variant,
             matvecs: m.matvecs,
-            low_precision: m.low_precision,
+            low_precision: false,
             new_locked: self.locked - before,
             locked: self.locked,
             min_res: active_res
@@ -156,7 +155,6 @@ mod tests {
         Measured {
             iter,
             matvecs: 70,
-            low_precision: false,
             est_cond: 10.0,
             true_cond: None,
             qr_variant: QrVariant::CholeskyQr2,

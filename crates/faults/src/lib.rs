@@ -46,11 +46,6 @@ pub enum FaultKind {
     InfPayload,
     /// Flip one bit of one element of a collective payload on one rank.
     BitFlip,
-    /// Write a value just past f32 range (1e39) into one element of a
-    /// collective payload on one rank. Finite in double precision; saturates
-    /// to +inf the moment a mixed-precision filter demotes it — the
-    /// targeted trigger for the solver's precision-escalation rung.
-    Overflow,
     /// Never post one nonblocking collective — every member's `wait()` times
     /// out. Triggered identically on all ranks (a wedged communicator).
     Stall,
@@ -73,7 +68,6 @@ impl FaultKind {
             FaultKind::NanPayload => "nan",
             FaultKind::InfPayload => "inf",
             FaultKind::BitFlip => "bitflip",
-            FaultKind::Overflow => "overflow",
             FaultKind::Stall => "stall",
             FaultKind::Delay => "delay",
             FaultKind::RankCrash => "rank-crash",
@@ -88,7 +82,6 @@ impl FaultKind {
             "nan" => FaultKind::NanPayload,
             "inf" => FaultKind::InfPayload,
             "bitflip" => FaultKind::BitFlip,
-            "overflow" => FaultKind::Overflow,
             "stall" => FaultKind::Stall,
             "delay" => FaultKind::Delay,
             "rank-crash" => FaultKind::RankCrash,
@@ -185,10 +178,7 @@ impl fmt::Display for Injection {
             write!(f, ",region={}", region_name(r))?;
         }
         match self.kind {
-            FaultKind::NanPayload
-            | FaultKind::InfPayload
-            | FaultKind::BitFlip
-            | FaultKind::Overflow => {
+            FaultKind::NanPayload | FaultKind::InfPayload | FaultKind::BitFlip => {
                 write!(f, ",rank={}", self.rank)?;
                 if self.kind == FaultKind::BitFlip {
                     write!(f, ",bit={}", self.bit)?;
@@ -566,10 +556,7 @@ impl FaultPlan {
             let inj = self.spec.injections[idx];
             if !matches!(
                 inj.kind,
-                FaultKind::NanPayload
-                    | FaultKind::InfPayload
-                    | FaultKind::BitFlip
-                    | FaultKind::Overflow
+                FaultKind::NanPayload | FaultKind::InfPayload | FaultKind::BitFlip
             ) {
                 continue;
             }
@@ -596,10 +583,6 @@ impl FaultPlan {
                         inj.bit,
                         buf.len()
                     )
-                }
-                FaultKind::Overflow => {
-                    buf[elem] = T::from_f64(1e39);
-                    format!("1e39 into {op} payload elem {elem}/{}", buf.len())
                 }
                 _ => unreachable!(),
             };
@@ -722,10 +705,10 @@ mod tests {
     fn spec_round_trips_through_display() {
         let s = "seed=42;bitflip@iter=2,region=filter,rank=1,bit=7;stall@iter=3,region=rr;\
                  breakdown@iter=1,cols=2;nan-block@iter=4,row=1,cols=3;delay@iter=5,ms=12;\
-                 overflow@iter=2,region=filter,rank=0;rank-crash@iter=3,region=filter,rank=1";
+                 rank-crash@iter=3,region=filter,rank=1";
         let spec = FaultSpec::parse(s).unwrap();
         assert_eq!(spec.seed, 42);
-        assert_eq!(spec.injections.len(), 7);
+        assert_eq!(spec.injections.len(), 6);
         let printed = spec.to_string();
         let reparsed = FaultSpec::parse(&printed).unwrap();
         assert_eq!(spec, reparsed, "parse(display(spec)) must round-trip");
@@ -771,20 +754,12 @@ mod tests {
         assert_eq!((rec[0].iter, rec[0].region, rec[0].rank), (2, "filter", 1));
     }
 
+    /// `overflow` planted a value past f32 range for a filter that no
+    /// longer runs in f32: a spec naming it is refused, not ignored.
     #[test]
-    fn overflow_payload_is_finite_in_f64_but_saturates_demoted() {
-        let spec = FaultSpec::parse("seed=7;overflow@iter=1,region=filter,rank=0").unwrap();
-        let p = FaultPlan::new(spec, 0, 0);
-        p.set_iter(1);
-        p.set_region(Region::Filter);
-        let mut buf = vec![1.0f64; 8];
-        assert!(p.corrupt_payload("iallreduce", &mut buf));
-        let planted = *buf.iter().find(|x| **x > 1e38).unwrap();
-        assert!(planted.is_finite(), "1e39 is representable in f64");
-        assert!(
-            (planted as f32).is_infinite(),
-            "must saturate once demoted to f32"
-        );
+    fn overflow_is_not_a_fault_kind() {
+        let err = FaultSpec::parse("seed=7;overflow@iter=1,region=filter,rank=0").unwrap_err();
+        assert_eq!(err, SpecError("unknown fault kind 'overflow'".into()));
     }
 
     #[test]

@@ -80,11 +80,6 @@ pub trait Scalar:
     /// `true` for `Complex<_>` instantiations.
     const IS_COMPLEX: bool;
 
-    /// `true` when [`Scalar::Lo`] is a genuinely narrower type (i.e. demoting
-    /// loses mantissa bits). `false` for the 32-bit self-identity types —
-    /// mixed-precision mode degenerates to full precision there.
-    const HAS_LO: bool;
-
     fn zero() -> Self;
     fn one() -> Self;
     /// Embed a real value.
@@ -159,7 +154,7 @@ fn normal_f64<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 }
 
 macro_rules! impl_real {
-    ($t:ty, $lo:ty, $has_lo:expr) => {
+    ($t:ty, $lo:ty) => {
         impl RealScalar for $t {
             type RLo = $lo;
             const EPS: Self = <$t>::EPSILON;
@@ -219,7 +214,6 @@ macro_rules! impl_real {
             type Real = $t;
             type Lo = $lo;
             const IS_COMPLEX: bool = false;
-            const HAS_LO: bool = $has_lo;
 
             #[inline]
             fn zero() -> Self {
@@ -293,16 +287,15 @@ macro_rules! impl_real {
     };
 }
 
-impl_real!(f32, f32, false);
-impl_real!(f64, f32, true);
+impl_real!(f32, f32);
+impl_real!(f64, f32);
 
 macro_rules! impl_complex {
-    ($t:ty, $lo:ty, $has_lo:expr) => {
+    ($t:ty, $lo:ty) => {
         impl Scalar for Complex<$t> {
             type Real = $t;
             type Lo = Complex<$lo>;
             const IS_COMPLEX: bool = true;
-            const HAS_LO: bool = $has_lo;
 
             #[inline]
             fn zero() -> Self {
@@ -382,8 +375,8 @@ macro_rules! impl_complex {
     };
 }
 
-impl_complex!(f32, f32, false);
-impl_complex!(f64, f32, true);
+impl_complex!(f32, f32);
+impl_complex!(f64, f32);
 
 /// Shorthand aliases matching the four ChASE template instantiations.
 pub type C32 = Complex<f32>;
@@ -459,14 +452,6 @@ mod tests {
         assert!(f64::EPS < 1e-15);
         assert!(f32::EPS < 1e-6);
         assert!(f32::EPS > 1e-8);
-    }
-
-    #[test]
-    fn demotion_lattice_shape() {
-        assert!(<f64 as Scalar>::HAS_LO);
-        assert!(<C64 as Scalar>::HAS_LO);
-        assert!(!<f32 as Scalar>::HAS_LO);
-        assert!(!<C32 as Scalar>::HAS_LO);
     }
 
     /// Widening is exact: for any finite `lo`, `promote(lo).demote() == lo`

@@ -135,7 +135,6 @@ struct ExecShared<T: Scalar> {
 pub struct Scheduler<T: Scalar + Reduce>
 where
     T::Real: Reduce,
-    T::Lo: Reduce,
 {
     cfg: SchedulerConfig,
     next_id: JobId,
@@ -157,7 +156,6 @@ where
 impl<T: Scalar + Reduce> Scheduler<T>
 where
     T::Real: Reduce,
-    T::Lo: Reduce,
 {
     /// A pool for `cfg`, or why none can be built from it.
     pub fn try_new(cfg: SchedulerConfig) -> Result<Self, ConfigError> {
@@ -545,7 +543,6 @@ fn run_job<T: Scalar + Reduce>(
 ) -> (JobOutcome<T>, Option<Trace>, Option<bool>)
 where
     T::Real: Reduce,
-    T::Lo: Reduce,
 {
     let h = spec.matrix.materialize();
     let params = &spec.params;

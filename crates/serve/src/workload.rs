@@ -85,42 +85,12 @@ fn parse_job_line(
 ) -> Result<JobSpec<C64>, String> {
     let known: &[&str] = match kind {
         "job" => &[
-            "name",
-            "matrix",
-            "nev",
-            "nex",
-            "tol",
-            "session",
-            "step",
-            "priority",
-            "deadline",
-            "grid",
-            "seed",
-            "cost",
-            "inject",
-            "refilter",
-            "precision",
+            "name", "matrix", "nev", "nex", "tol", "session", "step", "priority", "deadline",
+            "grid", "seed", "cost", "inject", "refilter",
         ],
         "gen" => &[
-            "name",
-            "n",
-            "spectrum",
-            "gseed",
-            "perturb",
-            "eps",
-            "nev",
-            "nex",
-            "tol",
-            "session",
-            "step",
-            "priority",
-            "deadline",
-            "grid",
-            "seed",
-            "cost",
-            "inject",
-            "refilter",
-            "precision",
+            "name", "n", "spectrum", "gseed", "perturb", "eps", "nev", "nex", "tol", "session",
+            "step", "priority", "deadline", "grid", "seed", "cost", "inject", "refilter",
         ],
         other => return Err(format!("unknown line kind '{other}' (job|gen)")),
     };
@@ -168,11 +138,6 @@ fn parse_job_line(
         );
     }
     params.max_refilter = take(kv, "refilter", Some(params.max_refilter))?;
-    if let Some(p) = kv.get("precision") {
-        params.precision = p
-            .parse()
-            .map_err(|e| format!("job '{name}': precision: {e}"))?;
-    }
 
     let mut spec = JobSpec::new(name.clone(), matrix, params);
     if let Some(g) = kv.get("grid") {

@@ -16,8 +16,9 @@ use std::fmt;
 
 /// Current on-disk format version. Parsers reject any other version with
 /// [`DbError::VersionSkew`]: plans silently reinterpreted across format
-/// changes could pin nonsense schedules.
-pub const DB_VERSION: u64 = 1;
+/// changes could pin nonsense schedules. Version 2 dropped version 1's
+/// per-entry filter `precision`.
+pub const DB_VERSION: u64 = 2;
 
 /// Format tag distinguishing a plan DB from other JSON artifacts.
 pub const DB_FORMAT: &str = "chase-plan-db";
@@ -186,8 +187,6 @@ pub struct PlanEntry {
     pub overlap: bool,
     /// Winning panel width (meaningful only when `overlap`).
     pub panel: usize,
-    /// Winning filter precision: `"full"` or `"mixed"`.
-    pub precision: String,
     /// Measured per-rank cost (seconds) of the tuned components of one
     /// iteration under this entry's decisions.
     pub tuned_cost: f64,
@@ -237,12 +236,11 @@ impl PlanEntry {
     pub fn to_json(&self) -> String {
         let rules: Vec<String> = self.rules.iter().map(CollRule::to_json).collect();
         format!(
-            "{{\"key\":{},\"rules\":[{}],\"overlap\":{},\"panel\":{},\"precision\":\"{}\",\"tuned_cost\":{},\"flat_cost\":{},\"trials\":{}}}",
+            "{{\"key\":{},\"rules\":[{}],\"overlap\":{},\"panel\":{},\"tuned_cost\":{},\"flat_cost\":{},\"trials\":{}}}",
             self.key.to_json(),
             rules.join(","),
             self.overlap,
             self.panel,
-            json::escape(&self.precision),
             fmt_f64(self.tuned_cost),
             fmt_f64(self.flat_cost),
             self.trials,
@@ -274,19 +272,11 @@ impl PlanEntry {
                 })
             }
         };
-        let precision = str_field(v, "precision")?;
-        if precision != "full" && precision != "mixed" {
-            return Err(DbError::Field {
-                field: "precision",
-                detail: format!("'{precision}' is not full|mixed"),
-            });
-        }
         Ok(Self {
             key,
             rules,
             overlap,
             panel: usize_field(v, "panel")?,
-            precision,
             tuned_cost: f64_field(v, "tuned_cost")?,
             flat_cost: f64_field(v, "flat_cost")?,
             trials: u64_field(v, "trials")?,
@@ -484,7 +474,6 @@ mod tests {
             ],
             overlap: true,
             panel: 16,
-            precision: "mixed".into(),
             tuned_cost: 1.0e-3,
             flat_cost: 2.0e-3,
             trials: 42,
@@ -525,14 +514,17 @@ mod tests {
 
     #[test]
     fn version_skew_is_typed() {
-        let s = format!("{{\"format\":\"{DB_FORMAT}\",\"version\":99,\"entries\":[]}}");
-        assert_eq!(
-            PlanDb::parse(&s),
-            Err(DbError::VersionSkew {
-                found: 99,
-                expected: DB_VERSION
-            })
-        );
+        // Version 1 is the format whose entries carried a filter precision.
+        for found in [1, 99] {
+            let s = format!("{{\"format\":\"{DB_FORMAT}\",\"version\":{found},\"entries\":[]}}");
+            assert_eq!(
+                PlanDb::parse(&s),
+                Err(DbError::VersionSkew {
+                    found,
+                    expected: DB_VERSION
+                })
+            );
+        }
     }
 
     #[test]

@@ -136,7 +136,6 @@ pub fn solve_grid<T>(h: &Matrix<T>, params: &Params, run: &GridRun<'_, T>) -> Gr
 where
     T: Scalar + Reduce,
     T::Real: Reduce,
-    T::Lo: Reduce,
 {
     let elastic = params.plans_rank_crash();
     let out = run_grid(run.shape, |ctx| {

@@ -3,9 +3,8 @@
 //!
 //! The solver exposes several knobs whose best setting depends on the
 //! machine, the grid shape and the problem size: which hop schedule each
-//! collective uses (`CollectiveAlgo`), whether the Chebyshev filter
-//! pipelines its HEMM panels (`overlap`/`overlap_panel`), and whether the
-//! filter runs in demoted precision (`PrecisionMode`). The analytic
+//! collective uses (`CollectiveAlgo`) and whether the Chebyshev filter
+//! pipelines its HEMM panels (`overlap`/`overlap_panel`). The analytic
 //! alpha-beta model in `chase-topo` picks defaults from first principles;
 //! this crate instead *measures*: it runs short deterministic trials of the
 //! actual hot paths ([`trial::tune_entry`]), fits the winners into a
@@ -33,15 +32,15 @@ pub use fingerprint::machine_fingerprint;
 pub use grid::{solve_grid, GridOutcome, GridRun, PlanChoice};
 pub use trial::{plan_key, scalar_kind, scalar_name, tune_entry, TuneOptions, TuneOutcome};
 
-use chase_core::{PlanSource, PrecisionMode, SolvePlan};
+use chase_core::{PlanSource, SolvePlan};
 use chase_device::CollectiveAlgo;
 
 /// Convert a measured DB entry into the [`SolvePlan`] the solver consumes.
 ///
 /// The plan's collective knob is `Auto` — per-call choices come from the
 /// entry's rule table (the entry is itself the [`chase_comm::CollectiveTuneHook`]
-/// the driver installs), not a single global algorithm — while overlap, panel
-/// and precision are the trial winners. `tuned_cost`/`flat_cost` carry the
+/// the driver installs), not a single global algorithm — while overlap and
+/// panel are the trial winners. `tuned_cost`/`flat_cost` carry the
 /// world-agreed trial metric so callers can report (and tests assert) that
 /// the tuned plan is never worse than the flat reference.
 pub fn plan_from_entry(entry: &PlanEntry) -> SolvePlan {
@@ -52,11 +51,6 @@ pub fn plan_from_entry(entry: &PlanEntry) -> SolvePlan {
             Some(entry.panel)
         } else {
             None
-        },
-        precision: if entry.precision == "mixed" {
-            PrecisionMode::Mixed
-        } else {
-            PrecisionMode::Full
         },
         source: PlanSource::Measured {
             db_key: entry.key.canonical(),
@@ -93,7 +87,6 @@ mod tests {
             }],
             overlap: true,
             panel: 8,
-            precision: "mixed".into(),
             tuned_cost: 1.0,
             flat_cost: 2.0,
             trials: 7,
@@ -114,7 +107,6 @@ mod tests {
         let plan = plan_from_entry(&entry());
         assert!(plan.overlap);
         assert_eq!(plan.overlap_panel, Some(8));
-        assert_eq!(plan.precision, PrecisionMode::Mixed);
         assert!(matches!(plan.source, PlanSource::Measured { .. }));
         assert!(plan.tuned_cost <= plan.flat_cost);
     }

@@ -2,7 +2,7 @@
 //!
 //! Each trial *executes* the real code path — a `chase-topo` hop schedule
 //! over the real communicators, the pipelined HEMM over the caller's actual
-//! `H` block, the demoted filter — and scores it on one of two clocks:
+//! `H` block — and scores it on one of two clocks:
 //!
 //! * **deterministic** — the events the path recorded are priced with the
 //!   `chase-perfmodel` machine (per-hop for collectives, overlap-aware for
@@ -25,9 +25,7 @@
 use crate::db::{CollRule, PlanEntry, PlanKey};
 use crate::fingerprint::machine_fingerprint;
 use chase_comm::{Communicator, EventKind, RankCtx, Reduce, TuneAlgo, TuneOp};
-use chase_core::{
-    chebyshev_filter_mixed, chebyshev_filter_with, DistHerm, FilterBounds, FilterExec,
-};
+use chase_core::{chebyshev_filter_with, DistHerm, FilterBounds, FilterExec};
 use chase_device::{Backend, CollectiveAlgo, Device};
 use chase_linalg::{Matrix, RealScalar, Scalar};
 use chase_perfmodel::{
@@ -327,7 +325,6 @@ pub fn tune_entry<T>(
 where
     T: Scalar + Reduce,
     T::Real: Reduce,
-    T::Lo: Reduce,
 {
     let ne = nev + nex;
     assert!(ne >= 1 && ne <= h.n, "trial subspace must fit the problem");
@@ -401,50 +398,27 @@ where
     let degrees = vec![TRIAL_DEG; ne];
     let machine = opts.machine.clone();
 
-    let mut measure_filter = |bench: &mut Bench<'_>, mixed: bool, exec_kind: FilterExec| -> f64 {
+    let mut measure_filter = |bench: &mut Bench<'_>, exec_kind: FilterExec| -> f64 {
         bench.run(|local| {
             let start = ctx.ledger_snapshot().events().len();
-            if mixed {
-                let mut h_lo = h.demote();
-                chebyshev_filter_mixed(
-                    &dev, ctx, &mut h_lo, &mut c, &mut b, 0, &degrees, bounds, exec_kind,
-                )
+            chebyshev_filter_with(&dev, ctx, h, &mut c, &mut b, 0, &degrees, bounds, exec_kind)
                 .expect("trial filter on validated inputs");
-            } else {
-                chebyshev_filter_with(&dev, ctx, h, &mut c, &mut b, 0, &degrees, bounds, exec_kind)
-                    .expect("trial filter on validated inputs");
-            }
             let snap = ctx.ledger_snapshot();
             *local = price_events_overlap(&snap.events()[start..], &machine, pctx).total();
         })
     };
 
-    let filter_flat = measure_filter(&mut bench, false, FilterExec::Flat);
+    let filter_flat = measure_filter(&mut bench, FilterExec::Flat);
     let (mut best_filter, mut overlap, mut panel) = (filter_flat, false, 0usize);
     for &w in PANEL_MENU {
         if w >= ne {
             break; // a panel spanning the block degenerates to flat
         }
-        let cost = measure_filter(&mut bench, false, FilterExec::Pipelined { panel: Some(w) });
+        let cost = measure_filter(&mut bench, FilterExec::Pipelined { panel: Some(w) });
         if cost < best_filter {
             best_filter = cost;
             overlap = true;
             panel = w;
-        }
-    }
-
-    // --- Precision probe: the demoted filter at the winning schedule.
-    let best_exec = if overlap {
-        FilterExec::Pipelined { panel: Some(panel) }
-    } else {
-        FilterExec::Flat
-    };
-    let mut precision = "full";
-    if T::HAS_LO {
-        let mixed_cost = measure_filter(&mut bench, true, best_exec);
-        if mixed_cost < best_filter {
-            best_filter = mixed_cost;
-            precision = "mixed";
         }
     }
 
@@ -453,7 +427,6 @@ where
         rules,
         overlap,
         panel,
-        precision: precision.to_string(),
         tuned_cost: coll_tuned + best_filter,
         flat_cost: coll_flat + filter_flat,
         trials: bench.trial_idx,

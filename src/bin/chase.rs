@@ -7,7 +7,7 @@
 //!                [--grid 2x2 | --ranks 6] [--backend nccl|std|lms]
 //!                [--qr auto|hhqr|cholqr1|cholqr2]
 //!                [--collective flat|ring|tree|doubling|auto] [--cyclic BLOCK] [--no-degopt]
-//!                [--overlap] [--panel 16] [--precision full|mixed]
+//!                [--overlap] [--panel 16]
 //!                [--inject 'seed=7;bitflip@iter=2,region=filter,rank=0'] [--wait-timeout-ms 500]
 //!                [--no-guards] [--checkpoint DIR] [--checkpoint-every K]
 //!                [--trace out.json] [--trace-format chrome|summary] [--metrics m.json]
@@ -42,8 +42,8 @@ const COMMANDS: [(&str, Command, &str); 7] = [
         "solve",
         cmd_solve,
         "matrix nev nex tol grid ranks backend qr collective cyclic no-degopt overlap panel \
-         precision inject wait-timeout-ms no-guards checkpoint checkpoint-every plan-db \
-         deterministic trace trace-format metrics",
+         inject wait-timeout-ms no-guards checkpoint checkpoint-every plan-db deterministic \
+         trace trace-format metrics",
     ),
     (
         "tune",
@@ -196,7 +196,6 @@ fn solve_generic<T: Scalar + chase_comm::Reduce>(
 )
 where
     T::Real: chase_comm::Reduce,
-    T::Lo: chase_comm::Reduce,
 {
     let t0 = std::time::Instant::now();
     let choice = tune.map(|(db, opts)| {
@@ -289,14 +288,6 @@ fn print_result<T: Scalar>(r: &ChaseResult<T>, wall: std::time::Duration) {
     );
     if let Some(plan) = &r.plan {
         println!("plan: {}", plan.summary());
-    }
-    if r.lowprec_matvecs > 0 {
-        println!(
-            "mixed precision: {} of {} MatVecs ran demoted ({:.0}%)",
-            r.lowprec_matvecs,
-            r.matvecs,
-            100.0 * r.lowprec_matvecs as f64 / r.matvecs as f64
-        );
     }
     println!("{:>4} {:>22} {:>12}", "k", "eigenvalue", "residual");
     for (k, (v, res)) in r.eigenvalues.iter().zip(&r.residuals).enumerate() {
@@ -455,13 +446,6 @@ fn cmd_solve(flags: Flags) -> Result<(), String> {
     if params.checkpoint_every > 0 && params.checkpoint_dir.is_none() {
         return Err("--checkpoint-every needs --checkpoint DIR".into());
     }
-    // `--precision mixed` runs the Chebyshev filter in demoted arithmetic
-    // (f64 -> f32) until the adaptive policy escalates; `full` (default)
-    // keeps the historic behavior.
-    params.precision = match flags.get("precision") {
-        Some(p) => p.parse().map_err(|e: String| format!("--precision: {e}"))?,
-        None => chase_core::PrecisionMode::Full,
-    };
     if params.inject.is_some() && matches!(backend, Backend::Lms) {
         return Err("--inject is not supported with the lms baseline backend".into());
     }
@@ -498,11 +482,6 @@ fn cmd_solve(flags: Flags) -> Result<(), String> {
         machine: chase_perfmodel::Machine::juwels_booster(),
         backend,
     });
-    // With a plan DB and no explicit --precision, let the measured plan
-    // decide (Auto resolves to the trial winner; explicit pins always win).
-    if plan_db_path.is_some() && !flags.contains_key("precision") {
-        params.precision = chase_core::PrecisionMode::Auto;
-    }
     let mut db = match &plan_db_path {
         Some(p) => PlanDb::load(p).map_err(|e| e.to_string())?,
         None => PlanDb::new(),
@@ -642,7 +621,6 @@ fn tune_only<T: Scalar + chase_comm::Reduce>(
 ) -> TuneOutcome
 where
     T::Real: chase_comm::Reduce,
-    T::Lo: chase_comm::Reduce,
 {
     let out = run_grid(shape, move |ctx| {
         let mut dh = DistHerm::from_global(h, ctx);
@@ -894,7 +872,7 @@ fn parse_check_scalars(s: &str) -> Result<Vec<chase_check::ScalarKind>, String> 
     s.split(',')
         .map(|t| {
             chase_check::ScalarKind::from_token(t.trim())
-                .ok_or_else(|| format!("unknown scalar '{t}' (f64|c64|c64-mixed)"))
+                .ok_or_else(|| format!("unknown scalar '{t}' (f64|c64)"))
         })
         .collect()
 }
@@ -1001,7 +979,7 @@ USAGE:
   chase solve    --matrix FILE --nev K [--nex X] [--tol T] [--grid PxQ | --ranks N]
                  [--backend nccl|std|lms] [--qr auto|hhqr|cholqr1|cholqr2]
                  [--collective flat|ring|tree|doubling|auto] [--cyclic BLOCK] [--no-degopt]
-                 [--overlap] [--panel W] [--precision full|mixed]
+                 [--overlap] [--panel W]
                  [--inject SPEC] [--wait-timeout-ms MS] [--no-guards]
                  [--checkpoint DIR] [--checkpoint-every K]
                  [--plan-db FILE] [--deterministic]
@@ -1012,15 +990,15 @@ USAGE:
                  [--backend nccl|std] [--plan-db FILE] [--metrics FILE] [--trace-dir DIR]
                  [--checkpoint DIR] [--checkpoint-every K]
   chase submit   --workload FILE --line 'gen name=j0 n=96 spectrum=dft nev=8 ...'
-  chase check    [--seeds K] [--grids 1x1,2x2,1x4] [--scalars f64,c64,c64-mixed]
+  chase check    [--seeds K] [--grids 1x1,2x2,1x4] [--scalars f64,c64]
                  [--systematic] [--no-oracle] [--canary]
                  [--witness-out FILE] [--replay FILE]
 
 AUTOTUNING:
   chase tune measures the solver's hot paths — collective hop schedules
   (ring/tree/recursive-doubling x chunk size) on the actual row/column
-  communicators, pipelined-HEMM panel widths, full-vs-mixed precision — with
-  short trials and stores the winning plan in a versioned JSON DB keyed by
+  communicators and pipelined-HEMM panel widths — with short trials and
+  stores the winning plan in a versioned JSON DB keyed by
   machine fingerprint x grid x problem x scalar. Under --deterministic the
   trials are priced by the perf-model clock (bitwise replayable); otherwise
   they are wall-clocked. chase solve --plan-db FILE applies the stored plan

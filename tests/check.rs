@@ -11,12 +11,12 @@ use chase_check::{
 
 #[test]
 fn correct_code_survives_schedule_exploration() {
-    // One representative per axis keeps the suite fast; the full 18-case
+    // One representative per axis keeps the suite fast; the full 12-case
     // matrix is `chase check`'s job (and CI's).
     for case in [
         CheckCase::new(ScalarKind::F64, (2, 2), true),
         CheckCase::new(ScalarKind::C64, (1, 4), false),
-        CheckCase::new(ScalarKind::C64Mixed, (2, 2), false),
+        CheckCase::new(ScalarKind::C64, (2, 2), false),
     ] {
         let report = check_case(&case, &[1, 2, 3, 4], false, false);
         assert!(
@@ -83,7 +83,7 @@ fn differential_oracle_agrees_with_direct_and_across_configs() {
     ] {
         differential_check(&case).unwrap();
     }
-    cross_config_check(ScalarKind::C64Mixed).unwrap();
+    cross_config_check(ScalarKind::C64).unwrap();
 }
 
 #[test]

@@ -131,8 +131,36 @@ fn a_flag_the_subcommand_does_not_read_is_refused() {
         &["check", "--seed", "1"],
         "chase check takes no flag --seed",
     );
-    let ok = chase(&[&solve[..], &["--precision", "full"]].concat());
+    let ok = chase(&[&solve[..], &["--qr", "auto"]].concat());
     assert!(ok.status.success(), "a flag solve reads: {ok:?}");
+}
+
+/// What selected the demoted filter is refused by name, not ignored: the
+/// flag, the fault kind, the `chase check` scalar and the workload key.
+#[test]
+fn removed_precision_inputs_are_refused() {
+    let m = matrix("cli-precision.chasemat");
+    let solve = ["solve", "--matrix", m.as_str(), "--nev", "4"];
+    assert_refused(
+        &[&solve[..], &["--precision", "mixed"]].concat(),
+        "chase solve takes no flag --precision",
+    );
+    let overflow = "seed=23;overflow@iter=1,region=filter,rank=0";
+    assert_refused(
+        &[&solve[..], &["--inject", overflow]].concat(),
+        "unknown fault kind 'overflow'",
+    );
+    assert_refused(
+        &["check", "--scalars", "c64-mixed"],
+        "unknown scalar 'c64-mixed' (f64|c64)",
+    );
+    let workload = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("cli-precision.workload");
+    let line = "gen name=lo n=32 spectrum=uniform nev=4 precision=mixed";
+    std::fs::write(&workload, format!("{line}\n")).unwrap();
+    assert_refused(
+        &["serve", "--workload", workload.to_str().unwrap()],
+        "line 1: unknown key 'precision' for a 'gen' line",
+    );
 }
 
 #[test]

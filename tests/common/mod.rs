@@ -1,7 +1,7 @@
 //! Shared end-to-end test harness: the one copy of the problem builders and
 //! solve-loop helpers that `tests/matrix.rs`, `tests/faults.rs`,
-//! `tests/precision.rs`, `tests/overlap.rs` and `tests/tune.rs` used to
-//! each carry their own flavor of.
+//! `tests/overlap.rs` and `tests/tune.rs` used to each carry their own
+//! flavor of.
 //!
 //! Each integration-test binary compiles this module separately and uses a
 //! different subset, so everything is `allow(dead_code)`.
@@ -10,7 +10,6 @@
 use chase_comm::{run_grid, GridShape, Reduce};
 use chase_core::{
     chebyshev_filter_with, ChaseError, ChaseResult, DistHerm, FilterBounds, FilterExec, Params,
-    PrecisionMode,
 };
 use chase_device::{Backend, Device};
 use chase_linalg::{Matrix, Scalar};
@@ -32,24 +31,10 @@ pub fn problem<T: Scalar>(n: usize, seed: u64) -> (Matrix<T>, Spectrum) {
     problem_on(n, -1.0, 1.0, seed)
 }
 
-/// The precision-suite problem: uniform spectrum on `[-2, 2]`, wide enough
-/// that the demoted filter's noise plateau is visible against `tol`.
-pub fn problem_wide<T: Scalar>(n: usize, seed: u64) -> (Matrix<T>, Spectrum) {
-    problem_on(n, -2.0, 2.0, seed)
-}
-
 /// Solver params at the suite's standard accuracy.
 pub fn params(nev: usize, nex: usize, tol: f64) -> Params {
     let mut p = Params::new(nev, nex);
     p.tol = tol;
-    p
-}
-
-/// Precision-suite params: the standard `(6, 4, 1e-9)` block with an
-/// explicit precision mode.
-pub fn params_prec(mode: PrecisionMode) -> Params {
-    let mut p = params(6, 4, 1e-9);
-    p.precision = mode;
     p
 }
 
@@ -71,7 +56,6 @@ pub fn solve_on<T>(
 where
     T: Scalar + Reduce,
     T::Real: Reduce,
-    T::Lo: Reduce,
 {
     all_ranks(solve_grid(h, p, &GridRun::new(shape)))
 }
@@ -89,7 +73,6 @@ pub fn solve_tuned_on<T>(
 where
     T: Scalar + Reduce,
     T::Real: Reduce,
-    T::Lo: Reduce,
 {
     let plan = PlanChoice::Tune(TuneOptions::deterministic());
     let run = GridRun {
@@ -110,7 +93,6 @@ pub fn traced_solve_on<T>(
 where
     T: Scalar + Reduce,
     T::Real: Reduce,
-    T::Lo: Reduce,
 {
     let run = GridRun {
         trace: true,
@@ -242,7 +224,3 @@ pub fn expect_all_ok<T: Scalar>(
 /// The end-to-end grid axis shared by the consolidated matrix and the tuner
 /// tests: serial, square, and flat (row-degenerate) process grids.
 pub const MATRIX_GRIDS: [(usize, usize); 3] = [(1, 1), (2, 2), (1, 4)];
-
-/// Standard precision axis (the scalar is picked by the caller's type
-/// parameter; `Mixed` only demotes where `T::HAS_LO`).
-pub const PRECISIONS: [PrecisionMode; 2] = [PrecisionMode::Full, PrecisionMode::Mixed];

@@ -2,8 +2,8 @@
 //! reporting, maximal subspaces, degenerate spectra, and more ranks than the
 //! problem comfortably fits.
 
-use chase_core::{solve_serial, Params};
-use chase_linalg::C64;
+use chase_core::{solve_serial, ChaseErrorKind, Params, WarmStart};
+use chase_linalg::{Matrix, SpectralBounds, C64};
 use chase_matgen::{dense_with_spectrum, Spectrum};
 
 #[test]
@@ -118,4 +118,53 @@ fn oversized_subspace_rejected() {
     let h = dense_with_spectrum::<C64>(&spec, 7);
     let p = Params::new(8, 8); // ne = 16 > n = 10
     solve_serial(&h, &p, None).expect("ChASE solve");
+}
+
+/// The standard `(6, 4, 1e-9)` block on a uniform `[-2, 2]` spectrum.
+fn wide_problem(n: usize, seed: u64) -> (Matrix<C64>, Params) {
+    let h = dense_with_spectrum::<C64>(&Spectrum::uniform(n, -2.0, 2.0), seed);
+    let mut p = Params::new(6, 4);
+    p.tol = 1e-9;
+    (h, p)
+}
+
+#[test]
+fn degenerate_warm_bounds_surface_as_typed_bad_spectrum() {
+    let (h, p) = wide_problem(48, 19);
+    let ne = p.ne();
+    // mu_ne above b_sup (even after the warm-start margin inflation) makes
+    // the filter half-width e = (b_sup - mu_ne)/2 negative: the filter must
+    // reject it as a typed error, not panic mid-collective.
+    let warm = WarmStart::<C64> {
+        v0: Matrix::from_fn(48, ne, |i, j| {
+            if i == j {
+                C64::new(1.0, 0.0)
+            } else {
+                C64::new(0.0, 0.0)
+            }
+        }),
+        bounds: Some(SpectralBounds {
+            mu_1: -2.0,
+            mu_ne: 3.0,
+            b_sup: 2.0,
+        }),
+    };
+    let err = solve_serial(&h, &p, Some(&warm)).expect_err("degenerate interval must fail");
+    assert!(
+        matches!(err.kind, ChaseErrorKind::BadSpectrum { .. }),
+        "got {:?}",
+        err.kind
+    );
+}
+
+#[test]
+fn malformed_params_surface_as_typed_invalid_params() {
+    let (h, mut p) = wide_problem(32, 21);
+    p.tol = f64::NAN;
+    let err = solve_serial(&h, &p, None).expect_err("NaN tol must fail");
+    assert!(
+        matches!(err.kind, ChaseErrorKind::InvalidParams { .. }),
+        "got {:?}",
+        err.kind
+    );
 }

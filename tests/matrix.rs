@@ -1,6 +1,5 @@
 //! Consolidated end-to-end solve matrix: {1x1, 2x2, 1x4} grids x
-//! {f64-full, C64-full, C64-mixed} x {overlap on, off} x {clean, one
-//! injected fault}. One sweep, one set of invariants:
+//! {f64, C64} x {overlap on, off} x {clean, one injected fault}. One sweep, one set of invariants:
 //!
 //! - every rank converges and agrees bitwise with its siblings,
 //! - residuals meet the requested tolerance (relative to `||H||`),
@@ -13,15 +12,14 @@
 //!   recovers fully or the solve fails typed — chaos contract).
 //!
 //! This file replaces the per-suite copies of the solve-loop helper that
-//! `tests/faults.rs` / `tests/precision.rs` used to carry; the shared
+//! `tests/faults.rs` used to carry; the shared
 //! harness lives in `tests/common/`.
 
 mod common;
 
 use chase_comm::{run_grid, Category, EventKind, GridShape, Ledger, Reduce, Region, SpmdOutput};
 use chase_core::{
-    try_solve_elastic, ChaseResult, DistHerm, ElasticOutcome, Params, PrecisionMode,
-    RecoveryEventKind,
+    try_solve_elastic, ChaseResult, DistHerm, ElasticOutcome, Params, RecoveryEventKind,
 };
 use chase_device::Backend;
 use chase_linalg::{RealScalar, Scalar, C64};
@@ -39,31 +37,24 @@ const TOL: f64 = 1e-9;
 /// collective payload on rank 0 (present on every grid shape).
 const FAULT: &str = "seed=11;nan@iter=1,region=filter,rank=0";
 
-fn case_params(precision: PrecisionMode, overlap: bool, fault: Option<&str>) -> Params {
+fn case_params(overlap: bool, fault: Option<&str>) -> Params {
     let mut p = params(NEV, NEX, TOL);
-    p.precision = precision;
     p.overlap = overlap;
     p.inject = fault.map(|s| s.parse().expect("valid fault spec"));
     p
 }
 
-/// Run the full (grid x overlap x clean/fault) block for one scalar and
-/// precision, asserting the invariants above. Returns the serial clean
-/// reference eigenvalues for cross-scalar spot checks.
-fn run_block<T>(precision: PrecisionMode, label: &str) -> Vec<f64>
+/// Run the full (grid x overlap x clean/fault) block for one scalar,
+/// asserting the invariants above.
+fn run_block<T>(label: &str)
 where
     T: Scalar + Reduce,
     T::Real: Reduce,
-    T::Lo: Reduce,
 {
     let (h, spec) = problem::<T>(N, 7);
     // Serial clean reference: the cross-grid anchor.
     let reference = expect_all_ok(
-        solve_on(
-            &h,
-            &case_params(precision, false, None),
-            GridShape::new(1, 1),
-        ),
+        solve_on(&h, &case_params(false, None), GridShape::new(1, 1)),
         label,
     )
     .remove(0);
@@ -81,10 +72,7 @@ where
         for overlap in [false, true] {
             // --- clean leg ---
             let case = format!("{label} {p}x{q} overlap={overlap}");
-            let clean = expect_all_ok(
-                solve_on(&h, &case_params(precision, overlap, None), shape),
-                &case,
-            );
+            let clean = expect_all_ok(solve_on(&h, &case_params(overlap, None), shape), &case);
             check_ranks_agree(&clean, &case);
             let r0 = &clean[0];
             assert!(r0.converged, "{case}: clean run diverged");
@@ -117,7 +105,7 @@ where
 
             // --- fault leg: recovers to the same answer or fails typed ---
             let case = format!("{case} faulted");
-            let results = solve_on(&h, &case_params(precision, overlap, Some(FAULT)), shape);
+            let results = solve_on(&h, &case_params(overlap, Some(FAULT)), shape);
             let oks = results.iter().filter(|r| r.is_ok()).count();
             assert!(
                 oks == 0 || oks == results.len(),
@@ -149,7 +137,6 @@ where
             assert!(fired > 0, "{case}: campaign never fired — dead trigger");
         }
     }
-    reference.eigenvalues.iter().map(|v| v.to_f64()).collect()
 }
 
 /// All ranks of one SPMD run must agree bitwise on every world-replicated
@@ -165,18 +152,16 @@ fn check_ranks_agree<T: Scalar>(results: &[ChaseResult<T>], case: &str) {
     }
 }
 
-/// Tuned-plan axis: with the precision pinned explicitly (never `Auto`),
-/// a deterministic tuning pass may only fill scheduling knobs — so the
-/// tuned solve must land on bitwise the same spectrum as the untuned solve
-/// on the same grid, for every grid and precision of the matrix.
-fn run_tuned_axis<T>(precision: PrecisionMode, label: &str)
+/// Tuned-plan axis: a deterministic tuning pass may only fill scheduling
+/// knobs — so the tuned solve must land on bitwise the same spectrum as the
+/// untuned solve on the same grid, for every grid and scalar of the matrix.
+fn run_tuned_axis<T>(label: &str)
 where
     T: Scalar + Reduce,
     T::Real: Reduce,
-    T::Lo: Reduce,
 {
     let (h, _) = problem::<T>(N, 7);
-    let p = case_params(precision, false, None);
+    let p = case_params(false, None);
     for (rows, cols) in MATRIX_GRIDS {
         let shape = GridShape::new(rows, cols);
         let case = format!("{label} {rows}x{cols} tuned");
@@ -198,9 +183,8 @@ where
 
 #[test]
 fn matrix_tuned_plan_axis() {
-    run_tuned_axis::<f64>(PrecisionMode::Full, "f64/full");
-    run_tuned_axis::<C64>(PrecisionMode::Full, "C64/full");
-    run_tuned_axis::<C64>(PrecisionMode::Mixed, "C64/mixed");
+    run_tuned_axis::<f64>("f64/full");
+    run_tuned_axis::<C64>("C64/full");
 }
 
 /// Serve warm-start column: the matrix problem scale, run as a two-step
@@ -213,8 +197,7 @@ fn matrix_serve_warm_start_column() {
     let chain = || -> Vec<JobSpec<C64>> {
         (0..2)
             .map(|step| {
-                let mut p = params(NEV, NEX, 1e-8);
-                p.precision = PrecisionMode::Full;
+                let p = params(NEV, NEX, 1e-8);
                 JobSpec::new(
                     format!("m{step}"),
                     MatrixSource::Generated(GenSpec {
@@ -293,7 +276,6 @@ fn elastic_on<T>(
 where
     T: Scalar + Reduce,
     T::Real: Reduce,
-    T::Lo: Reduce,
 {
     run_grid(shape, move |ctx| {
         try_solve_elastic(ctx, Backend::Nccl, |c| DistHerm::from_global(h, c), p)
@@ -338,11 +320,10 @@ fn crash_dir(tag: &str) -> std::path::PathBuf {
     d
 }
 
-fn run_crash_block<T>(precision: PrecisionMode, label: &str)
+fn run_crash_block<T>(label: &str)
 where
     T: Scalar + Reduce,
     T::Real: Reduce,
-    T::Lo: Reduce,
 {
     let (h, _) = problem::<T>(N, 7);
     for (p, q) in [(2, 2), (1, 4)] {
@@ -350,15 +331,11 @@ where
         let case = format!("{label} {p}x{q} crash");
 
         // Clean comparator on the original grid.
-        let clean = expect_all_ok(
-            solve_on(&h, &case_params(precision, false, None), shape),
-            &case,
-        )
-        .remove(0);
+        let clean = expect_all_ok(solve_on(&h, &case_params(false, None), shape), &case).remove(0);
         assert!(clean.converged, "{case}: clean comparator diverged");
 
         let crash_params = |dir: Option<&std::path::Path>| -> Params {
-            let mut cp = case_params(precision, false, Some(CRASH_FAULT));
+            let mut cp = case_params(false, Some(CRASH_FAULT));
             cp.checkpoint_dir = dir.map(|d| d.display().to_string());
             cp.checkpoint_every = if dir.is_some() { 1 } else { 0 };
             cp
@@ -501,12 +478,10 @@ where
         // iterations and the Lanczos re-estimation, and pays a commit per
         // iteration. Counted at equal progress — through the last iteration
         // both runs reach, which is the whole of both ledgers whenever they
-        // iterate equally long (every full-precision case) — because how many
-        // iterations an f32 filter then needs moves with the last bit of its
-        // input (5 to 10 on this problem, by grid), which no checkpoint
-        // controls. How long the resumed solve goes on is bounded on its
-        // own: never longer than the worse of the uncrashed solve and the
-        // restarted one.
+        // iterate equally long — because how many iterations a resumed solve
+        // needs from a given state is not something a checkpoint controls.
+        // How long the resumed solve goes on is bounded on its own: never
+        // longer than the worse of the uncrashed solve and the restarted one.
         let survivors = runs[0].results.iter().zip(&scratch.results);
         for (rank, (c, s)) in survivors.enumerate() {
             if let (Some(c), Some(s)) = (c, s) {
@@ -542,53 +517,20 @@ where
 
 #[test]
 fn matrix_rank_crash_f64_full() {
-    run_crash_block::<f64>(PrecisionMode::Full, "f64/full");
-}
-
-#[test]
-fn matrix_rank_crash_f64_mixed() {
-    run_crash_block::<f64>(PrecisionMode::Mixed, "f64/mixed");
+    run_crash_block::<f64>("f64/full");
 }
 
 #[test]
 fn matrix_rank_crash_c64_full() {
-    run_crash_block::<C64>(PrecisionMode::Full, "C64/full");
-}
-
-#[test]
-fn matrix_rank_crash_c64_mixed() {
-    run_crash_block::<C64>(PrecisionMode::Mixed, "C64/mixed");
+    run_crash_block::<C64>("C64/full");
 }
 
 #[test]
 fn matrix_f64_full() {
-    run_block::<f64>(PrecisionMode::Full, "f64/full");
+    run_block::<f64>("f64/full");
 }
 
 #[test]
 fn matrix_c64_full() {
-    run_block::<C64>(PrecisionMode::Full, "C64/full");
-}
-
-#[test]
-fn matrix_c64_mixed() {
-    let eigs = run_block::<C64>(PrecisionMode::Mixed, "C64/mixed");
-    // Spot-check the precision axis against the full-precision anchor: same
-    // problem, same spectrum, same tolerance.
-    let (h, _) = problem::<C64>(N, 7);
-    let full = expect_all_ok(
-        solve_on(
-            &h,
-            &case_params(PrecisionMode::Full, false, None),
-            GridShape::new(1, 1),
-        ),
-        "C64/full anchor",
-    )
-    .remove(0);
-    for (k, eig) in eigs.iter().enumerate().take(NEV) {
-        assert!(
-            (eig - full.eigenvalues[k]).abs() < 1e-7,
-            "lambda_{k}: mixed and full disagree beyond tolerance"
-        );
-    }
+    run_block::<C64>("C64/full");
 }

@@ -89,7 +89,6 @@ fn dist_solve_native<T>(seed: u64, shape: GridShape)
 where
     T: Scalar + Reduce,
     T::Real: Reduce,
-    T::Lo: Reduce,
 {
     let n = 72;
     let spec = spectrum(n);

@@ -424,63 +424,17 @@ fn deadline_miss_is_deterministic_and_typed() {
     assert_eq!(sched.metrics.completed, 1);
 }
 
-/// Loose-tolerance sessions are exactly where mixed precision pays: with
-/// `tol` above the demoted noise floor the whole solve — warm steps
-/// included — runs demoted, and the warm-start path must not silently
-/// escalate (the cached subspace is f64 either way; the policy only looks
-/// at replicated residual state).
+/// `precision=` went with the demoted filter: a line that still carries it
+/// is refused by name, and the error points at that line, not the file.
 #[test]
-fn loose_tolerance_session_stays_demoted_across_warm_steps() {
-    let chain: Vec<JobSpec<C64>> = (0..3)
-        .map(|step| {
-            let mut j = gen_job(
-                &format!("m{step}"),
-                64,
-                SpectrumKind::Uniform,
-                9,
-                Some(("md", step)),
-            );
-            j.params.tol = 1e-2; // well above 5e3 * eps_f32 * ||H||
-            j.params.precision = chase_core::PrecisionMode::Mixed;
-            j
-        })
-        .collect();
-    let mut sched: Scheduler<C64> = Scheduler::new(SchedulerConfig::default());
-    for j in chain {
-        sched.submit(j).unwrap();
-    }
-    let reports = sched.drain();
-    assert_eq!(reports.len(), 3);
-    for r in &reports {
-        let out = r.solve().unwrap_or_else(|| panic!("{} failed", r.name));
-        assert!(out.converged, "{}", r.name);
-        assert!(out.lowprec_matvecs > 0, "{} never demoted", r.name);
-        assert_eq!(
-            out.lowprec_matvecs, out.matvecs,
-            "{} escalated despite the loose tolerance",
-            r.name
-        );
-        let step = r.session.as_ref().unwrap().step;
-        if step > 0 {
-            assert_eq!(r.warm, WarmKind::Warm, "{} should warm-start", r.name);
-        }
-    }
-}
-
-/// The workload grammar accepts `precision=` on both line kinds and rejects
-/// garbage with the job name in the error.
-#[test]
-fn workload_parses_precision_key() {
-    let jobs = chase_serve::parse_workload(
-        "gen name=lo n=48 spectrum=uniform nev=4 tol=1e-2 precision=mixed\n\
-         gen name=hi n=48 spectrum=uniform nev=4 precision=full\n",
+fn workload_refuses_the_precision_key() {
+    let err = chase_serve::parse_workload(
+        "gen name=ok n=48 spectrum=uniform nev=4\n\
+         gen name=lo n=48 spectrum=uniform nev=4 tol=1e-2 precision=mixed\n",
     )
-    .expect("workload must parse");
-    assert_eq!(jobs[0].params.precision, chase_core::PrecisionMode::Mixed);
-    assert_eq!(jobs[1].params.precision, chase_core::PrecisionMode::Full);
-    let err = chase_serve::parse_workload("gen name=bad n=48 spectrum=uniform nev=4 precision=f16")
-        .expect_err("bogus precision must be rejected");
-    assert!(err.contains("bad") && err.contains("precision"), "{err}");
+    .expect_err("precision= is not a workload key");
+    assert_eq!(err, "line 2: unknown key 'precision' for a 'gen' line");
+    assert!(chase_serve::validate_line("gen name=ok n=48 spectrum=uniform nev=4").is_ok());
 }
 
 /// A job whose fault spec plans a rank crash is routed through the elastic

@@ -72,7 +72,6 @@ fn assert_replay_deterministic<T>(shape: GridShape, inject: Option<&str>, seed: 
 where
     T: Scalar + Reduce,
     T::Real: Reduce,
-    T::Lo: Reduce,
 {
     let n = 48;
     let h = dense_with_spectrum::<T>(&Spectrum::uniform(n, -1.0, 1.0), seed);

@@ -20,7 +20,7 @@ mod common;
 use std::sync::Arc;
 
 use chase_comm::{run_grid, GridShape, Reduce, TuneAlgo, TuneOp};
-use chase_core::{solve_dist, ChaseResult, DistHerm, Params, PrecisionMode};
+use chase_core::{solve_dist, ChaseResult, DistHerm, Params};
 use chase_device::CollectiveAlgo;
 use chase_linalg::{Scalar, C64};
 use chase_trace::TraceEvent;
@@ -84,12 +84,6 @@ fn gen_entry(seed: u64, rule_seeds: &[u64]) -> PlanEntry {
         rules: rule_seeds.iter().map(|&r| gen_rule(r)).collect(),
         overlap,
         panel: 1 + (splitmix(&mut s) % 512) as usize,
-        precision: if splitmix(&mut s).is_multiple_of(2) {
-            "full"
-        } else {
-            "mixed"
-        }
-        .to_string(),
         tuned_cost: (splitmix(&mut s) % 1_000_000) as f64 * 1e-8,
         flat_cost: (splitmix(&mut s) % 1_000_000) as f64 * 1e-7,
         trials: splitmix(&mut s) % 10_000,
@@ -153,11 +147,12 @@ fn duplicate_keys_and_version_skew_are_typed() {
         Err(DbError::DuplicateKey { .. })
     ));
 
-    let skew = format!("{{\"format\":\"{DB_FORMAT}\",\"version\":2,\"entries\":[]}}");
+    // A version-1 DB: its entries carried the filter precision.
+    let skew = format!("{{\"format\":\"{DB_FORMAT}\",\"version\":1,\"entries\":[]}}");
     assert_eq!(
         PlanDb::parse(&skew),
         Err(DbError::VersionSkew {
-            found: 2,
+            found: 1,
             expected: DB_VERSION
         })
     );
@@ -178,7 +173,6 @@ fn tune_on<T>(n: usize, nev: usize, nex: usize, shape: GridShape) -> Vec<PlanEnt
 where
     T: Scalar + Reduce,
     T::Real: Reduce,
-    T::Lo: Reduce,
 {
     let (h, _) = problem::<T>(n, 3);
     let opts = TuneOptions::deterministic();
@@ -264,8 +258,7 @@ fn tuned_solve_is_bitwise_equal_to_manual_pinning() {
 
     // Path A: the production plan application — Auto knobs filled by the
     // measured plan, provenance attached.
-    let mut pa = params(6, 4, 1e-9);
-    pa.precision = PrecisionMode::Auto;
+    let pa = params(6, 4, 1e-9);
     let stored = PlanChoice::Hit(entry.clone());
     let run = GridRun {
         plan: Some(&stored),
@@ -284,11 +277,6 @@ fn tuned_solve_is_bitwise_equal_to_manual_pinning() {
     pb.collective = CollectiveAlgo::Auto;
     pb.overlap = entry.overlap;
     pb.overlap_panel = entry.overlap.then_some(entry.panel);
-    pb.precision = if entry.precision == "mixed" {
-        PrecisionMode::Mixed
-    } else {
-        PrecisionMode::Full
-    };
     let b = solve_hooked(&h, &pb, shape, &entry);
 
     for (rank, (ra, rb)) in a.iter().zip(&b).enumerate() {
@@ -314,8 +302,7 @@ fn solve_against_db(
 ) -> (Vec<ChaseResult<C64>>, usize) {
     let opts = TuneOptions::deterministic();
     let plan = PlanChoice::lookup::<C64>(db, &opts, shape, h.rows(), 6, 4);
-    let mut p = params(6, 4, 1e-9);
-    p.precision = PrecisionMode::Auto;
+    let p = params(6, 4, 1e-9);
     let run = GridRun {
         trace: true,
         plan: Some(&plan),
