@@ -29,10 +29,9 @@ pub struct RankFp {
     pub vec_hash: u64,
     pub iterations: usize,
     pub matvecs: u64,
-    pub lowprec_matvecs: u64,
     pub converged: bool,
     /// Sorted multiset projection of the rank's ledger: `(kind, region,
-    /// window, lo)` per event, excluding the wall-clock span fields
+    /// window)` per event, excluding the wall-clock span fields
     /// (`t0_us`/`t1_us` legitimately differ across schedules).
     pub ledger: Vec<String>,
 }
@@ -80,19 +79,10 @@ impl Fingerprint {
                     a.vec_hash, b.vec_hash
                 ));
             }
-            if (a.iterations, a.matvecs, a.lowprec_matvecs, a.converged)
-                != (b.iterations, b.matvecs, b.lowprec_matvecs, b.converged)
-            {
+            if (a.iterations, a.matvecs, a.converged) != (b.iterations, b.matvecs, b.converged) {
                 return Some(format!(
-                    "rank {r}: counters (it={},mv={},lo={},conv={}) vs (it={},mv={},lo={},conv={})",
-                    a.iterations,
-                    a.matvecs,
-                    a.lowprec_matvecs,
-                    a.converged,
-                    b.iterations,
-                    b.matvecs,
-                    b.lowprec_matvecs,
-                    b.converged
+                    "rank {r}: counters (it={},mv={},conv={}) vs (it={},mv={},conv={})",
+                    a.iterations, a.matvecs, a.converged, b.iterations, b.matvecs, b.converged
                 ));
             }
             if a.ledger != b.ledger {
@@ -136,7 +126,7 @@ impl Fingerprint {
             .ranks
             .iter()
             .map(|r| {
-                let counters = (r.iterations, r.matvecs, r.lowprec_matvecs, r.converged);
+                let counters = (r.iterations, r.matvecs, r.converged);
                 (&r.err, &r.eigs, &r.residuals, r.vec_hash, counters)
             })
             .collect();
@@ -160,15 +150,7 @@ fn rank_fp<T: Scalar>(result: Result<ChaseResult<T>, ChaseError>, ledger: &Ledge
     let mut ledger_proj: Vec<String> = ledger
         .events()
         .iter()
-        .map(|e| {
-            format!(
-                "{}|{:?}|{:?}|{}",
-                kind_to_json(&e.kind),
-                e.region,
-                e.window,
-                e.lo
-            )
-        })
+        .map(|e| format!("{}|{:?}|{:?}", kind_to_json(&e.kind), e.region, e.window))
         .collect();
     ledger_proj.sort_unstable();
     match result {
@@ -184,7 +166,6 @@ fn rank_fp<T: Scalar>(result: Result<ChaseResult<T>, ChaseError>, ledger: &Ledge
             })),
             iterations: r.iterations,
             matvecs: r.matvecs,
-            lowprec_matvecs: r.lowprec_matvecs,
             converged: r.converged,
             ledger: ledger_proj,
         },
@@ -195,7 +176,6 @@ fn rank_fp<T: Scalar>(result: Result<ChaseResult<T>, ChaseError>, ledger: &Ledge
             vec_hash: 0,
             iterations: 0,
             matvecs: 0,
-            lowprec_matvecs: 0,
             converged: false,
             ledger: ledger_proj,
         },

@@ -205,13 +205,6 @@ impl RankCtx {
         }
     }
 
-    /// Enter/leave demoted-precision ledger mode (see [`Ledger::set_lo`]).
-    /// The trace needs no mirror call: the mixed-precision filter marks its
-    /// low calls with an explicit `filter_lo` span instead.
-    pub fn set_lo(&self, lo: bool) {
-        self.ledger.lock().set_lo(lo);
-    }
-
     /// Install (or clear) the structured-tracing hook on this rank: the
     /// context forwards ledger records, region changes and span/counter
     /// marks, and the three grid communicators report their collective

@@ -216,11 +216,6 @@ pub struct Event {
     pub t0_us: u64,
     /// Wall-clock end of the operation.
     pub t1_us: u64,
-    /// `true` when the event ran in demoted (low) precision — the
-    /// mixed-precision filter flips the ledger into `lo` mode for the
-    /// duration of a low filter call, so kernel flops and collective bytes
-    /// recorded here must be priced at the narrow scalar width.
-    pub lo: bool,
 }
 
 impl Event {
@@ -233,7 +228,6 @@ impl Event {
             window: None,
             t0_us: t,
             t1_us: t,
-            lo: false,
         }
     }
 
@@ -250,7 +244,6 @@ pub struct Ledger {
     region: Option<Region>,
     window: Option<u32>,
     next_window: u32,
-    lo: bool,
 }
 
 impl Ledger {
@@ -260,7 +253,6 @@ impl Ledger {
             region: None,
             window: None,
             next_window: 0,
-            lo: false,
         }
     }
 
@@ -271,18 +263,6 @@ impl Ledger {
 
     pub fn clear_region(&mut self) {
         self.region = None;
-    }
-
-    /// Enter/leave demoted-precision mode: subsequent events are stamped
-    /// `lo = true` until switched back (parallel to region tracking — the
-    /// mixed-precision filter brackets its low calls with this).
-    pub fn set_lo(&mut self, lo: bool) {
-        self.lo = lo;
-    }
-
-    /// `true` while demoted-precision mode is active.
-    pub fn current_lo(&self) -> bool {
-        self.lo
     }
 
     /// Open a new overlap window: subsequent events are tagged with its id
@@ -311,16 +291,12 @@ impl Ledger {
         let region = self.region.unwrap_or(Region::Other);
         self.events.push(Event {
             window: self.window,
-            lo: self.lo,
             ..Event::new(kind, region)
         });
     }
 
     pub fn record_in(&mut self, region: Region, kind: EventKind) {
-        self.events.push(Event {
-            lo: self.lo,
-            ..Event::new(kind, region)
-        });
+        self.events.push(Event::new(kind, region));
     }
 
     /// Record into an explicit region *and* overlap window (analytic event
@@ -328,7 +304,6 @@ impl Ledger {
     pub fn record_in_window(&mut self, region: Region, kind: EventKind, window: Option<u32>) {
         self.events.push(Event {
             window,
-            lo: self.lo,
             ..Event::new(kind, region)
         });
     }
@@ -343,7 +318,6 @@ impl Ledger {
             window: self.window,
             t0_us,
             t1_us: now_us().max(t0_us),
-            lo: self.lo,
         });
     }
 
@@ -414,7 +388,6 @@ impl Ledger {
             region: self.region,
             window: None,
             next_window: self.next_window,
-            lo: self.lo,
         }
     }
 
@@ -479,9 +452,6 @@ fn event_to_json(ev: &Event) -> String {
     let mut extra = String::new();
     if let Some(w) = ev.window {
         extra.push_str(&format!(",\"win\":{w}"));
-    }
-    if ev.lo {
-        extra.push_str(",\"lo\":1");
     }
     if ev.t0_us != 0 || ev.t1_us != 0 {
         extra.push_str(&format!(",\"t0\":{},\"t1\":{}", ev.t0_us, ev.t1_us));
@@ -548,7 +518,6 @@ fn event_from_json(obj: &Json) -> Result<Event, String> {
         window: optional("win")?.map(|w| w as u32),
         t0_us: optional("t0")?.unwrap_or(0),
         t1_us: optional("t1")?.unwrap_or(0),
-        lo: optional("lo")?.is_some_and(|v| v != 0),
     })
 }
 

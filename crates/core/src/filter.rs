@@ -255,10 +255,9 @@ pub fn chebyshev_filter_with<T: Scalar + Reduce>(
 /// and the result is promoted back into the full-precision iterate
 /// (promotion is exact, see `Scalar::promote`).
 ///
-/// The ledger runs in `lo` mode for the duration, so modeled pricing and
-/// collective byte accounting see the narrow type; the trace carries a
-/// `filter_lo` span plus a `lowprec_matvecs` counter. Everything recorded is
-/// a deterministic function of SPMD state, so traces stay bitwise-replayable.
+/// The solver never calls this: it filters in its own precision. It is kept
+/// for the `core.filter_mixed_over_full` benchmark row, which times a
+/// demoted call against a full one. The trace carries a `filter_lo` span.
 #[allow(clippy::too_many_arguments)]
 pub fn chebyshev_filter_mixed<T: Scalar + Reduce>(
     dev: &Device<'_>,
@@ -305,11 +304,9 @@ where
         n: (rows_c * ncols) as u64,
     });
 
-    dev.set_lo(true);
     let result = chebyshev_filter_with(
         dev, ctx, h_lo, &mut c_lo, &mut b_lo, 0, degrees, lo_bounds, exec,
     );
-    dev.set_lo(false);
 
     let matvecs = result.inspect_err(|_e| ctx.trace_span_end("filter_lo"))?;
 
@@ -322,7 +319,6 @@ where
     ctx.record(chase_comm::EventKind::Blas1 {
         n: (rows_c * ncols) as u64,
     });
-    ctx.trace_counter("lowprec_matvecs", matvecs);
     ctx.trace_span_end("filter_lo");
     Ok(matvecs)
 }

@@ -171,7 +171,6 @@ where
 
     let (eigenvalues, residuals) = sub.sorted_pairs(nev, &mut c);
     Ok(ChaseResult {
-        lowprec_matvecs: 0,
         eigenvalues,
         residuals,
         eigenvectors_local: c.copy_cols(0..nev),

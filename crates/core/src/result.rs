@@ -30,8 +30,6 @@ pub struct IterStats {
     pub max_res: f64,
     /// Largest Chebyshev degree used this iteration.
     pub max_degree: usize,
-    /// Whether this iteration's filter ran in demoted precision (`T::Lo`).
-    pub low_precision: bool,
 }
 
 /// One detection or recovery action the guarded solver took. Deterministic
@@ -295,9 +293,6 @@ pub struct ChaseResult<T: Scalar> {
     pub iterations: usize,
     /// Total filter MatVecs (the paper's "MatVecs" column).
     pub matvecs: u64,
-    /// MatVecs that ran in demoted precision (subset of `matvecs`; zero in
-    /// full-precision mode and for natively 32-bit scalars).
-    pub lowprec_matvecs: u64,
     /// Whether all `nev` pairs converged within `max_iter`.
     pub converged: bool,
     /// Per-iteration diagnostics.
@@ -364,7 +359,6 @@ mod tests {
             n,
             iterations: 1,
             matvecs: 0,
-            lowprec_matvecs: 0,
             converged: true,
             stats: vec![],
             norm_h: 1.0,

@@ -936,7 +936,6 @@ where
             n: self.h.n,
             iterations: self.progress.iter,
             matvecs: self.progress.matvecs,
-            lowprec_matvecs: 0,
             converged,
             stats,
             norm_h: norm_h.to_f64(),

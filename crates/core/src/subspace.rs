@@ -110,7 +110,6 @@ impl<R: RealScalar> Subspace<R> {
             true_cond: m.true_cond,
             qr_variant: m.qr_variant,
             matvecs: m.matvecs,
-            low_precision: false,
             new_locked: self.locked - before,
             locked: self.locked,
             min_res: active_res

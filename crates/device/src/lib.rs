@@ -143,13 +143,6 @@ impl<'a> Device<'a> {
         }
     }
 
-    /// Enter/leave demoted-precision ledger mode: events recorded while set
-    /// are priced at the narrow scalar width (the mixed-precision filter
-    /// brackets its low-precision calls with this).
-    pub fn set_lo(&self, lo: bool) {
-        self.ctx.set_lo(lo);
-    }
-
     // ---- compute kernels -------------------------------------------------
 
     /// `C = alpha op(A) op(B) + beta C` on the device.

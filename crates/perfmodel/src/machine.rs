@@ -39,15 +39,6 @@ impl ScalarKind {
         }
     }
 
-    /// The demoted (single-precision) kind this scalar's mixed-precision
-    /// filter runs in; used to price ledger events stamped `lo`.
-    pub fn demoted(self) -> ScalarKind {
-        match self {
-            ScalarKind::F32 | ScalarKind::F64 => ScalarKind::F32,
-            ScalarKind::C32 | ScalarKind::C64 => ScalarKind::C32,
-        }
-    }
-
     /// Throughput multiplier relative to the calibrated double-precision
     /// rates: non-tensor-core FP32 GEMM on an A100 sustains ~2x the FP64
     /// rate (19.5 vs 9.7 TFLOP/s peak), and the BLAS-1/bandwidth terms pick
@@ -252,12 +243,8 @@ impl Machine {
         }
     }
 
-    /// Total time for one event. Events stamped `lo` (recorded while the
-    /// ledger was in mixed-precision filter mode) are priced at the demoted
-    /// scalar kind: doubled level-3 rate, and their collective payloads
-    /// already carry half-width byte counts from the `T::Lo` buffers.
+    /// Total time for one event.
     pub fn event_time(&self, ev: &Event, scalar: ScalarKind, flavor: CommFlavor, gpus: f64) -> f64 {
-        let scalar = if ev.lo { scalar.demoted() } else { scalar };
         match ev.kind.category() {
             Category::Compute => self.compute_time(&ev.kind, scalar, gpus),
             Category::Transfer => self.transfer_time(&ev.kind),
@@ -384,31 +371,6 @@ mod tests {
             ),
             0.0
         );
-    }
-
-    #[test]
-    fn lo_events_priced_at_demoted_kind() {
-        let mm = m();
-        assert_eq!(ScalarKind::C64.demoted(), ScalarKind::C32);
-        assert_eq!(ScalarKind::F32.demoted(), ScalarKind::F32);
-        let kind = EventKind::Gemm {
-            m: 2000,
-            n: 500,
-            k: 2000,
-        };
-        let mut ev = Event::new(kind, Region::Filter);
-        let full = mm.event_time(&ev, ScalarKind::C64, CommFlavor::NcclDeviceDirect, 1.0);
-        ev.lo = true;
-        let low = mm.event_time(&ev, ScalarKind::C64, CommFlavor::NcclDeviceDirect, 1.0);
-        assert!(
-            low < 0.6 * full,
-            "demoted GEMM must price ~2x faster: {low} vs {full}"
-        );
-        // A natively single-precision run gains nothing from `lo`.
-        let f32_full = mm.event_time(&ev, ScalarKind::F32, CommFlavor::NcclDeviceDirect, 1.0);
-        ev.lo = false;
-        let f32_hi = mm.event_time(&ev, ScalarKind::F32, CommFlavor::NcclDeviceDirect, 1.0);
-        assert_eq!(f32_full, f32_hi);
     }
 
     #[test]

@@ -210,9 +210,6 @@ pub struct SolveOutput<T: Scalar> {
     pub eigenvectors: Matrix<T>,
     pub bounds: SpectralBounds<T::Real>,
     pub matvecs: u64,
-    /// Portion of `matvecs` executed in the demoted precision `T::Lo`
-    /// (zero unless the job asked for `precision=mixed`).
-    pub lowprec_matvecs: u64,
     pub iterations: usize,
     pub converged: bool,
     /// Guard-layer record (empty on a clean run).

@@ -585,7 +585,6 @@ where
                 eigenvectors,
                 bounds: r0.bounds,
                 matvecs: r0.matvecs,
-                lowprec_matvecs: r0.lowprec_matvecs,
                 iterations: r0.iterations,
                 converged: r0.converged,
                 recovery: r0.recovery,
