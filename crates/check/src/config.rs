@@ -39,8 +39,6 @@ pub struct CheckCase {
     pub scalar: ScalarKind,
     /// Process grid `p x q`.
     pub grid: (usize, usize),
-    /// Overlapped (pipelined) Chebyshev filter.
-    pub overlap: bool,
     /// Tune a deterministic measured plan inside the run and solve under
     /// it (exercises the tuner's trial collectives under gating too).
     pub plan: bool,
@@ -57,11 +55,10 @@ impl CheckCase {
     /// The harness default problem: small enough that a shrink run's
     /// dozens of re-solves stay cheap, large enough that every grid in
     /// [`crate::default_matrix`] gets nondegenerate local blocks.
-    pub fn new(scalar: ScalarKind, grid: (usize, usize), overlap: bool) -> Self {
+    pub fn new(scalar: ScalarKind, grid: (usize, usize)) -> Self {
         Self {
             scalar,
             grid,
-            overlap,
             plan: false,
             n: 32,
             nev: 4,
@@ -85,7 +82,6 @@ impl CheckCase {
         let mut p = Params::new(self.nev, self.nex);
         p.tol = self.tol;
         p.seed = self.pseed;
-        p.overlap = self.overlap;
         p
     }
 }
@@ -94,11 +90,10 @@ impl fmt::Display for CheckCase {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "scalar={} grid={}x{} overlap={} plan={} n={} nev={} nex={} tol={} pseed={}",
+            "scalar={} grid={}x{} plan={} n={} nev={} nex={} tol={} pseed={}",
             self.scalar.token(),
             self.grid.0,
             self.grid.1,
-            if self.overlap { "on" } else { "off" },
             if self.plan { "on" } else { "off" },
             self.n,
             self.nev,
@@ -109,25 +104,22 @@ impl fmt::Display for CheckCase {
     }
 }
 
-/// The default exploration matrix: grids x scalars x overlap, the
-/// acceptance surface of `chase check`.
+/// The default exploration matrix: grids x scalars, the acceptance surface
+/// of `chase check`.
 pub const DEFAULT_GRIDS: [(usize, usize); 3] = [(1, 1), (2, 2), (1, 4)];
 
-/// Cross product of `grids` x `scalars` x overlap on/off.
+/// Cross product of `grids` x `scalars`.
 pub fn matrix(grids: &[(usize, usize)], scalars: &[ScalarKind]) -> Vec<CheckCase> {
     let mut out = Vec::new();
     for &grid in grids {
         for &scalar in scalars {
-            for overlap in [false, true] {
-                out.push(CheckCase::new(scalar, grid, overlap));
-            }
+            out.push(CheckCase::new(scalar, grid));
         }
     }
     out
 }
 
-/// The full default matrix ({1x1, 2x2, 1x4} x {f64, c64} x {overlap off,
-/// on}): 12 cases.
+/// The full default matrix ({1x1, 2x2, 1x4} x {f64, c64}): 6 cases.
 pub fn default_matrix() -> Vec<CheckCase> {
     matrix(&DEFAULT_GRIDS, &ScalarKind::ALL)
 }
@@ -137,11 +129,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_matrix_is_the_12_case_cross() {
+    fn default_matrix_is_the_6_case_cross() {
         let m = default_matrix();
-        assert_eq!(m.len(), 12);
+        assert_eq!(m.len(), 6);
         let uniq: std::collections::BTreeSet<String> = m.iter().map(|c| c.to_string()).collect();
-        assert_eq!(uniq.len(), 12, "case displays are unique");
+        assert_eq!(uniq.len(), 6, "case displays are unique");
     }
 
     #[test]

@@ -183,27 +183,6 @@ pub fn scaled_timeout_ms(base_ms: u64) -> u64 {
     ((base_ms as f64 * scale).round() as u64).max(1)
 }
 
-/// What a fault hook decides to do with one nonblocking post.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PostAction {
-    /// Post normally.
-    Deliver,
-    /// Never post: the op stays incomplete and every member's `wait` times
-    /// out. Models a crashed/wedged peer.
-    Drop,
-    /// Sleep before posting, then deliver. Models a straggler link.
-    Delay { ms: u64 },
-}
-
-/// Fault-injection hook consulted at every nonblocking post. Installed on
-/// the rank's seam record by the chaos harness (`chase-faults`); production
-/// runs carry no hook and pay one `RefCell` borrow per post.
-pub trait CommFaultHook: Send + Sync {
-    /// Decide the fate of nonblocking op `seq` (`op` names the collective:
-    /// "iallreduce", "ibcast", "iallgather").
-    fn on_post(&self, op: &'static str, seq: u64) -> PostAction;
-}
-
 /// Element types that can participate in a sum-allreduce.
 pub trait Reduce: Clone + Send + Sync + 'static {
     fn reduce(&mut self, other: &Self);
@@ -775,8 +754,8 @@ impl Communicator {
     }
 
     /// Post this member's contribution `mine` (`None`: it has none) to the
-    /// next op of `stream`: take the op's sequence number, pass the fault
-    /// hook and the schedule gate, deposit. The last depositor runs `fold`
+    /// next op of `stream`: take the op's sequence number, pass the
+    /// schedule gate, deposit. The last depositor runs `fold`
     /// over the contributions in the order it is handed (member-index
     /// order, the bitwise-determinism invariant — arrival order only under
     /// the canary), recycles what the fold left behind and wakes the
@@ -795,21 +774,6 @@ impl Communicator {
         };
         let key = (stream, counter.get());
         counter.set(key.1 + 1);
-        // Nonblocking stream only: see `Seams::fault_hook`.
-        let action = match &self.seams.get().fault_hook {
-            Some(h) if stream == ScheduleStream::Nonblocking => h.on_post(op, key.1),
-            _ => PostAction::Deliver,
-        };
-        match action {
-            PostAction::Drop => {
-                // Stall: recycle the staging buffer, never deposit it. The
-                // op id is consumed so later posts stay aligned across ranks.
-                slot.engine.lock().pool.extend(mine);
-                return key;
-            }
-            PostAction::Delay { ms } => std::thread::sleep(Duration::from_millis(ms)),
-            PostAction::Deliver => {}
-        }
         let gate = self.schedule_slot(stream, op, key.1);
         let mut engine = slot.engine.lock();
         // Schedule exploration: hold the deposit until the forced arrival
@@ -856,9 +820,8 @@ impl Communicator {
     /// [`RankDeadPanic`] once the dead board shows a crash. A *nonblocking*
     /// op gives up with a typed [`CommError`] instead: the watchdog expiring
     /// yields `Timeout`, a crash on the dead-rank board yields `RankDead`
-    /// (the op can never complete), and an op the engine has no usable
-    /// record of — dropped by a fault hook, or carrying a mismatched
-    /// payload type — yields `UnknownOp`. After any error the op (and
+    /// (the op can never complete), and an op whose result carries a
+    /// mismatched payload type yields `UnknownOp`. After any error the op (and
     /// partial payloads) stays parked in the map; the caller is expected to
     /// abort the computation, not retry the wait.
     fn complete<T: Send + 'static>(
@@ -1667,44 +1630,29 @@ mod tests {
         assert_eq!(bb, [9]);
     }
 
-    /// Hook dropping one specific nonblocking op on every rank.
-    struct DropOp(u64);
-    impl CommFaultHook for DropOp {
-        fn on_post(&self, _op: &'static str, seq: u64) -> PostAction {
-            if seq == self.0 {
-                PostAction::Drop
-            } else {
-                PostAction::Deliver
-            }
-        }
-    }
-
-    /// Hook delaying every post by a fixed number of milliseconds.
-    struct DelayAll(u64);
-    impl CommFaultHook for DelayAll {
-        fn on_post(&self, _op: &'static str, _seq: u64) -> PostAction {
-            PostAction::Delay { ms: self.0 }
-        }
+    /// The members of an `n`-wide communicator except the last run `f`; the
+    /// last one never posts anything — a peer that wedged before the op.
+    fn run_without_last<R: Send + 'static>(
+        n: usize,
+        f: impl Fn(Communicator) -> R + Send + Sync + 'static,
+    ) -> Vec<R> {
+        run_spmd(n, move |c| (c.rank() + 1 < n).then(|| f(c)))
+            .into_iter()
+            .flatten()
+            .collect()
     }
 
     #[test]
     fn dropped_post_times_out_instead_of_hanging() {
-        let out = run_spmd(3, |c| {
+        let out = run_without_last(3, |c| {
             c.seams().update(|s| s.wait_timeout_ms = Some(50));
-            c.seams()
-                .update(|s| s.fault_hook = Some(Arc::new(DropOp(0))));
             let req = c.iallreduce_sum(&[c.rank() as f64]);
             let mut buf = [0.0f64];
             let err = req.wait(&mut buf).unwrap_err();
-            // The op after the stalled one must still work once the hook
-            // stops dropping.
-            c.seams().update(|s| s.fault_hook = None);
-            let req = c.iallreduce_sum(&[1.0f64]);
-            let mut ok = [0.0f64];
-            req.wait(&mut ok).unwrap();
-            (err, buf[0], ok[0])
+            (err, buf[0])
         });
-        for (err, untouched, ok) in out {
+        assert_eq!(out.len(), 2);
+        for (err, untouched) in out {
             assert_eq!(
                 err,
                 CommError::Timeout(WaitTimeout {
@@ -1713,16 +1661,13 @@ mod tests {
                 })
             );
             assert_eq!(untouched, 0.0, "timeout must leave the out buffer alone");
-            assert_eq!(ok, 3.0);
         }
     }
 
     #[test]
     fn dropped_gather_times_out() {
-        let out = run_spmd(2, |c| {
+        let out = run_without_last(2, |c| {
             c.seams().update(|s| s.wait_timeout_ms = Some(40));
-            c.seams()
-                .update(|s| s.fault_hook = Some(Arc::new(DropOp(0))));
             let req = c.iallgather(&[c.rank() as u64]);
             let mut v = vec![99u64];
             let err = req.wait(&mut v).unwrap_err();
@@ -1731,18 +1676,14 @@ mod tests {
             };
             (t.timeout_ms, v)
         });
-        for (ms, v) in out {
-            assert_eq!(ms, 40);
-            assert_eq!(v, vec![99], "timeout must leave the out buffer alone");
-        }
+        assert_eq!(out, vec![(40, vec![99])], "timeout leaves the out buffer alone");
     }
 
     #[test]
     fn delayed_post_still_delivers() {
         let out = run_spmd(2, |c| {
             if c.rank() == 1 {
-                c.seams()
-                    .update(|s| s.fault_hook = Some(Arc::new(DelayAll(10))));
+                thread::sleep(Duration::from_millis(10));
             }
             let req = c.iallreduce_sum(&[c.rank() as f64 + 1.0]);
             let mut buf = [0.0f64];
@@ -1756,10 +1697,8 @@ mod tests {
 
     #[test]
     fn dropped_ibcast_times_out() {
-        let out = run_spmd(2, |c| {
+        let out = run_without_last(2, |c| {
             c.seams().update(|s| s.wait_timeout_ms = Some(40));
-            c.seams()
-                .update(|s| s.fault_hook = Some(Arc::new(DropOp(0))));
             let req = c.ibcast(&[c.rank() as u64], 0);
             let mut v = [7u64];
             match req.wait(&mut v).unwrap_err() {
@@ -1767,7 +1706,7 @@ mod tests {
                 other => panic!("expected a timeout, got {other}"),
             }
         });
-        assert_eq!(out, vec![0, 0]);
+        assert_eq!(out, vec![0]);
     }
 
     #[test]
@@ -1932,33 +1871,22 @@ mod tests {
 
     #[test]
     fn gate_deadlock_panics_instead_of_hanging() {
-        // Rank 1 never posts (fault hook drops it); rank 0 is gated behind
-        // it. The watchdog must turn that into a panic with a diagnostic,
-        // not a hung test run.
+        // Under the reversed order member 1 holds slot 0 but never posts;
+        // member 0 is gated behind it. The watchdog must turn that into a
+        // panic with a diagnostic, not a hung test run.
         let slot = Slot::new(2);
-        let handles: Vec<_> = (0..2)
-            .map(|i| {
-                let c = Communicator::new(slot.clone(), i);
-                std::thread::spawn(move || {
-                    c.seams().update(|s| s.wait_timeout_ms = Some(50));
-                    c.seams().update(|s| s.schedule = Some(Arc::new(Reversed)));
-                    if i == 1 {
-                        // Member 1 holds slot 0 but never deposits.
-                        c.seams()
-                            .update(|s| s.fault_hook = Some(Arc::new(DropOp(0))));
-                    }
-                    let req = c.iallreduce_sum(&[1.0f64]);
-                    let mut out = [0.0f64];
-                    let _ = req.wait(&mut out);
-                })
-            })
-            .collect();
-        let outcomes: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+        let c = Communicator::new(slot, 0);
+        let gated = std::thread::spawn(move || {
+            c.seams().update(|s| s.wait_timeout_ms = Some(50));
+            c.seams().update(|s| s.schedule = Some(Arc::new(Reversed)));
+            let req = c.iallreduce_sum(&[1.0f64]);
+            let mut out = [0.0f64];
+            let _ = req.wait(&mut out);
+        });
         assert!(
-            outcomes[0].is_err(),
+            gated.join().is_err(),
             "gated rank must panic via the watchdog"
         );
-        assert!(outcomes[1].is_ok(), "unblocked rank times out cleanly");
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! The per-rank seam record: everything a harness can install on a rank.
 //!
-//! Chaos testing (`chase-faults`), tracing (`chase-trace`), measured plans
-//! (`chase-tune`) and schedule exploration (`chase-check`) each hook into
-//! the comm layer. The hooks live in one plain struct, [`Seams`], one per
+//! Tracing (`chase-trace`), measured plans (`chase-tune`) and schedule
+//! exploration (`chase-check`) each hook into the comm layer. The hooks live in one plain struct, [`Seams`], one per
 //! rank: the rank's [`crate::RankCtx`] and its three communicators hold
 //! [`RankSeams`] handles onto the same record, so installing a hook is one
 //! assignment and a shrunk grid inherits the whole record in one move.
@@ -14,7 +13,6 @@
 //! moved. The per-collective path takes no lock: one atomic load and one
 //! `RefCell` borrow, as with the per-handle cells this replaces.
 
-use crate::collective::CommFaultHook;
 use crate::schedule::SchedulePolicy;
 use crate::trace_hook::TraceHook;
 use crate::tune_hook::CollectiveTuneHook;
@@ -27,11 +25,6 @@ use std::sync::Arc;
 /// hook, no policy, the default watchdog.
 #[derive(Clone, Default)]
 pub struct Seams {
-    /// Fault-injection hook, consulted at every *nonblocking* post and
-    /// nowhere else: `FaultPlan::on_post` claims its one-shot stall on the
-    /// first post it sees, and a dropped blocking post has no watchdog —
-    /// it would hang instead of timing out.
-    pub fault_hook: Option<Arc<dyn CommFaultHook>>,
     /// Schedule-exploration policy gating deposit order. Every rank of a
     /// grid must install the same policy (SPMD discipline) — the deposit
     /// gates rely on each member computing the identical permutation.

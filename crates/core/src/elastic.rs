@@ -6,9 +6,8 @@
 //! grid's dead board) is survived instead of wedging the job:
 //!
 //! 1. **Detection** — the victim's [`chase_faults::RankCrashPanic`] unwinds
-//!    its own thread; survivors surface the death as a typed
-//!    [`ChaseErrorKind::RankDead`] (nonblocking waits) or a
-//!    [`chase_comm::RankDeadPanic`] (blocking waits), both caught here.
+//!    its own thread; survivors' blocking waits unwind with the typed
+//!    [`chase_comm::RankDeadPanic`], caught here.
 //! 2. **Agreement** — survivors run [`chase_comm::Communicator::agree_dead`], a
 //!    deterministic round on machinery independent of the wedged collective
 //!    engines, so every survivor resolves the *same* dead set.
@@ -110,30 +109,18 @@ where
         // Classify the attempt: done, or a death to recover from.
         let suspected: Vec<usize> = match attempt {
             Ok(out) => {
-                let dead = match &out {
-                    Err(ChaseError {
-                        kind: ChaseErrorKind::RankDead { dead },
-                        ..
-                    }) => Some(dead.clone()),
-                    _ => None,
-                };
-                match dead {
-                    Some(d) => d,
-                    None => {
-                        let comm_events = cur
-                            .ledger_snapshot()
-                            .events()
-                            .iter()
-                            .filter(|e| e.kind.category() == Category::Comm)
-                            .count();
-                        return Some(ElasticOutcome {
-                            result: out,
-                            attempts,
-                            shape: cur.shape,
-                            comm_events,
-                        });
-                    }
-                }
+                let comm_events = cur
+                    .ledger_snapshot()
+                    .events()
+                    .iter()
+                    .filter(|e| e.kind.category() == Category::Comm)
+                    .count();
+                return Some(ElasticOutcome {
+                    result: out,
+                    attempts,
+                    shape: cur.shape,
+                    comm_events,
+                });
             }
             Err(payload) => {
                 if payload.downcast_ref::<RankCrashPanic>().is_some() {

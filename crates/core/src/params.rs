@@ -50,13 +50,6 @@ pub struct Params {
     /// bitwise identical across all settings; only the priced hop structure
     /// changes.
     pub collective: CollectiveAlgo,
-    /// Run the Chebyshev filter on the overlapped pipeline: panel-chunked
-    /// HEMMs double-buffered against nonblocking allreduces. Bitwise
-    /// identical to the flat filter.
-    pub overlap: bool,
-    /// Panel width (columns) for the overlapped filter; `None` lets the
-    /// topology tuner pick per step. Ignored unless `overlap` is set.
-    pub overlap_panel: Option<usize>,
     /// Seed for the random starting block.
     pub seed: u64,
     /// Fault-injection campaign (the parsed `--inject` spec). `None` runs
@@ -71,9 +64,6 @@ pub struct Params {
     /// How many times one iteration may restore + re-filter poisoned
     /// columns before giving up with `UnrecoverableNonFinite`.
     pub max_refilter: usize,
-    /// Override the nonblocking-collective wait timeout (ms) on the rank's
-    /// communicators; `None` keeps [`chase_comm::DEFAULT_WAIT_TIMEOUT_MS`].
-    pub wait_timeout_ms: Option<u64>,
     /// Directory for periodic solver checkpoints; `None` disables them.
     pub checkpoint_dir: Option<String>,
     /// Write a checkpoint every this many outer iterations (0 means only
@@ -101,27 +91,13 @@ impl Params {
             qr: QrStrategy::Auto,
             track_true_cond: false,
             collective: CollectiveAlgo::Flat,
-            overlap: false,
-            overlap_panel: None,
             seed: 0xC4A53,
             inject: None,
             guards: true,
             max_refilter: 2,
-            wait_timeout_ms: None,
             checkpoint_dir: None,
             checkpoint_every: 0,
             plan: None,
-        }
-    }
-
-    /// The filter execution strategy these parameters select.
-    pub fn filter_exec(&self) -> crate::filter::FilterExec {
-        if self.overlap {
-            crate::filter::FilterExec::Pipelined {
-                panel: self.overlap_panel,
-            }
-        } else {
-            crate::filter::FilterExec::Flat
         }
     }
 

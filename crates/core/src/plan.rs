@@ -1,8 +1,7 @@
 //! Resolved solve plans (the output vocabulary of `chase-tune`).
 //!
-//! A [`SolvePlan`] pins every performance knob a solve needs — collective
-//! schedule and overlap panel width — together with its
-//! provenance: where the decisions came from and what the model says they
+//! A [`SolvePlan`] pins the performance knob a solve needs — the collective
+//! schedule — together with its provenance: where the decisions came from and what the model says they
 //! cost relative to the `Flat` defaults. `chase-tune` produces plans from
 //! measured micro-benchmark trials; [`crate::Params::apply_plan`] merges one
 //! into a parameter set, touching only the knobs the caller left on their
@@ -41,17 +40,13 @@ pub struct SolvePlan {
     /// analytic tuner, or a measured per-size table installed as a
     /// [`chase_comm::CollectiveTuneHook`] on the rank contexts.
     pub collective: CollectiveAlgo,
-    /// Run the filter on the overlapped pipeline.
-    pub overlap: bool,
-    /// Pinned panel width for the pipeline (`None` = per-step tuner choice).
-    pub overlap_panel: Option<usize>,
     /// Provenance of the decisions above.
     pub source: PlanSource,
     /// Modeled cost (seconds) of the tuned components of one iteration
     /// under this plan — the quantity the tuner minimized.
     pub tuned_cost: f64,
     /// The same components' modeled cost under the `Flat` defaults
-    /// (flat collectives, no overlap). A measured plan
+    /// (flat collectives). A measured plan
     /// guarantees `tuned_cost <= flat_cost`: the flat path is always among
     /// the trial candidates.
     pub flat_cost: f64,
@@ -63,8 +58,6 @@ impl SolvePlan {
     pub fn flat_default() -> Self {
         Self {
             collective: CollectiveAlgo::Flat,
-            overlap: false,
-            overlap_panel: None,
             source: PlanSource::Manual,
             tuned_cost: 0.0,
             flat_cost: 0.0,
@@ -73,13 +66,8 @@ impl SolvePlan {
 
     /// One-line human summary (CLI, logs).
     pub fn summary(&self) -> String {
-        let panel = match (self.overlap, self.overlap_panel) {
-            (false, _) => "off".to_string(),
-            (true, None) => "auto".to_string(),
-            (true, Some(w)) => format!("{w}"),
-        };
         format!(
-            "collective={} overlap_panel={panel} source={} modeled {:.3}ms vs flat {:.3}ms",
+            "collective={} source={} modeled {:.3}ms vs flat {:.3}ms",
             self.collective.name(),
             self.source.name(),
             self.tuned_cost * 1e3,
@@ -89,23 +77,15 @@ impl SolvePlan {
 }
 
 impl Params {
-    /// Merge a resolved plan into these parameters, filling only the knobs
-    /// still on their `Auto`/default settings:
-    ///
-    /// * `collective` — replaced when `Flat` (the untouched default) or
-    ///   `Auto`; a forced `Ring`/`Tree`/`Doubling` pin is respected.
-    /// * `overlap`/`overlap_panel` — adopted unless the caller already
-    ///   turned overlap on (an explicit panel pin stays).
+    /// Merge a resolved plan into these parameters: `collective` is
+    /// replaced when `Flat` (the untouched default) or `Auto`; a forced
+    /// `Ring`/`Tree`/`Doubling` pin is respected.
     ///
     /// The plan is stamped on `self.plan` either way, so the solver can
     /// attach provenance to the result.
     pub fn apply_plan(&mut self, plan: &SolvePlan) {
         if matches!(self.collective, CollectiveAlgo::Flat | CollectiveAlgo::Auto) {
             self.collective = plan.collective;
-        }
-        if !self.overlap {
-            self.overlap = plan.overlap;
-            self.overlap_panel = plan.overlap_panel;
         }
         self.plan = Some(plan.clone());
     }
@@ -118,8 +98,6 @@ mod tests {
     fn measured() -> SolvePlan {
         SolvePlan {
             collective: CollectiveAlgo::Auto,
-            overlap: true,
-            overlap_panel: Some(16),
             source: PlanSource::Measured { db_key: "k".into() },
             tuned_cost: 1.0,
             flat_cost: 2.0,
@@ -131,8 +109,6 @@ mod tests {
         let mut p = Params::new(6, 4);
         p.apply_plan(&measured());
         assert_eq!(p.collective, CollectiveAlgo::Auto);
-        assert!(p.overlap);
-        assert_eq!(p.overlap_panel, Some(16));
         assert!(p.plan.is_some());
     }
 
@@ -140,10 +116,7 @@ mod tests {
     fn apply_respects_manual_pins() {
         let mut p = Params::new(6, 4);
         p.collective = CollectiveAlgo::Ring;
-        p.overlap = true;
-        p.overlap_panel = Some(4);
         p.apply_plan(&measured());
         assert_eq!(p.collective, CollectiveAlgo::Ring);
-        assert_eq!(p.overlap_panel, Some(4));
     }
 }

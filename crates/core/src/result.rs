@@ -69,8 +69,6 @@ pub enum RecoveryEventKind {
     /// QR escalated while the others' did not): the active subspace is
     /// restarted to restore SPMD consistency.
     ReplicaDivergence { stage: &'static str },
-    /// A nonblocking collective wait timed out.
-    Timeout { op_id: u64, timeout_ms: u64 },
     /// Survivors agreed (via the deterministic agreement round) that these
     /// world ranks stopped depositing into collectives. Ranks are numbered
     /// in the world the crash happened in.
@@ -120,9 +118,6 @@ impl fmt::Display for RecoveryEventKind {
             }
             RecoveryEventKind::ReplicaDivergence { stage } => {
                 write!(f, "replica divergence detected at {stage}")
-            }
-            RecoveryEventKind::Timeout { op_id, timeout_ms } => {
-                write!(f, "collective op {op_id} timed out after {timeout_ms} ms")
             }
             RecoveryEventKind::RankDead { dead } => {
                 write!(f, "agreed dead rank(s): {dead:?}")
@@ -209,16 +204,10 @@ impl ChaseError {
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ChaseErrorKind {
-    /// A collective never completed (wedged peer / dropped post).
+    /// The elastic driver's dead-rank agreement round timed out.
     CollectiveTimeout(WaitTimeout),
-    /// One or more peer ranks died mid-collective (the agreed dead set, in
-    /// the world numbering of the grid the solve ran on). The elastic
-    /// driver catches this kind, shrinks the grid and resumes from the
-    /// latest checkpoint.
+    /// No rank of the grid survived to report an outcome.
     RankDead { dead: Vec<usize> },
-    /// A nonblocking wait named an operation that was never posted (or was
-    /// dropped by a fault hook before posting).
-    UnknownCollective { op_id: u64 },
     /// Corruption persisted through every re-filter retry.
     UnrecoverableNonFinite,
     /// The final cross-rank verification of the returned eigenpairs failed.
@@ -244,9 +233,6 @@ impl fmt::Display for ChaseError {
             }
             ChaseErrorKind::RankDead { dead } => {
                 write!(f, "iter {}: peer rank(s) {dead:?} died", self.iter)
-            }
-            ChaseErrorKind::UnknownCollective { op_id } => {
-                write!(f, "iter {}: unknown collective op {op_id}", self.iter)
             }
             ChaseErrorKind::UnrecoverableNonFinite => write!(
                 f,

@@ -18,7 +18,7 @@
 
 use crate::ckpt::{CkptError, Snapshot};
 use crate::condest::cond_est;
-use crate::filter::{chebyshev_filter_with, FilterBounds, FilterError};
+use crate::filter::{chebyshev_filter_with, FilterBounds, FilterError, FilterExec};
 use crate::hemm::{hemm_c_to_b, matvec_replicated};
 use crate::layout::{DistHerm, MemoryReport, RowDist};
 use crate::params::Params;
@@ -28,7 +28,7 @@ use crate::result::{
 };
 use crate::subspace::{permute_cols, Measured, Subspace};
 use crate::warm::WarmStart;
-use chase_comm::{CommError, RankCtx, Reduce, Region};
+use chase_comm::{RankCtx, Reduce, Region};
 use chase_device::{Backend, Device};
 use chase_faults::FaultPlan;
 use chase_linalg::{Matrix, Op, RealScalar, Scalar, SpectralBounds};
@@ -149,7 +149,7 @@ enum Step {
 enum Abort {
     /// Non-finite data outlived the re-filter attempts or the restarts.
     NonFinite,
-    /// A filter call failed: timeout, dead peer, unusable interval.
+    /// A filter call refused its interval or degrees.
     Filter(FilterError),
     /// The cross-check of the returned pairs failed.
     Verification(String),
@@ -510,7 +510,7 @@ where
             locked,
             &degrees,
             fb,
-            self.params.filter_exec(),
+            FilterExec::Flat,
         )?;
         self.progress.matvecs += mv;
         Ok(mv)
@@ -587,7 +587,7 @@ where
             0,
             &redegs,
             fb,
-            self.params.filter_exec(),
+            FilterExec::Flat,
         )?;
         for (t, &(d, j)) in by_degree.iter().enumerate() {
             self.c.col_mut(j).copy_from_slice(tmp_c.col(t));
@@ -865,32 +865,20 @@ where
         Ok(())
     }
 
-    /// The one abort path: the fault records not yet drained, what a failed
-    /// collective has to say (spectrum/degree violations are caller bugs or
-    /// stale warm bounds — no recovery event, just the typed error), and the
-    /// recovery trail handed over to the error.
+    /// The one abort path: the fault records not yet drained, the typed
+    /// error (a spectrum/degree violation is a caller bug or a stale warm
+    /// bound — no recovery event), and the recovery trail handed over to
+    /// the error.
     fn abort(&mut self, cause: Abort) -> ChaseError {
         self.drain_faults();
         let kind = match cause {
             Abort::NonFinite => ChaseErrorKind::UnrecoverableNonFinite,
             Abort::Verification(detail) => ChaseErrorKind::VerificationFailed { detail },
-            Abort::Filter(FilterError::Comm(CommError::Timeout(t))) => {
-                self.progress.note(RecoveryEventKind::Timeout {
-                    op_id: t.op_id,
-                    timeout_ms: t.timeout_ms,
-                });
-                ChaseErrorKind::CollectiveTimeout(t)
-            }
-            Abort::Filter(FilterError::Comm(CommError::RankDead { dead, .. })) => {
-                self.progress
-                    .note(RecoveryEventKind::RankDead { dead: dead.clone() });
-                ChaseErrorKind::RankDead { dead }
-            }
-            Abort::Filter(FilterError::Comm(CommError::UnknownOp { op_id })) => {
-                ChaseErrorKind::UnknownCollective { op_id }
-            }
             Abort::Filter(FilterError::BadSpectrum(detail) | FilterError::BadDegrees(detail)) => {
                 ChaseErrorKind::BadSpectrum { detail }
+            }
+            Abort::Filter(FilterError::Comm(e)) => {
+                unreachable!("the flat filter posts no nonblocking collective: {e}")
             }
         };
         ChaseError {
@@ -1011,9 +999,9 @@ where
 /// [`ChaseErrorKind::InvalidParams`] before any collective (every rank sees
 /// the same inputs, so every rank returns the same error). When
 /// `params.inject` is set, a per-rank [`FaultPlan`] is compiled and wired
-/// into the rank's three communicators (payload corruption, delays, drops)
-/// and into the device layer (filtered-block corruption); an unrecoverable
-/// fault is a typed error carrying the recovery log.
+/// into the device layer (payload and filtered-block corruption, rank
+/// crashes); an unrecoverable fault is a typed error carrying the recovery
+/// log.
 pub fn solve_dist<T: Scalar + Reduce>(
     ctx: &chase_comm::RankCtx,
     backend: Backend,
@@ -1071,14 +1059,6 @@ where
         .inject
         .as_ref()
         .map(|spec| Arc::new(FaultPlan::new(spec.clone(), ctx.world_rank(), ctx.row)));
-    // Installed for this solve only: the guard restores the rank's record
-    // on return and when a `RankDeadPanic` unwinds to the elastic driver.
-    let _seams = ctx.seams.scoped(|s| {
-        s.wait_timeout_ms = params.wait_timeout_ms.or(s.wait_timeout_ms);
-        if let Some(p) = &plan {
-            s.fault_hook = Some(p.clone());
-        }
-    });
     if let Some(p) = &plan {
         // Mirror injections into the trace stream when a recorder is
         // installed on this rank.
@@ -1143,26 +1123,6 @@ mod tests {
         assert_eq!(m[(0, 1)], 0.0); // old col 3 (which held col 0's data)
         assert_eq!(m[(0, 2)], 10.0);
         assert_eq!(m[(0, 3)], 20.0);
-    }
-
-    #[test]
-    fn solve_restores_the_seam_record() {
-        // `wait_timeout_ms: Some(..)` holds for that solve only: a later
-        // solve on the same context with `None` gets the default back.
-        let spec = chase_matgen::Spectrum::uniform(40, -1.0, 1.0);
-        let h = chase_matgen::dense_with_spectrum::<f64>(&spec, 7);
-        let ctx = chase_comm::solo_ctx();
-        let mut p = Params::new(4, 3);
-        for timeout in [Some(50), None] {
-            p.wait_timeout_ms = timeout;
-            let dh = DistHerm::from_global(&h, &ctx);
-            assert!(solve_dist(&ctx, Backend::Nccl, dh, &p, None).is_ok());
-        }
-        assert_eq!(
-            ctx.world.wait_timeout_ms(),
-            chase_comm::DEFAULT_WAIT_TIMEOUT_MS
-        );
-        assert!(ctx.seams.get().fault_hook.is_none());
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //! tells. The switchboard exists because CholeskyQR silently breaks down on
 //! ill-conditioned filtered blocks; this crate injects exactly those failure
 //! modes (and their distributed cousins — corrupted collective payloads,
-//! stalled nonblocking requests) at chosen `(iteration, region)` trigger
-//! points so the recovery ladder in `chase-core` can be exercised on demand.
+//! crashed ranks) at chosen `(iteration, region)` trigger points so the recovery ladder in `chase-core` can be exercised on demand.
 //!
 //! Everything is a pure function of the spec seed and the solver's SPMD
 //! call sequence: no wall clock, no OS entropy. The same [`FaultSpec`]
@@ -15,12 +14,11 @@
 //!
 //! A [`FaultPlan`] is the per-rank compiled form of a spec. The solver
 //! drives it (`set_iter`, `set_region`), the device layer consults it at
-//! collective posts ([`FaultPlan::corrupt_payload`]), the comm layer routes
-//! nonblocking posts through it (it implements
-//! [`chase_comm::CommFaultHook`]), and the solver applies block-level
-//! corruption between pipeline stages ([`FaultPlan::apply_block_faults`]).
+//! collective posts ([`FaultPlan::corrupt_payload`], also the `rank-crash`
+//! site), and the solver applies block-level corruption between pipeline
+//! stages ([`FaultPlan::apply_block_faults`]).
 
-use chase_comm::{CommFaultHook, DeathHandle, PostAction, Region, TraceHook};
+use chase_comm::{DeathHandle, Region, TraceHook};
 use chase_linalg::{Matrix, RealScalar, Scalar};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
@@ -46,11 +44,6 @@ pub enum FaultKind {
     InfPayload,
     /// Flip one bit of one element of a collective payload on one rank.
     BitFlip,
-    /// Never post one nonblocking collective — every member's `wait()` times
-    /// out. Triggered identically on all ranks (a wedged communicator).
-    Stall,
-    /// Sleep before posting nonblocking collectives (a straggler link).
-    Delay,
     /// Kill one rank: at the armed `(iter, region)` site the target rank
     /// marks itself dead on the grid's dead-rank board and unwinds, never
     /// depositing into another collective. Survivors detect the death
@@ -68,8 +61,6 @@ impl FaultKind {
             FaultKind::NanPayload => "nan",
             FaultKind::InfPayload => "inf",
             FaultKind::BitFlip => "bitflip",
-            FaultKind::Stall => "stall",
-            FaultKind::Delay => "delay",
             FaultKind::RankCrash => "rank-crash",
         }
     }
@@ -82,8 +73,6 @@ impl FaultKind {
             "nan" => FaultKind::NanPayload,
             "inf" => FaultKind::InfPayload,
             "bitflip" => FaultKind::BitFlip,
-            "stall" => FaultKind::Stall,
-            "delay" => FaultKind::Delay,
             "rank-crash" => FaultKind::RankCrash,
             other => return Err(SpecError(format!("unknown fault kind '{other}'"))),
         })
@@ -135,7 +124,7 @@ pub struct Injection {
     /// Restrict to one solver region; `None` fires in any region.
     pub region: Option<Region>,
     /// Payload faults: the world rank that corrupts its contribution
-    /// (default 0). Ignored by block/stall/delay faults.
+    /// (default 0). Ignored by block faults.
     pub rank: usize,
     /// Block faults: restrict to one grid row (replica-consistent);
     /// `None` corrupts on every grid row.
@@ -144,8 +133,6 @@ pub struct Injection {
     pub cols: usize,
     /// Bit-flip faults: which bit of the f64 representation (default 1).
     pub bit: u32,
-    /// Delay faults: sleep in milliseconds (default 5).
-    pub ms: u64,
 }
 
 impl Injection {
@@ -158,7 +145,6 @@ impl Injection {
             row: None,
             cols: 1,
             bit: 1,
-            ms: 5,
         }
     }
 
@@ -191,9 +177,7 @@ impl fmt::Display for Injection {
                 write!(f, ",cols={}", self.cols)?;
             }
             FaultKind::Breakdown => write!(f, ",cols={}", self.cols)?,
-            FaultKind::Delay => write!(f, ",ms={}", self.ms)?,
             FaultKind::RankCrash => write!(f, ",rank={}", self.rank)?,
-            FaultKind::Stall => {}
         }
         Ok(())
     }
@@ -217,7 +201,7 @@ impl std::error::Error for SpecError {}
 /// The text form round-trips through [`FaultSpec::parse`] / `Display`:
 ///
 /// ```text
-/// seed=42;bitflip@iter=2,region=filter,rank=1,bit=7;stall@iter=3,region=rr
+/// seed=42;bitflip@iter=2,region=filter,rank=1,bit=7;breakdown@iter=3,cols=2
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultSpec {
@@ -268,7 +252,6 @@ impl FaultSpec {
                     "row" => inj.row = Some(num()? as usize),
                     "cols" => inj.cols = num()? as usize,
                     "bit" => inj.bit = (num()? as u32) & 63,
-                    "ms" => inj.ms = num()?,
                     other => return Err(SpecError(format!("unknown key '{other}'"))),
                 }
             }
@@ -381,9 +364,8 @@ fn splitmix64(mut x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Per-rank compiled fault plan. Shared (via `Arc`) between the solver, the
-/// device layer and the communicators of one rank; `Send + Sync` because the
-/// comm fault hook demands it, though in practice one plan serves one rank.
+/// Per-rank compiled fault plan. Shared (via `Arc`) between the solver and
+/// the device layer of one rank.
 pub struct FaultPlan {
     spec: FaultSpec,
     world_rank: usize,
@@ -398,8 +380,8 @@ pub struct FaultPlan {
     site: AtomicU64,
     log: Mutex<Vec<InjectionRecord>>,
     /// Optional trace sink mirroring every injection into the trace counter
-    /// stream (`faults_fired`, `posts_dropped`, `posts_delayed`), so a
-    /// recorded timeline shows *where* the chaos harness struck.
+    /// stream (`faults_fired`, `rank_crashes`), so a recorded timeline shows
+    /// *where* the chaos harness struck.
     trace: Mutex<Option<std::sync::Arc<dyn TraceHook>>>,
     /// Crash switch for `rank-crash` injections: marks this rank dead on
     /// the grid's board and wakes parked waiters. Installed by the solver's
@@ -672,43 +654,18 @@ impl FaultPlan {
     }
 }
 
-impl CommFaultHook for FaultPlan {
-    fn on_post(&self, op: &'static str, _seq: u64) -> PostAction {
-        for idx in 0..self.spec.injections.len() {
-            let inj = self.spec.injections[idx];
-            match inj.kind {
-                // Stall triggers are evaluated identically on every rank
-                // (iter/region only — never rank-gated), so all members drop
-                // the same op and all of them time out at its wait.
-                FaultKind::Stall if self.armed(idx) && self.claim(idx) => {
-                    self.record(format!("stalled nonblocking {op} post"));
-                    self.trace_counter("posts_dropped");
-                    return PostAction::Drop;
-                }
-                FaultKind::Delay if self.armed(idx) && self.claim(idx) => {
-                    self.record(format!("delayed nonblocking {op} post by {} ms", inj.ms));
-                    self.trace_counter("posts_delayed");
-                    return PostAction::Delay { ms: inj.ms };
-                }
-                _ => {}
-            }
-        }
-        PostAction::Deliver
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn spec_round_trips_through_display() {
-        let s = "seed=42;bitflip@iter=2,region=filter,rank=1,bit=7;stall@iter=3,region=rr;\
-                 breakdown@iter=1,cols=2;nan-block@iter=4,row=1,cols=3;delay@iter=5,ms=12;\
+        let s = "seed=42;bitflip@iter=2,region=filter,rank=1,bit=7;inf@iter=3,region=rr;\
+                 breakdown@iter=1,cols=2;nan-block@iter=4,row=1,cols=3;\
                  rank-crash@iter=3,region=filter,rank=1";
         let spec = FaultSpec::parse(s).unwrap();
         assert_eq!(spec.seed, 42);
-        assert_eq!(spec.injections.len(), 6);
+        assert_eq!(spec.injections.len(), 5);
         let printed = spec.to_string();
         let reparsed = FaultSpec::parse(&printed).unwrap();
         assert_eq!(spec, reparsed, "parse(display(spec)) must round-trip");
@@ -754,12 +711,16 @@ mod tests {
         assert_eq!((rec[0].iter, rec[0].region, rec[0].rank), (2, "filter", 1));
     }
 
-    /// `overflow` planted a value past f32 range for a filter that no
-    /// longer runs in f32: a spec naming it is refused, not ignored.
+    /// Removed kinds are refused, not ignored: `overflow` planted a value
+    /// past f32 range for a filter that no longer runs in f32; `stall` and
+    /// `delay` held back a nonblocking post, and the solver posts none.
     #[test]
     fn overflow_is_not_a_fault_kind() {
-        let err = FaultSpec::parse("seed=7;overflow@iter=1,region=filter,rank=0").unwrap_err();
-        assert_eq!(err, SpecError("unknown fault kind 'overflow'".into()));
+        for kind in ["overflow", "stall", "delay"] {
+            let err = FaultSpec::parse(&format!("seed=7;{kind}@iter=1,region=filter,rank=0"))
+                .unwrap_err();
+            assert_eq!(err, SpecError(format!("unknown fault kind '{kind}'")));
+        }
     }
 
     #[test]
@@ -829,21 +790,6 @@ mod tests {
     }
 
     #[test]
-    fn stall_hook_drops_exactly_one_post() {
-        let spec = FaultSpec::parse("seed=2;stall@iter=3,region=filter").unwrap();
-        let p = FaultPlan::new(spec, 0, 0);
-        p.set_iter(2);
-        p.set_region(Region::Filter);
-        assert_eq!(p.on_post("iallreduce", 0), PostAction::Deliver);
-        p.set_iter(3);
-        assert_eq!(p.on_post("iallreduce", 1), PostAction::Drop);
-        assert_eq!(p.on_post("iallreduce", 2), PostAction::Deliver, "one-shot");
-        let rec = p.take_records();
-        assert_eq!(rec.len(), 1);
-        assert!(rec[0].what.contains("stalled"));
-    }
-
-    #[test]
     fn rank_crash_requires_a_death_handle_and_fires_once() {
         use chase_comm::{DeadBoard, Slot};
         use std::sync::Arc;
@@ -903,15 +849,5 @@ mod tests {
         assert_eq!(rest.seed, 9);
         let only_crash = FaultSpec::parse("seed=9;rank-crash@iter=2,rank=1").unwrap();
         assert!(only_crash.without_rank_crash().is_none());
-    }
-
-    #[test]
-    fn delay_hook_delays_then_delivers() {
-        let spec = FaultSpec::parse("seed=2;delay@iter=1,ms=7").unwrap();
-        let p = FaultPlan::new(spec, 0, 0);
-        p.set_iter(1);
-        p.set_region(Region::RayleighRitz);
-        assert_eq!(p.on_post("ibcast", 0), PostAction::Delay { ms: 7 });
-        assert_eq!(p.on_post("ibcast", 1), PostAction::Deliver);
     }
 }

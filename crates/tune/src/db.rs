@@ -17,8 +17,9 @@ use std::fmt;
 /// Current on-disk format version. Parsers reject any other version with
 /// [`DbError::VersionSkew`]: plans silently reinterpreted across format
 /// changes could pin nonsense schedules. Version 2 dropped version 1's
-/// per-entry filter `precision`.
-pub const DB_VERSION: u64 = 2;
+/// per-entry filter `precision`; version 3 dropped version 2's filter
+/// `overlap` and `panel`.
+pub const DB_VERSION: u64 = 3;
 
 /// Format tag distinguishing a plan DB from other JSON artifacts.
 pub const DB_FORMAT: &str = "chase-plan-db";
@@ -183,12 +184,8 @@ pub struct PlanEntry {
     pub key: PlanKey,
     /// Per-(op, members, size) collective schedule table.
     pub rules: Vec<CollRule>,
-    /// Whether the pipelined filter beat the flat one.
-    pub overlap: bool,
-    /// Winning panel width (meaningful only when `overlap`).
-    pub panel: usize,
-    /// Measured per-rank cost (seconds) of the tuned components of one
-    /// iteration under this entry's decisions.
+    /// Measured per-rank cost (seconds) of the probed collectives of one
+    /// iteration under this entry's rules.
     pub tuned_cost: f64,
     /// The same components under the `Flat` defaults. The flat path is
     /// always among the trial candidates, so `tuned_cost <= flat_cost`.
@@ -236,11 +233,9 @@ impl PlanEntry {
     pub fn to_json(&self) -> String {
         let rules: Vec<String> = self.rules.iter().map(CollRule::to_json).collect();
         format!(
-            "{{\"key\":{},\"rules\":[{}],\"overlap\":{},\"panel\":{},\"tuned_cost\":{},\"flat_cost\":{},\"trials\":{}}}",
+            "{{\"key\":{},\"rules\":[{}],\"tuned_cost\":{},\"flat_cost\":{},\"trials\":{}}}",
             self.key.to_json(),
             rules.join(","),
-            self.overlap,
-            self.panel,
             fmt_f64(self.tuned_cost),
             fmt_f64(self.flat_cost),
             self.trials,
@@ -263,20 +258,9 @@ impl PlanEntry {
             .iter()
             .map(CollRule::from_json)
             .collect::<Result<Vec<_>, _>>()?;
-        let overlap = match v.get("overlap") {
-            Some(Json::Bool(b)) => *b,
-            _ => {
-                return Err(DbError::Field {
-                    field: "overlap",
-                    detail: "missing or not a bool".into(),
-                })
-            }
-        };
         Ok(Self {
             key,
             rules,
-            overlap,
-            panel: usize_field(v, "panel")?,
             tuned_cost: f64_field(v, "tuned_cost")?,
             flat_cost: f64_field(v, "flat_cost")?,
             trials: u64_field(v, "trials")?,
@@ -472,8 +456,6 @@ mod tests {
                     modeled: 2.5e-4,
                 },
             ],
-            overlap: true,
-            panel: 16,
             tuned_cost: 1.0e-3,
             flat_cost: 2.0e-3,
             trials: 42,
@@ -514,8 +496,9 @@ mod tests {
 
     #[test]
     fn version_skew_is_typed() {
-        // Version 1 is the format whose entries carried a filter precision.
-        for found in [1, 99] {
+        // Version 1 entries carried a filter precision, version 2 entries
+        // the filter overlap and panel.
+        for found in [1, 2, 99] {
             let s = format!("{{\"format\":\"{DB_FORMAT}\",\"version\":{found},\"entries\":[]}}");
             assert_eq!(
                 PlanDb::parse(&s),

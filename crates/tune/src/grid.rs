@@ -152,13 +152,13 @@ where
             let outcome = try_solve_elastic(ctx, run.backend, slice, params);
             (outcome.map(|o| o.result), None)
         } else {
-            let mut dh = slice(ctx);
+            let dh = slice(ctx);
             let tuned = run.plan.map(|choice| match choice {
                 PlanChoice::Hit(entry) => TuneOutcome {
                     entry: entry.clone(),
                     residuals: Vec::new(),
                 },
-                PlanChoice::Tune(opts) => tune_entry(ctx, &mut dh, params.nev, params.nex, opts),
+                PlanChoice::Tune(opts) => tune_entry(ctx, &dh, params.nev, params.nex, opts),
             });
             let planned = tuned.as_ref().map(|t| {
                 // Inside `installed`'s scope: its drop takes the hook out.

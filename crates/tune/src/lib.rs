@@ -1,16 +1,15 @@
 //! `chase-tune`: measurement-driven autotuner with a persistent plan
 //! database.
 //!
-//! The solver exposes several knobs whose best setting depends on the
-//! machine, the grid shape and the problem size: which hop schedule each
-//! collective uses (`CollectiveAlgo`) and whether the Chebyshev filter
-//! pipelines its HEMM panels (`overlap`/`overlap_panel`). The analytic
+//! The solver exposes a knob whose best setting depends on the machine, the
+//! grid shape and the problem size: which hop schedule each collective
+//! uses (`CollectiveAlgo`). The analytic
 //! alpha-beta model in `chase-topo` picks defaults from first principles;
 //! this crate instead *measures*: it runs short deterministic trials of the
-//! actual hot paths ([`trial::tune_entry`]), fits the winners into a
+//! solver's collectives ([`trial::tune_entry`]), fits the winners into a
 //! versioned on-disk [`db::PlanDb`] keyed by machine fingerprint × grid ×
 //! problem × scalar, and emits a [`chase_core::SolvePlan`] that fills in
-//! whatever knobs `Params` left on `Auto`.
+//! the collective knob when `Params` left it on its default.
 //!
 //! Layering: the measured choices flow back into the solver through the
 //! [`chase_comm::CollectiveTuneHook`] seam, which a [`PlanEntry`]
@@ -39,19 +38,12 @@ use chase_device::CollectiveAlgo;
 ///
 /// The plan's collective knob is `Auto` — per-call choices come from the
 /// entry's rule table (the entry is itself the [`chase_comm::CollectiveTuneHook`]
-/// the driver installs), not a single global algorithm — while overlap and
-/// panel are the trial winners. `tuned_cost`/`flat_cost` carry the
+/// the driver installs), not a single global algorithm. `tuned_cost`/`flat_cost` carry the
 /// world-agreed trial metric so callers can report (and tests assert) that
 /// the tuned plan is never worse than the flat reference.
 pub fn plan_from_entry(entry: &PlanEntry) -> SolvePlan {
     SolvePlan {
         collective: CollectiveAlgo::Auto,
-        overlap: entry.overlap,
-        overlap_panel: if entry.overlap {
-            Some(entry.panel)
-        } else {
-            None
-        },
         source: PlanSource::Measured {
             db_key: entry.key.canonical(),
         },
@@ -85,8 +77,6 @@ mod tests {
                 measured: 1e-5,
                 modeled: 2e-5,
             }],
-            overlap: true,
-            panel: 8,
             tuned_cost: 1.0,
             flat_cost: 2.0,
             trials: 7,
@@ -105,8 +95,7 @@ mod tests {
     #[test]
     fn plan_carries_trial_winners() {
         let plan = plan_from_entry(&entry());
-        assert!(plan.overlap);
-        assert_eq!(plan.overlap_panel, Some(8));
+        assert_eq!(plan.collective, CollectiveAlgo::Auto);
         assert!(matches!(plan.source, PlanSource::Measured { .. }));
         assert!(plan.tuned_cost <= plan.flat_cost);
     }

@@ -1,13 +1,11 @@
 //! Deterministic micro-benchmark trials probing the solver's hot paths.
 //!
 //! Each trial *executes* the real code path — a `chase-topo` hop schedule
-//! over the real communicators, the pipelined HEMM over the caller's actual
-//! `H` block — and scores it on one of two clocks:
+//! over the real communicators — and scores it on one of two clocks:
 //!
-//! * **deterministic** — the events the path recorded are priced with the
-//!   `chase-perfmodel` machine (per-hop for collectives, overlap-aware for
-//!   pipelined filter steps). Trials replay bitwise, so tests and the
-//!   serve scheduler's plan phase stay reproducible.
+//! * **deterministic** — the events the path recorded are priced per hop
+//!   with the `chase-perfmodel` machine. Trials replay bitwise, so tests
+//!   and the serve scheduler's plan phase stay reproducible.
 //! * **wall-clock** — `std::time::Instant` around the same execution, for
 //!   tuning on a live machine.
 //!
@@ -25,18 +23,12 @@
 use crate::db::{CollRule, PlanEntry, PlanKey};
 use crate::fingerprint::machine_fingerprint;
 use chase_comm::{Communicator, EventKind, RankCtx, Reduce, TuneAlgo, TuneOp};
-use chase_core::{chebyshev_filter_with, DistHerm, FilterBounds, FilterExec};
-use chase_device::{Backend, CollectiveAlgo, Device};
-use chase_linalg::{Matrix, RealScalar, Scalar};
-use chase_perfmodel::{
-    price_events_overlap, CommFlavor, Machine, PriceCtx, ResidualRow, ScalarKind,
-};
-use chase_topo::{collective_cost, exec, Algo, CollOp, CHUNK_MENU, PANEL_MENU};
+use chase_core::DistHerm;
+use chase_device::Backend;
+use chase_linalg::Scalar;
+use chase_perfmodel::{CommFlavor, Machine, ResidualRow, ScalarKind};
+use chase_topo::{collective_cost, exec, Algo, CollOp, CHUNK_MENU};
 use std::time::Instant;
-
-/// Degree of the trial filter: the smallest even degree that exercises both
-/// recurrence directions (C→B and B→C) and their collectives.
-const TRIAL_DEG: usize = 2;
 
 /// Base collective-wait watchdog during trials, before the
 /// `CHASE_TEST_TIMEOUT_SCALE` multiplier. Tighter than the production
@@ -311,13 +303,12 @@ fn probe_collective<T: Scalar + Reduce>(
 }
 
 /// Tune a full entry for the solve configuration `(h, nev, nex)` on this
-/// grid. Collective work runs on the actual row/column communicators,
-/// filter work on the caller's actual `H` block (its prepack caches warm
-/// up; the numeric content of the solve is untouched — trials use private
-/// vector blocks). Must be called SPMD by every rank of the grid.
+/// grid: the solver's collectives, at the payload sizes `h`'s local block
+/// gives them, on the actual row/column communicators. Must be called SPMD
+/// by every rank of the grid.
 pub fn tune_entry<T>(
     ctx: &RankCtx,
-    h: &mut DistHerm<T>,
+    h: &DistHerm<T>,
     nev: usize,
     nex: usize,
     opts: &TuneOptions,
@@ -335,11 +326,6 @@ where
     let watchdog = chase_comm::scaled_timeout_ms(TRIAL_WATCHDOG_MS);
     let _seams = ctx.seams.scoped(|s| s.wait_timeout_ms = Some(watchdog));
     let es = std::mem::size_of::<T>() as u64;
-    let pctx = PriceCtx {
-        scalar: scalar_kind::<T>(),
-        flavor: opts.flavor(),
-        gpus_per_rank: 1.0,
-    };
     let mut bench = Bench {
         ctx,
         opts,
@@ -377,58 +363,11 @@ where
         );
     }
 
-    // --- Filter pipeline probes on the real H block.
-    let dev = Device::with_collectives(
-        ctx,
-        opts.backend,
-        CollectiveAlgo::Flat,
-        opts.machine.topo.clone(),
-    );
-    let mut c = Matrix::from_fn(h.n_r(), ne, |i, j| {
-        T::from_real(<T::Real as RealScalar>::from_f64_r(
-            ((i * 31 + j * 17) % 101) as f64 / 101.0 + 0.01,
-        ))
-    });
-    let mut b = Matrix::zeros(h.n_c(), ne);
-    let bounds = FilterBounds::from_spectrum(
-        <T::Real as RealScalar>::from_f64_r(-2.0),
-        <T::Real as RealScalar>::from_f64_r(0.0),
-        <T::Real as RealScalar>::from_f64_r(2.0),
-    );
-    let degrees = vec![TRIAL_DEG; ne];
-    let machine = opts.machine.clone();
-
-    let mut measure_filter = |bench: &mut Bench<'_>, exec_kind: FilterExec| -> f64 {
-        bench.run(|local| {
-            let start = ctx.ledger_snapshot().events().len();
-            chebyshev_filter_with(&dev, ctx, h, &mut c, &mut b, 0, &degrees, bounds, exec_kind)
-                .expect("trial filter on validated inputs");
-            let snap = ctx.ledger_snapshot();
-            *local = price_events_overlap(&snap.events()[start..], &machine, pctx).total();
-        })
-    };
-
-    let filter_flat = measure_filter(&mut bench, FilterExec::Flat);
-    let (mut best_filter, mut overlap, mut panel) = (filter_flat, false, 0usize);
-    for &w in PANEL_MENU {
-        if w >= ne {
-            break; // a panel spanning the block degenerates to flat
-        }
-        let cost = measure_filter(&mut bench, FilterExec::Pipelined { panel: Some(w) });
-        if cost < best_filter {
-            best_filter = cost;
-            overlap = true;
-            panel = w;
-        }
-    }
-
     let entry = PlanEntry {
         key: plan_key::<T>(&opts.machine, ctx.shape.p, ctx.shape.q, h.n, nev, nex),
         rules,
-        overlap,
-        panel,
-        tuned_cost: coll_tuned + best_filter,
-        flat_cost: coll_flat + filter_flat,
+        tuned_cost: coll_tuned,
+        flat_cost: coll_flat,
         trials: bench.trial_idx,
     };
 

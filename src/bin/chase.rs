@@ -7,8 +7,7 @@
 //!                [--grid 2x2 | --ranks 6] [--backend nccl|std|lms]
 //!                [--qr auto|hhqr|cholqr1|cholqr2]
 //!                [--collective flat|ring|tree|doubling|auto] [--cyclic BLOCK] [--no-degopt]
-//!                [--overlap] [--panel 16]
-//!                [--inject 'seed=7;bitflip@iter=2,region=filter,rank=0'] [--wait-timeout-ms 500]
+//!                [--inject 'seed=7;bitflip@iter=2,region=filter,rank=0']
 //!                [--no-guards] [--checkpoint DIR] [--checkpoint-every K]
 //!                [--trace out.json] [--trace-format chrome|summary] [--metrics m.json]
 //! ```
@@ -41,9 +40,8 @@ const COMMANDS: [(&str, Command, &str); 7] = [
     (
         "solve",
         cmd_solve,
-        "matrix nev nex tol grid ranks backend qr collective cyclic no-degopt overlap panel \
-         inject wait-timeout-ms no-guards checkpoint checkpoint-every plan-db deterministic \
-         trace trace-format metrics",
+        "matrix nev nex tol grid ranks backend qr collective cyclic no-degopt inject no-guards \
+         checkpoint checkpoint-every plan-db deterministic trace trace-format metrics",
     ),
     (
         "tune",
@@ -81,7 +79,6 @@ fn parse_flags(cmd: &str, known: &str, args: &[String]) -> Result<Flags, String>
             key,
             "real"
                 | "no-degopt"
-                | "overlap"
                 | "no-guards"
                 | "deterministic"
                 | "force"
@@ -401,19 +398,9 @@ fn cmd_solve(flags: Flags) -> Result<(), String> {
     params.qr = qr;
     params.collective = collective;
     params.optimize_degrees = !flags.contains_key("no-degopt");
-    // `--overlap` switches the filter to the panel-chunked double-buffered
-    // pipeline; `--panel W` pins the panel width (implies --overlap, since
-    // it is meaningless on the flat path). Without --panel the topology
-    // tuner picks the width per step.
-    params.overlap = flags.contains_key("overlap") || flags.contains_key("panel");
-    params.overlap_panel = match flags.get("panel") {
-        Some(w) => Some(w.parse().map_err(|_| "--panel needs a column count")?),
-        None => None,
-    };
     // Fault-injection campaign: `--inject` compiles a deterministic per-rank
-    // fault plan; `--wait-timeout-ms` bounds every nonblocking wait (so a
-    // stalled collective surfaces as a typed error instead of a hang);
-    // `--no-guards` disables the detection/recovery layer (chaos ablation).
+    // fault plan; `--no-guards` disables the detection/recovery layer (chaos
+    // ablation).
     params.inject = match flags.get("inject") {
         Some(spec) => Some(
             spec.parse::<chase_faults::FaultSpec>()
@@ -424,13 +411,6 @@ fn cmd_solve(flags: Flags) -> Result<(), String> {
     if params.plans_rank_crash() {
         silence_expected_crash_panics();
     }
-    params.wait_timeout_ms = match flags.get("wait-timeout-ms") {
-        Some(ms) => Some(
-            ms.parse()
-                .map_err(|_| "--wait-timeout-ms needs milliseconds")?,
-        ),
-        None => None,
-    };
     params.guards = !flags.contains_key("no-guards");
     // `--checkpoint DIR` snapshots the solver state every `--checkpoint-every`
     // iterations (default 1 when a directory is given): the restart point
@@ -623,8 +603,8 @@ where
     T::Real: chase_comm::Reduce,
 {
     let out = run_grid(shape, move |ctx| {
-        let mut dh = DistHerm::from_global(h, ctx);
-        tune_entry(ctx, &mut dh, nev, nex, opts)
+        let dh = DistHerm::from_global(h, ctx);
+        tune_entry(ctx, &dh, nev, nex, opts)
     });
     out.results
         .into_iter()
@@ -979,8 +959,7 @@ USAGE:
   chase solve    --matrix FILE --nev K [--nex X] [--tol T] [--grid PxQ | --ranks N]
                  [--backend nccl|std|lms] [--qr auto|hhqr|cholqr1|cholqr2]
                  [--collective flat|ring|tree|doubling|auto] [--cyclic BLOCK] [--no-degopt]
-                 [--overlap] [--panel W]
-                 [--inject SPEC] [--wait-timeout-ms MS] [--no-guards]
+                 [--inject SPEC] [--no-guards]
                  [--checkpoint DIR] [--checkpoint-every K]
                  [--plan-db FILE] [--deterministic]
                  [--trace FILE] [--trace-format chrome|summary] [--metrics FILE]
@@ -995,14 +974,14 @@ USAGE:
                  [--witness-out FILE] [--replay FILE]
 
 AUTOTUNING:
-  chase tune measures the solver's hot paths — collective hop schedules
+  chase tune measures the solver's collectives — hop schedules
   (ring/tree/recursive-doubling x chunk size) on the actual row/column
-  communicators and pipelined-HEMM panel widths — with short trials and
-  stores the winning plan in a versioned JSON DB keyed by
+  communicators — with short trials and stores the winning plan in a versioned JSON DB keyed by
   machine fingerprint x grid x problem x scalar. Under --deterministic the
   trials are priced by the perf-model clock (bitwise replayable); otherwise
   they are wall-clocked. chase solve --plan-db FILE applies the stored plan
-  to every knob left on auto (a DB miss tunes in-place and persists); a
+  unless --collective pins a hop schedule (a DB miss tunes in-place and
+  persists); a
   warm DB means zero trials — the trace contains no 'tune' spans. The tuned
   plan's trial cost is never worse than the flat reference, which is always
   among the candidates. chase serve --plan-db shares one DB across the
@@ -1021,8 +1000,8 @@ SERVING:
 
 CHECKING:
   chase check explores the runtime's schedule space: it pins the deposit
-  order of every collective (blocking, nonblocking, and per-hop inside
-  topology-aware collectives) to seeded permutations and asserts each
+  order of every collective (and of every hop inside topology-aware
+  collectives) to seeded permutations and asserts each
   explored schedule reproduces the free-running run bit for bit —
   eigenvalue/residual/eigenvector bits, ledger projection, trace bytes.
   --systematic additionally sweeps every constant permutation (feasible
@@ -1048,12 +1027,11 @@ FAULT INJECTION:
   --inject compiles a deterministic fault campaign (kind@iter=N,key=value,...):
     'seed=7;bitflip@iter=2,region=filter,rank=0,bit=9'   flip one payload bit
     'seed=3;nan@iter=1,region=rr,rank=1'                 NaN a collective payload
-    'seed=1;stall@iter=2,region=filter'                  wedge a nonblocking op
     'seed=5;breakdown@iter=1'                 zero columns; break CholeskyQR
     'seed=4;nan-block@iter=2,cols=3'          poison filtered-block columns
     'seed=11;rank-crash@iter=2,region=filter,rank=1'   kill one rank mid-solve
   Kinds: nan|inf|bitflip (payload), nan-block|inf-block|breakdown (block),
-  stall|delay (nonblocking post), rank-crash (rank death). The run either
+  rank-crash (rank death). The run either
   converges to verified eigenpairs (recovery log printed) or exits nonzero
   with a typed error — never silently-wrong results.
 

@@ -112,6 +112,10 @@ fn a_flag_the_subcommand_does_not_read_is_refused() {
         ("--presicion", "mixed"),
         // Another subcommand's flag is no better than a typo.
         ("--workers", "2"),
+        // Removed with the overlapped filter.
+        ("--overlap", "--no-guards"),
+        ("--panel", "16"),
+        ("--wait-timeout-ms", "500"),
     ] {
         assert_refused(
             &[&solve[..], &[flag, value]].concat(),

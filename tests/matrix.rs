@@ -1,13 +1,12 @@
 //! Consolidated end-to-end solve matrix: {1x1, 2x2, 1x4} grids x
-//! {f64, C64} x {overlap on, off} x {clean, one injected fault}. One sweep, one set of invariants:
+//! {f64, C64} x {clean, one injected fault}. One sweep, one set of invariants:
 //!
 //! - every rank converges and agrees bitwise with its siblings,
 //! - residuals meet the requested tolerance (relative to `||H||`),
 //! - the recovery log is sane — empty of injections on clean runs, carrying
 //!   the injected event on chaos runs,
 //! - eigenvalues agree across grid shapes (~1e-7: different reduction
-//!   orders), and bitwise across overlap on/off on the same grid (the
-//!   pipelined filter is a pure reschedule),
+//!   orders),
 //! - clean and faulted runs land on the same spectrum (the fault either
 //!   recovers fully or the solve fails typed — chaos contract).
 //!
@@ -37,14 +36,13 @@ const TOL: f64 = 1e-9;
 /// collective payload on rank 0 (present on every grid shape).
 const FAULT: &str = "seed=11;nan@iter=1,region=filter,rank=0";
 
-fn case_params(overlap: bool, fault: Option<&str>) -> Params {
+fn case_params(fault: Option<&str>) -> Params {
     let mut p = params(NEV, NEX, TOL);
-    p.overlap = overlap;
     p.inject = fault.map(|s| s.parse().expect("valid fault spec"));
     p
 }
 
-/// Run the full (grid x overlap x clean/fault) block for one scalar,
+/// Run the full (grid x clean/fault) block for one scalar,
 /// asserting the invariants above.
 fn run_block<T>(label: &str)
 where
@@ -54,7 +52,7 @@ where
     let (h, spec) = problem::<T>(N, 7);
     // Serial clean reference: the cross-grid anchor.
     let reference = expect_all_ok(
-        solve_on(&h, &case_params(false, None), GridShape::new(1, 1)),
+        solve_on(&h, &case_params(None), GridShape::new(1, 1)),
         label,
     )
     .remove(0);
@@ -68,74 +66,63 @@ where
 
     for (p, q) in MATRIX_GRIDS {
         let shape = GridShape::new(p, q);
-        let mut flat_eigs: Option<Vec<T::Real>> = None;
-        for overlap in [false, true] {
-            // --- clean leg ---
-            let case = format!("{label} {p}x{q} overlap={overlap}");
-            let clean = expect_all_ok(solve_on(&h, &case_params(overlap, None), shape), &case);
-            check_ranks_agree(&clean, &case);
-            let r0 = &clean[0];
-            assert!(r0.converged, "{case}: clean run diverged");
-            for res in &r0.residuals {
-                assert!(
-                    res.to_f64() < TOL * r0.norm_h,
-                    "{case}: residual above tolerance"
-                );
-            }
+        // --- clean leg ---
+        let case = format!("{label} {p}x{q}");
+        let clean = expect_all_ok(solve_on(&h, &case_params(None), shape), &case);
+        check_ranks_agree(&clean, &case);
+        let r0 = &clean[0];
+        assert!(r0.converged, "{case}: clean run diverged");
+        for res in &r0.residuals {
             assert!(
-                !r0.recovery
-                    .any(|k| matches!(k, RecoveryEventKind::Injected(_))),
-                "{case}: phantom injection on a clean run:\n{}",
-                r0.recovery
+                res.to_f64() < TOL * r0.norm_h,
+                "{case}: residual above tolerance"
             );
-            for k in 0..NEV {
-                assert!(
-                    (r0.eigenvalues[k].to_f64() - reference.eigenvalues[k].to_f64()).abs() < 1e-7,
-                    "{case}: lambda_{k} drifted across grids"
-                );
-            }
-            // Overlap is a pure reschedule: same grid, bitwise same answer.
-            match &flat_eigs {
-                None => flat_eigs = Some(r0.eigenvalues.clone()),
-                Some(flat) => assert_eq!(
-                    flat, &r0.eigenvalues,
-                    "{case}: overlap changed the numbers, not just the schedule"
-                ),
-            }
-
-            // --- fault leg: recovers to the same answer or fails typed ---
-            let case = format!("{case} faulted");
-            let results = solve_on(&h, &case_params(overlap, Some(FAULT)), shape);
-            let oks = results.iter().filter(|r| r.is_ok()).count();
-            assert!(
-                oks == 0 || oks == results.len(),
-                "{case}: ranks disagree on the outcome"
-            );
-            let mut fired = 0usize;
-            for r in &results {
-                let log = match r {
-                    Ok(r) => {
-                        assert!(r.converged, "{case}: Ok but unconverged");
-                        for k in 0..NEV {
-                            assert!(
-                                (r.eigenvalues[k].to_f64() - reference.eigenvalues[k].to_f64())
-                                    .abs()
-                                    < 1e-7,
-                                "{case}: faulted lambda_{k} drifted"
-                            );
-                        }
-                        &r.recovery
-                    }
-                    Err(e) => &e.recovery,
-                };
-                fired += log
-                    .events
-                    .iter()
-                    .filter(|e| matches!(e.kind, RecoveryEventKind::Injected(_)))
-                    .count();
-            }
-            assert!(fired > 0, "{case}: campaign never fired — dead trigger");
         }
+        assert!(
+            !r0.recovery
+                .any(|k| matches!(k, RecoveryEventKind::Injected(_))),
+            "{case}: phantom injection on a clean run:\n{}",
+            r0.recovery
+        );
+        for k in 0..NEV {
+            assert!(
+                (r0.eigenvalues[k].to_f64() - reference.eigenvalues[k].to_f64()).abs() < 1e-7,
+                "{case}: lambda_{k} drifted across grids"
+            );
+        }
+
+        // --- fault leg: recovers to the same answer or fails typed ---
+        let case = format!("{case} faulted");
+        let results = solve_on(&h, &case_params(Some(FAULT)), shape);
+        let oks = results.iter().filter(|r| r.is_ok()).count();
+        assert!(
+            oks == 0 || oks == results.len(),
+            "{case}: ranks disagree on the outcome"
+        );
+        let mut fired = 0usize;
+        for r in &results {
+            let log = match r {
+                Ok(r) => {
+                    assert!(r.converged, "{case}: Ok but unconverged");
+                    for k in 0..NEV {
+                        assert!(
+                            (r.eigenvalues[k].to_f64() - reference.eigenvalues[k].to_f64())
+                                .abs()
+                                < 1e-7,
+                            "{case}: faulted lambda_{k} drifted"
+                        );
+                    }
+                    &r.recovery
+                }
+                Err(e) => &e.recovery,
+            };
+            fired += log
+                .events
+                .iter()
+                .filter(|e| matches!(e.kind, RecoveryEventKind::Injected(_)))
+                .count();
+        }
+        assert!(fired > 0, "{case}: campaign never fired — dead trigger");
     }
 }
 
@@ -161,7 +148,7 @@ where
     T::Real: Reduce,
 {
     let (h, _) = problem::<T>(N, 7);
-    let p = case_params(false, None);
+    let p = case_params(None);
     for (rows, cols) in MATRIX_GRIDS {
         let shape = GridShape::new(rows, cols);
         let case = format!("{label} {rows}x{cols} tuned");
@@ -331,11 +318,11 @@ where
         let case = format!("{label} {p}x{q} crash");
 
         // Clean comparator on the original grid.
-        let clean = expect_all_ok(solve_on(&h, &case_params(false, None), shape), &case).remove(0);
+        let clean = expect_all_ok(solve_on(&h, &case_params(None), shape), &case).remove(0);
         assert!(clean.converged, "{case}: clean comparator diverged");
 
         let crash_params = |dir: Option<&std::path::Path>| -> Params {
-            let mut cp = case_params(false, Some(CRASH_FAULT));
+            let mut cp = case_params(Some(CRASH_FAULT));
             cp.checkpoint_dir = dir.map(|d| d.display().to_string());
             cp.checkpoint_every = if dir.is_some() { 1 } else { 0 };
             cp

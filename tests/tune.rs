@@ -70,7 +70,6 @@ fn gen_entry(seed: u64, rule_seeds: &[u64]) -> PlanEntry {
     let mut s = seed;
     let machines = ["jb-0001", "λ-node \"x\"", "host\\42", ""];
     let scalars = ["f32", "f64", "c32", "c64"];
-    let overlap = splitmix(&mut s).is_multiple_of(2);
     PlanEntry {
         key: PlanKey {
             machine: machines[(splitmix(&mut s) % 4) as usize].to_string(),
@@ -82,8 +81,6 @@ fn gen_entry(seed: u64, rule_seeds: &[u64]) -> PlanEntry {
             scalar: scalars[(splitmix(&mut s) % 4) as usize].to_string(),
         },
         rules: rule_seeds.iter().map(|&r| gen_rule(r)).collect(),
-        overlap,
-        panel: 1 + (splitmix(&mut s) % 512) as usize,
         tuned_cost: (splitmix(&mut s) % 1_000_000) as f64 * 1e-8,
         flat_cost: (splitmix(&mut s) % 1_000_000) as f64 * 1e-7,
         trials: splitmix(&mut s) % 10_000,
@@ -178,8 +175,8 @@ where
     let opts = TuneOptions::deterministic();
     let (h, opts) = (&h, &opts);
     run_grid(shape, move |ctx| {
-        let mut dh = DistHerm::from_global(h, ctx);
-        tune_entry(ctx, &mut dh, nev, nex, opts).entry
+        let dh = DistHerm::from_global(h, ctx);
+        tune_entry(ctx, &dh, nev, nex, opts).entry
     })
     .results
 }
@@ -275,8 +272,6 @@ fn tuned_solve_is_bitwise_equal_to_manual_pinning() {
     // Path B: the same decisions pinned by hand, no plan in sight.
     let mut pb = params(6, 4, 1e-9);
     pb.collective = CollectiveAlgo::Auto;
-    pb.overlap = entry.overlap;
-    pb.overlap_panel = entry.overlap.then_some(entry.panel);
     let b = solve_hooked(&h, &pb, shape, &entry);
 
     for (rank, (ra, rb)) in a.iter().zip(&b).enumerate() {
