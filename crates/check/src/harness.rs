@@ -30,9 +30,9 @@ pub struct RankFp {
     pub iterations: usize,
     pub matvecs: u64,
     pub converged: bool,
-    /// Sorted multiset projection of the rank's ledger: `(kind, region,
-    /// window)` per event, excluding the wall-clock span fields
-    /// (`t0_us`/`t1_us` legitimately differ across schedules).
+    /// Sorted multiset projection of the rank's ledger: `(kind, region)` per
+    /// event, excluding the wall-clock span fields (`t0_us`/`t1_us`
+    /// legitimately differ across schedules).
     pub ledger: Vec<String>,
 }
 
@@ -150,7 +150,7 @@ fn rank_fp<T: Scalar>(result: Result<ChaseResult<T>, ChaseError>, ledger: &Ledge
     let mut ledger_proj: Vec<String> = ledger
         .events()
         .iter()
-        .map(|e| format!("{}|{:?}|{:?}", kind_to_json(&e.kind), e.region, e.window))
+        .map(|e| format!("{}|{:?}", kind_to_json(&e.kind), e.region))
         .collect();
     ledger_proj.sort_unstable();
     match result {

@@ -1676,7 +1676,11 @@ mod tests {
             };
             (t.timeout_ms, v)
         });
-        assert_eq!(out, vec![(40, vec![99])], "timeout leaves the out buffer alone");
+        assert_eq!(
+            out,
+            vec![(40, vec![99])],
+            "timeout leaves the out buffer alone"
+        );
     }
 
     #[test]

@@ -248,17 +248,6 @@ impl RankCtx {
         }
     }
 
-    /// Open an overlap window on this rank's ledger (see
-    /// [`Ledger::begin_window`]); events recorded until
-    /// [`RankCtx::end_window`] share the returned id.
-    pub fn begin_window(&self) -> u32 {
-        self.ledger.lock().begin_window()
-    }
-
-    pub fn end_window(&self) {
-        self.ledger.lock().end_window();
-    }
-
     /// Record an event that began at `t0_us` and ends now (the span of a
     /// nonblocking collective).
     pub fn record_spanned(&self, kind: EventKind, t0_us: u64) {
@@ -487,18 +476,6 @@ mod tests {
             assert!(s.ranks() <= n, "cannot use more ranks than given");
             assert!(s.q <= 2 * s.p + 1, "shape {s:?} for {n} is unbalanced");
         }
-    }
-
-    #[test]
-    fn rank_ctx_windows_reach_ledger() {
-        let ctx = solo_ctx();
-        let w = ctx.begin_window();
-        ctx.record(EventKind::Blas1 { n: 1 });
-        ctx.end_window();
-        ctx.record(EventKind::Blas1 { n: 1 });
-        let l = ctx.ledger_snapshot();
-        assert_eq!(l.events()[0].window, Some(w));
-        assert_eq!(l.events()[1].window, None);
     }
 
     #[test]

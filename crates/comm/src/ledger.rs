@@ -191,8 +191,7 @@ impl EventKind {
 }
 
 /// Microseconds since the first timestamp taken by this process. A single
-/// process-wide clock keeps spans from different rank threads comparable, so
-/// overlap between one rank's compute and another's collective is visible.
+/// process-wide clock keeps spans from different rank threads comparable.
 pub fn now_us() -> u64 {
     use std::sync::OnceLock;
     static EPOCH: OnceLock<std::time::Instant> = OnceLock::new();
@@ -200,32 +199,26 @@ pub fn now_us() -> u64 {
     epoch.elapsed().as_micros() as u64
 }
 
-/// A recorded event with its kernel region, overlap window and wall span.
+/// A recorded event with its kernel region and wall span.
 #[derive(Debug, Clone, Copy)]
 pub struct Event {
     pub kind: EventKind,
     pub region: Region,
-    /// Overlap window this event belongs to, if any. Events sharing a window
-    /// ran concurrently by construction (a pipelined filter step), so the
-    /// overlap-aware pricing charges `max(compute, comm)` per window instead
-    /// of the sum.
-    pub window: Option<u32>,
     /// Wall-clock begin of the operation ([`now_us`] timebase). Equal to
     /// `t1_us` for instantaneous records; a nonblocking collective spans
-    /// post..wait so the overlap with compute is observable.
+    /// post..wait.
     pub t0_us: u64,
     /// Wall-clock end of the operation.
     pub t1_us: u64,
 }
 
 impl Event {
-    /// Event stamped "now" with no overlap window (the common case).
+    /// Event stamped "now".
     pub fn new(kind: EventKind, region: Region) -> Self {
         let t = now_us();
         Self {
             kind,
             region,
-            window: None,
             t0_us: t,
             t1_us: t,
         }
@@ -242,18 +235,11 @@ impl Event {
 pub struct Ledger {
     events: Vec<Event>,
     region: Option<Region>,
-    window: Option<u32>,
-    next_window: u32,
 }
 
 impl Ledger {
     pub fn new() -> Self {
-        Self {
-            events: Vec::new(),
-            region: None,
-            window: None,
-            next_window: 0,
-        }
+        Self::default()
     }
 
     /// Set the kernel region subsequent events are attributed to.
@@ -265,23 +251,6 @@ impl Ledger {
         self.region = None;
     }
 
-    /// Open a new overlap window: subsequent events are tagged with its id
-    /// until [`Ledger::end_window`]. Returns the window id.
-    pub fn begin_window(&mut self) -> u32 {
-        let w = self.next_window;
-        self.next_window += 1;
-        self.window = Some(w);
-        w
-    }
-
-    pub fn end_window(&mut self) {
-        self.window = None;
-    }
-
-    pub fn current_window(&self) -> Option<u32> {
-        self.window
-    }
-
     /// Region subsequent events are attributed to, if one is set.
     pub fn current_region(&self) -> Option<Region> {
         self.region
@@ -289,23 +258,11 @@ impl Ledger {
 
     pub fn record(&mut self, kind: EventKind) {
         let region = self.region.unwrap_or(Region::Other);
-        self.events.push(Event {
-            window: self.window,
-            ..Event::new(kind, region)
-        });
+        self.events.push(Event::new(kind, region));
     }
 
     pub fn record_in(&mut self, region: Region, kind: EventKind) {
         self.events.push(Event::new(kind, region));
-    }
-
-    /// Record into an explicit region *and* overlap window (analytic event
-    /// streams mirror the live pipelined filter through this).
-    pub fn record_in_window(&mut self, region: Region, kind: EventKind, window: Option<u32>) {
-        self.events.push(Event {
-            window,
-            ..Event::new(kind, region)
-        });
     }
 
     /// Record an operation that began at `t0_us` and finishes now (the span
@@ -315,7 +272,6 @@ impl Ledger {
         self.events.push(Event {
             kind,
             region,
-            window: self.window,
             t0_us,
             t1_us: now_us().max(t0_us),
         });
@@ -386,38 +342,7 @@ impl Ledger {
         Ledger {
             events: self.events[from.min(self.events.len())..].to_vec(),
             region: self.region,
-            window: None,
-            next_window: self.next_window,
         }
-    }
-
-    /// Total wall-clock microseconds during which a Comm event's span
-    /// intersects a Compute event's span, summed over pairs. Strictly
-    /// positive exactly when a collective was in flight while a kernel ran —
-    /// the observable signature of the overlapped filter pipeline.
-    pub fn comm_compute_overlap_us(&self) -> u64 {
-        let mut total = 0u64;
-        for c in self
-            .events
-            .iter()
-            .filter(|e| e.kind.category() == Category::Comm && e.span_us() > 0)
-        {
-            for g in self
-                .events
-                .iter()
-                .filter(|e| e.kind.category() == Category::Compute)
-            {
-                let lo = c.t0_us.max(g.t0_us);
-                let hi = c.t1_us.min(g.t1_us.max(g.t0_us));
-                total += hi.saturating_sub(lo);
-                // Instantaneous compute stamps inside the collective's span
-                // still witness overlap; count them as one tick.
-                if g.t0_us == g.t1_us && g.t0_us >= c.t0_us && g.t0_us <= c.t1_us {
-                    total += 1;
-                }
-            }
-        }
-        total
     }
 
     /// JSON encoding of the event log: an array of flat objects, one per
@@ -447,12 +372,9 @@ impl Ledger {
 fn event_to_json(ev: &Event) -> String {
     let region = ev.region.name();
     let kind = kind_to_json(&ev.kind);
-    // Optional fields are emitted only when informative so ledgers from
-    // analytic streams (no clock, no windows) keep the compact encoding.
+    // The span is emitted only when informative so ledgers from analytic
+    // streams (no clock) keep the compact encoding.
     let mut extra = String::new();
-    if let Some(w) = ev.window {
-        extra.push_str(&format!(",\"win\":{w}"));
-    }
     if ev.t0_us != 0 || ev.t1_us != 0 {
         extra.push_str(&format!(",\"t0\":{},\"t1\":{}", ev.t0_us, ev.t1_us));
     }
@@ -515,7 +437,6 @@ fn event_from_json(obj: &Json) -> Result<Event, String> {
     Ok(Event {
         kind: kind_from_json(obj)?,
         region,
-        window: optional("win")?.map(|w| w as u32),
         t0_us: optional("t0")?.unwrap_or(0),
         t1_us: optional("t1")?.unwrap_or(0),
     })
@@ -689,35 +610,9 @@ mod tests {
     }
 
     #[test]
-    fn windows_tag_events() {
-        let mut l = Ledger::new();
-        l.record(EventKind::Blas1 { n: 1 });
-        let w0 = l.begin_window();
-        l.record(EventKind::Blas1 { n: 2 });
-        l.record(EventKind::Blas1 { n: 3 });
-        l.end_window();
-        let w1 = l.begin_window();
-        l.record(EventKind::Blas1 { n: 4 });
-        l.end_window();
-        l.record(EventKind::Blas1 { n: 5 });
-        assert_ne!(w0, w1, "window ids are fresh");
-        let wins: Vec<_> = l.events().iter().map(|e| e.window).collect();
-        assert_eq!(wins, vec![None, Some(w0), Some(w0), Some(w1), None]);
-        // record_in bypasses the window (explicit-region bookkeeping events).
-        let mut l2 = Ledger::new();
-        l2.begin_window();
-        l2.record_in(Region::Qr, EventKind::Potrf { n: 2 });
-        assert_eq!(l2.events()[0].window, None);
-        l2.record_in_window(Region::Qr, EventKind::Potrf { n: 2 }, Some(7));
-        assert_eq!(l2.events()[1].window, Some(7));
-    }
-
-    #[test]
-    fn spanned_event_and_overlap_metric() {
+    fn spanned_event_covers_post_to_wait() {
         let mut l = Ledger::new();
         let t0 = now_us();
-        // A collective spanning [t0, now] with a compute stamp inside it.
-        l.record(EventKind::Gemm { m: 2, n: 2, k: 2 });
         std::thread::sleep(std::time::Duration::from_millis(2));
         l.record_spanned(
             EventKind::AllReduce {
@@ -726,21 +621,15 @@ mod tests {
             },
             t0,
         );
-        let ev = l.events()[1];
-        assert!(ev.t1_us >= ev.t0_us);
+        let ev = l.events()[0];
+        assert_eq!(ev.t0_us, t0);
         assert!(ev.span_us() > 0, "nonblocking collective must span");
-        assert!(
-            l.comm_compute_overlap_us() > 0,
-            "compute stamp inside the collective span witnesses overlap"
-        );
-        // A serialized ledger (instantaneous collectives) shows none.
-        let mut flat = Ledger::new();
-        flat.record(EventKind::Gemm { m: 2, n: 2, k: 2 });
-        flat.record(EventKind::AllReduce {
+        // An instantaneous record has none.
+        l.record(EventKind::AllReduce {
             bytes: 64,
             members: 2,
         });
-        assert_eq!(flat.comm_compute_overlap_us(), 0);
+        assert_eq!(l.events()[1].span_us(), 0);
     }
 
     #[test]
@@ -788,7 +677,7 @@ mod tests {
         for bad in [
             r#"[{"region":"QR","kind":"Potrf","n":"4"}]"#,
             r#"[{"region":"QR","kind":"Potrf","n":4.5}]"#,
-            r#"[{"region":"QR","kind":"Potrf","n":4,"win":"x"}]"#,
+            r#"[{"region":"QR","kind":"Potrf","n":4,"t0":"x"}]"#,
             r#"[{"region":"QR","kind":"Potrf","n":4}"#,
             r#"[{"region":"QR","kind":"Potrf","n":4}] tail"#,
             r#"[7]"#,

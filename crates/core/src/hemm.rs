@@ -80,15 +80,12 @@ pub fn hemm_b_to_c<T: Scalar + Reduce>(
 ///
 /// [`FilterExec::Pipelined`]: the column range is split into `panel`-wide
 /// panels (`None` asks the topology tuner for the width); while panel `k`'s
-/// allreduce is in flight, panel `k+1`'s GEMM runs. The whole pipelined
-/// step executes inside one ledger overlap window so the overlap-aware
-/// perfmodel prices it at `max(compute, comm)`. Bitwise identical to the
-/// flat path: the tiled GEMM's per-element accumulation order is
+/// allreduce is in flight, panel `k+1`'s GEMM runs. Bitwise identical to
+/// the flat path: the tiled GEMM's per-element accumulation order is
 /// independent of column panelling, and the nonblocking allreduce folds
 /// contributions in the same member order as the blocking one. Returns
-/// `Err` if an in-flight allreduce never completes (a peer's post was
-/// dropped): the overlap window is closed and the timeout propagates so the
-/// solver can abort with a typed error instead of wedging.
+/// `Err` if an in-flight allreduce never completes (a peer never posted,
+/// or died). The solver never takes this path; `bench_e2e` times it.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn hemm<T: Scalar + Reduce>(
     dev: &Device<'_>,
@@ -134,46 +131,40 @@ pub(crate) fn hemm<T: Scalar + Reduce>(
     // Pack op(H_local) once: packing it per panel would cost
     // O(n_r * n_c) per panel and erase the pipeline's win.
     let h_packed = chase_linalg::prepack_a(opa, h.local.as_ref());
-    dev.begin_overlap();
-    let mut pipeline = || {
-        let mut pending: Option<(DevAllreduce<'_, '_, T>, Range<usize>)> = None;
-        let mut j0 = col0;
-        while j0 < col0 + ncols {
-            let w = panel.min(col0 + ncols - j0);
-            let range = j0..j0 + w;
-            // Zero-copy posting: the GEMM writes its panel straight into a
-            // pooled staging buffer, which then *moves* into the collective.
-            // Only the beta-carrying root rank must preload the destination
-            // panel (the GEMM reads `C` when beta != 0); everyone else posts
-            // without ever touching `dst` on the way out.
-            let mut stage = dev.nb_staging::<T>(comm, out_rows * w);
-            if eff_beta != T::zero() {
-                stage
-                    .as_mut_slice()
-                    .copy_from_slice(dst.cols_ref(range.clone()).as_slice());
-            }
-            dev.gemm_prepacked(
-                &h_packed,
-                Op::None,
-                alpha,
-                src.cols_ref(range.clone()),
-                eff_beta,
-                ColsMut::new(stage.as_mut_slice(), out_rows, w),
-            );
-            if let Some((req, done)) = pending.take() {
-                req.wait(dst.cols_mut(done).as_mut_slice())?;
-            }
-            pending = Some((dev.iallreduce_sum_staged(comm, stage), range));
-            j0 += w;
+    let mut pending: Option<(DevAllreduce<'_, '_, T>, Range<usize>)> = None;
+    let mut j0 = col0;
+    while j0 < col0 + ncols {
+        let w = panel.min(col0 + ncols - j0);
+        let range = j0..j0 + w;
+        // Zero-copy posting: the GEMM writes its panel straight into a
+        // pooled staging buffer, which then *moves* into the collective.
+        // Only the beta-carrying root rank must preload the destination
+        // panel (the GEMM reads `C` when beta != 0); everyone else posts
+        // without ever touching `dst` on the way out.
+        let mut stage = dev.nb_staging::<T>(comm, out_rows * w);
+        if eff_beta != T::zero() {
+            stage
+                .as_mut_slice()
+                .copy_from_slice(dst.cols_ref(range.clone()).as_slice());
         }
-        match pending {
-            Some((req, done)) => req.wait(dst.cols_mut(done).as_mut_slice()),
-            None => Ok(()),
+        dev.gemm_prepacked(
+            &h_packed,
+            Op::None,
+            alpha,
+            src.cols_ref(range.clone()),
+            eff_beta,
+            ColsMut::new(stage.as_mut_slice(), out_rows, w),
+        );
+        if let Some((req, done)) = pending.take() {
+            req.wait(dst.cols_mut(done).as_mut_slice())?;
         }
-    };
-    let piped = pipeline();
-    dev.end_overlap();
-    piped
+        pending = Some((dev.iallreduce_sum_staged(comm, stage), range));
+        j0 += w;
+    }
+    match pending {
+        Some((req, done)) => req.wait(dst.cols_mut(done).as_mut_slice()),
+        None => Ok(()),
+    }
 }
 
 /// Distributed product on a *replicated* block of global vectors: returns

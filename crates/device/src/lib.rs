@@ -163,8 +163,7 @@ impl<'a> Device<'a> {
             chase_linalg::Op::None => a.cols(),
             _ => a.rows(),
         } as u64;
-        // Spanned so the overlap metric can intersect GEMM wall-time with
-        // in-flight collectives.
+        // Spanned: the ledger keeps the GEMM's wall time.
         let t0 = now_us();
         chase_linalg::gemm(opa, opb, alpha, a, b, beta, c);
         self.ctx.record_spanned(EventKind::Gemm { m, n, k }, t0);
@@ -319,28 +318,13 @@ impl<'a> Device<'a> {
         }
     }
 
-    // ---- nonblocking collectives and overlap windows ---------------------
-
-    /// Open an overlap window: every event recorded until [`end_overlap`]
-    /// (compute, collectives, transfers) is tagged with the window id, and
-    /// the overlap-aware perfmodel prices the window at
-    /// `max(compute, comm)` instead of their sum.
-    ///
-    /// [`end_overlap`]: Device::end_overlap
-    pub fn begin_overlap(&self) -> u32 {
-        self.ctx.begin_window()
-    }
-
-    pub fn end_overlap(&self) {
-        self.ctx.end_window();
-    }
+    // ---- nonblocking collectives ------------------------------------------
 
     /// Post a sum-allreduce of a device buffer without waiting for it.
     ///
     /// The handle's [`DevAllreduce::wait`] copies the reduced result into a
     /// caller buffer and records the collective as a *spanned* event
-    /// covering post→wait, so the ledger can witness overlap with compute
-    /// that ran in between. Staging backends record D2H at post and H2D at
+    /// covering post→wait. Staging backends record D2H at post and H2D at
     /// wait, bracketing the in-flight region exactly as a host-staged
     /// `MPI_Iallreduce` would.
     ///
@@ -719,7 +703,6 @@ mod tests {
             let mut blocking = v.clone();
             dev.allreduce_sum(&ctx.world, &mut blocking);
 
-            let w = dev.begin_overlap();
             let req = dev.iallreduce_sum(&ctx.world, &v);
             // Compute "overlapping" the in-flight collective.
             let mut rng = ChaCha8Rng::seed_from_u64(7);
@@ -737,29 +720,23 @@ mod tests {
             );
             let mut nb = vec![0.0f64; 16];
             req.wait(&mut nb).unwrap();
-            dev.end_overlap();
             assert_eq!(nb, blocking, "nonblocking must match blocking bitwise");
-            w
         });
-        for (l, w) in out.ledgers.iter().zip(&out.results) {
-            let windowed: Vec<_> = l.events().iter().filter(|e| e.window == Some(*w)).collect();
-            assert!(
-                windowed
-                    .iter()
-                    .any(|e| matches!(e.kind, EventKind::AllReduce { .. })),
-                "spanned allreduce should carry the window tag"
-            );
-            assert!(
-                windowed
-                    .iter()
-                    .any(|e| matches!(e.kind, EventKind::Gemm { .. })),
-                "gemm inside the window should carry the tag"
-            );
-            let ar = windowed
+        for l in &out.ledgers {
+            // The blocking allreduce, then the nonblocking one, whose span
+            // is the window the GEMM ran in.
+            let ar: Vec<_> = l
+                .events()
                 .iter()
-                .find(|e| matches!(e.kind, EventKind::AllReduce { .. }))
+                .filter(|e| matches!(e.kind, EventKind::AllReduce { .. }))
+                .collect();
+            assert_eq!(ar.len(), 2);
+            let gemm = l
+                .events()
+                .iter()
+                .find(|e| matches!(e.kind, EventKind::Gemm { .. }))
                 .unwrap();
-            assert!(ar.t1_us >= ar.t0_us);
+            assert!(ar[1].t0_us <= gemm.t0_us && gemm.t1_us <= ar[1].t1_us);
             assert_eq!(l.bytes_in(Category::Transfer), 0, "NCCL must not stage");
         }
     }

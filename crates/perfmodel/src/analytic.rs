@@ -135,50 +135,14 @@ fn hemm_b_to_c(l: &mut Ledger, r: Region, spec: &IterationSpec, cols: u64) {
 }
 
 /// The filter's event stream: `deg` alternating HEMM applications on the
-/// active columns. With `overlap_panel = Some(w)` each step is emitted
-/// panel-chunked inside its own overlap window — per-panel GEMM, staging
-/// and allreduce events tagged with the window id, mirroring the live
-/// pipelined filter — so [`crate::price_ledger_overlap`] prices the step
-/// at `max(compute, comm)`. Totals (flops, bytes) are identical to the
-/// flat stream; only the event granularity and window tags differ.
-fn filter_events(l: &mut Ledger, spec: &IterationSpec, overlap_panel: Option<u64>) {
-    let act = spec.active;
+/// active columns.
+fn filter_events(l: &mut Ledger, spec: &IterationSpec) {
     for step in 1..=spec.deg {
         // Odd steps run C->B (column-comm allreduce), even steps B->C.
-        let (m, k, members) = if step % 2 == 1 {
-            (spec.n_c(), spec.n_r(), spec.p)
+        if step % 2 == 1 {
+            hemm_c_to_b(l, Region::Filter, spec, spec.active);
         } else {
-            (spec.n_r(), spec.n_c(), spec.q)
-        };
-        match overlap_panel {
-            None => {
-                if step % 2 == 1 {
-                    hemm_c_to_b(l, Region::Filter, spec, act);
-                } else {
-                    hemm_b_to_c(l, Region::Filter, spec, act);
-                }
-            }
-            Some(panel) => {
-                let panel = panel.max(1);
-                let win = l.begin_window();
-                let mut done = 0;
-                while done < act {
-                    let w = panel.min(act - done);
-                    l.record_in_window(Region::Filter, EventKind::Gemm { m, n: w, k }, Some(win));
-                    let bytes = m * w * spec.sb();
-                    if spec.staged() {
-                        l.record_in_window(Region::Filter, EventKind::D2H { bytes }, Some(win));
-                        l.record_in_window(Region::Filter, EventKind::H2D { bytes }, Some(win));
-                    }
-                    l.record_in_window(
-                        Region::Filter,
-                        EventKind::AllReduce { bytes, members },
-                        Some(win),
-                    );
-                    done += w;
-                }
-                l.end_window();
-            }
+            hemm_b_to_c(l, Region::Filter, spec, spec.active);
         }
     }
 }
@@ -187,23 +151,13 @@ fn filter_events(l: &mut Ledger, spec: &IterationSpec, overlap_panel: Option<u64
 /// `chase_core::solver` / `chase_core::lms` with a uniform degree and
 /// CholeskyQR2 (the QR the NCCL build settles on; Section 4.4).
 pub fn iteration_events(spec: &IterationSpec) -> Ledger {
-    iteration_events_impl(spec, None)
-}
-
-/// [`iteration_events`] with the filter emitted on the overlapped pipeline
-/// at the given panel width (columns).
-pub fn iteration_events_with_overlap(spec: &IterationSpec, overlap_panel: u64) -> Ledger {
-    iteration_events_impl(spec, Some(overlap_panel))
-}
-
-fn iteration_events_impl(spec: &IterationSpec, overlap_panel: Option<u64>) -> Ledger {
     let mut l = Ledger::new();
     let ne = spec.ne;
     let act = spec.active;
     let sb = spec.sb();
 
     // --- Filter: deg alternating HEMM applications on active columns ---
-    filter_events(&mut l, spec, overlap_panel);
+    filter_events(&mut l, spec);
 
     match spec.layout {
         Layout::New => {
@@ -386,49 +340,6 @@ mod tests {
         s.deg = 40;
         let f40 = iteration_events(&s).flops_in(Region::Filter);
         assert_eq!(f40, 2 * f20);
-    }
-
-    #[test]
-    fn overlap_stream_preserves_totals_and_tags_windows() {
-        let s = spec(Layout::New, CommFlavor::MpiHostStaged);
-        let flat = iteration_events(&s);
-        let over = iteration_events_with_overlap(&s, 16);
-        // Panel-chunking splits events but must conserve every total.
-        assert_eq!(flat.flops_in(Region::Filter), over.flops_in(Region::Filter));
-        assert_eq!(flat.bytes_in(Category::Comm), over.bytes_in(Category::Comm));
-        assert_eq!(
-            flat.bytes_in(Category::Transfer),
-            over.bytes_in(Category::Transfer)
-        );
-        // One window per filter step, none elsewhere.
-        let windows: std::collections::HashSet<_> =
-            over.events().iter().filter_map(|e| e.window).collect();
-        assert_eq!(windows.len(), s.deg as usize);
-        assert!(over
-            .events()
-            .iter()
-            .all(|e| e.window.is_none() || e.region == Region::Filter));
-    }
-
-    #[test]
-    fn modeled_overlap_beats_serialized_filter() {
-        use crate::machine::Machine;
-        use crate::profile::{price_ledger, price_ledger_overlap, PriceCtx};
-        // Large enough that the per-rank GEMM dominates the ~20us per-call
-        // collective latency; a half-block split then hides the allreduces
-        // almost entirely.
-        let mut s = spec(Layout::New, CommFlavor::NcclDeviceDirect);
-        s.n = 4800;
-        let m = Machine::juwels_booster();
-        let serial = price_ledger(&iteration_events(&s), &m, PriceCtx::nccl());
-        let over =
-            price_ledger_overlap(&iteration_events_with_overlap(&s, 60), &m, PriceCtx::nccl());
-        assert!(
-            over[&Region::Filter].total() < serial[&Region::Filter].total(),
-            "pipelined filter must be cheaper in modeled time: {} vs {}",
-            over[&Region::Filter].total(),
-            serial[&Region::Filter].total()
-        );
     }
 
     #[test]

@@ -18,12 +18,6 @@ impl RegionCost {
     pub fn total(&self) -> f64 {
         self.compute + self.comm + self.transfer
     }
-
-    pub fn add(&mut self, other: &RegionCost) {
-        self.compute += other.compute;
-        self.comm += other.comm;
-        self.transfer += other.transfer;
-    }
 }
 
 /// Pricing context: which build is being modeled.
@@ -84,109 +78,6 @@ pub fn price_ledger(
     out
 }
 
-/// Price a ledger with overlap-aware accounting.
-///
-/// Events outside any overlap window are priced exactly as
-/// [`price_ledger`]. Events sharing a `(region, window)` pair — one
-/// pipelined filter step — are priced as a unit at
-/// `max(compute, comm + transfer)`: compute is always charged in full, and
-/// only the *exposed* remainder of communication and staging (what the
-/// double-buffered pipeline could not hide behind compute) is charged on
-/// top, split proportionally between the comm and transfer categories so
-/// the Fig. 2 breakdown stays meaningful.
-pub fn price_ledger_overlap(
-    ledger: &Ledger,
-    machine: &Machine,
-    ctx: PriceCtx,
-) -> HashMap<Region, RegionCost> {
-    let mut out: HashMap<Region, RegionCost> = HashMap::new();
-    let mut windows: HashMap<(Region, u32), RegionCost> = HashMap::new();
-    for ev in ledger.events() {
-        let t = machine.event_time(ev, ctx.scalar, ctx.flavor, ctx.gpus_per_rank);
-        let slot = match ev.window {
-            Some(w) => windows.entry((ev.region, w)).or_default(),
-            None => out.entry(ev.region).or_default(),
-        };
-        match ev.kind.category() {
-            Category::Compute => slot.compute += t,
-            Category::Comm => slot.comm += t,
-            Category::Transfer => slot.transfer += t,
-        }
-    }
-    for ((region, _), w) in windows {
-        let hideable = w.comm + w.transfer;
-        let exposed = (hideable - w.compute).max(0.0);
-        let scale = if hideable > 0.0 {
-            exposed / hideable
-        } else {
-            0.0
-        };
-        out.entry(region).or_default().add(&RegionCost {
-            compute: w.compute,
-            comm: w.comm * scale,
-            transfer: w.transfer * scale,
-        });
-    }
-    out
-}
-
-/// Price a bare event slice (no region aggregation): the sum of every
-/// event's modeled time, as one [`RegionCost`] split by category. The
-/// measurement channel of `chase-tune`'s deterministic trials — a trial
-/// isolates its events as a ledger slice and prices exactly those.
-pub fn price_events(events: &[chase_comm::Event], machine: &Machine, ctx: PriceCtx) -> RegionCost {
-    let mut out = RegionCost::default();
-    for ev in events {
-        let t = machine.event_time(ev, ctx.scalar, ctx.flavor, ctx.gpus_per_rank);
-        match ev.kind.category() {
-            Category::Compute => out.compute += t,
-            Category::Comm => out.comm += t,
-            Category::Transfer => out.transfer += t,
-        }
-    }
-    out
-}
-
-/// Price a bare event slice with overlap-aware accounting: events sharing
-/// an overlap window are charged `compute + max(0, comm + transfer -
-/// compute)` as in [`price_ledger_overlap`], events outside any window at
-/// their plain sum. Used by `chase-tune` to score pipelined-filter trials.
-pub fn price_events_overlap(
-    events: &[chase_comm::Event],
-    machine: &Machine,
-    ctx: PriceCtx,
-) -> RegionCost {
-    let mut out = RegionCost::default();
-    let mut windows: HashMap<u32, RegionCost> = HashMap::new();
-    for ev in events {
-        let t = machine.event_time(ev, ctx.scalar, ctx.flavor, ctx.gpus_per_rank);
-        let slot = match ev.window {
-            Some(w) => windows.entry(w).or_default(),
-            None => &mut out,
-        };
-        match ev.kind.category() {
-            Category::Compute => slot.compute += t,
-            Category::Comm => slot.comm += t,
-            Category::Transfer => slot.transfer += t,
-        }
-    }
-    for w in windows.values() {
-        let hideable = w.comm + w.transfer;
-        let exposed = (hideable - w.compute).max(0.0);
-        let scale = if hideable > 0.0 {
-            exposed / hideable
-        } else {
-            0.0
-        };
-        out.add(&RegionCost {
-            compute: w.compute,
-            comm: w.comm * scale,
-            transfer: w.transfer * scale,
-        });
-    }
-    out
-}
-
 /// Total modeled time across all regions (per rank; the SPMD regions are
 /// bulk-synchronous so the per-rank total approximates time-to-solution).
 pub fn total_time(costs: &HashMap<Region, RegionCost>) -> f64 {
@@ -234,82 +125,6 @@ mod tests {
         let q = costs[&Region::Qr];
         assert!(q.transfer > 0.0 && q.compute == 0.0);
         assert!(total_time(&costs) > profiled_time(&costs) * 0.999);
-    }
-
-    #[test]
-    fn overlap_pricing_charges_max_of_compute_and_comm() {
-        let m = Machine::juwels_booster();
-        let gemm = EventKind::Gemm {
-            m: 4000,
-            n: 64,
-            k: 4000,
-        };
-        let ar = EventKind::AllReduce {
-            bytes: 4000 * 64 * 16,
-            members: 4,
-        };
-        // Windowless ledger: compute + comm are summed.
-        let mut flat = Ledger::new();
-        flat.record_in(Region::Filter, gemm);
-        flat.record_in(Region::Filter, ar);
-        let serial = price_ledger_overlap(&flat, &m, PriceCtx::nccl());
-        let plain = price_ledger(&flat, &m, PriceCtx::nccl());
-        assert_eq!(serial[&Region::Filter], plain[&Region::Filter]);
-
-        // Same events inside one window: total becomes max(compute, comm).
-        let mut win = Ledger::new();
-        win.record_in_window(Region::Filter, gemm, Some(0));
-        win.record_in_window(Region::Filter, ar, Some(0));
-        let over = price_ledger_overlap(&win, &m, PriceCtx::nccl());
-        let f = over[&Region::Filter];
-        let p = plain[&Region::Filter];
-        assert!(
-            (f.total() - p.compute.max(p.comm)).abs() < 1e-12,
-            "window total {} != max({}, {})",
-            f.total(),
-            p.compute,
-            p.comm
-        );
-        assert_eq!(f.compute, p.compute, "compute always charged in full");
-        assert!(f.total() < p.total(), "overlap must be cheaper than serial");
-
-        // Distinct windows do not hide each other.
-        let mut two = Ledger::new();
-        two.record_in_window(Region::Filter, gemm, Some(0));
-        two.record_in_window(Region::Filter, ar, Some(1));
-        let t = price_ledger_overlap(&two, &m, PriceCtx::nccl());
-        assert!((t[&Region::Filter].total() - p.total()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn overlap_pricing_splits_exposed_cost_proportionally() {
-        // Host-staged window: the exposed remainder keeps the comm:transfer
-        // ratio of the raw costs.
-        let m = Machine::juwels_booster();
-        let mut l = Ledger::new();
-        l.record_in_window(
-            Region::Filter,
-            EventKind::Gemm { m: 10, n: 1, k: 10 },
-            Some(3),
-        );
-        l.record_in_window(Region::Filter, EventKind::D2H { bytes: 8 << 20 }, Some(3));
-        l.record_in_window(
-            Region::Filter,
-            EventKind::AllReduce {
-                bytes: 8 << 20,
-                members: 8,
-            },
-            Some(3),
-        );
-        l.record_in_window(Region::Filter, EventKind::H2D { bytes: 8 << 20 }, Some(3));
-        let plain = price_ledger(&l, &m, PriceCtx::std())[&Region::Filter];
-        let over = price_ledger_overlap(&l, &m, PriceCtx::std())[&Region::Filter];
-        // Tiny gemm: nearly everything is exposed comm/transfer.
-        assert!(over.comm > 0.0 && over.transfer > 0.0);
-        let ratio_plain = plain.comm / plain.transfer;
-        let ratio_over = over.comm / over.transfer;
-        assert!((ratio_plain - ratio_over).abs() < 1e-9 * ratio_plain.abs());
-        assert!((over.total() - plain.compute.max(plain.comm + plain.transfer)).abs() < 1e-12);
     }
 
     #[test]

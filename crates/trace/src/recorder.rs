@@ -9,9 +9,7 @@
 //! `continue`-heavy recovery paths need no explicit span ends.
 //!
 //! All state is behind a `Mutex` keyed by one `AtomicBool`: a disabled
-//! recorder costs exactly one relaxed load per callback — that is the
-//! "tracing off" configuration the overhead assertion in `ablation_overlap`
-//! measures.
+//! recorder costs exactly one relaxed load per callback.
 
 use crate::model::{RankTrace, TraceEvent};
 use chase_comm::{CommScope, EventKind, Region, TraceHook};

@@ -212,7 +212,7 @@ mod tests {
     fn projection(ledger: &Ledger) -> Vec<String> {
         let events = ledger.events().iter();
         events
-            .map(|e| format!("{}|{:?}|{:?}", kind_to_json(&e.kind), e.region, e.window))
+            .map(|e| format!("{}|{:?}", kind_to_json(&e.kind), e.region))
             .collect()
     }
 

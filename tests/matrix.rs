@@ -106,8 +106,7 @@ where
                     assert!(r.converged, "{case}: Ok but unconverged");
                     for k in 0..NEV {
                         assert!(
-                            (r.eigenvalues[k].to_f64() - reference.eigenvalues[k].to_f64())
-                                .abs()
+                            (r.eigenvalues[k].to_f64() - reference.eigenvalues[k].to_f64()).abs()
                                 < 1e-7,
                             "{case}: faulted lambda_{k} drifted"
                         );
