@@ -48,9 +48,8 @@ impl std::error::Error for WaitTimeout {}
 /// [`WaitTimeout`] watchdog with the two outcomes the elastic-recovery layer
 /// needs to distinguish: a peer that is *known dead* (crash detected on the
 /// grid's dead-rank board — recoverable by shrink-and-resume) and an op the
-/// engine has no record of (never posted, dropped by a fault hook, or
-/// already drained — a harness bug surfaced gracefully instead of a panic
-/// poisoning the thread pool).
+/// engine has no usable record of (a payload of the wrong type — a harness
+/// bug surfaced gracefully instead of a panic poisoning the thread pool).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CommError {
     /// The watchdog expired with no evidence of a crash: some member never
@@ -65,8 +64,8 @@ pub enum CommError {
         /// World ranks marked dead at detection time, sorted ascending.
         dead: Vec<usize>,
     },
-    /// The engine has no usable record of the op (never posted, dropped, or
-    /// payload of the wrong type).
+    /// The engine has no usable record of the op (payload of the wrong
+    /// type).
     UnknownOp { op_id: u64 },
 }
 
@@ -606,8 +605,8 @@ impl Communicator {
 
     /// Deadlock-watchdogged wait inside the deposit gate: block until op
     /// `key` has `my_slot` deposits. Panics with a diagnostic when the slot
-    /// never comes up (a dropped predecessor post or an asymmetric policy
-    /// install) — a wedged explorer must surface, not hang CI.
+    /// never comes up (a predecessor that never posts or an asymmetric
+    /// policy install) — a wedged explorer must surface, not hang CI.
     fn gate_wait(
         &self,
         engine: &mut MutexGuard<'_, Engine>,

@@ -19,7 +19,7 @@
 //! computed identically on every rank (SPMD), no extra shared state is
 //! needed and the gate cannot livelock — each deposit unblocks exactly the
 //! next slot. A watchdog bounds the gate wait: if the slot never comes up
-//! (e.g. a fault hook dropped the predecessor's post), the gate panics
+//! (e.g. the predecessor never posts), the gate panics
 //! with a diagnostic instead of hanging the test run.
 
 use crate::trace_hook::CommScope;

@@ -1073,7 +1073,7 @@ where
         params.collective,
         chase_device::Topology::juwels_booster(),
     )
-    .with_faults(plan.clone());
+    .with_faults(plan);
     let mut chase = Chase::new(&dev, h, params.clone(), warm);
     if let Start::Resume { snapshot, prelude } = start {
         if let Some(snap) = snapshot {
