@@ -315,7 +315,6 @@ pub fn tune_entry<T>(
 ) -> TuneOutcome
 where
     T: Scalar + Reduce,
-    T::Real: Reduce,
 {
     let ne = nev + nex;
     assert!(ne >= 1 && ne <= h.n, "trial subspace must fit the problem");
