@@ -16,10 +16,23 @@
 //! Transposition and conjugation are folded into the packing, and packed
 //! operands keep real and imaginary parts in separate planes, so the
 //! microkernel is plain lane-wise fused multiply-adds on `T::Real` arrays
-//! that the compiler vectorises without shuffles. The pack buffers are per
-//! thread, reused across calls and freed with the thread; they hold at most
-//! `MC*KC + KC*NC` elements (plus `KC*NC/NR` zero flags) whatever the
-//! operand shapes.
+//! that the compiler vectorises without shuffles: rows of `C` in the lanes,
+//! `s` broadcast.
+//!
+//! Its tile has a second orientation, for narrow products. Packing `op(A)`
+//! is a pass over all of it, paid back once per `NR`-column micro-panel of
+//! `s` the packed block serves; a one-shot fold whose `s` spans at most
+//! `IN_PLACE_PANELS` micro-panels (the filter's narrow steps, block
+//! Lanczos, late Rayleigh–Ritz and residual products, the narrow passes of
+//! TRSM and POTRF) reads `op(A)` in place instead ([`gemm_in_place`]): `s`
+//! is packed as above, the tile is `RT` rows by `NR` columns with the
+//! *columns* of `C` in the lanes, `s` loaded and `a` broadcast from where
+//! `A` is stored, and `A` is read column by column. A fold over a
+//! `prepack_a` operand, or over part of `C` only, stays packed. The pack
+//! buffers are per thread, reused across calls and freed with the thread;
+//! they hold at most `MC*KC + KC*NC` elements (plus `KC*NC/NR` zero flags)
+//! whatever the operand shapes, in either orientation — there is no
+//! `m x k` copy.
 //!
 //! The fold contract (spelled out on [`gemm`]): per element of `C` the `k`
 //! terms are folded in ascending order, each one fused term
@@ -28,10 +41,12 @@
 //! never a per-element sum, so the result is a pure function of the inputs:
 //! independent of tile boundaries, of how a caller splits `C` into column
 //! panels (the filter's overlapped pipeline relies on that), and of the
-//! vector width. The microkernel has three instantiations — one array source
-//! compiled portably and with AVX2 and FMA enabled, and the same loop on
-//! 512-bit registers under `avx512f` — the widest the CPU runs chosen per
-//! call by run-time detection, together with its tile shape
+//! vector width, and of the orientation: both fold `mul_acc(c, s, a)` with
+//! `s` from `op(B)`, `l` ascending, and only which operand sits in the lanes
+//! differs. Each orientation's microkernel has three instantiations — one
+//! array source compiled portably and with AVX2 and FMA enabled, and the
+//! same loop on 512-bit registers under `avx512f` — the widest the CPU runs
+//! chosen per call by run-time detection, together with its tile shape
 //! ([`kernel_isa`]), and all give the same bits, because a fused multiply-add
 //! is exact wherever it runs (one instruction, or libm's `fma` on a CPU
 //! without one): wider vectors yes, one fused term everywhere,
@@ -44,9 +59,9 @@
 //! pass that subtracts packs `-s`: `c - s*a` and `c + (-s)*a` are the same
 //! fused operations argument for argument, signed zeros included.
 
-use crate::lanes::Isa;
+use crate::lanes::{Avx512, Isa};
 #[cfg(target_arch = "x86_64")]
-use crate::lanes::{Avx512, Element, Lanes};
+use crate::lanes::{Element, Lanes};
 use crate::matrix::{ColsMut, ColsRef, Matrix};
 use crate::scalar::Scalar;
 use std::any::Any;
@@ -168,7 +183,10 @@ const fn planes<T: Scalar>() -> usize {
 
 /// `op(A)` resolved once for reuse across many GEMM calls. The overlapped
 /// filter pipeline splits one logical GEMM into column panels; prepacking
-/// pays the packing of `op(A)` per *step* instead of per *panel*.
+/// pays the packing of `op(A)` per *step* instead of per *panel*. A
+/// prepacked operand always takes the packed orientation, however narrow
+/// the product; a one-shot [`gemm`] of a few micro-panels of `s` reads
+/// `op(A)` in place and packs nothing of it.
 pub struct Prepacked<'a, T: Scalar> {
     opa: Op,
     a: ColsRef<'a, T>,
@@ -516,12 +534,187 @@ fn microkernel<T: Scalar, const MR: usize, const NR: usize>(
     )
 }
 
+/// The in-place orientation's microkernel, array source: `acc` holds `RT`
+/// rows of `C` by `NR` columns lane-major (`[plane][row][column]`), and
+/// `acc[i][j] = mul_acc(acc[i][j], s[l, j], a_at(l, i))` (`a_at(l, i)`
+/// conjugated if `conj`) for the `l` of one `NR`-column micro-panel of `s`,
+/// ascending — [`microkernel_arrays`] term for term with the columns in the
+/// lanes and `a` broadcast. A zero `s` skips its term in its own lane only.
+#[inline(always)]
+fn in_place_arrays<T: Scalar, const RT: usize, const NR: usize>(
+    a_at: impl Fn(usize, usize) -> T,
+    conj: bool,
+    bp: &[T::Real],
+    skip: &[bool],
+    acc: &mut [T::Real],
+) {
+    let p = planes::<T>();
+    let zero = <T::Real as Scalar>::zero();
+    let im = (p - 1) * RT * NR;
+    let mut cre: [[T::Real; NR]; RT] =
+        std::array::from_fn(|i| acc[i * NR..][..NR].try_into().expect("NR reals"));
+    let mut cim: [[T::Real; NR]; RT] =
+        std::array::from_fn(|i| acc[im + i * NR..][..NR].try_into().expect("NR reals"));
+    for (l, (s, &skip)) in bp.chunks_exact(p * NR).zip(skip).enumerate() {
+        let sre: &[T::Real; NR] = s[..NR].try_into().expect("NR reals");
+        let sim: &[T::Real; NR] = s[(p - 1) * NR..].try_into().expect("NR reals");
+        // Two copies of the term loop: without a zero `s` (the common
+        // case, `skip` set while packing) nothing is tested.
+        if skip {
+            let live = std::array::from_fn(|j| sre[j] != zero || (T::IS_COMPLEX && sim[j] != zero));
+            let a = |i| a_at(l, i);
+            in_place_terms::<T, RT, NR>(live, a, conj, (sre, sim), (&mut cre, &mut cim));
+        } else {
+            let a = |i| a_at(l, i);
+            in_place_terms::<T, RT, NR>([true; NR], a, conj, (sre, sim), (&mut cre, &mut cim));
+        }
+    }
+    for i in 0..RT {
+        acc[i * NR..][..NR].copy_from_slice(&cre[i]);
+        if T::IS_COMPLEX {
+            acc[im + i * NR..][..NR].copy_from_slice(&cim[i]);
+        }
+    }
+}
+
+/// One term `l` of [`in_place_arrays`], in the lanes of `live`.
+#[inline(always)]
+#[allow(clippy::type_complexity)]
+fn in_place_terms<T: Scalar, const RT: usize, const NR: usize>(
+    live: [bool; NR],
+    a: impl Fn(usize) -> T,
+    conj: bool,
+    (sre, sim): (&[T::Real; NR], &[T::Real; NR]),
+    (cre, cim): (&mut [[T::Real; NR]; RT], &mut [[T::Real; NR]; RT]),
+) {
+    for i in 0..RT {
+        let a = if conj { a(i).conj() } else { a(i) };
+        for j in 0..NR {
+            if live[j] {
+                let c = T::from_re_im(cre[i][j], cim[i][j]);
+                let c = T::mul_acc(c, T::from_re_im(sre[j], sim[j]), a);
+                (cre[i][j], cim[i][j]) = (c.re(), c.im());
+            }
+        }
+    }
+}
+
+/// [`in_place_arrays`] term for term with each plane of a row of the tile
+/// one 512-bit register (`NR` is its lane count): `s` loaded, `a` broadcast,
+/// each [`Scalar::mul_acc`] the same fused multiply-adds in the same order
+/// under the lane mask of the nonzero `s`. The two products with `a.im`
+/// take their sign from the `s` factor, negated once per term: `-s.im` in
+/// the real part, and for `conj(a)` (whose imaginary part is `-a.im`)
+/// `s.im` and `-s.re` — `(-x) * y` and `x * (-y)` being the same exact
+/// product.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn in_place_zmm<T: Scalar, const RT: usize, const NR: usize>(
+    avx512: Avx512,
+    a_at: impl Fn(usize, usize) -> T,
+    conj: bool,
+    bp: &[T::Real],
+    skip: &[bool],
+    acc: &mut [T::Real],
+) {
+    let load = |src: &[T::Real]| <Zmm<T> as Lanes<T::Real>>::load(avx512, src);
+    let splat = |x: T::Real| <Zmm<T> as Lanes<T::Real>>::splat(avx512, x);
+    assert_eq!(NR, <Zmm<T> as Lanes<T::Real>>::LEN, "one register a plane");
+    let p = planes::<T>();
+    let im = (p - 1) * RT * NR;
+    // `-x` exactly, signed zeros included: `-(x * 1) + (-0)`.
+    let (one, minus_zero) = (
+        splat(<T::Real as Scalar>::one()),
+        splat(-<T::Real as Scalar>::zero()),
+    );
+    let neg = |x: Zmm<T>| x.neg_mul_add(one, minus_zero);
+    let mut cre: [Zmm<T>; RT] = std::array::from_fn(|i| load(&acc[i * NR..]));
+    let mut cim: [Zmm<T>; RT] = std::array::from_fn(|i| load(&acc[im + i * NR..]));
+    for (l, (s, &skip)) in bp.chunks_exact(p * NR).zip(skip).enumerate() {
+        let (sre, sim) = (load(&s[..NR]), load(&s[(p - 1) * NR..]));
+        let s = match conj {
+            false => [sre, sim, neg(sim), sre],
+            true => [sre, sim, sim, neg(sre)],
+        };
+        // As in the array source: the mask is a constant, folded away, in
+        // the copy for a term without a zero `s`. `a` is read in each copy,
+        // so that its loads fold into the broadcasts.
+        let (cre, cim) = (&mut cre, &mut cim);
+        if skip {
+            let live = sre.nonzero(sim);
+            in_place_zmm_terms::<T, RT>(avx512, live, |i| a_at(l, i), s, (cre, cim));
+        } else {
+            let all = <Zmm<T> as Lanes<T::Real>>::ALL;
+            in_place_zmm_terms::<T, RT>(avx512, all, |i| a_at(l, i), s, (cre, cim));
+        }
+    }
+    for i in 0..RT {
+        cre[i].store(&mut acc[i * NR..]);
+        if T::IS_COMPLEX {
+            cim[i].store(&mut acc[im + i * NR..]);
+        }
+    }
+}
+
+/// One term `l` of [`in_place_zmm`], in the lanes of `live`: with `s` =
+/// `[s.re, s.im, f_re, f_im]`, the factors of `a.re` and (signed) of `a.im`
+/// in the real and the imaginary part, `mul_acc`'s four fused
+/// multiply-adds in its order.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+#[allow(clippy::type_complexity)]
+fn in_place_zmm_terms<T: Scalar, const RT: usize>(
+    avx512: Avx512,
+    live: <Zmm<T> as Lanes<T::Real>>::Mask,
+    a: impl Fn(usize) -> T,
+    [sre, sim, f_re, f_im]: [Zmm<T>; 4],
+    (cre, cim): (&mut [Zmm<T>; RT], &mut [Zmm<T>; RT]),
+) {
+    let splat = |x: T::Real| <Zmm<T> as Lanes<T::Real>>::splat(avx512, x);
+    for i in 0..RT {
+        let a = a(i);
+        let are = splat(a.re());
+        cre[i] = sre.mul_add_where(are, cre[i], live);
+        if T::IS_COMPLEX {
+            let aim = splat(a.im());
+            cre[i] = f_re.mul_add_where(aim, cre[i], live);
+            cim[i] = f_im.mul_add_where(aim, cim[i], live);
+            cim[i] = sim.mul_add_where(are, cim[i], live);
+        }
+    }
+}
+
+/// The in-place microkernel of the instantiation whose evidence `avx512`
+/// is (inlined into [`Isa::dispatch`]'s trampoline by the caller): written
+/// out where a plane of `NR` reals is one 512-bit register, the array
+/// source otherwise.
+#[inline(always)]
+fn in_place_kernel<T: Scalar, const RT: usize, const NR: usize>(
+    avx512: Option<Avx512>,
+    a_at: impl Fn(usize, usize) -> T,
+    conj: bool,
+    bp: &[T::Real],
+    skip: &[bool],
+    acc: &mut [T::Real],
+) {
+    match avx512 {
+        #[cfg(target_arch = "x86_64")]
+        Some(avx512) if NR == <Zmm<T> as Lanes<T::Real>>::LEN => {
+            in_place_zmm::<T, RT, NR>(avx512, a_at, conj, bp, skip, acc)
+        }
+        _ => in_place_arrays::<T, RT, NR>(a_at, conj, bp, skip, acc),
+    }
+}
+
 /// One thread's pack buffers for one real type.
 #[derive(Default)]
 struct Scratch<R> {
     a: Vec<R>,
     b: Vec<R>,
     skip: Vec<bool>,
+    /// Folds that took the in-place orientation.
+    #[cfg(test)]
+    in_place: usize,
 }
 
 thread_local! {
@@ -639,6 +832,173 @@ fn gemm_blocked<T: Scalar, const MR: usize, const NR: usize>(
     }
 }
 
+/// Up to how many `NR`-column micro-panels of `s` a one-shot fold reads
+/// `op(A)` in place ([`gemm_in_place`]) instead of packing it: a packed
+/// block of `op(A)` pays one pass over `op(A)` and is read once per panel,
+/// so it buys little at a few panels: at eight columns the pack is more
+/// than half the call. The crossover is measured (DESIGN.md §3).
+const IN_PLACE_PANELS: usize = 4;
+
+/// Terms folded per visit of a tile of `C` by [`gemm_in_place`]: for
+/// `Op::None` the `l` of this many columns of `A` are read side by side, each
+/// column front to back down all rows of the block, so that `A` is read
+/// column-contiguously.
+const IN_PLACE_TERMS: usize = 32;
+
+/// The loop nest's second orientation, for narrow `s` (at most
+/// `IN_PLACE_PANELS * NR <= NC` columns, so one slice): `op(A)` is read in
+/// place from its column-major storage, never packed, and the tile of `C`
+/// is `RT` rows by `NR` columns with the columns in the lanes
+/// ([`in_place_kernel`]). `s` is packed as in [`gemm_blocked`]; `C` is folded
+/// through a lane-major strip of its rows in the thread's `op(A)` buffer,
+/// which this orientation has no other use for. Per element of `C` the
+/// terms go `l` ascending, as in the other orientation, so the two give the
+/// same bits.
+fn gemm_in_place<T: Scalar, const RT: usize, const NR: usize>(
+    isa: Isa,
+    fold: Fold<T>,
+    a: &Prepacked<'_, T>,
+    opb: Op,
+    b: ColsRef<'_, T>,
+    c: &mut [T],
+    scratch: &mut Scratch<T::Real>,
+) {
+    const {
+        assert!(
+            RT <= MC * KC / (IN_PLACE_PANELS * NR) && IN_PLACE_PANELS * NR <= NC,
+            "a strip of C holds a tile, and s one slice"
+        )
+    };
+    #[cfg(test)]
+    {
+        scratch.in_place += 1;
+    }
+    let (m, k) = (a.m, a.k);
+    let n = c.len() / m;
+    let panels = n.div_ceil(NR);
+    let p = planes::<T>();
+    let zero = <T::Real as Scalar>::zero();
+    let tile_len = p * RT * NR;
+    // As many rows of C as the `MC * KC` of the op(A) buffer holds, so that
+    // for `Op::None` a column of A is read front to back in one go.
+    let strip_rows = MC * KC / (panels * NR) / RT * RT;
+    // `Op::None` visits a tile for a few terms at a time, the other ops for
+    // the whole block.
+    let lb = match a.opa {
+        Op::None => IN_PLACE_TERMS,
+        _ => KC,
+    };
+    for pc in (0..k).step_by(KC) {
+        let kc = KC.min(k - pc);
+        let b_block = first_n(&mut scratch.b, p * kc * panels * NR, zero);
+        let skip = first_n(&mut scratch.skip, kc * panels, false);
+        pack_b_block::<T, NR>(opb, fold, b, (pc, kc), (0, n), b_block, skip);
+        for ic in (0..m).step_by(strip_rows) {
+            let mc = strip_rows.min(m - ic);
+            let tiles = mc.div_ceil(RT);
+            // Taken at the size a packed pass on this thread takes anyway:
+            // growing the buffer from the strip's size to that one frees a
+            // block and takes a larger one, which moved glibc's mmap
+            // threshold and the peak RSS of a solve (EXPERIMENTS.md).
+            let strip =
+                &mut first_n(&mut scratch.a, p * MC * KC, zero)[..tiles * panels * tile_len];
+            // Rows and columns past C's hold zeros and are never stored.
+            strip.fill(zero);
+            let at = |t: usize, jp: usize| (t * panels + jp) * tile_len;
+            for t in 0..tiles {
+                for jp in 0..panels {
+                    let acc = &mut strip[at(t, jp)..][..tile_len];
+                    for j in 0..NR.min(n - jp * NR) {
+                        let col = &c[(jp * NR + j) * m + ic + t * RT..];
+                        for (i, v) in col[..RT.min(mc - t * RT)].iter().enumerate() {
+                            acc[i * NR + j] = v.re();
+                            if T::IS_COMPLEX {
+                                acc[RT * NR + i * NR + j] = v.im();
+                            }
+                        }
+                    }
+                }
+            }
+            let (b_block, skip, terms) = (&*b_block, &*skip, kc.div_ceil(lb));
+            let (data, lda) = (a.a.as_slice(), a.a.rows());
+            isa.dispatch(
+                #[inline(always)]
+                |avx512| {
+                    // Either way A is read column by column: for `Op::None`
+                    // a block of terms (columns of A) at a time down every
+                    // tile, otherwise one tile's columns of A at a time.
+                    let (outer, inner) = match a.opa {
+                        Op::None => (terms, tiles),
+                        _ => (tiles, terms),
+                    };
+                    for x in 0..outer {
+                        for y in 0..inner {
+                            let (t, l0) = match a.opa {
+                                Op::None => (y, x * lb),
+                                _ => (x, y * lb),
+                            };
+                            let lb = lb.min(kc - l0);
+                            let i0 = ic + t * RT;
+                            // The rows of the last tile past C repeat its
+                            // last row.
+                            let mr = RT.min(ic + mc - i0);
+                            // op(A)[i, l] is A[i, l]: column `l` of A down
+                            // the rows of the tile, from `base`; otherwise
+                            // (conj) A[l, i]: the rows of the tile are
+                            // stretches of `RT` columns of A.
+                            let base = (pc + l0) * lda + i0;
+                            let cols: [&[T]; RT] = match a.opa {
+                                Op::None => [&[]; RT],
+                                _ => std::array::from_fn(|i| {
+                                    &a.a.col(i0 + i.min(mr - 1))[pc + l0..pc + l0 + lb]
+                                }),
+                            };
+                            let conj = a.opa == Op::ConjTrans;
+                            for jp in 0..panels {
+                                let bp = &b_block[(jp * kc + l0) * p * NR..][..lb * p * NR];
+                                let skip = &skip[jp * kc + l0..][..lb];
+                                let acc = &mut strip[at(t, jp)..][..tile_len];
+                                match a.opa {
+                                    Op::None => in_place_kernel::<T, RT, NR>(
+                                        avx512,
+                                        #[inline(always)]
+                                        |l, i| data[base + l * lda..][..mr][i.min(mr - 1)],
+                                        conj,
+                                        bp,
+                                        skip,
+                                        acc,
+                                    ),
+                                    _ => in_place_kernel::<T, RT, NR>(
+                                        avx512,
+                                        #[inline(always)]
+                                        |l, i| cols[i][l],
+                                        conj,
+                                        bp,
+                                        skip,
+                                        acc,
+                                    ),
+                                }
+                            }
+                        }
+                    }
+                },
+            );
+            for t in 0..tiles {
+                for jp in 0..panels {
+                    let acc = &strip[at(t, jp)..][..tile_len];
+                    for j in 0..NR.min(n - jp * NR) {
+                        let col = &mut c[(jp * NR + j) * m + ic + t * RT..];
+                        for (i, v) in col[..RT.min(mc - t * RT)].iter_mut().enumerate() {
+                            *v =
+                                T::from_re_im(acc[i * NR + j], acc[(p - 1) * RT * NR + i * NR + j]);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// `C += op(A) * s` for the fold's `s` from `op(B)[..k, :]`, `k` the columns
 /// of `op(A)`: the loop nest on this thread's pack buffers, with the tile
 /// shape of the widest microkernel instantiation this CPU runs.
@@ -662,7 +1022,14 @@ fn fold_into<T: Scalar>(
     let isa = Isa::current();
     with_scratch::<T::Real, _>(|scratch| {
         with_tile_of!(isa, T, MR, NR => {
-            gemm_blocked::<T, MR, NR>(isa, fold, a, opb, b, c, scratch)
+            if a.panels.is_none() && fold.tiles == Tiles::All && n.div_ceil(NR) <= IN_PLACE_PANELS {
+                // As many rows as the packed tile, at most 8: with 32-bit
+                // reals 16 rows of accumulators do not fit the registers.
+                const RT: usize = if MR > 8 { 4 } else { MR };
+                gemm_in_place::<T, RT, NR>(isa, fold, a, opb, b, c, scratch)
+            } else {
+                gemm_blocked::<T, MR, NR>(isa, fold, a, opb, b, c, scratch)
+            }
         })
     });
 }
@@ -894,6 +1261,14 @@ pub fn gemv<T: Scalar>(op: Op, alpha: T, a: &Matrix<T>, x: &[T], beta: T, y: &mu
             }
         }
     }
+}
+
+/// This thread's pack buffers for `R`, in elements allocated (`op(A)` or
+/// the strip of `C`, `op(B)`), and the folds that took the in-place
+/// orientation on it.
+#[cfg(test)]
+fn scratch_probe<R: Default + 'static>() -> (usize, usize, usize) {
+    with_scratch::<R, _>(|s| (s.a.capacity(), s.b.capacity(), s.in_place))
 }
 
 /// Every bit of every entry; NaNs compare equal to each other (Rust leaves
@@ -1245,7 +1620,31 @@ mod tests {
         0, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 19, 33, 35, 127, 128, 129, 133, 150,
     ];
     const K_SIZES: [usize; 10] = [0, 1, 2, 7, 64, 255, 256, 257, 301, 513];
-    const N_SIZES: [usize; 12] = [0, 1, 2, 3, 4, 5, 9, 37, 127, 128, 129, 131];
+    /// As above, and on both sides of `NR` (4 and 8) and of the widest
+    /// product read in place, `IN_PLACE_PANELS * NR`, for either `NR`: the
+    /// two orientations of the nest meet there.
+    const N_SIZES: [usize; 20] = [
+        0,
+        1,
+        2,
+        3,
+        4,
+        5,
+        7,
+        8,
+        9,
+        IN_PLACE_PANELS * 4 - 1,
+        IN_PLACE_PANELS * 4,
+        IN_PLACE_PANELS * 4 + 1,
+        IN_PLACE_PANELS * 8 - 1,
+        IN_PLACE_PANELS * 8,
+        IN_PLACE_PANELS * 8 + 1,
+        37,
+        127,
+        128,
+        129,
+        131,
+    ];
     /// Column counts of a CholeskyQR block (the Gram matrix's tile rows as
     /// well): around `PANEL` 16 and its multiples too, and past `KC` (the
     /// TRSM's inner dimension).
@@ -1328,7 +1727,10 @@ mod tests {
 
     /// Wider lanes, same IEEE operations, same bits: every instantiation of
     /// the microkernel this CPU runs on identical inputs, through `gemm`,
-    /// the three CholeskyQR kernels and `heevd`.
+    /// the three CholeskyQR kernels and `heevd`. The narrow shapes take the
+    /// in-place orientation under every instantiation (TRSM's passes too),
+    /// `n = IN_PLACE_PANELS * 8` under 512-bit lanes only, so that one run
+    /// compares the two orientations.
     #[test]
     fn instantiations_agree_bitwise() {
         fn all<T: Scalar>(dims: (usize, usize, usize), seed: u64) {
@@ -1377,6 +1779,8 @@ mod tests {
             ((17, 5, 3), 3),
             ((19, 9, 7), 4),
             ((35, 40, 9), 5),
+            ((133, 301, IN_PLACE_PANELS * 4), 6),
+            ((150, 64, IN_PLACE_PANELS * 8), 7),
         ] {
             all::<f32>(dims, seed);
             all::<f64>(dims, seed);
@@ -1479,7 +1883,7 @@ mod tests {
     /// `#[inline(always)]` closure, inlined into the trampoline — and not
     /// left at the baseline, where every fused term is a call into libm (the
     /// same bits, an order of magnitude slower). So it is timed: the
-    /// microkernel through `gemm`, and the in-panel sweeps of
+    /// microkernel through `gemm` (either orientation), and the in-panel sweeps of
     /// `trsm_right_upper` and `potrf_upper` on inputs one `PANEL` wide (all
     /// sweep, no pass of the nest), each at the widest level against
     /// `Portable`, best of several runs. A CPU with no wider level, or a
@@ -1492,12 +1896,16 @@ mod tests {
         }
         let mut rng = ChaCha8Rng::seed_from_u64(11);
         let a = Matrix::<C64>::random(96, 96, &mut rng);
+        let narrow = Matrix::<C64>::random(96, 8, &mut rng);
         let x = Matrix::<C64>::random(1024, PANEL, &mut rng);
         let g = gram(x.as_ref());
         let u = potrf_upper(&g).expect("Gram of a tall random block");
-        let kernels: [(&str, usize, &dyn Fn()); 3] = [
+        let kernels: [(&str, usize, &dyn Fn()); 4] = [
             ("gemm (the microkernel)", 5, &|| {
                 std::hint::black_box(gemm_new(Op::None, Op::None, &a, &a));
+            }),
+            ("gemm of 8 columns (in place)", 20, &|| {
+                std::hint::black_box(gemm_new(Op::ConjTrans, Op::None, &a, &narrow));
             }),
             ("trsm_right_upper's in-panel sweep", 5, &|| {
                 let mut q = x.clone();
@@ -1527,6 +1935,104 @@ mod tests {
                 Isa::detect()
             );
         }
+    }
+
+    /// The two orientations of the nest agree bit for bit on the local
+    /// blocks of `H` the benchmark's four workloads filter (480 x 240,
+    /// 320 x 320, 210 x 420, 240 x 240), both filter directions (`H^H X`,
+    /// `H X`), at every width up to one micro-panel past the widest product
+    /// read in place: `gemm` against `gemm_prepacked`, which always packs.
+    /// `B` has scattered signed zeros and two all-zero rows, whose columns
+    /// of `op(H)` hold an `inf` and a `NaN` that must not reach `C`.
+    #[test]
+    fn in_place_equals_packed_on_filter_shapes() {
+        let mut rng = ChaCha8Rng::seed_from_u64(12);
+        let widest = with_tile_of!(Isa::current(), C64, _MR, NR => (IN_PLACE_PANELS + 1) * NR);
+        let alpha = C64::new(0.75, -0.5);
+        let beta = C64::new(-0.25, 2.0);
+        for (rows, cols) in [(480, 240), (320, 320), (210, 420), (240, 240)] {
+            for opa in [Op::None, Op::ConjTrans] {
+                let (m, k) = match opa {
+                    Op::None => (rows, cols),
+                    _ => (cols, rows),
+                };
+                let shielded = [3, k - 2];
+                let mut h = Matrix::<C64>::random(rows, cols, &mut rng);
+                for (l, bad) in shielded.into_iter().zip([f64::INFINITY, f64::NAN]) {
+                    for i in (0..m).step_by(7) {
+                        let at = if opa == Op::None { (i, l) } else { (l, i) };
+                        h[at] = C64::new(bad, 1.0);
+                    }
+                }
+                let packed = prepack_a(opa, h.as_ref());
+                for n in 1..=widest {
+                    let mut b = block_with_zeros::<C64>(k, n, &mut rng);
+                    for l in shielded {
+                        for j in 0..n {
+                            b[(l, j)] = signed_zero(&mut rng);
+                        }
+                    }
+                    let c0 = Matrix::<C64>::random(m, n, &mut rng);
+                    let mut want = c0.clone();
+                    gemm_prepacked(&packed, Op::None, alpha, b.as_ref(), beta, want.as_mut());
+                    let mut got = c0;
+                    gemm(
+                        opa,
+                        Op::None,
+                        alpha,
+                        h.as_ref(),
+                        b.as_ref(),
+                        beta,
+                        got.as_mut(),
+                    );
+                    let what = format!("{rows}x{cols} {opa:?} n = {n}");
+                    assert!(
+                        want.as_slice().iter().all(|v| v.is_finite()),
+                        "{what}: leak"
+                    );
+                    assert_eq!(bits(&got), bits(&want), "{what}");
+                }
+            }
+        }
+    }
+
+    /// A narrow product allocates no copy of `op(A)`: on a 480 x 480 `A`
+    /// it leaves the thread's pack buffers within the module's bound,
+    /// `MC*KC + KC*NC` elements, far below the `m*k` of a copy — the
+    /// measured alternative, caching packed operands, cost 11 to 22 % peak
+    /// RSS (EXPERIMENTS.md). On a thread of its own, whose buffers no other
+    /// test has grown.
+    #[test]
+    fn narrow_products_keep_the_pack_scratch_within_bound() {
+        std::thread::spawn(|| {
+            let mut rng = ChaCha8Rng::seed_from_u64(13);
+            let (m, k) = (480, 480);
+            let a = Matrix::<C64>::random(m, k, &mut rng);
+            let ops = [Op::None, Op::ConjTrans, Op::Trans];
+            for (opa, n) in ops.into_iter().zip([8, 4, 1]) {
+                let b = Matrix::<C64>::random(k, n, &mut rng);
+                let mut c = Matrix::<C64>::zeros(m, n);
+                gemm(
+                    opa,
+                    Op::None,
+                    C64::one(),
+                    a.as_ref(),
+                    b.as_ref(),
+                    C64::zero(),
+                    c.as_mut(),
+                );
+            }
+            let (a_len, b_len, in_place) = scratch_probe::<f64>();
+            assert_eq!(in_place, ops.len(), "each narrow product was read in place");
+            let p = planes::<C64>();
+            assert!(
+                a_len + b_len <= p * (MC * KC + KC * NC),
+                "pack scratch {a_len} + {b_len} reals past the bound"
+            );
+            assert!(a_len.max(b_len) < p * m * k, "an m x k copy of op(A)");
+        })
+        .join()
+        .expect("the probe thread");
     }
 
     /// Panels packed for one instantiation's `MR` and consumed by another

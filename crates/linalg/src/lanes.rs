@@ -181,14 +181,19 @@ mod x86 {
     }
 
     /// One 512-bit register of `LEN` reals `R` whose only arithmetic is the
-    /// fused multiply-add, one IEEE fusedMultiplyAdd per lane: what
-    /// `f32::mul_add` / `f64::mul_add` compute, so the 512-bit microkernel
-    /// and the array one fold the same term. Only [`Lanes::load`] and
+    /// fused multiply-add, one IEEE fusedMultiplyAdd per lane (in every lane,
+    /// or only in those of a mask that a compare with zero made): what
+    /// `f32::mul_add` / `f64::mul_add` compute, so the 512-bit microkernels
+    /// and the array ones fold the same term. Only [`Lanes::load`] and
     /// [`Lanes::splat`] make a value, and both ask for an [`Avx512`], so
     /// holding a value is evidence that the CPU has the instructions behind
     /// the other methods.
     pub trait Lanes<R>: Copy {
         const LEN: usize;
+        /// One bit per lane.
+        type Mask: Copy;
+        /// Every lane.
+        const ALL: Self::Mask;
         /// The first `LEN` elements of `src`.
         fn load(avx512: Avx512, src: &[R]) -> Self;
         /// `x` in every lane.
@@ -198,6 +203,11 @@ mod x86 {
         /// `-(self * a) + c`, rounded once (`vfnmadd*`): `(-self).mul_add(a, c)`
         /// bit for bit, the negation of a factor being exact.
         fn neg_mul_add(self, a: Self, c: Self) -> Self;
+        /// The lanes where `self` or `other` is not zero (`NaN` is not zero).
+        fn nonzero(self, other: Self) -> Self::Mask;
+        /// [`Lanes::mul_add`] in the lanes of `live`, `c` in the others
+        /// (`vfmadd*` with merge masking).
+        fn mul_add_where(self, a: Self, c: Self, live: Self::Mask) -> Self;
         /// Into the first `LEN` elements of `dst`.
         fn store(self, dst: &mut [R]);
     }
@@ -207,14 +217,17 @@ mod x86 {
     pub struct Zmm<V>(V);
 
     macro_rules! zmm_lanes {
-        ($r:ty, $v:ty, $len:expr, $load:ident, $set1:ident, $store:ident,
-         $fmadd:ident, $fnmadd:ident) => {
+        ($r:ty, $v:ty, $len:expr, $mask:ty, $load:ident, $set1:ident, $store:ident,
+         $fmadd:ident, $fnmadd:ident, $cmpneq:ident, $setzero:ident,
+         $mask3_fmadd:ident) => {
             impl Element for $r {
                 type Zmm = Zmm<$v>;
             }
 
             impl Lanes<$r> for Zmm<$v> {
                 const LEN: usize = $len;
+                type Mask = $mask;
+                const ALL: $mask = <$mask>::MAX;
                 #[inline(always)]
                 fn load(_: Avx512, src: &[$r]) -> Self {
                     let src: &[$r; $len] = src[..$len].try_into().expect("LEN reals");
@@ -241,6 +254,17 @@ mod x86 {
                     Zmm(unsafe { $fnmadd(self.0, a.0, c.0) })
                 }
                 #[inline(always)]
+                fn nonzero(self, other: Self) -> $mask {
+                    // SAFETY: as for `mul_add`. `cmpneq` is the unordered
+                    // compare, true for `NaN`.
+                    unsafe { $cmpneq(self.0, $setzero()) | $cmpneq(other.0, $setzero()) }
+                }
+                #[inline(always)]
+                fn mul_add_where(self, a: Self, c: Self, live: $mask) -> Self {
+                    // SAFETY: as for `mul_add`.
+                    Zmm(unsafe { $mask3_fmadd(self.0, a.0, c.0, live) })
+                }
+                #[inline(always)]
                 fn store(self, dst: &mut [$r]) {
                     let dst: &mut [$r; $len] = (&mut dst[..$len]).try_into().expect("LEN reals");
                     // SAFETY: `self` came from `load` or `splat`, which were
@@ -256,20 +280,28 @@ mod x86 {
         f64,
         __m512d,
         8,
+        __mmask8,
         _mm512_loadu_pd,
         _mm512_set1_pd,
         _mm512_storeu_pd,
         _mm512_fmadd_pd,
-        _mm512_fnmadd_pd
+        _mm512_fnmadd_pd,
+        _mm512_cmpneq_pd_mask,
+        _mm512_setzero_pd,
+        _mm512_mask3_fmadd_pd
     );
     zmm_lanes!(
         f32,
         __m512,
         16,
+        __mmask16,
         _mm512_loadu_ps,
         _mm512_set1_ps,
         _mm512_storeu_ps,
         _mm512_fmadd_ps,
-        _mm512_fnmadd_ps
+        _mm512_fnmadd_ps,
+        _mm512_cmpneq_ps_mask,
+        _mm512_setzero_ps,
+        _mm512_mask3_fmadd_ps
     );
 }
