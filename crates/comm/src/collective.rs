@@ -170,9 +170,9 @@ pub const DEFAULT_WAIT_TIMEOUT_MS: u64 = 30_000;
 /// Scale a base timeout by the `CHASE_TEST_TIMEOUT_SCALE` environment
 /// variable (a float multiplier; unset or unparsable = 1.0). The one knob
 /// every timeout-bearing test and harness watchdog routes through: CI jobs
-/// on oversubscribed runners set it above 1 so stall-detection tests,
-/// serve deadlines, tune trial budgets and schedule-gate watchdogs keep a
-/// real margin over scheduler jitter instead of flaking.
+/// on oversubscribed runners set it above 1 so stall-detection tests, tune
+/// trial budgets and schedule-gate watchdogs keep a real margin over
+/// scheduler jitter instead of flaking.
 pub fn scaled_timeout_ms(base_ms: u64) -> u64 {
     let scale = std::env::var("CHASE_TEST_TIMEOUT_SCALE")
         .ok()

@@ -123,17 +123,10 @@ pub struct JobSpec<T: Scalar> {
     /// Rank grid the worker runs this solve on.
     pub grid: GridShape,
     pub session: Option<SessionTag>,
-    /// 0..=9, higher dispatches first.
-    pub priority: u8,
-    /// Virtual-tick deadline; a job whose simulated start would exceed it
-    /// is dropped with [`JobOutcome::DeadlineMissed`] instead of running.
-    pub deadline: Option<u64>,
-    /// Virtual duration for the tick simulation; defaults to `n * ne`.
-    pub cost_hint: Option<u64>,
 }
 
 impl<T: Scalar> JobSpec<T> {
-    /// A standalone job with default knobs (priority 4, no deadline).
+    /// A standalone job on a 1x1 grid.
     pub fn new(name: impl Into<String>, matrix: MatrixSource<T>, params: Params) -> Self {
         Self {
             name: name.into(),
@@ -141,9 +134,6 @@ impl<T: Scalar> JobSpec<T> {
             params,
             grid: GridShape::new(1, 1),
             session: None,
-            priority: 4,
-            deadline: None,
-            cost_hint: None,
         }
     }
 
@@ -156,13 +146,6 @@ impl<T: Scalar> JobSpec<T> {
         self
     }
 
-    /// Virtual duration used by the tick simulation.
-    pub fn cost(&self) -> u64 {
-        self.cost_hint
-            .unwrap_or((self.matrix.n() * self.params.ne()) as u64)
-            .max(1)
-    }
-
     /// Bytes the session cache pays to keep this job's output resident
     /// (the `n x nev` eigenvector block plus the spectral bounds).
     pub fn cache_bytes(&self) -> usize {
@@ -170,21 +153,15 @@ impl<T: Scalar> JobSpec<T> {
             + std::mem::size_of::<SpectralBounds<T::Real>>()
     }
 
-    /// Total order key for deterministic scheduling: priority first (higher
-    /// is more urgent), then earliest deadline, then session/step/name.
-    /// Independent of submission order by construction.
-    pub(crate) fn canon_key(&self) -> (u8, u64, String, usize, String) {
-        let (sid, step) = match &self.session {
-            Some(s) => (s.id.clone(), s.step),
-            None => (self.name.clone(), 0),
-        };
-        (
-            u8::MAX - self.priority,
-            self.deadline.unwrap_or(u64::MAX),
-            sid,
-            step,
-            self.name.clone(),
-        )
+    /// Total order key for deterministic scheduling: session, step, name
+    /// (a standalone job is its own session at step 0). Independent of
+    /// submission order by construction, and it keeps each session's steps
+    /// adjacent and ascending.
+    pub(crate) fn canon_key(&self) -> (&str, usize, &str) {
+        match &self.session {
+            Some(s) => (&s.id, s.step, &self.name),
+            None => (&self.name, 0, &self.name),
+        }
     }
 }
 
@@ -226,8 +203,6 @@ pub enum JobOutcome<T: Scalar> {
     /// The recovery ladder exhausted its budget; the error carries the
     /// recovery log. Siblings and the pool are unaffected.
     Failed(ChaseError),
-    Cancelled,
-    DeadlineMissed,
 }
 
 /// Per-job report handed back by [`crate::Scheduler::drain`].
@@ -238,10 +213,6 @@ pub struct JobReport<T: Scalar> {
     pub session: Option<SessionTag>,
     pub outcome: JobOutcome<T>,
     pub warm: WarmKind,
-    /// Virtual-tick schedule (deterministic; no wall clock).
-    pub wait_ticks: u64,
-    pub start_tick: u64,
-    pub finish_tick: u64,
     /// Per-job structured trace when the scheduler records traces.
     pub trace: Option<Trace>,
 }

@@ -1,10 +1,10 @@
-//! `chase-serve` — a multi-tenant solve scheduler with a warm-start
-//! session cache.
+//! `chase-serve` — the sequence driver: a solve scheduler with a
+//! warm-start session cache.
 //!
-//! Production eigensolver deployments rarely solve one problem: they serve
+//! Production eigensolver deployments rarely solve one problem: they solve
 //! *sequences* of correlated problems (DFT self-consistency loops, BSE
-//! parameter sweeps) for several tenants at once. This crate schedules such
-//! workloads over a bounded pool of rank-grid workers:
+//! parameter sweeps). This crate runs such workloads over a bounded pool of
+//! rank-grid workers:
 //!
 //! - **Sessions**: jobs tagged `(session, step)` form a correlated
 //!   sequence; step `k + 1` starts from step `k`'s eigenvectors and
@@ -14,9 +14,8 @@
 //! - **Session cache**: warm-start payloads are kept under a byte budget
 //!   with deterministic LRU eviction ([`cache::SessionCache`]).
 //! - **Deterministic scheduling**: every decision — dispatch order, warm
-//!   vs. cold, eviction, even queue-wait metrics — is planned against a
-//!   canonical order and a virtual-time simulation *before* execution
-//!   ([`plan`], [`sim`]), so results are bitwise independent of submission
+//!   vs. cold, eviction — is planned against a canonical order *before*
+//!   execution ([`plan`]), so results are bitwise independent of submission
 //!   order and worker count.
 //! - **Isolation**: a failed job ([`chase_core::ChaseError`], recovery log
 //!   attached) degrades only its own session to a cold restart; siblings
@@ -46,7 +45,6 @@ pub mod job;
 pub mod metrics;
 pub mod plan;
 pub mod scheduler;
-pub mod sim;
 pub mod workload;
 
 pub use cache::{CacheStats, SessionCache};

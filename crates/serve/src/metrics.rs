@@ -1,8 +1,8 @@
 //! Scheduler-level counters and their machine-readable export.
 //!
 //! Every figure here is derived from deterministic inputs (plan walk,
-//! virtual-time simulation, per-job solver stats), so two runs of the same
-//! job set produce byte-identical metrics JSON. The JSON is hand-rolled
+//! per-job solver stats), so two runs of the same job set produce
+//! byte-identical metrics JSON. The JSON is hand-rolled
 //! (integer-only), matching the repo's no-serde convention.
 
 use crate::cache::CacheStats;
@@ -10,14 +10,12 @@ use crate::cache::CacheStats;
 /// Counters accumulated across a scheduler's lifetime (all drains).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeMetrics {
-    // Admission.
+    // Submission.
     pub submitted: u64,
     pub rejected: u64,
-    pub cancelled: u64,
     // Outcomes.
     pub completed: u64,
     pub failed: u64,
-    pub deadline_missed: u64,
     pub unconverged: u64,
     // Warm-start economics.
     pub warm_hits: u64,
@@ -41,10 +39,6 @@ pub struct ServeMetrics {
     // reused one (a session tunes on its first cold solve only).
     pub plans_tuned: u64,
     pub plan_db_hits: u64,
-    // Virtual-time schedule.
-    pub makespan_ticks: u64,
-    pub total_wait_ticks: u64,
-    pub max_queue_depth: u64,
     pub drains: u64,
 }
 
@@ -76,10 +70,8 @@ impl ServeMetrics {
         };
         field("submitted", self.submitted);
         field("rejected", self.rejected);
-        field("cancelled", self.cancelled);
         field("completed", self.completed);
         field("failed", self.failed);
-        field("deadline_missed", self.deadline_missed);
         field("unconverged", self.unconverged);
         field("warm_hits", self.warm_hits);
         field("warm_misses", self.warm_misses);
@@ -94,9 +86,6 @@ impl ServeMetrics {
         field("matvecs_saved", self.matvecs_saved);
         field("plans_tuned", self.plans_tuned);
         field("plan_db_hits", self.plan_db_hits);
-        field("makespan_ticks", self.makespan_ticks);
-        field("total_wait_ticks", self.total_wait_ticks);
-        field("max_queue_depth", self.max_queue_depth);
         field("drains", self.drains);
         s.push_str(&format!(
             "  \"warm_hit_rate\": {:.4}\n}}\n",

@@ -1,17 +1,16 @@
-//! Drain planning: canonical ordering, session chaining, deadline
-//! admission, and the warm/cold decision walk.
+//! Drain planning: canonical ordering, session chaining and the warm/cold
+//! decision walk.
 //!
 //! Determinism argument (DESIGN.md §11): every decision below is a pure
-//! function of the job *set* (their specs, never their submission order),
-//! the worker count, and the persisted cache state. Warm/cold decisions are
-//! made by walking jobs in the canonical serialization — the order a
-//! one-worker pool would dispatch — so the cache policy is independent of
-//! how many workers later execute the plan and of which finishes first.
-//! Workers only compute; they never mutate scheduler state out of order.
+//! function of the job *set* (their specs, never their submission order)
+//! and the persisted cache state. Warm/cold decisions are made by walking
+//! jobs in the canonical order — the order a one-worker pool would
+//! dispatch — so the cache policy is independent of how many workers later
+//! execute the plan and of which finishes first. Workers only compute; they
+//! never mutate scheduler state out of order.
 
 use crate::cache::SessionCache;
 use crate::job::JobSpec;
-use crate::sim::{simulate, SimJob, SimOutcome};
 use chase_linalg::Scalar;
 use std::collections::BTreeMap;
 
@@ -20,128 +19,60 @@ use std::collections::BTreeMap;
 pub struct Plan {
     /// Canonical-order rank per job (total order over the batch).
     pub canon: Vec<usize>,
-    /// Executes this drain (false = deadline missed, reported unstarted).
-    pub run: Vec<bool>,
     /// Starts from the session cache (predecessor eigenpairs + bounds).
     pub warm: Vec<bool>,
     /// Execution dependency: the in-batch predecessor whose output this
     /// (warm) job consumes. `None` for cold jobs and for warm starts served
     /// from a previous drain's persisted entry.
     pub dep: Vec<Option<usize>>,
-    /// Canonical serialization of the running jobs (the cache-walk order).
+    /// Job indices in canonical order (the cache-walk order).
     pub order: Vec<usize>,
 }
 
-/// Session chaining: for every job, the nearest earlier step of the same
-/// session within `eligible`, following (step, name) order.
-fn chains<T: Scalar>(specs: &[JobSpec<T>], eligible: &[bool]) -> Vec<Option<usize>> {
-    let mut groups: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-    for (i, s) in specs.iter().enumerate() {
-        if let Some(tag) = &s.session {
-            if eligible[i] {
-                groups.entry(tag.id.as_str()).or_default().push(i);
-            }
-        }
-    }
-    let mut dep = vec![None; specs.len()];
-    for members in groups.values_mut() {
-        members.sort_by(|&a, &b| {
-            let ta = specs[a].session.as_ref().unwrap();
-            let tb = specs[b].session.as_ref().unwrap();
-            (ta.step, &specs[a].name).cmp(&(tb.step, &specs[b].name))
-        });
-        for w in members.windows(2) {
-            dep[w[1]] = Some(w[0]);
-        }
-    }
-    dep
-}
-
-/// Build the drain plan and its virtual-time schedule.
+/// Build the drain plan.
 ///
 /// `cache` is the scheduler's persisted policy cache: the walk mutates it
 /// (lookups renew recency, inserts evict), which is exactly how residency
 /// carries across drains.
-pub fn build_plan<T: Scalar>(
-    specs: &[JobSpec<T>],
-    workers: usize,
-    cache: &mut SessionCache,
-) -> (Plan, SimOutcome) {
+pub fn build_plan<T: Scalar>(specs: &[JobSpec<T>], cache: &mut SessionCache) -> Plan {
     let n = specs.len();
-    // Canonical total order: priority, deadline, session, step, name.
-    let mut by_key: Vec<usize> = (0..n).collect();
-    by_key.sort_by_key(|&i| specs[i].canon_key());
+    // Canonical total order: session, step, name. Each session's steps are
+    // adjacent and ascending, so this is also a one-worker dispatch order.
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by_key(|&i| specs[i].canon_key());
     let mut canon = vec![0usize; n];
-    for (rank, &i) in by_key.iter().enumerate() {
+    for (rank, &i) in order.iter().enumerate() {
         canon[i] = rank;
-    }
-
-    // Virtual-time schedule with full session chains: yields wait/start
-    // ticks, queue depth, and the deadline-miss set.
-    let all = vec![true; n];
-    let dep_full = chains(specs, &all);
-    let sim_jobs: Vec<SimJob> = (0..n)
-        .map(|i| SimJob {
-            cost: specs[i].cost(),
-            dep: dep_full[i],
-            deadline: specs[i].deadline,
-            canon: canon[i],
-        })
-        .collect();
-    let sim = simulate(&sim_jobs, workers);
-    let run: Vec<bool> = sim.jobs.iter().map(|s| !s.missed).collect();
-
-    // Chains among the jobs that actually run (a missed step drops out of
-    // its session's hand-off chain; the successor starts cold or from a
-    // persisted entry).
-    let dep_run = chains(specs, &run);
-
-    // Canonical serialization of the running jobs: greedy lowest-rank-first
-    // among jobs whose chain predecessor is already placed — the dispatch
-    // order of a one-worker pool, computed without costs.
-    let mut placed = vec![false; n];
-    let mut order = Vec::with_capacity(n);
-    let runnable = run.iter().filter(|r| **r).count();
-    while order.len() < runnable {
-        let next = by_key
-            .iter()
-            .copied()
-            .find(|&i| run[i] && !placed[i] && dep_run[i].is_none_or(|d| placed[d]))
-            .expect("session chains are acyclic");
-        placed[next] = true;
-        order.push(next);
     }
 
     // Warm/cold walk in canonical order against the policy cache. A budget
     // of zero disables warm starts without touching the counters.
     let mut warm = vec![false; n];
     let mut dep = vec![None; n];
+    let mut last: BTreeMap<&str, usize> = BTreeMap::new();
     if cache.budget() > 0 {
         for &i in &order {
             if let Some(tag) = &specs[i].session {
+                let prev = last.insert(&tag.id, i);
                 if tag.step > 0 {
                     warm[i] = cache.lookup(&tag.id, tag.step);
                 }
                 if warm[i] {
                     // Data flows from the in-batch predecessor when there is
                     // one; otherwise it is already persisted in the store.
-                    dep[i] = dep_run[i];
+                    dep[i] = prev;
                 }
                 cache.insert(&tag.id, tag.step, specs[i].cache_bytes());
             }
         }
     }
 
-    (
-        Plan {
-            canon,
-            run,
-            warm,
-            dep,
-            order,
-        },
-        sim,
-    )
+    Plan {
+        canon,
+        warm,
+        dep,
+        order,
+    }
 }
 
 #[cfg(test)]
@@ -151,7 +82,7 @@ mod tests {
     use chase_core::Params;
     use chase_linalg::C64;
 
-    fn spec(name: &str, session: Option<(&str, usize)>, priority: u8) -> JobSpec<C64> {
+    fn spec(name: &str, session: Option<(&str, usize)>) -> JobSpec<C64> {
         let mut s = JobSpec::new(
             name,
             MatrixSource::Generated(GenSpec {
@@ -163,7 +94,6 @@ mod tests {
             }),
             Params::new(4, 2),
         );
-        s.priority = priority;
         if let Some((id, step)) = session {
             s = s.in_session(id, step);
         }
@@ -173,13 +103,13 @@ mod tests {
     #[test]
     fn canonical_order_is_submission_independent() {
         let a = vec![
-            spec("x", None, 4),
-            spec("y", Some(("s", 0)), 4),
-            spec("z", Some(("s", 1)), 4),
+            spec("x", None),
+            spec("y", Some(("s", 0))),
+            spec("z", Some(("s", 1))),
         ];
         let b = vec![a[2].clone(), a[0].clone(), a[1].clone()];
-        let (pa, _) = build_plan(&a, 2, &mut SessionCache::new(1 << 20));
-        let (pb, _) = build_plan(&b, 2, &mut SessionCache::new(1 << 20));
+        let pa = build_plan(&a, &mut SessionCache::new(1 << 20));
+        let pb = build_plan(&b, &mut SessionCache::new(1 << 20));
         let names_a: Vec<_> = pa.order.iter().map(|&i| a[i].name.clone()).collect();
         let names_b: Vec<_> = pb.order.iter().map(|&i| b[i].name.clone()).collect();
         assert_eq!(names_a, names_b);
@@ -192,27 +122,20 @@ mod tests {
     #[test]
     fn session_steps_warm_chain() {
         let jobs = vec![
-            spec("a", Some(("s", 0)), 4),
-            spec("b", Some(("s", 1)), 4),
-            spec("c", Some(("s", 2)), 4),
+            spec("a", Some(("s", 0))),
+            spec("b", Some(("s", 1))),
+            spec("c", Some(("s", 2))),
         ];
-        let (p, _) = build_plan(&jobs, 1, &mut SessionCache::new(1 << 20));
+        let p = build_plan(&jobs, &mut SessionCache::new(1 << 20));
         assert_eq!(p.warm, vec![false, true, true]);
         assert_eq!(p.dep, vec![None, Some(0), Some(1)]);
     }
 
     #[test]
-    fn priority_outranks_name() {
-        let jobs = vec![spec("a", None, 2), spec("b", None, 9)];
-        let (p, _) = build_plan(&jobs, 1, &mut SessionCache::new(1 << 20));
-        assert_eq!(p.order, vec![1, 0]);
-    }
-
-    #[test]
     fn zero_budget_runs_everything_cold() {
-        let jobs = vec![spec("a", Some(("s", 0)), 4), spec("b", Some(("s", 1)), 4)];
+        let jobs = vec![spec("a", Some(("s", 0))), spec("b", Some(("s", 1)))];
         let mut cache = SessionCache::new(0);
-        let (p, _) = build_plan(&jobs, 1, &mut cache);
+        let p = build_plan(&jobs, &mut cache);
         assert_eq!(p.warm, vec![false, false]);
         assert_eq!(cache.stats.hits + cache.stats.misses, 0);
     }
@@ -220,10 +143,10 @@ mod tests {
     #[test]
     fn persisted_entry_warms_next_drain() {
         let mut cache = SessionCache::new(1 << 20);
-        let d1 = vec![spec("a", Some(("s", 0)), 4)];
-        let (_, _) = build_plan(&d1, 1, &mut cache);
-        let d2 = vec![spec("b", Some(("s", 1)), 4)];
-        let (p2, _) = build_plan(&d2, 1, &mut cache);
+        let d1 = vec![spec("a", Some(("s", 0)))];
+        build_plan(&d1, &mut cache);
+        let d2 = vec![spec("b", Some(("s", 1)))];
+        let p2 = build_plan(&d2, &mut cache);
         assert_eq!(p2.warm, vec![true]);
         assert_eq!(p2.dep, vec![None], "payload comes from the store");
     }

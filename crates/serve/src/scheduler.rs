@@ -1,15 +1,14 @@
-//! The multi-tenant solve scheduler: a bounded worker pool over rank-grids,
-//! fed from an admission-controlled queue, with a persistent warm-start
-//! session cache.
+//! The sequence scheduler: a bounded worker pool over rank-grids with a
+//! persistent warm-start session cache.
 //!
 //! Execution model (async-free): `submit` enqueues, `drain` freezes the
-//! batch, *plans* it deterministically (canonical order, deadline
-//! admission, warm/cold walk — see [`crate::plan`]), then executes the plan
-//! on `workers` OS threads. Workers only compute: every scheduler decision
-//! is taken at plan time, so eigenpairs, warm-start hit counts and metrics
-//! are bitwise independent of submission order and of which worker finishes
-//! first. A failed job degrades its own session to a cold (or grandparent)
-//! restart and never poisons siblings or the pool.
+//! batch, *plans* it deterministically (canonical order and warm/cold walk —
+//! see [`crate::plan`]), then executes the plan on `workers` OS threads.
+//! Workers only compute: every scheduler decision is taken at plan time, so
+//! eigenpairs, warm-start hit counts and metrics are bitwise independent of
+//! submission order and of which worker finishes first. A failed job
+//! degrades its own session to a cold (or grandparent) restart and never
+//! poisons siblings or the pool.
 
 use crate::cache::SessionCache;
 use crate::job::{JobId, JobOutcome, JobReport, JobSpec, SolveOutput, WarmKind};
@@ -33,8 +32,6 @@ pub struct SchedulerConfig {
     pub workers: usize,
     /// Session-cache byte budget (0 disables warm starts).
     pub cache_bytes: usize,
-    /// Admission control: submits beyond this queue depth are rejected.
-    pub max_queue: usize,
     pub backend: Backend,
     /// Record one structured trace stream per job.
     pub record_traces: bool,
@@ -50,7 +47,6 @@ impl Default for SchedulerConfig {
         Self {
             workers: 2,
             cache_bytes: 256 << 20,
-            max_queue: 1024,
             backend: Backend::Nccl,
             record_traces: false,
             tune: None,
@@ -58,11 +54,9 @@ impl Default for SchedulerConfig {
     }
 }
 
-/// Why a submit was refused (backpressure).
+/// Why a submit was refused.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SubmitError {
-    /// The queue is at `max_queue`; resubmit after a drain.
-    QueueFull { capacity: usize },
     /// Job names are the deterministic tie-break and must be unique among
     /// queued jobs.
     DuplicateName(String),
@@ -71,9 +65,6 @@ pub enum SubmitError {
 impl fmt::Display for SubmitError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SubmitError::QueueFull { capacity } => {
-                write!(f, "queue full ({capacity} jobs): backpressure, drain first")
-            }
             SubmitError::DuplicateName(n) => write!(f, "duplicate job name '{n}'"),
         }
     }
@@ -86,15 +77,12 @@ impl std::error::Error for SubmitError {}
 pub enum ConfigError {
     /// `workers == 0`: nothing would ever run a job.
     NoWorkers,
-    /// `max_queue == 0`: no job could ever be admitted.
-    NoQueue,
 }
 
 impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ConfigError::NoWorkers => write!(f, "a scheduler needs at least one worker"),
-            ConfigError::NoQueue => write!(f, "a scheduler needs a queue of at least one job"),
         }
     }
 }
@@ -131,7 +119,7 @@ struct ExecShared<T: Scalar> {
     remaining: usize,
 }
 
-/// The multi-tenant solve scheduler.
+/// The sequence scheduler.
 pub struct Scheduler<T: Scalar + Reduce>
 where
     T::Real: Reduce,
@@ -139,7 +127,6 @@ where
     cfg: SchedulerConfig,
     next_id: JobId,
     queue: Vec<Pending<T>>,
-    cancelled: BTreeSet<JobId>,
     cache: SessionCache,
     store: BTreeMap<String, StoreEntry<T>>,
     /// Per-session cold baseline MatVecs (first cold completion) — the
@@ -162,15 +149,11 @@ where
         if cfg.workers == 0 {
             return Err(ConfigError::NoWorkers);
         }
-        if cfg.max_queue == 0 {
-            return Err(ConfigError::NoQueue);
-        }
         let cache = SessionCache::new(cfg.cache_bytes);
         Ok(Self {
             cfg,
             next_id: 1,
             queue: Vec::new(),
-            cancelled: BTreeSet::new(),
             cache,
             store: BTreeMap::new(),
             baselines: BTreeMap::new(),
@@ -212,17 +195,11 @@ where
         self.cache.resident()
     }
 
-    /// Enqueue a job; rejects on backpressure or a duplicate name.
+    /// Enqueue a job; rejects a duplicate name.
     pub fn submit(&mut self, spec: JobSpec<T>) -> Result<JobId, SubmitError> {
         if self.queue.iter().any(|p| p.spec.name == spec.name) {
             self.metrics.rejected += 1;
             return Err(SubmitError::DuplicateName(spec.name));
-        }
-        if self.queue.len() >= self.cfg.max_queue {
-            self.metrics.rejected += 1;
-            return Err(SubmitError::QueueFull {
-                capacity: self.cfg.max_queue,
-            });
         }
         let id = self.next_id;
         self.next_id += 1;
@@ -231,58 +208,23 @@ where
         Ok(id)
     }
 
-    /// Cancel a queued (not yet drained) job. Returns whether it was found.
-    pub fn cancel(&mut self, id: JobId) -> bool {
-        if self.queue.iter().any(|p| p.id == id) {
-            self.cancelled.insert(id);
-            true
-        } else {
-            false
-        }
-    }
-
     /// Freeze the queued batch, plan it, execute it on the worker pool, and
     /// return one report per job (in submission-id order). The session
     /// cache and its warm payloads persist to the next drain.
     pub fn drain(&mut self) -> Vec<JobReport<T>> {
         self.metrics.drains += 1;
-        let pending = std::mem::take(&mut self.queue);
-        let mut reports: Vec<JobReport<T>> = Vec::new();
-        let mut batch: Vec<Pending<T>> = Vec::new();
-        for p in pending {
-            if self.cancelled.remove(&p.id) {
-                self.metrics.cancelled += 1;
-                reports.push(JobReport {
-                    id: p.id,
-                    name: p.spec.name.clone(),
-                    session: p.spec.session.clone(),
-                    outcome: JobOutcome::Cancelled,
-                    warm: WarmKind::Cold,
-                    wait_ticks: 0,
-                    start_tick: 0,
-                    finish_tick: 0,
-                    trace: None,
-                });
-            } else {
-                batch.push(p);
-            }
-        }
-
+        let batch = std::mem::take(&mut self.queue);
         let specs: Vec<JobSpec<T>> = batch.iter().map(|p| p.spec.clone()).collect();
         let cache_before = self.cache.stats;
-        let (plan, sim) = build_plan(&specs, self.cfg.workers, &mut self.cache);
+        let plan = build_plan(&specs, &mut self.cache);
         self.metrics.absorb_cache(cache_before, self.cache.stats);
-        self.metrics.makespan_ticks += sim.makespan;
-        self.metrics.total_wait_ticks += sim.total_wait;
-        self.metrics.max_queue_depth = self.metrics.max_queue_depth.max(sim.max_queue_depth as u64);
 
         let results = self.execute(&specs, &plan);
 
         // Fold outcomes in canonical order so every counter update is
         // deterministic, then reconcile policy cache and payload store.
-        let mut exec_results = results;
         for &i in &plan.order {
-            let r = exec_results[i].as_ref().expect("planned job not executed");
+            let r = &results[i];
             let tag = specs[i].session.clone();
             match &r.outcome {
                 JobOutcome::Done(s) => {
@@ -319,7 +261,6 @@ where
                     }
                 }
                 JobOutcome::Failed(_) => self.metrics.failed += 1,
-                JobOutcome::Cancelled | JobOutcome::DeadlineMissed => {}
             }
         }
 
@@ -348,45 +289,29 @@ where
         let cache_ref = &self.cache;
         self.store.retain(|sid, e| cache_ref.contains(sid, e.step));
 
-        // Per-job reports.
-        for (k, p) in batch.into_iter().enumerate() {
-            let slot = sim.jobs[k];
-            let r = exec_results[k].take().unwrap_or(ExecResult {
-                outcome: JobOutcome::DeadlineMissed,
-                warm: WarmKind::Cold,
-                trace: None,
-            });
-            if matches!(r.outcome, JobOutcome::DeadlineMissed) {
-                self.metrics.deadline_missed += 1;
-            }
-            reports.push(JobReport {
+        // Per-job reports, in submission order.
+        batch
+            .into_iter()
+            .zip(results)
+            .map(|(p, r)| JobReport {
                 id: p.id,
                 name: p.spec.name,
                 session: p.spec.session,
                 outcome: r.outcome,
                 warm: r.warm,
-                wait_ticks: slot.wait,
-                start_tick: slot.start,
-                finish_tick: slot.finish,
                 trace: r.trace,
-            });
-        }
-        reports.sort_by_key(|r| r.id);
-        reports
+            })
+            .collect()
     }
 
-    /// Execute the planned jobs on the worker pool. Returns one slot per
-    /// batch index (None for deadline-missed jobs).
-    fn execute(&mut self, specs: &[JobSpec<T>], plan: &Plan) -> Vec<Option<ExecResult<T>>> {
+    /// Execute the planned jobs on the worker pool. Returns one result per
+    /// batch index.
+    fn execute(&mut self, specs: &[JobSpec<T>], plan: &Plan) -> Vec<ExecResult<T>> {
         let n = specs.len();
-        let exec_count = plan.run.iter().filter(|r| **r).count();
         let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
         let mut deps_left = vec![0usize; n];
         let mut ready: BTreeSet<(usize, usize)> = BTreeSet::new();
         for (i, dep) in plan.dep.iter().enumerate() {
-            if !plan.run[i] {
-                continue;
-            }
             match dep {
                 Some(d) => {
                     dependents[*d].push(i);
@@ -405,10 +330,10 @@ where
             warm_fallbacks: 0,
             plans_tuned: 0,
             plan_db_hits: 0,
-            remaining: exec_count,
+            remaining: n,
         });
         let cv = Condvar::new();
-        let workers = self.cfg.workers.min(exec_count.max(1));
+        let workers = self.cfg.workers.min(n.max(1));
         let backend = self.cfg.backend;
         let record_traces = self.cfg.record_traces;
         let tune = self.cfg.tune.clone();
@@ -515,7 +440,11 @@ where
         self.metrics.warm_fallbacks += inner.warm_fallbacks;
         self.metrics.plans_tuned += inner.plans_tuned;
         self.metrics.plan_db_hits += inner.plan_db_hits;
-        inner.results
+        inner
+            .results
+            .into_iter()
+            .map(|r| r.expect("every planned job runs"))
+            .collect()
     }
 }
 

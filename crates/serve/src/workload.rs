@@ -10,11 +10,10 @@
 //! ```
 //!
 //! Shared keys: `name=` (required, unique), `nev=` (required), `nex=`,
-//! `tol=`, `session=` + `step=`, `priority=0..9`, `deadline=TICKS`,
-//! `grid=PxQ`, `seed=` (solver start seed), `cost=TICKS`, `inject=SPEC`
-//! (deterministic fault campaign, same grammar as `chase solve --inject`),
-//! `refilter=N` (recovery re-filter budget; 0 makes an injected corruption
-//! fatal — useful for isolation drills).
+//! `tol=`, `session=` + `step=`, `grid=PxQ`, `seed=` (solver start seed),
+//! `inject=SPEC` (deterministic fault campaign, same grammar as
+//! `chase solve --inject`), `refilter=N` (recovery re-filter budget; 0 makes
+//! an injected corruption fatal — useful for isolation drills).
 //! `job` lines add `matrix=FILE`; `gen` lines add `n=`, `spectrum=`,
 //! `gseed=`, `perturb=STEPS`, `eps=`.
 //!
@@ -85,12 +84,12 @@ fn parse_job_line(
 ) -> Result<JobSpec<C64>, String> {
     let known: &[&str] = match kind {
         "job" => &[
-            "name", "matrix", "nev", "nex", "tol", "session", "step", "priority", "deadline",
-            "grid", "seed", "cost", "inject", "refilter",
+            "name", "matrix", "nev", "nex", "tol", "session", "step", "grid", "seed", "inject",
+            "refilter",
         ],
         "gen" => &[
             "name", "n", "spectrum", "gseed", "perturb", "eps", "nev", "nex", "tol", "session",
-            "step", "priority", "deadline", "grid", "seed", "cost", "inject", "refilter",
+            "step", "grid", "seed", "inject", "refilter",
         ],
         other => return Err(format!("unknown line kind '{other}' (job|gen)")),
     };
@@ -158,18 +157,6 @@ fn parse_job_line(
         }
         (None, None) => {}
     }
-    spec.priority = take(kv, "priority", Some(4u8))?;
-    if spec.priority > 9 {
-        return Err(format!("job '{name}': priority must be 0..=9"));
-    }
-    spec.deadline = kv
-        .get("deadline")
-        .map(|d| d.parse().map_err(|_| format!("job '{name}': bad deadline")))
-        .transpose()?;
-    spec.cost_hint = kv
-        .get("cost")
-        .map(|c| c.parse().map_err(|_| format!("job '{name}': bad cost")))
-        .transpose()?;
     Ok(spec)
 }
 
@@ -212,14 +199,14 @@ mod tests {
 # two-step synthetic chain plus a standalone
 gen name=s0 n=48 spectrum=dft gseed=7 nev=6 session=scf step=0
 gen name=s1 n=48 spectrum=dft gseed=7 perturb=1 eps=1e-3 nev=6 session=scf step=1
-gen name=solo n=32 spectrum=uniform nev=4 priority=9 deadline=5000
+gen name=solo n=32 spectrum=uniform nev=4 grid=2x1 seed=5
 ";
         let jobs = parse_workload(text).unwrap();
         assert_eq!(jobs.len(), 3);
         assert_eq!(jobs[0].session.as_ref().unwrap().id, "scf");
         assert_eq!(jobs[1].session.as_ref().unwrap().step, 1);
-        assert_eq!(jobs[2].priority, 9);
-        assert_eq!(jobs[2].deadline, Some(5000));
+        assert_eq!(jobs[2].grid, GridShape::new(2, 1));
+        assert_eq!(jobs[2].params.seed, 5);
         assert!(jobs[2].session.is_none());
     }
 

@@ -51,8 +51,7 @@ const COMMANDS: [(&str, Command, &str); 7] = [
     (
         "serve",
         cmd_serve,
-        "workload workers cache-mb max-queue backend plan-db metrics trace-dir checkpoint \
-         checkpoint-every",
+        "workload workers cache-mb backend plan-db metrics trace-dir checkpoint checkpoint-every",
     ),
     ("submit", cmd_submit, "workload line"),
     (
@@ -164,7 +163,7 @@ fn parse_grid(flag: &str, s: &str) -> Result<GridShape, String> {
 }
 
 /// A count a flag takes that must be at least one (`--ranks`, `--cyclic`,
-/// `--workers`, `--max-queue`).
+/// `--workers`).
 fn parse_positive(flag: &str, what: &str, s: &str) -> Result<usize, String> {
     match s.parse() {
         Ok(n) if n >= 1 => Ok(n),
@@ -612,16 +611,14 @@ where
         .expect("at least one rank tuned")
 }
 
-/// `chase serve`: run a workload file through the multi-tenant scheduler.
+/// `chase serve`: run a workload file through the sequence scheduler.
 fn cmd_serve(flags: Flags) -> Result<(), String> {
     let path: String = get(&flags, "workload", None)?;
-    let positive = |flag: &str, what: &str, default: usize| match flags.get(flag) {
-        Some(v) => parse_positive(flag, what, v),
-        None => Ok(default),
+    let workers = match flags.get("workers") {
+        Some(v) => parse_positive("workers", "a worker count", v)?,
+        None => 2,
     };
-    let workers = positive("workers", "a worker count", 2)?;
     let cache_mb: usize = get(&flags, "cache-mb", Some(256))?;
-    let max_queue = positive("max-queue", "a queue capacity", 1024)?;
     let backend = match flags.get("backend").map(String::as_str).unwrap_or("nccl") {
         "nccl" => Backend::Nccl,
         "std" => Backend::Std,
@@ -671,7 +668,6 @@ fn cmd_serve(flags: Flags) -> Result<(), String> {
     let mut sched: Scheduler<C64> = Scheduler::try_new(SchedulerConfig {
         workers,
         cache_bytes: cache_mb.saturating_mul(1 << 20),
-        max_queue,
         backend,
         record_traces: trace_dir.is_some(),
         tune: plan_db_path.as_ref().map(|_| TuneOptions {
@@ -692,8 +688,8 @@ fn cmd_serve(flags: Flags) -> Result<(), String> {
     let wall = t0.elapsed();
 
     println!(
-        "{:>3} {:<14} {:<12} {:<9} {:<11} {:>5} {:>8} {:>7} {:>9}",
-        "id", "name", "session", "warm", "outcome", "iter", "matvecs", "wait", "finish"
+        "{:>3} {:<14} {:<12} {:<9} {:<11} {:>5} {:>8}",
+        "id", "name", "session", "warm", "outcome", "iter", "matvecs"
     );
     let mut failures = Vec::new();
     for r in &reports {
@@ -717,12 +713,10 @@ fn cmd_serve(flags: Flags) -> Result<(), String> {
                 failures.push((r.name.clone(), e.clone()));
                 ("FAILED", "-".into(), "-".into())
             }
-            JobOutcome::Cancelled => ("cancelled", "-".into(), "-".into()),
-            JobOutcome::DeadlineMissed => ("missed", "-".into(), "-".into()),
         };
         println!(
-            "{:>3} {:<14} {:<12} {:<9} {:<11} {:>5} {:>8} {:>7} {:>9}",
-            r.id, r.name, session, warm, outcome, iter, matvecs, r.wait_ticks, r.finish_tick
+            "{:>3} {:<14} {:<12} {:<9} {:<11} {:>5} {:>8}",
+            r.id, r.name, session, warm, outcome, iter, matvecs
         );
         if let Some(dir) = &trace_dir {
             if let Some(trace) = &r.trace {
@@ -734,12 +728,10 @@ fn cmd_serve(flags: Flags) -> Result<(), String> {
     }
     let m = &sched.metrics;
     println!(
-        "\n{} job(s) in {wall:.2?} | {} completed, {} failed, {} missed, {} cancelled",
+        "\n{} job(s) in {wall:.2?} | {} completed, {} failed",
         reports.len(),
         m.completed,
-        m.failed,
-        m.deadline_missed,
-        m.cancelled
+        m.failed
     );
     println!(
         "warm starts: {} hit / {} miss (rate {:.2}), {} fallback | MatVecs {} total, {} saved",
@@ -749,10 +741,6 @@ fn cmd_serve(flags: Flags) -> Result<(), String> {
         m.warm_fallbacks,
         m.total_matvecs,
         m.matvecs_saved
-    );
-    println!(
-        "virtual schedule: makespan {} ticks, total wait {} ticks, max queue depth {}",
-        m.makespan_ticks, m.total_wait_ticks, m.max_queue_depth
     );
     if plan_db_path.is_some() {
         println!(
@@ -785,7 +773,13 @@ fn cmd_submit(flags: Flags) -> Result<(), String> {
     let path: String = get(&flags, "workload", None)?;
     let line: String = get(&flags, "line", None)?;
     let spec = chase_serve::validate_line(&line)?;
-    let existing = std::fs::read_to_string(&path).unwrap_or_default();
+    // A missing file is an empty workload; any other read error (not UTF-8,
+    // no permission) refuses, so the file is never overwritten unread.
+    let existing = match std::fs::read_to_string(&path) {
+        Ok(text) => text,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
+        Err(e) => return Err(format!("{path}: {e}")),
+    };
     let prior = chase_serve::parse_workload(&existing).map_err(|e| format!("{path}: {e}"))?;
     if prior.iter().any(|j| j.name == spec.name) {
         return Err(format!("{path}: job name '{}' already queued", spec.name));
@@ -965,7 +959,7 @@ USAGE:
                  [--trace FILE] [--trace-format chrome|summary] [--metrics FILE]
   chase tune     --matrix FILE --nev K --db FILE [--nex X] [--grid PxQ]
                  [--backend nccl|std] [--deterministic] [--force]
-  chase serve    --workload FILE [--workers N] [--cache-mb M] [--max-queue Q]
+  chase serve    --workload FILE [--workers N] [--cache-mb M]
                  [--backend nccl|std] [--plan-db FILE] [--metrics FILE] [--trace-dir DIR]
                  [--checkpoint DIR] [--checkpoint-every K]
   chase submit   --workload FILE --line 'gen name=j0 n=96 spectrum=dft nev=8 ...'
@@ -989,7 +983,7 @@ AUTOTUNING:
 
 SERVING:
   chase serve runs a workload file (one 'job ...' or 'gen ...' line per job;
-  see chase-serve docs for the grammar) through the multi-tenant scheduler:
+  see chase-serve docs for the grammar) through the sequence scheduler:
   jobs tagged session=S step=K warm-start from step K-1's eigenpairs and
   spectral bounds out of an LRU session cache (--cache-mb), skipping the
   Lanczos estimate. Scheduling is deterministic: results and warm-hit

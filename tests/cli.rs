@@ -77,11 +77,6 @@ fn a_pool_that_can_run_or_admit_nothing_is_a_usage_error() {
             "--workers needs a worker count >= 1, got '0'",
         ),
         ("--workers", "two", "--workers needs a worker count >= 1"),
-        (
-            "--max-queue",
-            "0",
-            "--max-queue needs a queue capacity >= 1",
-        ),
     ] {
         assert_refused(&[&serve[..], &[flag, value]].concat(), needle);
     }
@@ -134,6 +129,19 @@ fn a_flag_the_subcommand_does_not_read_is_refused() {
     assert_refused(
         &["check", "--seed", "1"],
         "chase check takes no flag --seed",
+    );
+    // Removed with queue-depth admission.
+    let workload = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("cli-flags.workload");
+    std::fs::write(&workload, "gen name=a n=32 spectrum=uniform nev=4\n").unwrap();
+    assert_refused(
+        &[
+            "serve",
+            "--workload",
+            workload.to_str().unwrap(),
+            "--max-queue",
+            "4",
+        ],
+        "chase serve takes no flag --max-queue",
     );
     let ok = chase(&[&solve[..], &["--qr", "auto"]].concat());
     assert!(ok.status.success(), "a flag solve reads: {ok:?}");
@@ -188,4 +196,26 @@ fn a_spectrum_too_small_for_its_shape_is_a_usage_error() {
         let made = chase(&["generate", "--n", &n, "--spectrum", spectrum, "--out", out]);
         assert!(made.status.success(), "{spectrum} at n = {n}: {made:?}");
     }
+}
+
+/// `chase submit` appends to a workload file it has read. One it cannot
+/// read (here: not UTF-8) is refused by path and left byte for byte as it
+/// was, never treated as empty and overwritten.
+#[test]
+fn submit_refuses_a_workload_it_cannot_read() {
+    let workload = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("cli-unreadable.workload");
+    let path = workload.to_str().unwrap();
+    let before = b"gen name=a n=32 spectrum=uniform nev=4\n# \xff\n".to_vec();
+    std::fs::write(&workload, &before).unwrap();
+    assert_refused(
+        &[
+            "submit",
+            "--workload",
+            path,
+            "--line",
+            "gen name=b n=32 spectrum=uniform nev=4",
+        ],
+        path,
+    );
+    assert_eq!(std::fs::read(&workload).unwrap(), before);
 }

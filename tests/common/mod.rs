@@ -199,9 +199,9 @@ pub fn degree_profile(raw: &[usize]) -> Vec<usize> {
 }
 
 /// Scale a base timeout by `CHASE_TEST_TIMEOUT_SCALE`. Canonical
-/// implementation lives in `chase-comm` so library-level watchdogs (serve
-/// deadlines, tune trial budgets, schedule gates) and tests share one knob;
-/// re-exported here for the test suites.
+/// implementation lives in `chase-comm` so library-level watchdogs (tune
+/// trial budgets, schedule gates) and tests share one knob; re-exported here
+/// for the test suites.
 #[allow(unused_imports)]
 pub use chase_comm::scaled_timeout_ms;
 

@@ -10,13 +10,12 @@
 //!    a cold start instead of blocking.
 //!
 //! Plus the scheduler's operational edges: LRU eviction under a byte
-//! budget, admission control, cancellation, and virtual-tick deadlines.
+//! budget, refused submits and pools, and removed workload keys.
 
 use chase_core::{ChaseErrorKind, Params};
 use chase_linalg::{Scalar, C64};
 use chase_serve::{
-    GenSpec, JobOutcome, JobSpec, MatrixSource, Scheduler, SchedulerConfig, SolveOutput,
-    SpectrumKind, WarmKind,
+    GenSpec, JobSpec, MatrixSource, Scheduler, SchedulerConfig, SolveOutput, SpectrumKind, WarmKind,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -49,8 +48,8 @@ fn gen_job(
     spec
 }
 
-/// A mixed multi-tenant batch: two sessions of different lengths plus two
-/// standalone jobs at different priorities.
+/// A mixed batch: two sessions of different lengths plus two standalone
+/// jobs.
 fn mixed_jobs() -> Vec<JobSpec<C64>> {
     let mut jobs = Vec::new();
     for step in 0..3 {
@@ -71,12 +70,8 @@ fn mixed_jobs() -> Vec<JobSpec<C64>> {
             Some(("beta", step)),
         ));
     }
-    let mut hot = gen_job("solo-hot", 40, SpectrumKind::Uniform, 3, None);
-    hot.priority = 9;
-    jobs.push(hot);
-    let mut cool = gen_job("solo-cool", 40, SpectrumKind::Geometric, 4, None);
-    cool.priority = 1;
-    jobs.push(cool);
+    jobs.push(gen_job("solo-hot", 40, SpectrumKind::Uniform, 3, None));
+    jobs.push(gen_job("solo-cool", 40, SpectrumKind::Geometric, 4, None));
     jobs
 }
 
@@ -309,23 +304,24 @@ fn lru_eviction_keeps_budget_and_degrades_to_cold() {
         cache_bytes: one_entry,
         ..SchedulerConfig::default()
     });
-    // The canonical order keeps one session's steps adjacent unless
-    // priorities separate them; run both step-0s ahead of both step-1s so
-    // the single-entry budget must evict each session between its steps.
+    // The canonical order keeps one session's steps adjacent within a
+    // drain; drain both step-0s, then both step-1s, so the single-entry
+    // budget must evict each session between its steps.
+    let mut reports = Vec::new();
     for step in 0..2 {
         for sid in ["x", "y"] {
-            let mut j = gen_job(
-                &format!("{sid}{step}"),
-                64,
-                SpectrumKind::Dft,
-                13,
-                Some((sid, step)),
-            );
-            j.priority = if step == 0 { 9 } else { 1 };
-            sched.submit(j).unwrap();
+            sched
+                .submit(gen_job(
+                    &format!("{sid}{step}"),
+                    64,
+                    SpectrumKind::Dft,
+                    13,
+                    Some((sid, step)),
+                ))
+                .unwrap();
         }
+        reports.extend(sched.drain());
     }
-    let reports = sched.drain();
     assert!(reports.iter().all(|r| r.solve().is_some()));
     let m = &sched.metrics;
     assert!(m.cache_evictions > 0, "budget never forced an eviction");
@@ -338,102 +334,43 @@ fn lru_eviction_keeps_budget_and_degrades_to_cold() {
 }
 
 #[test]
-fn admission_control_applies_backpressure() {
-    let mut sched: Scheduler<C64> = Scheduler::new(SchedulerConfig {
-        max_queue: 2,
-        ..SchedulerConfig::default()
-    });
-    sched
-        .submit(gen_job("q0", 32, SpectrumKind::Uniform, 1, None))
-        .unwrap();
+fn duplicate_names_and_workerless_pools_are_refused() {
+    let mut sched: Scheduler<C64> = Scheduler::new(SchedulerConfig::default());
     sched
         .submit(gen_job("q1", 32, SpectrumKind::Uniform, 2, None))
         .unwrap();
-    let err = sched
-        .submit(gen_job("q2", 32, SpectrumKind::Uniform, 3, None))
-        .expect_err("third submit must bounce");
-    assert!(matches!(
-        err,
-        chase_serve::SubmitError::QueueFull { capacity: 2 }
-    ));
     let dup = sched
         .submit(gen_job("q1", 32, SpectrumKind::Uniform, 4, None))
         .expect_err("duplicate name must bounce");
     assert!(matches!(dup, chase_serve::SubmitError::DuplicateName(_)));
-    assert_eq!(sched.metrics.rejected, 2);
-    // After a drain the queue has room again.
-    sched.drain();
-    sched
-        .submit(gen_job("q2", 32, SpectrumKind::Uniform, 3, None))
-        .expect("queue drained, submit must pass");
-    // A pool that could never run or admit a job is refused up front, typed.
-    for (workers, max_queue, want) in [
-        (0, 2, chase_serve::ConfigError::NoWorkers),
-        (2, 0, chase_serve::ConfigError::NoQueue),
-    ] {
-        let refused = Scheduler::<C64>::try_new(SchedulerConfig {
-            workers,
-            max_queue,
-            ..SchedulerConfig::default()
-        });
-        assert_eq!(refused.err(), Some(want));
-    }
-}
-
-#[test]
-fn cancellation_skips_the_job_without_holding_the_pool() {
-    let mut sched: Scheduler<C64> = Scheduler::new(SchedulerConfig::default());
-    let keep = sched
-        .submit(gen_job("keep", 32, SpectrumKind::Uniform, 1, None))
-        .unwrap();
-    let kill = sched
-        .submit(gen_job("kill", 32, SpectrumKind::Uniform, 2, None))
-        .unwrap();
-    assert!(sched.cancel(kill));
-    assert!(!sched.cancel(999), "unknown id must report not-found");
-    let reports = sched.drain();
-    let by_id: BTreeMap<_, _> = reports.iter().map(|r| (r.id, r)).collect();
-    assert!(matches!(by_id[&kill].outcome, JobOutcome::Cancelled));
-    assert!(by_id[&keep].solve().is_some());
-    assert_eq!(sched.metrics.cancelled, 1);
-}
-
-/// Deadlines live in virtual ticks: with one worker and a long job ahead of
-/// it, a tightly-deadlined job is dropped unstarted — deterministically —
-/// and reported as missed, not failed.
-#[test]
-fn deadline_miss_is_deterministic_and_typed() {
-    let mut sched: Scheduler<C64> = Scheduler::new(SchedulerConfig {
-        workers: 1,
+    assert_eq!(sched.metrics.rejected, 1);
+    // A pool that could never run a job is refused up front, typed.
+    let refused = Scheduler::<C64>::try_new(SchedulerConfig {
+        workers: 0,
         ..SchedulerConfig::default()
     });
-    let mut long = gen_job("long", 48, SpectrumKind::Uniform, 1, None);
-    long.priority = 9;
-    long.cost_hint = Some(10_000);
-    sched.submit(long).unwrap();
-    let mut tight = gen_job("tight", 32, SpectrumKind::Uniform, 2, None);
-    // Virtual ticks, but routed through the one timeout knob anyway
-    // (CHASE_TEST_TIMEOUT_SCALE) so every timeout-bearing test scales
-    // together; the long job's 10k-tick cost dwarfs any sane scale.
-    tight.deadline = Some(chase_comm::scaled_timeout_ms(100));
-    sched.submit(tight).unwrap();
-    let reports = sched.drain();
-    let tight_report = reports.iter().find(|r| r.name == "tight").unwrap();
-    assert!(matches!(tight_report.outcome, JobOutcome::DeadlineMissed));
-    assert_eq!(sched.metrics.deadline_missed, 1);
-    assert_eq!(sched.metrics.completed, 1);
+    assert_eq!(refused.err(), Some(chase_serve::ConfigError::NoWorkers));
 }
 
-/// `precision=` went with the demoted filter: a line that still carries it
-/// is refused by name, and the error points at that line, not the file.
+/// Keys whose feature is gone — `precision=` went with the demoted filter,
+/// `priority=`, `deadline=` and `cost=` with the virtual-time pool
+/// simulation — are refused by name, and the error points at that line,
+/// not the file.
 #[test]
-fn workload_refuses_the_precision_key() {
-    let err = chase_serve::parse_workload(
-        "gen name=ok n=48 spectrum=uniform nev=4\n\
-         gen name=lo n=48 spectrum=uniform nev=4 tol=1e-2 precision=mixed\n",
-    )
-    .expect_err("precision= is not a workload key");
-    assert_eq!(err, "line 2: unknown key 'precision' for a 'gen' line");
+fn workload_refuses_removed_keys() {
+    for (key, value) in [
+        ("precision", "mixed"),
+        ("priority", "9"),
+        ("deadline", "500"),
+        ("cost", "100"),
+    ] {
+        let err = chase_serve::parse_workload(&format!(
+            "gen name=ok n=48 spectrum=uniform nev=4\n\
+             gen name=lo n=48 spectrum=uniform nev=4 tol=1e-2 {key}={value}\n"
+        ))
+        .expect_err("not a workload key");
+        assert_eq!(err, format!("line 2: unknown key '{key}' for a 'gen' line"));
+    }
     assert!(chase_serve::validate_line("gen name=ok n=48 spectrum=uniform nev=4").is_ok());
 }
 
