@@ -39,9 +39,6 @@ pub struct CheckCase {
     pub scalar: ScalarKind,
     /// Process grid `p x q`.
     pub grid: (usize, usize),
-    /// Tune a deterministic measured plan inside the run and solve under
-    /// it (exercises the tuner's trial collectives under gating too).
-    pub plan: bool,
     /// Global problem size.
     pub n: usize,
     pub nev: usize,
@@ -59,18 +56,12 @@ impl CheckCase {
         Self {
             scalar,
             grid,
-            plan: false,
             n: 32,
             nev: 4,
             nex: 3,
             tol: 1e-8,
             pseed: 7,
         }
-    }
-
-    pub fn with_plan(mut self, plan: bool) -> Self {
-        self.plan = plan;
-        self
     }
 
     pub fn shape(&self) -> GridShape {
@@ -90,11 +81,10 @@ impl fmt::Display for CheckCase {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "scalar={} grid={}x{} plan={} n={} nev={} nex={} tol={} pseed={}",
+            "scalar={} grid={}x{} n={} nev={} nex={} tol={} pseed={}",
             self.scalar.token(),
             self.grid.0,
             self.grid.1,
-            if self.plan { "on" } else { "off" },
             self.n,
             self.nev,
             self.nex,

@@ -11,7 +11,7 @@ use chase_core::{ChaseError, ChaseResult};
 use chase_linalg::{Matrix, RealScalar, Scalar, C64};
 use chase_matgen::{dense_with_spectrum, Spectrum};
 use chase_trace::{chrome_trace, fnv1a};
-use chase_tune::{solve_grid, GridRun, PlanChoice, TuneOptions};
+use chase_tune::{solve_grid, GridRun};
 use std::sync::Arc;
 
 /// Everything observable about one rank of one run, reduced to exactly
@@ -193,17 +193,11 @@ where
 {
     let spec = Spectrum::uniform(case.n, -1.0, 1.0);
     let h: Matrix<T> = dense_with_spectrum(&spec, case.pseed);
-    // A planned case measures its plan inside the run, so the trials are
-    // explored, traced and fingerprinted with the solve they precede.
-    let plan = case
-        .plan
-        .then(|| PlanChoice::Tune(TuneOptions::deterministic()));
     let out = solve_grid(
         &h,
         &case.params(),
         &GridRun {
             trace: true,
-            plan: plan.as_ref(),
             policy,
             canary,
             ..GridRun::new(case.shape())
@@ -396,19 +390,11 @@ pub fn differential_check(case: &CheckCase) -> Result<(), String> {
 }
 
 /// Differential oracle, leg 2: cross-configuration agreement for one
-/// scalar. The same grid under a tuned plan is documented
-/// bitwise-identical; different grids change the reduction partition, so
-/// they agree numerically instead.
+/// scalar. Different grids change the reduction partition, so they agree
+/// with the 2x2 baseline numerically, not bitwise.
 pub fn cross_config_check(scalar: ScalarKind) -> Result<(), String> {
     let base_case = CheckCase::new(scalar, (2, 2));
     let base = run_case(&base_case, None, false);
-
-    let variant = CheckCase::new(scalar, (2, 2)).with_plan(true);
-    if run_case(&variant, None, false).ranks[0].eigs != base.ranks[0].eigs {
-        return Err(format!(
-            "case {variant}: eigenvalue bits differ from same-grid baseline {base_case}"
-        ));
-    }
 
     for grid in [(1, 1), (1, 4)] {
         let variant = CheckCase::new(scalar, grid);

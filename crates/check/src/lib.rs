@@ -25,7 +25,7 @@
 //!   eigenvector bit patterns, the wall-clock-free ledger projection, the
 //!   deterministic chrome-trace bytes, and the iteration/matvec counters.
 //!   The differential oracle cross-checks eigenvalues against the dense
-//!   `chase-direct` solver and across configurations (grid x tuned plan).
+//!   `chase-direct` solver and across process grids.
 //!
 //! * **Minimizing replay** ([`shrink`], [`replay`]) — on a violation, the
 //!   shrinker greedily drops recorded permutations back to identity and

@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! # chase-check witness v1
-//! case scalar=f64 grid=2x2 plan=off n=32 nev=4 nex=3 tol=0.00000001 pseed=7
+//! case scalar=f64 grid=2x2 n=32 nev=4 nex=3 tol=0.00000001 pseed=7
 //! canary on
 //! perm scope=world stream=blk op=allreduce seq=12 order=1,0,2,3
 //! ```
@@ -91,7 +91,7 @@ fn parse_num<T: FromStr>(s: &str, what: &str) -> Result<T, String> {
 /// The fields of a `case` line; any other key is refused by name (a
 /// witness written before a field was removed does not replay the case it
 /// names).
-const CASE_FIELDS: [&str; 8] = ["scalar", "grid", "plan", "n", "nev", "nex", "tol", "pseed"];
+const CASE_FIELDS: [&str; 7] = ["scalar", "grid", "n", "nev", "nex", "tol", "pseed"];
 
 fn parse_case(rest: &str) -> Result<CheckCase, String> {
     let map = fields(rest)?;
@@ -102,17 +102,9 @@ fn parse_case(rest: &str) -> Result<CheckCase, String> {
     let scalar = ScalarKind::from_token(scalar_tok)
         .ok_or_else(|| format!("unknown scalar {scalar_tok:?}"))?;
     let grid: chase_comm::GridShape = field(&map, "grid")?.parse()?;
-    let on_off = |key: &str| -> Result<bool, String> {
-        match field(&map, key)? {
-            "on" => Ok(true),
-            "off" => Ok(false),
-            other => Err(format!("invalid {key}: {other:?}")),
-        }
-    };
     Ok(CheckCase {
         scalar,
         grid: (grid.p, grid.q),
-        plan: on_off("plan")?,
         n: parse_num(field(&map, "n")?, "n")?,
         nev: parse_num(field(&map, "nev")?, "nev")?,
         nex: parse_num(field(&map, "nex")?, "nex")?,
@@ -222,11 +214,7 @@ mod tests {
             },
             vec![1, 0],
         );
-        Witness::new(
-            CheckCase::new(ScalarKind::C64, (2, 2)).with_plan(true),
-            true,
-            perms,
-        )
+        Witness::new(CheckCase::new(ScalarKind::C64, (2, 2)), true, perms)
     }
 
     #[test]
@@ -242,16 +230,19 @@ mod tests {
     fn parse_rejects_malformed_lines() {
         assert!(Witness::from_str("case scalar=f64").is_err());
         assert!(Witness::from_str("bogus line").is_err());
-        let missing_canary = "case scalar=f64 grid=1x1 plan=off n=8 nev=2 nex=1 tol=1e-6 pseed=1";
+        let missing_canary = "case scalar=f64 grid=1x1 n=8 nev=2 nex=1 tol=1e-6 pseed=1";
         assert!(Witness::from_str(missing_canary)
             .unwrap_err()
             .contains("canary"));
-        // The overlapped filter is gone: a witness naming it is refused.
-        let overlap =
-            "case scalar=f64 grid=1x1 overlap=off plan=off n=8 nev=2 nex=1 tol=1e-6 pseed=1";
-        assert!(Witness::from_str(overlap)
-            .unwrap_err()
-            .contains("unknown case field \"overlap\""));
+        // The overlapped filter and the measured plan are gone: a witness
+        // naming either is refused.
+        for gone in ["overlap", "plan"] {
+            let line =
+                format!("case scalar=f64 grid=1x1 {gone}=off n=8 nev=2 nex=1 tol=1e-6 pseed=1");
+            assert!(Witness::from_str(&line)
+                .unwrap_err()
+                .contains(&format!("unknown case field \"{gone}\"")));
+        }
     }
 
     #[test]

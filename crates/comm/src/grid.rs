@@ -13,7 +13,6 @@ use crate::ledger::{EventKind, Ledger, Region};
 use crate::schedule::SchedulePolicy;
 use crate::seams::{RankSeams, Seams};
 use crate::trace_hook::{CommScope, TraceHook};
-use crate::tune_hook::CollectiveTuneHook;
 use parking_lot::Mutex;
 use std::ops::Range;
 use std::sync::Arc;
@@ -120,7 +119,7 @@ pub struct RankCtx {
     pub col_comm: Communicator,
     /// Event log (shared so it can be harvested after the run).
     pub ledger: Arc<Mutex<Ledger>>,
-    /// This rank's seam record (trace / tune / fault hooks, schedule policy,
+    /// This rank's seam record (trace hook, schedule policy,
     /// fold canary, wait watchdog), shared with the three communicators.
     /// Per-rank and purely local — no seam ever issues a collective.
     pub seams: RankSeams,
@@ -218,13 +217,6 @@ impl RankCtx {
     /// Every rank of a grid must install the same policy (SPMD discipline).
     pub fn set_schedule_policy(&self, policy: Option<Arc<dyn SchedulePolicy>>) {
         self.seams.update(|s| s.schedule = policy);
-    }
-
-    /// Install (or clear) the measured collective plan on this rank. Every
-    /// rank of a grid must install the same plan (SPMD discipline), and the
-    /// plan must be a pure function of SPMD-uniform inputs.
-    pub fn set_tune_hook(&self, hook: Option<Arc<dyn CollectiveTuneHook>>) {
-        self.seams.update(|s| s.tune = hook);
     }
 
     /// Open a named trace span (no-op without a hook).
@@ -582,8 +574,8 @@ mod tests {
 
     #[test]
     fn shrink_carries_the_whole_seam_record() {
-        // A gated, canary, traced, tuned rank with a non-default watchdog
-        // must still be all five after a crash shrinks its grid to 1x3.
+        // A gated, canary, traced rank with a non-default watchdog
+        // must still be all four after a crash shrinks its grid to 1x3.
         struct Scopes(Mutex<Vec<CommScope>>);
         impl TraceHook for Scopes {
             fn event(&self, _: Region, _: EventKind) {}
@@ -601,18 +593,11 @@ mod tests {
                 Some((0..p.members).collect())
             }
         }
-        struct NoRule;
-        impl CollectiveTuneHook for NoRule {
-            fn choose(&self, _: crate::TuneOp, _: u64, _: usize) -> Option<crate::TuneChoice> {
-                None
-            }
-        }
         let out = run_grid(GridShape::new(2, 2), |ctx| {
             let scopes = Arc::new(Scopes(Mutex::new(Vec::new())));
             ctx.set_schedule_policy(Some(Arc::new(MemberOrder)));
             ctx.seams.update(|s| s.order_canary = true);
             ctx.set_trace_hook(Some(scopes.clone()));
-            ctx.set_tune_hook(Some(Arc::new(NoRule)));
             ctx.seams.update(|s| s.wait_timeout_ms = Some(1234));
             if ctx.world_rank() == 1 {
                 ctx.death_handle().mark_dead();
@@ -623,7 +608,6 @@ mod tests {
             }
             let dead = ctx.world.agree_dead(&ctx.dead_ranks()).unwrap();
             let new_ctx = shrink_ctx(ctx, &dead).expect("4 -> 3 never idles a survivor");
-            assert!(new_ctx.seams.get().tune.is_some());
             for c in [&new_ctx.world, &new_ctx.row_comm, &new_ctx.col_comm] {
                 assert!(c.seams().get().schedule.is_some(), "policy dropped");
                 assert!(c.seams().get().order_canary, "canary dropped");

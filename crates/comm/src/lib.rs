@@ -22,7 +22,6 @@ pub mod partition;
 pub mod schedule;
 pub mod seams;
 pub mod trace_hook;
-pub mod tune_hook;
 
 pub use collective::{
     scaled_timeout_ms, CommError, Communicator, DeadBoard, DeathHandle, GatherRequest, GridSlots,
@@ -38,4 +37,3 @@ pub use partition::{Distribution, IndexSet};
 pub use schedule::{SchedulePoint, SchedulePolicy, ScheduleStream};
 pub use seams::{RankSeams, SeamGuard, Seams};
 pub use trace_hook::{CommScope, TraceHook};
-pub use tune_hook::{CollectiveTuneHook, TuneAlgo, TuneChoice, TuneOp};

@@ -1,7 +1,7 @@
 //! The per-rank seam record: everything a harness can install on a rank.
 //!
-//! Tracing (`chase-trace`), measured plans (`chase-tune`) and schedule
-//! exploration (`chase-check`) each hook into the comm layer. The hooks live in one plain struct, [`Seams`], one per
+//! Tracing (`chase-trace`) and schedule exploration (`chase-check`) each
+//! hook into the comm layer. The hooks live in one plain struct, [`Seams`], one per
 //! rank: the rank's [`crate::RankCtx`] and its three communicators hold
 //! [`RankSeams`] handles onto the same record, so installing a hook is one
 //! assignment and a shrunk grid inherits the whole record in one move.
@@ -15,7 +15,6 @@
 
 use crate::schedule::SchedulePolicy;
 use crate::trace_hook::TraceHook;
-use crate::tune_hook::CollectiveTuneHook;
 use parking_lot::Mutex;
 use std::cell::{Ref, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -37,9 +36,6 @@ pub struct Seams {
     /// changes and span/counter marks; the communicators report their
     /// collective issues tagged with their scope.
     pub trace: Option<Arc<dyn TraceHook>>,
-    /// Measured collective plan, consulted by the device layer before the
-    /// analytic alpha-beta tuner where `Params` leaves the knob on `Auto`.
-    pub tune: Option<Arc<dyn CollectiveTuneHook>>,
     /// Watchdog for `Request::wait`, the deposit gate and `agree_dead`, in
     /// milliseconds; `None` is `DEFAULT_WAIT_TIMEOUT_MS`.
     pub wait_timeout_ms: Option<u64>,

@@ -1,8 +1,7 @@
 //! Tracing hook interface consulted by the comm layer and the rank context.
 //!
 //! `chase-trace` implements [`TraceHook`]; this crate only defines the seam,
-//! mirroring how [`crate::CollectiveTuneHook`] keeps the tuner out of the
-//! comm crate. A hook is installed per rank (never shared across ranks) and
+//! which keeps the recorder out of the comm crate. A hook is installed per rank (never shared across ranks) and
 //! every callback is purely local — no collective, no rendezvous — so
 //! recording can never perturb the SPMD collective order.
 //!

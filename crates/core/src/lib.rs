@@ -31,7 +31,6 @@ pub mod hemm;
 pub mod layout;
 pub mod lms;
 pub mod params;
-pub mod plan;
 pub mod qr;
 pub mod result;
 pub mod solver;
@@ -49,7 +48,6 @@ pub use filter::{
 pub use hemm::{hemm_b_to_c, hemm_c_to_b};
 pub use layout::{DistHerm, MemoryReport, RowDist};
 pub use params::{Params, QrStrategy};
-pub use plan::{PlanSource, SolvePlan};
 pub use qr::{
     cholesky_qr, flexible_qr, householder_qr_dist, ladder_start, next_rung, qr_ladder,
     shifted_cholesky_qr2, LadderAttempt, QrError, QrVariant, COND_SHIFTED, COND_SINGLE,

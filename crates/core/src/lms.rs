@@ -184,7 +184,6 @@ where
         bounds,
         warm_started: false,
         recovery: RecoveryLog::default(),
-        plan: None,
     })
 }
 

@@ -69,10 +69,6 @@ pub struct Params {
     /// Write a checkpoint every this many outer iterations (0 means only
     /// when a crash-recovery driver requests one on demand).
     pub checkpoint_every: usize,
-    /// Resolved solve plan, set by [`Params::apply_plan`]. Pure provenance:
-    /// the knobs above are already merged; the solver copies it onto
-    /// [`crate::ChaseResult::plan`].
-    pub plan: Option<crate::plan::SolvePlan>,
 }
 
 impl Params {
@@ -97,14 +93,12 @@ impl Params {
             max_refilter: 2,
             checkpoint_dir: None,
             checkpoint_every: 0,
-            plan: None,
         }
     }
 
     /// Whether the fault campaign plans a rank death. Only
-    /// [`crate::try_solve_elastic`] survives one, and it runs cold and
-    /// without a measured plan: warm payloads and plans are laid out for
-    /// the pre-crash grid.
+    /// [`crate::try_solve_elastic`] survives one, and it runs cold: warm
+    /// payloads are laid out for the pre-crash grid.
     pub fn plans_rank_crash(&self) -> bool {
         self.inject
             .as_ref()
@@ -131,11 +125,14 @@ impl Params {
         if self.nex < 1 {
             return Err("nex must be at least 1 (deflation headroom)".into());
         }
-        if self.ne() > n {
+        let Some(ne) = self.nev.checked_add(self.nex) else {
             return Err(format!(
-                "search space ({}) exceeds problem size ({n})",
-                self.ne()
+                "search space (nev {} + nex {}) overflows",
+                self.nev, self.nex
             ));
+        };
+        if ne > n {
+            return Err(format!("search space ({ne}) exceeds problem size ({n})"));
         }
         if !(self.tol > 0.0 && self.tol.is_finite()) {
             return Err(format!(
@@ -181,6 +178,13 @@ mod tests {
     #[should_panic(expected = "search space")]
     fn validate_rejects_oversized_subspace() {
         Params::new(100, 40).validate(120);
+    }
+
+    #[test]
+    fn validate_rejects_a_subspace_width_that_overflows() {
+        let err = Params::new(usize::MAX, 2).try_validate(100).unwrap_err();
+        assert!(err.contains("overflows"), "{err}");
+        assert!(Params::new(2, usize::MAX).try_validate(100).is_err());
     }
 
     #[test]

@@ -295,10 +295,6 @@ pub struct ChaseResult<T: Scalar> {
     /// Everything the guard layer detected and repaired along the way
     /// (empty on a clean run).
     pub recovery: RecoveryLog,
-    /// The resolved solve plan this run executed under, when one was
-    /// applied ([`crate::Params::apply_plan`]): scheduling provenance for
-    /// reproducibility audits. `None` for plain manually-knobbed solves.
-    pub plan: Option<crate::plan::SolvePlan>,
 }
 
 impl<T: Scalar> ChaseResult<T> {
@@ -355,7 +351,6 @@ mod tests {
             },
             warm_started: false,
             recovery: RecoveryLog::default(),
-            plan: None,
         }
     }
 

@@ -930,7 +930,6 @@ where
             bounds,
             warm_started,
             recovery: self.progress.recovery,
-            plan: self.params.plan.clone(),
         })
     }
 

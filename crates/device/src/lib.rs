@@ -17,7 +17,6 @@
 
 use chase_comm::{
     now_us, CommError, Communicator, EventKind, LinkClass, RankCtx, Reduce, Region, Request,
-    TuneAlgo, TuneOp,
 };
 use chase_faults::FaultPlan;
 use chase_linalg::matrix::{ColsMut, ColsRef};
@@ -26,16 +25,6 @@ use chase_topo::{exec, CollOp, Tuner, NOMINAL_GEMM_FLOPS};
 use std::sync::Arc;
 
 pub use chase_topo::{Algo, CollectiveAlgo, Topology};
-
-/// Map a `chase-topo` collective class onto the neutral seam vocabulary the
-/// measured-plan hook speaks (see [`chase_comm::tune_hook`]).
-fn tune_op(op: CollOp) -> TuneOp {
-    match op {
-        CollOp::AllReduce => TuneOp::AllReduce,
-        CollOp::Bcast => TuneOp::Bcast,
-        CollOp::AllGather => TuneOp::AllGather,
-    }
-}
 
 /// Which of the paper's three builds is being simulated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -269,20 +258,6 @@ impl<'a> Device<'a> {
         match self.collective {
             CollectiveAlgo::Flat => None,
             CollectiveAlgo::Auto => {
-                // A measured plan (chase-tune DB hit installed on the rank
-                // context) outranks the analytic alpha-beta model; a miss —
-                // no hook, or no rule covering this (op, size, members) —
-                // falls through to the analytic choice.
-                if let Some(hook) = &self.ctx.seams.get().tune {
-                    if let Some(c) = hook.choose(tune_op(op), bytes, comm.size()) {
-                        return match c.algo {
-                            TuneAlgo::Flat => None,
-                            TuneAlgo::Ring => Some((Algo::Ring, c.chunk_bytes)),
-                            TuneAlgo::Tree => Some((Algo::Tree, c.chunk_bytes)),
-                            TuneAlgo::Doubling => Some((Algo::Doubling, c.chunk_bytes)),
-                        };
-                    }
-                }
                 let c = tuner.choose(op, bytes, comm.labels());
                 Some((c.algo, c.chunk_bytes))
             }

@@ -191,9 +191,6 @@ pub struct SolveOutput<T: Scalar> {
     pub converged: bool,
     /// Guard-layer record (empty on a clean run).
     pub recovery: RecoveryLog,
-    /// Resolved solve plan (provenance: manual, analytic, or measured plan
-    /// database) when the scheduler tunes; `None` with tuning disabled.
-    pub plan: Option<chase_core::SolvePlan>,
 }
 
 /// Terminal state of one job.

@@ -48,7 +48,6 @@ pub mod scheduler;
 pub mod workload;
 
 pub use cache::{CacheStats, SessionCache};
-pub use chase_tune::{PlanDb, TuneOptions};
 pub use job::{
     GenSpec, JobId, JobOutcome, JobReport, JobSpec, MatrixSource, SessionTag, SolveOutput,
     SpectrumKind, WarmKind,

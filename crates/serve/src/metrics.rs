@@ -35,10 +35,6 @@ pub struct ServeMetrics {
     /// MatVecs avoided by warm starts, measured against each session's own
     /// cold first step (a deterministic in-band baseline).
     pub matvecs_saved: u64,
-    // Autotuning economics: fresh plan-DB entries measured vs. solves that
-    // reused one (a session tunes on its first cold solve only).
-    pub plans_tuned: u64,
-    pub plan_db_hits: u64,
     pub drains: u64,
 }
 
@@ -84,8 +80,6 @@ impl ServeMetrics {
         field("cache_high_water_bytes", self.cache_high_water_bytes);
         field("total_matvecs", self.total_matvecs);
         field("matvecs_saved", self.matvecs_saved);
-        field("plans_tuned", self.plans_tuned);
-        field("plan_db_hits", self.plan_db_hits);
         field("drains", self.drains);
         s.push_str(&format!(
             "  \"warm_hit_rate\": {:.4}\n}}\n",

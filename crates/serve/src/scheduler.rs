@@ -19,8 +19,9 @@ use chase_core::{ChaseResult, RecoveryEventKind, WarmStart};
 use chase_device::Backend;
 use chase_linalg::Scalar;
 use chase_trace::Trace;
-use chase_tune::{solve_grid, GridRun, PlanChoice, PlanDb, TuneOptions};
+use chase_tune::{solve_grid, GridRun};
 use parking_lot::{Condvar, Mutex};
+use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
@@ -35,11 +36,6 @@ pub struct SchedulerConfig {
     pub backend: Backend,
     /// Record one structured trace stream per job.
     pub record_traces: bool,
-    /// Autotune solve plans: a session's first cold solve runs measurement
-    /// trials and writes the shared plan DB; every later solve with the
-    /// same key reuses the entry with zero trials. `None` disables tuning
-    /// (the pre-tuner analytic defaults apply).
-    pub tune: Option<TuneOptions>,
 }
 
 impl Default for SchedulerConfig {
@@ -49,7 +45,6 @@ impl Default for SchedulerConfig {
             cache_bytes: 256 << 20,
             backend: Backend::Nccl,
             record_traces: false,
-            tune: None,
         }
     }
 }
@@ -114,9 +109,10 @@ struct ExecShared<T: Scalar> {
     results: Vec<Option<ExecResult<T>>>,
     store: BTreeMap<String, StoreEntry<T>>,
     warm_fallbacks: u64,
-    plans_tuned: u64,
-    plan_db_hits: u64,
     remaining: usize,
+    /// The first job that panicked: its payload stops the pool and is
+    /// re-raised out of `drain` once every worker has returned.
+    panic: Option<Box<dyn Any + Send>>,
 }
 
 /// The sequence scheduler.
@@ -132,11 +128,6 @@ where
     /// Per-session cold baseline MatVecs (first cold completion) — the
     /// in-band reference for `matvecs_saved`.
     baselines: BTreeMap<String, u64>,
-    /// Measured plan database shared by every worker. Lookups and inserts
-    /// take the lock briefly; trials run outside it. Tuning is a
-    /// deterministic function of the key, so concurrent misses on the same
-    /// key produce identical entries and insertion is idempotent.
-    plan_db: Arc<Mutex<PlanDb>>,
     pub metrics: ServeMetrics,
 }
 
@@ -157,7 +148,6 @@ where
             cache,
             store: BTreeMap::new(),
             baselines: BTreeMap::new(),
-            plan_db: Arc::new(Mutex::new(PlanDb::new())),
             metrics: ServeMetrics::default(),
         })
     }
@@ -173,17 +163,6 @@ where
 
     pub fn config(&self) -> &SchedulerConfig {
         &self.cfg
-    }
-
-    /// Seed the shared plan DB (e.g. loaded from disk before the first
-    /// drain); solves whose key is present skip tuning entirely.
-    pub fn set_plan_db(&mut self, db: PlanDb) {
-        *self.plan_db.lock() = db;
-    }
-
-    /// Snapshot the shared plan DB (e.g. to persist after a drain).
-    pub fn plan_db_snapshot(&self) -> PlanDb {
-        self.plan_db.lock().clone()
     }
 
     pub fn queue_len(&self) -> usize {
@@ -211,6 +190,11 @@ where
     /// Freeze the queued batch, plan it, execute it on the worker pool, and
     /// return one report per job (in submission-id order). The session
     /// cache and its warm payloads persist to the next drain.
+    ///
+    /// # Panics
+    /// When a job panics (a `--no-guards` solve meeting a NaN): the other
+    /// workers finish the job they hold and stop, and the first job's panic
+    /// is re-raised here.
     pub fn drain(&mut self) -> Vec<JobReport<T>> {
         self.metrics.drains += 1;
         let batch = std::mem::take(&mut self.queue);
@@ -328,16 +312,13 @@ where
             results: (0..n).map(|_| None).collect(),
             store: std::mem::take(&mut self.store),
             warm_fallbacks: 0,
-            plans_tuned: 0,
-            plan_db_hits: 0,
             remaining: n,
+            panic: None,
         });
         let cv = Condvar::new();
         let workers = self.cfg.workers.min(n.max(1));
         let backend = self.cfg.backend;
         let record_traces = self.cfg.record_traces;
-        let tune = self.cfg.tune.clone();
-        let plan_db = self.plan_db.clone();
 
         std::thread::scope(|scope| {
             for _ in 0..workers {
@@ -346,7 +327,7 @@ where
                     let (idx, warm_payload, warm_kind) = {
                         let mut g = shared.lock();
                         let claimed = loop {
-                            if g.remaining == 0 {
+                            if g.remaining == 0 || g.panic.is_some() {
                                 return;
                             }
                             if let Some(&(c, i)) = g.ready.iter().next() {
@@ -386,21 +367,19 @@ where
                         (claimed, payload, kind)
                     };
 
-                    let (outcome, trace, tuned) = run_job(
-                        &specs[idx],
-                        warm_payload.as_deref(),
-                        backend,
-                        record_traces,
-                        tune.as_ref(),
-                        &plan_db,
-                    );
+                    let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        run_job(&specs[idx], warm_payload.as_deref(), backend, record_traces)
+                    }));
 
                     let mut g = shared.lock();
-                    match tuned {
-                        Some(true) => g.plans_tuned += 1,
-                        Some(false) => g.plan_db_hits += 1,
-                        None => {}
-                    }
+                    let (outcome, trace) = match ran {
+                        Ok(done) => done,
+                        Err(payload) => {
+                            g.panic.get_or_insert(payload);
+                            cv.notify_all();
+                            return;
+                        }
+                    };
                     if let Some(tag) = &specs[idx].session {
                         if let JobOutcome::Done(s) = &outcome {
                             g.store.insert(
@@ -436,10 +415,11 @@ where
         });
 
         let inner = shared.into_inner();
+        if let Some(payload) = inner.panic {
+            std::panic::resume_unwind(payload);
+        }
         self.store = inner.store;
         self.metrics.warm_fallbacks += inner.warm_fallbacks;
-        self.metrics.plans_tuned += inner.plans_tuned;
-        self.metrics.plan_db_hits += inner.plan_db_hits;
         inner
             .results
             .into_iter()
@@ -450,59 +430,34 @@ where
 
 /// Run one job on its own rank grid. Pure with respect to scheduler state:
 /// everything it needs arrives as arguments, everything it learns leaves in
-/// the return value (plus an idempotent plan-DB insert when it tuned).
+/// the return value.
 ///
 /// A job whose fault spec plans a rank crash runs elastic inside
 /// [`solve_grid`]: the crash shrinks the grid and the solve resumes from
-/// the job's checkpoint directory (cold from iteration 0 without one), the
-/// survivors' results assemble exactly like a normal solve because together
-/// they still cover every row of the shrunk layout, and no plan is tuned or
-/// applied — one keyed to the original grid would be wrong for the shrunk.
-///
-/// The third return reports plan resolution: `Some(true)` = this job ran
-/// measurement trials (cold DB), `Some(false)` = reused a DB entry with
-/// zero trials, `None` = no plan (tuning disabled, or an elastic run).
+/// the job's checkpoint directory (cold from iteration 0 without one), and
+/// the survivors' results assemble exactly like a normal solve because
+/// together they still cover every row of the shrunk layout.
 fn run_job<T: Scalar + Reduce>(
     spec: &JobSpec<T>,
     warm: Option<&WarmStart<T>>,
     backend: Backend,
     record_traces: bool,
-    tune: Option<&TuneOptions>,
-    plan_db: &Mutex<PlanDb>,
-) -> (JobOutcome<T>, Option<Trace>, Option<bool>)
+) -> (JobOutcome<T>, Option<Trace>)
 where
     T::Real: Reduce,
 {
     let h = spec.matrix.materialize();
-    let params = &spec.params;
-    // Plan phase: decide hit-vs-tune once, before the SPMD region, so every
-    // rank of the grid agrees (a per-rank DB lookup could straddle another
-    // worker's insert and deadlock the grid's collectives).
-    let plan = tune.map(|opts| {
-        let db = plan_db.lock();
-        PlanChoice::lookup::<T>(&db, opts, spec.grid, h.rows(), params.nev, params.nex)
-    });
     let mut out = solve_grid(
         &h,
-        params,
+        &spec.params,
         &GridRun {
             backend,
             warm,
             trace: record_traces,
-            plan: plan.as_ref(),
             ..GridRun::new(spec.grid)
         },
     );
     let trace = out.trace.take();
-    let tuned = out.tuned.take().map(|t| match plan {
-        Some(PlanChoice::Tune(_)) => {
-            // Freshly measured (world-agreed, identical on every rank):
-            // publish so later solves with this key run zero trials.
-            plan_db.lock().insert(t.entry);
-            true
-        }
-        _ => false,
-    });
     let outcome = match out.into_solved() {
         Err(e) => JobOutcome::Failed(e),
         Ok(oks) => {
@@ -517,9 +472,8 @@ where
                 iterations: r0.iterations,
                 converged: r0.converged,
                 recovery: r0.recovery,
-                plan: r0.plan,
             })
         }
     };
-    (outcome, trace, tuned)
+    (outcome, trace)
 }

@@ -121,10 +121,9 @@ fn parse_job_line(
     let nev: usize = take(kv, "nev", None)?;
     let nex: usize = take(kv, "nex", Some(nev.div_ceil(2).max(2)))?;
     let n = matrix.n();
-    if nev + nex > n {
+    if nev.checked_add(nex).is_none_or(|ne| ne > n) {
         return Err(format!(
-            "job '{name}': search space nev + nex = {} exceeds matrix size {n}",
-            nev + nex
+            "job '{name}': search space nev {nev} + nex {nex} exceeds matrix size {n}"
         ));
     }
     let mut params = Params::new(nev, nex);
@@ -230,6 +229,11 @@ gen name=solo n=32 spectrum=uniform nev=4 grid=2x1 seed=5
         assert!(parse_workload("gen name=a n=8 spectrum=uniform nev=40")
             .unwrap_err()
             .contains("exceeds"));
+        assert!(
+            parse_workload("gen name=a n=8 spectrum=uniform nev=18446744073709551615 nex=2")
+                .unwrap_err()
+                .contains("exceeds")
+        );
         assert!(
             parse_workload("gen name=a n=8 spectrum=uniform nev=2 step=1")
                 .unwrap_err()

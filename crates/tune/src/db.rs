@@ -8,7 +8,7 @@
 //! problem dimensions × scalar, the axes along which tuning decisions
 //! actually vary.
 
-use chase_comm::{CollectiveTuneHook, TuneAlgo, TuneChoice, TuneOp};
+use chase_topo::{Algo, CollOp};
 use chase_trace::fnv1a;
 use chase_trace::json::{self, Json};
 use std::collections::BTreeMap;
@@ -37,8 +37,6 @@ pub enum DbError {
     DuplicateKey { key: String },
     /// A field is missing or holds an out-of-domain value.
     Field { field: &'static str, detail: String },
-    /// Filesystem failure reading or writing the DB.
-    Io { detail: String },
 }
 
 impl fmt::Display for DbError {
@@ -54,7 +52,6 @@ impl fmt::Display for DbError {
             ),
             DbError::DuplicateKey { key } => write!(f, "plan db: duplicate entry for key '{key}'"),
             DbError::Field { field, detail } => write!(f, "plan db: field '{field}': {detail}"),
-            DbError::Io { detail } => write!(f, "plan db: {detail}"),
         }
     }
 }
@@ -82,8 +79,7 @@ pub struct PlanKey {
 }
 
 impl PlanKey {
-    /// Canonical key string — the BTreeMap key and the `db_key` recorded in
-    /// plan provenance.
+    /// Canonical key string — the BTreeMap key.
     pub fn canonical(&self) -> String {
         format!(
             "{}|{}x{}|n={}|nev={}|nex={}|{}",
@@ -123,15 +119,16 @@ impl PlanKey {
 /// the largest rule also covers everything beyond it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CollRule {
-    pub op: TuneOp,
+    pub op: CollOp,
     pub members: usize,
     pub max_bytes: u64,
-    pub algo: TuneAlgo,
+    /// The hop schedule; `None` is the flat rendezvous reference (no hop
+    /// schedule beat it at this size).
+    pub algo: Option<Algo>,
     pub chunk_bytes: u64,
     /// Measured per-rank trial time (seconds) of the winning candidate.
     pub measured: f64,
-    /// The analytic alpha-beta prediction for the same candidate (the
-    /// modeled-vs-measured residual input).
+    /// The analytic alpha-beta prediction for the same candidate.
     pub modeled: f64,
 }
 
@@ -142,7 +139,7 @@ impl CollRule {
             self.op.name(),
             self.members,
             self.max_bytes,
-            self.algo.name(),
+            self.algo.map_or("flat", Algo::name),
             self.chunk_bytes,
             fmt_f64(self.measured),
             fmt_f64(self.modeled),
@@ -151,9 +148,9 @@ impl CollRule {
 
     fn from_json(v: &Json) -> Result<Self, DbError> {
         let op = match str_field(v, "op")?.as_str() {
-            "allreduce" => TuneOp::AllReduce,
-            "bcast" => TuneOp::Bcast,
-            "allgather" => TuneOp::AllGather,
+            "allreduce" => CollOp::AllReduce,
+            "bcast" => CollOp::Bcast,
+            "allgather" => CollOp::AllGather,
             other => {
                 return Err(DbError::Field {
                     field: "op",
@@ -161,11 +158,18 @@ impl CollRule {
                 })
             }
         };
-        let algo_s = str_field(v, "algo")?;
-        let algo = TuneAlgo::parse(&algo_s).ok_or(DbError::Field {
-            field: "algo",
-            detail: format!("unknown algorithm '{algo_s}'"),
-        })?;
+        let algo = match str_field(v, "algo")?.as_str() {
+            "flat" => None,
+            "ring" => Some(Algo::Ring),
+            "tree" => Some(Algo::Tree),
+            "doubling" => Some(Algo::Doubling),
+            other => {
+                return Err(DbError::Field {
+                    field: "algo",
+                    detail: format!("unknown algorithm '{other}'"),
+                })
+            }
+        };
         Ok(Self {
             op,
             members: usize_field(v, "members")?,
@@ -192,35 +196,6 @@ pub struct PlanEntry {
     pub flat_cost: f64,
     /// Number of micro-benchmark trials that produced this entry.
     pub trials: u64,
-}
-
-/// Installed on a rank, an entry answers the device layer's `Auto` arm per
-/// collective call from its measured rules.
-impl CollectiveTuneHook for PlanEntry {
-    /// Resolve a collective schedule from the rule table: the tightest rule
-    /// covering `(op, members, bytes)`, the largest same-`(op, members)`
-    /// rule for sizes beyond the measured range, `None` when the table
-    /// never measured this `(op, members)` pair at all (the device layer
-    /// then falls back to the analytic model).
-    fn choose(&self, op: TuneOp, bytes: u64, members: usize) -> Option<TuneChoice> {
-        let mut fallback: Option<&CollRule> = None;
-        let mut best: Option<&CollRule> = None;
-        for r in &self.rules {
-            if r.op != op || r.members != members {
-                continue;
-            }
-            if r.max_bytes >= bytes && best.is_none_or(|b| r.max_bytes < b.max_bytes) {
-                best = Some(r);
-            }
-            if fallback.is_none_or(|f| r.max_bytes > f.max_bytes) {
-                fallback = Some(r);
-            }
-        }
-        best.or(fallback).map(|r| TuneChoice {
-            algo: r.algo,
-            chunk_bytes: r.chunk_bytes,
-        })
-    }
 }
 
 impl PlanEntry {
@@ -280,25 +255,9 @@ impl PlanDb {
         Self::default()
     }
 
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    pub fn get(&self, key: &PlanKey) -> Option<&PlanEntry> {
-        self.entries.get(&key.canonical())
-    }
-
     /// Insert (or replace — re-tuning refreshes) an entry.
     pub fn insert(&mut self, entry: PlanEntry) {
         self.entries.insert(entry.key.canonical(), entry);
-    }
-
-    pub fn entries(&self) -> impl Iterator<Item = &PlanEntry> {
-        self.entries.values()
     }
 
     /// Canonical JSON rendering; `parse(emit(db)) == db`.
@@ -350,31 +309,6 @@ impl PlanDb {
             db.entries.insert(key, e);
         }
         Ok(db)
-    }
-
-    /// Load from a file; a missing file is an empty database (cold start),
-    /// anything else unreadable or unparsable is a typed error.
-    pub fn load(path: impl AsRef<std::path::Path>) -> Result<Self, DbError> {
-        let path = path.as_ref();
-        match std::fs::read_to_string(path) {
-            Ok(s) => Self::parse(&s),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Self::new()),
-            Err(e) => Err(DbError::Io {
-                detail: format!("{}: {e}", path.display()),
-            }),
-        }
-    }
-
-    /// Persist atomically enough for single-writer use (write + rename).
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> Result<(), DbError> {
-        let path = path.as_ref();
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, self.emit()).map_err(|e| DbError::Io {
-            detail: format!("{}: {e}", tmp.display()),
-        })?;
-        std::fs::rename(&tmp, path).map_err(|e| DbError::Io {
-            detail: format!("{}: {e}", path.display()),
-        })
     }
 }
 
@@ -438,19 +372,19 @@ mod tests {
             },
             rules: vec![
                 CollRule {
-                    op: TuneOp::AllReduce,
+                    op: CollOp::AllReduce,
                     members: 2,
                     max_bytes: 1 << 20,
-                    algo: TuneAlgo::Ring,
+                    algo: Some(Algo::Ring),
                     chunk_bytes: 64 << 10,
                     measured: 1.25e-4,
                     modeled: 1.5e-4,
                 },
                 CollRule {
-                    op: TuneOp::AllReduce,
+                    op: CollOp::AllReduce,
                     members: 2,
                     max_bytes: u64::MAX,
-                    algo: TuneAlgo::Flat,
+                    algo: None,
                     chunk_bytes: 0,
                     measured: 3.0e-4,
                     modeled: 2.5e-4,
@@ -469,17 +403,6 @@ mod tests {
         db.insert(sample_entry("jb-1234", 2000));
         let parsed = PlanDb::parse(&db.emit()).expect("roundtrip");
         assert_eq!(parsed, db);
-    }
-
-    #[test]
-    fn rule_lookup_prefers_tightest_bucket() {
-        let e = sample_entry("m", 10);
-        let c = e.choose(TuneOp::AllReduce, 1 << 10, 2).unwrap();
-        assert_eq!(c.algo, TuneAlgo::Ring);
-        let c = e.choose(TuneOp::AllReduce, 8 << 20, 2).unwrap();
-        assert_eq!(c.algo, TuneAlgo::Flat);
-        assert!(e.choose(TuneOp::AllReduce, 1 << 10, 4).is_none());
-        assert!(e.choose(TuneOp::Bcast, 1 << 10, 2).is_none());
     }
 
     #[test]

@@ -1,12 +1,9 @@
 //! The one SPMD driver around a solve: spawn the grid, install what the
-//! run asks for on every rank, slice `H`, resolve the plan, solve, uninstall,
-//! gather. The CLI, the serve scheduler, `chase check`, the bench harness
-//! and the end-to-end tests all call [`solve_grid`]; none of them touches a
-//! seam or a recorder itself.
+//! run asks for on every rank, slice `H`, solve, uninstall, gather. The
+//! CLI, the serve scheduler, `chase check`, the bench harness and the
+//! end-to-end tests all call [`solve_grid`]; none of them touches a seam
+//! or a recorder itself.
 
-use crate::db::{PlanDb, PlanEntry};
-use crate::plan_from_entry;
-use crate::trial::{plan_key, tune_entry, TuneOptions, TuneOutcome};
 use chase_comm::{run_grid, Distribution, GridShape, Ledger, Reduce, SchedulePolicy, TraceHook};
 use chase_core::{
     lms::solve_lms, solve_dist, try_solve_elastic, ChaseError, ChaseErrorKind, ChaseResult,
@@ -16,39 +13,6 @@ use chase_device::Backend;
 use chase_linalg::{Matrix, Scalar};
 use chase_trace::{Trace, TraceRecorder};
 use std::sync::Arc;
-
-/// How a solve gets its measured plan, decided by a plan-DB lookup.
-///
-/// The lookup happens once, *before* the SPMD region, and every rank is
-/// handed the answer: a lookup per rank could straddle another worker's
-/// insert into a shared DB, leaving some ranks tuning (collectives) and
-/// others not — a deadlocked grid.
-#[derive(Debug, Clone)]
-pub enum PlanChoice {
-    /// The DB has the key: apply the stored entry, zero trials.
-    Hit(PlanEntry),
-    /// A miss: run the trials inside the solve's own grid, so they show up
-    /// as `tune` spans in the solve's own trace.
-    Tune(TuneOptions),
-}
-
-impl PlanChoice {
-    /// Look up the key of an `n x n` solve of scalar `T` on `shape`.
-    pub fn lookup<T: Scalar>(
-        db: &PlanDb,
-        opts: &TuneOptions,
-        shape: GridShape,
-        n: usize,
-        nev: usize,
-        nex: usize,
-    ) -> Self {
-        let key = plan_key::<T>(&opts.machine, shape.p, shape.q, n, nev, nex);
-        match db.get(&key) {
-            Some(e) => PlanChoice::Hit(e.clone()),
-            None => PlanChoice::Tune(opts.clone()),
-        }
-    }
-}
 
 /// What a [`solve_grid`] run is configured with, besides the problem.
 pub struct GridRun<'a, T: Scalar> {
@@ -60,8 +24,6 @@ pub struct GridRun<'a, T: Scalar> {
     pub warm: Option<&'a WarmStart<T>>,
     /// Record one [`chase_trace::RankTrace`] per rank.
     pub trace: bool,
-    /// Measured plan to solve under; `None` leaves `params` as they are.
-    pub plan: Option<&'a PlanChoice>,
     /// Schedule-exploration policy gating every collective deposit.
     pub policy: Option<Arc<dyn SchedulePolicy>>,
     /// Arm the order-sensitive fold (`chase check --canary`).
@@ -78,7 +40,6 @@ impl<T: Scalar> GridRun<'_, T> {
             dist: Distribution::Block,
             warm: None,
             trace: false,
-            plan: None,
             policy: None,
             canary: false,
         }
@@ -94,10 +55,6 @@ pub struct GridOutcome<T: Scalar> {
     /// Every rank's stream (those of ranks that left included) when
     /// [`GridRun::trace`] was set.
     pub trace: Option<Trace>,
-    /// The plan the solve ran under: the stored entry on a
-    /// [`PlanChoice::Hit`] (no residual rows), the fresh measurement on a
-    /// [`PlanChoice::Tune`].
-    pub tuned: Option<TuneOutcome>,
 }
 
 impl<T: Scalar> GridOutcome<T> {
@@ -124,13 +81,12 @@ impl<T: Scalar> GridOutcome<T> {
 ///
 /// Per rank, in this order: schedule policy, canary and trace recorder go
 /// in (before the first collective, so the bounds estimate is gated and
-/// traced); `H` is sliced; the plan is resolved and applied with its
-/// measured hook; the solve runs; everything comes out again before the
-/// rendezvous teardown.
+/// traced); `H` is sliced; the solve runs; everything comes out again
+/// before the rendezvous teardown.
 ///
 /// Parameters that plan a rank crash run under [`try_solve_elastic`], which
-/// re-slices `H` for every grid it shrinks to and takes neither `run.warm`
-/// nor `run.plan`: both are laid out for the pre-crash grid.
+/// re-slices `H` for every grid it shrinks to and does not take
+/// `run.warm`: it is laid out for the pre-crash grid.
 /// [`Backend::Lms`] runs the legacy-layout baseline, [`solve_lms`].
 pub fn solve_grid<T>(h: &Matrix<T>, params: &Params, run: &GridRun<'_, T>) -> GridOutcome<T>
 where
@@ -148,49 +104,26 @@ where
             s.trace = rec.clone().map(|r| r as Arc<dyn TraceHook>);
         });
         let slice = |c: &chase_comm::RankCtx| DistHerm::from_global_dist(h, c, run.dist);
-        let (result, tuned) = if elastic {
-            let outcome = try_solve_elastic(ctx, run.backend, slice, params);
-            (outcome.map(|o| o.result), None)
+        let result = if elastic {
+            try_solve_elastic(ctx, run.backend, slice, params).map(|o| o.result)
+        } else if run.backend == Backend::Lms {
+            Some(solve_lms(ctx, slice(ctx), params, run.warm.map(|w| &w.v0)))
         } else {
-            let dh = slice(ctx);
-            let tuned = run.plan.map(|choice| match choice {
-                PlanChoice::Hit(entry) => TuneOutcome {
-                    entry: entry.clone(),
-                    residuals: Vec::new(),
-                },
-                PlanChoice::Tune(opts) => tune_entry(ctx, &dh, params.nev, params.nex, opts),
-            });
-            let planned = tuned.as_ref().map(|t| {
-                // Inside `installed`'s scope: its drop takes the hook out.
-                ctx.set_tune_hook(Some(Arc::new(t.entry.clone())));
-                let mut p = params.clone();
-                p.apply_plan(&plan_from_entry(&t.entry));
-                p
-            });
-            let params = planned.as_ref().unwrap_or(params);
-            let result = if run.backend == Backend::Lms {
-                solve_lms(ctx, dh, params, run.warm.map(|w| &w.v0))
-            } else {
-                solve_dist(ctx, run.backend, dh, params, run.warm)
-            };
-            (Some(result), tuned)
+            Some(solve_dist(ctx, run.backend, slice(ctx), params, run.warm))
         };
         drop(installed);
-        (result, rec.map(|r| r.finish()), tuned)
+        (result, rec.map(|r| r.finish()))
     });
     let mut results = Vec::new();
     let mut ranks = Vec::new();
-    let mut tuned = None;
-    for (result, rank_trace, rank_tuned) in out.results {
+    for (result, rank_trace) in out.results {
         results.push(result);
         ranks.extend(rank_trace);
-        tuned = tuned.or(rank_tuned);
     }
     GridOutcome {
         results,
         ledgers: out.ledgers,
         trace: run.trace.then_some(Trace { ranks }),
-        tuned,
     }
 }
 
@@ -232,7 +165,7 @@ mod tests {
         .unwrap();
 
         let mut out = solve_grid(&h, &p, &GridRun::new(GridShape::new(1, 1)));
-        assert!(out.trace.is_none() && out.tuned.is_none());
+        assert!(out.trace.is_none());
         assert_eq!(
             projection(&out.ledgers[0]),
             projection(&ctx.ledger_snapshot())

@@ -5,7 +5,7 @@
 //!
 //! * **deterministic** — the events the path recorded are priced per hop
 //!   with the `chase-perfmodel` machine. Trials replay bitwise, so tests
-//!   and the serve scheduler's plan phase stay reproducible.
+//!   stay reproducible.
 //! * **wall-clock** — `std::time::Instant` around the same execution, for
 //!   tuning on a live machine.
 //!
@@ -16,17 +16,15 @@
 //! reference path is always among the candidates, which is what guarantees
 //! a tuned plan is never worse than `Flat` under the trial metric.
 //!
-//! Every trial is wrapped in a `tune` trace span — a solve that resolves
-//! its plan from a warm DB runs zero trials, witnessed by a trace with
-//! zero `tune` spans.
+//! Every trial is wrapped in a `tune` trace span.
 
 use crate::db::{CollRule, PlanEntry, PlanKey};
 use crate::fingerprint::machine_fingerprint;
-use chase_comm::{Communicator, EventKind, RankCtx, Reduce, TuneAlgo, TuneOp};
+use chase_comm::{Communicator, EventKind, RankCtx, Reduce};
 use chase_core::DistHerm;
 use chase_device::Backend;
 use chase_linalg::Scalar;
-use chase_perfmodel::{CommFlavor, Machine, ResidualRow, ScalarKind};
+use chase_perfmodel::{CommFlavor, Machine, ScalarKind};
 use chase_topo::{collective_cost, exec, Algo, CollOp, CHUNK_MENU};
 use std::time::Instant;
 
@@ -50,7 +48,7 @@ pub struct TuneOptions {
 
 impl TuneOptions {
     /// Deterministic trials on the paper's machine model (the mode tests
-    /// and the serve scheduler use).
+    /// use).
     pub fn deterministic() -> Self {
         Self {
             deterministic: true,
@@ -78,13 +76,10 @@ impl TuneOptions {
     }
 }
 
-/// A finished tuning run: the DB entry plus the modeled-vs-measured
-/// residuals of every hop-schedule candidate (the `chase-perfmodel`
-/// calibration report).
+/// A finished tuning run: the DB entry.
 #[derive(Debug, Clone)]
 pub struct TuneOutcome {
     pub entry: PlanEntry,
-    pub residuals: Vec<ResidualRow>,
 }
 
 /// The `ScalarKind` the perf model prices `T` as.
@@ -132,7 +127,6 @@ struct Bench<'a> {
     ctx: &'a RankCtx,
     opts: &'a TuneOptions,
     trial_idx: u64,
-    residuals: Vec<ResidualRow>,
 }
 
 impl<'a> Bench<'a> {
@@ -181,15 +175,10 @@ fn probe_collective<T: Scalar + Reduce>(
     tuned_sum: &mut f64,
     flat_sum: &mut f64,
 ) {
-    let tune_op = match op {
-        CollOp::AllReduce => TuneOp::AllReduce,
-        CollOp::Bcast => TuneOp::Bcast,
-        CollOp::AllGather => TuneOp::AllGather,
-    };
     let members = comm.size();
     if rules
         .iter()
-        .any(|r| r.op == tune_op && r.members == members && r.max_bytes == bytes)
+        .any(|r| r.op == op && r.members == members && r.max_bytes == bytes)
     {
         return; // identical probe already measured
     }
@@ -228,10 +217,10 @@ fn probe_collective<T: Scalar + Reduce>(
     });
 
     let mut best = CollRule {
-        op: tune_op,
+        op,
         members,
         max_bytes: bytes,
-        algo: TuneAlgo::Flat,
+        algo: None,
         chunk_bytes: 0,
         measured: flat_cost,
         modeled: flat_cost,
@@ -268,28 +257,12 @@ fn probe_collective<T: Scalar + Reduce>(
                 bytes,
                 chunk,
             );
-            bench.residuals.push(ResidualRow {
-                label: format!(
-                    "{} {}B x{} {}/{}",
-                    tune_op.name(),
-                    bytes,
-                    members,
-                    algo.name(),
-                    chunk
-                ),
-                modeled,
-                measured: cost,
-            });
             if cost < best.measured {
                 best = CollRule {
-                    op: tune_op,
+                    op,
                     members,
                     max_bytes: bytes,
-                    algo: match algo {
-                        Algo::Ring => TuneAlgo::Ring,
-                        Algo::Tree => TuneAlgo::Tree,
-                        Algo::Doubling => TuneAlgo::Doubling,
-                    },
+                    algo: Some(algo),
                     chunk_bytes: chunk,
                     measured: cost,
                     modeled,
@@ -329,7 +302,6 @@ where
         ctx,
         opts,
         trial_idx: 0,
-        residuals: Vec::new(),
     };
 
     // --- Collective probes: the solver's dominant blocking collectives.
@@ -382,8 +354,5 @@ where
         ctx.world_rank()
     );
 
-    TuneOutcome {
-        entry,
-        residuals: bench.residuals,
-    }
+    TuneOutcome { entry }
 }

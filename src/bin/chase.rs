@@ -12,19 +12,15 @@
 //!                [--trace out.json] [--trace-format chrome|summary] [--metrics m.json]
 //! ```
 
-use chase_comm::{run_grid, Distribution, GridShape};
-use chase_core::{ChaseError, ChaseResult, DistHerm, Params, QrStrategy};
+use chase_comm::{Distribution, GridShape};
+use chase_core::{ChaseError, ChaseResult, Params, QrStrategy};
 use chase_device::{Backend, CollectiveAlgo};
 use chase_linalg::{Matrix, RealScalar, Scalar, C64};
 use chase_matgen::io::{load, save_c64, save_f64, LoadedMatrix};
 use chase_matgen::{dense_with_spectrum, Spectrum};
-use chase_perfmodel::residual_report;
 use chase_serve::{JobOutcome, Scheduler, SchedulerConfig, WarmKind};
 use chase_trace::{chrome_trace, metrics_json, stitch, summary_table, Trace};
-use chase_tune::{
-    plan_from_entry, plan_key, solve_grid, tune_entry, GridRun, PlanChoice, PlanDb, TuneOptions,
-    TuneOutcome,
-};
+use chase_tune::{solve_grid, GridRun};
 use std::collections::HashMap;
 use std::process::ExitCode;
 
@@ -34,24 +30,19 @@ type Command = fn(Flags) -> Result<(), String>;
 /// The subcommands, each with the flags it reads. One it does not is
 /// refused: a run with a mistyped flag must not measure the defaults and
 /// exit 0.
-const COMMANDS: [(&str, Command, &str); 7] = [
+const COMMANDS: [(&str, Command, &str); 6] = [
     ("generate", cmd_generate, "n out seed spectrum real"),
     ("info", cmd_info, "matrix"),
     (
         "solve",
         cmd_solve,
         "matrix nev nex tol grid ranks backend qr collective cyclic no-degopt inject no-guards \
-         checkpoint checkpoint-every plan-db deterministic trace trace-format metrics",
-    ),
-    (
-        "tune",
-        cmd_tune,
-        "matrix nev nex db grid backend deterministic force",
+         checkpoint checkpoint-every trace trace-format metrics",
     ),
     (
         "serve",
         cmd_serve,
-        "workload workers cache-mb backend plan-db metrics trace-dir checkpoint checkpoint-every",
+        "workload workers cache-mb backend metrics trace-dir checkpoint checkpoint-every",
     ),
     ("submit", cmd_submit, "workload line"),
     (
@@ -76,14 +67,7 @@ fn parse_flags(cmd: &str, known: &str, args: &[String]) -> Result<Flags, String>
         // Boolean flags take no value.
         if matches!(
             key,
-            "real"
-                | "no-degopt"
-                | "no-guards"
-                | "deterministic"
-                | "force"
-                | "systematic"
-                | "canary"
-                | "no-oracle"
+            "real" | "no-degopt" | "no-guards" | "systematic" | "canary" | "no-oracle"
         ) {
             out.insert(key.to_string(), "true".to_string());
             i += 1;
@@ -171,10 +155,7 @@ fn parse_positive(flag: &str, what: &str, s: &str) -> Result<usize, String> {
     }
 }
 
-/// One `chase solve`, printed. With `tune`, the solve's key is looked up in
-/// the plan DB first: a hit applies the stored plan with zero trials, a miss
-/// tunes inside the solve grid (so the trials show up as `tune` spans in
-/// the solve's own trace). The lowest-ranked rank that saw the solve
+/// One `chase solve`, printed. The lowest-ranked rank that saw the solve
 /// through speaks for the SPMD run, unless another surviving rank failed.
 fn solve_generic<T: Scalar + chase_comm::Reduce>(
     h: &Matrix<T>,
@@ -183,76 +164,23 @@ fn solve_generic<T: Scalar + chase_comm::Reduce>(
     backend: Backend,
     dist: Distribution,
     tracing: bool,
-    tune: Option<(&PlanDb, &TuneOptions)>,
-) -> (
-    Result<(), ChaseError>,
-    Option<Trace>,
-    Option<PlanChoice>,
-    Option<TuneOutcome>,
-)
+) -> (Result<(), ChaseError>, Option<Trace>)
 where
     T::Real: chase_comm::Reduce,
 {
     let t0 = std::time::Instant::now();
-    let choice = tune.map(|(db, opts)| {
-        PlanChoice::lookup::<T>(db, opts, shape, h.rows(), params.nev, params.nex)
-    });
     let run = GridRun {
         backend,
         dist,
         trace: tracing,
-        plan: choice.as_ref(),
         ..GridRun::new(shape)
     };
     let mut out = solve_grid(h, params, &run);
-    let (trace, tuned) = (out.trace.take(), out.tuned.take());
+    let trace = out.trace.take();
     let printed = out
         .into_solved()
         .map(|solved| print_result(&solved[0], t0.elapsed()));
-    (printed, trace, choice, tuned)
-}
-
-/// Persist the plan DB and say how many entries it holds.
-fn save_plan_db(db: &PlanDb, path: &str) -> Result<(), String> {
-    db.save(path).map_err(|e| e.to_string())?;
-    let n = db.len();
-    println!(
-        "plan db: {path} ({n} entr{})",
-        if n == 1 { "y" } else { "ies" }
-    );
-    Ok(())
-}
-
-/// After a `--plan-db` solve: report how the plan resolved and persist any
-/// freshly measured entry.
-fn report_plan(
-    choice: Option<PlanChoice>,
-    tuned: Option<TuneOutcome>,
-    db: &mut PlanDb,
-    db_path: Option<&str>,
-) -> Result<(), String> {
-    match (choice, tuned) {
-        (Some(PlanChoice::Tune(_)), Some(out)) => {
-            println!(
-                "plan: measured fresh ({} trial(s)) for {}",
-                out.entry.trials,
-                out.entry.key.canonical()
-            );
-            print!("{}", residual_report(&out.residuals));
-            db.insert(out.entry);
-            if let Some(p) = db_path {
-                save_plan_db(db, p)?;
-            }
-        }
-        (Some(PlanChoice::Hit(_)), Some(out)) => {
-            println!(
-                "plan: reused db entry (0 trials) for {}",
-                out.entry.key.canonical()
-            );
-        }
-        _ => {}
-    }
-    Ok(())
+    (printed, trace)
 }
 
 fn print_recovery(log: &chase_core::RecoveryLog) {
@@ -282,9 +210,6 @@ fn print_result<T: Scalar>(r: &ChaseResult<T>, wall: std::time::Duration) {
         "converged = {} | iterations = {} | MatVecs = {} | wall = {wall:.2?}",
         r.converged, r.iterations, r.matvecs
     );
-    if let Some(plan) = &r.plan {
-        println!("plan: {}", plan.summary());
-    }
     println!("{:>4} {:>22} {:>12}", "k", "eigenvalue", "residual");
     for (k, (v, res)) in r.eigenvalues.iter().zip(&r.residuals).enumerate() {
         println!("{k:>4} {:>22.14} {:>12.2e}", (*v).to_f64(), (*res).to_f64());
@@ -444,42 +369,18 @@ fn cmd_solve(flags: Flags) -> Result<(), String> {
     };
     let tracing = trace_path.is_some() || metrics_path.is_some();
 
-    // `--plan-db FILE` resolves the Auto knobs from the measured plan DB: a
-    // hit applies the stored plan with zero trials; a miss tunes inside the
-    // solve grid and persists the fresh entry for the next run.
-    let plan_db_path = flags.get("plan-db").cloned();
-    if plan_db_path.is_some() && matches!(backend, Backend::Lms) {
-        return Err("--plan-db is not supported with the lms baseline backend".into());
-    }
-    if plan_db_path.is_some() && params.plans_rank_crash() {
-        return Err("--plan-db is not supported with a rank-crash fault plan \
-             (the measured plan is keyed to the pre-crash grid)"
-            .into());
-    }
-    let tune_opts = plan_db_path.as_ref().map(|_| TuneOptions {
-        deterministic: flags.contains_key("deterministic"),
-        machine: chase_perfmodel::Machine::juwels_booster(),
-        backend,
-    });
-    let mut db = match &plan_db_path {
-        Some(p) => PlanDb::load(p).map_err(|e| e.to_string())?,
-        None => PlanDb::new(),
-    };
-
     let m = load(&path).map_err(|e| e.to_string())?;
-    if params.ne() > m.rows() {
+    // A width that overflows is `Params::try_validate`'s to refuse.
+    if let Some(ne) = nev.checked_add(nex).filter(|&ne| ne > m.rows()) {
         return Err(format!(
-            "search space nev + nex = {} exceeds matrix size {} — lower --nev/--nex",
-            params.ne(),
+            "search space nev + nex = {ne} exceeds matrix size {} — lower --nev/--nex",
             m.rows()
         ));
     }
-    let tune = tune_opts.as_ref().map(|o| (&db, o));
-    let (outcome, trace, choice, tuned) = match m {
-        LoadedMatrix::C64(h) => solve_generic(&h, &params, shape, backend, dist, tracing, tune),
-        LoadedMatrix::F64(h) => solve_generic(&h, &params, shape, backend, dist, tracing, tune),
+    let (outcome, trace) = match m {
+        LoadedMatrix::C64(h) => solve_generic(&h, &params, shape, backend, dist, tracing),
+        LoadedMatrix::F64(h) => solve_generic(&h, &params, shape, backend, dist, tracing),
     };
-    report_plan(choice, tuned, &mut db, plan_db_path.as_deref())?;
     // Export the trace even for failed runs — a chaos run's timeline is most
     // interesting exactly when the solve aborts.
     if let Some(trace) = &trace {
@@ -500,117 +401,6 @@ fn cmd_solve(flags: Flags) -> Result<(), String> {
     }
 }
 
-/// `chase tune`: run the measurement trials for one solve configuration and
-/// persist the winning plan, without solving.
-fn cmd_tune(flags: Flags) -> Result<(), String> {
-    let path: String = get(&flags, "matrix", None)?;
-    let nev: usize = get(&flags, "nev", None)?;
-    let nex: usize = get(&flags, "nex", Some(nev.div_ceil(2).max(2)))?;
-    let db_path: String = get(&flags, "db", None)?;
-    let shape = match flags.get("grid") {
-        Some(g) => parse_grid("grid", g)?,
-        None => GridShape::new(1, 1),
-    };
-    let backend = match flags.get("backend").map(String::as_str).unwrap_or("nccl") {
-        "nccl" => Backend::Nccl,
-        "std" => Backend::Std,
-        other => return Err(format!("unknown backend '{other}' (nccl|std)")),
-    };
-    let opts = TuneOptions {
-        deterministic: flags.contains_key("deterministic"),
-        machine: chase_perfmodel::Machine::juwels_booster(),
-        backend,
-    };
-
-    let m = load(&path).map_err(|e| e.to_string())?;
-    if nev + nex > m.rows() {
-        return Err(format!(
-            "search space nev + nex = {} exceeds matrix size {}",
-            nev + nex,
-            m.rows()
-        ));
-    }
-    let mut db = PlanDb::load(&db_path).map_err(|e| e.to_string())?;
-    let (key, n) = match &m {
-        LoadedMatrix::C64(h) => (
-            plan_key::<C64>(&opts.machine, shape.p, shape.q, h.rows(), nev, nex),
-            h.rows(),
-        ),
-        LoadedMatrix::F64(h) => (
-            plan_key::<f64>(&opts.machine, shape.p, shape.q, h.rows(), nev, nex),
-            h.rows(),
-        ),
-    };
-    if db.get(&key).is_some() && !flags.contains_key("force") {
-        println!(
-            "already tuned: {} (use --force to re-measure)",
-            key.canonical()
-        );
-        return Ok(());
-    }
-    println!(
-        "tuning {n}x{n} on {}x{} grid ({} clock)...",
-        shape.p,
-        shape.q,
-        if opts.deterministic {
-            "deterministic perf-model"
-        } else {
-            "wall"
-        }
-    );
-    let outcome = match &m {
-        LoadedMatrix::C64(h) => tune_only(h, nev, nex, shape, &opts),
-        LoadedMatrix::F64(h) => tune_only(h, nev, nex, shape, &opts),
-    };
-    let e = &outcome.entry;
-    println!(
-        "plan for {}: {} trial(s), cost {:.3}us tuned vs {:.3}us flat ({:.1}% saved)",
-        e.key.canonical(),
-        e.trials,
-        e.tuned_cost * 1e6,
-        e.flat_cost * 1e6,
-        100.0 * (1.0 - e.tuned_cost / e.flat_cost.max(f64::MIN_POSITIVE))
-    );
-    println!("  {}", plan_from_entry(e).summary());
-    for r in &e.rules {
-        println!(
-            "  {} <= {}B x{}: {} chunk {}B ({:.3}us measured, {:.3}us modeled)",
-            r.op.name(),
-            r.max_bytes,
-            r.members,
-            r.algo.name(),
-            r.chunk_bytes,
-            r.measured * 1e6,
-            r.modeled * 1e6
-        );
-    }
-    println!("\nmodeled-vs-measured residuals:");
-    print!("{}", residual_report(&outcome.residuals));
-    db.insert(outcome.entry);
-    save_plan_db(&db, &db_path)
-}
-
-/// Run the tuner alone on its grid (no solve afterwards).
-fn tune_only<T: Scalar + chase_comm::Reduce>(
-    h: &Matrix<T>,
-    nev: usize,
-    nex: usize,
-    shape: GridShape,
-    opts: &TuneOptions,
-) -> TuneOutcome
-where
-    T::Real: chase_comm::Reduce,
-{
-    let out = run_grid(shape, move |ctx| {
-        let dh = DistHerm::from_global(h, ctx);
-        tune_entry(ctx, &dh, nev, nex, opts)
-    });
-    out.results
-        .into_iter()
-        .next()
-        .expect("at least one rank tuned")
-}
-
 /// `chase serve`: run a workload file through the sequence scheduler.
 fn cmd_serve(flags: Flags) -> Result<(), String> {
     let path: String = get(&flags, "workload", None)?;
@@ -626,12 +416,6 @@ fn cmd_serve(flags: Flags) -> Result<(), String> {
     };
     let metrics_path = flags.get("metrics").cloned();
     let trace_dir = flags.get("trace-dir").cloned();
-    // `--plan-db FILE` turns on autotuning: each session tunes on its first
-    // cold solve (deterministic clock — the scheduler's results must stay
-    // independent of worker interleaving) and every later solve with the
-    // same key reuses the shared entry with zero trials. `chase submit`ted
-    // jobs inherit the DB simply by running through this scheduler.
-    let plan_db_path = flags.get("plan-db").cloned();
 
     // `--checkpoint DIR` gives every job a private snapshot directory
     // (DIR/<job-name>) written every `--checkpoint-every` iterations
@@ -670,16 +454,8 @@ fn cmd_serve(flags: Flags) -> Result<(), String> {
         cache_bytes: cache_mb.saturating_mul(1 << 20),
         backend,
         record_traces: trace_dir.is_some(),
-        tune: plan_db_path.as_ref().map(|_| TuneOptions {
-            deterministic: true,
-            machine: chase_perfmodel::Machine::juwels_booster(),
-            backend,
-        }),
     })
     .map_err(|e| e.to_string())?;
-    if let Some(p) = &plan_db_path {
-        sched.set_plan_db(PlanDb::load(p).map_err(|e| e.to_string())?);
-    }
     for spec in jobs {
         sched.submit(spec).map_err(|e| e.to_string())?;
     }
@@ -742,15 +518,6 @@ fn cmd_serve(flags: Flags) -> Result<(), String> {
         m.total_matvecs,
         m.matvecs_saved
     );
-    if plan_db_path.is_some() {
-        println!(
-            "autotuning: {} plan(s) measured, {} db hit(s) (0 trials)",
-            m.plans_tuned, m.plan_db_hits
-        );
-    }
-    if let Some(p) = &plan_db_path {
-        save_plan_db(&sched.plan_db_snapshot(), p)?;
-    }
     if let Some(p) = &metrics_path {
         std::fs::write(p, m.to_json()).map_err(|e| format!("{p}: {e}"))?;
         println!("metrics: {p}");
@@ -955,31 +722,14 @@ USAGE:
                  [--collective flat|ring|tree|doubling|auto] [--cyclic BLOCK] [--no-degopt]
                  [--inject SPEC] [--no-guards]
                  [--checkpoint DIR] [--checkpoint-every K]
-                 [--plan-db FILE] [--deterministic]
                  [--trace FILE] [--trace-format chrome|summary] [--metrics FILE]
-  chase tune     --matrix FILE --nev K --db FILE [--nex X] [--grid PxQ]
-                 [--backend nccl|std] [--deterministic] [--force]
   chase serve    --workload FILE [--workers N] [--cache-mb M]
-                 [--backend nccl|std] [--plan-db FILE] [--metrics FILE] [--trace-dir DIR]
+                 [--backend nccl|std] [--metrics FILE] [--trace-dir DIR]
                  [--checkpoint DIR] [--checkpoint-every K]
   chase submit   --workload FILE --line 'gen name=j0 n=96 spectrum=dft nev=8 ...'
   chase check    [--seeds K] [--grids 1x1,2x2,1x4] [--scalars f64,c64]
                  [--systematic] [--no-oracle] [--canary]
                  [--witness-out FILE] [--replay FILE]
-
-AUTOTUNING:
-  chase tune measures the solver's collectives — hop schedules
-  (ring/tree/recursive-doubling x chunk size) on the actual row/column
-  communicators — with short trials and stores the winning plan in a versioned JSON DB keyed by
-  machine fingerprint x grid x problem x scalar. Under --deterministic the
-  trials are priced by the perf-model clock (bitwise replayable); otherwise
-  they are wall-clocked. chase solve --plan-db FILE applies the stored plan
-  unless --collective pins a hop schedule (a DB miss tunes in-place and
-  persists); a
-  warm DB means zero trials — the trace contains no 'tune' spans. The tuned
-  plan's trial cost is never worse than the flat reference, which is always
-  among the candidates. chase serve --plan-db shares one DB across the
-  worker pool: each session tunes on its first cold solve only.
 
 SERVING:
   chase serve runs a workload file (one 'job ...' or 'gen ...' line per job;

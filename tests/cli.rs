@@ -111,6 +111,9 @@ fn a_flag_the_subcommand_does_not_read_is_refused() {
         ("--overlap", "--no-guards"),
         ("--panel", "16"),
         ("--wait-timeout-ms", "500"),
+        // Removed with the measured-plan path.
+        ("--plan-db", "plans.json"),
+        ("--deterministic", "--no-guards"),
     ] {
         assert_refused(
             &[&solve[..], &[flag, value]].concat(),
@@ -142,6 +145,24 @@ fn a_flag_the_subcommand_does_not_read_is_refused() {
             "4",
         ],
         "chase serve takes no flag --max-queue",
+    );
+    // Removed with the measured-plan path, as is `chase tune` itself.
+    assert_refused(
+        &[
+            "serve",
+            "--workload",
+            workload.to_str().unwrap(),
+            "--plan-db",
+            "plans.json",
+        ],
+        "chase serve takes no flag --plan-db",
+    );
+    let tune = chase(&["tune", "--matrix", m.as_str(), "--nev", "4"]);
+    let stderr = String::from_utf8_lossy(&tune.stderr);
+    assert_eq!(tune.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.starts_with("error: unknown command 'tune'\n"),
+        "{stderr}"
     );
     let ok = chase(&[&solve[..], &["--qr", "auto"]].concat());
     assert!(ok.status.success(), "a flag solve reads: {ok:?}");

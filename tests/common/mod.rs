@@ -15,7 +15,7 @@ use chase_device::{Backend, Device};
 use chase_linalg::{Matrix, Scalar};
 use chase_matgen::{dense_with_spectrum, Spectrum};
 use chase_trace::Trace;
-use chase_tune::{solve_grid, GridOutcome, GridRun, PlanChoice, TuneOptions};
+use chase_tune::{solve_grid, GridOutcome, GridRun};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -58,28 +58,6 @@ where
     T::Real: Reduce,
 {
     all_ranks(solve_grid(h, p, &GridRun::new(shape)))
-}
-
-/// Like [`solve_on`], but with the autotuner in the loop: each rank runs a
-/// deterministic model-backed tuning pass, applies the resulting plan to
-/// its params (filling only knobs left on `Auto`), installs the measured
-/// hook and then solves. The tuned-plan matrix axis asserts this is a pure
-/// reconfiguration — bitwise-identical spectra on the same grid.
-pub fn solve_tuned_on<T>(
-    h: &Matrix<T>,
-    p: &Params,
-    shape: GridShape,
-) -> Vec<Result<ChaseResult<T>, ChaseError>>
-where
-    T: Scalar + Reduce,
-    T::Real: Reduce,
-{
-    let plan = PlanChoice::Tune(TuneOptions::deterministic());
-    let run = GridRun {
-        plan: Some(&plan),
-        ..GridRun::new(shape)
-    };
-    all_ranks(solve_grid(h, p, &run))
 }
 
 /// Like [`solve_on`], but with a trace recorder installed on every rank:

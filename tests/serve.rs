@@ -506,3 +506,30 @@ fn mismatched_session_step_fails_typed_and_alone() {
         &solo["lone"].0
     );
 }
+
+/// A job that panics (a `--no-guards` solve meeting a NaN block, the
+/// documented unguarded failure) stops the pool and is re-raised out of
+/// `drain`: the sibling's worker must not wait for it forever.
+#[test]
+fn a_panicking_job_stops_the_pool_and_drain_re_raises() {
+    let mut boom = gen_job("boom", 48, SpectrumKind::Uniform, 11, None);
+    boom.params.guards = false;
+    boom.params.inject = Some("seed=1;nan-block@iter=1,cols=2".parse().unwrap());
+    let mut sched: Scheduler<C64> = Scheduler::new(SchedulerConfig {
+        workers: 2,
+        ..SchedulerConfig::default()
+    });
+    for j in [boom, gen_job("lone", 40, SpectrumKind::Uniform, 3, None)] {
+        sched.submit(j).unwrap();
+    }
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let drained = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sched.drain()));
+        let _ = tx.send(drained.is_err());
+    });
+    let bound = std::time::Duration::from_millis(chase_comm::scaled_timeout_ms(60_000));
+    let panicked = rx
+        .recv_timeout(bound)
+        .expect("drain hung after a job panicked");
+    assert!(panicked, "drain must re-raise the job's panic");
+}

@@ -7,28 +7,20 @@
 //! - measurement never loses to the default: the flat schedule is always
 //!   among the trial candidates, so `tuned_cost <= flat_cost` for every
 //!   sampled `(N, grid, scalar)` configuration;
-//! - the plan is world-agreed: every rank of a grid derives bitwise the
-//!   same entry before anything executes under it;
-//! - a tuned plan is a pure reschedule: solving under `apply_plan` +
-//!   the entry as hook is bitwise identical to hand-pinning the same knobs;
-//! - the DB actually short-circuits work: a warm solve replays the stored
-//!   plan with *zero* `tune` trial spans in its trace, and lands on bitwise
-//!   the same answer as the cold solve that measured it.
+//! - the entry is world-agreed: every rank of a grid derives bitwise the
+//!   same entry.
 
 mod common;
 
-use std::sync::Arc;
-
-use chase_comm::{run_grid, GridShape, Reduce, TuneAlgo, TuneOp};
-use chase_core::{solve_dist, ChaseResult, DistHerm, Params};
-use chase_device::CollectiveAlgo;
+use chase_comm::{run_grid, GridShape, Reduce};
+use chase_core::DistHerm;
 use chase_linalg::{Scalar, C64};
-use chase_trace::TraceEvent;
+use chase_topo::{Algo, CollOp};
 use chase_tune::{
-    plan_key, solve_grid, tune_entry, CollRule, DbError, GridRun, PlanChoice, PlanDb, PlanEntry,
-    PlanKey, TuneOptions, DB_FORMAT, DB_VERSION,
+    plan_key, tune_entry, CollRule, DbError, PlanDb, PlanEntry, PlanKey, TuneOptions, DB_FORMAT,
+    DB_VERSION,
 };
-use common::{expect_all_ok, params, problem};
+use common::problem;
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------------
@@ -47,12 +39,12 @@ fn splitmix(x: &mut u64) -> u64 {
 
 fn gen_rule(seed: u64) -> CollRule {
     let mut s = seed;
-    let op = [TuneOp::AllReduce, TuneOp::Bcast, TuneOp::AllGather][(splitmix(&mut s) % 3) as usize];
+    let op = [CollOp::AllReduce, CollOp::Bcast, CollOp::AllGather][(splitmix(&mut s) % 3) as usize];
     let algo = [
-        TuneAlgo::Flat,
-        TuneAlgo::Ring,
-        TuneAlgo::Tree,
-        TuneAlgo::Doubling,
+        None,
+        Some(Algo::Ring),
+        Some(Algo::Tree),
+        Some(Algo::Doubling),
     ][(splitmix(&mut s) % 4) as usize];
     CollRule {
         op,
@@ -162,7 +154,7 @@ fn duplicate_keys_and_version_skew_are_typed() {
 }
 
 // ---------------------------------------------------------------------------
-// Live trials: tuned never loses to flat, and the plan is world-agreed.
+// Live trials: tuned never loses to flat, and the entry is world-agreed.
 // ---------------------------------------------------------------------------
 
 /// Deterministically tune one configuration, returning every rank's entry.
@@ -216,147 +208,5 @@ fn tuned_cost_never_exceeds_flat_and_ranks_agree() {
             let key = plan_key::<C64>(&TuneOptions::deterministic().machine, p, q, n, 6, 4);
             assert_eq!(e0.key.machine, key.machine, "fingerprint drifted");
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Plans are pure reschedules: tuned solve == manually-pinned solve, bitwise.
-// ---------------------------------------------------------------------------
-
-/// Solve with the measured hook installed by hand, under the given params:
-/// the reference the driver's plan application is compared against.
-fn solve_hooked(
-    h: &chase_linalg::Matrix<C64>,
-    p: &Params,
-    shape: GridShape,
-    entry: &PlanEntry,
-) -> Vec<ChaseResult<C64>> {
-    let out = run_grid(shape, move |ctx| {
-        ctx.set_tune_hook(Some(Arc::new(entry.clone())));
-        let r = solve_dist(
-            ctx,
-            chase_device::Backend::Nccl,
-            DistHerm::from_global(h, ctx),
-            p,
-            None,
-        );
-        ctx.set_tune_hook(None);
-        r
-    });
-    expect_all_ok(out.results, "hooked solve")
-}
-
-#[test]
-fn tuned_solve_is_bitwise_equal_to_manual_pinning() {
-    let n = 48;
-    let shape = GridShape::new(2, 2);
-    let (h, _) = problem::<C64>(n, 9);
-    let entry = tune_on::<C64>(n, 6, 4, shape).remove(0);
-
-    // Path A: the production plan application — Auto knobs filled by the
-    // measured plan, provenance attached.
-    let pa = params(6, 4, 1e-9);
-    let stored = PlanChoice::Hit(entry.clone());
-    let run = GridRun {
-        plan: Some(&stored),
-        ..GridRun::new(shape)
-    };
-    let a = solve_grid(&h, &pa, &run)
-        .into_solved()
-        .expect("planned solve");
-    assert!(
-        a[0].plan.is_some(),
-        "plan provenance missing from the result"
-    );
-
-    // Path B: the same decisions pinned by hand, no plan in sight.
-    let mut pb = params(6, 4, 1e-9);
-    pb.collective = CollectiveAlgo::Auto;
-    let b = solve_hooked(&h, &pb, shape, &entry);
-
-    for (rank, (ra, rb)) in a.iter().zip(&b).enumerate() {
-        assert_eq!(ra.eigenvalues, rb.eigenvalues, "rank {rank}: eigenvalues");
-        assert_eq!(ra.residuals, rb.residuals, "rank {rank}: residuals");
-        assert_eq!(ra.iterations, rb.iterations, "rank {rank}: iterations");
-        assert_eq!(ra.matvecs, rb.matvecs, "rank {rank}: matvecs");
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The DB short-circuits measurement: warm solves run zero tune trials.
-// ---------------------------------------------------------------------------
-
-/// One cold-or-warm solve against `db`, the way the scheduler and the CLI
-/// do it: the hit/miss decision is taken *once* before the SPMD region,
-/// trials (on a miss) run inside it under the solve's trace recorder.
-/// Returns every rank's result and the total `tune` span count.
-fn solve_against_db(
-    h: &chase_linalg::Matrix<C64>,
-    shape: GridShape,
-    db: &mut PlanDb,
-) -> (Vec<ChaseResult<C64>>, usize) {
-    let opts = TuneOptions::deterministic();
-    let plan = PlanChoice::lookup::<C64>(db, &opts, shape, h.rows(), 6, 4);
-    let p = params(6, 4, 1e-9);
-    let run = GridRun {
-        trace: true,
-        plan: Some(&plan),
-        ..GridRun::new(shape)
-    };
-    let mut out = solve_grid(h, &p, &run);
-    let trace = out.trace.take().expect("the run was traced");
-    let spans = trace
-        .ranks
-        .iter()
-        .flat_map(|r| &r.events)
-        .filter(|e| matches!(e, TraceEvent::SpanBegin { name, .. } if name == "tune"))
-        .count();
-    let tuned = out.tuned.take().expect("the run had a plan");
-    if matches!(plan, PlanChoice::Tune(_)) {
-        // The trials sit inside the solve's own trace, before its `solve` span.
-        for r in &trace.ranks {
-            let first = |span: &str| {
-                r.events
-                    .iter()
-                    .position(|e| matches!(e, TraceEvent::SpanBegin { name, .. } if name == span))
-                    .unwrap_or_else(|| panic!("rank {}: no `{span}` span", r.rank))
-            };
-            assert!(first("tune") < first("solve"), "rank {}", r.rank);
-        }
-        db.insert(tuned.entry);
-    } else {
-        assert!(tuned.residuals.is_empty(), "a hit measures nothing");
-    }
-    (out.into_solved().expect("solve against the db"), spans)
-}
-
-#[test]
-fn warm_db_solve_runs_zero_tune_trials() {
-    let shape = GridShape::new(2, 2);
-    let (h, _) = problem::<C64>(48, 21);
-    let mut db = PlanDb::new();
-
-    let (cold, cold_spans) = solve_against_db(&h, shape, &mut db);
-    assert!(
-        cold_spans > 0,
-        "cold solve with an empty DB must run measurement trials"
-    );
-    assert_eq!(db.len(), 1, "cold solve must persist its plan");
-
-    // Round-trip the DB through its on-disk form, as `chase serve` does
-    // between runs.
-    let db2 = PlanDb::parse(&db.emit()).expect("persisted DB must re-load");
-    let mut db2 = db2;
-    let (warm, warm_spans) = solve_against_db(&h, shape, &mut db2);
-    assert_eq!(
-        warm_spans, 0,
-        "warm solve replayed the plan but still ran {warm_spans} tune trial span(s)"
-    );
-
-    // The plan is the same either way, so the answers are bitwise equal.
-    for (rank, (rc, rw)) in cold.iter().zip(&warm).enumerate() {
-        assert_eq!(rc.eigenvalues, rw.eigenvalues, "rank {rank}: eigenvalues");
-        assert_eq!(rc.residuals, rw.residuals, "rank {rank}: residuals");
-        assert_eq!(rc.matvecs, rw.matvecs, "rank {rank}: matvecs");
     }
 }
