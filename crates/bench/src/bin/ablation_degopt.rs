@@ -2,6 +2,9 @@
 //! 11) on vs off, over the Table-1 surrogates — the MatVec economics that
 //! motivate the feature, and the conditioning cost it incurs (Fig. 1's
 //! opt-vs-no-opt contrast).
+//!
+//! A check as well as a table: exits non-zero if optimization spends more
+//! MatVecs than the fixed degree on any problem.
 
 use chase_core::{solve_serial, Params};
 use chase_linalg::C64;
@@ -17,6 +20,7 @@ fn main() {
         "{:<12} {:>12} {:>8} {:>12} {:>8} {:>10} {:>12}",
         "problem", "MV (opt)", "it", "MV (fixed)", "it", "saving", "peak kappa"
     );
+    let mut losses = Vec::new();
     for problem in &scaled_suite(scale) {
         let h = problem.matrix::<C64>();
         let mut results = Vec::new();
@@ -41,10 +45,20 @@ fn main() {
             "{:<12} {:>12} {:>8} {:>12} {:>8} {:>9.1}% {:>12.2e}",
             problem.name, mv_opt, it_opt, mv_fix, it_fix, saving, peak_opt
         );
+        if mv_opt > mv_fix {
+            losses.push(problem.name);
+        }
     }
     println!(
         "\nExpected: optimization reduces total MatVecs (or at worst matches) while\n\
          allowing higher per-iteration condition numbers (max degree 36 vs 20) —\n\
          the trade-off the condition estimator of Algorithm 5 makes safe."
     );
+    if !losses.is_empty() {
+        eprintln!(
+            "error: optimization spent more MatVecs than the fixed degree on {}",
+            losses.join(", ")
+        );
+        std::process::exit(1);
+    }
 }

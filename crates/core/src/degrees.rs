@@ -2,15 +2,29 @@
 //!
 //! ChASE's key efficiency feature: instead of filtering every vector with
 //! the same polynomial degree, each unconverged vector gets the smallest
-//! degree expected to push its residual below `tol`, minimizing the total
-//! MatVec count. The residual of the Ritz pair at `lambda` contracts per
+//! degree expected to push its residual below `tol` (plus [`DEG_EXTRA`]),
+//! minimizing the total MatVec count. The residual of the Ritz pair at `lambda` contracts per
 //! filter application by roughly `1 / rho(t)` with
 //! `t = (lambda - c)/e` (see [`crate::condest::growth_factor`]).
 
 use crate::condest::growth_factor;
 
+/// Degrees added to every optimised degree before the even rounding and the
+/// cap: upstream ChASE's `deg_extra`. The contraction model `res / rho^d` is
+/// optimistic — once the Ritz pairs settle the residual reached is ≈ 2x the
+/// predicted one, the `1/2` of `T_d(t) ≈ rho^d / 2` the model drops — and a
+/// column that misses its prediction holds the locked prefix back an
+/// iteration. See DESIGN.md §5 "The degree rule".
+pub(crate) const DEG_EXTRA: usize = 2;
+
+/// The largest even degree `<= max_deg`: filtered vectors must end in `C`,
+/// so an odd cap is rounded down, never up.
+pub(crate) fn even_cap(max_deg: usize) -> usize {
+    max_deg - max_deg % 2
+}
+
 /// Smallest even degree in `[2, max_deg]` expected to drive `res` below
-/// `tol`, given the vector's Ritz value mapped to `t`.
+/// `tol`, given the vector's Ritz value mapped to `t`, plus [`DEG_EXTRA`].
 pub fn optimal_degree(res: f64, tol: f64, t: f64, max_deg: usize) -> usize {
     let rho = growth_factor(t);
     let deg = if res <= tol {
@@ -22,17 +36,17 @@ pub fn optimal_degree(res: f64, tol: f64, t: f64, max_deg: usize) -> usize {
     } else {
         (res / tol).ln() / rho.ln()
     };
-    let mut d = deg.ceil().max(2.0) as usize;
+    let d = (deg.ceil().max(2.0) as usize)
+        .saturating_add(DEG_EXTRA)
+        .min(max_deg);
     // ChASE enforces even degrees so filtered vectors always end in C.
-    d += d % 2;
-    d.clamp(
-        2,
-        if max_deg.is_multiple_of(2) {
-            max_deg
-        } else {
-            max_deg - 1
-        },
-    )
+    (d + d % 2).clamp(2, even_cap(max_deg))
+}
+
+/// The residual the contraction model expects after filtering a column at
+/// degree `deg`: `res / rho(t)^deg` — what [`optimal_degree`] inverts.
+pub(crate) fn predicted_residual(res: f64, t: f64, deg: usize) -> f64 {
+    res * (-(deg as f64) * growth_factor(t).ln()).exp()
 }
 
 /// Vectorized version over the active columns.
@@ -91,7 +105,8 @@ mod tests {
 
     #[test]
     fn converged_gets_minimum() {
-        assert_eq!(optimal_degree(1e-12, 1e-10, -2.0, 36), 2);
+        // One polishing pass, plus the margin.
+        assert_eq!(optimal_degree(1e-12, 1e-10, -2.0, 36), 2 + DEG_EXTRA);
     }
 
     #[test]
@@ -101,10 +116,37 @@ mod tests {
 
     #[test]
     fn exact_contraction_count() {
-        // res/tol = 1e8, rho = 10 -> need 8 applications -> even -> 8.
+        // res/tol = 1e8, rho = 10 -> need 8 applications, + 2 margin -> 10.
         // Find t with rho(t) = 10: t = (10 + 1/10)/2 = 5.05.
         let d = optimal_degree(1e-2, 1e-10, 5.05, 100);
-        assert_eq!(d, 8);
+        assert_eq!(d, 8 + DEG_EXTRA);
+        // The model's own account of that degree: 1e-2 / 10^10.
+        let predicted = predicted_residual(1e-2, 5.05, d);
+        assert!((predicted / 1e-12 - 1.0).abs() < 1e-12, "{predicted}");
+    }
+
+    /// Wherever the model's degree sits, the margin lands on an even degree
+    /// at or below the cap — odd caps included, which round down.
+    #[test]
+    fn the_margin_never_passes_the_cap() {
+        for max_deg in 2..=40 {
+            for log_res in -12..=0 {
+                for t in [-1.01, -1.5, -3.0, -20.0, 0.5] {
+                    let d = optimal_degree(10f64.powi(log_res), 1e-10, t, max_deg);
+                    assert_eq!(d % 2, 0);
+                    assert!(
+                        (2..=even_cap(max_deg)).contains(&d),
+                        "max_deg {max_deg} res 1e{log_res} t {t}: {d}"
+                    );
+                }
+            }
+            // Inside the damped interval the answer is the cap, margin or not.
+            assert_eq!(optimal_degree(1.0, 1e-10, 0.5, max_deg), even_cap(max_deg));
+        }
+        // rho = 10 (t = 5.05), so res/tol = 10^k needs k applications: 10
+        // plus the margin is the cap exactly, 12 plus the margin stays there.
+        assert_eq!(optimal_degree(1e-2, 1e-12, 5.05, 12), 12);
+        assert_eq!(optimal_degree(1e-0, 1e-12, 5.05, 12), 12);
     }
 
     #[test]
@@ -118,5 +160,6 @@ mod tests {
     fn odd_cap_is_rounded_down() {
         let d = optimal_degree(1.0, 1e-10, 0.0, 35);
         assert_eq!(d, 34);
+        assert_eq!((even_cap(35), even_cap(36), even_cap(2)), (34, 36, 2));
     }
 }

@@ -53,8 +53,8 @@ pub use qr::{
     shifted_cholesky_qr2, LadderAttempt, QrError, QrVariant, COND_SHIFTED, COND_SINGLE,
 };
 pub use result::{
-    ChaseError, ChaseErrorKind, ChaseResult, IterStats, RecoveryEvent, RecoveryEventKind,
-    RecoveryLog,
+    ChaseError, ChaseErrorKind, ChaseResult, DegreeForecast, IterStats, RecoveryEvent,
+    RecoveryEventKind, RecoveryLog,
 };
 /// The name `bench_e2e/src/adapter.rs` calls [`solve_dist`] by; goes with
 /// the next PR that may edit the benchmark.

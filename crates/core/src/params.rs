@@ -1,5 +1,6 @@
 //! Solver parameters (the knobs of Algorithms 1–2).
 
+use crate::degrees::even_cap;
 use chase_device::CollectiveAlgo;
 
 /// Strategy for choosing the QR factorization each iteration.
@@ -111,9 +112,9 @@ impl Params {
     }
 
     /// The filter degree every column starts at: `deg`, rounded up to even
-    /// (filtered vectors must end in `C`).
+    /// (filtered vectors must end in `C`), but never past the even cap.
     pub(crate) fn init_deg(&self) -> usize {
-        self.deg + self.deg % 2
+        (self.deg + self.deg % 2).min(even_cap(self.max_deg))
     }
 
     /// Validate against a problem size, reporting the first violation as a
@@ -190,5 +191,20 @@ mod tests {
     #[test]
     fn validate_accepts_sane() {
         Params::new(10, 5).validate(100);
+    }
+
+    /// An odd `max_deg` is a cap, not a suggestion: the initial degree
+    /// rounds `deg` up to even only as far as the largest even degree
+    /// below the cap.
+    #[test]
+    fn an_odd_cap_bounds_the_initial_degree() {
+        let mut p = Params::new(10, 5);
+        (p.deg, p.max_deg) = (35, 35);
+        p.validate(100);
+        assert_eq!(p.init_deg(), 34);
+        (p.deg, p.max_deg) = (33, 35);
+        assert_eq!(p.init_deg(), 34);
+        (p.deg, p.max_deg) = (21, 36);
+        assert_eq!(p.init_deg(), 22);
     }
 }

@@ -30,6 +30,26 @@ pub struct IterStats {
     pub max_res: f64,
     /// Largest Chebyshev degree used this iteration.
     pub max_degree: usize,
+    /// The degree plan held to its prediction; `None` for an iteration
+    /// that filtered at the initial degree without a plan (the first).
+    pub forecast: Option<DegreeForecast>,
+}
+
+/// How the contraction model behind the degree plan (`res / rho(t)^d`, what
+/// [`crate::optimal_degree`] inverts) fared on the wanted active columns of
+/// one iteration: per column, the residual reached over the one predicted
+/// at the degree the column was filtered at.
+#[derive(Debug, Clone, Copy)]
+pub struct DegreeForecast {
+    /// Wanted active columns planned (`nev - locked` before the iteration).
+    pub columns: usize,
+    /// Median and 90th percentile (nearest rank) of achieved / predicted:
+    /// above one, the model was optimistic.
+    pub median_ratio: f64,
+    pub q90_ratio: f64,
+    /// Columns predicted to reach `tol`, and columns that did.
+    pub predicted_converged: usize,
+    pub converged: usize,
 }
 
 /// One detection or recovery action the guarded solver took. Deterministic

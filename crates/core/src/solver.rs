@@ -18,6 +18,7 @@
 
 use crate::ckpt::{CkptError, Snapshot};
 use crate::condest::cond_est;
+use crate::degrees::even_cap;
 use crate::filter::{chebyshev_filter_with, FilterBounds, FilterError, FilterExec};
 use crate::hemm::{hemm_c_to_b, matvec_replicated};
 use crate::layout::{DistHerm, MemoryReport, RowDist};
@@ -547,8 +548,8 @@ where
                 .iter()
                 .map(|&j| {
                     // A bumped (still even) degree.
-                    let d = (self.sub.degs[j] + 2 * attempt).min(self.params.max_deg);
-                    (d + d % 2, j)
+                    let d = (self.sub.degs[j] + 2 * attempt).min(even_cap(self.params.max_deg));
+                    (d, j)
                 })
                 .collect();
             by_degree.sort_unstable();

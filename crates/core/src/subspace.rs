@@ -5,11 +5,11 @@
 //! degrees are planned, columns locked, iterations summarized or the result
 //! sorted.
 
-use crate::degrees::{degree_sort_permutation, optimize_degrees};
+use crate::degrees::{degree_sort_permutation, optimize_degrees, predicted_residual};
 use crate::filter::FilterBounds;
 use crate::params::Params;
 use crate::qr::QrVariant;
-use crate::result::IterStats;
+use crate::result::{DegreeForecast, IterStats};
 use chase_linalg::{Matrix, RealScalar, Scalar};
 
 /// Permute columns `offset..offset+perm.len()` of `m` so that new column `k`
@@ -38,6 +38,16 @@ pub(crate) struct Measured {
     pub qr_variant: QrVariant,
 }
 
+/// What [`Subspace::plan_degrees`] knew of one wanted active column: its
+/// Ritz rank, residual and `t` before the filter, and the slot it was
+/// permuted to (where the degree it is filtered at is read).
+struct Planned {
+    rank: usize,
+    res: f64,
+    t: f64,
+    slot: usize,
+}
+
 /// Ritz values, residuals and degrees of the `ne` search directions, the
 /// first `locked` of which are converged and deflated. Replicated: every
 /// rank holds the same values.
@@ -46,6 +56,9 @@ pub(crate) struct Subspace<R> {
     pub resd: Vec<R>,
     pub degs: Vec<usize>,
     pub locked: usize,
+    /// The wanted columns of the last plan, for the iteration's
+    /// [`DegreeForecast`]; empty when the iteration was not planned.
+    planned: Vec<Planned>,
 }
 
 impl<R: RealScalar> Subspace<R> {
@@ -58,6 +71,7 @@ impl<R: RealScalar> Subspace<R> {
             resd: vec![R::one(); ne],
             degs: vec![deg0; ne],
             locked: 0,
+            planned: Vec::new(),
         }
     }
 
@@ -69,23 +83,43 @@ impl<R: RealScalar> Subspace<R> {
     /// line 11: optimized per column, or all at the initial degree), then
     /// the active columns sorted ascending by degree (line 12). Returns the
     /// permutation, for the caller's column blocks (see [`permute_cols`]).
+    ///
+    /// The active columns arrive in ascending Ritz order (Rayleigh–Ritz
+    /// sorts them). Optimized, the `nex` extra columns `nev..ne` are not
+    /// planned for themselves: they are filtered at column `nev - 1`'s
+    /// degree, as upstream ChASE's `calc_degrees` does (DESIGN.md §5).
     pub fn plan_degrees(&mut self, params: &Params, fb: &FilterBounds<R>, norm_h: R) -> Vec<usize> {
         let l = self.locked;
+        let (c, e) = (fb.c.to_f64(), fb.e.to_f64());
         if params.optimize_degrees {
             let f64s = |v: &[R]| v.iter().map(|r| r.to_f64()).collect::<Vec<_>>();
             let new_degs = optimize_degrees(
-                &f64s(&self.resd[l..]),
-                &f64s(&self.ritzv[l..]),
-                fb.c.to_f64(),
-                fb.e.to_f64(),
+                &f64s(&self.resd[l..params.nev]),
+                &f64s(&self.ritzv[l..params.nev]),
+                c,
+                e,
                 params.tol * norm_h.to_f64(),
                 params.max_deg,
             );
-            self.degs[l..].copy_from_slice(&new_degs);
+            self.degs[l..params.nev].copy_from_slice(&new_degs);
+            let last_wanted = self.degs[params.nev - 1];
+            self.degs[params.nev..].fill(last_wanted);
         } else {
             self.degs[l..].fill(params.init_deg());
         }
         let perm = degree_sort_permutation(&self.degs[l..]);
+        let mut slot = vec![0; perm.len()];
+        for (k, &src) in perm.iter().enumerate() {
+            slot[src] = l + k;
+        }
+        self.planned = (l..params.nev)
+            .map(|j| Planned {
+                rank: j,
+                res: self.resd[j].to_f64(),
+                t: (self.ritzv[j].to_f64() - c) / e,
+                slot: slot[j - l],
+            })
+            .collect();
         permute_vec(&mut self.ritzv[l..], &perm);
         permute_vec(&mut self.resd[l..], &perm);
         permute_vec(&mut self.degs[l..], &perm);
@@ -100,6 +134,7 @@ impl<R: RealScalar> Subspace<R> {
     pub fn lock_and_record(&mut self, tol: R, m: Measured) -> IterStats {
         let ne = self.ne();
         let before = self.locked;
+        let forecast = self.forecast(tol.to_f64());
         while self.locked < ne && self.resd[self.locked] < tol {
             self.locked += 1;
         }
@@ -120,7 +155,39 @@ impl<R: RealScalar> Subspace<R> {
                 .iter()
                 .max()
                 .unwrap_or(&0),
+            forecast,
         }
+    }
+
+    /// The last plan held to what the iteration reached: column `rank`'s
+    /// residual before the filter, contracted by the model at the degree
+    /// its slot was filtered at (a re-filter's bump included), against the
+    /// residual of the Ritz pair of the same rank now. Consumes the plan.
+    fn forecast(&mut self, tol: f64) -> Option<DegreeForecast> {
+        let planned = std::mem::take(&mut self.planned);
+        if planned.is_empty() {
+            return None;
+        }
+        let mut ratios = Vec::with_capacity(planned.len());
+        let (mut predicted_converged, mut converged) = (0, 0);
+        for p in &planned {
+            let predicted = predicted_residual(p.res, p.t, self.degs[p.slot]);
+            let achieved = self.resd[p.rank].to_f64();
+            ratios.push(achieved / predicted);
+            predicted_converged += usize::from(predicted < tol);
+            converged += usize::from(achieved < tol);
+        }
+        ratios.sort_by(f64::total_cmp);
+        // Nearest rank: the smallest ratio at least a share `q` of the
+        // columns do not exceed.
+        let quantile = |q: f64| ratios[((q * ratios.len() as f64).ceil() as usize).max(1) - 1];
+        Some(DegreeForecast {
+            columns: planned.len(),
+            median_ratio: quantile(0.5),
+            q90_ratio: quantile(0.9),
+            predicted_converged,
+            converged,
+        })
     }
 
     /// Bound updates (Algorithm 2, lines 5–7): `(mu_1, mu_ne)` are the
@@ -200,8 +267,11 @@ mod tests {
         let fb = FilterBounds::from_spectrum(-1.0f64, 0.0, 1.0);
         let mut sub = Subspace::new(7, -1.0f64, params.init_deg());
         sub.locked = 2;
-        sub.ritzv = vec![-0.99, -0.95, -0.9, -0.3, -0.8, -0.1, -0.6];
-        sub.resd = vec![1e-12, 1e-12, 1e-9, 1e-2, 1e-6, 1e-1, 1e-4];
+        // Ascending Ritz order, as Rayleigh–Ritz leaves it; the wanted
+        // column 2 needs a higher degree than column 3 (and the extra
+        // columns 4..7, which take column 3's), so the plan reorders.
+        sub.ritzv = vec![-0.99, -0.95, -0.9, -0.8, -0.6, -0.3, -0.1];
+        sub.resd = vec![1e-12, 1e-12, 1e-2, 1e-9, 1e-6, 1e-1, 1e-4];
         // Column `j` of the block carries `ritzv[j]`, to follow it around.
         let mut c = Matrix::<f64>::from_fn(3, 7, |_, j| sub.ritzv[j]);
         let before: Vec<(f64, f64)> = sub.ritzv.iter().copied().zip(sub.resd.clone()).collect();
@@ -214,22 +284,26 @@ mod tests {
             "{:?}",
             sub.degs
         );
+        assert_eq!(perm, [1, 2, 3, 4, 0]);
         assert!(
             sub.degs[2] < sub.degs[6],
             "the spread residuals need different degrees"
         );
+        let planned = |k: usize| {
+            let t = (before[k].0 - fb.c) / fb.e;
+            crate::degrees::optimal_degree(before[k].1, params.tol, t, params.max_deg)
+        };
         for j in 0..7 {
             let pair = (sub.ritzv[j], sub.resd[j]);
-            assert!(
-                before.contains(&pair),
-                "column {j} is nobody's pair: {pair:?}"
-            );
+            let Some(k) = before.iter().position(|&p| p == pair) else {
+                panic!("column {j} is nobody's pair: {pair:?}");
+            };
             assert_eq!(c[(0, j)], sub.ritzv[j], "column {j} lost its Ritz value");
             if j >= 2 {
-                let t = (sub.ritzv[j] - fb.c) / fb.e;
-                let want =
-                    crate::degrees::optimal_degree(sub.resd[j], params.tol, t, params.max_deg);
-                assert_eq!(sub.degs[j], want, "column {j}");
+                // A wanted column is planned for itself, an extra one at
+                // the last wanted column's degree.
+                let want = planned(k.min(params.nev - 1));
+                assert_eq!(sub.degs[j], want, "column {j} (was {k})");
             }
         }
         assert_eq!(
@@ -243,6 +317,81 @@ mod tests {
         let perm = sub.plan_degrees(&params, &fb, 1.0);
         assert_eq!(perm, [0, 1, 2, 3, 4]);
         assert_eq!(sub.degs[2..], [params.init_deg(); 5]);
+    }
+
+    /// The `nex` rule: the extra columns take the last wanted column's
+    /// degree whatever their own residual — converged, far from it, or
+    /// inside the damped interval — and the plan still sorts ascending.
+    #[test]
+    fn extra_columns_take_the_last_wanted_degree() {
+        let params = Params::new(3, 4);
+        let fb = FilterBounds::from_spectrum(-1.0f64, 0.0, 1.0);
+        let mut sub = Subspace::new(7, -1.0f64, params.init_deg());
+        sub.locked = 1;
+        sub.ritzv = vec![-0.99, -0.95, -0.9, -0.85, -0.5, 0.2, 0.4];
+        sub.resd = vec![1e-12, 1e-3, 1e-8, 1e-12, 1.0, 1e-1, 1e-5];
+        let t = |k: usize| (sub.ritzv[k] - fb.c) / fb.e;
+        let own =
+            |k: usize, r: f64| crate::degrees::optimal_degree(r, params.tol, t(k), params.max_deg);
+        let (d1, d2) = (own(1, 1e-3), own(2, 1e-8));
+        assert!(d2 < d1, "{d2} !< {d1}");
+        // Left to themselves the extra columns would spread from the
+        // polishing degree to the cap.
+        assert_eq!(own(3, 1e-12), 2 + crate::degrees::DEG_EXTRA);
+        assert_eq!(own(5, 1e-1), 36);
+
+        let perm = sub.plan_degrees(&params, &fb, 1.0);
+        assert_eq!(sub.degs[1..], [d2, d2, d2, d2, d2, d1]);
+        assert_eq!(perm, [1, 2, 3, 4, 5, 0]);
+        assert_eq!(sub.ritzv[1..], [-0.9, -0.85, -0.5, 0.2, 0.4, -0.95]);
+        assert_eq!(sub.resd[1..], [1e-8, 1e-12, 1.0, 1e-1, 1e-5, 1e-3]);
+    }
+
+    /// The forecast holds each wanted column's prediction — its residual
+    /// before the filter over `rho(t)^d` at the degree its slot was
+    /// filtered at — to the residual of the same Ritz rank afterwards, and
+    /// an unplanned iteration has none.
+    #[test]
+    fn the_forecast_follows_each_wanted_rank_to_its_filtered_slot() {
+        let params = Params::new(3, 2);
+        let fb = FilterBounds::from_spectrum(-1.0f64, 0.0, 1.0);
+        let mut sub = Subspace::new(5, -1.0f64, params.init_deg());
+        assert!(sub.lock_and_record(1e-10, measured(1)).forecast.is_none());
+
+        sub.ritzv = vec![-0.99, -0.95, -0.9, -0.85, -0.8];
+        sub.resd = vec![1e-2, 1e-9, 1e-5, 1e-3, 1e-3];
+        let before = sub.resd.clone();
+        let t: Vec<f64> = sub.ritzv.iter().map(|r| (r - fb.c) / fb.e).collect();
+        sub.plan_degrees(&params, &fb, 1.0);
+        // The highest degree is rank 0's, now in the last slot; a
+        // re-filter bumps it, and the prediction follows the bump.
+        assert_eq!(sub.ritzv[4], -0.99);
+        sub.degs[4] += 2;
+        let predicted: Vec<f64> = [(0, sub.degs[4]), (1, sub.degs[0]), (2, sub.degs[1])]
+            .iter()
+            .map(|&(k, d)| crate::degrees::predicted_residual(before[k], t[k], d))
+            .collect();
+        // Rayleigh–Ritz: ranks 0 and 1 reach ten and twice their
+        // predictions; rank 2 reaches half of its and converges.
+        sub.ritzv = vec![-0.99, -0.95, -0.9, -0.85, -0.8];
+        sub.resd = vec![
+            10.0 * predicted[0],
+            2.0 * predicted[1],
+            0.5 * predicted[2],
+            1.0,
+            1.0,
+        ];
+        let tol = 2.0 * predicted[2].max(predicted[0]).max(predicted[1]);
+        let f = sub
+            .lock_and_record(tol, measured(2))
+            .forecast
+            .expect("a planned iteration");
+        assert_eq!(f.columns, 3);
+        assert!((f.median_ratio / 2.0 - 1.0).abs() < 1e-12, "{f:?}");
+        assert!((f.q90_ratio / 10.0 - 1.0).abs() < 1e-12, "{f:?}");
+        assert_eq!((f.predicted_converged, f.converged), (3, 2));
+        // The plan is spent: the next row has a forecast only if planned.
+        assert!(sub.lock_and_record(tol, measured(3)).forecast.is_none());
     }
 
     /// A test of its own, on inputs the optimizer cannot see through: with

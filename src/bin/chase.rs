@@ -216,8 +216,15 @@ fn print_result<T: Scalar>(r: &ChaseResult<T>, wall: std::time::Duration) {
     }
     println!("\nQR switchboard trace:");
     for s in &r.stats {
+        // The degree plan held to its prediction (none in iteration 1).
+        let forecast = s.forecast.map_or(String::new(), |f| {
+            format!(
+                " | reached/predicted median {:.1e} q90 {:.1e}, converged {} of {} (predicted {})",
+                f.median_ratio, f.q90_ratio, f.converged, f.columns, f.predicted_converged
+            )
+        });
         println!(
-            "  iter {:>2}: est cond {:>9.2e} -> {:<13} locked {:>4} maxres {:.2e}",
+            "  iter {:>2}: est cond {:>9.2e} -> {:<13} locked {:>4} maxres {:.2e}{forecast}",
             s.iter,
             s.est_cond,
             s.qr_variant.name(),

@@ -2,7 +2,7 @@
 //! reporting, maximal subspaces, degenerate spectra, and more ranks than the
 //! problem comfortably fits.
 
-use chase_core::{solve_serial, ChaseErrorKind, Params, WarmStart};
+use chase_core::{solve_serial, ChaseErrorKind, Params, RecoveryEventKind, WarmStart};
 use chase_linalg::{Matrix, SpectralBounds, C64};
 use chase_matgen::{dense_with_spectrum, Spectrum};
 
@@ -30,6 +30,34 @@ fn non_convergence_is_reported_not_panicked() {
     assert_eq!(r.iterations, 1);
     // Best-effort eigenvalues are still returned (nev of them).
     assert_eq!(r.eigenvalues.len(), 6);
+}
+
+/// 35 is a cap even though it is odd: with `deg = max_deg = 35` the first
+/// iteration runs at 34, and with `deg = 33` a re-filter's bump of a
+/// poisoned column lands on 34 too (each rounds to even, and an odd cap
+/// rounds down); the optimised iterations stay below it as well.
+#[test]
+fn an_odd_degree_cap_is_never_exceeded() {
+    let spec = Spectrum::uniform(60, -1.0, 1.0);
+    let h = dense_with_spectrum::<C64>(&spec, 4);
+    for deg in [35, 33] {
+        let mut p = Params::new(6, 4);
+        (p.deg, p.max_deg) = (deg, 35);
+        p.inject = Some("seed=3;nan-block@iter=1,cols=1".parse().unwrap());
+        let r = solve_serial(&h, &p, None).expect("ChASE solve");
+        assert!(r.converged);
+        assert!(
+            r.recovery
+                .any(|k| matches!(k, RecoveryEventKind::Refiltered { degree: 34, .. })),
+            "deg {deg}: no re-filter at the cap:\n{}",
+            r.recovery
+        );
+        for s in &r.stats {
+            let d = s.max_degree;
+            assert!(d <= 35, "deg {deg}, iter {}: degree {d}", s.iter);
+        }
+        assert_eq!(r.stats[0].max_degree, 34);
+    }
 }
 
 #[test]
