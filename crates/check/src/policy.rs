@@ -294,7 +294,7 @@ mod tests {
     #[test]
     fn recorder_logs_consulted_points() {
         let rec = RecordingSchedule::new(SeededSchedule::new(9));
-        let p = pt("ibcast", 4, 4);
+        let p = pt("bcast", 4, 4);
         let perm = rec.arrival_order(&p).unwrap();
         let log = rec.recorded();
         assert_eq!(log.len(), 1);

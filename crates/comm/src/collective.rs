@@ -1023,26 +1023,6 @@ impl Communicator {
         )
     }
 
-    /// Post a nonblocking broadcast of `root`'s `buf`. Non-root callers pass
-    /// their (ignored) receive buffer so lengths can be checked at wait.
-    pub fn ibcast<T: Clone + Send + Sync + 'static>(
-        &self,
-        buf: &[T],
-        root: usize,
-    ) -> Request<'_, T> {
-        assert!(root < self.size());
-        let mine = (self.my_index == root).then(|| self.stage(buf));
-        self.ipost("ibcast", buf.len(), mine, fold_root(root))
-    }
-
-    /// Post a nonblocking allgather of `mine`. Contributions may be ragged;
-    /// the result is the member-order concatenation, delivered through
-    /// [`GatherRequest::wait`].
-    pub fn iallgather<T: Clone + Send + Sync + 'static>(&self, mine: &[T]) -> GatherRequest<'_, T> {
-        let staged = Some(self.stage(mine));
-        GatherRequest(self.ipost("iallgather", mine.len(), staged, fold_concat::<T>))
-    }
-
     // ---- dead-rank agreement -------------------------------------------
 
     /// Deterministic agreement round on the dead-rank set, run by survivors
@@ -1198,7 +1178,7 @@ impl<T: Send + 'static> Drop for SendBuf<'_, T> {
     }
 }
 
-/// Handle to an in-flight nonblocking allreduce/bcast. Must be waited; the
+/// Handle to an in-flight nonblocking allreduce. Must be waited; the
 /// SPMD contract is broken (and a panic raised) if it is dropped unresolved.
 #[must_use = "a nonblocking collective must be waited"]
 pub struct Request<'c, T: Send + 'static> {
@@ -1215,22 +1195,18 @@ impl<T: Send + 'static> Request<'_, T> {
     /// if some member never posts within the communicator's watchdog, a
     /// member is marked dead, or the engine has no record of the op — `out`
     /// is untouched in every error case.
-    pub fn wait(self, out: &mut [T]) -> Result<(), CommError>
+    pub fn wait(mut self, out: &mut [T]) -> Result<(), CommError>
     where
         T: Clone,
     {
         assert_eq!(self.len, out.len(), "wait buffer length mismatch");
-        self.finish(|r| {
-            assert_eq!(r.len(), out.len(), "posted/result length mismatch");
-            out.clone_from_slice(r);
-        })
-    }
-
-    fn finish(mut self, read: impl FnOnce(&Vec<T>)) -> Result<(), CommError> {
         // Resolved either way: a timed-out request must not panic on drop —
         // the typed error *is* the resolution.
         self.done = true;
-        self.comm.complete(self.key, true, read)
+        self.comm.complete(self.key, true, |r: &Vec<T>| {
+            assert_eq!(r.len(), out.len(), "posted/result length mismatch");
+            out.clone_from_slice(r);
+        })
     }
 }
 
@@ -1239,25 +1215,6 @@ impl<T: Send + 'static> Drop for Request<'_, T> {
         if !self.done && !std::thread::panicking() {
             panic!("nonblocking request dropped without wait()");
         }
-    }
-}
-
-/// Handle to an in-flight nonblocking allgather (result length is only
-/// known once every contribution arrived).
-#[must_use = "a nonblocking collective must be waited"]
-pub struct GatherRequest<'c, T: Send + 'static>(Request<'c, T>);
-
-impl<T: Send + 'static> GatherRequest<'_, T> {
-    /// Block until the gather completes and replace `out`'s contents with
-    /// the member-order concatenation (capacity is reused across calls).
-    /// Returns a typed [`CommError`] if some member never posts, a member
-    /// is marked dead, or the engine has no record of the op; `out` is
-    /// untouched in every error case.
-    pub fn wait(self, out: &mut Vec<T>) -> Result<(), CommError>
-    where
-        T: Clone,
-    {
-        self.0.finish(|r| out.clone_from(r))
     }
 }
 
@@ -1522,28 +1479,6 @@ mod tests {
     }
 
     #[test]
-    fn ibcast_and_iallgather() {
-        let out = run_spmd(3, |c| {
-            let mine = if c.rank() == 1 {
-                vec![5u64, 6]
-            } else {
-                vec![0, 0]
-            };
-            let rb = c.ibcast(&mine, 1);
-            let rg = c.iallgather(&vec![c.rank() as u64; c.rank() + 1]);
-            let mut got = vec![0u64; 2];
-            rb.wait(&mut got).unwrap();
-            let mut gathered = Vec::new();
-            rg.wait(&mut gathered).unwrap();
-            (got, gathered)
-        });
-        for (got, gathered) in out {
-            assert_eq!(got, vec![5, 6]);
-            assert_eq!(gathered, vec![0, 1, 1, 2, 2, 2]);
-        }
-    }
-
-    #[test]
     fn nonblocking_interleaves_with_blocking_on_same_communicator() {
         // Stress: a nonblocking op stays in flight across blocking
         // collectives and p2p traffic on the same communicator. The engines
@@ -1619,14 +1554,6 @@ mod tests {
         let mut out = [0.0; 2];
         r.wait(&mut out).unwrap();
         assert_eq!(out, [2.5, 1.5]);
-        let g = c.iallgather(&[7u64]);
-        let mut v = Vec::new();
-        g.wait(&mut v).unwrap();
-        assert_eq!(v, vec![7]);
-        let b = c.ibcast(&[9u64], 0);
-        let mut bb = [0u64];
-        b.wait(&mut bb).unwrap();
-        assert_eq!(bb, [9]);
     }
 
     /// The members of an `n`-wide communicator except the last run `f`; the
@@ -1664,25 +1591,6 @@ mod tests {
     }
 
     #[test]
-    fn dropped_gather_times_out() {
-        let out = run_without_last(2, |c| {
-            c.seams().update(|s| s.wait_timeout_ms = Some(40));
-            let req = c.iallgather(&[c.rank() as u64]);
-            let mut v = vec![99u64];
-            let err = req.wait(&mut v).unwrap_err();
-            let CommError::Timeout(t) = err else {
-                panic!("expected a timeout, got {err}");
-            };
-            (t.timeout_ms, v)
-        });
-        assert_eq!(
-            out,
-            vec![(40, vec![99])],
-            "timeout leaves the out buffer alone"
-        );
-    }
-
-    #[test]
     fn delayed_post_still_delivers() {
         let out = run_spmd(2, |c| {
             if c.rank() == 1 {
@@ -1696,20 +1604,6 @@ mod tests {
         for v in out {
             assert_eq!(v, 3.0);
         }
-    }
-
-    #[test]
-    fn dropped_ibcast_times_out() {
-        let out = run_without_last(2, |c| {
-            c.seams().update(|s| s.wait_timeout_ms = Some(40));
-            let req = c.ibcast(&[c.rank() as u64], 0);
-            let mut v = [7u64];
-            match req.wait(&mut v).unwrap_err() {
-                CommError::Timeout(t) => t.op_id,
-                other => panic!("expected a timeout, got {other}"),
-            }
-        });
-        assert_eq!(out, vec![0]);
     }
 
     #[test]

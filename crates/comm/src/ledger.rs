@@ -7,7 +7,7 @@
 //! (JUWELS-Booster, 4×A100 per node), split into the computation /
 //! communication / data-movement categories of Fig. 2.
 
-use crate::json::{self, Json};
+use crate::json::Json;
 
 /// Which ChASE kernel an event belongs to (the four bars of Fig. 2, plus
 /// Lanczos and a catch-all).
@@ -247,10 +247,6 @@ impl Ledger {
         self.region = Some(region);
     }
 
-    pub fn clear_region(&mut self) {
-        self.region = None;
-    }
-
     /// Region subsequent events are attributed to, if one is set.
     pub fn current_region(&self) -> Option<Region> {
         self.region
@@ -344,41 +340,6 @@ impl Ledger {
             region: self.region,
         }
     }
-
-    /// JSON encoding of the event log: an array of flat objects, one per
-    /// event, e.g. `{"region":"Filter","kind":"Gemm","m":4,"n":5,"k":6}`.
-    /// [`Ledger::from_json`] round-trips exactly this format.
-    pub fn to_json(&self) -> String {
-        let items: Vec<String> = self.events.iter().map(event_to_json).collect();
-        format!("[{}]", items.join(","))
-    }
-
-    /// Parse a ledger from the output of [`Ledger::to_json`].
-    pub fn from_json(s: &str) -> Result<Ledger, String> {
-        let doc = json::parse(s)?;
-        let events = doc
-            .as_arr()
-            .ok_or("ledger JSON must be an array")?
-            .iter()
-            .map(event_from_json)
-            .collect::<Result<_, _>>()?;
-        Ok(Ledger {
-            events,
-            ..Ledger::new()
-        })
-    }
-}
-
-fn event_to_json(ev: &Event) -> String {
-    let region = ev.region.name();
-    let kind = kind_to_json(&ev.kind);
-    // The span is emitted only when informative so ledgers from analytic
-    // streams (no clock) keep the compact encoding.
-    let mut extra = String::new();
-    if ev.t0_us != 0 || ev.t1_us != 0 {
-        extra.push_str(&format!(",\"t0\":{},\"t1\":{}", ev.t0_us, ev.t1_us));
-    }
-    format!("{{\"region\":\"{region}\",{kind}{extra}}}")
 }
 
 /// Flat JSON fields for an event kind (no surrounding braces), e.g.
@@ -428,23 +389,9 @@ pub fn kind_to_json(kind: &EventKind) -> String {
     }
 }
 
-fn event_from_json(obj: &Json) -> Result<Event, String> {
-    let region = obj.str_field("region")?;
-    let region = Region::parse_name(region).ok_or_else(|| format!("unknown region {region}"))?;
-    // The encoder leaves these out when they carry nothing; a key that is
-    // present must still hold an integer.
-    let optional = |key: &str| obj.get(key).map(|_| obj.u64_field(key)).transpose();
-    Ok(Event {
-        kind: kind_from_json(obj)?,
-        region,
-        t0_us: optional("t0")?.unwrap_or(0),
-        t1_us: optional("t1")?.unwrap_or(0),
-    })
-}
-
 /// Decode an [`EventKind`] from an object carrying the flat fields emitted
-/// by [`kind_to_json`] (other keys, such as a ledger event's `region` or a
-/// trace event's `ev` tag, are ignored).
+/// by [`kind_to_json`] (other keys, such as a trace event's `region` or `ev`
+/// tag, are ignored).
 pub fn kind_from_json(obj: &Json) -> Result<EventKind, String> {
     Ok(match obj.str_field("kind")? {
         "Gemm" => EventKind::Gemm {
@@ -535,6 +482,7 @@ impl Drop for RegionGuard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json;
 
     #[test]
     fn categories() {
@@ -633,56 +581,29 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip() {
-        let mut l = Ledger::new();
-        l.record_in(Region::Filter, EventKind::Gemm { m: 4, n: 5, k: 6 });
-        l.record_in(
-            Region::Qr,
-            EventKind::P2p {
-                bytes: 512,
-                link: LinkClass::NvLink,
-            },
-        );
-        l.record_in(
-            Region::Other,
-            EventKind::AllGather {
-                bytes_per_rank: 3,
-                members: 2,
-            },
-        );
-        let s = l.to_json();
-        let back = Ledger::from_json(&s).unwrap();
-        assert_eq!(back.events().len(), 3);
-        assert_eq!(back.flops_in(Region::Filter), 240);
-        assert_eq!(
-            back.events()[1].kind,
-            EventKind::P2p {
-                bytes: 512,
-                link: LinkClass::NvLink
-            }
-        );
-        assert_eq!(back.to_json(), s, "re-encoding must be stable");
-        assert_eq!(Ledger::from_json("[]").unwrap().events().len(), 0);
-        assert!(Ledger::from_json("{oops}").is_err());
-    }
-
-    #[test]
     fn decode_rejects_what_a_substring_scan_accepts() {
+        let decode = |s: &str| -> Result<Vec<EventKind>, String> {
+            json::parse(s)?
+                .as_arr()
+                .ok_or("expected an array")?
+                .iter()
+                .map(kind_from_json)
+                .collect()
+        };
         // The only `"n":` is inside a string value; `n` itself is missing.
         let inside_string = r#"[{"region":"QR","kind":"Potrf","note":"\"n\":4"}]"#;
-        assert!(Ledger::from_json(inside_string).is_err());
+        assert!(decode(inside_string).is_err());
         // `"},{"` inside a string is not an event boundary.
         let boundary = r#"[{"region":"QR","note":"},{","kind":"Potrf","n":4}]"#;
-        assert_eq!(Ledger::from_json(boundary).unwrap().events().len(), 1);
+        assert_eq!(decode(boundary).unwrap(), vec![EventKind::Potrf { n: 4 }]);
         for bad in [
             r#"[{"region":"QR","kind":"Potrf","n":"4"}]"#,
             r#"[{"region":"QR","kind":"Potrf","n":4.5}]"#,
-            r#"[{"region":"QR","kind":"Potrf","n":4,"t0":"x"}]"#,
             r#"[{"region":"QR","kind":"Potrf","n":4}"#,
             r#"[{"region":"QR","kind":"Potrf","n":4}] tail"#,
             r#"[7]"#,
         ] {
-            assert!(Ledger::from_json(bad).is_err(), "accepted {bad}");
+            assert!(decode(bad).is_err(), "accepted {bad}");
         }
     }
 }

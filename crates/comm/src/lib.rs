@@ -24,9 +24,8 @@ pub mod seams;
 pub mod trace_hook;
 
 pub use collective::{
-    scaled_timeout_ms, CommError, Communicator, DeadBoard, DeathHandle, GatherRequest, GridSlots,
-    NbPoolStats, RankDeadPanic, Reduce, Request, SendBuf, Slot, WaitTimeout,
-    DEFAULT_WAIT_TIMEOUT_MS,
+    scaled_timeout_ms, CommError, Communicator, DeadBoard, DeathHandle, GridSlots, NbPoolStats,
+    RankDeadPanic, Reduce, Request, SendBuf, Slot, WaitTimeout, DEFAULT_WAIT_TIMEOUT_MS,
 };
 pub use grid::{block_range, run_grid, shrink_ctx, solo_ctx, GridShape, RankCtx, SpmdOutput};
 pub use ledger::{

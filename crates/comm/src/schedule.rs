@@ -32,7 +32,7 @@ pub enum ScheduleStream {
     /// Blocking collectives (`allreduce_sum`, `bcast`, `allgather`,
     /// `barrier`); `seq` is the per-rank blocking op id.
     Blocking,
-    /// Nonblocking posts (`iallreduce_sum`, `ibcast`, `iallgather`);
+    /// Nonblocking posts (`iallreduce_sum`, `iallreduce_sum_staged`);
     /// `seq` is the per-rank nonblocking op id.
     Nonblocking,
     /// Hop-granular delivery inside a topology-aware collective
@@ -71,7 +71,7 @@ pub struct SchedulePoint {
     pub scope: CommScope,
     /// Which stream the op belongs to.
     pub stream: ScheduleStream,
-    /// Collective name ("allreduce", "iallreduce", "ibcast", ...).
+    /// Collective name ("allreduce", "iallreduce", "bcast", ...).
     pub op: &'static str,
     /// Stream-local sequence number of the op.
     pub seq: u64,

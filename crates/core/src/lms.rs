@@ -39,12 +39,7 @@ where
     params
         .try_validate(h.n)
         .map_err(|detail| ChaseError::outside_loop(ChaseErrorKind::InvalidParams { detail }))?;
-    let dev = Device::with_collectives(
-        ctx,
-        Backend::Lms,
-        params.collective,
-        chase_device::Topology::juwels_booster(),
-    );
+    let dev = Device::new(ctx, Backend::Lms);
     let ne = params.ne();
     let nev = params.nev;
     let n = h.n;

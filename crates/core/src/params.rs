@@ -1,7 +1,6 @@
 //! Solver parameters (the knobs of Algorithms 1–2).
 
 use crate::degrees::even_cap;
-use chase_device::CollectiveAlgo;
 
 /// Strategy for choosing the QR factorization each iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,11 +45,6 @@ pub struct Params {
     /// Also compute the *exact* condition number of the filtered block each
     /// iteration (expensive; drives Fig. 1).
     pub track_true_cond: bool,
-    /// Collective execution path: the flat rendezvous reference, a forced
-    /// topology-aware hop schedule, or the NCCL-style tuner. Results are
-    /// bitwise identical across all settings; only the priced hop structure
-    /// changes.
-    pub collective: CollectiveAlgo,
     /// Seed for the random starting block.
     pub seed: u64,
     /// Fault-injection campaign (the parsed `--inject` spec). `None` runs
@@ -87,7 +81,6 @@ impl Params {
             lanczos_runs: 4,
             qr: QrStrategy::Auto,
             track_true_cond: false,
-            collective: CollectiveAlgo::Flat,
             seed: 0xC4A53,
             inject: None,
             guards: true,

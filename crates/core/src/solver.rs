@@ -1067,13 +1067,7 @@ where
         // site is inert, so plain solves never crash by accident.
         p.set_death_handle(Some(ctx.death_handle()));
     }
-    let dev = Device::with_collectives(
-        ctx,
-        backend,
-        params.collective,
-        chase_device::Topology::juwels_booster(),
-    )
-    .with_faults(plan);
+    let dev = Device::new(ctx, backend).with_faults(plan);
     let mut chase = Chase::new(&dev, h, params.clone(), warm);
     if let Start::Resume { snapshot, prelude } = start {
         if let Some(snap) = snapshot {

@@ -66,7 +66,8 @@ pub struct Device<'a> {
 }
 
 impl<'a> Device<'a> {
-    /// A device on the original flat collective path.
+    /// A device on the original flat collective path — the one every solve
+    /// takes.
     pub fn new(ctx: &'a RankCtx, backend: Backend) -> Self {
         Self::with_collectives(
             ctx,
@@ -80,7 +81,8 @@ impl<'a> Device<'a> {
     /// schedules (unless `collective` is [`CollectiveAlgo::Flat`]). The
     /// topo path emits chunk-granular `P2p` events over the physical links
     /// of `topo` instead of one flat collective event; staging copies are
-    /// recorded the same way on both paths.
+    /// recorded the same way on both paths. The forced schedules serve the
+    /// benchmark's topology probe and the tests.
     pub fn with_collectives(
         ctx: &'a RankCtx,
         backend: Backend,
@@ -110,14 +112,6 @@ impl<'a> Device<'a> {
 
     pub fn backend(&self) -> Backend {
         self.backend
-    }
-
-    pub fn collective_algo(&self) -> CollectiveAlgo {
-        self.collective
-    }
-
-    pub fn topology(&self) -> &Topology {
-        &self.topo
     }
 
     pub fn ctx(&self) -> &RankCtx {
@@ -251,21 +245,12 @@ impl<'a> Device<'a> {
     /// flat path. `bytes` must be SPMD-uniform across the communicator
     /// (every member must resolve the same schedule).
     fn schedule(&self, op: CollOp, bytes: u64, comm: &Communicator) -> Option<(Algo, u64)> {
+        let algo = self.collective.forced()?;
         if comm.size() <= 1 || bytes == 0 {
             return None;
         }
         let tuner = Tuner::new(self.topo.clone(), self.device_direct());
-        match self.collective {
-            CollectiveAlgo::Flat => None,
-            CollectiveAlgo::Auto => {
-                let c = tuner.choose(op, bytes, comm.labels());
-                Some((c.algo, c.chunk_bytes))
-            }
-            forced => {
-                let algo = forced.forced().expect("Ring/Tree/Doubling pin a schedule");
-                Some((algo, tuner.chunk_for(op, algo, bytes, comm.labels())))
-            }
-        }
+        Some((algo, tuner.chunk_for(op, algo, bytes, comm.labels())))
     }
 
     /// The sink a hop schedule reports to: each chunk transfer is a `P2p`
@@ -591,7 +576,6 @@ mod tests {
             CollectiveAlgo::Ring,
             CollectiveAlgo::Tree,
             CollectiveAlgo::Doubling,
-            CollectiveAlgo::Auto,
         ] {
             let flat = run_grid(GridShape::new(2, 2), |ctx| {
                 let dev = Device::new(ctx, Backend::Nccl);
@@ -611,7 +595,7 @@ mod tests {
                 v
             });
             for (a, b) in flat.results.iter().zip(&topo.results) {
-                assert_eq!(a, b, "{}: bitwise mismatch vs flat", algo.name());
+                assert_eq!(a, b, "{algo:?}: bitwise mismatch vs flat");
             }
             for l in &topo.ledgers {
                 assert_eq!(
@@ -624,7 +608,7 @@ mod tests {
                     .iter()
                     .filter(|e| matches!(e.kind, EventKind::P2p { .. }))
                     .count();
-                assert!(p2p > 0, "{}: no hops emitted", algo.name());
+                assert!(p2p > 0, "{algo:?}: no hops emitted");
             }
         }
     }
@@ -656,7 +640,7 @@ mod tests {
             let dev = Device::with_collectives(
                 ctx,
                 Backend::Nccl,
-                CollectiveAlgo::Auto,
+                CollectiveAlgo::Ring,
                 Topology::juwels_booster(),
             );
             let mine = vec![ctx.world_rank() as f64; ctx.world_rank() + 1];

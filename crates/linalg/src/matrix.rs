@@ -241,11 +241,6 @@ impl<T: Scalar> Matrix<T> {
     pub fn bytes(&self) -> usize {
         self.data.len() * std::mem::size_of::<T>()
     }
-
-    /// Fill with zeros, keeping the allocation.
-    pub fn fill_zero(&mut self) {
-        self.data.fill(T::zero());
-    }
 }
 
 impl<T: Scalar> Index<(usize, usize)> for Matrix<T> {
@@ -301,14 +296,6 @@ impl<'a, T: Scalar> ColsRef<'a, T> {
     pub fn at(&self, i: usize, j: usize) -> T {
         debug_assert!(i < self.rows && j < self.cols);
         self.data[j * self.rows + i]
-    }
-    /// Materialize as an owned matrix.
-    pub fn to_matrix(&self) -> Matrix<T> {
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.to_vec(),
-        }
     }
 }
 

@@ -22,7 +22,7 @@ pub mod suite;
 pub use spectrum::{dense_with_spectrum, dense_with_spectrum_qr, perturb_hermitian, Spectrum};
 pub use suite::{scaled_suite, Problem, ProblemKind, SCALE_DEFAULT};
 
-use chase_comm::{block_range, Distribution, IndexSet};
+use chase_comm::block_range;
 use chase_linalg::{Matrix, Scalar};
 
 /// Carve the local `n_r x n_c` block of a globally generated Hermitian
@@ -39,23 +39,6 @@ pub fn local_block<T: Scalar>(
     let ri = block_range(n, p, row);
     let cj = block_range(n, q, col);
     h.sub(ri.start, cj.start, ri.len(), cj.len())
-}
-
-/// Distribution-aware variant of [`local_block`] supporting block-cyclic
-/// layouts (Section 2.2).
-pub fn local_block_dist<T: Scalar>(
-    h: &Matrix<T>,
-    p: usize,
-    q: usize,
-    row: usize,
-    col: usize,
-    dist: Distribution,
-) -> Matrix<T> {
-    let n = h.rows();
-    let ri = IndexSet::new(n, p, row, dist);
-    let cj = IndexSet::new(n, q, col, dist);
-    let rows: Vec<usize> = ri.iter().collect();
-    Matrix::from_fn(ri.len(), cj.len(), |i, j| h[(rows[i], cj.global(j))])
 }
 
 #[cfg(test)]

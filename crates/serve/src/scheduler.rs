@@ -165,15 +165,6 @@ where
         &self.cfg
     }
 
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Resident `(session, step)` warm entries, deterministic order.
-    pub fn cache_resident(&self) -> Vec<(String, usize)> {
-        self.cache.resident()
-    }
-
     /// Enqueue a job; rejects a duplicate name.
     pub fn submit(&mut self, spec: JobSpec<T>) -> Result<JobId, SubmitError> {
         if self.queue.iter().any(|p| p.spec.name == spec.name) {

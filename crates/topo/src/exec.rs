@@ -837,7 +837,10 @@ mod tests {
     fn emitted_bytes_are_chunk_split_and_sum_to_wire_volume() {
         // Ring allreduce over k ranks of L doubles: each rank sends
         // 2(k-1) segments; total emitted bytes = 2(k-1)/k * L * 8 per rank.
-        let topo = Topology::single_node(8);
+        let topo = Topology {
+            gpus_per_node: 8,
+            ..Topology::juwels_booster()
+        };
         let (k, len, chunk) = (4usize, 40usize, 32u64);
         let per_rank = run_spmd((0..k).collect(), |comm| {
             let mut buf = input_for(comm.rank(), len);

@@ -21,8 +21,10 @@
 //!   (algorithm, chunk size) per call, given message size, communicator
 //!   span and transport.
 //!
-//! `chase-device` routes its collectives through this crate when a solver
-//! run asks for a non-flat [`CollectiveAlgo`].
+//! `chase-device` routes its collectives through this crate when a device
+//! is built with a forced hop schedule ([`CollectiveAlgo`]); a solve always
+//! takes the flat path, and the forced schedules serve the benchmark's
+//! topology probe and the tests.
 
 pub mod cost;
 pub mod exec;
@@ -31,10 +33,10 @@ pub mod tuner;
 
 pub use cost::{collective_cost, CollOp};
 pub use exec::{allgather, allreduce, bcast, Algo, HopSink};
-pub use topology::{CommSpan, LinkParams, Topology};
+pub use topology::{LinkParams, Topology};
 pub use tuner::{Choice, Tuner, CHUNK_MENU, NOMINAL_GEMM_FLOPS, PANEL_MENU};
 
-/// Solver-facing knob: which collective execution path to use.
+/// Which collective execution path a device takes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CollectiveAlgo {
     /// The original flat rendezvous path (one event per collective).
@@ -46,36 +48,23 @@ pub enum CollectiveAlgo {
     Tree,
     /// Force the recursive-doubling schedule.
     Doubling,
-    /// Let the tuner pick per call from message size and topology.
-    Auto,
 }
 
 impl CollectiveAlgo {
-    pub const ALL: [CollectiveAlgo; 5] = [
+    pub const ALL: [CollectiveAlgo; 4] = [
         CollectiveAlgo::Flat,
         CollectiveAlgo::Ring,
         CollectiveAlgo::Tree,
         CollectiveAlgo::Doubling,
-        CollectiveAlgo::Auto,
     ];
 
-    /// The forced schedule, if this knob pins one (`Flat` and `Auto` don't).
+    /// The forced schedule, if this knob pins one (`Flat` doesn't).
     pub fn forced(self) -> Option<Algo> {
         match self {
             CollectiveAlgo::Ring => Some(Algo::Ring),
             CollectiveAlgo::Tree => Some(Algo::Tree),
             CollectiveAlgo::Doubling => Some(Algo::Doubling),
-            CollectiveAlgo::Flat | CollectiveAlgo::Auto => None,
-        }
-    }
-
-    pub fn name(self) -> &'static str {
-        match self {
-            CollectiveAlgo::Flat => "flat",
-            CollectiveAlgo::Ring => "ring",
-            CollectiveAlgo::Tree => "tree",
-            CollectiveAlgo::Doubling => "doubling",
-            CollectiveAlgo::Auto => "auto",
+            CollectiveAlgo::Flat => None,
         }
     }
 }

@@ -35,17 +35,6 @@ impl LinkParams {
     }
 }
 
-/// Where a communicator's members live relative to node boundaries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CommSpan {
-    /// All members share one node: every hop is NVLink.
-    IntraNode,
-    /// One member per node: every hop is InfiniBand.
-    InterNode,
-    /// Members straddle node boundaries: hops are a mix.
-    Mixed,
-}
-
 /// Hierarchical topology of the modeled machine.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
@@ -89,14 +78,6 @@ impl Topology {
         }
     }
 
-    /// A flat single-node machine (every hop NVLink) — useful in tests.
-    pub fn single_node(gpus: usize) -> Self {
-        Self {
-            gpus_per_node: gpus.max(1),
-            ..Self::juwels_booster()
-        }
-    }
-
     /// Node index of a world rank.
     pub fn node_of(&self, world_rank: usize) -> usize {
         world_rank / self.gpus_per_node
@@ -125,26 +106,6 @@ impl Topology {
     pub fn hop_time(&self, bytes: u64, link: LinkClass, device_direct: bool) -> f64 {
         self.hop_params(link, device_direct).time(bytes)
     }
-
-    /// Classify a communicator (given by its members' world ranks).
-    pub fn span(&self, labels: &[usize]) -> CommSpan {
-        if labels.len() <= 1 {
-            return CommSpan::IntraNode;
-        }
-        let first = self.node_of(labels[0]);
-        let all_same = labels.iter().all(|&l| self.node_of(l) == first);
-        if all_same {
-            return CommSpan::IntraNode;
-        }
-        let mut nodes: Vec<usize> = labels.iter().map(|&l| self.node_of(l)).collect();
-        nodes.sort_unstable();
-        nodes.dedup();
-        if nodes.len() == labels.len() {
-            CommSpan::InterNode
-        } else {
-            CommSpan::Mixed
-        }
-    }
 }
 
 #[cfg(test)]
@@ -160,15 +121,6 @@ mod tests {
         assert_eq!(t.link_between(0, 3), LinkClass::NvLink);
         assert_eq!(t.link_between(3, 4), LinkClass::Ib);
         assert_eq!(t.link_between(1, 9), LinkClass::Ib);
-    }
-
-    #[test]
-    fn spans() {
-        let t = Topology::juwels_booster();
-        assert_eq!(t.span(&[0, 1, 2, 3]), CommSpan::IntraNode);
-        assert_eq!(t.span(&[0, 4, 8, 12]), CommSpan::InterNode);
-        assert_eq!(t.span(&[0, 1, 4]), CommSpan::Mixed);
-        assert_eq!(t.span(&[5]), CommSpan::IntraNode);
     }
 
     #[test]

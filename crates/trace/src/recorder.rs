@@ -89,10 +89,6 @@ impl TraceRecorder {
         self.enabled.store(on, Ordering::Relaxed);
     }
 
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
     /// Close all open spans and return the recorded stream. The recorder is
     /// left empty and can be reused.
     pub fn finish(&self) -> RankTrace {

@@ -1,9 +1,9 @@
 //! `chase-tune`: collective micro-benchmark trials with a persistent plan
 //! database.
 //!
-//! The solver's collective hop schedule (`CollectiveAlgo`) is picked at run
-//! time by `chase-topo`'s analytic alpha-beta tuner under `Auto`. This crate
-//! *measures* the same choice: it runs short trials of the solver's
+//! A solve's collectives take the flat path; `chase-topo`'s analytic
+//! alpha-beta tuner models which hop schedule would win. This crate
+//! *measures* that choice: it runs short trials of the solver's
 //! collectives ([`trial::tune_entry`]), on the deterministic perf-model
 //! clock or the wall clock, and records the winners in a versioned
 //! [`db::PlanDb`] keyed by machine fingerprint × grid × problem × scalar.

@@ -5,8 +5,7 @@
 //! chase info     --matrix h.chasemat
 //! chase solve    --matrix h.chasemat --nev 20 [--nex 10] [--tol 1e-10]
 //!                [--grid 2x2 | --ranks 6] [--backend nccl|std|lms]
-//!                [--qr auto|hhqr|cholqr1|cholqr2]
-//!                [--collective flat|ring|tree|doubling|auto] [--cyclic BLOCK] [--no-degopt]
+//!                [--qr auto|hhqr|cholqr1|cholqr2] [--cyclic BLOCK] [--no-degopt]
 //!                [--inject 'seed=7;bitflip@iter=2,region=filter,rank=0']
 //!                [--no-guards] [--checkpoint DIR] [--checkpoint-every K]
 //!                [--trace out.json] [--trace-format chrome|summary] [--metrics m.json]
@@ -14,7 +13,7 @@
 
 use chase_comm::{Distribution, GridShape};
 use chase_core::{ChaseError, ChaseResult, Params, QrStrategy};
-use chase_device::{Backend, CollectiveAlgo};
+use chase_device::Backend;
 use chase_linalg::{Matrix, RealScalar, Scalar, C64};
 use chase_matgen::io::{load, save_c64, save_f64, LoadedMatrix};
 use chase_matgen::{dense_with_spectrum, Spectrum};
@@ -36,7 +35,7 @@ const COMMANDS: [(&str, Command, &str); 6] = [
     (
         "solve",
         cmd_solve,
-        "matrix nev nex tol grid ranks backend qr collective cyclic no-degopt inject no-guards \
+        "matrix nev nex tol grid ranks backend qr cyclic no-degopt inject no-guards \
          checkpoint checkpoint-every trace trace-format metrics",
     ),
     (
@@ -259,14 +258,18 @@ fn cmd_solve(flags: Flags) -> Result<(), String> {
     let tol: f64 = get(&flags, "tol", Some(1e-10))?;
     // `--grid PxQ` pins the process grid; `--ranks N` asks for the squarest
     // grid covering at most N ranks (primes > 3 deliberately leave ranks
-    // idle rather than degenerate to 1 x N). Either way, log the choice —
-    // the shape decides every communicator in the run.
+    // idle rather than degenerate to 1 x N). Both at once is refused: one
+    // would be ignored. Either way, log the choice — the shape decides every
+    // communicator in the run.
     let ranks: Option<usize> = match flags.get("ranks") {
         Some(r) => Some(parse_positive("ranks", "a rank count", r)?),
         None => None,
     };
     let shape = match (flags.get("grid"), ranks) {
-        (Some(g), _) => parse_grid("grid", g)?,
+        (Some(_), Some(_)) => {
+            return Err("--grid and --ranks both set the process grid; pass one".into())
+        }
+        (Some(g), None) => parse_grid("grid", g)?,
         (None, Some(n)) => GridShape::squarest(n),
         (None, None) => GridShape::new(1, 1),
     };
@@ -294,22 +297,6 @@ fn cmd_solve(flags: Flags) -> Result<(), String> {
         "lms" => Backend::Lms,
         other => return Err(format!("unknown backend '{other}'")),
     };
-    let collective = match flags
-        .get("collective")
-        .map(String::as_str)
-        .unwrap_or("flat")
-    {
-        "flat" => CollectiveAlgo::Flat,
-        "ring" => CollectiveAlgo::Ring,
-        "tree" => CollectiveAlgo::Tree,
-        "doubling" => CollectiveAlgo::Doubling,
-        "auto" => CollectiveAlgo::Auto,
-        other => {
-            return Err(format!(
-                "unknown collective '{other}' (flat|ring|tree|doubling|auto)"
-            ))
-        }
-    };
     let qr = match flags.get("qr").map(String::as_str).unwrap_or("auto") {
         "auto" => QrStrategy::Auto,
         "hhqr" => QrStrategy::AlwaysHouseholder,
@@ -327,7 +314,6 @@ fn cmd_solve(flags: Flags) -> Result<(), String> {
     let mut params = Params::new(nev, nex);
     params.tol = tol;
     params.qr = qr;
-    params.collective = collective;
     params.optimize_degrees = !flags.contains_key("no-degopt");
     // Fault-injection campaign: `--inject` compiles a deterministic per-rank
     // fault plan; `--no-guards` disables the detection/recovery layer (chaos
@@ -726,8 +712,7 @@ USAGE:
   chase info     --matrix FILE
   chase solve    --matrix FILE --nev K [--nex X] [--tol T] [--grid PxQ | --ranks N]
                  [--backend nccl|std|lms] [--qr auto|hhqr|cholqr1|cholqr2]
-                 [--collective flat|ring|tree|doubling|auto] [--cyclic BLOCK] [--no-degopt]
-                 [--inject SPEC] [--no-guards]
+                 [--cyclic BLOCK] [--no-degopt] [--inject SPEC] [--no-guards]
                  [--checkpoint DIR] [--checkpoint-every K]
                  [--trace FILE] [--trace-format chrome|summary] [--metrics FILE]
   chase serve    --workload FILE [--workers N] [--cache-mb M]

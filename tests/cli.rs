@@ -45,6 +45,11 @@ fn a_grid_without_ranks_is_a_usage_error() {
     ] {
         assert_refused(&[&solve[..], &[flag, value]].concat(), needle);
     }
+    // Both flags set the grid: one of them would be ignored.
+    assert_refused(
+        &[&solve[..], &["--grid", "1x2", "--ranks", "8"]].concat(),
+        "--grid and --ranks both set the process grid",
+    );
     assert_refused(&["check", "--grids", "1x1,0x1"], "--grids: grid '0x1'");
     let workload = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("cli-grid.workload");
     let line = "gen name=a n=32 spectrum=uniform nev=4 grid=0x2";
@@ -114,6 +119,8 @@ fn a_flag_the_subcommand_does_not_read_is_refused() {
         // Removed with the measured-plan path.
         ("--plan-db", "plans.json"),
         ("--deterministic", "--no-guards"),
+        // Removed with the solver's collective-schedule knob.
+        ("--collective", "auto"),
     ] {
         assert_refused(
             &[&solve[..], &[flag, value]].concat(),

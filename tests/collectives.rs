@@ -187,9 +187,9 @@ proptest! {
     }
 }
 
-/// Solver-facing end-to-end check on a grid: every `CollectiveAlgo` setting
-/// gives bitwise identical device-collective results on row *and* column
-/// communicators.
+/// End-to-end check on a grid: every `CollectiveAlgo` a device can be built
+/// with (flat and the forced hop schedules) gives bitwise identical
+/// device-collective results on row *and* column communicators.
 #[test]
 fn grid_collectives_identical_across_algo_settings() {
     let shape = GridShape::new(2, 3);
@@ -214,7 +214,7 @@ fn grid_collectives_identical_across_algo_settings() {
             (row, col, gathered)
         });
         for (a, b) in reference.results.iter().zip(&out.results) {
-            assert_eq!(a, b, "CollectiveAlgo::{} diverged from flat", algo.name());
+            assert_eq!(a, b, "CollectiveAlgo::{algo:?} diverged from flat");
         }
     }
 }

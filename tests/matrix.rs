@@ -20,7 +20,7 @@ use chase_comm::{run_grid, Category, EventKind, GridShape, Ledger, Reduce, Regio
 use chase_core::{
     try_solve_elastic, ChaseResult, DistHerm, ElasticOutcome, Params, RecoveryEventKind,
 };
-use chase_device::{Backend, CollectiveAlgo};
+use chase_device::Backend;
 use chase_linalg::{RealScalar, Scalar, C64};
 use chase_serve::{
     GenSpec, JobSpec, MatrixSource, Scheduler, SchedulerConfig, SpectrumKind, WarmKind,
@@ -136,44 +136,6 @@ fn check_ranks_agree<T: Scalar>(results: &[ChaseResult<T>], case: &str) {
         assert_eq!(r.matvecs, r0.matvecs, "{case}: rank {rank} matvecs");
         assert_eq!(r.recovery, r0.recovery, "{case}: rank {rank} recovery");
     }
-}
-
-/// Auto-collective axis: the analytic tuner behind `CollectiveAlgo::Auto`
-/// may only change the hop schedule — so the auto solve must land on
-/// bitwise the same spectrum as the flat solve on the same grid, for every
-/// grid and scalar of the matrix.
-fn run_auto_axis<T>(label: &str)
-where
-    T: Scalar + Reduce,
-    T::Real: Reduce,
-{
-    let (h, _) = problem::<T>(N, 7);
-    let p = case_params(None);
-    let mut p_auto = p.clone();
-    p_auto.collective = CollectiveAlgo::Auto;
-    for (rows, cols) in MATRIX_GRIDS {
-        let shape = GridShape::new(rows, cols);
-        let case = format!("{label} {rows}x{cols} auto");
-        let plain = expect_all_ok(solve_on(&h, &p, shape), &case);
-        let auto = expect_all_ok(solve_on(&h, &p_auto, shape), &case);
-        check_ranks_agree(&auto, &case);
-        let (r0, t0) = (&plain[0], &auto[0]);
-        assert!(t0.converged, "{case}: auto run diverged");
-        assert_eq!(
-            r0.eigenvalues, t0.eigenvalues,
-            "{case}: the auto schedule changed the spectrum, not just the schedule"
-        );
-        assert_eq!(
-            r0.residuals, t0.residuals,
-            "{case}: the auto schedule changed the residuals"
-        );
-    }
-}
-
-#[test]
-fn matrix_auto_collective_axis() {
-    run_auto_axis::<f64>("f64/full");
-    run_auto_axis::<C64>("C64/full");
 }
 
 /// Serve warm-start column: the matrix problem scale, run as a two-step
