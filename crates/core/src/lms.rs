@@ -156,7 +156,7 @@ where
             qr_variant: QrVariant::Householder,
         };
         stats.push(sub.lock_and_record(tol, measured));
-        (bounds.mu_1, bounds.mu_ne) = sub.ritz_extent();
+        sub.update_bounds(nev, &mut bounds);
 
         if sub.locked >= nev {
             converged = true;

@@ -305,9 +305,10 @@ pub struct ChaseResult<T: Scalar> {
     pub stats: Vec<IterStats>,
     /// Spectral-norm scale used for the convergence test.
     pub norm_h: f64,
-    /// Refined spectral bounds at exit (`mu_1`/`mu_ne` from the final Ritz
-    /// values, `b_sup` as filtered with): the hand-off for warm-starting
-    /// the next solve of a correlated sequence.
+    /// Refined spectral bounds at exit (`mu_1`/`mu_ne` as the last bound
+    /// update left them, `b_sup` as filtered with): the hand-off for
+    /// warm-starting the next solve of a correlated sequence, whose own
+    /// bound updates start from them.
     pub bounds: SpectralBounds<T::Real>,
     /// Whether this solve started from a [`crate::WarmStart`] with cached
     /// bounds (i.e. skipped the Lanczos estimation phase).

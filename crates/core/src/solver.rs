@@ -775,7 +775,7 @@ where
         if row.new_locked > 0 {
             self.ckpt = Checkpoint::of(&self.c, &self.sub);
         }
-        (bounds.mu_1, bounds.mu_ne) = self.sub.ritz_extent();
+        self.sub.update_bounds(self.params.nev, bounds);
         row
     }
 

@@ -10,7 +10,7 @@ use crate::filter::FilterBounds;
 use crate::params::Params;
 use crate::qr::QrVariant;
 use crate::result::{DegreeForecast, IterStats};
-use chase_linalg::{Matrix, RealScalar, Scalar};
+use chase_linalg::{Matrix, RealScalar, Scalar, SpectralBounds};
 
 /// Permute columns `offset..offset+perm.len()` of `m` so that new column `k`
 /// is old column `offset + perm[k]`.
@@ -190,9 +190,30 @@ impl<R: RealScalar> Subspace<R> {
         })
     }
 
-    /// Bound updates (Algorithm 2, lines 5–7): `(mu_1, mu_ne)` are the
-    /// extremes of the current Ritz values.
-    pub fn ritz_extent(&self) -> (R, R) {
+    /// Bound updates (Algorithm 2, lines 5–7), the one rule every driver
+    /// and warm start applies. `mu_1` is the smallest Ritz value. `mu_ne`
+    /// only falls, to the largest Ritz value, while it stays strictly above
+    /// the `nev`-th smallest; otherwise it is reset to the largest. Each
+    /// Ritz value bounds its eigenvalue from above (`θ_k ≥ λ_k`, by
+    /// interlacing), so the damped interval never starts at or below a
+    /// wanted Ritz value — an estimate inside the wanted cluster (the
+    /// Lanczos DoS quantile can be one) is not frozen there (DESIGN.md §5).
+    pub fn update_bounds(&self, nev: usize, bounds: &mut SpectralBounds<R>) {
+        let (lowest, highest) = self.ritz_extent();
+        let mut by_value = self.ritzv.clone();
+        let (_, nev_th, _) = by_value.select_nth_unstable_by(nev - 1, |a, b| {
+            a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal)
+        });
+        let mu_ne = if bounds.mu_ne > *nev_th {
+            bounds.mu_ne.min_r(highest)
+        } else {
+            highest
+        };
+        (bounds.mu_1, bounds.mu_ne) = (lowest, mu_ne);
+    }
+
+    /// The smallest and the largest current Ritz value.
+    fn ritz_extent(&self) -> (R, R) {
         let first = self.ritzv[0];
         (
             self.ritzv.iter().copied().fold(first, |m, v| m.min_r(v)),
@@ -410,6 +431,53 @@ mod tests {
             sorted.sort_by(f64::total_cmp);
             assert_eq!(sub.ritz_extent(), (sorted[0], sorted[n - 1]), "n = {n}");
         }
+    }
+
+    fn bounds(mu_ne: f64) -> SpectralBounds<f64> {
+        SpectralBounds {
+            mu_1: -3.0,
+            mu_ne,
+            b_sup: 2.0,
+        }
+    }
+
+    /// Above the `nev`-th smallest Ritz value `mu_ne` only falls: to the
+    /// largest Ritz value, never up to it. The Ritz values arrive in degree
+    /// order, not sorted.
+    #[test]
+    fn mu_ne_falls_to_the_largest_ritz_value_and_never_rises() {
+        let mut sub = Subspace::new(5, 0.0f64, 20);
+        sub.ritzv = vec![-0.6, -0.9, 0.4, -0.8, -0.7];
+        let mut b = bounds(0.9);
+        sub.update_bounds(3, &mut b);
+        assert_eq!((b.mu_1, b.mu_ne, b.b_sup), (-0.9, 0.4, 2.0));
+        // The largest Ritz value moves above it: `mu_ne` stays.
+        sub.ritzv[2] = 0.6;
+        sub.update_bounds(3, &mut b);
+        assert_eq!((b.mu_1, b.mu_ne), (-0.9, 0.4));
+        // The largest falls below `mu_ne`, which is still above the third
+        // smallest (-0.7): `mu_ne` falls with it.
+        sub.ritzv[2] = -0.65;
+        sub.update_bounds(3, &mut b);
+        assert_eq!((b.mu_1, b.mu_ne), (-0.9, -0.6));
+    }
+
+    /// At or below the `nev`-th smallest Ritz value `mu_ne` sits among the
+    /// wanted ones and is not kept there: it is reset to the largest Ritz
+    /// value, above every wanted eigenvalue.
+    #[test]
+    fn mu_ne_inside_the_wanted_ritz_values_is_reset_to_the_largest() {
+        let mut sub = Subspace::new(5, 0.0f64, 20);
+        sub.ritzv = vec![-0.6, -0.9, 0.4, -0.8, -0.7];
+        for mu_ne in [-0.85, -0.7] {
+            let mut b = bounds(mu_ne);
+            sub.update_bounds(3, &mut b);
+            assert_eq!((b.mu_1, b.mu_ne, b.b_sup), (-0.9, 0.4, 2.0), "{mu_ne}");
+        }
+        // Just above the third smallest it may fall, to the largest only.
+        let mut b = bounds(-0.69);
+        sub.update_bounds(3, &mut b);
+        assert_eq!(b.mu_ne, -0.69);
     }
 
     #[test]

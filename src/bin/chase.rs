@@ -23,6 +23,30 @@ use chase_tune::{solve_grid, GridRun};
 use std::collections::HashMap;
 use std::process::ExitCode;
 
+// Everything this binary prints goes through these two, not std's: a reader
+// that closes the pipe early (`chase solve … | head -1`) ends the run
+// quietly, where std's would panic on the broken pipe. Any other write
+// error still panics, as std's does.
+macro_rules! print {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+macro_rules! println {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+fn write_stdout(args: std::fmt::Arguments) {
+    use std::io::Write;
+    match std::io::stdout().write_fmt(args) {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => panic!("failed printing to stdout: {e}"),
+    }
+}
+
 type Flags = HashMap<String, String>;
 type Command = fn(Flags) -> Result<(), String>;
 

@@ -2,8 +2,9 @@
 //! with a one-line `error:` on stderr — never a panic (exit 101 and a
 //! backtrace), whatever the flag or workload line says.
 
+use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn chase(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_chase"))
@@ -246,4 +247,32 @@ fn submit_refuses_a_workload_it_cannot_read() {
         path,
     );
     assert_eq!(std::fs::read(&workload).unwrap(), before);
+}
+
+/// A reader that stops after the first line (`chase solve … | head -1`)
+/// closes the pipe while the solve still has lines to print: the run ends
+/// quietly, with no panic on stderr.
+#[test]
+fn a_closed_stdout_pipe_ends_the_run_quietly() {
+    let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("cli-pipe.chasemat");
+    let path = path.to_str().expect("utf-8 tmpdir");
+    let made = chase(&["generate", "--n", "48", "--out", path]);
+    assert!(made.status.success(), "generate failed: {made:?}");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_chase"))
+        .args(["solve", "--matrix", path, "--nev", "4", "--grid", "1x2"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn chase");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("first line");
+    assert!(first.starts_with("grid: 1x2"), "{first}");
+    // The reader is dropped here: the pipe is closed before the solve ends.
+    let out = child.wait_with_output().expect("wait for chase");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(!stderr.contains("Broken pipe"), "{stderr}");
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
 }

@@ -31,6 +31,33 @@ pub fn problem<T: Scalar>(n: usize, seed: u64) -> (Matrix<T>, Spectrum) {
     problem_on(n, -1.0, 1.0, seed)
 }
 
+/// A prescribed spectrum of one of three shapes the degree model finds
+/// hard, `n` values on about `[-2, 1]`: `0` clustered (tight triples),
+/// `1` gapped (the lowest eighth split off below the rest), `2`
+/// near-degenerate (pairs a hair apart).
+pub fn hard_spectrum(kind: usize, n: usize, seed: u64) -> chase_matgen::Spectrum {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut jitter = move || 2.0 * rand::Rng::gen::<f64>(&mut rng) - 1.0;
+    let vals = match kind {
+        0 => (0..n)
+            .map(|i| -1.0 + 2.0 * (i / 3) as f64 / (n / 3) as f64 + 1e-4 * jitter())
+            .collect(),
+        1 => (0..n)
+            .map(|i| {
+                if i < n / 8 {
+                    -2.0 + 0.3 * i as f64 / (n / 8) as f64
+                } else {
+                    -1.0 + 2.0 * i as f64 / n as f64
+                }
+            })
+            .collect(),
+        _ => (0..n)
+            .map(|i| -1.0 + 2.0 * (i / 2) as f64 / (n / 2) as f64 + 1e-8 * jitter())
+            .collect(),
+    };
+    chase_matgen::Spectrum::from_values(vals)
+}
+
 /// Solver params at the suite's standard accuracy.
 pub fn params(nev: usize, nex: usize, tol: f64) -> Params {
     let mut p = Params::new(nev, nex);

@@ -6,6 +6,8 @@ use chase_core::{solve_serial, ChaseErrorKind, Params, RecoveryEventKind, WarmSt
 use chase_linalg::{Matrix, SpectralBounds, C64};
 use chase_matgen::{dense_with_spectrum, Spectrum};
 
+mod common;
+
 #[test]
 fn minimal_search_space() {
     // nev = 1, nex = 1: the smallest legal configuration.
@@ -30,6 +32,26 @@ fn non_convergence_is_reported_not_panicked() {
     assert_eq!(r.iterations, 1);
     // Best-effort eigenvalues are still returned (nev of them).
     assert_eq!(r.eigenvalues.len(), 6);
+}
+
+/// A Lanczos estimate of `mu_ne` inside the wanted cluster. On this clustered
+/// spectrum (`nev` 7, eigenvalues in triples) the DoS estimate lands at
+/// −0.79997, inside the triple around −0.8 whose lowest member λ₆ =
+/// −0.80010 is the last wanted eigenvalue. Kept as the damped interval's
+/// lower end, it leaves λ₆ and λ₇ within 1.3e-4 below that interval, where
+/// the filter barely amplifies them: the solve stalls at 6 of 7 locked
+/// until `max_iter`. The estimate is below the 7th smallest Ritz value of
+/// iteration 1 (−0.39), so the bound update resets it to the largest one
+/// instead (DESIGN.md §5).
+#[test]
+fn a_lanczos_mu_ne_inside_the_wanted_cluster_is_not_kept() {
+    let (kind, n, seed) = (0, 60, 38);
+    let h = dense_with_spectrum::<C64>(&common::hard_spectrum(kind, n, seed), seed);
+    let mut p = Params::new(n / 8, n / 16);
+    p.seed = seed;
+    let r = solve_serial(&h, &p, None).expect("ChASE solve");
+    assert!(r.converged, "{} iterations", r.iterations);
+    assert_eq!((r.iterations, r.matvecs), (4, 590));
 }
 
 /// 35 is a cap even though it is odd: with `deg = max_deg = 35` the first

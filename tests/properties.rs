@@ -14,6 +14,8 @@ use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
+mod common;
+
 /// Tall-skinny matrix with prescribed condition number.
 fn conditioned(m: usize, n: usize, kappa: f64, seed: u64) -> Matrix<C64> {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -285,50 +287,29 @@ proptest! {
     }
 }
 
-/// A prescribed spectrum of one of three shapes the degree model finds
-/// hard, `n` values on about `[-2, 1]`: `0` clustered (tight triples),
-/// `1` gapped (the lowest eighth split off below the rest), `2`
-/// near-degenerate (pairs a hair apart).
-fn hard_spectrum(kind: usize, n: usize, seed: u64) -> chase_matgen::Spectrum {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut jitter = move || 2.0 * rand::Rng::gen::<f64>(&mut rng) - 1.0;
-    let vals = match kind {
-        0 => (0..n)
-            .map(|i| -1.0 + 2.0 * (i / 3) as f64 / (n / 3) as f64 + 1e-4 * jitter())
-            .collect(),
-        1 => (0..n)
-            .map(|i| {
-                if i < n / 8 {
-                    -2.0 + 0.3 * i as f64 / (n / 8) as f64
-                } else {
-                    -1.0 + 2.0 * i as f64 / n as f64
-                }
-            })
-            .collect(),
-        _ => (0..n)
-            .map(|i| -1.0 + 2.0 * (i / 2) as f64 / (n / 2) as f64 + 1e-8 * jitter())
-            .collect(),
-    };
-    chase_matgen::Spectrum::from_values(vals)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The degree plan held to its prediction. Iteration 2, planned from
-    /// Ritz pairs of random start vectors, misses by up to 10^8 and is not
-    /// held to anything. From iteration 3 on the median wanted column
+    /// The degree plan held to its prediction: the median wanted column
     /// reaches the residual `res / rho(t)^d` the plan expected within a
-    /// factor 10^3 (the worst median over ~1000 solves of these shapes was
-    /// 300), and from iteration 4 on within 10 (worst 3.5; the typical
-    /// ratio is 2, the `1/2` of `T_d(t) ≈ rho(t)^d / 2` the model drops).
+    /// factor 10^3 in iteration 3, and within 10 from iteration 4 on (the
+    /// typical ratio is 2, the `1/2` of `T_d(t) ≈ rho(t)^d / 2` the model
+    /// drops). Measured over 44 100 solves of these shapes (every kind and
+    /// `n`, seeds 0..300), the worst medians were 372 and 4.4.
+    ///
+    /// Iteration 2 is planned from the Ritz pairs of random start vectors
+    /// and is held to nothing: its worst median was 6.5e10. Iteration 3
+    /// stays at 10^3, not 10^2: 22 of those solves reached 10^2–372. Both
+    /// worst cases, and all 22, are solves whose Lanczos `mu_ne` lay at or
+    /// below the `nev`-th smallest Ritz value of iteration 1, so that the
+    /// bound update fell back to the largest one (DESIGN.md §5).
     #[test]
     fn degree_forecast_holds_after_the_first_plans(
         kind in 0usize..3,
         n in 48usize..97,
         seed in 0u64..1000,
     ) {
-        let h = chase_matgen::dense_with_spectrum::<C64>(&hard_spectrum(kind, n, seed), seed);
+        let h = chase_matgen::dense_with_spectrum::<C64>(&common::hard_spectrum(kind, n, seed), seed);
         let mut p = chase_core::Params::new(n / 8, n / 16);
         p.seed = seed;
         let r = chase_core::solve_serial(&h, &p, None).expect("ChASE solve");
