@@ -158,7 +158,7 @@ fn rank_fp<T: Scalar>(result: Result<ChaseResult<T>, ChaseError>, ledger: &Ledge
             err: None,
             eigs: r.eigenvalues.iter().map(|&x| real_bits(x)).collect(),
             residuals: r.residuals.iter().map(|&x| real_bits(x)).collect(),
-            vec_hash: fnv1a(r.eigenvectors_local.as_slice().iter().flat_map(|&v| {
+            vec_hash: fnv1a(r.eigenvectors_local().as_slice().iter().flat_map(|&v| {
                 real_bits(v.re())
                     .to_le_bytes()
                     .into_iter()

@@ -14,19 +14,20 @@ use crate::layout::{DistHerm, MemoryReport, RowDist};
 use crate::params::Params;
 use crate::qr::QrVariant;
 use crate::result::{ChaseError, ChaseErrorKind, ChaseResult, RecoveryLog};
-use crate::solver::estimate_bounds_dist;
+use crate::solver::{check_input, estimate_bounds_dist};
 use crate::subspace::{permute_cols, Measured, Subspace};
+use crate::warm::initial_block;
 use chase_comm::{RankCtx, Reduce, Region};
 use chase_device::{Backend, Device};
 use chase_linalg::{Matrix, Op, RealScalar, Scalar};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 
 /// Solve with the v1.2 legacy scheme. Functionally equivalent to
 /// [`crate::solve_dist`] — parameters that do not fit `h` and a spectrum
 /// Lanczos or Rayleigh–Ritz cannot handle (a non-finite `H`) are the same
 /// typed errors — while the execution/communication profile matches the old
-/// layout. Always uses (redundant) Householder QR, as v1.2 did.
+/// layout. Always uses (redundant) Householder QR, as v1.2 did. `initial`
+/// is a warm block of `1..=ne` columns, padded like `solve_dist`'s; its
+/// result hands over the whole final search space the same way.
 pub fn solve_lms<T: Scalar + Reduce>(
     ctx: &RankCtx,
     h: DistHerm<T>,
@@ -36,8 +37,7 @@ pub fn solve_lms<T: Scalar + Reduce>(
 where
     T::Real: Reduce,
 {
-    params
-        .try_validate(h.n)
+    check_input(params, h.n, initial)
         .map_err(|detail| ChaseError::outside_loop(ChaseErrorKind::InvalidParams { detail }))?;
     let dev = Device::new(ctx, Backend::Lms);
     let ne = params.ne();
@@ -49,19 +49,11 @@ where
 
     // Distributed C block plus the two redundant full-size buffers that
     // define the LMS memory profile.
-    let c_global0 = match initial {
-        Some(v0) => v0.clone(),
-        None => {
-            let mut rng = ChaCha8Rng::seed_from_u64(params.seed);
-            Matrix::random(n, ne, &mut rng)
-        }
-    };
-    let mut c = c_global0.select_rows(h.row_set.iter());
+    let mut c = initial_block(n, ne, params.seed, initial, h.row_set.iter());
     let mut b = Matrix::<T>::zeros(h.n_c(), ne);
-    // Redundant buffers (the memory bottleneck of Section 2.3), each
-    // collected from the distributed block it replicates.
-    let mut full_c;
-    let mut full_w;
+    // The redundant buffers (the memory bottleneck of Section 2.3), each
+    // collected from the distributed block it replicates, live inside one
+    // iteration.
     let collect = |comm: &chase_comm::Communicator, dist: &RowDist, local: &Matrix<T>| {
         dist.assemble(&dev.allgather(comm, local.as_slice()), ne)
     };
@@ -92,14 +84,14 @@ where
 
         // --- QR: gather + redundant Householder on every rank ---
         dev.set_region(Region::Qr);
-        full_c = dev.hhqr_q(&collect(&ctx.col_comm, &c_dist, &c));
+        let mut full_c = dev.hhqr_q(&collect(&ctx.col_comm, &c_dist, &c));
         c = full_c.select_rows(h.row_set.iter());
 
         // --- Rayleigh-Ritz: W = H C distributed, then redundant A and
         //     redundant back-transform on gathered buffers ---
         dev.set_region(Region::RayleighRitz);
         hemm_c_to_b(&dev, ctx, &h, &c, &mut b, locked, act, T::one(), T::zero());
-        full_w = collect(&ctx.row_comm, &b_dist, &b);
+        let mut full_w = collect(&ctx.row_comm, &b_dist, &b);
         let mut a = Matrix::<T>::zeros(act, act);
         dev.gemm(
             Op::ConjTrans,
@@ -168,7 +160,7 @@ where
     Ok(ChaseResult {
         eigenvalues,
         residuals,
-        eigenvectors_local: c.copy_cols(0..nev),
+        search_space_local: c,
         rows: h.row_set.clone(),
         n,
         iterations,

@@ -3,7 +3,7 @@
 use crate::qr::QrVariant;
 use chase_comm::{GridShape, IndexSet, WaitTimeout};
 use chase_faults::InjectionRecord;
-use chase_linalg::{Matrix, Scalar, SpectralBounds};
+use chase_linalg::{ColsRef, Matrix, Scalar, SpectralBounds};
 use std::fmt;
 
 /// Diagnostics for one outer ChASE iteration — the raw material for Fig. 1
@@ -289,8 +289,11 @@ pub struct ChaseResult<T: Scalar> {
     pub eigenvalues: Vec<T::Real>,
     /// Residual norms of the returned pairs.
     pub residuals: Vec<T::Real>,
-    /// Local rows of the eigenvector block (`n_r x nev`).
-    pub eigenvectors_local: Matrix<T>,
+    /// Local rows of the final search space (`n_r x ne`): the `nev`
+    /// returned eigenvectors first, in the order of `eigenvalues`, then the
+    /// `nex` other directions of the last iterate. The whole block is the
+    /// hand-off to the next solve of a sequence ([`crate::WarmStart`]).
+    pub search_space_local: Matrix<T>,
     /// Global row indices of the local block.
     pub rows: IndexSet,
     /// Global problem size.
@@ -319,23 +322,40 @@ pub struct ChaseResult<T: Scalar> {
 }
 
 impl<T: Scalar> ChaseResult<T> {
-    /// Assemble full eigenvectors from the per-rank results of an SPMD run.
-    ///
-    /// The C-layout is replicated across grid columns, so only one result
-    /// per distinct row-range is used.
+    /// Local rows of the returned eigenvectors (`n_r x nev`), the leading
+    /// columns of [`ChaseResult::search_space_local`].
+    pub fn eigenvectors_local(&self) -> ColsRef<'_, T> {
+        self.search_space_local.cols_ref(0..self.eigenvalues.len())
+    }
+
+    /// Assemble the full eigenvectors (`n x nev`) from the per-rank results
+    /// of an SPMD run.
     pub fn assemble_eigenvectors(results: &[ChaseResult<T>]) -> Matrix<T> {
         assert!(!results.is_empty());
+        Self::assemble_cols(results, results[0].eigenvalues.len())
+    }
+
+    /// Assemble the full final search space (`n x ne`): the eigenvectors of
+    /// [`ChaseResult::assemble_eigenvectors`], then the `nex` directions.
+    pub(crate) fn assemble_search_space(results: &[ChaseResult<T>]) -> Matrix<T> {
+        assert!(!results.is_empty());
+        Self::assemble_cols(results, results[0].search_space_local.cols())
+    }
+
+    /// The leading `cols` columns of the global block. The C-layout is
+    /// replicated across grid columns, so only one result per distinct
+    /// row-range is used.
+    fn assemble_cols(results: &[ChaseResult<T>], cols: usize) -> Matrix<T> {
         let n = results[0].n;
-        let nev = results[0].eigenvalues.len();
-        let mut full = Matrix::zeros(n, nev);
+        let mut full = Matrix::zeros(n, cols);
         let mut covered = vec![false; n];
         for r in results {
             if r.rows.is_empty() || covered[r.rows.first()] {
                 continue;
             }
             for (li, g) in r.rows.iter().enumerate() {
-                for j in 0..nev {
-                    full[(g, j)] = r.eigenvectors_local[(li, j)];
+                for j in 0..cols {
+                    full[(g, j)] = r.search_space_local[(li, j)];
                 }
                 covered[g] = true;
             }
@@ -351,13 +371,13 @@ mod tests {
     use chase_linalg::C64;
 
     fn dummy(rows: std::ops::Range<usize>, n: usize) -> ChaseResult<C64> {
-        let block = Matrix::from_fn(rows.len(), 2, |i, j| {
+        let block = Matrix::from_fn(rows.len(), 3, |i, j| {
             C64::from_f64((rows.start + i) as f64 * 10.0 + j as f64)
         });
         ChaseResult {
             eigenvalues: vec![1.0, 2.0],
             residuals: vec![0.0, 0.0],
-            eigenvectors_local: block,
+            search_space_local: block,
             rows: rows.into(),
             n,
             iterations: 1,
@@ -385,9 +405,13 @@ mod tests {
             dummy(3..5, 5),
         ];
         let full = ChaseResult::assemble_eigenvectors(&results);
-        assert_eq!(full.rows(), 5);
+        assert_eq!((full.rows(), full.cols()), (5, 2));
         assert_eq!(full[(4, 1)], C64::from_f64(41.0));
         assert_eq!(full[(0, 0)], C64::from_f64(0.0));
+        let space = ChaseResult::assemble_search_space(&results);
+        assert_eq!((space.rows(), space.cols()), (5, 3));
+        assert_eq!(space[(4, 2)], C64::from_f64(42.0));
+        assert_eq!(space.cols_ref(0..2).as_slice(), full.as_slice());
     }
 
     #[test]

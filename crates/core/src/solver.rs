@@ -28,7 +28,7 @@ use crate::result::{
     ChaseError, ChaseErrorKind, ChaseResult, IterStats, RecoveryEventKind, RecoveryLog,
 };
 use crate::subspace::{permute_cols, Measured, Subspace};
-use crate::warm::WarmStart;
+use crate::warm::{initial_block, WarmStart};
 use chase_comm::{RankCtx, Reduce, Region};
 use chase_device::{Backend, Device};
 use chase_faults::FaultPlan;
@@ -221,26 +221,15 @@ where
         params: Params,
         warm: Option<&WarmStart<T>>,
     ) -> Self {
-        if let Err(refused) = check_input(&params, h.n, warm) {
+        let v0 = warm.map(|w| &w.v0);
+        if let Err(refused) = check_input(&params, h.n, v0) {
             panic!("{refused}");
         }
         let ne = params.ne();
         let ctx = dev.ctx();
         let c_dist = RowDist::c_layout(h.n, ctx.shape, h.dist);
 
-        let seeded = || Matrix::random(h.n, ne, &mut ChaCha8Rng::seed_from_u64(params.seed));
-        let c_global = match warm {
-            Some(w) if w.v0.cols() == ne => w.v0.clone(),
-            Some(w) => {
-                let mut g = seeded();
-                for j in 0..w.v0.cols() {
-                    g.col_mut(j).copy_from_slice(w.v0.col(j));
-                }
-                g
-            }
-            None => seeded(),
-        };
-        let c = c_global.select_rows(h.row_set.iter());
+        let c = initial_block(h.n, ne, params.seed, v0, h.row_set.iter());
         let c2 = c.clone();
         let b = Matrix::zeros(h.n_c(), ne);
         let b2 = Matrix::zeros(h.n_c(), ne);
@@ -917,10 +906,13 @@ where
             self.drain_faults();
         }
 
+        // The iterate itself is the hand-off: free the buffers nothing reads
+        // any more, then move `C` out whole (eigenvectors, then directions).
+        drop((self.c2, self.b, self.b2, self.ckpt));
         Ok(ChaseResult {
             eigenvalues,
             residuals,
-            eigenvectors_local: self.c.copy_cols(0..nev),
+            search_space_local: self.c,
             rows: self.h.row_set.clone(),
             n: self.h.n,
             iterations: self.progress.iter,
@@ -1016,17 +1008,18 @@ where
     solve_from(ctx, backend, h, params, start)
 }
 
-/// What [`solve_dist`] refuses up front: parameters that do not fit an
-/// `n x n` problem, or a warm block of the wrong shape (a session step whose
-/// `n`, `nev` or `nex` differs from the step that produced the block).
-fn check_input<T: Scalar>(
+/// What [`solve_dist`] and [`crate::lms::solve_lms`] refuse up front:
+/// parameters that do not fit an `n x n` problem, or a warm block of the
+/// wrong shape (a session step whose `n`, `nev` or `nex` differs from the
+/// step that produced the block).
+pub(crate) fn check_input<T: Scalar>(
     params: &Params,
     n: usize,
-    warm: Option<&WarmStart<T>>,
+    v0: Option<&Matrix<T>>,
 ) -> Result<(), String> {
     params.try_validate(n)?;
-    if let Some(w) = warm {
-        let (rows, cols, ne) = (w.v0.rows(), w.v0.cols(), params.ne());
+    if let Some(v0) = v0 {
+        let (rows, cols, ne) = (v0.rows(), v0.cols(), params.ne());
         if rows != n || !(1..=ne).contains(&cols) {
             return Err(format!(
                 "warm-start block is {rows} x {cols}, need {n} rows and 1..={ne} columns"
@@ -1053,7 +1046,7 @@ where
         Start::Warm(w) => Some(w),
         _ => None,
     };
-    check_input(params, h.n, warm)
+    check_input(params, h.n, warm.map(|w| &w.v0))
         .map_err(|detail| ChaseError::outside_loop(ChaseErrorKind::InvalidParams { detail }))?;
     let plan = params
         .inject
@@ -1123,19 +1116,25 @@ mod tests {
     fn mismatched_warm_block_is_a_typed_error() {
         // A session step whose shape differs from the step that produced
         // the block: wrong row count, and more columns than the subspace.
+        // The LMS baseline refuses the same blocks alike.
         let h = chase_matgen::dense_with_spectrum::<f64>(
             &chase_matgen::Spectrum::uniform(48, -1.0, 1.0),
             7,
         );
         for (rows, cols, nev, nex) in [(64, 8, 5, 3), (48, 11, 3, 2), (48, 0, 5, 3)] {
             let warm = WarmStart::from_vectors(Matrix::<f64>::zeros(rows, cols));
-            let err = solve_serial(&h, &Params::new(nev, nex), Some(&warm)).unwrap_err();
+            let params = Params::new(nev, nex);
+            let err = solve_serial(&h, &params, Some(&warm)).unwrap_err();
             assert!(
                 matches!(&err.kind, ChaseErrorKind::InvalidParams { detail }
                     if detail.contains(&format!("{rows} x {cols}"))),
                 "{rows} x {cols} block: {err}"
             );
             assert_eq!(err.iter, 0);
+            let ctx = chase_comm::solo_ctx();
+            let dh = DistHerm::from_global(&h, &ctx);
+            let lms = crate::lms::solve_lms(&ctx, dh, &params, Some(&warm.v0));
+            assert_eq!(lms.unwrap_err(), err);
         }
     }
 

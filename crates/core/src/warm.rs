@@ -2,7 +2,7 @@
 //!
 //! ChASE's raison d'être (Section 1) is *sequences*: in a DFT
 //! self-consistency loop each Hamiltonian is a small perturbation of the
-//! previous one, so the previous eigenvectors are an excellent initial
+//! previous one, so the previous search space is an excellent initial
 //! subspace and the previous spectral bounds remain valid up to a small
 //! margin. [`WarmStart`] packages exactly that hand-off: the solver accepts
 //! it directly (no caller-side padding loop) and skips the Lanczos
@@ -10,19 +10,26 @@
 
 use crate::result::ChaseResult;
 use chase_linalg::{Matrix, RealScalar, Scalar, SpectralBounds};
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
 
 /// The state one solve hands to the next solve of a correlated sequence.
 ///
-/// `v0` holds `k` approximate eigenvectors as its columns (`n x k`, with
-/// `1 <= k <= ne`); the solver pads the remaining `ne - k` search directions
-/// with its seeded random block, so callers no longer hand-roll that loop.
+/// `v0` holds `k` columns of a starting search space (`n x k`, with
+/// `1 <= k <= ne`); the solver fills the remaining `ne - k` directions
+/// from its seeded random block, so callers never pad by hand.
+/// [`WarmStart::from_results`] hands over the previous solve's whole final
+/// search space (`k = ne`: its `nev` eigenvectors, then its `nex` other
+/// directions), so no column of the next solve starts random; a block cut
+/// to the `nev` eigenvectors is valid too, and has its `nex` directions
+/// grown again from random vectors by the first filter.
 /// `bounds` optionally carries the previous solve's refined spectral
 /// estimates; when present the Lanczos phase is skipped entirely and the
 /// upper bound is inflated by a small safety margin (the next matrix is a
 /// perturbation, so its spectrum may poke slightly past the old `b_sup`).
 #[derive(Debug, Clone)]
 pub struct WarmStart<T: Scalar> {
-    /// Global approximate eigenvectors (`n x k`, `k <= ne`).
+    /// Global starting search space (`n x k`, `1 <= k <= ne`).
     pub v0: Matrix<T>,
     /// Cached spectral bounds from the previous solve.
     pub bounds: Option<SpectralBounds<T::Real>>,
@@ -36,13 +43,13 @@ impl<T: Scalar> WarmStart<T> {
 
     /// Build the warm-start payload for the next solve in a sequence from
     /// the per-rank results of an SPMD run (a single-element slice for
-    /// serial solves). Assembles the full eigenvector block and reuses the
-    /// refined spectral bounds.
+    /// serial solves): the whole `n x ne` final search space — the
+    /// eigenvectors of [`ChaseResult::assemble_eigenvectors`] in its first
+    /// `nev` columns — and the refined spectral bounds.
     pub fn from_results(results: &[ChaseResult<T>]) -> Self {
         assert!(!results.is_empty());
-        let v0 = ChaseResult::assemble_eigenvectors(results);
         Self {
-            v0,
+            v0: ChaseResult::assemble_search_space(results),
             bounds: Some(results[0].bounds),
         }
     }
@@ -68,6 +75,29 @@ impl<T: Scalar> WarmStart<T> {
     }
 }
 
+/// This rank's `rows` of the initial search space (`n x ne` globally): the
+/// seeded random block (identical across ranks), its leading columns
+/// replaced by the `k` columns of a warm block `v0`. A full-width `v0` is
+/// sliced directly, without drawing the random block.
+pub(crate) fn initial_block<T: Scalar>(
+    n: usize,
+    ne: usize,
+    seed: u64,
+    v0: Option<&Matrix<T>>,
+    rows: impl Iterator<Item = usize>,
+) -> Matrix<T> {
+    match v0 {
+        Some(v) if v.cols() == ne => v.select_rows(rows),
+        _ => {
+            let mut g = Matrix::random(n, ne, &mut ChaCha8Rng::seed_from_u64(seed));
+            if let Some(v) = v0 {
+                g.set_cols(0, v);
+            }
+            g.select_rows(rows)
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -87,6 +117,24 @@ mod tests {
         assert_eq!(b.mu_1, -1.0);
         assert_eq!(b.mu_ne, 0.0);
         assert!((b.b_sup - 1.02).abs() < 1e-12);
+    }
+
+    #[test]
+    fn initial_block_pads_a_narrow_warm_block_with_the_seeded_columns() {
+        let (n, ne, seed) = (6, 4, 9);
+        let cold = initial_block::<f64>(n, ne, seed, None, 0..n);
+        let v0 = Matrix::from_fn(n, 2, |i, j| (10 * i + j) as f64);
+        let padded = initial_block(n, ne, seed, Some(&v0), 0..n);
+        assert_eq!(padded.cols_ref(0..2).as_slice(), v0.as_slice());
+        assert_eq!(
+            padded.cols_ref(2..ne).as_slice(),
+            cold.cols_ref(2..ne).as_slice()
+        );
+        // A full-width block is this rank's rows of it, nothing drawn.
+        let full = Matrix::from_fn(n, ne, |i, j| (i + 7 * j) as f64);
+        let rows = [4, 1];
+        let local = initial_block(n, ne, seed, Some(&full), rows.into_iter());
+        assert_eq!(local, full.select_rows(rows.into_iter()));
     }
 
     #[test]

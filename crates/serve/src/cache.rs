@@ -5,7 +5,7 @@
 //! and hit/miss decisions are made while *planning* a drain (walking jobs in
 //! canonical order), so they are pure functions of the job set and the
 //! budget — independent of worker count and completion interleaving. The
-//! scheduler keeps the actual eigenvector payloads in a side store and
+//! scheduler keeps the actual search-space payloads in a side store and
 //! reconciles it against this policy cache after each drain.
 
 use std::collections::BTreeMap;

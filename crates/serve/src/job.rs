@@ -11,7 +11,8 @@ use std::sync::Arc;
 pub type JobId = u64;
 
 /// Tags a job as step `step` of the correlated sequence `id`: the session
-/// cache hands step `k`'s eigenpairs to step `k + 1` automatically.
+/// cache hands step `k`'s final search space and bounds to step `k + 1`
+/// automatically.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct SessionTag {
     pub id: String,
@@ -147,9 +148,9 @@ impl<T: Scalar> JobSpec<T> {
     }
 
     /// Bytes the session cache pays to keep this job's output resident
-    /// (the `n x nev` eigenvector block plus the spectral bounds).
+    /// (the `n x ne` final search space plus the spectral bounds).
     pub fn cache_bytes(&self) -> usize {
-        self.matrix.n() * self.params.nev * std::mem::size_of::<T>()
+        self.matrix.n() * self.params.ne() * std::mem::size_of::<T>()
             + std::mem::size_of::<SpectralBounds<T::Real>>()
     }
 
@@ -171,7 +172,7 @@ pub enum WarmKind {
     /// Random start (first step of a session, standalone job, or evicted
     /// cache entry).
     Cold,
-    /// Started from the session cache (previous eigenvectors + bounds).
+    /// Started from the session cache (previous search space + bounds).
     Warm,
     /// The plan promised a warm start but the predecessor failed; the job
     /// ran cold rather than poisoning the pool.

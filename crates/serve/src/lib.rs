@@ -7,7 +7,7 @@
 //! rank-grid workers:
 //!
 //! - **Sessions**: jobs tagged `(session, step)` form a correlated
-//!   sequence; step `k + 1` starts from step `k`'s eigenvectors and
+//!   sequence; step `k + 1` starts from step `k`'s final search space and
 //!   spectral bounds (skipping the Lanczos estimate entirely), the
 //!   approximation-reuse strategy the ChASE paper applies to sequences of
 //!   correlated eigenproblems.

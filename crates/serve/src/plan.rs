@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 pub struct Plan {
     /// Canonical-order rank per job (total order over the batch).
     pub canon: Vec<usize>,
-    /// Starts from the session cache (predecessor eigenpairs + bounds).
+    /// Starts from the session cache (predecessor search space + bounds).
     pub warm: Vec<bool>,
     /// Execution dependency: the in-batch predecessor whose output this
     /// (warm) job consumes. `None` for cold jobs and for warm starts served

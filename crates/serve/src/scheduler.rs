@@ -363,7 +363,7 @@ where
                     }));
 
                     let mut g = shared.lock();
-                    let (outcome, trace) = match ran {
+                    let (outcome, handoff, trace) = match ran {
                         Ok(done) => done,
                         Err(payload) => {
                             g.panic.get_or_insert(payload);
@@ -371,23 +371,18 @@ where
                             return;
                         }
                     };
-                    if let Some(tag) = &specs[idx].session {
-                        if let JobOutcome::Done(s) = &outcome {
-                            g.store.insert(
-                                tag.id.clone(),
-                                StoreEntry {
-                                    step: tag.step,
-                                    bytes: specs[idx].cache_bytes(),
-                                    warm: Arc::new(WarmStart {
-                                        v0: s.eigenvectors.clone(),
-                                        bounds: Some(s.bounds),
-                                    }),
-                                },
-                            );
-                        }
-                        // On failure the predecessor's entry (if any) stays:
-                        // later steps degrade to the last good subspace.
+                    if let (Some(tag), Some(warm)) = (&specs[idx].session, handoff) {
+                        g.store.insert(
+                            tag.id.clone(),
+                            StoreEntry {
+                                step: tag.step,
+                                bytes: specs[idx].cache_bytes(),
+                                warm: Arc::new(warm),
+                            },
+                        );
                     }
+                    // On failure the predecessor's entry (if any) stays:
+                    // later steps degrade to the last good subspace.
                     g.results[idx] = Some(ExecResult {
                         outcome,
                         warm: warm_kind,
@@ -421,7 +416,9 @@ where
 
 /// Run one job on its own rank grid. Pure with respect to scheduler state:
 /// everything it needs arrives as arguments, everything it learns leaves in
-/// the return value.
+/// the return value — for a solved session step also the hand-off to its
+/// next step, the `n x ne` final search space, which the session store
+/// takes by move.
 ///
 /// A job whose fault spec plans a rank crash runs elastic inside
 /// [`solve_grid`]: the crash shrinks the grid and the solve resumes from
@@ -433,7 +430,7 @@ fn run_job<T: Scalar + Reduce>(
     warm: Option<&WarmStart<T>>,
     backend: Backend,
     record_traces: bool,
-) -> (JobOutcome<T>, Option<Trace>)
+) -> (JobOutcome<T>, Option<WarmStart<T>>, Option<Trace>)
 where
     T::Real: Reduce,
 {
@@ -449,12 +446,17 @@ where
         },
     );
     let trace = out.trace.take();
-    let outcome = match out.into_solved() {
-        Err(e) => JobOutcome::Failed(e),
+    let (outcome, handoff) = match out.into_solved() {
+        Err(e) => (JobOutcome::Failed(e), None),
         Ok(oks) => {
-            let eigenvectors = ChaseResult::assemble_eigenvectors(&oks);
+            let (eigenvectors, handoff) = if spec.session.is_some() {
+                let warm = WarmStart::from_results(&oks);
+                (warm.v0.copy_cols(0..spec.params.nev), Some(warm))
+            } else {
+                (ChaseResult::assemble_eigenvectors(&oks), None)
+            };
             let r0 = oks.into_iter().next().expect("at least one rank");
-            JobOutcome::Done(SolveOutput {
+            let done = JobOutcome::Done(SolveOutput {
                 eigenvalues: r0.eigenvalues,
                 residuals: r0.residuals,
                 eigenvectors,
@@ -463,8 +465,9 @@ where
                 iterations: r0.iterations,
                 converged: r0.converged,
                 recovery: r0.recovery,
-            })
+            });
+            (done, handoff)
         }
     };
-    (outcome, trace)
+    (outcome, handoff, trace)
 }

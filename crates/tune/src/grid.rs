@@ -178,8 +178,8 @@ mod tests {
         assert_eq!(grid.eigenvalues, serial.eigenvalues);
         assert_eq!(grid.residuals, serial.residuals);
         assert_eq!(
-            grid.eigenvectors_local.as_slice(),
-            serial.eigenvectors_local.as_slice()
+            grid.eigenvectors_local().as_slice(),
+            serial.eigenvectors_local().as_slice()
         );
         assert_eq!(
             (grid.iterations, grid.matvecs),

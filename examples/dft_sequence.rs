@@ -6,9 +6,13 @@
 //!
 //! The hand-off is fully automated by the `chase-serve` session API: tag
 //! each cycle as step `k` of one session and the scheduler warm-starts it
-//! from step `k - 1`'s eigenpairs and spectral bounds (the Lanczos estimate
-//! is skipped entirely). A second scheduler with the cache disabled provides
-//! the cold ablation for comparison.
+//! from step `k - 1`'s final search space (its eigenvectors and its other
+//! search directions) and spectral bounds (the Lanczos estimate is skipped
+//! entirely). A second scheduler with the cache disabled provides the cold
+//! ablation for comparison.
+//!
+//! A check as well as a table: exits non-zero unless every warm-started
+//! cycle takes fewer MatVecs than its cold ablation.
 //!
 //! ```text
 //! cargo run --release --example dft_sequence
@@ -70,6 +74,7 @@ fn main() {
     );
     let mut total_warm = 0u64;
     let mut total_cold = 0u64;
+    let mut losses = Vec::new();
     for (w, c) in warm.iter().zip(&cold) {
         let ws = w.solve().expect("warm cycle converged");
         let cs = c.solve().expect("cold cycle converged");
@@ -90,6 +95,9 @@ fn main() {
         );
         total_warm += ws.matvecs;
         total_cold += cs.matvecs;
+        if w.warm == WarmKind::Warm && ws.matvecs >= cs.matvecs {
+            losses.push(w.name.clone());
+        }
     }
 
     let m = warm_pool.metrics;
@@ -105,4 +113,11 @@ fn main() {
         m.matvecs_saved
     );
     println!("This reuse of approximate solutions is why ChASE is iterative (Section 1).");
+    if !losses.is_empty() {
+        eprintln!(
+            "error: warm-started cycle(s) took no fewer MatVecs than cold: {}",
+            losses.join(", ")
+        );
+        std::process::exit(1);
+    }
 }

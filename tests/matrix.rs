@@ -414,8 +414,8 @@ where
                     assert_eq!(rd.eigenvalues, rs.eigenvalues, "{case}: driver eigs");
                     assert_eq!(rd.residuals, rs.residuals, "{case}: driver residuals");
                     assert_eq!(
-                        rd.eigenvectors_local.as_slice(),
-                        rs.eigenvectors_local.as_slice(),
+                        rd.eigenvectors_local().as_slice(),
+                        rs.eigenvectors_local().as_slice(),
                         "{case}: driver vectors"
                     );
                     assert_eq!(rd.recovery, rs.recovery, "{case}: driver recovery log");

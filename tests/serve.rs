@@ -297,8 +297,9 @@ fn faulted_job_never_poisons_siblings() {
 /// evicted session simply restarts cold (correct, just slower).
 #[test]
 fn lru_eviction_keeps_budget_and_degrades_to_cold() {
-    // Budget fits exactly one session's entry (n=64, nev=5 → 5248 bytes).
-    let one_entry = 64 * 5 * std::mem::size_of::<C64>() + 64;
+    // Budget fits exactly one session's entry (n=64, ne=8 search space plus
+    // bounds → 8216 bytes).
+    let one_entry = 64 * 8 * std::mem::size_of::<C64>() + 64;
     let mut sched: Scheduler<C64> = Scheduler::new(SchedulerConfig {
         workers: 1,
         cache_bytes: one_entry,
@@ -492,7 +493,7 @@ fn mismatched_session_step_fails_typed_and_alone() {
     for step0 in ["rows0", "cols0"] {
         assert!(reports[step0].solve().expect("step 0 is sound").converged);
     }
-    for (step1, block) in [("rows1", "64 x 5"), ("cols1", "64 x 8")] {
+    for (step1, block) in [("rows1", "64 x 8"), ("cols1", "64 x 11")] {
         let e = reports[step1].failed().expect("mismatched step must fail");
         assert!(
             matches!(&e.kind, ChaseErrorKind::InvalidParams { detail } if detail.contains(block)),

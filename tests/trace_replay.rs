@@ -52,8 +52,8 @@ fn assert_outcomes_bitwise<T: Scalar>(
                 );
                 assert_eq!(x.residuals, y.residuals, "{what}: rank {rank} residuals");
                 assert_eq!(
-                    x.eigenvectors_local.as_slice(),
-                    y.eigenvectors_local.as_slice(),
+                    x.eigenvectors_local().as_slice(),
+                    y.eigenvectors_local().as_slice(),
                     "{what}: rank {rank} eigenvectors"
                 );
                 assert_eq!(x.iterations, y.iterations, "{what}: rank {rank} iterations");
