@@ -5,7 +5,7 @@
 //! Setup mirrors the paper: Uniform (real f64) matrices, N = 30k..240k with
 //! node count 1..64, nev = 2250, nex = 750, first iteration only (fixed
 //! workload per task). The analytic event streams priced here are asserted
-//! equal to live functional-run ledgers in `tests/analytic_vs_live.rs`.
+//! equal to live functional-run ledgers in `tests/it/analytic_vs_live.rs`.
 
 use chase_comm::Region;
 use chase_perfmodel::{

@@ -7,7 +7,7 @@
 //! identical arguments and must compute the identical permutation, with no
 //! shared scheduler state.
 
-use chase_comm::{CommScope, SchedulePoint, SchedulePolicy, ScheduleStream};
+use chase_comm::{SchedulePoint, SchedulePolicy, ScheduleStream};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
@@ -149,18 +149,6 @@ impl PointId {
     }
 }
 
-/// Parse a scope token back to a [`CommScope`] (inverse of
-/// [`CommScope::name`]).
-pub fn scope_from_name(s: &str) -> Option<CommScope> {
-    match s {
-        "world" => Some(CommScope::World),
-        "row" => Some(CommScope::Row),
-        "col" => Some(CommScope::Col),
-        "other" => Some(CommScope::Other),
-        _ => None,
-    }
-}
-
 /// Replay policy: the points named in `perms` get their recorded
 /// permutation, everything else is gated in identity order — so a replayed
 /// run is *fully* pinned and its divergence (or lack of one) is
@@ -235,6 +223,7 @@ pub fn is_identity(perm: &[usize]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chase_comm::CommScope;
 
     fn pt(op: &'static str, seq: u64, members: usize) -> SchedulePoint {
         SchedulePoint {
@@ -299,18 +288,5 @@ mod tests {
         let log = rec.recorded();
         assert_eq!(log.len(), 1);
         assert_eq!(log[&PointId::of(&p)], perm);
-    }
-
-    #[test]
-    fn scope_tokens_round_trip() {
-        for s in [
-            CommScope::World,
-            CommScope::Row,
-            CommScope::Col,
-            CommScope::Other,
-        ] {
-            assert_eq!(scope_from_name(s.name()), Some(s));
-        }
-        assert_eq!(scope_from_name("grid"), None);
     }
 }

@@ -719,19 +719,6 @@ impl Communicator {
         }
     }
 
-    /// Buffered exchange: send to `to`, then receive from `from`. Safe in
-    /// lockstep exchanges (both sides send before either blocks).
-    pub fn sendrecv<T: Send + 'static>(
-        &self,
-        to: usize,
-        from: usize,
-        tag: u64,
-        data: Vec<T>,
-    ) -> Vec<T> {
-        self.send(to, tag, data);
-        self.recv(from, tag)
-    }
-
     // ---- the collective engine -----------------------------------------
     //
     // As in NCCL there is one engine: every collective is a post (deposit a
@@ -1396,15 +1383,6 @@ mod tests {
             }
         });
         assert_eq!(out[1], 1020);
-    }
-
-    #[test]
-    fn p2p_sendrecv_exchange() {
-        let out = run_spmd(2, |c| {
-            let other = 1 - c.rank();
-            c.sendrecv(other, other, 3, vec![c.rank() as u64 + 1])[0]
-        });
-        assert_eq!(out, vec![2, 1]);
     }
 
     #[test]

@@ -173,12 +173,6 @@ impl RankCtx {
         self.row * self.shape.q + self.col
     }
 
-    /// True for the diagonal ranks `(k, k)` that root the `C -> B2`
-    /// broadcast on square grids (Algorithm 2, line 14).
-    pub fn is_diagonal(&self) -> bool {
-        self.row == self.col
-    }
-
     pub fn record(&self, kind: EventKind) {
         let region = {
             let mut l = self.ledger.lock();
@@ -523,18 +517,6 @@ mod tests {
         });
         for (wr, l) in out.ledgers.iter().enumerate() {
             assert_eq!(l.events().len(), wr + 1);
-        }
-    }
-
-    #[test]
-    fn diagonal_ranks() {
-        let out = run_grid(GridShape::new(3, 3), |ctx| {
-            (ctx.row, ctx.col, ctx.is_diagonal())
-        });
-        let diag_count = out.results.iter().filter(|(_, _, d)| *d).count();
-        assert_eq!(diag_count, 3);
-        for (i, j, d) in out.results {
-            assert_eq!(d, i == j);
         }
     }
 

@@ -145,13 +145,6 @@ impl Params {
         }
         Ok(())
     }
-
-    /// Validate against a problem size (panicking convenience wrapper).
-    pub fn validate(&self, n: usize) {
-        if let Err(e) = self.try_validate(n) {
-            panic!("{e}");
-        }
-    }
 }
 
 #[cfg(test)]
@@ -169,9 +162,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "search space")]
     fn validate_rejects_oversized_subspace() {
-        Params::new(100, 40).validate(120);
+        let err = Params::new(100, 40).try_validate(120).unwrap_err();
+        assert!(err.contains("search space"), "{err}");
     }
 
     #[test]
@@ -183,7 +176,7 @@ mod tests {
 
     #[test]
     fn validate_accepts_sane() {
-        Params::new(10, 5).validate(100);
+        assert_eq!(Params::new(10, 5).try_validate(100), Ok(()));
     }
 
     /// An odd `max_deg` is a cap, not a suggestion: the initial degree
@@ -193,7 +186,7 @@ mod tests {
     fn an_odd_cap_bounds_the_initial_degree() {
         let mut p = Params::new(10, 5);
         (p.deg, p.max_deg) = (35, 35);
-        p.validate(100);
+        assert_eq!(p.try_validate(100), Ok(()));
         assert_eq!(p.init_deg(), 34);
         (p.deg, p.max_deg) = (33, 35);
         assert_eq!(p.init_deg(), 34);

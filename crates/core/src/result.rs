@@ -236,9 +236,8 @@ pub enum ChaseErrorKind {
     /// (`e <= 0` or non-finite bounds) — reachable from stale warm-start
     /// bounds or a corrupt workload file.
     BadSpectrum { detail: String },
-    /// The parameter set failed validation (typed counterpart of the
-    /// historic `Params::validate` panics, so one bad job cannot abort a
-    /// whole serve run).
+    /// The parameter set failed `Params::try_validate` (typed, so one bad
+    /// job cannot abort a whole serve run).
     InvalidParams { detail: String },
     /// A checkpoint restore was requested but the snapshot was corrupt or
     /// belongs to a different problem.

@@ -74,28 +74,6 @@ pub fn copy<T: Scalar>(x: &[T], y: &mut [T]) {
     y.copy_from_slice(x);
 }
 
-/// Per-column squared norms of a column-major `rows x cols` block.
-pub fn col_norms_sqr<T: Scalar>(data: &[T], rows: usize, cols: usize) -> Vec<T::Real> {
-    debug_assert_eq!(data.len(), rows * cols);
-    (0..cols)
-        .map(|j| nrm2_sqr(&data[j * rows..(j + 1) * rows]))
-        .collect()
-}
-
-/// Index of the entry with largest modulus.
-pub fn iamax<T: Scalar>(x: &[T]) -> usize {
-    let mut best = 0;
-    let mut bv = <T::Real as Scalar>::zero();
-    for (i, a) in x.iter().enumerate() {
-        let v = a.abs();
-        if v > bv {
-            bv = v;
-            best = i;
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,17 +106,5 @@ mod tests {
         assert_eq!(y, [6.0, 12.0]);
         rscal(2.0, &mut y);
         assert_eq!(y, [12.0, 24.0]);
-    }
-
-    #[test]
-    fn col_norms() {
-        // 2x2 column-major: col0 = [3,4], col1 = [0,2]
-        let d = [3.0f64, 4.0, 0.0, 2.0];
-        assert_eq!(col_norms_sqr(&d, 2, 2), vec![25.0, 4.0]);
-    }
-
-    #[test]
-    fn iamax_picks_largest() {
-        assert_eq!(iamax(&[1.0f64, -7.0, 3.0]), 1);
     }
 }

@@ -1886,8 +1886,10 @@ mod tests {
     /// microkernel through `gemm` (either orientation), and the in-panel sweeps of
     /// `trsm_right_upper` and `potrf_upper` on inputs one `PANEL` wide (all
     /// sweep, no pass of the nest), each at the widest level against
-    /// `Portable`, best of several runs. A CPU with no wider level, or a
-    /// build whose baseline has FMA itself, has nothing to tell apart.
+    /// `Portable`, best of several runs. The two sides alternate run by run,
+    /// so a burst of load on the host slows both alike instead of only the
+    /// one timed while it lasts. A CPU with no wider level, or a build whose
+    /// baseline has FMA itself, has nothing to tell apart.
     #[test]
     fn dispatched_code_is_compiled_for_its_level() {
         if Isa::detect() == Isa::Portable || cfg!(target_feature = "fma") {
@@ -1917,16 +1919,18 @@ mod tests {
             }),
         ];
         for (what, runs, kernel) in kernels {
-            let best = || {
-                let one = || {
-                    let t = std::time::Instant::now();
-                    kernel();
-                    t.elapsed()
-                };
-                (0..runs).map(|_| one()).min().expect("at least one run")
+            let one = || {
+                let t = std::time::Instant::now();
+                kernel();
+                t.elapsed()
             };
-            let at_level = best();
-            let at_baseline = with_isa(Isa::Portable, best).expect("runs on every CPU");
+            let mut at_level = std::time::Duration::MAX;
+            let mut at_baseline = std::time::Duration::MAX;
+            for _ in 0..runs {
+                at_level = at_level.min(one());
+                let portable = with_isa(Isa::Portable, one).expect("runs on every CPU");
+                at_baseline = at_baseline.min(portable);
+            }
             println!("{what}: {at_level:?} dispatched, {at_baseline:?} at the baseline");
             assert!(
                 at_baseline > 2 * at_level,

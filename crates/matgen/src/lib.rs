@@ -21,45 +21,3 @@ pub mod suite;
 
 pub use spectrum::{dense_with_spectrum, dense_with_spectrum_qr, perturb_hermitian, Spectrum};
 pub use suite::{scaled_suite, Problem, ProblemKind, SCALE_DEFAULT};
-
-use chase_comm::block_range;
-use chase_linalg::{Matrix, Scalar};
-
-/// Carve the local `n_r x n_c` block of a globally generated Hermitian
-/// matrix for grid position `(row, col)` under the block distribution
-/// (Section 2.2 of the paper).
-pub fn local_block<T: Scalar>(
-    h: &Matrix<T>,
-    p: usize,
-    q: usize,
-    row: usize,
-    col: usize,
-) -> Matrix<T> {
-    let n = h.rows();
-    let ri = block_range(n, p, row);
-    let cj = block_range(n, q, col);
-    h.sub(ri.start, cj.start, ri.len(), cj.len())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use chase_linalg::C64;
-
-    #[test]
-    fn local_blocks_tile_the_matrix() {
-        let spec = Spectrum::uniform(10, -1.0, 1.0);
-        let h = dense_with_spectrum::<C64>(&spec, 42);
-        let (p, q) = (2, 3);
-        for i in 0..p {
-            for j in 0..q {
-                let b = local_block(&h, p, q, i, j);
-                let ri = block_range(10, p, i);
-                let cj = block_range(10, q, j);
-                assert_eq!(b.rows(), ri.len());
-                assert_eq!(b.cols(), cj.len());
-                assert_eq!(b[(0, 0)], h[(ri.start, cj.start)]);
-            }
-        }
-    }
-}

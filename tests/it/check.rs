@@ -2,7 +2,7 @@
 //! schedule exploration, the differential oracle holds, and the planted
 //! mutation canary is caught, shrunk and deterministically replayed.
 
-mod common;
+use crate::common;
 
 use chase_check::{
     check_case, cross_config_check, differential_check, replay, run_case, CheckCase, ScalarKind,
@@ -89,7 +89,7 @@ fn differential_oracle_agrees_with_direct_and_across_configs() {
 #[test]
 fn harness_solves_match_the_shared_suite_path() {
     // The harness's internal solve must be the same solve the rest of the
-    // test suite runs (tests/common): bitwise-equal eigenvalues per rank.
+    // test suite runs (`common`): bitwise-equal eigenvalues per rank.
     let case = CheckCase::new(ScalarKind::F64, (2, 2));
     let fp = run_case(&case, None, false);
     let (h, _) = common::problem::<f64>(case.n, case.pseed);

@@ -1,11 +1,6 @@
 //! Shared end-to-end test harness: the one copy of the problem builders and
-//! solve-loop helpers that `tests/matrix.rs`, `tests/faults.rs`,
-//! `tests/overlap.rs` and `tests/tune.rs` used to each carry their own
-//! flavor of.
-//!
-//! Each integration-test binary compiles this module separately and uses a
-//! different subset, so everything is `allow(dead_code)`.
-#![allow(dead_code)]
+//! solve-loop helpers that the `matrix`, `faults`, `overlap` and `tune`
+//! suites used to each carry their own flavor of.
 
 use chase_comm::{run_grid, GridShape, Reduce};
 use chase_core::{

@@ -10,11 +10,10 @@
 //! - clean and faulted runs land on the same spectrum (the fault either
 //!   recovers fully or the solve fails typed — chaos contract).
 //!
-//! This file replaces the per-suite copies of the solve-loop helper that
-//! `tests/faults.rs` used to carry; the shared
-//! harness lives in `tests/common/`.
+//! This module replaces the per-suite copies of the solve-loop helper that
+//! the `faults` suite used to carry; the shared harness lives in `common`.
 
-mod common;
+use crate::common;
 
 use chase_comm::{run_grid, Category, EventKind, GridShape, Ledger, Reduce, Region, SpmdOutput};
 use chase_core::{

@@ -9,7 +9,7 @@
 //! `bench_e2e`'s `core.filter_pipelined_over_flat` row still times it; it
 //! goes with that row (ROADMAP item 1a).
 
-mod common;
+use crate::common;
 
 use chase_comm::{run_grid, GridShape};
 use chase_core::{chebyshev_filter_with, DistHerm, FilterExec};

@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-mod common;
+use crate::common;
 
 /// Tall-skinny matrix with prescribed condition number.
 fn conditioned(m: usize, n: usize, kappa: f64, seed: u64) -> Matrix<C64> {
@@ -192,6 +192,21 @@ fn cond_estimate_on_synthetic_filter() {
     let rho2 = growth_factor(-2.0);
     let truth = (rho3 / rho2).powi(d as i32);
     assert!(est >= truth, "est {est:.3e} < truth {truth:.3e}");
+}
+
+/// The seeds persisted for this module's properties replay first: the shim
+/// finds `proptest-regressions/<stem>.txt` from `file!()`'s stem, wherever
+/// in the test crate this module sits.
+#[test]
+fn persisted_seeds_still_replay() {
+    let want: Vec<u64> = [
+        "c2f0270885d192fa8a8aa143e2787b12b1a193f74b5c39c7cfad52beb91659c9",
+        "81c78d001e572ac9",
+    ]
+    .map(|hex| proptest::fold_hex_seed(hex).expect("a hex seed"))
+    .into();
+    let got = proptest::persisted_seeds(file!(), "persisted_seeds_still_replay");
+    assert_eq!(got, want);
 }
 
 proptest! {

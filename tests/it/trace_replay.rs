@@ -5,7 +5,7 @@
 //! injection, and installing a recorder must not perturb the solve by a
 //! single bit.
 
-mod common;
+use crate::common;
 
 use chase_comm::{GridShape, Reduce};
 use chase_core::{ChaseError, ChaseResult, Params};

@@ -10,7 +10,7 @@
 //! - the entry is world-agreed: every rank of a grid derives bitwise the
 //!   same entry.
 
-mod common;
+use crate::common;
 
 use chase_comm::{run_grid, GridShape, Reduce};
 use chase_core::DistHerm;
