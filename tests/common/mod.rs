@@ -1,6 +1,11 @@
 //! Shared end-to-end test harness: the one copy of the problem builders and
 //! solve-loop helpers that the `matrix`, `faults`, `overlap` and `tune`
 //! suites used to each carry their own flavor of.
+//!
+//! The `tests/it` crate and the suites still in their own test crates each
+//! compile this module separately and use a different subset, so everything
+//! is `allow(dead_code)`.
+#![allow(dead_code)]
 
 use chase_comm::{run_grid, GridShape, Reduce};
 use chase_core::{

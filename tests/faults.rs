@@ -4,7 +4,7 @@
 //! the fault-free run, or returns a typed error whose recovery log names
 //! what happened — never silently-wrong results, never a hang.
 
-use crate::common;
+mod common;
 
 use chase_comm::GridShape;
 use chase_core::{

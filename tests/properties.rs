@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use crate::common;
+mod common;
 
 /// Tall-skinny matrix with prescribed condition number.
 fn conditioned(m: usize, n: usize, kappa: f64, seed: u64) -> Matrix<C64> {
@@ -194,9 +194,10 @@ fn cond_estimate_on_synthetic_filter() {
     assert!(est >= truth, "est {est:.3e} < truth {truth:.3e}");
 }
 
-/// The seeds persisted for this module's properties replay first: the shim
-/// finds `proptest-regressions/<stem>.txt` from `file!()`'s stem, wherever
-/// in the test crate this module sits.
+/// The seeds persisted for this suite's properties replay first: the shim
+/// finds `proptest-regressions/<stem>.txt` from `file!()`'s stem, so they
+/// keep replaying whether the suite is its own test crate or a module of
+/// `tests/it`.
 #[test]
 fn persisted_seeds_still_replay() {
     let want: Vec<u64> = [
