@@ -3,7 +3,7 @@
 //! of Table 1) and cross-check ChASE against the direct eigensolver.
 //!
 //! ```text
-//! cargo run --release --example bse_spectrum
+//! cargo run --release -p chase-bench --bin bse_spectrum
 //! ```
 //!
 //! BSE matrices are Hermitian positive definite with excitation energies

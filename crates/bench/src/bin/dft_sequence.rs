@@ -19,7 +19,7 @@
 //! ablation.
 //!
 //! ```text
-//! cargo run --release --example dft_sequence
+//! cargo run --release -p chase-bench --bin dft_sequence
 //! ```
 
 use chase_core::{solve_serial, Params, WarmStart};

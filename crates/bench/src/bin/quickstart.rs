@@ -1,7 +1,7 @@
 //! Quickstart: solve for the lowest eigenpairs of a dense Hermitian matrix.
 //!
 //! ```text
-//! cargo run --release --example quickstart
+//! cargo run --release -p chase-bench --bin quickstart
 //! ```
 //!
 //! Builds a 400x400 complex Hermitian matrix with a known uniform spectrum

@@ -4,7 +4,7 @@
 //! with the calibrated machine model — the methodology behind Figs. 2–3.
 //!
 //! ```text
-//! cargo run --release --example scaling_study
+//! cargo run --release -p chase-bench --bin scaling_study
 //! ```
 
 use chase_comm::{run_grid, GridShape, Region};

@@ -21,7 +21,7 @@ use chase_core::{ChaseResult, Params};
 use chase_device::Backend;
 use chase_linalg::{Matrix, C64};
 use chase_perfmodel::{
-    iteration_events, CommFlavor, IterationSpec, Layout, Machine, PriceCtx, ScalarKind,
+    solve_events, CommFlavor, IterationSpec, Layout, Machine, PriceCtx, ScalarKind,
 };
 use chase_tune::{solve_grid, GridRun};
 
@@ -94,15 +94,7 @@ pub fn price_schedule(
         flavor,
         scalar,
     };
-    let mut total = Ledger::new();
-    for &(active, deg) in schedule {
-        let spec = IterationSpec {
-            active,
-            deg,
-            ..base
-        };
-        total.absorb(&iteration_events(&spec));
-    }
+    let total = solve_events(&base, schedule);
     let ctx = PriceCtx {
         scalar,
         flavor,

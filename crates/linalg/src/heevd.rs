@@ -83,7 +83,7 @@ fn hemv_lower<T: Scalar>(a: &Matrix<T>, from: usize, x: &[T], p: &mut [T]) {
 fn hetrd<T: Scalar>(a: &Matrix<T>) -> Reduction<T> {
     use crate::blas1::{axpy, dotc, scal};
     let n = a.rows();
-    assert_eq!(a.cols(), n, "tridiagonalize: square matrix required");
+    assert_eq!(a.cols(), n, "hetrd: square matrix required");
     let mut d = Vec::with_capacity(n);
     let mut e = Vec::with_capacity(n.saturating_sub(1));
     let mut q = Vec::with_capacity(n.div_ceil(PANEL));
@@ -207,17 +207,6 @@ fn apply_qh_right<T: Scalar>(blocks: &[WyBlock<T>], x: &mut Matrix<T>) {
     }
 }
 
-/// Householder reduction of a Hermitian matrix (its lower triangle is read)
-/// to real tridiagonal form: `A = Q T Q^H` with `T = tridiag(e, d, e)`.
-///
-/// Returns `(d, e, Q)` where `d` has length `n` and `e` length `n - 1`.
-pub fn tridiagonalize<T: Scalar>(a: &Matrix<T>) -> (Vec<T::Real>, Vec<T::Real>, Matrix<T>) {
-    let Reduction { d, e, q } = hetrd(a);
-    let mut qh = Matrix::identity(a.rows(), a.rows());
-    apply_qh_right(&q, &mut qh);
-    (d, e, qh.adjoint())
-}
-
 /// Local copy of the reflector generator (see `qr::larfg`); kept separate so
 /// the two modules stay independently testable.
 fn larfg_local<T: Scalar>(alpha: T, x: &mut [T]) -> (T::Real, T) {
@@ -337,15 +326,6 @@ pub fn steqr<T: Scalar>(
     Ok(())
 }
 
-/// Eigenvalues of a real symmetric tridiagonal matrix, ascending.
-pub fn eigvals_tridiagonal<R: RealScalar>(d: &[R], e: &[R]) -> Result<Vec<R>, NoConvergence> {
-    let mut dd = d.to_vec();
-    let mut ee = e.to_vec();
-    steqr::<R>(&mut dd, &mut ee, None)?;
-    dd.sort_by(|a, b| a.to_f64().total_cmp(&b.to_f64()));
-    Ok(dd)
-}
-
 /// Full solve: eigenvalues (ascending) and unitary eigenvector matrix of
 /// the dense Hermitian `A` whose lower triangle `a` holds.
 ///
@@ -391,37 +371,16 @@ mod tests {
     }
 
     #[test]
-    fn tridiagonalize_preserves_similarity() {
-        let a = random_hermitian(10, 21);
-        let (d, e, q) = tridiagonalize(&a);
-        // Build T and check Q T Q^H = A.
-        let n = 10;
-        let mut t = Matrix::<C64>::zeros(n, n);
-        for i in 0..n {
-            t[(i, i)] = C64::from_f64(d[i].to_f64());
-        }
-        for i in 0..n - 1 {
-            t[(i + 1, i)] = C64::from_f64(e[i].to_f64());
-            t[(i, i + 1)] = C64::from_f64(e[i].to_f64());
-        }
-        let qt = gemm_new(Op::None, Op::None, &q, &t);
-        let back = gemm_new(Op::None, Op::ConjTrans, &qt, &q);
-        assert!(back.max_abs_diff(&a) < 1e-12 * a.norm_fro());
-        // Q unitary
-        let qhq = gemm_new(Op::ConjTrans, Op::None, &q, &q);
-        assert!(qhq.orthogonality_error() < 1e-12);
-    }
-
-    #[test]
     fn steqr_known_tridiagonal() {
         // Clement-like 3x3: eigenvalues of tridiag([1,1],[0,0,0]) are -sqrt(2),0,sqrt(2).
-        let d = [0.0f64, 0.0, 0.0];
-        let e = [1.0f64, 1.0];
-        let vals = eigvals_tridiagonal(&d, &e).unwrap();
+        let mut d = [0.0f64, 0.0, 0.0];
+        let mut e = [1.0f64, 1.0];
+        steqr::<f64>(&mut d, &mut e, None).unwrap();
+        d.sort_by(f64::total_cmp);
         let s2 = 2.0f64.sqrt();
-        assert!((vals[0] + s2).abs() < 1e-14);
-        assert!(vals[1].abs() < 1e-14);
-        assert!((vals[2] - s2).abs() < 1e-14);
+        assert!((d[0] + s2).abs() < 1e-14);
+        assert!(d[1].abs() < 1e-14);
+        assert!((d[2] - s2).abs() < 1e-14);
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub use blas3::{
     Prepacked,
 };
 pub use cholesky::{add_shift, potrf_upper, shifted_cholesky_shift, NotPositiveDefinite};
-pub use heevd::{eigvals_tridiagonal, heevd, steqr, tridiagonalize, NoConvergence};
+pub use heevd::{heevd, steqr, NoConvergence};
 pub use lanczos::{lanczos_block, lanczos_run, LanczosRun, SpectralBounds};
 pub use matrix::{ColsMut, ColsRef, Matrix};
 pub use qr::{householder_qr, random_orthonormal, HouseholderQr};

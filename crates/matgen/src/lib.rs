@@ -19,5 +19,5 @@ pub mod io;
 pub mod spectrum;
 pub mod suite;
 
-pub use spectrum::{dense_with_spectrum, dense_with_spectrum_qr, perturb_hermitian, Spectrum};
+pub use spectrum::{dense_with_spectrum, perturb_hermitian, Spectrum};
 pub use suite::{scaled_suite, Problem, ProblemKind, SCALE_DEFAULT};

@@ -201,29 +201,6 @@ pub fn perturb_hermitian<T: Scalar>(h: &Matrix<T>, eps: f64, seed: u64) -> Matri
     next
 }
 
-/// The paper's literal construction: `Q` from the QR factorization of a
-/// random square matrix, then `A = Q^H D Q`. `O(n^3)` — prefer
-/// [`dense_with_spectrum`] beyond a few hundred.
-pub fn dense_with_spectrum_qr<T: Scalar>(spec: &Spectrum, seed: u64) -> Matrix<T> {
-    let n = spec.len();
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let q = chase_linalg::random_orthonormal::<T, _>(n, n, &mut rng);
-    let d = Matrix::<T>::from_diag(&to_real_vec::<T>(spec));
-    let qd = chase_linalg::gemm_new(chase_linalg::Op::ConjTrans, chase_linalg::Op::None, &q, &d);
-    let a = chase_linalg::gemm_new(chase_linalg::Op::None, chase_linalg::Op::None, &qd, &q);
-    // Symmetrize round-off.
-    let mut out = a.clone();
-    for j in 0..n {
-        for i in 0..j {
-            let m = (a[(i, j)] + a[(j, i)].conj()).scale(T::Real::from_f64_r(0.5));
-            out[(i, j)] = m;
-            out[(j, i)] = m.conj();
-        }
-        out[(j, j)] = T::from_real(a[(j, j)].re());
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,16 +229,6 @@ mod tests {
         let (vals, _) = heevd(&a).unwrap();
         for (got, want) in vals.iter().zip(spec.values()) {
             assert!((got - want).abs() < 1e-10, "{got} vs {want}");
-        }
-    }
-
-    #[test]
-    fn qr_construction_matches_spectrum() {
-        let spec = Spectrum::dft_like(30);
-        let a = dense_with_spectrum_qr::<C64>(&spec, 8);
-        let (vals, _) = heevd(&a).unwrap();
-        for (got, want) in vals.iter().zip(spec.values()) {
-            assert!((got - want).abs() < 1e-9, "{got} vs {want}");
         }
     }
 

@@ -23,4 +23,4 @@ pub use analytic::{iteration_events, solve_events, IterationSpec, Layout};
 pub use elpa::{elpa_time, ElpaKind, ElpaTime};
 pub use live::{diff_table, price_trace, region_diff};
 pub use machine::{CommFlavor, Machine, ScalarKind};
-pub use profile::{price_ledger, profiled_time, total_time, PriceCtx, RegionCost};
+pub use profile::{price_ledger, profiled_time, PriceCtx, RegionCost};

@@ -1,11 +1,6 @@
 //! Shared end-to-end test harness: the one copy of the problem builders and
 //! solve-loop helpers that the `matrix`, `faults`, `overlap` and `tune`
 //! suites used to each carry their own flavor of.
-//!
-//! The `tests/it` crate and the suites still in their own test crates each
-//! compile this module separately and use a different subset, so everything
-//! is `allow(dead_code)`.
-#![allow(dead_code)]
 
 use chase_comm::{run_grid, GridShape, Reduce};
 use chase_core::{
@@ -202,13 +197,6 @@ pub fn degree_profile(raw: &[usize]) -> Vec<usize> {
     d.sort_unstable();
     d
 }
-
-/// Scale a base timeout by `CHASE_TEST_TIMEOUT_SCALE`. Canonical
-/// implementation lives in `chase-comm` so library-level watchdogs (tune
-/// trial budgets, schedule gates) and tests share one knob; re-exported here
-/// for the test suites.
-#[allow(unused_imports)]
-pub use chase_comm::scaled_timeout_ms;
 
 /// Assert every rank of an SPMD run returned `Ok`, and hand back the
 /// unwrapped results.

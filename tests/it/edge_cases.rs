@@ -6,7 +6,7 @@ use chase_core::{solve_serial, ChaseErrorKind, Params, RecoveryEventKind, WarmSt
 use chase_linalg::{Matrix, SpectralBounds, C64};
 use chase_matgen::{dense_with_spectrum, Spectrum};
 
-mod common;
+use crate::common;
 
 #[test]
 fn minimal_search_space() {

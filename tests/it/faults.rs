@@ -4,7 +4,7 @@
 //! the fault-free run, or returns a typed error whose recovery log names
 //! what happened — never silently-wrong results, never a hang.
 
-mod common;
+use crate::common;
 
 use chase_comm::GridShape;
 use chase_core::{

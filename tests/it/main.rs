@@ -8,15 +8,19 @@
 //! A module keeps its file stem, which is also the name of its persisted
 //! proptest seeds (`proptest-regressions/<stem>.txt`).
 
-#[path = "../common/mod.rs"]
 mod common;
 
 mod analytic_vs_live;
 mod block_cyclic;
 mod check;
+mod edge_cases;
+mod faults;
 mod filter_invariants;
 mod matrix;
 mod memory_eq2;
 mod overlap;
+mod properties;
+mod qr_ladder;
+mod serve;
 mod trace_replay;
 mod tune;

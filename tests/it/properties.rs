@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-mod common;
+use crate::common;
 
 /// Tall-skinny matrix with prescribed condition number.
 fn conditioned(m: usize, n: usize, kappa: f64, seed: u64) -> Matrix<C64> {
@@ -195,9 +195,8 @@ fn cond_estimate_on_synthetic_filter() {
 }
 
 /// The seeds persisted for this suite's properties replay first: the shim
-/// finds `proptest-regressions/<stem>.txt` from `file!()`'s stem, so they
-/// keep replaying whether the suite is its own test crate or a module of
-/// `tests/it`.
+/// finds `proptest-regressions/<stem>.txt` from `file!()`'s stem, which a
+/// module of `tests/it` keeps.
 #[test]
 fn persisted_seeds_still_replay() {
     let want: Vec<u64> = [
