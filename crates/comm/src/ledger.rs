@@ -22,6 +22,16 @@ pub enum Region {
 }
 
 impl Region {
+    /// Every region, in declaration order: `ALL[r as usize] == r`.
+    pub const ALL: [Region; 6] = [
+        Region::Lanczos,
+        Region::Filter,
+        Region::Qr,
+        Region::RayleighRitz,
+        Region::Residuals,
+        Region::Other,
+    ];
+
     /// The four regions profiled in Fig. 2 of the paper.
     pub const PROFILED: [Region; 4] = [
         Region::Filter,
@@ -51,6 +61,22 @@ impl Region {
             "Other" => Region::Other,
             _ => return None,
         })
+    }
+
+    /// The short name: trace span names and `--inject` region triggers.
+    pub fn short_name(self) -> &'static str {
+        match self {
+            Region::Lanczos => "lanczos",
+            Region::Filter => "filter",
+            Region::Qr => "qr",
+            Region::RayleighRitz => "rr",
+            Region::Residuals => "resid",
+            Region::Other => "other",
+        }
+    }
+
+    pub fn from_short_name(name: &str) -> Option<Region> {
+        Self::ALL.into_iter().find(|r| r.short_name() == name)
     }
 }
 
@@ -483,6 +509,16 @@ impl Drop for RegionGuard<'_> {
 mod tests {
     use super::*;
     use crate::json;
+
+    #[test]
+    fn region_names_round_trip_and_all_is_indexed_by_discriminant() {
+        for (i, r) in Region::ALL.into_iter().enumerate() {
+            assert_eq!(r as usize, i);
+            assert_eq!(Region::parse_name(r.name()), Some(r));
+            assert_eq!(Region::from_short_name(r.short_name()), Some(r));
+        }
+        assert_eq!(Region::from_short_name("Filter"), None);
+    }
 
     #[test]
     fn categories() {

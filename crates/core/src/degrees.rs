@@ -19,7 +19,7 @@ pub(crate) const DEG_EXTRA: usize = 2;
 
 /// The largest even degree `<= max_deg`: filtered vectors must end in `C`,
 /// so an odd cap is rounded down, never up.
-pub(crate) fn even_cap(max_deg: usize) -> usize {
+fn even_cap(max_deg: usize) -> usize {
     max_deg - max_deg % 2
 }
 

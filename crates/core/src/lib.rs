@@ -47,7 +47,7 @@ pub use filter::{
 };
 pub use hemm::{hemm_b_to_c, hemm_c_to_b};
 pub use layout::{DistHerm, MemoryReport, RowDist};
-pub use params::{Params, QrStrategy};
+pub use params::{Params, QrStrategy, MAX_DEG};
 pub use qr::{
     cholesky_qr, flexible_qr, householder_qr_dist, ladder_start, next_rung, qr_ladder,
     shifted_cholesky_qr2, LadderAttempt, QrError, QrVariant, COND_SHIFTED, COND_SINGLE,

@@ -1,6 +1,9 @@
 //! Solver parameters (the knobs of Algorithms 1–2).
 
-use crate::degrees::even_cap;
+/// Cap on every filter degree (paper: 36, "to avoid the matrix of vectors
+/// becoming too ill-conditioned"). Even, so a column filtered at the cap
+/// still ends in `C`.
+pub const MAX_DEG: usize = 36;
 
 /// Strategy for choosing the QR factorization each iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,20 +29,13 @@ pub struct Params {
     pub nex: usize,
     /// Residual threshold for deflation & locking (the paper fixes 1e-10).
     pub tol: f64,
-    /// Initial Chebyshev degree (paper: 20).
+    /// Initial Chebyshev degree (paper: 20), at most [`MAX_DEG`].
     pub deg: usize,
-    /// Cap on optimized degrees (paper: 36, "to avoid the matrix of
-    /// vectors becoming too ill-conditioned").
-    pub max_deg: usize,
     /// Enable per-vector degree optimization (paper: always on unless
     /// stated otherwise).
     pub optimize_degrees: bool,
     /// Maximum outer iterations before giving up.
     pub max_iter: usize,
-    /// Lanczos steps per run for the spectral estimator.
-    pub lanczos_steps: usize,
-    /// Number of independent Lanczos runs for the DoS estimate.
-    pub lanczos_runs: usize,
     /// QR variant selection.
     pub qr: QrStrategy,
     /// Also compute the *exact* condition number of the filtered block each
@@ -59,11 +55,9 @@ pub struct Params {
     /// How many times one iteration may restore + re-filter poisoned
     /// columns before giving up with `UnrecoverableNonFinite`.
     pub max_refilter: usize,
-    /// Directory for periodic solver checkpoints; `None` disables them.
+    /// Directory for solver checkpoints, one snapshot per outer iteration;
+    /// `None` disables them.
     pub checkpoint_dir: Option<String>,
-    /// Write a checkpoint every this many outer iterations (0 means only
-    /// when a crash-recovery driver requests one on demand).
-    pub checkpoint_every: usize,
 }
 
 impl Params {
@@ -74,11 +68,8 @@ impl Params {
             nex,
             tol: 1e-10,
             deg: 20,
-            max_deg: 36,
             optimize_degrees: true,
             max_iter: 60,
-            lanczos_steps: 25,
-            lanczos_runs: 4,
             qr: QrStrategy::Auto,
             track_true_cond: false,
             seed: 0xC4A53,
@@ -86,7 +77,6 @@ impl Params {
             guards: true,
             max_refilter: 2,
             checkpoint_dir: None,
-            checkpoint_every: 0,
         }
     }
 
@@ -105,9 +95,10 @@ impl Params {
     }
 
     /// The filter degree every column starts at: `deg`, rounded up to even
-    /// (filtered vectors must end in `C`), but never past the even cap.
+    /// (filtered vectors must end in `C`); at most [`MAX_DEG`], which is
+    /// even, once validated.
     pub(crate) fn init_deg(&self) -> usize {
-        (self.deg + self.deg % 2).min(even_cap(self.max_deg))
+        self.deg + self.deg % 2
     }
 
     /// Validate against a problem size, reporting the first violation as a
@@ -134,11 +125,8 @@ impl Params {
                 self.tol
             ));
         }
-        if self.deg < 2 || self.max_deg < self.deg {
-            return Err(format!(
-                "need 2 <= deg <= max_deg, got deg {} max_deg {}",
-                self.deg, self.max_deg
-            ));
+        if !(2..=MAX_DEG).contains(&self.deg) {
+            return Err(format!("need 2 <= deg <= {MAX_DEG}, got deg {}", self.deg));
         }
         if self.max_iter < 1 {
             return Err("max_iter must be at least 1".into());
@@ -156,7 +144,7 @@ mod tests {
         let p = Params::new(100, 40);
         assert_eq!(p.tol, 1e-10);
         assert_eq!(p.deg, 20);
-        assert_eq!(p.max_deg, 36);
+        assert_eq!(MAX_DEG, 36);
         assert!(p.optimize_degrees);
         assert_eq!(p.ne(), 140);
     }
@@ -179,18 +167,21 @@ mod tests {
         assert_eq!(Params::new(10, 5).try_validate(100), Ok(()));
     }
 
-    /// An odd `max_deg` is a cap, not a suggestion: the initial degree
-    /// rounds `deg` up to even only as far as the largest even degree
-    /// below the cap.
+    /// The cap bounds the initial degree: an odd `deg` rounds up to even,
+    /// the largest valid one onto [`MAX_DEG`] itself, and one past the cap
+    /// is refused.
     #[test]
     fn an_odd_cap_bounds_the_initial_degree() {
         let mut p = Params::new(10, 5);
-        (p.deg, p.max_deg) = (35, 35);
+        p.deg = MAX_DEG - 1;
         assert_eq!(p.try_validate(100), Ok(()));
-        assert_eq!(p.init_deg(), 34);
-        (p.deg, p.max_deg) = (33, 35);
-        assert_eq!(p.init_deg(), 34);
-        (p.deg, p.max_deg) = (21, 36);
+        assert_eq!(p.init_deg(), MAX_DEG);
+        p.deg = MAX_DEG - 3;
+        assert_eq!(p.init_deg(), MAX_DEG - 2);
+        p.deg = 21;
         assert_eq!(p.init_deg(), 22);
+        p.deg = MAX_DEG + 1;
+        let err = p.try_validate(100).unwrap_err();
+        assert!(err.contains("deg <= 36"), "{err}");
     }
 }

@@ -18,11 +18,10 @@
 
 use crate::ckpt::{CkptError, Snapshot};
 use crate::condest::cond_est;
-use crate::degrees::even_cap;
 use crate::filter::{chebyshev_filter_with, FilterBounds, FilterError, FilterExec};
 use crate::hemm::{hemm_c_to_b, matvec_replicated};
 use crate::layout::{DistHerm, MemoryReport, RowDist};
-use crate::params::Params;
+use crate::params::{Params, MAX_DEG};
 use crate::qr::{qr_ladder, QrVariant};
 use crate::result::{
     ChaseError, ChaseErrorKind, ChaseResult, IterStats, RecoveryEventKind, RecoveryLog,
@@ -44,10 +43,18 @@ use std::sync::Arc;
 /// `[mu_ne, b_sup]` — 1% of the spectral span is cheap insurance.
 const WARM_BOUND_MARGIN: f64 = 0.01;
 
-/// Distributed spectral-bound estimation (Algorithm 2, line 1): `runs`
-/// Lanczos runs of `steps` iterations on the distributed operator, advanced
-/// as one block (two collectives per step whatever `runs` is), with a DoS
-/// quantile for `mu_ne`. Identical output on every rank.
+/// Lanczos steps per run of the spectral estimate.
+const LANCZOS_STEPS: usize = 25;
+
+/// Independent Lanczos runs whose Ritz values feed the DoS quantile for
+/// `mu_ne`.
+const LANCZOS_RUNS: usize = 4;
+
+/// Distributed spectral-bound estimation (Algorithm 2, line 1):
+/// [`LANCZOS_RUNS`] Lanczos runs of [`LANCZOS_STEPS`] iterations on the
+/// distributed operator, advanced as one block (two collectives per step
+/// whatever the number of runs), with a DoS quantile for `mu_ne`. Identical
+/// output on every rank.
 ///
 /// A non-finite entry in `H` makes the estimate fail as
 /// [`ChaseErrorKind::BadSpectrum`]; the quantities it is detected on are
@@ -58,14 +65,26 @@ pub fn estimate_bounds_dist<T: Scalar + Reduce>(
     ne: usize,
     params: &Params,
 ) -> Result<SpectralBounds<T::Real>, ChaseError> {
+    lanczos_bounds(dev, h, ne, params.seed, LANCZOS_STEPS, LANCZOS_RUNS)
+}
+
+/// [`estimate_bounds_dist`] with the shape of the estimate as arguments.
+fn lanczos_bounds<T: Scalar + Reduce>(
+    dev: &Device<'_>,
+    h: &DistHerm<T>,
+    ne: usize,
+    seed: u64,
+    steps: usize,
+    runs: usize,
+) -> Result<SpectralBounds<T::Real>, ChaseError> {
     dev.set_region(Region::Lanczos);
     let ctx = dev.ctx();
     let b_dist = RowDist::b_layout(h.n, ctx.shape, h.dist);
-    let mut rng = ChaCha8Rng::seed_from_u64(params.seed ^ 0x1a9c205);
+    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x1a9c205);
     let runs = chase_linalg::lanczos_block::<T, _, _>(
         h.n,
-        params.lanczos_steps,
-        params.lanczos_runs,
+        steps,
+        runs,
         |x| matvec_replicated(dev, ctx, h, &b_dist, x),
         &mut rng,
     );
@@ -537,7 +556,7 @@ where
                 .iter()
                 .map(|&j| {
                     // A bumped (still even) degree.
-                    let d = (self.sub.degs[j] + 2 * attempt).min(even_cap(self.params.max_deg));
+                    let d = (self.sub.degs[j] + 2 * attempt).min(MAX_DEG);
                     (d, j)
                 })
                 .collect();
@@ -768,22 +787,21 @@ where
         row
     }
 
-    /// Periodic checkpoint (elastic recovery substrate): assemble the
-    /// global iterate over the column communicator (every rank joins the
-    /// collective) and persist a [`Snapshot`] from world rank 0 via
-    /// tmp+rename, so readers never observe a torn file. Write errors are
-    /// swallowed deliberately: a full disk on rank 0 must not diverge its
-    /// control flow from the other ranks' (recovery logs are compared
-    /// bitwise across ranks) — for the same reason the saved event is
-    /// logged on every rank.
+    /// Checkpoint of an iteration that leaves wanted columns active, when
+    /// `Params::checkpoint_dir` names a directory (elastic recovery
+    /// substrate): assemble the global iterate over the column communicator
+    /// (every rank joins the collective) and persist a [`Snapshot`] from
+    /// world rank 0 via tmp+rename, so readers never observe a torn file.
+    /// Write errors are swallowed deliberately: a full disk on rank 0 must
+    /// not diverge its control flow from the other ranks' (recovery logs are
+    /// compared bitwise across ranks) — for the same reason the saved event
+    /// is logged on every rank.
     fn maybe_checkpoint(&mut self, bounds: &SpectralBounds<T::Real>) {
         let iter = self.progress.iter;
         let Some(dir) = &self.params.checkpoint_dir else {
             return;
         };
-        // `checkpoint_every = 0` (off) has no multiple among `iter >= 1`.
-        if !iter.is_multiple_of(self.params.checkpoint_every) || self.sub.locked >= self.params.nev
-        {
+        if self.sub.locked >= self.params.nev {
             return;
         }
         let ctx = self.dev.ctx();
@@ -1155,7 +1173,7 @@ mod tests {
 
     /// What one rank saw of one Lanczos phase made both ways.
     struct LanczosPhase {
-        /// `estimate_bounds_dist` (one block) and the bounds of the same
+        /// `lanczos_bounds` (one block) and the bounds of the same
         /// runs made one at a time through a one-column operator.
         block_bounds: [u64; 3],
         one_by_one_bounds: [u64; 3],
@@ -1166,13 +1184,14 @@ mod tests {
         one_by_one_cost: (usize, u64, u64),
     }
 
+    /// `(seed, steps, runs)` shape the estimate, as in [`lanczos_bounds`].
     fn lanczos_phase<T: Scalar + Reduce>(
         shape: GridShape,
         h: &Matrix<T>,
-        params: &Params,
+        ne: usize,
+        (seed, steps, runs): (u64, usize, usize),
     ) -> Vec<LanczosPhase> {
         let n = h.rows();
-        let ne = params.ne();
         let dist = chase_comm::Distribution::BlockCyclic { block: 3 };
         let bits =
             |b: SpectralBounds<T::Real>| [b.mu_1, b.mu_ne, b.b_sup].map(|x| x.to_f64().to_bits());
@@ -1187,20 +1206,19 @@ mod tests {
             let dev = Device::new(ctx, Backend::Nccl);
             let dh = DistHerm::from_global_dist(h, ctx, dist);
             let from = ctx.ledger_snapshot().len();
-            let block = estimate_bounds_dist(&dev, &dh, ne, params).expect("finite H");
+            let block = lanczos_bounds(&dev, &dh, ne, seed, steps, runs).expect("finite H");
             let block_cost = cost(ctx.ledger_snapshot().since(from));
 
             let from = ctx.ledger_snapshot().len();
             let b_dist = RowDist::b_layout(n, ctx.shape, dist);
-            let mut rng = ChaCha8Rng::seed_from_u64(params.seed ^ 0x1a9c205);
-            let runs: Vec<_> = (0..params.lanczos_runs)
+            let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x1a9c205);
+            let runs: Vec<_> = (0..runs)
                 .map(|_| {
                     let matvec = |x: &[T], y: &mut [T]| {
                         let xm = Matrix::from_vec(n, 1, x.to_vec());
                         y.copy_from_slice(matvec_replicated(&dev, ctx, &dh, &b_dist, &xm).col(0));
                     };
-                    chase_linalg::lanczos_run(n, params.lanczos_steps, matvec, &mut rng)
-                        .expect("finite H")
+                    chase_linalg::lanczos_run(n, steps, matvec, &mut rng).expect("finite H")
                 })
                 .collect();
             LanczosPhase {
@@ -1229,14 +1247,13 @@ mod tests {
         seed: u64,
     ) {
         let h = few_eigenvalues::<T>(n, distinct.min(n), scale, seed);
-        let mut params = Params::new(n.div_ceil(4), n / 8);
-        (params.lanczos_steps, params.lanczos_runs, params.seed) = (steps, runs, seed);
+        let ne = n.div_ceil(4) + n / 8;
         for (p, q) in [(1, 1), (1, 2), (2, 1), (2, 2)] {
             let what = format!(
                 "{} {p}x{q} n={n} distinct={distinct} scale={scale} steps={steps} runs={runs} seed={seed}",
                 std::any::type_name::<T>()
             );
-            let ranks = lanczos_phase(GridShape::new(p, q), &h, &params);
+            let ranks = lanczos_phase(GridShape::new(p, q), &h, ne, (seed, steps, runs));
             for r in &ranks {
                 assert_eq!(
                     r.block_bounds, ranks[0].block_bounds,
@@ -1287,17 +1304,17 @@ mod tests {
     #[test]
     fn lanczos_phase_is_two_collectives_per_step_whatever_the_runs() {
         let h = few_eigenvalues::<C64>(64, 64, 1.0, 3);
-        let mut params = Params::new(8, 4);
+        let params = Params::new(8, 4);
         let mut one_run_bytes = Vec::new();
-        for runs in [1, 4, 6] {
-            params.lanczos_runs = runs;
-            let ranks = lanczos_phase(GridShape::new(2, 2), &h, &params);
+        for runs in [1, LANCZOS_RUNS, 6] {
+            let estimate = (params.seed, LANCZOS_STEPS, runs);
+            let ranks = lanczos_phase(GridShape::new(2, 2), &h, params.ne(), estimate);
             if runs == 1 {
                 one_run_bytes = ranks.iter().map(|r| r.block_cost.1).collect();
             }
             for (rank, one_run_bytes) in ranks.iter().zip(&one_run_bytes) {
-                assert_eq!(rank.steps, vec![params.lanczos_steps; runs]);
-                assert_eq!(rank.block_cost.0, 2 * params.lanczos_steps, "{runs} runs");
+                assert_eq!(rank.steps, vec![LANCZOS_STEPS; runs]);
+                assert_eq!(rank.block_cost.0, 2 * LANCZOS_STEPS, "{runs} runs");
                 assert_eq!(
                     rank.block_cost.1,
                     runs as u64 * one_run_bytes,

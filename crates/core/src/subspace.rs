@@ -7,7 +7,7 @@
 
 use crate::degrees::{degree_sort_permutation, optimize_degrees, predicted_residual};
 use crate::filter::FilterBounds;
-use crate::params::Params;
+use crate::params::{Params, MAX_DEG};
 use crate::qr::QrVariant;
 use crate::result::{DegreeForecast, IterStats};
 use chase_linalg::{Matrix, RealScalar, Scalar, SpectralBounds};
@@ -99,7 +99,7 @@ impl<R: RealScalar> Subspace<R> {
                 c,
                 e,
                 params.tol * norm_h.to_f64(),
-                params.max_deg,
+                MAX_DEG,
             );
             self.degs[l..params.nev].copy_from_slice(&new_degs);
             let last_wanted = self.degs[params.nev - 1];
@@ -312,7 +312,7 @@ mod tests {
         );
         let planned = |k: usize| {
             let t = (before[k].0 - fb.c) / fb.e;
-            crate::degrees::optimal_degree(before[k].1, params.tol, t, params.max_deg)
+            crate::degrees::optimal_degree(before[k].1, params.tol, t, MAX_DEG)
         };
         for j in 0..7 {
             let pair = (sub.ritzv[j], sub.resd[j]);
@@ -352,8 +352,7 @@ mod tests {
         sub.ritzv = vec![-0.99, -0.95, -0.9, -0.85, -0.5, 0.2, 0.4];
         sub.resd = vec![1e-12, 1e-3, 1e-8, 1e-12, 1.0, 1e-1, 1e-5];
         let t = |k: usize| (sub.ritzv[k] - fb.c) / fb.e;
-        let own =
-            |k: usize, r: f64| crate::degrees::optimal_degree(r, params.tol, t(k), params.max_deg);
+        let own = |k: usize, r: f64| crate::degrees::optimal_degree(r, params.tol, t(k), MAX_DEG);
         let (d1, d2) = (own(1, 1e-3), own(2, 1e-8));
         assert!(d2 < d1, "{d2} !< {d1}");
         // Left to themselves the extra columns would spread from the

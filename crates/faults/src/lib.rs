@@ -79,41 +79,6 @@ impl FaultKind {
     }
 }
 
-/// Short region names used in spec strings.
-fn region_name(r: Region) -> &'static str {
-    match r {
-        Region::Lanczos => "lanczos",
-        Region::Filter => "filter",
-        Region::Qr => "qr",
-        Region::RayleighRitz => "rr",
-        Region::Residuals => "resid",
-        Region::Other => "other",
-    }
-}
-
-fn region_parse(s: &str) -> Result<Region, SpecError> {
-    Ok(match s {
-        "lanczos" => Region::Lanczos,
-        "filter" => Region::Filter,
-        "qr" => Region::Qr,
-        "rr" => Region::RayleighRitz,
-        "resid" => Region::Residuals,
-        "other" => Region::Other,
-        other => return Err(SpecError(format!("unknown region '{other}'"))),
-    })
-}
-
-fn region_id(r: Region) -> u8 {
-    match r {
-        Region::Lanczos => 0,
-        Region::Filter => 1,
-        Region::Qr => 2,
-        Region::RayleighRitz => 3,
-        Region::Residuals => 4,
-        Region::Other => 5,
-    }
-}
-
 /// One planned fault: a kind plus its `(iteration, region, rank)` trigger
 /// and kind-specific knobs. Fires at most once.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -153,7 +118,7 @@ impl Injection {
     /// rank's injection record deterministically (the victim's own log
     /// dies with it).
     pub fn region_name(&self) -> &'static str {
-        self.region.map(region_name).unwrap_or("any")
+        self.region.map(Region::short_name).unwrap_or("any")
     }
 }
 
@@ -161,7 +126,7 @@ impl fmt::Display for Injection {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}@iter={}", self.kind.name(), self.iter)?;
         if let Some(r) = self.region {
-            write!(f, ",region={}", region_name(r))?;
+            write!(f, ",region={}", r.short_name())?;
         }
         match self.kind {
             FaultKind::NanPayload | FaultKind::InfPayload | FaultKind::BitFlip => {
@@ -247,7 +212,11 @@ impl FaultSpec {
                         inj.iter = num()?;
                         saw_iter = true;
                     }
-                    "region" => inj.region = Some(region_parse(v)?),
+                    "region" => {
+                        let r = Region::from_short_name(v)
+                            .ok_or_else(|| SpecError(format!("unknown region '{v}'")))?;
+                        inj.region = Some(r);
+                    }
                     "rank" => inj.rank = num()? as usize,
                     "row" => inj.row = Some(num()? as usize),
                     "cols" => inj.cols = num()? as usize,
@@ -372,7 +341,7 @@ pub struct FaultPlan {
     grid_row: usize,
     /// Current solver iteration (1-based; 0 = before the loop).
     iter: AtomicU64,
-    /// Current region id (see `region_id`).
+    /// Current region, as `Region as u8`.
     region: AtomicU8,
     /// One-shot flag per injection.
     fired: Vec<AtomicBool>,
@@ -402,7 +371,7 @@ impl FaultPlan {
             world_rank,
             grid_row,
             iter: AtomicU64::new(0),
-            region: AtomicU8::new(region_id(Region::Other)),
+            region: AtomicU8::new(Region::Other as u8),
             fired,
             site: AtomicU64::new(0),
             log: Mutex::new(Vec::new()),
@@ -435,18 +404,11 @@ impl FaultPlan {
 
     /// Track the solver region for region-gated triggers.
     pub fn set_region(&self, r: Region) {
-        self.region.store(region_id(r), Ordering::Relaxed);
+        self.region.store(r as u8, Ordering::Relaxed);
     }
 
     fn current_region_name(&self) -> &'static str {
-        match self.region.load(Ordering::Relaxed) {
-            0 => "lanczos",
-            1 => "filter",
-            2 => "qr",
-            3 => "rr",
-            4 => "resid",
-            _ => "other",
-        }
+        Region::ALL[usize::from(self.region.load(Ordering::Relaxed))].short_name()
     }
 
     /// Does injection `idx` match the current (iter, region) trigger point?
@@ -459,7 +421,7 @@ impl FaultPlan {
             return false;
         }
         match inj.region {
-            Some(r) => region_id(r) == self.region.load(Ordering::Relaxed),
+            Some(r) => r as u8 == self.region.load(Ordering::Relaxed),
             None => true,
         }
     }

@@ -16,7 +16,6 @@ use crate::metrics::ServeMetrics;
 use crate::plan::{build_plan, Plan};
 use chase_comm::Reduce;
 use chase_core::{ChaseResult, RecoveryEventKind, WarmStart};
-use chase_device::Backend;
 use chase_linalg::Scalar;
 use chase_trace::Trace;
 use chase_tune::{solve_grid, GridRun};
@@ -26,14 +25,14 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
 
-/// Pool-level knobs. All defaults are deterministic.
+/// Pool-level knobs. All defaults are deterministic. Every job runs on the
+/// device-direct backend ([`chase_tune::GridRun::new`]'s).
 #[derive(Debug, Clone)]
 pub struct SchedulerConfig {
     /// Concurrent worker rank-grids.
     pub workers: usize,
     /// Session-cache byte budget (0 disables warm starts).
     pub cache_bytes: usize,
-    pub backend: Backend,
     /// Record one structured trace stream per job.
     pub record_traces: bool,
 }
@@ -43,7 +42,6 @@ impl Default for SchedulerConfig {
         Self {
             workers: 2,
             cache_bytes: 256 << 20,
-            backend: Backend::Nccl,
             record_traces: false,
         }
     }
@@ -308,7 +306,6 @@ where
         });
         let cv = Condvar::new();
         let workers = self.cfg.workers.min(n.max(1));
-        let backend = self.cfg.backend;
         let record_traces = self.cfg.record_traces;
 
         std::thread::scope(|scope| {
@@ -359,7 +356,7 @@ where
                     };
 
                     let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        run_job(&specs[idx], warm_payload.as_deref(), backend, record_traces)
+                        run_job(&specs[idx], warm_payload.as_deref(), record_traces)
                     }));
 
                     let mut g = shared.lock();
@@ -414,11 +411,11 @@ where
     }
 }
 
-/// Run one job on its own rank grid. Pure with respect to scheduler state:
-/// everything it needs arrives as arguments, everything it learns leaves in
-/// the return value — for a solved session step also the hand-off to its
-/// next step, the `n x ne` final search space, which the session store
-/// takes by move.
+/// Run one job on its own rank grid (device-direct backend). Pure with
+/// respect to scheduler state: everything it needs arrives as arguments,
+/// everything it learns leaves in the return value — for a solved session
+/// step also the hand-off to its next step, the `n x ne` final search
+/// space, which the session store takes by move.
 ///
 /// A job whose fault spec plans a rank crash runs elastic inside
 /// [`solve_grid`]: the crash shrinks the grid and the solve resumes from
@@ -428,7 +425,6 @@ where
 fn run_job<T: Scalar + Reduce>(
     spec: &JobSpec<T>,
     warm: Option<&WarmStart<T>>,
-    backend: Backend,
     record_traces: bool,
 ) -> (JobOutcome<T>, Option<WarmStart<T>>, Option<Trace>)
 where
@@ -439,7 +435,6 @@ where
         &h,
         &spec.params,
         &GridRun {
-            backend,
             warm,
             trace: record_traces,
             ..GridRun::new(spec.grid)

@@ -136,15 +136,6 @@ pub fn validate_chrome_trace(s: &str) -> Result<(), String> {
     Ok(())
 }
 
-const REGIONS: [Region; 6] = [
-    Region::Lanczos,
-    Region::Filter,
-    Region::Qr,
-    Region::RayleighRitz,
-    Region::Residuals,
-    Region::Other,
-];
-
 /// Per-region totals across all ranks: (compute flops, comm bytes, transfer
 /// bytes) — the three color groups of Fig. 2.
 fn region_totals(trace: &Trace, region: Region) -> (u64, u64, u64) {
@@ -183,7 +174,7 @@ pub fn summary_table(trace: &Trace) -> String {
         "region", "compute-flops", "comm-bytes", "transfer-bytes"
     ));
     let mut tot = (0u64, 0u64, 0u64);
-    for region in REGIONS {
+    for region in Region::ALL {
         let (f, c, t) = region_totals(trace, region);
         tot.0 += f;
         tot.1 += c;

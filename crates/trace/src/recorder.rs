@@ -16,18 +16,6 @@ use chase_comm::{CommScope, EventKind, Region, TraceHook};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
-/// Short span name for a region sub-span (the paper's Fig. 2 vocabulary).
-pub fn region_span_name(region: Region) -> &'static str {
-    match region {
-        Region::Lanczos => "lanczos",
-        Region::Filter => "filter",
-        Region::Qr => "qr",
-        Region::RayleighRitz => "rr",
-        Region::Residuals => "resid",
-        Region::Other => "other",
-    }
-}
-
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Frame {
     Named(&'static str),
@@ -46,7 +34,7 @@ impl Inner {
         match self.stack.pop() {
             Some(Frame::Named(name)) => self.events.push(TraceEvent::SpanEnd { name: name.into() }),
             Some(Frame::Region(r)) => self.events.push(TraceEvent::SpanEnd {
-                name: region_span_name(r).into(),
+                name: r.short_name().into(),
             }),
             None => {}
         }
@@ -136,7 +124,7 @@ impl TraceHook for TraceRecorder {
         inner.pop_regions();
         inner.stack.push(Frame::Region(region));
         inner.events.push(TraceEvent::SpanBegin {
-            name: region_span_name(region).into(),
+            name: region.short_name().into(),
             arg: 0,
         });
     }

@@ -7,7 +7,7 @@
 //!                [--grid 2x2 | --ranks 6] [--backend nccl|std|lms]
 //!                [--qr auto|hhqr|cholqr1|cholqr2] [--cyclic BLOCK] [--no-degopt]
 //!                [--inject 'seed=7;bitflip@iter=2,region=filter,rank=0']
-//!                [--no-guards] [--checkpoint DIR] [--checkpoint-every K]
+//!                [--no-guards] [--checkpoint DIR]
 //!                [--trace out.json] [--trace-format chrome|summary] [--metrics m.json]
 //! ```
 
@@ -60,12 +60,12 @@ const COMMANDS: [(&str, Command, &str); 6] = [
         "solve",
         cmd_solve,
         "matrix nev nex tol grid ranks backend qr cyclic no-degopt inject no-guards \
-         checkpoint checkpoint-every trace trace-format metrics",
+         checkpoint trace trace-format metrics",
     ),
     (
         "serve",
         cmd_serve,
-        "workload workers cache-mb backend metrics trace-dir checkpoint checkpoint-every",
+        "workload workers cache-mb metrics trace-dir checkpoint",
     ),
     ("submit", cmd_submit, "workload line"),
     (
@@ -353,20 +353,10 @@ fn cmd_solve(flags: Flags) -> Result<(), String> {
         silence_expected_crash_panics();
     }
     params.guards = !flags.contains_key("no-guards");
-    // `--checkpoint DIR` snapshots the solver state every `--checkpoint-every`
-    // iterations (default 1 when a directory is given): the restart point
-    // for elastic recovery from a `rank-crash` fault, and a durable record
-    // either way.
+    // `--checkpoint DIR` snapshots the solver state every iteration: the
+    // restart point for elastic recovery from a `rank-crash` fault, and a
+    // durable record either way.
     params.checkpoint_dir = flags.get("checkpoint").cloned();
-    params.checkpoint_every = match flags.get("checkpoint-every") {
-        Some(k) => k
-            .parse()
-            .map_err(|_| "--checkpoint-every needs an iteration count")?,
-        None => usize::from(params.checkpoint_dir.is_some()),
-    };
-    if params.checkpoint_every > 0 && params.checkpoint_dir.is_none() {
-        return Err("--checkpoint-every needs --checkpoint DIR".into());
-    }
     if params.inject.is_some() && matches!(backend, Backend::Lms) {
         return Err("--inject is not supported with the lms baseline backend".into());
     }
@@ -426,40 +416,22 @@ fn cmd_serve(flags: Flags) -> Result<(), String> {
         None => 2,
     };
     let cache_mb: usize = get(&flags, "cache-mb", Some(256))?;
-    let backend = match flags.get("backend").map(String::as_str).unwrap_or("nccl") {
-        "nccl" => Backend::Nccl,
-        "std" => Backend::Std,
-        other => return Err(format!("unknown backend '{other}' (nccl|std)")),
-    };
     let metrics_path = flags.get("metrics").cloned();
     let trace_dir = flags.get("trace-dir").cloned();
-
-    // `--checkpoint DIR` gives every job a private snapshot directory
-    // (DIR/<job-name>) written every `--checkpoint-every` iterations
-    // (default 1 when a directory is given): the restart point for jobs
-    // whose fault spec plans a rank crash, which the scheduler retries on
-    // the shrunk pool.
-    let ckpt_dir = flags.get("checkpoint").cloned();
-    let ckpt_every: usize = match flags.get("checkpoint-every") {
-        Some(k) => k
-            .parse()
-            .map_err(|_| "--checkpoint-every needs an iteration count")?,
-        None => usize::from(ckpt_dir.is_some()),
-    };
-    if ckpt_every > 0 && ckpt_dir.is_none() {
-        return Err("--checkpoint-every needs --checkpoint DIR".into());
-    }
 
     let text = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
     let mut jobs = chase_serve::parse_workload(&text)?;
     if jobs.is_empty() {
         return Err(format!("{path}: workload has no jobs"));
     }
-    if let Some(dir) = &ckpt_dir {
+    // `--checkpoint DIR` gives every job a private snapshot directory,
+    // DIR/<job-name>, written every iteration: the restart point for jobs
+    // whose fault spec plans a rank crash, which the scheduler retries on
+    // the shrunk pool.
+    if let Some(dir) = flags.get("checkpoint") {
         for j in &mut jobs {
             let sub = std::path::Path::new(dir).join(&j.name);
             j.params.checkpoint_dir = Some(sub.to_string_lossy().into_owned());
-            j.params.checkpoint_every = ckpt_every;
         }
     }
     if jobs.iter().any(|j| j.params.plans_rank_crash()) {
@@ -469,7 +441,6 @@ fn cmd_serve(flags: Flags) -> Result<(), String> {
     let mut sched: Scheduler<C64> = Scheduler::try_new(SchedulerConfig {
         workers,
         cache_bytes: cache_mb.saturating_mul(1 << 20),
-        backend,
         record_traces: trace_dir.is_some(),
     })
     .map_err(|e| e.to_string())?;
@@ -737,11 +708,10 @@ USAGE:
   chase solve    --matrix FILE --nev K [--nex X] [--tol T] [--grid PxQ | --ranks N]
                  [--backend nccl|std|lms] [--qr auto|hhqr|cholqr1|cholqr2]
                  [--cyclic BLOCK] [--no-degopt] [--inject SPEC] [--no-guards]
-                 [--checkpoint DIR] [--checkpoint-every K]
+                 [--checkpoint DIR]
                  [--trace FILE] [--trace-format chrome|summary] [--metrics FILE]
   chase serve    --workload FILE [--workers N] [--cache-mb M]
-                 [--backend nccl|std] [--metrics FILE] [--trace-dir DIR]
-                 [--checkpoint DIR] [--checkpoint-every K]
+                 [--metrics FILE] [--trace-dir DIR] [--checkpoint DIR]
   chase submit   --workload FILE --line 'gen name=j0 n=96 spectrum=dft nev=8 ...'
   chase check    [--seeds K] [--grids 1x1,2x2,1x4] [--scalars f64,c64]
                  [--systematic] [--no-oracle] [--canary]
@@ -800,8 +770,8 @@ ELASTIC RECOVERY:
   survivors agree on the dead set, shrink to the squarest grid over the
   survivor count, repartition H from the deterministic generator seed, and
   resume from the newest valid snapshot under --checkpoint (cold from
-  iteration 0 without one). --checkpoint-every K (default 1 when a
-  directory is given) bounds the recomputed work to under K iterations.
+  iteration 0 without one); a snapshot per iteration bounds the recomputed
+  work to under one iteration.
   The crash -> shrink -> restore trail lands on the recovery log, bitwise
   replayable. chase serve --checkpoint DIR gives each job DIR/<name> and
   retries crash-spec'd jobs on the shrunk pool (the rank_crash_retries

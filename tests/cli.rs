@@ -122,6 +122,9 @@ fn a_flag_the_subcommand_does_not_read_is_refused() {
         ("--deterministic", "--no-guards"),
         // Removed with the solver's collective-schedule knob.
         ("--collective", "auto"),
+        // Removed with the checkpoint interval: a directory means every
+        // iteration.
+        ("--checkpoint-every", "2"),
     ] {
         assert_refused(
             &[&solve[..], &[flag, value]].concat(),
@@ -154,17 +157,25 @@ fn a_flag_the_subcommand_does_not_read_is_refused() {
         ],
         "chase serve takes no flag --max-queue",
     );
-    // Removed with the measured-plan path, as is `chase tune` itself.
-    assert_refused(
-        &[
-            "serve",
-            "--workload",
-            workload.to_str().unwrap(),
-            "--plan-db",
-            "plans.json",
-        ],
-        "chase serve takes no flag --plan-db",
-    );
+    // Removed with the measured-plan path, as is `chase tune` itself; then
+    // with the checkpoint interval, and with the backend choice (serve
+    // always runs device-direct).
+    for (flag, value) in [
+        ("--plan-db", "plans.json"),
+        ("--checkpoint-every", "1"),
+        ("--backend", "std"),
+    ] {
+        assert_refused(
+            &[
+                "serve",
+                "--workload",
+                workload.to_str().unwrap(),
+                flag,
+                value,
+            ],
+            &format!("chase serve takes no flag {flag}"),
+        );
+    }
     let tune = chase(&["tune", "--matrix", m.as_str(), "--nev", "4"]);
     let stderr = String::from_utf8_lossy(&tune.stderr);
     assert_eq!(tune.status.code(), Some(1), "{stderr}");

@@ -2,7 +2,7 @@
 //! reporting, maximal subspaces, degenerate spectra, and more ranks than the
 //! problem comfortably fits.
 
-use chase_core::{solve_serial, ChaseErrorKind, Params, RecoveryEventKind, WarmStart};
+use chase_core::{solve_serial, ChaseErrorKind, Params, RecoveryEventKind, WarmStart, MAX_DEG};
 use chase_linalg::{Matrix, SpectralBounds, C64};
 use chase_matgen::{dense_with_spectrum, Spectrum};
 
@@ -54,31 +54,36 @@ fn a_lanczos_mu_ne_inside_the_wanted_cluster_is_not_kept() {
     assert_eq!((r.iterations, r.matvecs), (4, 590));
 }
 
-/// 35 is a cap even though it is odd: with `deg = max_deg = 35` the first
-/// iteration runs at 34, and with `deg = 33` a re-filter's bump of a
-/// poisoned column lands on 34 too (each rounds to even, and an odd cap
-/// rounds down); the optimised iterations stay below it as well.
+/// An odd degree rounds up to even but never past [`MAX_DEG`]: with
+/// `deg = 35` the first iteration runs at the cap, and with `deg = 33` a
+/// re-filter's bump of a poisoned column lands on the cap too; the
+/// optimised iterations stay at or below it as well.
 #[test]
 fn an_odd_degree_cap_is_never_exceeded() {
     let spec = Spectrum::uniform(60, -1.0, 1.0);
     let h = dense_with_spectrum::<C64>(&spec, 4);
-    for deg in [35, 33] {
+    for deg in [MAX_DEG - 1, MAX_DEG - 3] {
         let mut p = Params::new(6, 4);
-        (p.deg, p.max_deg) = (deg, 35);
+        p.deg = deg;
         p.inject = Some("seed=3;nan-block@iter=1,cols=1".parse().unwrap());
         let r = solve_serial(&h, &p, None).expect("ChASE solve");
         assert!(r.converged);
         assert!(
-            r.recovery
-                .any(|k| matches!(k, RecoveryEventKind::Refiltered { degree: 34, .. })),
+            r.recovery.any(|k| matches!(
+                k,
+                RecoveryEventKind::Refiltered {
+                    degree: MAX_DEG,
+                    ..
+                }
+            )),
             "deg {deg}: no re-filter at the cap:\n{}",
             r.recovery
         );
         for s in &r.stats {
             let d = s.max_degree;
-            assert!(d <= 35, "deg {deg}, iter {}: degree {d}", s.iter);
+            assert!(d <= MAX_DEG, "deg {deg}, iter {}: degree {d}", s.iter);
         }
-        assert_eq!(r.stats[0].max_degree, 34);
+        assert_eq!(r.stats[0].max_degree, MAX_DEG);
     }
 }
 

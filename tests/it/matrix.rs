@@ -287,7 +287,6 @@ where
         let crash_params = |dir: Option<&std::path::Path>| -> Params {
             let mut cp = case_params(Some(CRASH_FAULT));
             cp.checkpoint_dir = dir.map(|d| d.display().to_string());
-            cp.checkpoint_every = if dir.is_some() { 1 } else { 0 };
             cp
         };
 

@@ -406,7 +406,6 @@ fn rank_crash_job_retries_on_shrunk_pool() {
             .unwrap(),
     );
     crashy.params.checkpoint_dir = Some(dir.to_string_lossy().into_owned());
-    crashy.params.checkpoint_every = 1;
 
     let mut sched: Scheduler<C64> = Scheduler::new(SchedulerConfig {
         workers: 2,
@@ -437,7 +436,7 @@ fn rank_crash_job_retries_on_shrunk_pool() {
     assert!(
         out.recovery
             .any(|k| matches!(k, RecoveryEventKind::CheckpointRestored { iter, .. } if *iter > 0)),
-        "with checkpoint_every=1 the resume must restore a real snapshot"
+        "with a checkpoint every iteration the resume must restore a real snapshot"
     );
     assert_eq!(c1.warm, WarmKind::FallbackCold, "warm start must degrade");
     assert_eq!(sched.metrics.rank_crash_retries, 1);
